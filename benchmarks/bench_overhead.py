@@ -65,42 +65,53 @@ def test_virtual_time_overhead_is_zero(benchmark):
            f"  ratio         : {ratio:.4f} (paper: 1.00)")
 
 
-def _wall_per_call(plan_cache):
-    import time
+#: the ablation takes medians over this many rounds of this many calls
+ABLATION_ROUNDS, ABLATION_CALLS = 15, 200
+
+
+def _ablation():
+    """Median wall seconds per wrapped call, plan cache on and off.
+
+    One rank (no thread scheduling in the numbers) and both caches in one
+    run, alternating round by round, so that whatever drifts — CPU clock,
+    a noisy neighbour — drifts under both alike.
+    """
+    from time import perf_counter
 
     def main(raw):
-        comm = Communicator(raw, plan_cache=plan_cache)
-        v = np.arange(8, dtype=np.int64)
-        counts = [8] * raw.size
-        comm.allgatherv(send_buf(v), recv_counts(counts))  # warm the cache
-        n = 300
-        t0 = time.perf_counter()
-        for _ in range(n):
-            comm.allgatherv(send_buf(v), recv_counts(counts))
-        return (time.perf_counter() - t0) / n
+        comms = (Communicator(raw, plan_cache=PlanCache(enabled=True)),
+                 Communicator(raw, plan_cache=PlanCache(enabled=False)))
+        v, counts = np.arange(8, dtype=np.int64), [8]
+        samples = ([], [])
+        for comm in comms:
+            comm.allgatherv(send_buf(v), recv_counts(counts))  # warm up
+        for _ in range(ABLATION_ROUNDS):
+            for comm, out in zip(comms, samples):
+                t0 = perf_counter()
+                for _ in range(ABLATION_CALLS):
+                    comm.allgatherv(send_buf(v), recv_counts(counts))
+                out.append((perf_counter() - t0) / ABLATION_CALLS)
+        return [float(np.median(s)) for s in samples]
 
-    res = run_mpi(main, 2)
-    return float(np.mean(res.values))
+    return run_mpi(main, 1).values[0]
 
 
 def test_wrapper_wall_overhead_and_plan_cache_ablation(benchmark):
-    def run_ablation():
-        with_cache = _wall_per_call(PlanCache(enabled=True))
-        without_cache = _wall_per_call(PlanCache(enabled=False))
-        return with_cache, without_cache
-
-    with_cache, without_cache = benchmark.pedantic(run_ablation, rounds=1,
+    with_cache, without_cache = benchmark.pedantic(_ablation, rounds=1,
                                                    iterations=1)
     benchmark.extra_info["per_call_with_cache_us"] = with_cache * 1e6
     benchmark.extra_info["per_call_without_cache_us"] = without_cache * 1e6
     report(
         "Ablation — call-plan cache (the template-instantiation analog)",
-        f"wrapped allgatherv wall time per call (p=2):\n"
+        f"wrapped allgatherv wall time per call (p=1, medians of "
+        f"{ABLATION_ROUNDS} interleaved rounds of {ABLATION_CALLS} calls):\n"
         f"  plan cache ON  : {with_cache * 1e6:8.1f} µs\n"
         f"  plan cache OFF : {without_cache * 1e6:8.1f} µs\n"
         f"  cache saves    : {(without_cache - with_cache) * 1e6:8.1f} µs/call",
     )
-    assert with_cache <= without_cache * 1.1
+    # a hit is a dictionary probe, a miss re-validates the signature and
+    # rebuilds the closure: on must win outright, not within a tolerance
+    assert with_cache < without_cache
 
 
 def _backend_workload(comm):

@@ -1,38 +1,48 @@
 """The KaMPIng ``Communicator`` — wrapped MPI operations with named parameters.
 
-Every wrapped operation
+Every wrapped operation is *compiled* once per call-site signature
+(:mod:`repro.core.plans`) and from then on merely called, so this module is
+written in two tenses.  A **builder** (the ``@_op`` functions in the class
+body; their docstrings document the operations) runs at compile time: it
+reads the validated :class:`~repro.core.plans.CallPlan` — which parameters
+the signature has, where, of which container kind, moved or referenced — and
+returns the closure ``run(comm, params)`` in which all of that is decided.
+The closure runs per call.  It
 
-1. looks up (or compiles, once per parameter signature) a *call plan*
-   validating the named parameters (§III-A, :mod:`repro.core.plans`);
-2. encodes the send data through the type system (§III-D);
-3. infers every omitted parameter the way the paper describes — e.g.
+1. encodes the send data through the type system (§III-D);
+2. infers every omitted parameter the way the paper describes — e.g.
    ``allgatherv`` without receive counts performs one raw ``allgather`` of
    the local count followed by a local exclusive prefix sum (§III-A, Fig. 2);
-4. issues exactly the expected raw MPI calls (verifiable through the PMPI
+3. issues exactly the expected raw MPI calls (verifiable through the PMPI
    counters, §III-H);
-5. returns requested out-parameters by value — or writes them into
+4. returns requested out-parameters by value — or writes them into
    caller-supplied containers under their resize policies (§III-B/C).
+
+A :class:`Communicator` method is the same three steps for every operation
+(:func:`_method`): look the plan up, run it, translate raw failures (§III-G).
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Any, Hashable, Optional, Sequence
+from dataclasses import replace
+from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
 
 from repro.core import types as _types
-from repro.core.buffers import Poison, poison_if_array
+from repro.core.buffers import poison_if_array
 from repro.core.errors import (
     AssertionLevel,
     CommunicationFailure,
     RevokedError,
     TruncationError,
     UsageError,
+    assertion_level,
     kassert,
 )
 from repro.core.nonblocking import NonBlockingResult
-from repro.core.parameters import Parameter
+from repro.core.parameters import INOUT, Parameter
 from repro.core.plans import CallPlan, OpSpec, PlanCache
 from repro.core.resize import (
     ResizePolicy,
@@ -40,7 +50,6 @@ from repro.core.resize import (
     check_array_capacity,
 )
 from repro.core.result import pack_result
-from repro.core.serialization import DeserializationWrapper, SerializationWrapper
 from repro.mpi.constants import ANY_SOURCE, ANY_TAG
 from repro.mpi.context import RawComm
 from repro.mpi.errors import (
@@ -49,84 +58,223 @@ from repro.mpi.errors import (
     RawTruncationError,
     RawUsageError,
 )
-from repro.mpi.ops import Op
+
+#: raw failures the bindings translate (:meth:`Communicator._translate`)
+_RAW_ERRORS = (RawProcessFailure, RawCommRevoked, RawTruncationError)
+
+#: ``run(comm, params)``: an operation specialised for one call-site signature
+Run = Callable[..., Any]
+Builder = Callable[[CallPlan], Run]
 
 # ---------------------------------------------------------------------------
-# operation parameter contracts
+# compile-time pieces shared by the builders
 # ---------------------------------------------------------------------------
 
-_BUF_OUTS = ("recv_buf", "recv_counts", "recv_displs", "send_displs", "send_counts")
+
+def _arg(plan: CallPlan, key: str, default: Any = None) -> Callable[[Sequence], Any]:
+    """``get(params)`` for an optional input: its payload where the signature
+    has the parameter, ``default`` where it omits it."""
+    i = plan.pos(key)
+    if i < 0:
+        return lambda params: default
+    return lambda params: params[i].data
+
+
+def _sender(plan: CallPlan, key: str = "send_buf",
+            count_key: str = "send_count") -> Callable[..., tuple]:
+    """``encode(comm, params) -> (payload, decode, scalar)`` for the container
+    kind of ``key``: an ndarray is its own payload and needs no decoding;
+    everything else goes through the type system (§III-D)."""
+    i, c = plan.pos(key), plan.pos(count_key)
+    if i < 0:
+        _types.encode_send(None)  # raises: the signature has nothing to send
+    if plan.kind(key) == "array":
+        def encode(comm, params):
+            data = params[i].data
+            if data.dtype.hasobject:
+                _types.encode_send(data)  # raises SerializationRequiredError
+            if c >= 0:
+                data = _apply_send_count(data, params[c].data)
+            return data, _types._identity, False
+    else:
+        def encode(comm, params):
+            wire = comm._encode(params[i].data)
+            payload = wire.payload
+            if c >= 0:
+                payload = _apply_send_count(payload, params[c].data)
+            return payload, wire.decode, wire.scalar
+    return encode
+
+
+def _packer(plan: CallPlan, *keys: str) -> Callable[..., Any]:
+    """``finish(params, *values)`` routing the produced out-values (one per
+    entry of ``keys``): in-place write, or by-value return (§III-B)."""
+    returned = []  # (slot in values, position of a moved-in container or -1)
+    for key in plan.out_keys:
+        if key in keys:
+            sig = plan.sig(key)
+            moved_in = sig is not None and sig.moved and sig.has_data
+            returned.append((keys.index(key), plan.pos(key) if moved_in else -1))
+    written = [(keys.index(key), plan.index[key]) for key in keys
+               if key in plan.referencing_out]
+
+    if not written and len(returned) == 1 and returned[0][1] < 0:
+        slot = returned[0][0]  # the common case: one bare value
+        return lambda params, *values: values[slot]
+
+    def finish(params, *values):
+        entries = [
+            (keys[slot], values[slot] if i < 0
+             else _reuse_storage(params[i].data, values[slot]))
+            for slot, i in returned
+        ]
+        for slot, i in written:
+            _write_into(params[i].data, values[slot], params[i].resize)
+        return pack_result(entries)
+
+    return finish
+
+
+def _receiver(plan: CallPlan) -> Callable[..., Any]:
+    """``deliver(comm, params, (payload, status))`` for recv/irecv: the
+    message as the caller asked for it — deserialized, checked against
+    ``recv_count`` — and packed with the status."""
+    count = plan.pos("recv_count")
+    wrapper = (plan.pos("recv_buf")
+               if plan.kind("recv_buf") == "deserializable" else -1)
+    finish = _packer(plan, "recv_buf", "status")
+
+    def deliver(comm, params, received):
+        payload, status = received
+        if wrapper >= 0:
+            comm._charge_serialization(status.nbytes)
+        if count >= 0 and _length_of(payload) > params[count].data:
+            raise TruncationError(
+                f"message with {_length_of(payload)} elements exceeds "
+                f"recv_count({params[count].data})"
+            )
+        value = _types.decode_recv(
+            payload, params[wrapper].data if wrapper >= 0 else None)
+        return finish(params, value, status)
+
+    return deliver
+
+
+def _matching(plan: CallPlan) -> tuple:
+    """Getters of the ``(source, tag)`` a receive matches (default: any)."""
+    return _arg(plan, "source", ANY_SOURCE), _arg(plan, "tag", ANY_TAG)
+
+
+def _in_flight(comm: "Communicator", request: Any, data: Any, op_name: str,
+               **owned: Any) -> NonBlockingResult:
+    """The result of a non-blocking operation sending ``data``: an ndarray is
+    write-protected until completion (and known to the MPIsan auditor)."""
+    poison = poison_if_array(data)
+    auditor = comm.raw.machine.auditor
+    if poison is not None and auditor.enabled:
+        auditor.track_poison(poison, comm.raw, op=op_name)
+    return NonBlockingResult(
+        request, poisons=[] if poison is None else [poison], **owned)
+
+
+def _need_topology(raw: RawComm) -> tuple:
+    if raw.topology is None:
+        raise UsageError(
+            "neighbor collectives need a topology communicator; create "
+            "one with with_topology(sources, destinations)"
+        )
+    return raw.topology
+
+
+_SEND = dict(required=("send_buf", "destination"), optional=("tag", "send_count"))
+_RECV = dict(optional=("source", "tag", "recv_count"),
+             out_allowed=("recv_buf", "status"), implicit_out=("recv_buf",))
+
+
+def _sending(plan: CallPlan, name: str) -> Run:
+    """send/ssend, and isend/issend whose result owns the buffer."""
+    encode, tag = _sender(plan), _arg(plan, "tag", 0)
+    buf, dest = plan.index["send_buf"], plan.index["destination"]
+    sig = plan.sig("send_buf")
+    nonblocking = name in ("isend", "issend")
+    re_returned = sig.moved or sig.direction == INOUT  # handed back by wait()
+
+    def run(comm, params):
+        request = getattr(comm.raw, name)(
+            encode(comm, params)[0], params[dest].data, tag(params))
+        if nonblocking:
+            data = params[buf].data
+            return _in_flight(comm, request, data, name,
+                              held=data if re_returned else None)
+    return run
+
+
+def _allgather_inplace(plan: CallPlan) -> Run:
+    buf = plan.index["send_recv_buf"]
+    moved, kind = plan.sig("send_recv_buf").moved, plan.kind("send_recv_buf")
+
+    def run(comm, params):
+        raw, data = comm.raw, params[buf].data
+        n = _length_of(data)
+        if n % raw.size != 0:
+            raise UsageError(
+                f"in-place allgather buffer has {n} elements, not divisible by "
+                f"communicator size {raw.size}"
+            )
+        b = n // raw.size
+        own = np.asarray(data)[raw.rank * b:(raw.rank + 1) * b]
+        full = _concat_wire(raw.allgather(own))
+        if not moved and kind in ("array", "list"):
+            data[:] = full if kind == "array" else full.tolist()
+            return None
+        value = _reuse_storage(data, full) if moved else full
+        if kind == "list" and isinstance(value, np.ndarray):
+            value = value.tolist()
+        return value
+    return run
+
+
+#: what bcast sends as it is, so that receivers see the same shape
+_BCAST_AS_IS = (bool, int, float, complex, str, bytes, np.integer, np.floating)
+
+
+# ---------------------------------------------------------------------------
+# declaring operations
+# ---------------------------------------------------------------------------
 
 SPECS: dict[str, OpSpec] = {}
 
 
-def _spec(name: str, **kw: Any) -> OpSpec:
-    spec = OpSpec(name=name, **kw)
-    SPECS[name] = spec
-    return spec
+def _op(name: str, **contract: Any) -> Callable[[Builder], Any]:
+    """Declare a wrapped operation in the :class:`Communicator` body: the
+    parameter contract here, the user documentation and the *builder* in the
+    decorated function — which becomes the method (:func:`_method`)."""
+    def declare(build: Builder) -> Callable[..., Any]:
+        spec = SPECS[name] = OpSpec(name=name, build=build, **contract)
+        return _method(spec)
+    return declare
 
 
-_spec("send", required=("send_buf", "destination"), optional=("tag", "send_count"))
-_spec("ssend", required=("send_buf", "destination"), optional=("tag", "send_count"))
-_spec("isend", required=("send_buf", "destination"), optional=("tag", "send_count"),
-      out_allowed=("send_buf",))
-_spec("issend", required=("send_buf", "destination"), optional=("tag", "send_count"),
-      out_allowed=("send_buf",))
-_spec("recv", optional=("source", "tag", "recv_count"),
-      out_allowed=("recv_buf", "status"), implicit_out=("recv_buf",))
-_spec("irecv", optional=("source", "tag", "recv_count"),
-      out_allowed=("recv_buf", "status"), implicit_out=("recv_buf",))
-_spec("bcast", required=("send_recv_buf",), optional=("root", "send_recv_count"),
-      out_allowed=("send_recv_buf",), implicit_out=("send_recv_buf",))
-_spec("gather", required=("send_buf",), optional=("root",),
-      out_allowed=("recv_buf",), implicit_out=("recv_buf",))
-_spec("gatherv", required=("send_buf",), optional=("root", "recv_counts", "send_count"),
-      out_allowed=("recv_buf", "recv_counts", "recv_displs"),
-      implicit_out=("recv_buf",))
-_spec("scatter", optional=("send_buf", "root"),
-      out_allowed=("recv_buf",), implicit_out=("recv_buf",))
-_spec("scatterv", optional=("send_buf", "root", "send_counts", "send_displs"),
-      out_allowed=("recv_buf", "recv_count"), implicit_out=("recv_buf",))
-_spec("allgather",
-      optional=("send_buf", "send_recv_buf", "send_count"),
-      out_allowed=("recv_buf", "send_recv_buf"),
-      conflicts=(
-          ("send_recv_buf", "send_buf",
-           "the in-place variant takes its input from send_recv_buf"),
-          ("send_recv_buf", "send_count",
-           "the in-place variant derives the count from the buffer"),
-      ))
-_spec("allgatherv",
-      required=("send_buf",),
-      optional=("send_count", "recv_counts", "recv_displs"),
-      out_allowed=("recv_buf", "recv_counts", "recv_displs"),
-      implicit_out=("recv_buf",))
-_spec("alltoall", required=("send_buf",), optional=("send_count",),
-      out_allowed=("recv_buf",), implicit_out=("recv_buf",))
-_spec("alltoallv",
-      required=("send_buf", "send_counts"),
-      optional=("send_displs", "recv_counts", "recv_displs"),
-      out_allowed=("recv_buf", "recv_counts", "recv_displs"),
-      implicit_out=("recv_buf",))
-_spec("reduce", required=("send_buf", "op"), optional=("root",),
-      out_allowed=("recv_buf",), implicit_out=("recv_buf",))
-_spec("allreduce",
-      optional=("send_buf", "send_recv_buf"), required=("op",),
-      out_allowed=("recv_buf", "send_recv_buf"),
-      conflicts=(
-          ("send_recv_buf", "send_buf",
-           "the in-place variant takes its input from send_recv_buf"),
-      ))
-_spec("scan", required=("send_buf", "op"), out_allowed=("recv_buf",),
-      implicit_out=("recv_buf",))
-_spec("exscan", required=("send_buf", "op"), optional=("values_on_rank_0",),
-      out_allowed=("recv_buf",), implicit_out=("recv_buf",))
-_spec("neighbor_alltoall", required=("send_buf",),
-      out_allowed=("recv_buf",), implicit_out=("recv_buf",))
-_spec("neighbor_alltoallv",
-      required=("send_buf", "send_counts"), optional=("recv_counts",),
-      out_allowed=("recv_buf", "recv_counts"), implicit_out=("recv_buf",))
-_spec("barrier")
+def _like(name: str) -> Callable[[Builder], Any]:
+    """A further operation validated by ``name``'s contract (``ibcast`` by
+    ``bcast``'s, ``probe`` by ``recv``'s), with its own builder."""
+    return lambda build: _method(replace(SPECS[name], build=build))
+
+
+def _method(spec: OpSpec) -> Callable[..., Any]:
+    """What every wrapped operation does per call: look the plan up (a
+    dictionary probe on the parameters' signature tokens), run it, translate
+    raw failures (§III-G)."""
+    def method(self: "Communicator", *params: Parameter) -> Any:
+        try:
+            return self._plans.lookup(spec, params).run(self, params)
+        except _RAW_ERRORS as exc:
+            self._translate(exc)
+
+    method.__name__ = spec.build.__name__
+    method.__qualname__ = f"Communicator.{method.__name__}"
+    method.__doc__ = spec.build.__doc__
+    return method
 
 
 #: shared across communicators; plans are rank-independent
@@ -228,19 +376,20 @@ class Communicator:
 
     # -- plumbing ---------------------------------------------------------------
 
-    def _plan(self, op_name: str, params: Sequence[Parameter]) -> CallPlan:
-        return self._plans.lookup(SPECS[op_name], params)
-
     def _guard(self, thunk):
-        """Translate raw failures to bindings-layer exceptions (§III-G)."""
+        """Run ``thunk``, translating raw failures (§III-G)."""
         try:
             return thunk()
-        except RawProcessFailure as exc:
+        except _RAW_ERRORS as exc:
+            self._translate(exc)
+
+    def _translate(self, exc: Exception) -> None:
+        """Raise the bindings-layer exception for a raw failure (§III-G)."""
+        if isinstance(exc, RawProcessFailure):
             self._handle_failure(CommunicationFailure(exc.failed_ranks, str(exc)))
-        except RawCommRevoked as exc:
+        if isinstance(exc, RawCommRevoked):
             self._handle_failure(RevokedError(str(exc)))
-        except RawTruncationError as exc:
-            raise TruncationError(str(exc)) from exc
+        raise TruncationError(str(exc)) from exc
 
     def _handle_failure(self, exc: Exception) -> None:
         """Error hook; plugins (e.g. ULFM) override ``on_error``."""
@@ -252,597 +401,14 @@ class Communicator:
     def _encode(self, data: Any) -> _types.WireBuffer:
         wire = _types.encode_send(data)
         if wire.compute_bytes:
-            self.raw.compute(wire.compute_bytes * self.raw.machine.cost_model.ser_beta)
+            self._charge_serialization(wire.compute_bytes)
         return wire
 
-    def _decode_bytes_charge(self, nbytes: int) -> None:
+    def _charge_serialization(self, nbytes: int) -> None:
         self.raw.compute(nbytes * self.raw.machine.cost_model.ser_beta)
-
-    def _deliver(self, plan: CallPlan, params: Sequence[Parameter],
-                 entries: list[tuple[str, Any]], key: str, value: Any) -> None:
-        """Route one produced out-value: in-place write or by-value return."""
-        if key in plan.referencing_out:
-            param = plan.get(params, key)
-            _write_into(param.data, value, param.resize)
-            return
-        param = plan.get(params, key)
-        if param is not None and param.moved and param.data is not None:
-            value = _reuse_storage(param.data, value)
-        entries.append((key, value))
-
-    def _finish(self, plan: CallPlan, params: Sequence[Parameter],
-                produced: dict[str, Any]) -> Any:
-        entries: list[tuple[str, Any]] = []
-        for key in plan.out_keys:
-            if key in produced:
-                self._deliver(plan, params, entries, key, produced[key])
-        for key in plan.referencing_out:
-            if key in produced and key not in plan.out_keys:
-                self._deliver(plan, params, entries, key, produced[key])
-        return pack_result(entries)
-
-    # ------------------------------------------------------------------------
-    # point-to-point
-    # ------------------------------------------------------------------------
-
-    def send(self, *params: Parameter) -> None:
-        """Blocking standard send: ``send(send_buf(v), destination(d))``."""
-        plan = self._plan("send", params)
-        self._do_send(plan, params, self.raw.send)
-
-    def ssend(self, *params: Parameter) -> None:
-        """Blocking synchronous send."""
-        plan = self._plan("ssend", params)
-        self._do_send(plan, params, self.raw.ssend)
-
-    def _do_send(self, plan: CallPlan, params: Sequence[Parameter], raw_op) -> None:
-        wire = self._encode(plan.data(params, "send_buf"))
-        payload = _apply_send_count(wire, plan.data(params, "send_count"))
-        dest = plan.data(params, "destination")
-        tag = plan.data(params, "tag", 0)
-        self._guard(lambda: raw_op(payload, dest, tag))
-
-    def isend(self, *params: Parameter) -> NonBlockingResult:
-        """Non-blocking send; moved-in buffers are re-returned on ``wait()``."""
-        return self._do_isend("isend", params, self.raw.isend)
-
-    def issend(self, *params: Parameter) -> NonBlockingResult:
-        """Non-blocking synchronous send."""
-        return self._do_isend("issend", params, self.raw.issend)
-
-    def _do_isend(self, op_name: str, params: Sequence[Parameter],
-                  raw_op) -> NonBlockingResult:
-        plan = self._plan(op_name, params)
-        param = plan.get(params, "send_buf")
-        wire = self._encode(param.data)
-        payload = _apply_send_count(wire, plan.data(params, "send_count"))
-        dest = plan.data(params, "destination")
-        tag = plan.data(params, "tag", 0)
-        raw_req = self._guard(lambda: raw_op(payload, dest, tag))
-        poisons: list[Poison] = []
-        poison = poison_if_array(param.data)
-        if poison is not None:
-            poisons.append(poison)
-        self._audit_poisons(poisons, op_name)
-        held = param.data if (param.moved or param.direction == "inout") else None
-        return NonBlockingResult(raw_req, poisons=poisons, held=held)
-
-    def _audit_poisons(self, poisons: Sequence[Poison], op_name: str) -> None:
-        """Register in-flight buffer poisons with the MPIsan auditor."""
-        auditor = self.raw.machine.auditor
-        if auditor.enabled:
-            for poison in poisons:
-                auditor.track_poison(poison, self.raw, op=op_name)
-
-    def recv(self, *params: Parameter) -> Any:
-        """Blocking receive; the received data is the return value."""
-        plan = self._plan("recv", params)
-        src = plan.data(params, "source", ANY_SOURCE)
-        tg = plan.data(params, "tag", ANY_TAG)
-        payload, status = self._guard(lambda: self.raw.recv(src, tg))
-        value = self._face_received(plan, params, payload, status)
-        produced = {"recv_buf": value, "status": status}
-        return self._finish(plan, params, produced)
-
-    def irecv(self, *params: Parameter) -> NonBlockingResult:
-        """Non-blocking receive; data is only reachable after completion (§III-E)."""
-        plan = self._plan("irecv", params)
-        src = plan.data(params, "source", ANY_SOURCE)
-        tg = plan.data(params, "tag", ANY_TAG)
-        raw_req = self._guard(lambda: self.raw.irecv(src, tg))
-
-        def assemble(result: tuple) -> Any:
-            payload, status = result
-            value = self._face_received(plan, params, payload, status)
-            return self._finish(plan, params, {"recv_buf": value, "status": status})
-
-        return NonBlockingResult(raw_req, assemble=assemble)
-
-    def _face_received(self, plan: CallPlan, params: Sequence[Parameter],
-                       payload: Any, status) -> Any:
-        recv_param = plan.get(params, "recv_buf")
-        wrapper = None
-        if recv_param is not None and isinstance(recv_param.data, DeserializationWrapper):
-            wrapper = recv_param.data
-            self._decode_bytes_charge(status.nbytes)
-        expected = plan.data(params, "recv_count")
-        if expected is not None and _length_of(payload) > expected:
-            raise TruncationError(
-                f"message with {_length_of(payload)} elements exceeds "
-                f"recv_count({expected})"
-            )
-        return _types.decode_recv(payload, wrapper)
-
-    def probe(self, *params: Parameter):
-        """Blocking probe returning the matched message's status."""
-        plan = self._plan("recv", params)  # same parameter contract
-        src = plan.data(params, "source", ANY_SOURCE)
-        tg = plan.data(params, "tag", ANY_TAG)
-        return self._guard(lambda: self.raw.probe(src, tg))
-
-    # ------------------------------------------------------------------------
-    # collectives
-    # ------------------------------------------------------------------------
-
-    def barrier(self) -> None:
-        """Synchronize all ranks (dissemination barrier)."""
-        self._guard(self.raw.barrier)
-
-    def bcast(self, *params: Parameter) -> Any:
-        """Broadcast: ``bcast(send_recv_buf(obj), root(r))``.
-
-        Serialization wrappers are honoured transparently: the root encodes,
-        all ranks decode (paper Fig. 11).
-        """
-        plan = self._plan("bcast", params)
-        rt = plan.data(params, "root", 0)
-        param = plan.get(params, "send_recv_buf")
-        data = param.data
-        serial = isinstance(data, SerializationWrapper)
-        if self.rank == rt:
-            if isinstance(data, (bool, int, float, complex, str, bytes,
-                                 np.integer, np.floating)):
-                # scalars travel as-is so receivers see the same shape
-                out = self._guard(lambda: self.raw.bcast(data, rt))
-                return self._finish(plan, params, {"send_recv_buf": out})
-            wire = self._encode(data)
-            payload = _apply_send_count(wire, plan.data(params, "send_recv_count"))
-            out = self._guard(lambda: self.raw.bcast(payload, rt))
-            value = data.obj if serial else wire.decode(out)
-        else:
-            out = self._guard(lambda: self.raw.bcast(None, rt))
-            if serial:
-                self._decode_bytes_charge(len(out))
-                value = data.archive.loads(out)
-            else:
-                value = out
-        return self._finish(plan, params, {"send_recv_buf": value})
-
-    def bcast_single(self, *params: Parameter) -> Any:
-        """Broadcast of a single value."""
-        return self.bcast(*params)
-
-    def gather(self, *params: Parameter) -> Any:
-        """Fixed-size gather; the root receives the concatenation."""
-        plan = self._plan("gather", params)
-        rt = plan.data(params, "root", 0)
-        wire = self._encode(plan.data(params, "send_buf"))
-        self._assert_uniform_counts("gather", wire.count)
-        blocks = self._guard(lambda: self.raw.gather(wire.payload, rt))
-        if self.rank != rt:
-            return self._finish(plan, params, {})
-        value = _decode_blocks(wire, blocks)
-        return self._finish(plan, params, {"recv_buf": value})
-
-    def gatherv(self, *params: Parameter) -> Any:
-        """Variable gather with count inference.
-
-        Without ``recv_counts`` the library gathers the per-rank counts to
-        the root with one raw ``gather`` — the boilerplate of paper Fig. 2.
-        """
-        plan = self._plan("gatherv", params)
-        rt = plan.data(params, "root", 0)
-        wire = self._encode(plan.data(params, "send_buf"))
-        payload = _apply_send_count(wire, plan.data(params, "send_count"))
-        count = _length_of(payload)
-        counts = plan.in_data(params, "recv_counts")
-        if counts is None:
-            counts = self._guard(lambda: self.raw.gather(count, rt))
-        counts = _as_int_list(counts) if counts is not None else None
-        out = self._guard(lambda: self.raw.gatherv(payload, counts, rt))
-        if self.rank != rt:
-            return self._finish(plan, params, {})
-        displs = _exclusive_prefix(counts)
-        produced = {
-            "recv_buf": wire.decode(out),
-            "recv_counts": counts,
-            "recv_displs": displs,
-        }
-        return self._finish(plan, params, produced)
-
-    def scatter(self, *params: Parameter) -> Any:
-        """Fixed-size scatter: the root's ``send_buf`` is split into equal blocks."""
-        plan = self._plan("scatter", params)
-        rt = plan.data(params, "root", 0)
-        if self.rank == rt:
-            data = plan.data(params, "send_buf")
-            if data is None:
-                raise UsageError("scatter requires send_buf on the root")
-            wire = self._encode(data)
-            if wire.count % self.size != 0:
-                raise UsageError(
-                    f"scatter send_buf has {wire.count} elements, not divisible "
-                    f"by communicator size {self.size}"
-                )
-            b = wire.count // self.size
-            arr = wire.payload
-            blocks = [arr[i * b:(i + 1) * b] for i in range(self.size)]
-            out = self._guard(lambda: self.raw.scatter(blocks, rt))
-            value = wire.decode(out)
-        else:
-            out = self._guard(lambda: self.raw.scatter(None, rt))
-            value = out
-        return self._finish(plan, params, {"recv_buf": value})
-
-    def scatterv(self, *params: Parameter) -> Any:
-        """Variable scatter; receive counts are delivered by the scatter itself."""
-        plan = self._plan("scatterv", params)
-        rt = plan.data(params, "root", 0)
-        if self.rank == rt:
-            data = plan.data(params, "send_buf")
-            counts = plan.data(params, "send_counts")
-            if data is None or counts is None:
-                raise UsageError("scatterv requires send_buf and send_counts on the root")
-            wire = self._encode(data)
-            payload = _with_send_displs(
-                wire.payload, counts, plan.in_data(params, "send_displs")
-            )
-            out = self._guard(
-                lambda: self.raw.scatterv(payload, _as_int_list(counts), rt)
-            )
-            value = wire.decode(out)
-        else:
-            out = self._guard(lambda: self.raw.scatterv(None, None, rt))
-            value = out
-        produced = {"recv_buf": value, "recv_count": _length_of(out)}
-        return self._finish(plan, params, produced)
-
-    def allgather(self, *params: Parameter) -> Any:
-        """Fixed-size allgather, with the simplified in-place variant (§III-G).
-
-        - ``allgather(send_buf(v))`` concatenates equal-size blocks.
-        - ``allgather(send_recv_buf(data))`` takes input from the own block of
-          ``data`` and fills the whole buffer — no ``MPI_IN_PLACE`` footguns.
-        """
-        plan = self._plan("allgather", params)
-        if plan.has("send_recv_buf"):
-            return self._allgather_inplace(plan, params)
-        if not plan.has("send_buf"):
-            raise UsageError("allgather requires send_buf (or send_recv_buf)")
-        wire = self._encode(plan.data(params, "send_buf"))
-        payload = _apply_send_count(wire, plan.data(params, "send_count"))
-        self._assert_uniform_counts("allgather", _length_of(payload))
-        blocks = self._guard(lambda: self.raw.allgather(payload))
-        value = _decode_blocks(wire, blocks)
-        # recv_buf defaults to an implicit out here (send_buf variant)
-        entries: list[tuple[str, Any]] = []
-        recv_param = plan.get(params, "recv_buf")
-        if recv_param is not None and "recv_buf" in plan.referencing_out:
-            _write_into(recv_param.data, value, recv_param.resize)
-            return pack_result(entries)
-        return value
-
-    def _allgather_inplace(self, plan: CallPlan, params: Sequence[Parameter]) -> Any:
-        param = plan.get(params, "send_recv_buf")
-        data = param.data
-        n = _length_of(data)
-        if n % self.size != 0:
-            raise UsageError(
-                f"in-place allgather buffer has {n} elements, not divisible by "
-                f"communicator size {self.size}"
-            )
-        b = n // self.size
-        arr = np.asarray(data)
-        own = arr[self.rank * b:(self.rank + 1) * b]
-        blocks = self._guard(lambda: self.raw.allgather(own))
-        full = _concat_wire(blocks)
-        if isinstance(data, np.ndarray) and not param.moved:
-            data[:] = full
-            return pack_result([])
-        if isinstance(data, list) and not param.moved:
-            data[:] = full.tolist()
-            return pack_result([])
-        value = _reuse_storage(data, full) if param.moved else full
-        if isinstance(data, list):
-            value = value.tolist() if isinstance(value, np.ndarray) else value
-        return pack_result([("send_recv_buf", value)])
-
-    def allgatherv(self, *params: Parameter) -> Any:
-        """Variable allgather — the paper's running example (Fig. 1/2/3).
-
-        Receive counts omitted ⇒ one raw ``allgather`` of the local count;
-        displacements omitted ⇒ local exclusive prefix sum.  With counts and
-        displacements provided, exactly one raw ``allgatherv`` is issued.
-        """
-        plan = self._plan("allgatherv", params)
-        wire = self._encode(plan.data(params, "send_buf"))
-        payload = _apply_send_count(wire, plan.data(params, "send_count"))
-        count = _length_of(payload)
-        counts = plan.in_data(params, "recv_counts")
-        if counts is None:
-            counts = self._guard(lambda: self.raw.allgather(count))
-        counts = _as_int_list(counts)
-        out = self._guard(lambda: self.raw.allgatherv(payload, counts))
-        displs_param = plan.in_data(params, "recv_displs")
-        if displs_param is not None:
-            displs = _as_int_list(displs_param)
-            out = _place_at_displs(out, counts, displs)
-        else:
-            displs = _exclusive_prefix(counts)
-        produced = {
-            "recv_buf": wire.decode(out),
-            "recv_counts": counts,
-            "recv_displs": displs,
-        }
-        return self._finish(plan, params, produced)
-
-    def alltoall(self, *params: Parameter) -> Any:
-        """Fixed-size all-to-all: ``send_buf`` holds ``size`` equal blocks."""
-        plan = self._plan("alltoall", params)
-        wire = self._encode(plan.data(params, "send_buf"))
-        if wire.count % self.size != 0:
-            raise UsageError(
-                f"alltoall send_buf has {wire.count} elements, not divisible "
-                f"by communicator size {self.size}"
-            )
-        b = wire.count // self.size
-        arr = wire.payload
-        blocks = [arr[i * b:(i + 1) * b] for i in range(self.size)]
-        out_blocks = self._guard(lambda: self.raw.alltoall(blocks))
-        value = wire.decode(_concat_wire(out_blocks))
-        return self._finish(plan, params, {"recv_buf": value})
-
-    def alltoallv(self, *params: Parameter) -> Any:
-        """Variable all-to-all with count inference (§III-A).
-
-        Receive counts omitted ⇒ one raw ``alltoall`` exchanging the count
-        vectors, then one raw ``alltoallv``.
-        """
-        plan = self._plan("alltoallv", params)
-        wire = self._encode(plan.data(params, "send_buf"))
-        scounts = _as_int_list(plan.data(params, "send_counts"))
-        if len(scounts) != self.size:
-            raise UsageError(
-                f"send_counts has {len(scounts)} entries, expected {self.size}"
-            )
-        payload = _with_send_displs(
-            wire.payload, scounts, plan.in_data(params, "send_displs")
-        )
-        rcounts = plan.in_data(params, "recv_counts")
-        if rcounts is None:
-            rcounts = self._guard(lambda: self.raw.alltoall(list(scounts)))
-        rcounts = _as_int_list(rcounts)
-        out = self._guard(lambda: self.raw.alltoallv(payload, scounts, rcounts))
-        rdispls_param = plan.in_data(params, "recv_displs")
-        if rdispls_param is not None:
-            rdispls = _as_int_list(rdispls_param)
-            out = _place_at_displs(out, rcounts, rdispls)
-        else:
-            rdispls = _exclusive_prefix(rcounts)
-        produced = {
-            "recv_buf": wire.decode(out),
-            "recv_counts": rcounts,
-            "recv_displs": rdispls,
-        }
-        return self._finish(plan, params, produced)
-
-    # -- non-blocking collectives (MPI-3, with §III-E safety) ---------------------
-
-    def ibcast(self, *params: Parameter) -> NonBlockingResult:
-        """Non-blocking broadcast; the value is only reachable after wait()."""
-        plan = self._plan("bcast", params)  # same parameter contract as bcast
-        rt = plan.data(params, "root", 0)
-        param = plan.get(params, "send_recv_buf")
-        data = param.data
-        serial = isinstance(data, SerializationWrapper)
-        if self.rank == rt:
-            payload = data.encode() if serial else data
-            if serial:
-                self._decode_bytes_charge(len(payload))
-        else:
-            payload = None
-        raw_req = self._guard(lambda: self.raw.ibcast(payload, rt))
-        poisons = []
-        poison = poison_if_array(data)
-        if poison is not None:
-            poisons.append(poison)
-        self._audit_poisons(poisons, "ibcast")
-
-        def assemble(value: Any) -> Any:
-            if serial:
-                if self.rank == rt:
-                    return data.obj
-                self._decode_bytes_charge(len(value))
-                return data.archive.loads(value)
-            return value
-
-        return NonBlockingResult(raw_req, assemble=assemble, poisons=poisons)
-
-    def iallreduce(self, *params: Parameter) -> NonBlockingResult:
-        """Non-blocking allreduce (commutative operations)."""
-        plan = self._plan("allreduce", params)
-        operation: Op = plan.data(params, "op")
-        wire = self._encode(plan.data(params, "send_buf"))
-        raw_req = self._guard(lambda: self.raw.iallreduce(wire.payload, operation))
-        poisons = []
-        poison = poison_if_array(plan.data(params, "send_buf"))
-        if poison is not None:
-            poisons.append(poison)
-        self._audit_poisons(poisons, "iallreduce")
-        return NonBlockingResult(raw_req, assemble=wire.decode, poisons=poisons)
-
-    def iallgather(self, *params: Parameter) -> NonBlockingResult:
-        """Non-blocking allgather of equal-size contributions."""
-        plan = self._plan("allgather", params)
-        if not plan.has("send_buf"):
-            raise UsageError("iallgather requires send_buf")
-        wire = self._encode(plan.data(params, "send_buf"))
-        raw_req = self._guard(lambda: self.raw.iallgather(wire.payload))
-        poisons = []
-        poison = poison_if_array(plan.data(params, "send_buf"))
-        if poison is not None:
-            poisons.append(poison)
-        self._audit_poisons(poisons, "iallgather")
-        return NonBlockingResult(
-            raw_req, assemble=lambda blocks: _decode_blocks(wire, blocks),
-            poisons=poisons,
-        )
-
-    # -- one-sided communication -----------------------------------------------
-
-    def win_create(self, local: Any) -> "Window":
-        """Collectively create a safe RMA window over ``local`` memory."""
-        from repro.core.rma import Window
-
-        return Window(self, local)
-
-    # -- neighborhood collectives (on dist-graph communicators) ------------------
-
-    def neighbor_alltoall(self, *params: Parameter) -> Any:
-        """Exchange one equal-size block per topology neighbor."""
-        plan = self._plan("neighbor_alltoall", params)
-        topo = self.raw.topology
-        if topo is None:
-            raise UsageError(
-                "neighbor collectives need a topology communicator; create "
-                "one with with_topology(sources, destinations)"
-            )
-        sources, destinations = topo
-        wire = self._encode(plan.data(params, "send_buf"))
-        if destinations and wire.count % len(destinations) != 0:
-            raise UsageError(
-                f"neighbor_alltoall send_buf has {wire.count} elements, not "
-                f"divisible by the {len(destinations)} destinations"
-            )
-        b = wire.count // len(destinations) if destinations else 0
-        arr = wire.payload
-        blocks = [arr[i * b:(i + 1) * b] for i in range(len(destinations))]
-        out = self._guard(lambda: self.raw.neighbor_alltoall(blocks))
-        return self._finish(plan, params, {"recv_buf": _decode_blocks(wire, out)})
-
-    def neighbor_alltoallv(self, *params: Parameter) -> Any:
-        """Variable neighborhood exchange with count inference.
-
-        Receive counts omitted ⇒ one raw ``neighbor_alltoall`` exchanging the
-        counts — Θ(degree), never Θ(p).
-        """
-        plan = self._plan("neighbor_alltoallv", params)
-        topo = self.raw.topology
-        if topo is None:
-            raise UsageError(
-                "neighbor collectives need a topology communicator; create "
-                "one with with_topology(sources, destinations)"
-            )
-        wire = self._encode(plan.data(params, "send_buf"))
-        scounts = _as_int_list(plan.data(params, "send_counts"))
-        rcounts = plan.in_data(params, "recv_counts")
-        if rcounts is None:
-            rcounts = self._guard(
-                lambda: self.raw.neighbor_alltoall([[c] for c in scounts])
-            )
-            rcounts = [int(c[0]) for c in rcounts]
-        rcounts = _as_int_list(rcounts)
-        out = self._guard(
-            lambda: self.raw.neighbor_alltoallv(wire.payload, scounts, rcounts)
-        )
-        produced = {"recv_buf": wire.decode(out), "recv_counts": rcounts}
-        return self._finish(plan, params, produced)
-
-    # -- reductions ------------------------------------------------------------
-
-    def reduce(self, *params: Parameter) -> Any:
-        """Rooted reduction; result delivered at the root only."""
-        plan = self._plan("reduce", params)
-        rt = plan.data(params, "root", 0)
-        operation: Op = plan.data(params, "op")
-        wire = self._encode(plan.data(params, "send_buf"))
-        out = self._guard(lambda: self.raw.reduce(wire.payload, operation, rt))
-        if self.rank != rt:
-            return self._finish(plan, params, {})
-        return self._finish(plan, params, {"recv_buf": wire.decode(out)})
-
-    def reduce_single(self, *params: Parameter) -> Any:
-        """Reduction of a single value per rank."""
-        return self.reduce(*params)
-
-    def allreduce(self, *params: Parameter) -> Any:
-        """Reduction with the result on every rank."""
-        plan = self._plan("allreduce", params)
-        operation: Op = plan.data(params, "op")
-        if plan.has("send_recv_buf"):
-            param = plan.get(params, "send_recv_buf")
-            wire = self._encode(param.data)
-            out = self._guard(lambda: self.raw.allreduce(wire.payload, operation))
-            if isinstance(param.data, np.ndarray) and not param.moved:
-                param.data[:] = out
-                return pack_result([])
-            value = wire.decode(out)
-            return pack_result([("send_recv_buf", value)])
-        wire = self._encode(plan.data(params, "send_buf"))
-        out = self._guard(lambda: self.raw.allreduce(wire.payload, operation))
-        value = wire.decode(out)
-        recv_param = plan.get(params, "recv_buf")
-        if recv_param is not None and "recv_buf" in plan.referencing_out:
-            _write_into(recv_param.data, _ensure_seq(value), recv_param.resize)
-            return None
-        return value
-
-    def allreduce_single(self, *params: Parameter) -> Any:
-        """Allreduce of a single value per rank — e.g. the BFS termination check
-        ``allreduce_single(send_buf(frontier_empty), op(logical_and))`` (Fig. 9)."""
-        return self.allreduce(*params)
-
-    def scan(self, *params: Parameter) -> Any:
-        """Inclusive prefix reduction."""
-        plan = self._plan("scan", params)
-        operation: Op = plan.data(params, "op")
-        wire = self._encode(plan.data(params, "send_buf"))
-        out = self._guard(lambda: self.raw.scan(wire.payload, operation))
-        return self._finish(plan, params, {"recv_buf": wire.decode(out)})
-
-    def scan_single(self, *params: Parameter) -> Any:
-        return self.scan(*params)
-
-    def exscan(self, *params: Parameter) -> Any:
-        """Exclusive prefix reduction; rank 0 yields ``values_on_rank_0`` (or
-        the op identity) instead of MPI's undefined value."""
-        plan = self._plan("exscan", params)
-        operation: Op = plan.data(params, "op")
-        wire = self._encode(plan.data(params, "send_buf"))
-        out = self._guard(lambda: self.raw.exscan(wire.payload, operation))
-        if self.rank == 0:
-            if plan.has("values_on_rank_0"):
-                out = plan.data(params, "values_on_rank_0")
-                return self._finish(plan, params, {"recv_buf": out})
-            if out is None:
-                raise UsageError(
-                    "exscan on rank 0 is undefined for this op; pass "
-                    "values_on_rank_0(...) or use an op with an identity"
-                )
-            payload = wire.payload
-            if isinstance(payload, np.ndarray) and isinstance(out, np.ndarray):
-                out = out.astype(payload.dtype, copy=False)
-        return self._finish(plan, params, {"recv_buf": wire.decode(out)})
-
-    def exscan_single(self, *params: Parameter) -> Any:
-        return self.exscan(*params)
-
-    # -- consistency assertions (COMMUNICATION level) -----------------------------
 
     def _assert_uniform_counts(self, op_name: str, count: int) -> None:
         """Heavy check: fixed-size collectives need equal counts on all ranks."""
-        from repro.core.errors import assertion_level
-
         if assertion_level() < AssertionLevel.COMMUNICATION:
             return
         counts = self.raw.allgather(count)
@@ -851,6 +417,518 @@ class Communicator:
             len(set(counts)) == 1,
             f"{op_name} requires equal send counts on all ranks, got {counts}",
         )
+
+    # -- point-to-point ----------------------------------------------------------
+
+    @_op("send", **_SEND)
+    def send(plan: CallPlan) -> Run:
+        """Blocking standard send: ``send(send_buf(v), destination(d))``."""
+        return _sending(plan, "send")
+
+    @_op("ssend", **_SEND)
+    def ssend(plan: CallPlan) -> Run:
+        """Blocking synchronous send."""
+        return _sending(plan, "ssend")
+
+    @_op("isend", out_allowed=("send_buf",), **_SEND)
+    def isend(plan: CallPlan) -> Run:
+        """Non-blocking send; moved-in buffers are re-returned on ``wait()``."""
+        return _sending(plan, "isend")
+
+    @_op("issend", out_allowed=("send_buf",), **_SEND)
+    def issend(plan: CallPlan) -> Run:
+        """Non-blocking synchronous send."""
+        return _sending(plan, "issend")
+
+    @_op("recv", **_RECV)
+    def recv(plan: CallPlan) -> Run:
+        """Blocking receive; the received data is the return value."""
+        source, tag = _matching(plan)
+        deliver = _receiver(plan)
+        return lambda comm, params: deliver(
+            comm, params, comm.raw.recv(source(params), tag(params)))
+
+    @_op("irecv", **_RECV)
+    def irecv(plan: CallPlan) -> Run:
+        """Non-blocking receive; data is only reachable after completion
+        (§III-E)."""
+        source, tag = _matching(plan)
+        deliver = _receiver(plan)
+        return lambda comm, params: NonBlockingResult(
+            comm.raw.irecv(source(params), tag(params)),
+            assemble=lambda received: deliver(comm, params, received))
+
+    @_like("recv")
+    def probe(plan: CallPlan) -> Run:
+        """Blocking probe (``recv``'s parameters) returning the matched
+        message's status."""
+        source, tag = _matching(plan)
+        return lambda comm, params: comm.raw.probe(source(params), tag(params))
+
+    # -- collectives -------------------------------------------------------------
+
+    @_op("barrier")
+    def barrier(plan: CallPlan) -> Run:
+        """Synchronize all ranks (dissemination barrier)."""
+        return lambda comm, params: comm.raw.barrier()
+
+    @_op("bcast", required=("send_recv_buf",),
+         optional=("root", "send_recv_count"),
+         out_allowed=("send_recv_buf",), implicit_out=("send_recv_buf",))
+    def bcast(plan: CallPlan) -> Run:
+        """Broadcast: ``bcast(send_recv_buf(obj), root(r))``.
+
+        Serialization wrappers are honoured transparently: the root encodes,
+        all ranks decode (paper Fig. 11).
+        """
+        root = _arg(plan, "root", 0)
+        buf, kind = plan.index["send_recv_buf"], plan.kind("send_recv_buf")
+        serial = kind == "serialized"
+        encode = _sender(plan, "send_recv_buf", "send_recv_count")
+        finish = _packer(plan, "send_recv_buf")
+
+        def run(comm, params):
+            raw, rt, data = comm.raw, root(params), params[buf].data
+            if raw.rank != rt:
+                value = raw.bcast(None, rt)
+                if serial:
+                    comm._charge_serialization(len(value))
+                    value = data.archive.loads(value)
+            elif kind == "scalar" or (kind == "other"
+                                      and isinstance(data, _BCAST_AS_IS)):
+                value = raw.bcast(data, rt)
+            else:
+                payload, decode, _ = encode(comm, params)
+                value = raw.bcast(payload, rt)
+                value = data.obj if serial else decode(value)
+            return finish(params, value)
+        return run
+
+    @_like("bcast")
+    def ibcast(plan: CallPlan) -> Run:
+        """Non-blocking broadcast (``bcast``'s parameters); the value is only
+        reachable after wait()."""
+        root, buf = _arg(plan, "root", 0), plan.index["send_recv_buf"]
+        serial = plan.kind("send_recv_buf") == "serialized"
+
+        def run(comm, params):
+            raw, rt, data = comm.raw, root(params), params[buf].data
+            is_root = raw.rank == rt
+            payload = data if is_root else None
+            if serial and is_root:
+                payload = data.encode()
+                comm._charge_serialization(len(payload))
+
+            def assemble(value):
+                if not serial:
+                    return value
+                if is_root:
+                    return data.obj
+                comm._charge_serialization(len(value))
+                return data.archive.loads(value)
+
+            return _in_flight(comm, raw.ibcast(payload, rt), data, "ibcast",
+                              assemble=assemble)
+        return run
+
+    @_op("gather", required=("send_buf",), optional=("root",),
+         out_allowed=("recv_buf",), implicit_out=("recv_buf",))
+    def gather(plan: CallPlan) -> Run:
+        """Fixed-size gather; the root receives the concatenation."""
+        root, buf = _arg(plan, "root", 0), plan.index["send_buf"]
+        finish = _packer(plan, "recv_buf")
+
+        def run(comm, params):
+            raw, rt = comm.raw, root(params)
+            wire = comm._encode(params[buf].data)
+            comm._assert_uniform_counts("gather", wire.count)
+            blocks = raw.gather(wire.payload, rt)
+            if raw.rank == rt:
+                return finish(params,
+                              _decode_blocks(wire.decode, wire.scalar, blocks))
+        return run
+
+    @_op("gatherv", required=("send_buf",),
+         optional=("root", "recv_counts", "send_count"),
+         out_allowed=("recv_buf", "recv_counts", "recv_displs"),
+         implicit_out=("recv_buf",))
+    def gatherv(plan: CallPlan) -> Run:
+        """Variable gather with count inference.
+
+        Without ``recv_counts`` the library gathers the per-rank counts to
+        the root with one raw ``gather`` — the boilerplate of paper Fig. 2.
+        """
+        root, encode = _arg(plan, "root", 0), _sender(plan)
+        given = plan.in_pos("recv_counts")
+        want_displs = plan.wants("recv_displs")
+        finish = _packer(plan, "recv_buf", "recv_counts", "recv_displs")
+
+        def run(comm, params):
+            raw, rt = comm.raw, root(params)
+            payload, decode, _ = encode(comm, params)
+            counts = (params[given].data if given >= 0
+                      else raw.gather(_length_of(payload), rt))
+            if counts is not None:
+                counts = _as_int_list(counts)
+            out = raw.gatherv(payload, counts, rt)
+            if raw.rank == rt:
+                displs = _exclusive_prefix(counts) if want_displs else None
+                return finish(params, decode(out), counts, displs)
+        return run
+
+    @_op("scatter", optional=("send_buf", "root"),
+         out_allowed=("recv_buf",), implicit_out=("recv_buf",))
+    def scatter(plan: CallPlan) -> Run:
+        """Fixed-size scatter: the root's ``send_buf`` is split into equal
+        blocks."""
+        root, buf = _arg(plan, "root", 0), _arg(plan, "send_buf")
+        finish = _packer(plan, "recv_buf")
+
+        def run(comm, params):
+            raw, rt = comm.raw, root(params)
+            if raw.rank != rt:
+                return finish(params, raw.scatter(None, rt))
+            data = buf(params)
+            if data is None:
+                raise UsageError("scatter requires send_buf on the root")
+            wire = comm._encode(data)
+            blocks = _equal_blocks(wire, raw.size, "scatter send_buf",
+                                   f"communicator size {raw.size}")
+            return finish(params, wire.decode(raw.scatter(blocks, rt)))
+        return run
+
+    @_op("scatterv",
+         optional=("send_buf", "root", "send_counts", "send_displs"),
+         out_allowed=("recv_buf", "recv_count"), implicit_out=("recv_buf",))
+    def scatterv(plan: CallPlan) -> Run:
+        """Variable scatter; receive counts are delivered by the scatter
+        itself."""
+        root, buf = _arg(plan, "root", 0), _arg(plan, "send_buf")
+        counts_of = _arg(plan, "send_counts")
+        displs = plan.in_pos("send_displs")
+        finish = _packer(plan, "recv_buf", "recv_count")
+
+        def run(comm, params):
+            raw, rt = comm.raw, root(params)
+            if raw.rank != rt:
+                out = raw.scatterv(None, None, rt)
+                return finish(params, out, _length_of(out))
+            data, counts = buf(params), counts_of(params)
+            if data is None or counts is None:
+                raise UsageError(
+                    "scatterv requires send_buf and send_counts on the root")
+            wire = comm._encode(data)
+            payload = wire.payload
+            if displs >= 0:
+                payload = _with_send_displs(payload, counts,
+                                            params[displs].data)
+            out = raw.scatterv(payload, _as_int_list(counts), rt)
+            return finish(params, wire.decode(out), _length_of(out))
+        return run
+
+    @_op("allgather",
+         optional=("send_buf", "send_recv_buf", "send_count"),
+         out_allowed=("recv_buf", "send_recv_buf"),
+         conflicts=(
+             ("send_recv_buf", "send_buf",
+              "the in-place variant takes its input from send_recv_buf"),
+             ("send_recv_buf", "send_count",
+              "the in-place variant derives the count from the buffer"),
+         ))
+    def allgather(plan: CallPlan) -> Run:
+        """Fixed-size allgather, with the simplified in-place variant (§III-G).
+
+        - ``allgather(send_buf(v))`` concatenates equal-size blocks.
+        - ``allgather(send_recv_buf(data))`` takes input from the own block of
+          ``data`` and fills the whole buffer — no ``MPI_IN_PLACE`` footguns.
+        """
+        if plan.pos("send_recv_buf") >= 0:
+            return _allgather_inplace(plan)
+        if plan.pos("send_buf") < 0:
+            raise UsageError("allgather requires send_buf (or send_recv_buf)")
+        encode = _sender(plan)
+        # recv_buf is no implicit out here: a referenced container is written,
+        # anything else gets the value back
+        into = (plan.index["recv_buf"]
+                if "recv_buf" in plan.referencing_out else -1)
+
+        def run(comm, params):
+            payload, decode, scalar = encode(comm, params)
+            comm._assert_uniform_counts("allgather", _length_of(payload))
+            value = _decode_blocks(decode, scalar, comm.raw.allgather(payload))
+            if into < 0:
+                return value
+            _write_into(params[into].data, value, params[into].resize)
+        return run
+
+    @_like("allgather")
+    def iallgather(plan: CallPlan) -> Run:
+        """Non-blocking allgather of equal-size contributions."""
+        if plan.pos("send_buf") < 0:
+            raise UsageError("iallgather requires send_buf")
+        encode, buf = _sender(plan), plan.index["send_buf"]
+
+        def run(comm, params):
+            payload, decode, scalar = encode(comm, params)
+            return _in_flight(
+                comm, comm.raw.iallgather(payload), params[buf].data,
+                "iallgather",
+                assemble=lambda blocks: _decode_blocks(decode, scalar, blocks))
+        return run
+
+    @_op("allgatherv", required=("send_buf",),
+         optional=("send_count", "recv_counts", "recv_displs"),
+         out_allowed=("recv_buf", "recv_counts", "recv_displs"),
+         implicit_out=("recv_buf",))
+    def allgatherv(plan: CallPlan) -> Run:
+        """Variable allgather — the paper's running example (Fig. 1/2/3).
+
+        Receive counts omitted ⇒ one raw ``allgather`` of the local count;
+        displacements omitted ⇒ local exclusive prefix sum.  With counts and
+        displacements provided, exactly one raw ``allgatherv`` is issued.
+        """
+        encode = _sender(plan)
+        given, placed = plan.in_pos("recv_counts"), plan.in_pos("recv_displs")
+        want_displs = plan.wants("recv_displs")
+        finish = _packer(plan, "recv_buf", "recv_counts", "recv_displs")
+
+        def run(comm, params):
+            raw = comm.raw
+            payload, decode, _ = encode(comm, params)
+            counts = _as_int_list(params[given].data if given >= 0
+                                  else raw.allgather(_length_of(payload)))
+            out = raw.allgatherv(payload, counts)
+            displs = None
+            if placed >= 0:
+                displs = _as_int_list(params[placed].data)
+                out = _place_at_displs(out, counts, displs)
+            elif want_displs:
+                displs = _exclusive_prefix(counts)
+            return finish(params, decode(out), counts, displs)
+        return run
+
+    @_op("alltoall", required=("send_buf",), optional=("send_count",),
+         out_allowed=("recv_buf",), implicit_out=("recv_buf",))
+    def alltoall(plan: CallPlan) -> Run:
+        """Fixed-size all-to-all: ``send_buf`` holds ``size`` equal blocks."""
+        buf, finish = plan.index["send_buf"], _packer(plan, "recv_buf")
+
+        def run(comm, params):
+            raw = comm.raw
+            wire = comm._encode(params[buf].data)
+            blocks = _equal_blocks(wire, raw.size, "alltoall send_buf",
+                                   f"communicator size {raw.size}")
+            out = _concat_wire(raw.alltoall(blocks))
+            return finish(params, wire.decode(out))
+        return run
+
+    @_op("alltoallv", required=("send_buf", "send_counts"),
+         optional=("send_displs", "recv_counts", "recv_displs"),
+         out_allowed=("recv_buf", "recv_counts", "recv_displs"),
+         implicit_out=("recv_buf",))
+    def alltoallv(plan: CallPlan) -> Run:
+        """Variable all-to-all with count inference (§III-A).
+
+        Receive counts omitted ⇒ one raw ``alltoall`` exchanging the count
+        vectors, then one raw ``alltoallv``.
+        """
+        encode, scounts_at = _sender(plan), plan.index["send_counts"]
+        sdispls = plan.in_pos("send_displs")
+        given, placed = plan.in_pos("recv_counts"), plan.in_pos("recv_displs")
+        want_displs = plan.wants("recv_displs")
+        finish = _packer(plan, "recv_buf", "recv_counts", "recv_displs")
+
+        def run(comm, params):
+            raw = comm.raw
+            payload, decode, _ = encode(comm, params)
+            scounts = _as_int_list(params[scounts_at].data)
+            if len(scounts) != raw.size:
+                raise UsageError(f"send_counts has {len(scounts)} entries, "
+                                 f"expected {raw.size}")
+            if sdispls >= 0:
+                payload = _with_send_displs(payload, scounts,
+                                            params[sdispls].data)
+            rcounts = _as_int_list(params[given].data if given >= 0
+                                   else raw.alltoall(list(scounts)))
+            out = raw.alltoallv(payload, scounts, rcounts)
+            rdispls = None
+            if placed >= 0:
+                rdispls = _as_int_list(params[placed].data)
+                out = _place_at_displs(out, rcounts, rdispls)
+            elif want_displs:
+                rdispls = _exclusive_prefix(rcounts)
+            return finish(params, decode(out), rcounts, rdispls)
+        return run
+
+    @_op("neighbor_alltoall", required=("send_buf",),
+         out_allowed=("recv_buf",), implicit_out=("recv_buf",))
+    def neighbor_alltoall(plan: CallPlan) -> Run:
+        """Exchange one equal-size block per topology neighbor."""
+        buf, finish = plan.index["send_buf"], _packer(plan, "recv_buf")
+
+        def run(comm, params):
+            raw = comm.raw
+            _, destinations = _need_topology(raw)
+            wire = comm._encode(params[buf].data)
+            blocks = _equal_blocks(wire, len(destinations),
+                                   "neighbor_alltoall send_buf",
+                                   f"the {len(destinations)} destinations")
+            return finish(params, _decode_blocks(wire.decode, wire.scalar,
+                                                 raw.neighbor_alltoall(blocks)))
+        return run
+
+    @_op("neighbor_alltoallv", required=("send_buf", "send_counts"),
+         optional=("recv_counts",),
+         out_allowed=("recv_buf", "recv_counts"), implicit_out=("recv_buf",))
+    def neighbor_alltoallv(plan: CallPlan) -> Run:
+        """Variable neighborhood exchange with count inference.
+
+        Receive counts omitted ⇒ one raw ``neighbor_alltoall`` exchanging the
+        counts — Θ(degree), never Θ(p).
+        """
+        encode, scounts_at = _sender(plan), plan.index["send_counts"]
+        given = plan.in_pos("recv_counts")
+        finish = _packer(plan, "recv_buf", "recv_counts")
+
+        def run(comm, params):
+            raw = comm.raw
+            _need_topology(raw)
+            payload, decode, _ = encode(comm, params)
+            scounts = _as_int_list(params[scounts_at].data)
+            if given >= 0:
+                rcounts = _as_int_list(params[given].data)
+            else:
+                rcounts = [int(c[0]) for c in
+                           raw.neighbor_alltoall([[c] for c in scounts])]
+            out = raw.neighbor_alltoallv(payload, scounts, rcounts)
+            return finish(params, decode(out), rcounts)
+        return run
+
+    # -- reductions --------------------------------------------------------------
+
+    @_op("reduce", required=("send_buf", "op"), optional=("root",),
+         out_allowed=("recv_buf",), implicit_out=("recv_buf",))
+    def reduce(plan: CallPlan) -> Run:
+        """Rooted reduction; result delivered at the root only."""
+        root, encode = _arg(plan, "root", 0), _sender(plan)
+        op, finish = plan.index["op"], _packer(plan, "recv_buf")
+
+        def run(comm, params):
+            raw, rt = comm.raw, root(params)
+            payload, decode, _ = encode(comm, params)
+            out = raw.reduce(payload, params[op].data, rt)
+            if raw.rank == rt:
+                return finish(params, decode(out))
+        return run
+
+    @_op("allreduce", optional=("send_buf", "send_recv_buf"), required=("op",),
+         out_allowed=("recv_buf", "send_recv_buf"),
+         conflicts=(
+             ("send_recv_buf", "send_buf",
+              "the in-place variant takes its input from send_recv_buf"),
+         ))
+    def allreduce(plan: CallPlan) -> Run:
+        """Reduction with the result on every rank."""
+        op, inplace = plan.index["op"], plan.pos("send_recv_buf")
+        encode = _sender(plan, "send_recv_buf" if inplace >= 0 else "send_buf")
+        # where the result goes: over a referenced in-place ndarray, into a
+        # referenced recv_buf, or back by value
+        overwrite = (inplace >= 0 and plan.kind("send_recv_buf") == "array"
+                     and not plan.sig("send_recv_buf").moved)
+        into = (plan.index["recv_buf"]
+                if inplace < 0 and "recv_buf" in plan.referencing_out else -1)
+
+        def run(comm, params):
+            payload, decode, _ = encode(comm, params)
+            out = comm.raw.allreduce(payload, params[op].data)
+            if overwrite:
+                params[inplace].data[:] = out
+            elif into < 0:
+                return decode(out)
+            else:
+                _write_into(params[into].data, _ensure_seq(decode(out)),
+                            params[into].resize)
+        return run
+
+    @_like("allreduce")
+    def iallreduce(plan: CallPlan) -> Run:
+        """Non-blocking allreduce (commutative operations)."""
+        encode, op = _sender(plan), plan.index["op"]
+        buf = plan.index["send_buf"]
+
+        def run(comm, params):
+            payload, decode, _ = encode(comm, params)
+            request = comm.raw.iallreduce(payload, params[op].data)
+            return _in_flight(comm, request, params[buf].data, "iallreduce",
+                              assemble=decode)
+        return run
+
+    @_op("scan", required=("send_buf", "op"), out_allowed=("recv_buf",),
+         implicit_out=("recv_buf",))
+    def scan(plan: CallPlan) -> Run:
+        """Inclusive prefix reduction."""
+        encode, op = _sender(plan), plan.index["op"]
+        finish = _packer(plan, "recv_buf")
+
+        def run(comm, params):
+            payload, decode, _ = encode(comm, params)
+            out = comm.raw.scan(payload, params[op].data)
+            return finish(params, decode(out))
+        return run
+
+    @_op("exscan", required=("send_buf", "op"), optional=("values_on_rank_0",),
+         out_allowed=("recv_buf",), implicit_out=("recv_buf",))
+    def exscan(plan: CallPlan) -> Run:
+        """Exclusive prefix reduction; rank 0 yields ``values_on_rank_0`` (or
+        the op identity) instead of MPI's undefined value."""
+        encode, op = _sender(plan), plan.index["op"]
+        finish = _packer(plan, "recv_buf")
+        on_rank_0 = plan.pos("values_on_rank_0")
+
+        def run(comm, params):
+            raw = comm.raw
+            payload, decode, _ = encode(comm, params)
+            out = raw.exscan(payload, params[op].data)
+            if raw.rank == 0:
+                if on_rank_0 >= 0:
+                    return finish(params, params[on_rank_0].data)
+                if out is None:
+                    raise UsageError(
+                        "exscan on rank 0 is undefined for this op; pass "
+                        "values_on_rank_0(...) or use an op with an identity"
+                    )
+                if (isinstance(payload, np.ndarray)
+                        and isinstance(out, np.ndarray)):
+                    out = out.astype(payload.dtype, copy=False)
+            return finish(params, decode(out))
+        return run
+
+    def bcast_single(self, *params: Parameter) -> Any:
+        """Broadcast of a single value."""
+        return self.bcast(*params)
+
+    def reduce_single(self, *params: Parameter) -> Any:
+        """Reduction of a single value per rank."""
+        return self.reduce(*params)
+
+    def allreduce_single(self, *params: Parameter) -> Any:
+        """Allreduce of a single value per rank — e.g. the BFS termination check
+        ``allreduce_single(send_buf(frontier_empty), op(logical_and))`` (Fig. 9)."""
+        return self.allreduce(*params)
+
+    def scan_single(self, *params: Parameter) -> Any:
+        return self.scan(*params)
+
+    def exscan_single(self, *params: Parameter) -> Any:
+        return self.exscan(*params)
+
+    # -- one-sided communication -----------------------------------------------
+
+    def win_create(self, local: Any) -> "Window":
+        """Collectively create a safe RMA window over ``local`` memory."""
+        from repro.core.rma import Window
+
+        return Window(self, local)
 
 
 # ---------------------------------------------------------------------------
@@ -892,18 +970,22 @@ def _exclusive_prefix(counts: Sequence[int]) -> list[int]:
     return displs
 
 
-def _apply_send_count(wire: _types.WireBuffer, send_count: Optional[int]) -> Any:
-    payload = wire.payload
-    if send_count is None:
-        return payload
+def _apply_send_count(payload: Any, send_count: int) -> Any:
     if send_count > _length_of(payload):
         raise UsageError(
             f"send_count({send_count}) exceeds the send buffer size "
             f"{_length_of(payload)}"
         )
-    if isinstance(payload, np.ndarray):
-        return payload[:send_count]
     return payload[:send_count]
+
+
+def _equal_blocks(wire: _types.WireBuffer, parts: int, what: str, of: str) -> list:
+    """Split an encoded send buffer into ``parts`` equal blocks."""
+    if parts and wire.count % parts != 0:
+        raise UsageError(
+            f"{what} has {wire.count} elements, not divisible by {of}")
+    b = wire.count // parts if parts else 0
+    return [wire.payload[i * b:(i + 1) * b] for i in range(parts)]
 
 
 def _with_send_displs(payload: Any, counts: Sequence[int],
@@ -938,6 +1020,8 @@ def _place_at_displs(contiguous: np.ndarray, counts: Sequence[int],
 
 def _write_into(container: Any, value: Any, policy: ResizePolicy) -> None:
     """Write a produced out-value into a caller-supplied referencing container."""
+    if value is container:
+        return  # in place already (a bcast root's own buffer): nothing to copy
     if isinstance(container, list):
         seq = value.tolist() if isinstance(value, np.ndarray) else list(value)
         apply_policy_to_list(container, seq, policy)
@@ -966,16 +1050,16 @@ def _reuse_storage(container: Any, value: Any) -> Any:
     return value
 
 
-def _decode_blocks(wire: _types.WireBuffer, blocks: list) -> Any:
+def _decode_blocks(decode: Callable[[Any], Any], scalar: bool, blocks: list) -> Any:
     """Decode a gathered list of per-rank wire blocks.
 
     A scalar contribution per rank yields a list of p scalars; container
     contributions yield the decoded concatenation.
     """
     merged = _concat_wire(blocks)
-    if wire.scalar:
+    if scalar:
         return merged.tolist() if isinstance(merged, np.ndarray) else list(merged)
-    return wire.decode(merged)
+    return decode(merged)
 
 
 def _concat_wire(blocks: list) -> Any:

@@ -16,7 +16,6 @@ from __future__ import annotations
 import operator
 from typing import Any, Optional
 
-from repro.core.buffers import unwrap_moved
 from repro.core.errors import UsageError
 from repro.core.parameters import IN, INOUT, OUT, Parameter
 from repro.core.resize import ResizePolicy, no_resize
@@ -24,21 +23,11 @@ from repro.mpi import ops as _ops
 from repro.mpi.ops import Op
 
 
-def _in(key: str, data: Any, **options: Any) -> Parameter:
-    value, moved = unwrap_moved(data)
-    return Parameter(key, IN, value, moved=moved, options=options)
-
-
-def _out(key: str, container: Any = None, resize: ResizePolicy = no_resize) -> Parameter:
-    value, moved = unwrap_moved(container)
-    return Parameter(key, OUT, value, resize=resize, moved=moved)
-
-
 # -- buffers -----------------------------------------------------------------
 
 def send_buf(data: Any) -> Parameter:
     """The data this rank contributes to the operation."""
-    return _in("send_buf", data)
+    return Parameter("send_buf", IN, data)
 
 
 def send_buf_out(data: Any) -> Parameter:
@@ -47,8 +36,7 @@ def send_buf_out(data: Any) -> Parameter:
     Used with non-blocking calls: ``isend(send_buf_out(move(v)), ...)`` hands
     the buffer to the operation and gets it back from ``wait()`` (Fig. 6).
     """
-    value, moved = unwrap_moved(data)
-    return Parameter("send_buf", INOUT, value, moved=moved)
+    return Parameter("send_buf", INOUT, data)
 
 
 def recv_buf(container: Any = None, resize: ResizePolicy = no_resize) -> Parameter:
@@ -58,111 +46,110 @@ def recv_buf(container: Any = None, resize: ResizePolicy = no_resize) -> Paramet
     is written in place under ``resize`` (pass ``move(container)`` to have
     the storage reused *and* returned by value).
     """
-    return _out("recv_buf", container, resize)
+    return Parameter("recv_buf", OUT, container, resize)
 
 
 def send_recv_buf(data: Any, resize: ResizePolicy = no_resize) -> Parameter:
     """In-place buffer: both contributes and receives (simplified ``MPI_IN_PLACE``)."""
-    value, moved = unwrap_moved(data)
-    return Parameter("send_recv_buf", INOUT, value, resize=resize, moved=moved)
+    return Parameter("send_recv_buf", INOUT, data, resize)
 
 
 # -- counts & displacements ----------------------------------------------------
 
 def send_counts(counts: Any) -> Parameter:
     """Per-destination element counts for all-to-all style operations."""
-    return _in("send_counts", counts)
+    return Parameter("send_counts", IN, counts)
 
 
 def send_counts_out(container: Any = None,
                     resize: ResizePolicy = no_resize) -> Parameter:
     """Request the (library-computed) send counts back."""
-    return _out("send_counts", container, resize)
+    return Parameter("send_counts", OUT, container, resize)
 
 
 def recv_counts(counts: Any) -> Parameter:
     """Per-source element counts; omitting them makes the library exchange counts."""
-    return _in("recv_counts", counts)
+    return Parameter("recv_counts", IN, counts)
 
 
 def recv_counts_out(container: Any = None,
                     resize: ResizePolicy = no_resize) -> Parameter:
     """Request the inferred receive counts back (avoids re-computing them)."""
-    return _out("recv_counts", container, resize)
+    return Parameter("recv_counts", OUT, container, resize)
 
 
 def send_displs(displs: Any) -> Parameter:
     """Explicit per-destination send displacements (offsets into send_buf)."""
-    return _in("send_displs", displs)
+    return Parameter("send_displs", IN, displs)
 
 
 def send_displs_out(container: Any = None,
                     resize: ResizePolicy = no_resize) -> Parameter:
     """Request the (library-computed) send displacements back."""
-    return _out("send_displs", container, resize)
+    return Parameter("send_displs", OUT, container, resize)
 
 
 def recv_displs(displs: Any) -> Parameter:
     """Explicit per-source receive displacements (offsets into recv_buf)."""
-    return _in("recv_displs", displs)
+    return Parameter("recv_displs", IN, displs)
 
 
 def recv_displs_out(container: Any = None,
                     resize: ResizePolicy = no_resize) -> Parameter:
     """Request the inferred receive displacements back (local prefix sum)."""
-    return _out("recv_displs", container, resize)
+    return Parameter("recv_displs", OUT, container, resize)
 
 
 def send_count(count: int) -> Parameter:
     """Explicit number of elements to send (otherwise inferred from send_buf)."""
-    return _in("send_count", int(count))
+    return Parameter("send_count", IN, int(count))
 
 
 def recv_count(count: int) -> Parameter:
     """Explicit number of elements to receive (e.g. for ``irecv``)."""
-    return _in("recv_count", int(count))
+    return Parameter("recv_count", IN, int(count))
 
 
 def recv_count_out(container: Any = None) -> Parameter:
     """Request the number of received elements back (e.g. from scatterv)."""
-    return _out("recv_count", container)
+    return Parameter("recv_count", OUT, container)
 
 
 def send_recv_count(count: int) -> Parameter:
     """Element count of an in-place buffer where MPI would take one count."""
-    return _in("send_recv_count", int(count))
+    return Parameter("send_recv_count", IN, int(count))
 
 
 # -- scalar control parameters ---------------------------------------------------
 
 def root(rank: int) -> Parameter:
     """Root rank of a rooted collective (default 0)."""
-    return _in("root", int(rank))
+    return Parameter("root", IN, int(rank))
 
 
 def destination(rank: int) -> Parameter:
     """Destination rank of a point-to-point send."""
-    return _in("destination", int(rank))
+    return Parameter("destination", IN, int(rank))
 
 
 def source(rank: int) -> Parameter:
     """Source rank of a receive (default: any source)."""
-    return _in("source", int(rank))
+    return Parameter("source", IN, int(rank))
 
 
 def tag(value: int) -> Parameter:
     """Message tag (default 0)."""
-    return _in("tag", int(value))
+    return Parameter("tag", IN, int(value))
 
 
 def values_on_rank_0(value: Any) -> Parameter:
     """Value exscan should produce on rank 0 (which MPI leaves undefined)."""
-    return _in("values_on_rank_0", value)
+    return Parameter("values_on_rank_0", IN, value)
 
 
 def status_out() -> Parameter:
     """Request the receive status (source / tag / size) back."""
-    return _out("status")
+    return Parameter("status", OUT)
 
 
 # -- reduction operations -----------------------------------------------------------

@@ -3,8 +3,9 @@
 Named parameters are realized — as in the paper — by lightweight objects
 produced by factory functions (:mod:`repro.core.named_params`).  Each object
 carries its *parameter key* (send buffer, receive counts, …), its direction
-(in / out / in-out), its payload, and per-parameter options such as the
-resize policy or move-ownership.
+(in / out / in-out), its payload, its resize policy and move-ownership, and
+an interned *signature token* naming everything about it but the payload —
+the call-plan cache (:mod:`repro.core.plans`) keys on these tokens.
 
 The registry is open: plugins may register new parameter keys
 (:func:`register_parameter`), which gives library extensions the full named
@@ -13,11 +14,14 @@ parameter flexibility (paper §III-F).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any
 
+import numpy as np
+
+from repro.core.buffers import unwrap_moved
 from repro.core.errors import UsageError
 from repro.core.resize import ResizePolicy, no_resize
+from repro.core.serialization import DeserializationWrapper, SerializationWrapper
 
 IN = "in"
 OUT = "out"
@@ -58,32 +62,62 @@ VALUES_ON_RANK_0 = register_parameter("values_on_rank_0")
 STATUS = register_parameter("status")
 
 
-@dataclass
+class Signature:
+    """Payload-free shape of one parameter — what call plans are keyed on.
+
+    Interned: equal shapes are the same object, so signatures hash and
+    compare by identity and a plan-cache key costs no more than its length.
+    """
+
+    __slots__ = ("key", "direction", "moved", "has_data", "resize", "kind")
+
+    def __init__(self, key: str, direction: str, moved: bool, has_data: bool,
+                 resize: ResizePolicy, kind: str):
+        self.key = key
+        self.direction = direction
+        self.moved = moved
+        self.has_data = has_data
+        self.resize = resize
+        #: container kind of the payload (:func:`_kind_of`)
+        self.kind = kind
+
+
+#: (key, direction, moved, resize, type(data)) -> signature: the one probe a
+#: parameter's construction costs.  Kind and has-data are functions of the
+#: payload's type, so the probe is exact.
+_BY_TYPE: dict[tuple, Signature] = {}
+_INTERNED: dict[tuple, Signature] = {}
+
+
 class Parameter:
     """One named argument to a wrapped MPI call."""
 
-    key: str
-    direction: str
-    data: Any = None
-    resize: ResizePolicy = no_resize
-    moved: bool = False
-    #: free-form options (used by op(), serialization wrappers, plugins)
-    options: dict = field(default_factory=dict)
+    __slots__ = ("key", "direction", "data", "resize", "moved", "token")
 
-    def signature(self) -> tuple:
-        """Hashable shape of this parameter for call-plan caching.
+    def __init__(self, key: str, direction: str, data: Any = None,
+                 resize: ResizePolicy = no_resize):
+        data, moved = unwrap_moved(data)  # move(c) hands the container over
+        self.key = key
+        self.direction = direction
+        self.data = data
+        self.resize = resize
+        self.moved = moved
+        probe = (key, direction, moved, resize, type(data))
+        try:
+            self.token = _BY_TYPE[probe]
+        except KeyError:  # first parameter of this shape and payload type
+            shape = (key, direction, moved, data is not None, resize,
+                     _kind_of(data))
+            self.token = _BY_TYPE[probe] = _INTERNED.setdefault(
+                shape, Signature(*shape))
+
+    def signature(self) -> Signature:
+        """Hashable shape of this parameter (its interned ``token``).
 
         Deliberately excludes the payload: two calls with the same parameter
         *shapes* share a plan, like two uses of one template instantiation.
         """
-        return (
-            self.key,
-            self.direction,
-            self.moved,
-            self.data is not None,
-            self.resize,
-            _kind_of(self.data),
-        )
+        return self.token
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Parameter({self.key}, {self.direction})"
@@ -91,10 +125,6 @@ class Parameter:
 
 def _kind_of(data: Any) -> str:
     """Coarse container-kind classification used in plan signatures."""
-    import numpy as np
-
-    from repro.core.serialization import DeserializationWrapper, SerializationWrapper
-
     if data is None:
         return "none"
     if isinstance(data, np.ndarray):

@@ -5,30 +5,52 @@ at compile time; template metaprogramming instantiates exactly the code paths
 needed (checking presence, computing defaults) with zero runtime dispatch.
 
 Python has no compile time, so the library compiles a **call plan** the first
-time it sees an ``(operation, parameter-signature)`` pair: all validation
-(unknown / duplicate / missing / ignored parameters) and the classification
-of which defaults must be computed happen once and are cached.  Steady-state
-calls do a single dictionary lookup plus direct indexing — the measurable
-"near zero overhead" claim reproduced by ``benchmarks/bench_overhead.py``.
+time it sees an ``(operation, parameter-signature)`` pair.  Compilation
+(:func:`compile_plan`) does two things, once:
+
+- it validates the signature against the operation's :class:`OpSpec`
+  (unknown / duplicate / missing / ignored parameters, out-parameter
+  ownership) — every usage error surfaces here and nothing invalid is cached;
+- it hands the validated :class:`CallPlan` to the operation's *builder*
+  (``OpSpec.build``), which returns the closure ``run(comm, params)`` with
+  everything the signature decides already decided: the position of each
+  parameter in the argument tuple, the defaults of absent ones, which
+  count/displacement inference steps run at all, the encoder for the send
+  container's kind, and how each out-value is delivered (bare value /
+  ``MPIResult`` / in-place write).
+
+A steady-state call is therefore: the tuple of the parameters' interned
+signature tokens (:mod:`repro.core.parameters` computes them at
+construction) → one dictionary probe → one call of the cached closure.
+:class:`PlanCache` is that ``key → compiled callable`` table and nothing
+more; the communication-plan IR's replayer uses it with its own keys.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Optional, Sequence
+from functools import cached_property
+from operator import attrgetter
+from typing import Any, Callable, Hashable, Optional, Sequence
 
 from repro.core.errors import (
     DuplicateParameterError,
+    IgnoredParameterError,
     MissingParameterError,
     UnsupportedParameterError,
     UsageError,
 )
-from repro.core.parameters import IN, INOUT, OUT, Parameter, is_registered
+from repro.core.parameters import (
+    INOUT, OUT, Parameter, Signature, is_registered)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OpSpec:
-    """Parameter contract of one wrapped MPI operation."""
+    """Parameter contract of one wrapped MPI operation, and its builder.
+
+    Specs compare by identity: each is declared once, and plan-cache keys
+    hash them on every call.
+    """
 
     name: str
     #: keys that must be present (as in-parameters)
@@ -43,8 +65,11 @@ class OpSpec:
     #: another an error — e.g. in-place buffers make send_buf an ignored
     #: parameter, which KaMPIng diagnoses instead of silently ignoring
     conflicts: tuple[tuple[str, str, str], ...] = ()
+    #: ``build(plan) -> run(comm, params)``: specialises the operation for one
+    #: validated parameter signature (called by :func:`compile_plan`)
+    build: Callable[["CallPlan"], Callable[..., Any]] = field(kw_only=True)
 
-    @property
+    @cached_property
     def allowed(self) -> frozenset[str]:
         return frozenset(self.required) | frozenset(self.optional) | frozenset(
             self.out_allowed
@@ -53,102 +78,97 @@ class OpSpec:
 
 @dataclass
 class CallPlan:
-    """Resolved handling recipe for one (operation, parameter-signature) pair."""
+    """What compilation resolved for one (operation, parameter-signature) pair.
+
+    Builders read it at compile time; per call only :attr:`run` is used.
+    """
 
     spec: OpSpec
-    #: position of each key in the argument tuple (−1: absent)
+    #: position of each present key in the argument tuple
     index: dict[str, int]
-    #: keys present as in/inout parameters
-    provided_in: frozenset[str]
+    #: payload-free ``Parameter.signature()`` of each argument, by position
+    signatures: tuple[Signature, ...]
     #: out keys to return, in result order (recv_buf first, then call order)
     out_keys: tuple[str, ...] = ()
     #: out keys written into caller-supplied referencing containers
     referencing_out: frozenset[str] = frozenset()
+    #: the specialised operation: ``run(comm, params)``
+    run: Optional[Callable[..., Any]] = None
 
-    def get(self, params: Sequence[Parameter], key: str) -> Optional[Parameter]:
+    def pos(self, key: str) -> int:
+        """Position of ``key`` in the argument tuple (−1: absent)."""
+        return self.index.get(key, -1)
+
+    def sig(self, key: str) -> Optional[Signature]:
+        """Signature of the argument passing ``key`` (``None``: absent)."""
         i = self.index.get(key, -1)
-        return params[i] if i >= 0 else None
+        return self.signatures[i] if i >= 0 else None
 
-    def data(self, params: Sequence[Parameter], key: str,
-             default: Any = None) -> Any:
-        i = self.index.get(key, -1)
-        return params[i].data if i >= 0 else default
-
-    def in_data(self, params: Sequence[Parameter], key: str,
-                default: Any = None) -> Any:
-        """Payload of ``key`` only when it was passed as an *input*.
+    def in_pos(self, key: str) -> int:
+        """Position of ``key`` only when it was passed as an *input* with data.
 
         An out-parameter's container is target storage, not input — e.g.
-        ``recv_counts_out(buffer)`` must still trigger count inference.
+        ``recv_counts_out(buffer)`` must still trigger count inference, and
+        so does ``recv_counts(None)``.
         """
-        i = self.index.get(key, -1)
-        if i < 0 or params[i].direction == OUT:
-            return default
-        return params[i].data
+        sig = self.sig(key)
+        if sig is None or sig.direction == OUT or not sig.has_data:
+            return -1
+        return self.index[key]
 
-    def has(self, key: str) -> bool:
-        return self.index.get(key, -1) >= 0
+    def kind(self, key: str) -> str:
+        """Container kind of ``key``'s payload (``"none"`` when absent)."""
+        sig = self.sig(key)
+        return sig.kind if sig is not None else "none"
+
+    def wants(self, key: str) -> bool:
+        """Does the caller get ``key`` back (by value or in place)?"""
+        return key in self.out_keys or key in self.referencing_out
 
 
-@dataclass(frozen=True)
-class PlanHandle:
-    """Stable, hashable name of one cached plan — ``(op, signature)``.
-
-    The named-parameter path builds handles from parameter signatures; other
-    clients (the communication-plan IR's replayer) build them from their own
-    dispatch signatures.  A handle is pure data: it can be stored in an IR
-    node, compared across runs, and resolved against any :class:`PlanCache`.
-    """
-
-    op: str
-    signature: tuple = ()
-
-    def key(self) -> tuple:
-        return (self.op,) + self.signature
+_token_of = attrgetter("token")
 
 
 class PlanCache:
-    """Per-operation cache of compiled plans, keyed by :class:`PlanHandle`.
+    """``key → compiled callable``, compiled once per key.
 
     ``compilations`` counts factory invocations (cache misses), ``hits``
-    counts steady-state lookups that returned a cached plan without
+    counts steady-state lookups that returned a cached artifact without
     re-validating — the pair the overhead benchmarks and the IR replay tests
-    pin to prove nothing is re-done per call.
+    pin to prove nothing is re-done per call.  A disabled cache stores
+    nothing, so every lookup compiles: the always-revalidate baseline the
+    benchmarks compare against.
     """
 
     def __init__(self, enabled: bool = True):
         self.enabled = enabled
-        self._cache: dict[tuple, Any] = {}
+        self._cache: dict[Hashable, Any] = {}
         self.compilations = 0
         self.hits = 0
 
-    def compiled(self, handle: PlanHandle, factory) -> Any:
-        """The cached artifact for ``handle``, compiling via ``factory`` once.
-
-        ``factory`` is a zero-argument callable evaluated only on a miss (or
-        on every call when the cache is disabled, which is exactly the
-        always-revalidate baseline the benchmarks compare against).
-        """
-        if not self.enabled:
-            self.compilations += 1
-            return factory()
-        key = handle.key()
-        plan = self._cache.get(key)
-        if plan is None:
-            plan = factory()
-            self._cache[key] = plan
-            self.compilations += 1
-        else:
+    def compiled(self, key: Hashable, factory: Callable[..., Any],
+                 *args: Any) -> Any:
+        """The artifact cached under ``key``, built by ``factory(*args)`` on
+        a miss.  A factory that raises leaves nothing behind."""
+        artifact = self._cache.get(key)
+        if artifact is not None:
             self.hits += 1
-        return plan
+            return artifact
+        artifact = factory(*args)
+        if self.enabled:
+            self._cache[key] = artifact
+        self.compilations += 1
+        return artifact
 
-    def lookup(self, spec: OpSpec, params: Sequence[Parameter]) -> CallPlan:
-        handle = PlanHandle(spec.name, tuple(
-            p.signature() if isinstance(p, Parameter)
-            else ("<not-a-parameter>", type(p).__name__)
-            for p in params
-        ))
-        return self.compiled(handle, lambda: compile_plan(spec, params))
+    def lookup(self, spec: OpSpec, params: Sequence[Parameter]) -> "CallPlan":
+        """The plan for calling ``spec`` with ``params``; its ``run`` is the
+        specialised operation.  On a hit nothing about ``params`` is examined
+        beyond the tokens the factories interned at construction."""
+        try:
+            key = (spec, *map(_token_of, params))
+        except AttributeError:  # a positional argument that is no Parameter
+            key = None
+        return self.compiled(key, compile_plan, spec, params)
 
     def clear(self) -> None:
         self._cache.clear()
@@ -161,7 +181,10 @@ def compile_plan(spec: OpSpec, params: Sequence[Parameter]) -> CallPlan:
 
     All usage errors surface here — once per call-site signature — with
     human-readable messages naming the operation and the offending parameter.
+    The validated plan then goes to ``spec.build``, whose closure becomes
+    ``plan.run``.
     """
+    allowed = spec.allowed
     index: dict[str, int] = {}
     duplicated: list[str] = []
     for i, p in enumerate(params):
@@ -176,8 +199,8 @@ def compile_plan(spec: OpSpec, params: Sequence[Parameter]) -> CallPlan:
             if p.key not in duplicated:
                 duplicated.append(p.key)
             continue
-        if p.key not in spec.allowed:
-            raise UnsupportedParameterError(spec.name, p.key, tuple(spec.allowed))
+        if p.key not in allowed:
+            raise UnsupportedParameterError(spec.name, p.key, tuple(allowed))
         index[p.key] = i
     if duplicated:
         # every duplicated key is collected first so one diagnostic lists all
@@ -189,36 +212,28 @@ def compile_plan(spec: OpSpec, params: Sequence[Parameter]) -> CallPlan:
 
     for present, forbidden, reason in spec.conflicts:
         if present in index and forbidden in index:
-            from repro.core.errors import IgnoredParameterError
-
             raise IgnoredParameterError(spec.name, forbidden, reason,
-                                        tuple(spec.allowed))
-
-    provided_in = frozenset(
-        p.key for p in params if p.direction in (IN, INOUT)
-    )
+                                        tuple(allowed))
 
     # out-parameter handling: a requested out key is "owning" (returned by
     # value) when no container was supplied or the container was moved in;
     # otherwise it is "referencing" (written in place, not returned).
+    signatures = tuple(p.token for p in params)
     owning: list[str] = []
     referencing: list[str] = []
-    for p in params:
-        if p.direction not in (OUT, INOUT):
-            continue
-        if p.key not in spec.out_allowed and p.direction == OUT:
-            raise UnsupportedParameterError(spec.name, p.key, spec.out_allowed)
-        if p.direction == INOUT and p.key not in spec.out_allowed:
-            continue  # inout data used purely as input for this op
-        from repro.core.parameters import _kind_of
-
+    for sig in signatures:
+        if sig.direction == OUT:
+            if sig.key not in spec.out_allowed:
+                raise UnsupportedParameterError(spec.name, sig.key,
+                                                spec.out_allowed)
+        elif sig.direction != INOUT or sig.key not in spec.out_allowed:
+            continue  # pure input (inout data this op only reads included)
         # Only mutable containers passed by reference are written in place;
         # wrappers, scalars, and moved-in containers are returned by value.
-        if (p.data is not None and not p.moved
-                and _kind_of(p.data) in ("array", "list")):
-            referencing.append(p.key)
+        if sig.has_data and not sig.moved and sig.kind in ("array", "list"):
+            referencing.append(sig.key)
         else:
-            owning.append(p.key)
+            owning.append(sig.key)
 
     # implicit outs (normally recv_buf) are produced even when not requested
     for key in spec.implicit_out:
@@ -227,15 +242,10 @@ def compile_plan(spec: OpSpec, params: Sequence[Parameter]) -> CallPlan:
 
     # deterministic result order: implicit/explicit recv_buf first, then the
     # remaining owning outs in call order (paper: structured bindings)
-    ordered = sorted(
-        owning,
-        key=lambda k: (0 if k in ("recv_buf", "send_recv_buf") else 1,
-                       index.get(k, -1)),
-    )
-    return CallPlan(
-        spec=spec,
-        index=index,
-        provided_in=provided_in,
-        out_keys=tuple(ordered),
-        referencing_out=frozenset(referencing),
-    )
+    if len(owning) > 1:
+        owning.sort(key=lambda k: (k not in ("recv_buf", "send_recv_buf"),
+                                   index.get(k, -1)))
+    plan = CallPlan(spec, index, signatures, tuple(owning),
+                    frozenset(referencing))
+    plan.run = spec.build(plan)
+    return plan

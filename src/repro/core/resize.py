@@ -25,6 +25,10 @@ class ResizePolicy(Enum):
     GROW_ONLY = "grow_only"
     RESIZE_TO_FIT = "resize_to_fit"
 
+    # members are singletons; Enum's own __hash__ is a Python-level call and
+    # the policy is hashed once per constructed parameter
+    __hash__ = object.__hash__
+
 
 no_resize = ResizePolicy.NO_RESIZE
 grow_only = ResizePolicy.GROW_ONLY

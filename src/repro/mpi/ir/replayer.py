@@ -4,7 +4,7 @@ The replayer walks one rank's node list in order and re-issues each raw op
 with the recorded (post-rewrite) arguments.  Execution recipes are compiled
 once per ``(op, signature)`` through :class:`repro.core.plans.PlanCache` —
 the same cache the named-parameter layer uses — so a steady-state replay
-does one handle lookup per node and zero re-validation: the IR rides the
+does one dictionary probe per node and zero re-validation: the IR rides the
 paper's zero-overhead machinery instead of bypassing it.
 
 Faithfulness is enforced, not assumed: every node that recorded a result is
@@ -23,7 +23,7 @@ from typing import Any, Callable, Dict, Hashable, List, Optional
 
 import numpy as np
 
-from repro.core.plans import PlanCache, PlanHandle
+from repro.core.plans import PlanCache
 from repro.mpi.context import RawComm
 from repro.mpi.ir.nodes import CommOp, values_equal
 
@@ -101,13 +101,14 @@ class Replayer:
                 f"{_describe(node)} targets a communicator the replay never "
                 f"derived"
             )
-        handle = PlanHandle("ir:" + node.op, (
+        signature = (
+            "ir:" + node.op,
             node.kind,
             node.args.get("algorithm"),
             tuple(sorted(node.args)),
             node.payload is not None,
-        ))
-        recipe = self.cache.compiled(handle, lambda: self._compile(node))
+        )
+        recipe = self.cache.compiled(signature, self._compile, node)
         comm._ir_pass = node.ir_pass
         try:
             recipe(comm, node)

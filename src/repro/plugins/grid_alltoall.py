@@ -20,18 +20,27 @@ from typing import Any, Optional, Sequence
 
 import numpy as np
 
-from repro.core.communicator import _exclusive_prefix
+from repro.core.communicator import _exclusive_prefix, _packer
 from repro.core.errors import UsageError
 from repro.core.named_params import send_buf, send_counts, recv_counts
 from repro.core.parameters import Parameter
-from repro.core.plans import OpSpec
+from repro.core.plans import CallPlan, OpSpec
 from repro.core.plugins import CommunicatorPlugin, plugin_method
+
+
+def _build_grid(plan: CallPlan):
+    buf, counts = plan.index["send_buf"], plan.index["send_counts"]
+    finish = _packer(plan, "recv_buf", "recv_counts")
+    return lambda comm, params: finish(params, *comm._route_grid(
+        np.asarray(params[buf].data), [int(c) for c in params[counts].data]))
+
 
 _GRID_SPEC = OpSpec(
     name="alltoallv_grid",
     required=("send_buf", "send_counts"),
     out_allowed=("recv_buf", "recv_counts"),
     implicit_out=("recv_buf",),
+    build=_build_grid,
 )
 
 
@@ -69,9 +78,11 @@ class GridAlltoall(CommunicatorPlugin):
         Returns the received elements ordered by source rank; request the
         per-source counts with ``recv_counts_out()``.
         """
-        plan = self._plans.lookup(_GRID_SPEC, params)
-        data = np.asarray(plan.data(params, "send_buf"))
-        counts = [int(c) for c in plan.data(params, "send_counts")]
+        return self._plans.lookup(_GRID_SPEC, params).run(self, params)
+
+    def _route_grid(self, data: np.ndarray, counts: list[int]
+                    ) -> tuple[np.ndarray, list[int]]:
+        """The two hops; returns ``(received elements, per-source counts)``."""
         p, r = self.size, self.rank
         if len(counts) != p:
             raise UsageError(f"send_counts has {len(counts)} entries, expected {p}")
@@ -112,7 +123,5 @@ class GridAlltoall(CommunicatorPlugin):
         # face the result in deterministic source order
         order = np.argsort(final["src"], kind="stable")
         final = final[order]
-        recv_buf_value = final["val"].copy()
-        per_source = np.bincount(final["src"], minlength=p).tolist()
-        produced = {"recv_buf": recv_buf_value, "recv_counts": per_source}
-        return self._finish(plan, params, produced)
+        return (final["val"].copy(),
+                np.bincount(final["src"], minlength=p).tolist())

@@ -22,18 +22,27 @@ from typing import Any, Optional, Sequence
 
 import numpy as np
 
-from repro.core.communicator import _exclusive_prefix
+from repro.core.communicator import _exclusive_prefix, _packer
 from repro.core.errors import UsageError
 from repro.core.named_params import send_buf, send_counts
 from repro.core.parameters import Parameter
-from repro.core.plans import OpSpec
+from repro.core.plans import CallPlan, OpSpec
 from repro.core.plugins import CommunicatorPlugin, plugin_method
+
+
+def _build_hypergrid(plan: CallPlan):
+    buf, counts = plan.index["send_buf"], plan.index["send_counts"]
+    finish = _packer(plan, "recv_buf", "recv_counts")
+    return lambda comm, params, d: finish(params, *comm._route_hypergrid(
+        np.asarray(params[buf].data), [int(c) for c in params[counts].data], d))
+
 
 _SPEC = OpSpec(
     name="alltoallv_hypergrid",
     required=("send_buf", "send_counts"),
     out_allowed=("recv_buf", "recv_counts"),
     implicit_out=("recv_buf",),
+    build=_build_hypergrid,
 )
 
 
@@ -117,9 +126,11 @@ class HierarchicalAlltoall(CommunicatorPlugin):
         Returns elements ordered by source rank; request per-source counts
         with ``recv_counts_out()``.
         """
-        plan = self._plans.lookup(_SPEC, params)
-        data = np.asarray(plan.data(params, "send_buf"))
-        counts = [int(c) for c in plan.data(params, "send_counts")]
+        return self._plans.lookup(_SPEC, params).run(self, params, d)
+
+    def _route_hypergrid(self, data: np.ndarray, counts: list[int], d: int
+                         ) -> tuple[np.ndarray, list[int]]:
+        """The d hops; returns ``(received elements, per-source counts)``."""
         p, r = self.size, self.rank
         if len(counts) != p:
             raise UsageError(f"send_counts has {len(counts)} entries, expected {p}")
@@ -156,8 +167,5 @@ class HierarchicalAlltoall(CommunicatorPlugin):
 
         order = np.argsort(current["src"], kind="stable")
         current = current[order]
-        produced = {
-            "recv_buf": current["val"].copy(),
-            "recv_counts": np.bincount(current["src"], minlength=p).tolist(),
-        }
-        return self._finish(plan, params, produced)
+        return (current["val"].copy(),
+                np.bincount(current["src"], minlength=p).tolist())

@@ -12,20 +12,24 @@ from repro.core import (
     PlanCache,
     UnsupportedParameterError,
     UsageError,
+    as_serialized,
     destination,
+    encode_send,
     op,
+    recv_counts,
     recv_counts_out,
     recv_displs_out,
     root,
     send_buf,
     send_count,
+    send_counts,
     send_recv_buf,
     tag,
 )
 from repro.core.communicator import SPECS
 from repro.core.plans import compile_plan
-from repro.mpi import SUM
-from tests.conftest import runk
+from repro.mpi import SUM, call_delta, snapshot
+from tests.conftest import runk, runp
 
 
 class TestValidation:
@@ -133,6 +137,154 @@ class TestPlanCache:
             return cache.compilations
 
         assert runk(main, 1).values[0] == 1
+
+
+def _bind_mix(comm, rounds=100):
+    """The four calls of bench_layers' bind_p1 workload."""
+    v, c = np.arange(8, dtype=np.int64), [8]
+    b = v.copy()
+    for _ in range(rounds):
+        comm.allgatherv(send_buf(v), recv_counts(c))
+        comm.allreduce(send_buf(v), op(SUM))
+        comm.bcast(send_recv_buf(b))
+        comm.alltoallv(send_buf(v), send_counts(c))
+
+
+class TestSpecialisation:
+    """A plan is a closure specialised for one signature: it must be chosen
+    by everything it was specialised on, and by nothing else."""
+
+    def test_one_call_site_one_plan_per_container_kind(self):
+        class Sub(np.ndarray):
+            pass
+
+        payloads = [np.arange(3), [1, 2, 3], 7, as_serialized({"a": 1}),
+                    np.arange(3).view(Sub), []]
+        cache = PlanCache()
+
+        def main(comm):
+            c = Communicator(comm.raw, plan_cache=cache)
+            out = []
+            for x in payloads:
+                before = cache.compilations
+                got = c.allreduce(send_buf(x), op(SUM))
+                out.append((got, cache.compilations - before))
+            return out
+
+        results = runk(main, 1).values[0]
+        # the ndarray subclass reuses the array plan, the empty list the
+        # list plan: kind, not type or length, selects the encoder
+        assert [compiled for _, compiled in results] == [1, 1, 1, 1, 0, 0]
+        for x, (got, _) in zip(payloads, results):
+            wire = encode_send(x)  # the generic encoder is the reference
+            expected = wire.decode(wire.payload)
+            assert type(got) is type(expected)
+            assert np.array_equal(got, expected)
+
+    #: every way to get a signature wrong, with the message pinned
+    BAD_CALLS = {
+        "duplicate": (
+            lambda c: c.allgatherv(send_buf([1]), send_buf([2]),
+                                   recv_counts([1]), recv_counts([1])),
+            DuplicateParameterError,
+            "allgatherv() received the parameters 'send_buf', 'recv_counts' "
+            "more than once."),
+        "missing": (
+            lambda c: c.alltoallv(send_buf([1])),
+            MissingParameterError,
+            "alltoallv() is missing the required parameter 'send_counts'. "
+            "Required parameters: send_buf, send_counts."),
+        "unsupported": (
+            lambda c: c.allgatherv(send_buf([1]), destination(0)),
+            UnsupportedParameterError,
+            "allgatherv() does not accept the parameter 'destination'. "
+            "Accepted parameters: recv_buf, recv_counts, recv_displs, "
+            "send_buf, send_count."),
+        "ignored": (
+            lambda c: c.allgather(send_recv_buf(np.zeros(1)), send_count(1)),
+            IgnoredParameterError,
+            "allgather(): parameter 'send_count' would be ignored (the "
+            "in-place variant derives the count from the buffer); remove it "
+            "or use the non-in-place variant. Accepted parameters: recv_buf, "
+            "send_buf, send_count, send_recv_buf."),
+        "positional": (
+            lambda c: c.allgatherv([1, 2, 3]),
+            UsageError,
+            "allgatherv() arguments must be named parameters "
+            "(send_buf(...), recv_counts_out(), ...); got list"),
+        "nothing_to_send": (
+            lambda c: c.allgather(),
+            UsageError,
+            "allgather requires send_buf (or send_recv_buf)"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(BAD_CALLS))
+    def test_bad_signature_raises_every_time_and_is_never_cached(self, case):
+        call, error, message = self.BAD_CALLS[case]
+        cache = PlanCache()
+
+        def main(comm):
+            c = Communicator(comm.raw, plan_cache=cache)
+            raised = []
+            for _ in range(3):
+                try:
+                    call(c)
+                except UsageError as exc:
+                    raised.append((type(exc), str(exc)))
+            return raised
+
+        assert runk(main, 1).values[0] == [(error, message)] * 3
+        assert (cache.compilations, cache.hits, len(cache._cache)) == (0, 0, 0)
+
+    def test_counters_are_exact_for_the_bind_mix(self):
+        warm, off = PlanCache(), PlanCache(enabled=False)
+
+        def main(comm):
+            _bind_mix(Communicator(comm.raw, plan_cache=warm))
+            _bind_mix(Communicator(comm.raw, plan_cache=off))
+
+        runk(main, 1)
+        assert (warm.compilations, warm.hits) == (4, 396)
+        assert (off.compilations, off.hits) == (400, 0)
+
+    def test_raw_calls_and_virtual_time_of_the_bind_mix(self):
+        """Specialisation changes no raw call and no virtual time: both are
+        pinned from the interpreted implementation it replaced."""
+        def main(raw):
+            before = snapshot(raw)
+            _bind_mix(Communicator(raw, PlanCache()))
+            return dict(call_delta(raw, before))
+
+        res = runp(main, 1)
+        assert res.values[0] == {"allgatherv": 100, "allreduce": 100,
+                                 "bcast": 100, "alltoall": 100,
+                                 "alltoallv": 100}
+        assert res.times == [0.0]
+
+    def test_raw_calls_and_virtual_time_of_the_collective_mix(self):
+        """The p=4 mix of bench_layers' coll_thread_p4, pinned likewise."""
+        def main(raw):
+            comm = Communicator(raw, PlanCache())
+            p, r = raw.size, raw.rank
+            one = np.arange(1, dtype=np.int64) + r
+            big = np.arange(8192, dtype=np.int64) + r
+            bc = np.arange(8, dtype=np.int64)
+            ag = np.arange(8, dtype=np.int64) + r
+            a2a = np.arange(128 * p, dtype=np.int64) + r
+            before = snapshot(raw)
+            for _ in range(4):
+                comm.allreduce(send_buf(one), op(SUM))
+                comm.allreduce(send_buf(big), op(SUM))
+                comm.bcast(send_recv_buf(bc))
+                comm.allgatherv(send_buf(ag), recv_counts([8] * p))
+                comm.alltoallv(send_buf(a2a), send_counts([128] * p))
+            return dict(call_delta(raw, before))
+
+        res = runp(main, 4)
+        assert res.values == [{"allreduce": 8, "bcast": 4, "allgatherv": 4,
+                               "alltoall": 4, "alltoallv": 4}] * 4
+        assert res.times == [0.0001790387200000005, 0.0001790387200000005,
+                             0.0001810393600000005, 0.0001790387200000005]
 
 
 class TestResultProtocol:

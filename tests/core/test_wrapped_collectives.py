@@ -42,6 +42,25 @@ def test_bcast_into_referencing_array():
         assert ret is None and data == [0.0, 1.0, 2.0, 3.0]
 
 
+@pytest.mark.parametrize("p", (1, 3))
+def test_bcast_root_buffer_is_not_copied_onto_itself(p):
+    """The root's container already holds the value: it is left alone (a
+    read-only array can be the source), non-roots still receive into theirs."""
+    def main(comm):
+        if comm.rank == 0:
+            data = np.arange(4.0)
+            data.flags.writeable = False
+        else:
+            data = np.zeros(6)
+        ret = comm.bcast(send_recv_buf(data))
+        return ret, data.tolist()
+
+    values = runk(main, p).values
+    assert values[0] == (None, [0.0, 1.0, 2.0, 3.0])
+    for ret, data in values[1:]:
+        assert ret is None and data == [0.0, 1.0, 2.0, 3.0, 0.0, 0.0]
+
+
 @pytest.mark.parametrize("p", SMALL_P)
 def test_gather_concatenates_blocks(p):
     def main(comm):
