@@ -1,26 +1,34 @@
-"""Registry of collective algorithm implementations.
+"""Registry of collective algorithms: one schedule generator per algorithm.
 
 Real MPI implementations ship several algorithms per collective and pick one
 per call from message size, communicator size, and topology (MPICH's
-``MPIR_CVAR_*``, Open MPI's ``coll_tuned_*`` decision tables).  The seed
-runtime hard-coded exactly one algorithm per collective; this package turns
-that into a first-class, tunable layer:
+``MPIR_CVAR_*``, Open MPI's ``coll_tuned_*`` decision tables).  Here every
+algorithm is written down once, as a **schedule**: a plain generator of
+``(p, rank, *collective args)`` that yields the typed steps of
+:mod:`repro.mpi.algorithms.schedule` (``Tag``, ``Send``, ``Recv``, …), does
+all payload manipulation and validation itself, composes with ``yield from``,
+returns the collective's result and never touches a communicator.
+Everything else is derived from it:
 
-- every implementation registers itself with :func:`collective_algorithm`,
-  carrying a **closed-form α-β cost formula** of what it does on the
-  simulator (cross-validated in ``tests/perf/test_algorithm_costs.py``);
-- :class:`~repro.mpi.engine.CollectiveEngine` resolves ``(collective, p,
-  nbytes, comm)`` to one registered :class:`Algorithm` per call;
-- the per-collective modules (``bcast``, ``allgather``, ``reduce``, …) hold
-  the implementations, all written against the uncounted ``_send``/``_recv``
-  primitives of :class:`~repro.mpi.context.RawComm` exactly like the seed's
-  free functions, so PMPI counters still see one call per collective.
+- **blocking run** — :attr:`Algorithm.fn` is ``Run(comm, schedule(...)).wait()``;
+  :class:`~repro.mpi.algorithms.schedule.Run` is the one driver that owns
+  collective tags, mailbox traffic, clock charges and fault hooks, so PMPI
+  counters still see one call per collective;
+- **progress-on-test** — :mod:`repro.mpi.nbc` hands the same ``Run`` to the
+  caller as the request of ``ibcast``/``iallreduce``/``iallgather``;
+- **static fragment** — :meth:`Algorithm.fragment` co-runs the p generators
+  on one thread and records each rank's send/receive sequence.
 
-Default algorithms (marked ``default=True``) are the seed's originals, so an
-engine with the default policy reproduces the seed's traces bit-for-bit.
+Each registration (:func:`collective_algorithm`) also carries a **closed-form
+α-β cost formula** of what the schedule does on the simulator (cross-validated
+in ``tests/perf/test_algorithm_costs.py``); the
+:class:`~repro.mpi.engine.CollectiveEngine` resolves ``(collective, p,
+nbytes, comm)`` to one :class:`Algorithm` per call.  Defaults
+(``default=True``) are the seed's originals, so the default policy reproduces
+the seed's traces bit-for-bit.
 
-Implementations must be **pattern-deterministic**: every rank derives the
-same send/receive schedule from ``(p, rank, root)`` plus symmetric arguments,
+Schedules must be **pattern-deterministic**: every rank derives the same
+send/receive sequence from ``(p, rank, root)`` plus symmetric arguments,
 never from payload *content*, so that all ranks of one collective call can
 safely run the same registered algorithm.
 """
@@ -30,6 +38,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
+from repro.mpi.algorithms.schedule import (
+    UNSOUND,
+    FragmentUnsound,
+    Run,
+    Schedule,
+    _witness,
+    corun,
+)
 from repro.mpi.errors import RawUsageError
 
 #: cost formula signature: ``(p, nbytes, cost_model) -> seconds``, where
@@ -44,12 +60,16 @@ class Algorithm:
 
     collective: str
     name: str
+    #: ``fn(comm, *collective args)`` — runs the collective to completion
     fn: Callable
     #: closed-form α-β cost of the simulated execution (``None`` exempts the
     #: algorithm from cost-model selection — it is then only reachable as the
     #: default or through overrides/tuning)
     cost: Optional[CostFn] = None
     description: str = ""
+    #: the schedule generator ``fn`` drives (``None`` only for the p = 1
+    #: fast paths of :mod:`~repro.mpi.algorithms.singleton`)
+    schedule: Optional[Schedule] = None
 
     def predict(self, p: int, nbytes: int, cost_model) -> float:
         if self.cost is None:
@@ -58,14 +78,22 @@ class Algorithm:
             )
         return self.cost(p, nbytes, cost_model)
 
-    def fragment(self, p: int, rank: int, root: int = 0):
-        """This algorithm's schedule as a static IR fragment — the per-rank
-        tuple of :class:`~repro.mpi.ir.nodes.P2P` events it would issue at
-        ``(p, rank, root)``.  Raises :class:`KeyError` when the schedule is
-        not pattern-static (see :mod:`repro.mpi.ir.fragments`)."""
-        from repro.mpi.ir.fragments import fragment
-
-        return fragment(self.collective, self.name, p, rank, root)
+    def fragment(self, p: int, rank: int, root: int = 0) -> tuple:
+        """This rank's ``("send" | "recv", peer)`` sequence at ``(p, root)``,
+        recorded from a co-run of the schedule under witness arguments;
+        :class:`FragmentUnsound` for the algorithms in :data:`UNSOUND`."""
+        if not 0 <= rank < p:
+            raise RawUsageError(f"rank {rank} out of range for p={p}")
+        if not 0 <= root < p:
+            raise RawUsageError(f"root {root} out of range for p={p}")
+        reason = UNSOUND.get((self.collective, self.name))
+        if reason is not None:
+            raise FragmentUnsound(
+                f"{self.collective}/{self.name} has no static fragment: "
+                f"{reason}")
+        steps, _ = corun(self.schedule, p,
+                         lambda r: _witness(self.collective, p, r, root))
+        return tuple(steps[rank])
 
 
 _REGISTRY: dict[str, dict[str, Algorithm]] = {}
@@ -75,23 +103,28 @@ _DEFAULTS: dict[str, str] = {}
 def collective_algorithm(collective: str, name: str, *, default: bool = False,
                          cost: Optional[CostFn] = None,
                          description: str = ""):
-    """Decorator registering ``fn`` as one implementation of ``collective``."""
+    """Decorator registering a schedule generator under ``collective/name``."""
 
-    def wrap(fn: Callable) -> Callable:
+    def wrap(schedule: Schedule) -> Schedule:
         table = _REGISTRY.setdefault(collective, {})
         if name in table:
             raise RawUsageError(
                 f"algorithm {collective}/{name} registered twice"
             )
+
+        def fn(comm, *args):
+            return Run(comm, schedule(comm.state.size, comm._rank, *args)).wait()
+
         table[name] = Algorithm(collective=collective, name=name, fn=fn,
-                                cost=cost, description=description)
+                                cost=cost, description=description,
+                                schedule=schedule)
         if default:
             if collective in _DEFAULTS:
                 raise RawUsageError(
                     f"collective {collective} has two default algorithms"
                 )
             _DEFAULTS[collective] = name
-        return fn
+        return schedule
 
     return wrap
 
@@ -146,8 +179,8 @@ def _table(collective: str) -> dict[str, Algorithm]:
     return table
 
 
-# Populate the registry.  Import order is unimportant; each module only
-# depends on the decorator above and on the p2p primitives.
+# Populate the registry.  Each module depends on the decorator above, the
+# step types, and the schedules it composes with ``yield from``.
 from repro.mpi.algorithms import (  # noqa: E402  (registration imports)
     allgather as _allgather,
     alltoall as _alltoall,

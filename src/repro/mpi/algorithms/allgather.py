@@ -16,11 +16,12 @@ from repro.mpi.algorithms.common import (
     CODE_ALLGATHER,
     CODE_ALLGATHERV,
     _ceil_log2,
+    _fits,
     _tree_depth,
-    _validate_root,
 )
 from repro.mpi.algorithms.bcast import bcast_binomial
 from repro.mpi.algorithms.gather_scatter import gather_binomial
+from repro.mpi.algorithms.schedule import Recv, Send, Tag
 from repro.mpi.datatypes import ensure_1d_array
 from repro.mpi.errors import RawTruncationError, RawUsageError
 
@@ -58,16 +59,14 @@ def _cost_gather_bcast_v(p, nbytes, cm):
 @collective_algorithm("allgather", "bruck", default=True, cost=_cost_bruck,
                       description="Bruck's algorithm: ⌈log₂ p⌉ rounds of "
                                   "doubling block exchanges")
-def allgather_bruck(comm, payload: Any) -> list:
-    p, r = comm.size, comm.rank
-    tag = comm._next_coll_tag(CODE_ALLGATHER)
+def allgather_bruck(p: int, r: int, payload: Any):
+    yield Tag(CODE_ALLGATHER)
     blocks: list = [payload]
     k = 1
     while k < p:
         send_cnt = min(k, p - k)
-        comm._send(blocks[:send_cnt], (r - k) % p, tag)
-        other, _ = comm._recv((r + k) % p, tag)
-        blocks.extend(other)
+        yield Send((r - k) % p, blocks[:send_cnt])
+        blocks.extend((yield Recv((r + k) % p)))
         k <<= 1
     out: list = [None] * p
     for i in range(p):
@@ -78,16 +77,15 @@ def allgather_bruck(comm, payload: Any) -> list:
 @collective_algorithm("allgather", "ring", cost=_cost_ring,
                       description="p−1 rounds passing one block around the "
                                   "ring; minimal per-round bandwidth")
-def allgather_ring(comm, payload: Any) -> list:
-    p, r = comm.size, comm.rank
-    tag = comm._next_coll_tag(CODE_ALLGATHER)
+def allgather_ring(p: int, r: int, payload: Any):
+    yield Tag(CODE_ALLGATHER)
     out: list = [None] * p
     out[r] = payload
     cur = payload
     right, left = (r + 1) % p, (r - 1) % p
     for i in range(1, p):
-        comm._send(cur, right, tag)
-        cur, _ = comm._recv(left, tag)
+        yield Send(right, cur)
+        cur = yield Recv(left)
         out[(r - i) % p] = cur
     return out
 
@@ -95,18 +93,16 @@ def allgather_ring(comm, payload: Any) -> list:
 @collective_algorithm("allgather", "gather_bcast", cost=_cost_gather_bcast,
                       description="binomial gather to rank 0 followed by a "
                                   "binomial broadcast of the full list")
-def allgather_gather_bcast(comm, payload: Any) -> list:
-    items = gather_binomial(comm, payload, 0)
-    return bcast_binomial(comm, items, 0)
+def allgather_gather_bcast(p: int, r: int, payload: Any):
+    items = yield from gather_binomial(p, r, payload, 0)
+    return (yield from bcast_binomial(p, r, items, 0))
 
 
-@collective_algorithm("allgatherv", "ring", default=True, cost=_cost_ring_v,
-                      description="p−1 rounds passing variable blocks around "
-                                  "the ring; every rank checks every block")
-def allgatherv_ring(comm, sendbuf: np.ndarray,
-                    recvcounts: Sequence[int]) -> np.ndarray:
-    p, r = comm.size, comm.rank
-    tag = comm._next_coll_tag(CODE_ALLGATHERV)
+def _own_block(p: int, r: int, sendbuf: np.ndarray,
+               recvcounts: Sequence[int]) -> np.ndarray:
+    """The local allgatherv block, checked against ``recvcounts`` *before*
+    communicating, so a symmetric count mismatch raises everywhere instead of
+    deadlocking the ranks that would have passed."""
     sendbuf = ensure_1d_array(sendbuf)
     if len(recvcounts) != p:
         raise RawUsageError(f"recvcounts must have length {p}")
@@ -115,51 +111,38 @@ def allgatherv_ring(comm, sendbuf: np.ndarray,
             f"allgatherv: local block has {len(sendbuf)} items but recvcounts[{r}] "
             f"= {recvcounts[r]}"
         )
+    return sendbuf
+
+
+@collective_algorithm("allgatherv", "ring", default=True, cost=_cost_ring_v,
+                      description="p−1 rounds passing variable blocks around "
+                                  "the ring; every rank checks every block")
+def allgatherv_ring(p: int, r: int, sendbuf: np.ndarray,
+                    recvcounts: Sequence[int]):
+    yield Tag(CODE_ALLGATHERV)
+    sendbuf = _own_block(p, r, sendbuf, recvcounts)
     parts: list[Optional[np.ndarray]] = [None] * p
     parts[r] = sendbuf
     cur = sendbuf
     right, left = (r + 1) % p, (r - 1) % p
     for i in range(1, p):
-        comm._send(cur, right, tag)
-        cur, _ = comm._recv(left, tag)
-        cur = ensure_1d_array(cur)
+        yield Send(right, cur)
         src = (r - i) % p
-        if len(cur) > recvcounts[src]:
-            raise RawTruncationError(
-                f"allgatherv: block from rank {src} has {len(cur)} items, "
-                f"recvcounts allows {recvcounts[src]}"
-            )
-        parts[src] = cur
+        cur = parts[src] = _fits((yield Recv(left)), src, recvcounts[src],
+                                 "allgatherv: block")
     return np.concatenate(parts) if p > 1 else sendbuf.copy()
 
 
 @collective_algorithm("allgatherv", "gather_bcast", cost=_cost_gather_bcast_v,
                       description="binomial gather of blocks to rank 0, "
                                   "concatenate, binomial broadcast")
-def allgatherv_gather_bcast(comm, sendbuf: np.ndarray,
-                            recvcounts: Sequence[int]) -> np.ndarray:
-    p, r = comm.size, comm.rank
-    sendbuf = ensure_1d_array(sendbuf)
-    if len(recvcounts) != p:
-        raise RawUsageError(f"recvcounts must have length {p}")
-    # Every rank checks its own block *before* communicating, so a symmetric
-    # count mismatch raises everywhere instead of deadlocking non-roots.
-    if len(sendbuf) > recvcounts[r]:
-        raise RawTruncationError(
-            f"allgatherv: local block has {len(sendbuf)} items but recvcounts[{r}] "
-            f"= {recvcounts[r]}"
-        )
-    blocks = gather_binomial(comm, sendbuf, 0)
+def allgatherv_gather_bcast(p: int, r: int, sendbuf: np.ndarray,
+                            recvcounts: Sequence[int]):
+    sendbuf = _own_block(p, r, sendbuf, recvcounts)
+    blocks = yield from gather_binomial(p, r, sendbuf, 0)
     full: Optional[np.ndarray] = None
     if r == 0:
-        parts = []
-        for src, block in enumerate(blocks):
-            block = ensure_1d_array(block)
-            if len(block) > recvcounts[src]:
-                raise RawTruncationError(
-                    f"allgatherv: block from rank {src} has {len(block)} items, "
-                    f"recvcounts allows {recvcounts[src]}"
-                )
-            parts.append(block)
+        parts = [_fits(block, src, recvcounts[src], "allgatherv: block")
+                 for src, block in enumerate(blocks)]
         full = np.concatenate(parts) if p > 1 else sendbuf.copy()
-    return bcast_binomial(comm, full, 0)
+    return (yield from bcast_binomial(p, r, full, 0))

@@ -21,9 +21,11 @@ from repro.mpi.algorithms.common import (
     CODE_ALLTOALL,
     CODE_ALLTOALLV,
     CODE_ALLTOALLW,
+    _fits,
 )
+from repro.mpi.algorithms.schedule import DatatypeSetup, Recv, Send, Tag
 from repro.mpi.datatypes import ensure_1d_array
-from repro.mpi.errors import RawTruncationError, RawUsageError
+from repro.mpi.errors import RawUsageError
 
 
 def _cost_pairwise(p, nbytes, cm):
@@ -57,17 +59,16 @@ def _cost_pairwise_w(p, nbytes, cm):
 @collective_algorithm("alltoall", "pairwise", default=True,
                       cost=_cost_pairwise,
                       description="p−1 rounds exchanging with ranks (r±i)")
-def alltoall_pairwise(comm, payloads: Sequence[Any]) -> list:
-    p, r = comm.size, comm.rank
-    tag = comm._next_coll_tag(CODE_ALLTOALL)
+def alltoall_pairwise(p: int, r: int, payloads: Sequence[Any]):
+    yield Tag(CODE_ALLTOALL)
     if len(payloads) != p:
         raise RawUsageError(f"alltoall requires exactly {p} payloads")
     out: list = [None] * p
     out[r] = payloads[r]
     for i in range(1, p):
         dst, src = (r + i) % p, (r - i) % p
-        comm._send(payloads[dst], dst, tag)
-        out[src], _ = comm._recv(src, tag)
+        yield Send(dst, payloads[dst])
+        out[src] = yield Recv(src)
     return out
 
 
@@ -75,80 +76,68 @@ def alltoall_pairwise(comm, payloads: Sequence[Any]) -> list:
                       description="post all p−1 buffered sends, then receive "
                                   "by explicit source — one α on the critical "
                                   "path instead of p−1")
-def alltoall_spread(comm, payloads: Sequence[Any]) -> list:
-    p, r = comm.size, comm.rank
-    tag = comm._next_coll_tag(CODE_ALLTOALL)
+def alltoall_spread(p: int, r: int, payloads: Sequence[Any]):
+    yield Tag(CODE_ALLTOALL)
     if len(payloads) != p:
         raise RawUsageError(f"alltoall requires exactly {p} payloads")
     out: list = [None] * p
     out[r] = payloads[r]
     for i in range(1, p):
         dst = (r + i) % p
-        comm._send(payloads[dst], dst, tag)
+        yield Send(dst, payloads[dst])
     for i in range(1, p):
         src = (r - i) % p
-        out[src], _ = comm._recv(src, tag)
+        out[src] = yield Recv(src)
     return out
+
+
+def _send_slices(p: int, sendbuf: np.ndarray, sendcounts: Sequence[int],
+                 recvcounts: Sequence[int]) -> list:
+    """The validated alltoallv send buffer, sliced per destination."""
+    sendbuf = ensure_1d_array(sendbuf)
+    if len(sendcounts) != p or len(recvcounts) != p:
+        raise RawUsageError(f"sendcounts/recvcounts must have length {p}")
+    sdispls = np.concatenate(([0], np.cumsum(sendcounts)[:-1])).astype(int)
+    if sdispls[-1] + sendcounts[-1] > len(sendbuf):
+        raise RawUsageError("alltoallv sendcounts exceed sendbuf length")
+    return [sendbuf[sdispls[dst]: sdispls[dst] + sendcounts[dst]]
+            for dst in range(p)]
 
 
 @collective_algorithm("alltoallv", "pairwise", default=True,
                       cost=_cost_pairwise,
                       description="p−1 rounds exchanging array slices with "
                                   "ranks (r±i); zero blocks still cost α")
-def alltoallv_pairwise(comm, sendbuf: np.ndarray, sendcounts: Sequence[int],
-                       recvcounts: Sequence[int]) -> np.ndarray:
-    p, r = comm.size, comm.rank
-    tag = comm._next_coll_tag(CODE_ALLTOALLV)
-    sendbuf = ensure_1d_array(sendbuf)
-    if len(sendcounts) != p or len(recvcounts) != p:
-        raise RawUsageError(f"sendcounts/recvcounts must have length {p}")
-    sdispls = np.concatenate(([0], np.cumsum(sendcounts)[:-1])).astype(int)
-    if sdispls[-1] + sendcounts[-1] > len(sendbuf):
-        raise RawUsageError("alltoallv sendcounts exceed sendbuf length")
+def alltoallv_pairwise(p: int, r: int, sendbuf: np.ndarray,
+                       sendcounts: Sequence[int], recvcounts: Sequence[int]):
+    yield Tag(CODE_ALLTOALLV)
+    slices = _send_slices(p, sendbuf, sendcounts, recvcounts)
     parts: list[Optional[np.ndarray]] = [None] * p
-    parts[r] = sendbuf[sdispls[r]: sdispls[r] + sendcounts[r]]
+    parts[r] = slices[r]
     for i in range(1, p):
         dst, src = (r + i) % p, (r - i) % p
-        comm._send(sendbuf[sdispls[dst]: sdispls[dst] + sendcounts[dst]], dst, tag)
-        block, _ = comm._recv(src, tag)
-        block = ensure_1d_array(block)
-        if len(block) > recvcounts[src]:
-            raise RawTruncationError(
-                f"alltoallv: message from rank {src} has {len(block)} items, "
-                f"recvcounts allows {recvcounts[src]}"
-            )
-        parts[src] = block
+        yield Send(dst, slices[dst])
+        parts[src] = _fits((yield Recv(src)), src, recvcounts[src],
+                           "alltoallv: message")
     return np.concatenate(parts) if p > 1 else np.asarray(parts[r]).copy()
 
 
 @collective_algorithm("alltoallv", "spread", cost=_cost_spread,
                       description="post every slice up front, then receive by "
                                   "explicit source")
-def alltoallv_spread(comm, sendbuf: np.ndarray, sendcounts: Sequence[int],
-                     recvcounts: Sequence[int]) -> np.ndarray:
-    p, r = comm.size, comm.rank
-    tag = comm._next_coll_tag(CODE_ALLTOALLV)
-    sendbuf = ensure_1d_array(sendbuf)
-    if len(sendcounts) != p or len(recvcounts) != p:
-        raise RawUsageError(f"sendcounts/recvcounts must have length {p}")
-    sdispls = np.concatenate(([0], np.cumsum(sendcounts)[:-1])).astype(int)
-    if sdispls[-1] + sendcounts[-1] > len(sendbuf):
-        raise RawUsageError("alltoallv sendcounts exceed sendbuf length")
+def alltoallv_spread(p: int, r: int, sendbuf: np.ndarray,
+                     sendcounts: Sequence[int], recvcounts: Sequence[int]):
+    yield Tag(CODE_ALLTOALLV)
+    slices = _send_slices(p, sendbuf, sendcounts, recvcounts)
     parts: list[Optional[np.ndarray]] = [None] * p
-    parts[r] = sendbuf[sdispls[r]: sdispls[r] + sendcounts[r]]
+    parts[r] = slices[r]
     for i in range(1, p):
         dst = (r + i) % p
-        comm._send(sendbuf[sdispls[dst]: sdispls[dst] + sendcounts[dst]], dst, tag)
+        yield Send(dst, slices[dst])
     for i in range(1, p):
         src = (r - i) % p
-        block, _ = comm._recv(src, tag)
-        block = ensure_1d_array(block)
-        if len(block) > recvcounts[src]:
-            raise RawTruncationError(
-                f"alltoallv: message from rank {src} has {len(block)} items, "
-                f"recvcounts allows {recvcounts[src]}"
-            )
-        parts[src] = block
+        parts[src] = _fits((yield Recv(src)), src, recvcounts[src],
+                           "alltoallv: message")
     return np.concatenate(parts) if p > 1 else np.asarray(parts[r]).copy()
 
 
@@ -156,17 +145,16 @@ def alltoallv_spread(comm, sendbuf: np.ndarray, sendcounts: Sequence[int],
                       cost=_cost_pairwise_w,
                       description="pairwise exchange paying the per-peer "
                                   "derived-datatype penalty")
-def alltoallw_pairwise(comm, send_blocks: Sequence[Any]) -> list:
-    p, r = comm.size, comm.rank
-    tag = comm._next_coll_tag(CODE_ALLTOALLW)
+def alltoallw_pairwise(p: int, r: int, send_blocks: Sequence[Any]):
+    yield Tag(CODE_ALLTOALLW)
     if len(send_blocks) != p:
         raise RawUsageError(f"alltoallw requires exactly {p} blocks")
     out: list = [None] * p
     out[r] = send_blocks[r]
     # Even the self-block pays the datatype setup cost.
-    comm.clock.compute(comm.machine.cost_model.dtype_alpha)
+    yield DatatypeSetup()
     for i in range(1, p):
         dst, src = (r + i) % p, (r - i) % p
-        comm._deposit(send_blocks[dst], dst, tag, packed=True)
-        out[src], _ = comm._recv(src, tag)
+        yield Send(dst, send_blocks[dst], packed=True)
+        out[src] = yield Recv(src)
     return out

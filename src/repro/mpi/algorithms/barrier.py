@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 from repro.mpi.algorithms import collective_algorithm
-from repro.mpi.algorithms.common import CODE_BARRIER, _ceil_log2, _tree_depth
+from repro.mpi.algorithms.common import CODE_BARRIER, _binomial, _ceil_log2, _tree_depth
+from repro.mpi.algorithms.schedule import Recv, Send, Tag
 
 
 def _cost_dissemination(p, nbytes, cm):
@@ -20,45 +21,29 @@ def _cost_tree(p, nbytes, cm):
                       cost=_cost_dissemination,
                       description="⌈log₂ p⌉ symmetric rounds; every rank "
                                   "sends and receives each round")
-def barrier_dissemination(comm) -> None:
-    p, r = comm.size, comm.rank
-    tag = comm._next_coll_tag(CODE_BARRIER)
-    if p == 1:
-        return
+def barrier_dissemination(p: int, r: int):
+    yield Tag(CODE_BARRIER)
     k = 1
     while k < p:
-        comm._send(None, (r + k) % p, tag)
-        comm._recv((r - k) % p, tag)
+        yield Send((r + k) % p, None)
+        yield Recv((r - k) % p)
         k <<= 1
 
 
 @collective_algorithm("barrier", "tree", cost=_cost_tree,
                       description="binomial gather of empty tokens to rank 0 "
                                   "followed by a binomial release broadcast")
-def barrier_tree(comm) -> None:
-    p, r = comm.size, comm.rank
-    tag = comm._next_coll_tag(CODE_BARRIER)
-    if p == 1:
-        return
-    # Converge: each rank collects a token per subtree, then reports upward.
-    mask = 1
-    while mask < p:
-        if r & mask:
-            comm._send(None, r & ~mask, tag)
-            break
-        src = r | mask
-        if src < p:
-            comm._recv(src, tag)
-        mask <<= 1
-    # Release: rank 0 exits the loop with mask ≥ p; everyone else waits for
-    # the release from the parent it just reported to, then forwards it down.
-    # Converge messages flow child→parent and releases parent→child, so one
-    # tag cannot mismatch across the two sweeps.
-    if r != 0:
-        comm._recv(r & ~mask, tag)
-    mask >>= 1
-    while mask > 0:
-        child = r + mask
-        if child < p:
-            comm._send(None, child, tag)
-        mask >>= 1
+def barrier_tree(p: int, r: int):
+    yield Tag(CODE_BARRIER)
+    # Converge: each rank collects a token per subtree, reports upward, and
+    # waits for the release from the parent it reported to; then it forwards
+    # the release down.  Converge messages flow child→parent and releases
+    # parent→child, so one tag cannot mismatch across the two sweeps.
+    parent, children = _binomial(p, r)
+    for child in reversed(children):
+        yield Recv(child)
+    if parent is not None:
+        yield Send(parent, None)
+        yield Recv(parent)
+    for child in children:
+        yield Send(child, None)

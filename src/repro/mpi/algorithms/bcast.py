@@ -14,7 +14,8 @@ from typing import Any
 import numpy as np
 
 from repro.mpi.algorithms import collective_algorithm
-from repro.mpi.algorithms.common import CODE_BCAST, _tree_depth, _validate_root
+from repro.mpi.algorithms.common import CODE_BCAST, _binomial, _check_root, _tree_depth
+from repro.mpi.algorithms.schedule import Recv, Send, Tag
 
 
 def _cost_binomial(p, nbytes, cm):
@@ -40,45 +41,29 @@ def _cost_scatter_allgather(p, nbytes, cm):
 @collective_algorithm("bcast", "binomial", default=True, cost=_cost_binomial,
                       description="binomial tree rooted at `root`: "
                                   "⌊log₂ p⌋·(α+nβ) on the critical path")
-def bcast_binomial(comm, payload: Any, root: int) -> Any:
-    _validate_root(comm, root)
-    p, r = comm.size, comm.rank
-    tag = comm._next_coll_tag(CODE_BCAST)
-    if p == 1:
-        return payload
-    vr = (r - root) % p
-    mask = 1
-    while mask < p:
-        if vr & mask:
-            src = (vr - mask + root) % p
-            payload, _ = comm._recv(src, tag)
-            break
-        mask <<= 1
-    mask >>= 1
-    while mask > 0:
-        child = vr + mask
-        if child < p:
-            comm._send(payload, (child + root) % p, tag)
-        mask >>= 1
+def bcast_binomial(p: int, r: int, payload: Any, root: int):
+    _check_root(p, root)
+    yield Tag(CODE_BCAST)
+    parent, children = _binomial(p, (r - root) % p)
+    if parent is not None:
+        payload = yield Recv((parent + root) % p)
+    for child in children:
+        yield Send((child + root) % p, payload)
     return payload
 
 
 @collective_algorithm("bcast", "linear", cost=_cost_linear,
                       description="root sends the full payload directly to "
                                   "every other rank")
-def bcast_linear(comm, payload: Any, root: int) -> Any:
-    _validate_root(comm, root)
-    p, r = comm.size, comm.rank
-    tag = comm._next_coll_tag(CODE_BCAST)
-    if p == 1:
-        return payload
+def bcast_linear(p: int, r: int, payload: Any, root: int):
+    _check_root(p, root)
+    yield Tag(CODE_BCAST)
     if r == root:
         for dst in range(p):
             if dst != root:
-                comm._send(payload, dst, tag)
+                yield Send(dst, payload)
         return payload
-    payload, _ = comm._recv(root, tag)
-    return payload
+    return (yield Recv(root))
 
 
 @collective_algorithm("bcast", "scatter_allgather",
@@ -86,13 +71,9 @@ def bcast_linear(comm, payload: Any, root: int) -> Any:
                       description="van de Geijn: linear scatter of p shards, "
                                   "then ring allgather — 2n(p−1)/p bytes per "
                                   "rank instead of n per tree level")
-def bcast_scatter_allgather(comm, payload: Any, root: int) -> Any:
-    _validate_root(comm, root)
-    p, r = comm.size, comm.rank
-    scatter_tag = comm._next_coll_tag(CODE_BCAST)
-    ring_tag = comm._next_coll_tag(CODE_BCAST)
-    if p == 1:
-        return payload
+def bcast_scatter_allgather(p: int, r: int, payload: Any, root: int):
+    _check_root(p, root)
+    yield Tag(CODE_BCAST)
     vr = (r - root) % p
     # Shard: 1-D arrays split into p nearly-equal chunks; anything else ships
     # whole inside virtual rank 0's shard (the ring still pipelines it).
@@ -102,18 +83,19 @@ def bcast_scatter_allgather(comm, payload: Any, root: int) -> Any:
         else:
             shards = [("whole", payload)] + [("pad", None)] * (p - 1)
         for v in range(1, p):
-            comm._send(shards[v], (v + root) % p, scatter_tag)
+            yield Send((v + root) % p, shards[v])
         mine = shards[0]
     else:
-        mine, _ = comm._recv(root, scatter_tag)
+        mine = yield Recv(root)
     # Ring allgather of the shards, indexed by virtual rank.
+    yield Tag(CODE_BCAST)
     parts: list = [None] * p
     parts[vr] = mine
     cur = mine
     right, left = (r + 1) % p, (r - 1) % p
     for i in range(1, p):
-        comm._send(cur, right, ring_tag)
-        cur, _ = comm._recv(left, ring_tag)
+        yield Send(right, cur)
+        cur = yield Recv(left)
         parts[(vr - i) % p] = cur
     if parts[0][0] == "whole":
         return parts[0][1]

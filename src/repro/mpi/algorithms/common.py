@@ -1,18 +1,19 @@
-"""Shared helpers for the collective algorithm implementations.
+"""Shared helpers for the collective schedules.
 
 The op codes are folded into the reserved negative tag space by
 :func:`repro.mpi.constants.collective_tag`; tag *uniqueness* comes from the
-per-communicator sequence number, so multi-phase algorithms simply draw one
-tag per phase — every rank calls ``_next_coll_tag`` in the same order.
+per-communicator sequence number, so multi-phase schedules simply yield one
+``Tag`` step per phase — every rank yields them in the same order.
 """
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Optional
 
 import numpy as np
 
-from repro.mpi.errors import RawUsageError
+from repro.mpi.datatypes import ensure_1d_array
+from repro.mpi.errors import RawTruncationError, RawUsageError
 from repro.mpi.ops import Op
 
 # Collective op codes (folded into reserved tags).
@@ -35,9 +36,25 @@ CODE_NEIGHBOR = 15
 CODE_NEIGHBORV = 16
 
 
+def _check_root(p: int, root: int) -> None:
+    if not 0 <= root < p:
+        raise RawUsageError(f"root {root} out of range for size {p}")
+
+
 def _validate_root(comm, root: int) -> None:
-    if not 0 <= root < comm.size:
-        raise RawUsageError(f"root {root} out of range for size {comm.size}")
+    _check_root(comm.size, root)
+
+
+def _fits(block: Any, src: int, limit: int, what: str) -> np.ndarray:
+    """``block`` as a 1-D array, checked against the receiver's count for the
+    rank it came from (``what`` names the collective and the noun it uses)."""
+    block = ensure_1d_array(block)
+    if len(block) > limit:
+        raise RawTruncationError(
+            f"{what} from rank {src} has {len(block)} items, "
+            f"recvcounts allows {limit}"
+        )
+    return block
 
 
 def _combine(op: Op, a: Any, b: Any) -> Any:
@@ -45,6 +62,23 @@ def _combine(op: Op, a: Any, b: Any) -> Any:
     if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
         return op(np.asarray(a), np.asarray(b))
     return op(a, b)
+
+
+def _binomial(p: int, vr: int) -> tuple[Optional[int], list[int]]:
+    """Virtual rank ``vr``'s place in the p-node binomial tree rooted at 0:
+    its parent (``None`` for the root) and its children, largest subtree
+    first — child ``c`` heads the virtual ranks ``[c, 2c − vr)`` below p.
+    Trees fan out in that order and combine in the reverse."""
+    mask = 1
+    while mask < p and not vr & mask:
+        mask <<= 1
+    parent = vr - mask if vr else None
+    children = []
+    while mask > 1:
+        mask >>= 1
+        if vr + mask < p:
+            children.append(vr + mask)
+    return parent, children
 
 
 def _ceil_log2(p: int) -> int:

@@ -12,11 +12,14 @@ from repro.mpi.algorithms.common import (
     CODE_GATHERV,
     CODE_SCATTER,
     CODE_SCATTERV,
+    _binomial,
+    _check_root,
+    _fits,
     _tree_depth,
-    _validate_root,
 )
+from repro.mpi.algorithms.schedule import Recv, Send, Tag
 from repro.mpi.datatypes import ensure_1d_array
-from repro.mpi.errors import RawTruncationError, RawUsageError
+from repro.mpi.errors import RawUsageError
 
 
 def _cost_gather_binomial(p, nbytes, cm):
@@ -50,23 +53,17 @@ def _cost_scatter_binomial(p, nbytes, cm):
                       cost=_cost_gather_binomial,
                       description="binomial combining tree of (virtual rank, "
                                   "payload) item lists")
-def gather_binomial(comm, payload: Any, root: int) -> Optional[list]:
-    _validate_root(comm, root)
-    p, r = comm.size, comm.rank
-    tag = comm._next_coll_tag(CODE_GATHER)
+def gather_binomial(p: int, r: int, payload: Any, root: int):
+    _check_root(p, root)
+    yield Tag(CODE_GATHER)
     vr = (r - root) % p
+    parent, children = _binomial(p, vr)
     items: list[tuple[int, Any]] = [(vr, payload)]
-    mask = 1
-    while mask < p:
-        if vr & mask == 0:
-            src_vr = vr | mask
-            if src_vr < p:
-                other, _ = comm._recv((src_vr + root) % p, tag)
-                items.extend(other)
-        else:
-            comm._send(items, ((vr & ~mask) + root) % p, tag)
-            return None
-        mask <<= 1
+    for child in reversed(children):
+        items.extend((yield Recv((child + root) % p)))
+    if parent is not None:
+        yield Send((parent + root) % p, items)
+        return None
     out: list = [None] * p
     for v, pl in items:
         out[(v + root) % p] = pl
@@ -76,18 +73,17 @@ def gather_binomial(comm, payload: Any, root: int) -> Optional[list]:
 @collective_algorithm("gather", "linear", cost=_cost_gather_linear,
                       description="every rank sends its payload directly to "
                                   "the root")
-def gather_linear(comm, payload: Any, root: int) -> Optional[list]:
-    _validate_root(comm, root)
-    p, r = comm.size, comm.rank
-    tag = comm._next_coll_tag(CODE_GATHER)
+def gather_linear(p: int, r: int, payload: Any, root: int):
+    _check_root(p, root)
+    yield Tag(CODE_GATHER)
     if r != root:
-        comm._send(payload, root, tag)
+        yield Send(root, payload)
         return None
     out: list = [None] * p
     out[r] = payload
     for src in range(p):
         if src != r:
-            out[src], _ = comm._recv(src, tag)
+            out[src] = yield Recv(src)
     return out
 
 
@@ -95,15 +91,13 @@ def gather_linear(comm, payload: Any, root: int) -> Optional[list]:
                       cost=_cost_gather_linear,
                       description="every rank sends its block directly to the "
                                   "root, which checks recvcounts")
-def gatherv_linear(comm, sendbuf: np.ndarray,
-                   recvcounts: Optional[Sequence[int]],
-                   root: int) -> Optional[np.ndarray]:
-    _validate_root(comm, root)
-    p, r = comm.size, comm.rank
-    tag = comm._next_coll_tag(CODE_GATHERV)
+def gatherv_linear(p: int, r: int, sendbuf: np.ndarray,
+                   recvcounts: Optional[Sequence[int]], root: int):
+    _check_root(p, root)
+    yield Tag(CODE_GATHERV)
     sendbuf = ensure_1d_array(sendbuf)
     if r != root:
-        comm._send(sendbuf, root, tag)
+        yield Send(root, sendbuf)
         return None
     if recvcounts is None:
         raise RawUsageError("gatherv requires recvcounts at the root")
@@ -112,69 +106,50 @@ def gatherv_linear(comm, sendbuf: np.ndarray,
     parts: list[Optional[np.ndarray]] = [None] * p
     parts[r] = sendbuf
     for src in range(p):
-        if src == r:
-            continue
-        block, _ = comm._recv(src, tag)
-        parts[src] = ensure_1d_array(block)
-    for src, block in enumerate(parts):
-        if len(block) > recvcounts[src]:
-            raise RawTruncationError(
-                f"gatherv: message from rank {src} has {len(block)} items, "
-                f"recvcounts allows {recvcounts[src]}"
-            )
+        if src != r:
+            parts[src] = yield Recv(src)
+    parts = [_fits(block, src, recvcounts[src], "gatherv: message")
+             for src, block in enumerate(parts)]
     return np.concatenate(parts) if parts else np.empty(0)
 
 
 @collective_algorithm("scatter", "linear", default=True,
                       cost=_cost_scatter_linear,
                       description="root sends each rank its payload directly")
-def scatter_linear(comm, payloads: Optional[Sequence[Any]], root: int) -> Any:
-    _validate_root(comm, root)
-    p, r = comm.size, comm.rank
-    tag = comm._next_coll_tag(CODE_SCATTER)
+def scatter_linear(p: int, r: int, payloads: Optional[Sequence[Any]],
+                   root: int):
+    _check_root(p, root)
+    yield Tag(CODE_SCATTER)
     if r == root:
         if payloads is None or len(payloads) != p:
             raise RawUsageError(f"scatter root must supply exactly {p} payloads")
         for dst in range(p):
             if dst != root:
-                comm._send(payloads[dst], dst, tag)
+                yield Send(dst, payloads[dst])
         return payloads[root]
-    payload, _ = comm._recv(root, tag)
-    return payload
+    return (yield Recv(root))
 
 
 @collective_algorithm("scatter", "binomial", cost=_cost_scatter_binomial,
                       description="binomial tree forwarding subtree slices: "
                                   "log-depth latency, Θ(p·n) root bandwidth")
-def scatter_binomial(comm, payloads: Optional[Sequence[Any]], root: int) -> Any:
-    _validate_root(comm, root)
-    p, r = comm.size, comm.rank
-    tag = comm._next_coll_tag(CODE_SCATTER)
+def scatter_binomial(p: int, r: int, payloads: Optional[Sequence[Any]],
+                     root: int):
+    _check_root(p, root)
+    yield Tag(CODE_SCATTER)
     vr = (r - root) % p
+    parent, children = _binomial(p, vr)
     # `items[i]` is the payload of virtual rank vr+i; each child receives the
     # contiguous slice covering its own subtree.
-    if vr == 0:
+    if parent is None:
         if payloads is None or len(payloads) != p:
             raise RawUsageError(f"scatter root must supply exactly {p} payloads")
         items = [payloads[(v + root) % p] for v in range(p)]
-        mask = 1
-        while mask < p:
-            mask <<= 1
     else:
-        mask = 1
-        while mask < p:
-            if vr & mask:
-                src = (vr - mask + root) % p
-                items, _ = comm._recv(src, tag)
-                break
-            mask <<= 1
-    mask >>= 1
-    while mask > 0:
-        child = vr + mask
-        if child < p:
-            cnt = min(mask, p - child)
-            comm._send(items[mask: mask + cnt], (child + root) % p, tag)
-        mask >>= 1
+        items = yield Recv((parent + root) % p)
+    for child in children:
+        first = child - vr
+        yield Send((child + root) % p, items[first: first + min(first, p - child)])
     return items[0]
 
 
@@ -182,12 +157,10 @@ def scatter_binomial(comm, payloads: Optional[Sequence[Any]], root: int) -> Any:
                       cost=_cost_scatter_linear,
                       description="root slices sendbuf by sendcounts and "
                                   "sends each slice directly")
-def scatterv_linear(comm, sendbuf: Optional[np.ndarray],
-                    sendcounts: Optional[Sequence[int]],
-                    root: int) -> np.ndarray:
-    _validate_root(comm, root)
-    p, r = comm.size, comm.rank
-    tag = comm._next_coll_tag(CODE_SCATTERV)
+def scatterv_linear(p: int, r: int, sendbuf: Optional[np.ndarray],
+                    sendcounts: Optional[Sequence[int]], root: int):
+    _check_root(p, root)
+    yield Tag(CODE_SCATTERV)
     if r == root:
         if sendbuf is None or sendcounts is None or len(sendcounts) != p:
             raise RawUsageError(f"scatterv root must supply sendbuf and {p} sendcounts")
@@ -197,7 +170,6 @@ def scatterv_linear(comm, sendbuf: Optional[np.ndarray],
             raise RawUsageError("scatterv sendcounts exceed sendbuf length")
         for dst in range(p):
             if dst != root:
-                comm._send(sendbuf[displs[dst]: displs[dst] + sendcounts[dst]], dst, tag)
+                yield Send(dst, sendbuf[displs[dst]: displs[dst] + sendcounts[dst]])
         return sendbuf[displs[root]: displs[root] + sendcounts[root]].copy()
-    block, _ = comm._recv(root, tag)
-    return ensure_1d_array(block)
+    return ensure_1d_array((yield Recv(root)))

@@ -10,18 +10,19 @@ rank.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from repro.mpi.algorithms import collective_algorithm
-from repro.mpi.algorithms.common import CODE_NEIGHBOR, CODE_NEIGHBORV
+from repro.mpi.algorithms.common import CODE_NEIGHBOR, CODE_NEIGHBORV, _fits
+from repro.mpi.algorithms.schedule import Recv, Send, Tag, Topology
 from repro.mpi.datatypes import ensure_1d_array
-from repro.mpi.errors import RawTruncationError, RawUsageError
+from repro.mpi.errors import RawUsageError
 
 
-def _require_topology(comm) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    topo = comm.topology
+def _require_topology(topo: Optional[tuple]
+                      ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     if topo is None:
         raise RawUsageError(
             "neighborhood collectives require a dist-graph communicator "
@@ -33,31 +34,30 @@ def _require_topology(comm) -> tuple[tuple[int, ...], tuple[int, ...]]:
 @collective_algorithm("neighbor_alltoall", "direct", default=True,
                       description="one buffered send per out-neighbor, one "
                                   "receive per in-neighbor")
-def neighbor_alltoall_direct(comm, payloads: Sequence) -> list:
-    sources, destinations = _require_topology(comm)
-    tag = comm._next_coll_tag(CODE_NEIGHBOR)
+def neighbor_alltoall_direct(p: int, r: int, payloads: Sequence):
+    sources, destinations = _require_topology((yield Topology()))
+    yield Tag(CODE_NEIGHBOR)
     if len(payloads) != len(destinations):
         raise RawUsageError(
             f"neighbor_alltoall requires {len(destinations)} payloads "
             f"(one per destination)"
         )
     for payload, dst in zip(payloads, destinations):
-        comm._send(payload, dst, tag)
+        yield Send(dst, payload)
     out = []
     for src in sources:
-        payload, _ = comm._recv(src, tag)
-        out.append(payload)
+        out.append((yield Recv(src)))
     return out
 
 
 @collective_algorithm("neighbor_alltoallv", "direct", default=True,
                       description="variable-size neighborhood exchange: "
                                   "Θ(degree), not Θ(p)")
-def neighbor_alltoallv_direct(comm, sendbuf: np.ndarray,
+def neighbor_alltoallv_direct(p: int, r: int, sendbuf: np.ndarray,
                               sendcounts: Sequence[int],
-                              recvcounts: Sequence[int]) -> np.ndarray:
-    sources, destinations = _require_topology(comm)
-    tag = comm._next_coll_tag(CODE_NEIGHBORV)
+                              recvcounts: Sequence[int]):
+    sources, destinations = _require_topology((yield Topology()))
+    yield Tag(CODE_NEIGHBORV)
     sendbuf = ensure_1d_array(sendbuf)
     if len(sendcounts) != len(destinations):
         raise RawUsageError("sendcounts must match the number of destinations")
@@ -66,17 +66,11 @@ def neighbor_alltoallv_direct(comm, sendbuf: np.ndarray,
     displs = np.concatenate(([0], np.cumsum(sendcounts)[:-1])).astype(int) \
         if len(sendcounts) else np.zeros(0, dtype=int)
     for j, dst in enumerate(destinations):
-        comm._send(sendbuf[displs[j]: displs[j] + sendcounts[j]], dst, tag)
+        yield Send(dst, sendbuf[displs[j]: displs[j] + sendcounts[j]])
     parts = []
     for i, src in enumerate(sources):
-        block, _ = comm._recv(src, tag)
-        block = ensure_1d_array(block)
-        if len(block) > recvcounts[i]:
-            raise RawTruncationError(
-                f"neighbor_alltoallv: message from rank {src} has {len(block)} "
-                f"items, recvcounts allows {recvcounts[i]}"
-            )
-        parts.append(block)
+        parts.append(_fits((yield Recv(src)), src, recvcounts[i],
+                           "neighbor_alltoallv: message"))
     if not parts:
         return sendbuf[:0].copy()
     return np.concatenate(parts)

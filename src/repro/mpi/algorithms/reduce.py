@@ -10,6 +10,7 @@ matching-count semantics).
 
 from __future__ import annotations
 
+import functools
 from typing import Any
 
 import numpy as np
@@ -20,12 +21,14 @@ from repro.mpi.algorithms.common import (
     CODE_EXSCAN,
     CODE_REDUCE,
     CODE_SCAN,
+    _binomial,
+    _check_root,
     _combine,
     _tree_depth,
-    _validate_root,
 )
 from repro.mpi.algorithms.bcast import bcast_binomial
 from repro.mpi.algorithms.gather_scatter import gather_binomial
+from repro.mpi.algorithms.schedule import Recv, Send, Tag
 from repro.mpi.ops import Op
 
 
@@ -76,25 +79,18 @@ def _cost_scan_doubling(p, nbytes, cm):
                       cost=_cost_reduce_binomial,
                       description="binomial combining tree (commutative ops); "
                                   "gather + ordered fold otherwise")
-def reduce_binomial(comm, value: Any, op: Op, root: int) -> Any:
-    _validate_root(comm, root)
-    p, r = comm.size, comm.rank
+def reduce_binomial(p: int, r: int, value: Any, op: Op, root: int):
+    _check_root(p, root)
     if not op.commutative:
-        return _reduce_ordered(comm, value, op, root)
-    tag = comm._next_coll_tag(CODE_REDUCE)
-    vr = (r - root) % p
+        return (yield from _reduce_ordered(p, r, value, op, root))
+    yield Tag(CODE_REDUCE)
+    parent, children = _binomial(p, (r - root) % p)
     acc = value
-    mask = 1
-    while mask < p:
-        if vr & mask == 0:
-            src_vr = vr | mask
-            if src_vr < p:
-                other, _ = comm._recv((src_vr + root) % p, tag)
-                acc = _combine(op, acc, other)
-        else:
-            comm._send(acc, ((vr & ~mask) + root) % p, tag)
-            return None
-        mask <<= 1
+    for child in reversed(children):
+        acc = _combine(op, acc, (yield Recv((child + root) % p)))
+    if parent is not None:
+        yield Send((parent + root) % p, acc)
+        return None
     return acc
 
 
@@ -102,57 +98,45 @@ def reduce_binomial(comm, value: Any, op: Op, root: int) -> Any:
                       description="root receives every contribution and folds "
                                   "in rank order (valid for non-commutative "
                                   "ops too)")
-def reduce_linear(comm, value: Any, op: Op, root: int) -> Any:
-    _validate_root(comm, root)
-    p, r = comm.size, comm.rank
-    tag = comm._next_coll_tag(CODE_REDUCE)
+def reduce_linear(p: int, r: int, value: Any, op: Op, root: int):
+    _check_root(p, root)
+    yield Tag(CODE_REDUCE)
     if r != root:
-        comm._send(value, root, tag)
+        yield Send(root, value)
         return None
     items: list = [None] * p
     items[r] = value
     for src in range(p):
         if src != r:
-            items[src], _ = comm._recv(src, tag)
-    acc = items[0]
-    for item in items[1:]:
-        acc = _combine(op, acc, item)
-    return acc
+            items[src] = yield Recv(src)
+    return functools.reduce(functools.partial(_combine, op), items)
 
 
-def _reduce_ordered(comm, value: Any, op: Op, root: int) -> Any:
+def _reduce_ordered(p: int, r: int, value: Any, op: Op, root: int):
     """Rank-ordered fold via binomial gather (non-commutative fallback)."""
-    r = comm.rank
-    items = gather_binomial(comm, value, root)
+    items = yield from gather_binomial(p, r, value, root)
     if r != root:
         return None
-    acc = items[0]
-    for item in items[1:]:
-        acc = _combine(op, acc, item)
-    return acc
+    return functools.reduce(functools.partial(_combine, op), items)
 
 
 @collective_algorithm("allreduce", "recursive_doubling", default=True,
                       cost=_cost_recursive_doubling,
                       description="recursive doubling with non-power-of-two "
                                   "folding")
-def allreduce_recursive_doubling(comm, value: Any, op: Op) -> Any:
-    p, r = comm.size, comm.rank
+def allreduce_recursive_doubling(p: int, r: int, value: Any, op: Op):
     if not op.commutative:
-        result = reduce_binomial(comm, value, op, 0)
-        return bcast_binomial(comm, result, 0)
-    tag = comm._next_coll_tag(CODE_ALLREDUCE)
-    if p == 1:
-        return value
+        return (yield from allreduce_reduce_bcast(p, r, value, op))
+    yield Tag(CODE_ALLREDUCE)
     p2 = 1 << (p.bit_length() - 1)
     rem = p - p2
     acc = value
     new_rank = -1
     if r < 2 * rem:
         if r % 2 == 1:
-            comm._send(acc, r - 1, tag)
+            yield Send(r - 1, acc)
         else:
-            other, _ = comm._recv(r + 1, tag)
+            other = yield Recv(r + 1)
             acc = _combine(op, acc, other)
             new_rank = r // 2
     else:
@@ -162,39 +146,38 @@ def allreduce_recursive_doubling(comm, value: Any, op: Op) -> Any:
         while mask < p2:
             partner_new = new_rank ^ mask
             partner = partner_new * 2 if partner_new < rem else partner_new + rem
-            comm._send(acc, partner, tag)
-            other, _ = comm._recv(partner, tag)
+            yield Send(partner, acc)
+            other = yield Recv(partner)
             acc = _combine(op, acc, other)
             mask <<= 1
     if r < 2 * rem:
         if r % 2 == 0:
-            comm._send(acc, r + 1, tag)
+            yield Send(r + 1, acc)
         else:
-            acc, _ = comm._recv(r - 1, tag)
+            acc = yield Recv(r - 1)
     return acc
 
 
 @collective_algorithm("allreduce", "reduce_bcast", cost=_cost_reduce_bcast,
                       description="binomial reduce to rank 0 followed by a "
                                   "binomial broadcast of the result")
-def allreduce_reduce_bcast(comm, value: Any, op: Op) -> Any:
-    result = reduce_binomial(comm, value, op, 0)
-    return bcast_binomial(comm, result, 0)
+def allreduce_reduce_bcast(p: int, r: int, value: Any, op: Op):
+    result = yield from reduce_binomial(p, r, value, op, 0)
+    return (yield from bcast_binomial(p, r, result, 0))
 
 
 @collective_algorithm("allreduce", "ring", cost=_cost_allreduce_ring,
                       description="ring reduce-scatter + ring allgather over "
                                   "p chunks; bandwidth-optimal for large 1-D "
                                   "arrays")
-def allreduce_ring(comm, value: Any, op: Op) -> Any:
-    p, r = comm.size, comm.rank
+def allreduce_ring(p: int, r: int, value: Any, op: Op):
     # The chunked schedule needs a splittable, elementwise-combinable buffer;
     # the eligibility test uses only symmetric facts (dtype/shape must match
     # across ranks per MPI semantics), so all ranks take the same branch.
     if not (op.commutative and isinstance(value, np.ndarray)
             and value.ndim == 1 and len(value) >= p):
-        return allreduce_reduce_bcast(comm, value, op)
-    tag = comm._next_coll_tag(CODE_ALLREDUCE)
+        return (yield from allreduce_reduce_bcast(p, r, value, op))
+    yield Tag(CODE_ALLREDUCE)
     if p == 1:
         return value
     chunks = [c.copy() for c in np.array_split(value, p)]
@@ -202,58 +185,51 @@ def allreduce_ring(comm, value: Any, op: Op) -> Any:
     # Reduce-scatter: after p−1 steps rank r owns the full reduction of
     # chunk (r+1) mod p.
     for i in range(p - 1):
-        comm._send(chunks[(r - i) % p], right, tag)
-        other, _ = comm._recv(left, tag)
+        yield Send(right, chunks[(r - i) % p])
+        other = yield Recv(left)
         idx = (r - i - 1) % p
         chunks[idx] = _combine(op, chunks[idx], other)
     # Allgather: circulate the reduced chunks.
     for i in range(p - 1):
-        comm._send(chunks[(r + 1 - i) % p], right, tag)
-        other, _ = comm._recv(left, tag)
+        yield Send(right, chunks[(r + 1 - i) % p])
+        other = yield Recv(left)
         chunks[(r - i) % p] = np.asarray(other)
     return np.concatenate(chunks)
 
 
-@collective_algorithm("scan", "doubling", default=True,
-                      cost=_cost_scan_doubling,
-                      description="Hillis–Steele inclusive prefix doubling")
-def scan_doubling(comm, value: Any, op: Op) -> Any:
-    p, r = comm.size, comm.rank
-    tag = comm._next_coll_tag(CODE_SCAN)
-    result = value
+def _prefix_doubling(p: int, r: int, value: Any, op: Op, code: int):
+    """Hillis–Steele doubling rounds: this rank's ``(inclusive, exclusive)``
+    prefix reductions (``exclusive`` is ``None`` on rank 0)."""
+    yield Tag(code)
+    exclusive: Any = None
     acc = value
     mask = 1
     while mask < p:
         dst, src = r + mask, r - mask
         if dst < p:
-            comm._send(acc, dst, tag)
+            yield Send(dst, acc)
         if src >= 0:
-            other, _ = comm._recv(src, tag)
-            result = _combine(op, other, result)
+            other = yield Recv(src)
+            exclusive = (other if exclusive is None
+                         else _combine(op, other, exclusive))
             acc = _combine(op, other, acc)
         mask <<= 1
-    return result
+    return acc, exclusive
+
+
+@collective_algorithm("scan", "doubling", default=True,
+                      cost=_cost_scan_doubling,
+                      description="Hillis–Steele inclusive prefix doubling")
+def scan_doubling(p: int, r: int, value: Any, op: Op):
+    return (yield from _prefix_doubling(p, r, value, op, CODE_SCAN))[0]
 
 
 @collective_algorithm("exscan", "doubling", default=True,
                       cost=_cost_scan_doubling,
                       description="Hillis–Steele exclusive prefix doubling; "
                                   "rank 0 gets the operator identity")
-def exscan_doubling(comm, value: Any, op: Op) -> Any:
-    p, r = comm.size, comm.rank
-    tag = comm._next_coll_tag(CODE_EXSCAN)
-    result: Any = None
-    acc = value
-    mask = 1
-    while mask < p:
-        dst, src = r + mask, r - mask
-        if dst < p:
-            comm._send(acc, dst, tag)
-        if src >= 0:
-            other, _ = comm._recv(src, tag)
-            result = other if result is None else _combine(op, other, result)
-            acc = _combine(op, other, acc)
-        mask <<= 1
+def exscan_doubling(p: int, r: int, value: Any, op: Op):
+    _, result = yield from _prefix_doubling(p, r, value, op, CODE_EXSCAN)
     if r == 0:
         if op.identity is None:
             return None

@@ -17,7 +17,6 @@ from typing import Any, Hashable, Optional, Sequence
 
 import numpy as np
 
-from repro.mpi import collectives as _coll
 from repro.mpi.algorithms import SINGLETON, Algorithm
 from repro.mpi.constants import ANY_SOURCE, ANY_TAG, PROC_NULL, collective_tag, validate_user_tag
 from repro.mpi.costmodel import Clock
@@ -162,7 +161,7 @@ class RawComm:
         self._coll_seq += 1
         return tag
 
-    # -- internal point-to-point (used by collective algorithms; uncounted) --
+    # -- internal point-to-point (used by the schedule driver; uncounted) ----
 
     def _deposit(self, payload: Any, dest: int, tag: int, *, sync: bool = False,
                  packed: bool = False) -> Envelope:
@@ -192,14 +191,6 @@ class RawComm:
 
     def _send(self, payload: Any, dest: int, tag: int, *, packed: bool = False) -> None:
         self._deposit(payload, dest, tag, packed=packed)
-
-    def _irecv(self, source: int, tag: int) -> RecvRequest:
-        """Uncounted non-blocking receive (internal protocol machinery)."""
-        if self.machine.faults is not None:
-            self.machine.faults.on_internal(self)
-        mb = self.state.mailboxes[self._rank]
-        pr = mb.post(source, tag, self.clock.now)
-        return RecvRequest(mb, pr, self.clock)
 
     def _recv(self, source: int, tag: int) -> tuple[Any, Status]:
         if self.machine.faults is not None:
@@ -605,7 +596,8 @@ class RawComm:
             self._mgmt_seq += 1
             new_id = (self.comm_id, "dup", seq)
             state = self.machine.get_or_create_comm(new_id, self.state.members)
-            _coll.barrier(self)  # dup is collective; synchronize like real MPI
+            # dup is collective; synchronize like real MPI
+            self._coll_algo("barrier").fn(self)
         return RawComm(self.machine, state, self.world_rank)
 
     def split(self, color: Optional[int], key: Optional[int] = None
@@ -623,9 +615,8 @@ class RawComm:
                ) -> Optional["RawComm"]:
         seq = self._mgmt_seq
         self._mgmt_seq += 1
-        entries = _coll.allgather(
-            self, (color, key if key is not None else self._rank, self._rank)
-        )
+        entry = (color, key if key is not None else self._rank, self._rank)
+        entries = self._coll_algo("allgather", payload=entry).fn(self, entry)
         if color is None:
             return None
         group = sorted(
@@ -651,7 +642,7 @@ class RawComm:
             state.topology[self._rank] = (tuple(sources), tuple(destinations))
             # Graph creation is collective and costs at least a barrier; real
             # implementations additionally build routing tables (Θ(α·log p)).
-            _coll.barrier(self)
+            self._coll_algo("barrier").fn(self)
         return RawComm(self.machine, state, self.world_rank)
 
     # -- one-sided communication ---------------------------------------------------

@@ -10,8 +10,8 @@ injection: the campaign rides on the :class:`~repro.mpi.machine.Machine`
   ("kill rank r on its Nth send / collective / RMA op"), :class:`KillRandom`
   rules (seeded per-rank Bernoulli draws), and :class:`Straggler` slow-downs
   fire;
-- the internal point-to-point primitives collective algorithms are written
-  against (``RawComm._deposit`` / ``_recv`` / ``_irecv``) — where
+- the internal point-to-point primitives the schedule driver executes
+  collective steps with (``RawComm._deposit`` and its receive posts) — where
   :class:`KillMidCollective` rules fire *between the p2p rounds* of a
   registry algorithm schedule, after the victim already contributed partial
   rounds;
@@ -300,7 +300,7 @@ class FaultCampaign:
             self._kill(comm, "kill_random",
                        f"seeded kill (seed={self.seed}) at {op}")
 
-    # -- hook: internal p2p round (RawComm._deposit/_recv/_irecv) ----------
+    # -- hook: internal p2p round (RawComm._deposit/_recv, Run._advance) ----
 
     def on_internal(self, comm) -> None:
         st = self._states[comm.world_rank]

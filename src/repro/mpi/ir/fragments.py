@@ -1,210 +1,45 @@
 """Registered collective schedules exposed as static IR fragments.
 
-A *fragment* is the per-rank point-to-point schedule a registered algorithm
-would execute — a tuple of :class:`~repro.mpi.ir.nodes.P2P` events in issue
-order, derived purely from ``(p, rank, root)`` exactly like the algorithms
-themselves derive their schedules (pattern determinism is the registry's
-contract).  This gives the rewrite passes and the tests a ground truth to
-reason against: ``fuse_reduce_bcast`` is sound *because*
-``fragment("allreduce", "reduce_bcast", ...)`` is by construction the
-concatenation of the reduce and bcast fragments, and the fragment tests pin
-that identity here rather than re-deriving it in every pass.
+A *fragment* is the per-rank point-to-point sequence a registered algorithm
+executes at ``(p, rank, root)`` — a tuple of :class:`~repro.mpi.ir.nodes.P2P`
+events in issue order.  Nothing here writes a schedule down:
+:meth:`repro.mpi.algorithms.Algorithm.fragment` co-runs the generators that
+also drive the blocking run and progress-on-test, and this module wraps the
+recorded steps as ``P2P`` nodes.  So the rewrite passes and the tests reason
+against the code that runs: ``fuse_reduce_bcast`` is sound *because*
+``allreduce/reduce_bcast`` is, by ``yield from``, the reduce schedule
+followed by the bcast schedule.
 
-Access via :meth:`repro.mpi.algorithms.Algorithm.fragment` or
-:func:`fragment` directly.  Only pattern-static algorithms are mapped.
-Algorithms whose wire schedule depends on *payload properties* the
-``(p, rank, root)`` signature cannot see are listed in :data:`UNSOUND` and
-raise :class:`FragmentUnsound` — a :class:`KeyError` subclass, so callers
-that treat a missing fragment as "opaque" keep working, while the explicit
-marking stops anyone from "completing" the table with a schedule that is
-wrong for half the payload space.  The canonical case is ``allreduce/ring``:
-its eligibility branch silently falls back to ``reduce_bcast`` unless the
-value is a commutative-op 1-D ndarray with at least ``p`` elements, so no
-single static fragment describes it.  :func:`fragment_soundness` reports the
-three-way status; the fuse passes stay conservative by matching recorded
-``algorithm`` provenance against fragments that exist, so unsound
-algorithms are never rewritten.
+Algorithms listed in :data:`UNSOUND` (``allreduce/ring``'s payload-dependent
+fallback is the canonical case) raise :class:`FragmentUnsound` — a
+:class:`KeyError`, so callers that treat a missing fragment as "opaque" keep
+working; the fuse passes match recorded ``algorithm`` provenance against
+fragments that exist, so unsound algorithms are never rewritten.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Tuple
-
-from repro.mpi.errors import RawUsageError
+from repro.mpi import algorithms as _registry
+from repro.mpi.algorithms.schedule import UNSOUND, FragmentUnsound  # noqa: F401
 from repro.mpi.ir.nodes import P2P
-
-#: fragment builder signature: ``(p, rank, root) -> tuple[P2P, ...]``
-FragmentFn = Callable[[int, int, int], Tuple[P2P, ...]]
-
-
-def _send(rank: int, peer: int) -> P2P:
-    return P2P("send", rank, peer, None, 0)
-
-
-def _recv(rank: int, peer: int) -> P2P:
-    return P2P("recv", rank, peer, None, 0)
-
-
-def bcast_binomial_fragment(p: int, rank: int, root: int = 0) -> Tuple[P2P, ...]:
-    if p == 1:
-        return ()
-    events = []
-    vr = (rank - root) % p
-    mask = 1
-    while mask < p:
-        if vr & mask:
-            events.append(_recv(rank, (vr - mask + root) % p))
-            break
-        mask <<= 1
-    mask >>= 1
-    while mask > 0:
-        child = vr + mask
-        if child < p:
-            events.append(_send(rank, (child + root) % p))
-        mask >>= 1
-    return tuple(events)
-
-
-def bcast_linear_fragment(p: int, rank: int, root: int = 0) -> Tuple[P2P, ...]:
-    if p == 1:
-        return ()
-    if rank == root:
-        return tuple(_send(rank, dst) for dst in range(p) if dst != root)
-    return (_recv(rank, root),)
-
-
-def reduce_binomial_fragment(p: int, rank: int, root: int = 0
-                             ) -> Tuple[P2P, ...]:
-    events = []
-    vr = (rank - root) % p
-    mask = 1
-    while mask < p:
-        if vr & mask == 0:
-            src_vr = vr | mask
-            if src_vr < p:
-                events.append(_recv(rank, (src_vr + root) % p))
-        else:
-            events.append(_send(rank, ((vr & ~mask) + root) % p))
-            return tuple(events)
-        mask <<= 1
-    return tuple(events)
-
-
-def reduce_linear_fragment(p: int, rank: int, root: int = 0
-                           ) -> Tuple[P2P, ...]:
-    if rank != root:
-        return (_send(rank, root),)
-    return tuple(_recv(rank, src) for src in range(p) if src != root)
-
-
-def allreduce_reduce_bcast_fragment(p: int, rank: int, root: int = 0
-                                    ) -> Tuple[P2P, ...]:
-    # By construction the exact composition the fusion pass relies on.
-    return (reduce_binomial_fragment(p, rank, 0)
-            + bcast_binomial_fragment(p, rank, 0))
-
-
-def allreduce_recursive_doubling_fragment(p: int, rank: int, root: int = 0
-                                          ) -> Tuple[P2P, ...]:
-    if p == 1:
-        return ()
-    events = []
-    p2 = 1 << (p.bit_length() - 1)
-    rem = p - p2
-    new_rank = -1
-    if rank < 2 * rem:
-        if rank % 2 == 1:
-            events.append(_send(rank, rank - 1))
-        else:
-            events.append(_recv(rank, rank + 1))
-            new_rank = rank // 2
-    else:
-        new_rank = rank - rem
-    if new_rank >= 0:
-        mask = 1
-        while mask < p2:
-            partner_new = new_rank ^ mask
-            partner = partner_new * 2 if partner_new < rem else partner_new + rem
-            events.append(_send(rank, partner))
-            events.append(_recv(rank, partner))
-            mask <<= 1
-    if rank < 2 * rem:
-        if rank % 2 == 0:
-            events.append(_send(rank, rank + 1))
-        else:
-            events.append(_recv(rank, rank - 1))
-    return tuple(events)
-
-
-FRAGMENTS: Dict[Tuple[str, str], FragmentFn] = {
-    ("bcast", "binomial"): bcast_binomial_fragment,
-    ("bcast", "linear"): bcast_linear_fragment,
-    ("reduce", "binomial"): reduce_binomial_fragment,
-    ("reduce", "linear"): reduce_linear_fragment,
-    ("allreduce", "reduce_bcast"): allreduce_reduce_bcast_fragment,
-    ("allreduce", "recursive_doubling"): allreduce_recursive_doubling_fragment,
-}
-
-
-class FragmentUnsound(KeyError):
-    """No static fragment can exist for this algorithm (see :data:`UNSOUND`).
-
-    Subclasses :class:`KeyError` so existing "opaque algorithm" handling
-    (``except KeyError``) keeps working unchanged."""
-
-
-#: algorithms whose schedule depends on payload properties invisible to the
-#: static ``(p, rank, root)`` signature, mapped to the reason.  Listing an
-#: algorithm here is a *permanent* marking, not a TODO: adding a static
-#: fragment for one of these would hand the rewrite passes a schedule that
-#: is wrong for part of the payload space.
-UNSOUND: Dict[Tuple[str, str], str] = {
-    ("allreduce", "ring"): (
-        "payload-dependent eligibility: runs the ring schedule only for a "
-        "commutative-op 1-D ndarray with >= p elements, silently falling "
-        "back to reduce_bcast otherwise"
-    ),
-}
 
 
 def fragment(collective: str, name: str, p: int, rank: int,
-             root: int = 0) -> Tuple[P2P, ...]:
+             root: int = 0) -> tuple[P2P, ...]:
     """The static P2P schedule of ``collective/name`` on one rank.
 
-    Raises :class:`FragmentUnsound` for algorithms marked payload-dependent
-    in :data:`UNSOUND`, and plain :class:`KeyError` for algorithms simply
-    not mapped yet; callers treat both as "opaque"."""
-    if not 0 <= rank < p:
-        raise RawUsageError(f"rank {rank} out of range for p={p}")
-    if not 0 <= root < p:
-        raise RawUsageError(f"root {root} out of range for p={p}")
-    reason = UNSOUND.get((collective, name))
-    if reason is not None:
-        raise FragmentUnsound(
-            f"{collective}/{name} has no static fragment: {reason}")
-    return FRAGMENTS[(collective, name)](p, rank, root)
+    Raises :class:`FragmentUnsound` for the algorithms in :data:`UNSOUND`;
+    callers treat that :class:`KeyError` as "opaque"."""
+    steps = _registry.get(collective, name).fragment(p, rank, root)
+    return tuple(P2P(kind, rank, peer, None, 0) for kind, peer in steps)
 
 
 def has_fragment(collective: str, name: str) -> bool:
-    return (collective, name) in FRAGMENTS
+    _registry.get(collective, name)  # unregistered: RawUsageError, as above
+    return (collective, name) not in UNSOUND
 
 
 def fragment_soundness(collective: str, name: str) -> str:
-    """Three-way fragment status of one registered algorithm.
-
-    ``"static"``: a fragment exists and is trustworthy ground truth;
-    ``"unsound"``: no static fragment can exist (payload-dependent branch);
-    ``"unmapped"``: pattern-static but nobody has written the fragment."""
-    if (collective, name) in FRAGMENTS:
-        return "static"
-    if (collective, name) in UNSOUND:
-        return "unsound"
-    return "unmapped"
-
-
-# A key in both tables would be a contradiction (one side must be wrong);
-# fail at import so the mistake cannot ship.
-_conflict = FRAGMENTS.keys() & UNSOUND.keys()
-if _conflict:
-    raise RawUsageError(
-        f"algorithms marked both static and fragment-unsound: {_conflict}")
+    """``"static"``: a fragment exists and is trustworthy ground truth;
+    ``"unsound"``: no static fragment can exist (see :data:`UNSOUND`)."""
+    return "static" if has_fragment(collective, name) else "unsound"

@@ -1,300 +1,65 @@
 """Non-blocking collectives (MPI-3): ``ibcast``, ``iallreduce``, ``iallgather``.
 
-Implemented the way real MPIs without progress threads do it: each request is
-a **state machine over non-blocking point-to-point operations** that advances
-on every ``test()``/``wait()`` call (progress-on-test semantics — the MPI
+A non-blocking collective is the *same operation* as its blocking twin with
+completion deferred (paper §III-E): each entry point takes the blocking
+collective's default schedule from :mod:`repro.mpi.algorithms`, starts it —
+sends up to the first receive depart at the call — and returns the
+:class:`~repro.mpi.algorithms.schedule.Run` that drives it as the request.
+After that the schedule only moves inside ``test()``/``wait()``:
+progress-on-test, the way real MPIs without progress threads behave (the
 standard makes no asynchronous-progress guarantee, which is exactly why
-``std::future`` cannot model MPI requests; paper §III-E).
-
-The algorithms mirror the blocking ones (binomial tree, recursive doubling,
-Bruck), so the virtual-time cost structure is identical; completion order
-follows the algorithm's data dependencies.
+``std::future`` cannot model MPI requests).  Every step is charged what the
+blocking call charges, so virtual time is the blocking algorithm's.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional
+from typing import Any
 
-import numpy as np
-
-from repro.mpi.collectives import _combine
-from repro.mpi.errors import RawDeadlockError, RawUsageError
+from repro.mpi import algorithms
+from repro.mpi.algorithms.schedule import Run
+from repro.mpi.errors import RawUsageError
 from repro.mpi.ops import Op
-from repro.mpi.requests import RawRequest, RecvRequest
-from repro.mpi.waiting import Backoff
 
 CODE_IBCAST = 17
 CODE_IALLREDUCE = 18
 CODE_IALLGATHER = 19
 
 
-class StateMachineRequest(RawRequest):
-    """A collective request driven by repeatedly calling :meth:`_advance`.
-
-    Subclasses implement ``_advance() -> bool`` (True when complete) and set
-    ``self._value`` before completing.
-    """
-
-    def __init__(self, comm):
-        self._comm = comm
-        self._done = False
-        self._value: Any = None
-
-    def _advance(self) -> bool:
-        raise NotImplementedError
-
-    def test(self) -> tuple[bool, Any]:
-        if not self._done:
-            self._done = self._advance()
-        return self._done, self._value if self._done else None
-
-    def wait(self) -> Any:
-        import time
-
-        # progress-on-test: _advance() must keep running, so this is a poll
-        # loop — with a small backoff cap (the state machine only moves when
-        # polled) and the deadline accounted on real elapsed time
-        backoff = Backoff(self._comm.machine.deadline, initial=0.0005,
-                          cap=0.002, fuzz=self._comm.machine.fuzzer)
-        while not self._done:
-            self._done = self._advance()
-            if not self._done:
-                if backoff.expired:
-                    raise RawDeadlockError(
-                        f"{type(self).__name__} never completed"
-                    )
-                time.sleep(backoff.next_timeout())
-        return self._value
-
-    def audit_state(self) -> str:
-        return "completed" if self._done else "pending"
-
-    def audit_pending_recvs(self) -> tuple:
-        """Posted receives of the in-flight state machine (auditor dedup)."""
-        return tuple(
-            req._pr for req in self._internal_recvs()
-            if isinstance(req, RecvRequest)
-        )
-
-    def _internal_recvs(self) -> tuple:
-        return ()
-
-
-class IBcastRequest(StateMachineRequest):
-    """Binomial-tree broadcast, one tree level per state transition."""
-
-    def __init__(self, comm, payload: Any, root: int, tag: int):
-        super().__init__(comm)
-        p, r = comm.size, comm.rank
-        self._tag = tag
-        self._root = root
-        self._vr = (r - root) % p
-        self._p = p
-        self._recv_req = None
-        if self._vr == 0:
-            self._value = payload
-            self._have_data = True
-        else:
-            self._have_data = False
-            mask = 1
-            while mask < p:
-                if self._vr & mask:
-                    src = (self._vr - mask + root) % p
-                    self._recv_req = comm._irecv(src, tag)
-                    self._recv_mask = mask
-                    break
-                mask <<= 1
-
-    def _advance(self) -> bool:
-        if not self._have_data:
-            done, value = self._recv_req.test()
-            if not done:
-                return False
-            self._value, _ = value
-            self._have_data = True
-        # forward to children (buffered sends complete immediately)
-        mask = (self._recv_mask >> 1) if self._vr else _top_mask(self._p)
-        while mask > 0:
-            child = self._vr + mask
-            if child < self._p:
-                self._comm._send(self._value, (child + self._root) % self._p,
-                                 self._tag)
-            mask >>= 1
-        return True
-
-    def _internal_recvs(self) -> tuple:
-        return (self._recv_req,) if self._recv_req is not None else ()
-
-
-def _top_mask(p: int) -> int:
-    mask = 1
-    while mask < p:
-        mask <<= 1
-    return mask >> 1
-
-
-class IAllreduceRequest(StateMachineRequest):
-    """Recursive-doubling allreduce with non-power-of-two folding."""
-
-    def __init__(self, comm, value: Any, op: Op, tag: int):
-        super().__init__(comm)
-        if not op.commutative:
-            raise RawUsageError(
-                "iallreduce supports commutative operations only; use the "
-                "blocking allreduce for ordered reductions"
-            )
-        p, r = comm.size, comm.rank
-        self._op = op
-        self._tag = tag
-        self._acc = value
-        self._p2 = 1 << (p.bit_length() - 1)
-        self._rem = p - self._p2
-        self._p, self._r = p, r
-        self._pending: Optional[tuple] = None  # (kind, request)
-        self._mask = 1
-
-        if p == 1:
-            self._value = value
-            self._phase = "done"
-        elif r < 2 * self._rem and r % 2 == 1:
-            comm._send(self._acc, r - 1, tag)
-            self._pending = ("final", comm._irecv(r - 1, tag))
-            self._phase = "await_final"
-        elif r < 2 * self._rem:
-            self._pending = ("fold", comm._irecv(r + 1, tag))
-            self._phase = "fold"
-            self._new_rank = r // 2
-        else:
-            self._new_rank = r - self._rem
-            self._phase = "doubling"
-            self._start_round()
-
-    def _partner(self) -> int:
-        partner_new = self._new_rank ^ self._mask
-        return (partner_new * 2 if partner_new < self._rem
-                else partner_new + self._rem)
-
-    def _start_round(self) -> None:
-        if self._mask < self._p2:
-            partner = self._partner()
-            self._comm._send(self._acc, partner, self._tag)
-            self._pending = ("round", self._comm._irecv(partner, self._tag))
-        else:
-            self._finish_active()
-
-    def _finish_active(self) -> None:
-        if self._r < 2 * self._rem:  # r even: deliver to the folded partner
-            self._comm._send(self._acc, self._r + 1, self._tag)
-        self._value = self._acc
-        self._phase = "done"
-
-    def _advance(self) -> bool:
-        while self._phase != "done":
-            if self._pending is None:
-                return False
-            kind, req = self._pending
-            done, value = req.test()
-            if not done:
-                return False
-            payload, _ = value
-            self._pending = None
-            if kind == "final":
-                self._value = payload
-                self._phase = "done"
-            elif kind == "fold":
-                self._acc = _combine(self._op, self._acc, payload)
-                self._phase = "doubling"
-                self._start_round()
-            else:  # round
-                self._acc = _combine(self._op, self._acc, payload)
-                self._mask <<= 1
-                self._start_round()
-        return True
-
-    def _internal_recvs(self) -> tuple:
-        return (self._pending[1],) if self._pending is not None else ()
-
-
-class IAllgatherRequest(StateMachineRequest):
-    """Bruck allgather, one round per state transition."""
-
-    def __init__(self, comm, payload: Any, tag: int):
-        super().__init__(comm)
-        self._tag = tag
-        self._blocks: list = [payload]
-        self._k = 1
-        self._pending = None
-        if comm.size == 1:
-            self._value = [payload]
-        else:
-            self._start_round()
-
-    def _start_round(self) -> None:
-        comm = self._comm
-        p, r = comm.size, comm.rank
-        send_cnt = min(self._k, p - self._k)
-        comm._send(self._blocks[:send_cnt], (r - self._k) % p, self._tag)
-        self._pending = comm._irecv((r + self._k) % p, self._tag)
-
-    def _advance(self) -> bool:
-        if self._value is not None:
-            return True
-        comm = self._comm
-        p, r = comm.size, comm.rank
-        while True:
-            done, value = self._pending.test()
-            if not done:
-                return False
-            other, _ = value
-            self._blocks.extend(other)
-            self._k <<= 1
-            if self._k < p:
-                self._start_round()
-                continue
-            out: list = [None] * p
-            for i in range(p):
-                out[(r + i) % p] = self._blocks[i]
-            self._value = out
-            return True
-
-    def _internal_recvs(self) -> tuple:
-        return (self._pending,) if self._pending is not None else ()
-
-
-def _track(comm, req, op: str, tag: int):
-    """Register a collective request with the machine's resource auditor."""
+def _start(comm, op: str, code: int, collective: str, args: tuple, *,
+           peers, payload: Any) -> Run:
+    """Start ``collective``'s default schedule as the counted operation ``op``."""
+    comm._count(op)
+    comm._check_usable()
+    schedule = algorithms.default(collective).schedule
+    with comm._span(op, peers=peers, payload=payload) as sp:
+        req = Run(comm, schedule(comm.size, comm.rank, *args), code).start()
+        sp.set(tag=req.tag)
     auditor = comm.machine.auditor
     if auditor.enabled:
-        auditor.track_request(req, comm, op=op, tag=tag)
+        auditor.track_request(req, comm, op=op, tag=req.tag)
     return req
 
 
-def ibcast(comm, payload: Any, root: int = 0) -> IBcastRequest:
+def ibcast(comm, payload: Any, root: int = 0) -> Run:
     """Start a non-blocking broadcast (``MPI_Ibcast``)."""
-    comm._count("ibcast")
-    comm._check_usable()
-    tag = comm._next_coll_tag(CODE_IBCAST)
-    with comm._span("ibcast", peers=(root,), tag=tag,
-                    payload=payload if comm.rank == root else None):
-        return _track(comm, IBcastRequest(comm, payload, root, tag),
-                      "ibcast", tag)
+    return _start(comm, "ibcast", CODE_IBCAST, "bcast", (payload, root),
+                  peers=(root,),
+                  payload=payload if comm.rank == root else None)
 
 
-def iallreduce(comm, value: Any, op: Op) -> IAllreduceRequest:
+def iallreduce(comm, value: Any, op: Op) -> Run:
     """Start a non-blocking allreduce (``MPI_Iallreduce``)."""
-    comm._count("iallreduce")
-    comm._check_usable()
-    tag = comm._next_coll_tag(CODE_IALLREDUCE)
-    with comm._span("iallreduce", peers="all", tag=tag, payload=value):
-        return _track(comm, IAllreduceRequest(comm, value, op, tag),
-                      "iallreduce", tag)
+    if not op.commutative:
+        raise RawUsageError(
+            "iallreduce supports commutative operations only; use the "
+            "blocking allreduce for ordered reductions"
+        )
+    return _start(comm, "iallreduce", CODE_IALLREDUCE, "allreduce",
+                  (value, op), peers="all", payload=value)
 
 
-def iallgather(comm, payload: Any) -> IAllgatherRequest:
+def iallgather(comm, payload: Any) -> Run:
     """Start a non-blocking allgather (``MPI_Iallgather``)."""
-    comm._count("iallgather")
-    comm._check_usable()
-    tag = comm._next_coll_tag(CODE_IALLGATHER)
-    with comm._span("iallgather", peers="all", tag=tag, payload=payload):
-        return _track(comm, IAllgatherRequest(comm, payload, tag),
-                      "iallgather", tag)
+    return _start(comm, "iallgather", CODE_IALLGATHER, "allgather",
+                  (payload,), peers="all", payload=payload)

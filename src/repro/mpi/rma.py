@@ -76,10 +76,8 @@ class RawWindow:
         standard gives.
         """
         self.comm._count("win_fence")
-        from repro.mpi import collectives
-
         with self.comm._span("win_fence", peers="all"):
-            collectives.barrier(self.comm)
+            self.comm._coll_algo("barrier").fn(self.comm)
 
     # -- passive target locks ----------------------------------------------------
 
@@ -228,7 +226,5 @@ class RawWindow:
     def free(self) -> None:
         """Collectively release the window (``MPI_Win_free``)."""
         self.comm._count("win_free")
-        from repro.mpi import collectives
-
         with self.comm._span("win_free", peers="all"):
-            collectives.barrier(self.comm)
+            self.comm._coll_algo("barrier").fn(self.comm)

@@ -1,9 +1,11 @@
 """Non-blocking collectives: progress-on-test state machines."""
 
+import time
+
 import numpy as np
 import pytest
 
-from repro.mpi import MAX, SUM, run_mpi, user_op, waitall
+from repro.mpi import MAX, SUM, CollectiveEngine, run_mpi, user_op, waitall
 from tests.conftest import SMALL_P, runp
 
 
@@ -137,3 +139,47 @@ def test_wrapped_nbc_with_safety():
         assert total == [10.0]
         assert poisoned
         assert gathered == [0, 1, 2, 3]
+
+
+def test_ibcast_rejects_out_of_range_root():
+    """One schedule, one validation: ``ibcast`` raises what ``bcast`` raises
+    (it used to take the root mod p and broadcast from the wrong rank)."""
+    def main(comm):
+        comm.ibcast("x", root=5)
+
+    with pytest.raises(RuntimeError,
+                       match="RawUsageError: root 5 out of range for size 4"):
+        runp(main, 4, deadline=2.0)
+
+
+@pytest.mark.parametrize("p", (2, 3, 4, 7))
+def test_nbc_virtual_times_equal_the_blocking_default(p):
+    """With nothing computed in between, start + wait costs exactly what the
+    blocking default algorithm costs, on every rank."""
+    def nonblocking(comm):
+        comm.ibcast("x" * 40 if comm.rank == p - 1 else None, p - 1).wait()
+        comm.iallreduce(np.arange(3) + comm.rank, SUM).wait()
+        comm.iallgather((comm.rank, "y")).wait()
+
+    def blocking(comm):
+        comm.bcast("x" * 40 if comm.rank == p - 1 else None, p - 1)
+        comm.allreduce(np.arange(3) + comm.rank, SUM)
+        comm.allgather((comm.rank, "y"))
+
+    def times(main):
+        # env={}: forced-algorithm CI lanes must not steer the blocking side
+        return runp(main, p, deadline=30,
+                    engine=CollectiveEngine(env={})).times
+
+    assert times(nonblocking) == times(blocking)
+
+
+def test_wait_raises_deadlock_when_a_rank_never_joins():
+    def main(comm):
+        if comm.rank != 0:
+            comm.iallreduce(1, SUM).wait()
+
+    start = time.monotonic()
+    with pytest.raises(RuntimeError, match="RawDeadlockError"):
+        runp(main, 3, deadline=0.5, backend="thread")
+    assert time.monotonic() - start < 5.0

@@ -11,6 +11,7 @@ import pytest
 
 from repro.core import Communicator, destination, send_buf_out, source
 from repro.mpi import (
+    SUM,
     Machine,
     ResourceLeakError,
     ScheduleFuzzer,
@@ -99,18 +100,24 @@ class TestDeliberateLeaks:
     def test_leaked_ibcast_reports_request_not_posted_recv(self):
         """The internal receive of an i-collective is attributed to the
         request (one record), not double-reported by the mailbox sweep."""
-        def main(comm):
-            req = comm.ibcast(np.arange(4), root=0)
-            if comm.rank == 0:
-                req.wait()
-            # non-root never completes its ibcast
+        starts = {
+            "ibcast": lambda comm: comm.ibcast(np.arange(4), root=0),
+            "iallreduce": lambda comm: comm.iallreduce(np.arange(4), SUM),
+        }
+        for op, start in starts.items():
+            def main(comm):
+                req = start(comm)
+                if comm.rank == 0:
+                    req.wait()
+                # rank 1 never completes its collective
 
-        with pytest.raises(ResourceLeakError) as exc:
-            runp(main, 2, sanitize=True)
-        report = exc.value.report
-        assert not report.by_kind().get("posted_recv")
-        recs = _leak_of(exc, "request")
-        assert {r.op for r in recs} == {"ibcast"}
+            with pytest.raises(ResourceLeakError) as exc:
+                runp(main, 2, sanitize=True)
+            report = exc.value.report
+            assert not report.by_kind().get("posted_recv")
+            recs = _leak_of(exc, "request")
+            assert {r.op for r in recs} == {op}
+            assert {r.rank for r in recs} == {1}
 
     def test_leaked_poison_is_reported(self):
         def main(comm):
