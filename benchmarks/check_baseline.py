@@ -13,10 +13,11 @@ reported but never fail — refresh the baseline to lock them in:
 
 Also re-measures the process/thread backend wall-clock ratio
 (``bench_overhead.backend_wall_ratio``) and compares it against the
-``process_thread_ratio`` committed in ``BENCH_baseline.json``.  Wall clock
-is noisy, so the tolerance is deliberately generous (3x): the gate exists
-to catch order-of-magnitude regressions in the process backend's fork /
-pipe / pickle path, not small scheduling jitter.
+``process_thread_ratio`` committed in ``BENCH_baseline.json`` (re-recorded
+at PR 15: the median of 15 runs pinned to one CPU).  Wall clock is noisy —
+the same commit reads 4.3x to 10.5x run to run — so the tolerance is 2x: the
+gate catches a process backend that got twice as slow to fork, frame or
+pipe, not scheduling jitter.
 
 Exit status: 0 clean, 1 regression.  Run from the repository root.
 """
@@ -34,7 +35,7 @@ _ROOT = Path(__file__).resolve().parent.parent
 BASELINE = _ROOT / "BENCH_coll_algorithms.json"
 WALL_BASELINE = _ROOT / "BENCH_baseline.json"
 TOLERANCE = 1.25  # >25% worse on either metric is a regression
-WALL_RATIO_TOLERANCE = 3.0  # wall clock: only order-of-magnitude drift fails
+WALL_RATIO_TOLERANCE = 2.0  # wall clock: a factor of two fails, jitter does not
 METRICS = ("raw_ops", "sent_bytes")
 
 

@@ -11,8 +11,9 @@ management — so the same binding code must run unchanged over any backend
   :class:`~repro.mpi.machine.Machine` (per-rank clocks/profiles, a tracer,
   a collective engine, a communicator registry, ``require()``);
 - a **transport**: communicator states whose ``mailboxes[dest].deposit(env)``
-  delivers envelopes to the destination rank and whose ``barrier`` supports
-  the non-blocking-barrier arrival protocol;
+  delivers envelopes to the destination rank — leaving the sender's buffer
+  free for reuse when it returns, by whatever copy the transport needs —
+  and whose ``barrier`` supports the non-blocking-barrier arrival protocol;
 - **result marshalling** of per-rank values, virtual clocks, PMPI counters,
   and trace events back to the caller.
 

@@ -1,19 +1,46 @@
 """One-OS-process-per-rank execution backend.
 
-Ranks are ``multiprocessing`` processes connected by per-pair duplex pipes;
-envelopes cross rank boundaries as pickled messages.  The entire binding
-stack — mailbox matching, the collective algorithms, non-blocking
+Ranks are ``multiprocessing`` processes; every ordered rank pair owns one
+simplex pipe, and envelopes cross it as self-framed messages.  The entire
+binding stack — mailbox matching, the collective algorithms, non-blocking
 collectives, communicator split/dup, tracing, the virtual cost model — runs
 unchanged on top: each rank builds a *rank-local replica* of the machine
 (:class:`_ProcessMachine`) in which its own mailbox is the real
 :class:`~repro.mpi.p2p.Mailbox` and every other rank's mailbox is a
-:class:`_RemoteMailbox` proxy that ships the envelope down the pipe to the
-peer, whose pump thread deposits it into the peer's real mailbox.  Because
-matching, clocks, and algorithms are byte-for-byte the same code, a
-wildcard-free program produces bit-identical results, virtual times, PMPI
-counters, and traces on both backends (``tests/backends/`` enforces this).
+:class:`_RemoteMailbox` proxy that writes the envelope down the pipe to the
+peer, whose pump thread for that pipe delivers it into the peer's real
+mailbox.  Because matching, clocks, and algorithms are byte-for-byte the same
+code, a wildcard-free program produces bit-identical results, virtual times,
+PMPI counters, and traces on both backends (``tests/backends/`` enforces this).
 
-Wire protocol (one pickled tuple per message, FIFO per pair):
+Wire protocol.  One message is one frame, FIFO per pipe::
+
+    <II  header length, buffer count n     (_PREFIX)
+    <nQ  the n buffer lengths
+    header   protocol-5 pickle of the message tuple, taken with
+             ``buffer_callback``: every contiguous buffer inside it — a
+             top-level ndarray or the arrays nested in the lists, tuples and
+             dicts the collective schedules ship — is left out of band
+    the n buffers, raw
+
+The sender gather-writes the frame with ``os.writev`` straight from the
+payload's own memory, under a per-destination lock; the receiver reads each
+buffer straight into the ``bytearray`` the unpickled array then uses as its
+storage.  Those are the only two copies a buffer pays (into the pipe, out of
+the pipe); an object that exports no buffer is simply a frame with ``n = 0``.
+Serialisation finishes before the first byte is written, so an unpicklable
+payload raises without leaving half a frame behind.  No send-time
+:func:`~repro.mpi.datatypes.snapshot` is taken on this path — that is
+:meth:`Mailbox.deposit <repro.mpi.p2p.Mailbox.deposit>`'s job, where sender
+and receiver share memory; here the blocking write has copied the bytes out
+of the caller's buffer before the send returns, and the pump hands what it
+unpickled to :meth:`~repro.mpi.p2p.Mailbox.deliver` without copying it again.
+What arrives is what a snapshot would be: same dtype, shape and memory order,
+private, and writeable even if the sent array was not (pickle would carry a
+buffer's read-only flag across, so a message holding one is deep-copied
+first: the one case that pays a third copy).
+
+The message tuples:
 
 - ``("env", comm_id, source, tag, payload, nbytes, arrival_time, token)`` —
   a message envelope; ``token`` is non-``None`` for synchronous sends and is
@@ -21,6 +48,12 @@ Wire protocol (one pickled tuple per message, FIFO per pair):
 - ``("bar", comm_id, epoch, clock)`` / ``("bardone", comm_id, epoch, t)`` —
   the non-blocking-barrier arrival protocol, coordinated by the member with
   the lowest world rank (:class:`_PipeBarrier`).
+- ``("abort", world_rank)`` — sent to every peer by a rank whose ``fn``
+  raised, before it reports ``done``.  The receiver adds the rank to
+  ``failed_snapshot()``, so a receive, probe, send or ``ibarrier`` wait that
+  involves it raises :class:`~repro.mpi.errors.RawProcessFailure` within one
+  backoff step instead of sleeping out the deadlock deadline (the parent
+  reports the root cause, not the peers' failures).
 
 The parent coordinates startup and teardown over a per-rank control pipe:
 every child reports ``up``, the parent releases them all with ``start``
@@ -49,10 +82,12 @@ spawn context, under which ``fn`` must be a module-level callable.
 
 from __future__ import annotations
 
+import copy
 import itertools
 import multiprocessing
 import os
 import pickle
+import struct
 import threading
 import traceback
 from collections import Counter
@@ -64,6 +99,7 @@ from repro.mpi.costmodel import Clock, CostModel
 from repro.mpi.engine import CollectiveEngine
 from repro.mpi.errors import (
     RawDeadlockError,
+    RawProcessFailure,
     RawUsageError,
     UnsupportedOnBackend,
 )
@@ -87,8 +123,68 @@ def unsupported(feature: str, what: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# transport: pipes, pump thread, sync-send acks
+# transport: framed simplex pipes, pump threads, sync-send acks
 # ---------------------------------------------------------------------------
+
+#: start of every frame: header length, out-of-band buffer count
+_PREFIX = struct.Struct("<II")
+_IOV_MAX = os.sysconf("SC_IOV_MAX")
+
+
+def _pickle(msg: tuple) -> tuple[bytes, list[memoryview]]:
+    buffers: list[pickle.PickleBuffer] = []
+    header = pickle.dumps(msg, protocol=5, buffer_callback=buffers.append)
+    return header, [b.raw() for b in buffers]
+
+
+def _encode(msg: tuple) -> list:
+    """Serialise ``msg`` into the gather list of one frame.
+
+    Everything that can fail on the payload's account happens here, before
+    a byte is written.  The out-of-band views alias the sender's memory.
+    """
+    header, views = _pickle(msg)
+    if any(v.readonly for v in views):
+        # pickle would mark the receiver's buffer read-only too, but a
+        # receiver owns what it receives: ship a (writeable) deep copy
+        header, views = _pickle(copy.deepcopy(msg))
+    prefix = _PREFIX.pack(len(header), len(views)) + struct.pack(
+        f"<{len(views)}Q", *(v.nbytes for v in views))
+    return [prefix, header, *(v for v in views if v.nbytes)]
+
+
+def _write_frame(fd: int, parts: list) -> None:
+    """Gather-write ``parts`` (none empty), resuming partial writes."""
+    i = 0
+    while i < len(parts):
+        n = os.writev(fd, parts[i:i + _IOV_MAX])
+        while n:
+            size = len(parts[i])
+            if n < size:
+                parts[i] = memoryview(parts[i])[n:]
+                break
+            n -= size
+            i += 1
+
+
+def _read_exact(frames, size: int) -> bytes:
+    data = frames.read(size)
+    if len(data) < size:
+        raise EOFError
+    return data
+
+
+def _read_frame(frames) -> tuple:
+    """Read one frame; each out-of-band buffer lands in the ``bytearray``
+    the unpickled array keeps as its (writeable, private) storage."""
+    header_len, nbuf = _PREFIX.unpack(_read_exact(frames, _PREFIX.size))
+    sizes = struct.unpack(f"<{nbuf}Q", _read_exact(frames, 8 * nbuf))
+    header = _read_exact(frames, header_len)
+    buffers = [bytearray(size) for size in sizes]
+    for buf in buffers:
+        if frames.readinto(buf) < len(buf):
+            raise EOFError
+    return pickle.loads(header, buffers=buffers)
 
 
 class _AckEvent:
@@ -116,10 +212,13 @@ class _AckEvent:
 
 
 class _RemoteMailbox:
-    """Send-side proxy for a peer rank's mailbox: ``deposit`` ships the
+    """Send-side proxy for a peer rank's mailbox: ``deposit`` writes the
     envelope down the pipe; the peer's pump thread delivers it into the real
     :class:`~repro.mpi.p2p.Mailbox` over there.  Only ``deposit`` exists —
     probing and receiving always target the rank's own (local) mailbox.
+
+    No send-time snapshot is taken: the blocking write has copied the bytes
+    out of the caller's buffer by the time ``deposit`` returns.
     """
 
     __slots__ = ("_transport", "_comm_id", "_dest_world")
@@ -131,11 +230,10 @@ class _RemoteMailbox:
         self._dest_world = dest_world
 
     def deposit(self, env: Envelope) -> None:
-        token = None
-        if env.sync_event is not None:
-            token = self._transport.register_sync(env)
+        transport = self._transport
+        token = transport.new_token() if env.sync_event is not None else None
         try:
-            self._transport.send(self._dest_world, (
+            frame = _encode((
                 "env", self._comm_id, env.source, env.tag, env.payload,
                 env.nbytes, env.arrival_time, token,
             ))
@@ -145,6 +243,9 @@ class _RemoteMailbox:
                 f"payload of type {type(env.payload).__name__} could not be "
                 f"pickled for the process-backend transport: {exc}"
             ) from exc
+        if token is not None:
+            transport.register_sync(token, env)
+        transport.write(self._dest_world, frame)
 
 
 class _PipeBarrier:
@@ -157,10 +258,12 @@ class _PipeBarrier:
     """
 
     def __init__(self, transport: "_Transport", comm_id: Hashable,
-                 members: tuple[int, ...], my_world: int, alpha: float):
+                 members: tuple[int, ...], my_world: int, alpha: float,
+                 failure_probe: Callable[[], frozenset[int]]):
         self._transport = transport
         self._comm_id = comm_id
         self._members = members
+        self._failure_probe = failure_probe
         self._my = my_world
         self._coord = members[0]
         self._size = len(members)
@@ -219,24 +322,31 @@ class _PipeBarrier:
         with self._cond:
             while epoch not in self._complete_time:
                 self._cond.wait(timeout=backoff.next_timeout())
-                if epoch not in self._complete_time and backoff.expired:
+                if epoch in self._complete_time:
+                    break
+                failed = self._failure_probe().intersection(self._members)
+                if failed:
+                    raise RawProcessFailure(failed)
+                if backoff.expired:
                     raise RawDeadlockError("ibarrier never completed")
 
 
 class _Transport:
-    """One rank's pipe endpoints plus the pump thread that drains them.
+    """One rank's pipe ends plus the pump threads that drain them.
 
-    Sends are serialized per peer (``Connection.send`` is not thread-safe:
-    the rank's main thread and the pump thread — acks, barrier broadcasts —
-    both send).  Messages for communicators this rank has not locally
+    ``pipes`` maps each peer to ``(from_peer, to_peer)``, the read end of
+    one simplex pipe and the write end of the other.  Frames to one peer are
+    written under a per-destination lock (the rank's main thread and its
+    pump threads — acks, barrier broadcasts — both send), so they never
+    interleave.  Messages for communicators this rank has not locally
     created yet are stashed under the registry lock and drained by
     ``get_or_create_comm``, preserving per-pair FIFO order.
     """
 
-    def __init__(self, my_rank: int, peer_conns: dict[int, Any]):
+    def __init__(self, my_rank: int, pipes: dict[int, tuple[Any, Any]]):
         self._my = my_rank
-        self._conns = peer_conns
-        self._send_locks = {w: threading.Lock() for w in peer_conns}
+        self._pipes = pipes
+        self._send_locks = {w: threading.Lock() for w in pipes}
         self._machine: Optional["_ProcessMachine"] = None
         self._stash: dict[Hashable, list[tuple]] = {}
         self._sync: dict[tuple, Envelope] = {}
@@ -245,33 +355,47 @@ class _Transport:
 
     # -- sending -----------------------------------------------------------
 
-    def send(self, world: int, msg: tuple) -> None:
+    def write(self, world: int, frame: list) -> None:
         with self._send_locks[world]:
-            self._conns[world].send(msg)
+            _write_frame(self._pipes[world][1].fileno(), frame)
 
-    def register_sync(self, env: Envelope) -> tuple:
-        token = (self._my, next(self._sync_counter))
+    def send(self, world: int, msg: tuple) -> None:
+        self.write(world, _encode(msg))
+
+    def abort(self) -> None:
+        """Tell every peer this rank's ``fn`` raised, so receives blocked on
+        it fail within one backoff step instead of at the deadline."""
+        for world in self._pipes:
+            try:
+                self.send(world, ("abort", self._my))
+            except OSError:  # that peer is already gone
+                pass
+
+    def new_token(self) -> tuple:
+        return (self._my, next(self._sync_counter))
+
+    def register_sync(self, token: tuple, env: Envelope) -> None:
         with self._sync_lock:
             self._sync[token] = env
-        return token
 
     # -- receiving ---------------------------------------------------------
 
     def start(self, machine: "_ProcessMachine") -> None:
+        """One blocking reader per peer pipe: per-pair FIFO by construction."""
         self._machine = machine
-        threading.Thread(
-            target=self._pump, name=f"pump-{self._my}", daemon=True
-        ).start()
+        for world, (from_peer, _) in self._pipes.items():
+            threading.Thread(
+                target=self._pump, args=(from_peer,),
+                name=f"pump-{self._my}<{world}", daemon=True,
+            ).start()
 
-    def _pump(self) -> None:
-        conns = list(self._conns.values())
-        while conns:
-            for conn in mp_connection.wait(conns):
+    def _pump(self, from_peer) -> None:
+        with open(from_peer.fileno(), "rb", closefd=False) as frames:
+            while True:
                 try:
-                    msg = conn.recv()
+                    msg = _read_frame(frames)
                 except (EOFError, OSError):
-                    conns.remove(conn)
-                    continue
+                    return
                 self._dispatch(msg)
 
     def _dispatch(self, msg: tuple) -> None:
@@ -283,6 +407,9 @@ class _Transport:
             if env is not None:
                 env.match_clock = match_clock
                 env.sync_event.set()
+            return
+        if msg[0] == "abort":
+            machine.peer_failed(msg[1])
             return
         comm_id = msg[1]
         with machine._registry_lock:
@@ -315,7 +442,8 @@ class _Transport:
                            sync_event=sync)
             if sync is not None:
                 sync.env = env
-            state.mailboxes[state.local_of_world[self._my]].deposit(env)
+            # freshly unpickled, referenced by nobody else: no snapshot
+            state.mailboxes[state.local_of_world[self._my]].deliver(env)
         elif kind == "bar":
             state.barrier.remote_arrive(msg[2], msg[3])
         elif kind == "bardone":
@@ -358,7 +486,7 @@ class _ProcessCommState:
                 )
         self.barrier = _PipeBarrier(
             machine.transport, comm_id, self.members, machine.my_rank,
-            machine.cost_model.alpha,
+            machine.cost_model.alpha, machine.failed_snapshot,
         )
         self.topology = topology
         self.revoked = threading.Event()
@@ -402,6 +530,7 @@ class _ProcessMachine:
         self.transport = transport
         self._registry_lock = threading.Lock()
         self._comms: dict[Hashable, _ProcessCommState] = {}
+        self._failed: frozenset[int] = frozenset()
         self.world = self.get_or_create_comm(WORLD_ID, range(num_ranks))
 
     # -- backend feature contract ------------------------------------------
@@ -426,10 +555,15 @@ class _ProcessMachine:
                 )
             return state
 
-    # -- failures: nothing ever fails here; injection is thread-only -------
+    # -- failures: peers whose ``fn`` raised; injection is thread-only -----
 
     def failed_snapshot(self) -> frozenset[int]:
-        return frozenset()
+        return self._failed
+
+    def peer_failed(self, world_rank: int) -> None:
+        """An ``abort`` frame arrived (called by that peer's pump thread)."""
+        with self._registry_lock:
+            self._failed = self._failed | {world_rank}
 
     def alive_members(self, state: _ProcessCommState) -> tuple[int, ...]:
         return state.members
@@ -447,12 +581,12 @@ class _ProcessMachine:
 
 
 def _child_main(rank: int, num_ranks: int, fn: Callable[..., Any],
-                args: tuple, cfg: dict, peer_conns: dict[int, Any],
+                args: tuple, cfg: dict, pipes: dict[int, tuple[Any, Any]],
                 parent_conn) -> None:
     from repro.mpi.context import RawComm
 
     tracer = TraceRecorder(num_ranks) if cfg["trace"] else None
-    transport = _Transport(rank, peer_conns)
+    transport = _Transport(rank, pipes)
     machine = _ProcessMachine(
         rank, num_ranks, cost_model=cfg["cost_model"],
         deadline=cfg["deadline"], tracer=tracer, engine=cfg["engine"],
@@ -469,6 +603,7 @@ def _child_main(rank: int, num_ranks: int, fn: Callable[..., Any],
         value = fn(comm, *args)
     except BaseException as exc:  # noqa: BLE001 - marshalled to the parent
         error = (type(exc).__name__, str(exc), traceback.format_exc())
+        transport.abort()
 
     clock = machine.clocks[rank]
     report = {
@@ -552,15 +687,15 @@ class ProcessBackend(Backend):
         want_trace = bool(trace) or isinstance(trace, TraceRecorder)
         ctx = self._context()
 
-        # per-pair duplex pipes + a control pipe per rank
-        pair_conns: dict[int, dict[int, Any]] = {
-            r: {} for r in range(num_ranks)
+        # a simplex pipe per ordered rank pair + a control pipe per rank
+        ends = {(src, dst): ctx.Pipe(duplex=False)
+                for src in range(num_ranks) for dst in range(num_ranks)
+                if src != dst}
+        pipes: dict[int, dict[int, tuple[Any, Any]]] = {
+            r: {w: (ends[w, r][0], ends[r, w][1])
+                for w in range(num_ranks) if w != r}
+            for r in range(num_ranks)
         }
-        for i in range(num_ranks):
-            for j in range(i + 1, num_ranks):
-                ci, cj = ctx.Pipe(True)
-                pair_conns[i][j] = ci
-                pair_conns[j][i] = cj
         cfg = {"cost_model": cost_model, "deadline": deadline,
                "trace": want_trace, "engine": engine}
         ctl: dict[int, Any] = {}
@@ -572,7 +707,7 @@ class ProcessBackend(Backend):
             child_ends.append(child_end)
             procs[r] = ctx.Process(
                 target=_child_main,
-                args=(r, num_ranks, fn, tuple(args), cfg, pair_conns[r],
+                args=(r, num_ranks, fn, tuple(args), cfg, pipes[r],
                       child_end),
                 name=f"repro-rank-{r}", daemon=True,
             )
@@ -583,9 +718,9 @@ class ProcessBackend(Backend):
             self._terminate(procs)
             raise
         # drop the parent's copies so only the owning children hold them
-        for conns in pair_conns.values():
-            for conn in conns.values():
-                conn.close()
+        for reader, writer in ends.values():
+            reader.close()
+            writer.close()
         for child_end in child_ends:
             child_end.close()
 
@@ -659,9 +794,11 @@ class ProcessBackend(Backend):
         by_rank = {r: payload[0] for r, payload in reports.items()}
 
         def _priority(item):
-            # peers of a raising rank hit their deadlock deadline; surface
-            # the root cause first (same policy as the thread backend)
-            return 1 if item[1]["error"][0] == "RawDeadlockError" else 0
+            # peers of a raising rank see it fail (or, blocked elsewhere, hit
+            # their deadlock deadline); surface the root cause first (same
+            # policy as the thread backend)
+            return item[1]["error"][0] in ("RawProcessFailure",
+                                           "RawDeadlockError")
 
         raised = [(r, rep) for r, rep in sorted(by_rank.items())
                   if rep["error"] is not None]

@@ -20,7 +20,7 @@ import numpy as np
 from repro.mpi.algorithms import SINGLETON, Algorithm
 from repro.mpi.constants import ANY_SOURCE, ANY_TAG, PROC_NULL, collective_tag, validate_user_tag
 from repro.mpi.costmodel import Clock
-from repro.mpi.datatypes import payload_nbytes, snapshot
+from repro.mpi.datatypes import payload_nbytes
 from repro.mpi.errors import (
     RawCommRevoked,
     RawProcessFailure,
@@ -180,7 +180,7 @@ class RawComm:
         env = Envelope(
             source=self._rank,
             tag=tag,
-            payload=snapshot(payload),
+            payload=payload,
             nbytes=nbytes,
             arrival_time=arrival,
             sync_event=threading.Event() if sync else None,

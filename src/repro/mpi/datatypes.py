@@ -71,10 +71,13 @@ def snapshot(obj: Any) -> Any:
 
     MPI's buffered semantics allow the caller to mutate the send buffer as
     soon as the call returns; the runtime therefore snapshots mutable
-    payloads.  Immutable objects are passed through unchanged.
+    payloads.  Immutable objects are passed through unchanged.  An array
+    keeps its memory order (``"A"``: Fortran if only Fortran-contiguous,
+    else C), which is also what a pickle round trip through the process
+    backend's pipes delivers.
     """
     if isinstance(obj, np.ndarray):
-        return obj.copy()
+        return obj.copy(order="A")
     if isinstance(obj, (bytes, str, int, float, bool, frozenset, type(None))):
         return obj
     if isinstance(obj, tuple) and all(

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
 from repro.mpi.constants import ANY_SOURCE, ANY_TAG
+from repro.mpi.datatypes import snapshot
 from repro.mpi.errors import RawDeadlockError, RawProcessFailure, RawUsageError
 from repro.mpi.waiting import Backoff
 
@@ -109,7 +110,19 @@ class Mailbox:
     # -- sending ----------------------------------------------------------
 
     def deposit(self, env: Envelope) -> None:
-        """Deliver an envelope, matching a posted receive if one is waiting."""
+        """The sender's entry, one call per message: this mailbox shares the
+        sender's memory, so buffered-send semantics need a private copy of
+        the payload (the caller may mutate its buffer once the send returns).
+        """
+        env.payload = snapshot(env.payload)
+        self.deliver(env)
+
+    def deliver(self, env: Envelope) -> None:
+        """Match a posted receive if one is waiting, else queue the envelope.
+
+        Entered directly only with a payload nobody else references (the
+        process backend's pump, holding a freshly unpickled one).
+        """
         if self.fuzz is not None:
             self.fuzz.pause("deposit")
         with self._cond:

@@ -9,11 +9,12 @@ traceback to the caller instead of a bare "child died".
 from __future__ import annotations
 
 import os
+import time
 
 import numpy as np
 import pytest
 
-from repro.mpi import RawUsageError, UnsupportedOnBackend, run_mpi
+from repro.mpi import SUM, RawUsageError, UnsupportedOnBackend, run_mpi
 from repro.mpi.faultinject import FaultCampaign, KillOnOp
 
 pytestmark = pytest.mark.slow
@@ -66,8 +67,52 @@ class TestRemoteErrors:
             elif comm.rank == 1:
                 comm.recv(0, 0)
 
+        t0 = time.monotonic()
         with pytest.raises(RuntimeError, match="could not be pickled"):
             run_mpi(send_lambda, 2, backend="process", deadline=15.0)
+        # rank 0's abort frame fails rank 1's recv; nobody rides the deadline
+        assert time.monotonic() - t0 < 3.0
+
+    @pytest.mark.parametrize("join", [
+        lambda comm: comm.allreduce(comm.rank, SUM),
+        lambda comm: comm.ibarrier().wait(),
+    ], ids=["allreduce", "ibarrier"])
+    def test_peers_in_a_collective_fail_fast(self, join):
+        def raise_before_joining(comm):
+            if comm.rank == 0:
+                raise ValueError("rank 0 never joins")
+            return join(comm)
+
+        t0 = time.monotonic()
+        with pytest.raises(RuntimeError) as excinfo:
+            run_mpi(raise_before_joining, 3, backend="process",
+                    deadline=15.0)
+        assert time.monotonic() - t0 < 3.0
+        # the root cause, not a peer's RawProcessFailure
+        assert "rank 0 raised ValueError: rank 0 never joins" in str(
+            excinfo.value)
+
+    def test_pipe_is_usable_after_a_failed_send(self):
+        def fail_then_send(comm):
+            if comm.rank == 1:
+                return [comm.recv(0)[0] for _ in range(3)]
+            raised = []
+            for post in (comm.send, comm.ssend):
+                try:
+                    post(lambda: 1, 1)
+                except RawUsageError as exc:
+                    raised.append("could not be pickled" in str(exc))
+            comm.send(np.arange(4), 1)
+            comm.ssend("second", 1)
+            comm.send(np.arange(4) + 10, 1)
+            # the failed ssend left no match token behind
+            return raised, len(comm.machine.transport._sync)
+
+        res = run_mpi(fail_then_send, 2, backend="process", deadline=15.0)
+        assert res.values[0] == ([True, True], 0)
+        first, second, third = res.values[1]
+        assert first.tolist() == [0, 1, 2, 3] and second == "second"
+        assert third.tolist() == [10, 11, 12, 13]
 
 
 class TestUnsupportedFeatures:

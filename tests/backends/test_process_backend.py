@@ -71,7 +71,8 @@ def test_env_variable_selects_backend(monkeypatch):
     assert res.values == [os.getpid()] * 2
 
 
-def test_resolve_backend_registry():
+def test_resolve_backend_registry(monkeypatch):
+    monkeypatch.delenv("REPRO_BACKEND", raising=False)  # the CI process cell
     assert isinstance(resolve_backend(None), ThreadBackend)
     assert isinstance(resolve_backend("process"), ProcessBackend)
     inst = ProcessBackend()

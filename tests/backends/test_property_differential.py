@@ -1,7 +1,8 @@
 """Hypothesis differential testing: random p2p programs on both backends.
 
-A generated program is a global list of sends ``(src, dst, tag, nbytes)``
-executed SPMD: every rank performs its sends (standard mode — buffered, so
+A generated program is a global list of sends ``(src, dst, tag, nbytes,
+nest)`` — ``nest`` picks the container the array body travels in — executed
+SPMD: every rank performs its sends (standard mode — buffered, so
 any program is deadlock-free) and then receives everything addressed to it,
 either by explicit ``(source, tag)`` in a deterministic order or entirely
 through wildcards.  Results are compared element-wise between the process
@@ -27,6 +28,7 @@ _SEND = st.tuples(
     st.integers(0, 2),   # dst
     st.integers(0, 5),   # tag
     st.integers(0, 48),  # payload length (bytes of the array body)
+    st.integers(0, 3),   # nesting of the body (see _NESTS)
 )
 
 PROGRAMS = st.tuples(
@@ -36,23 +38,35 @@ PROGRAMS = st.tuples(
 )
 
 
-def _payload(src: int, dst: int, tag: int, i: int, size: int) -> tuple:
+#: containers of arrays, as the collective schedules ship them: every
+#: array inside must cross the pipe like a top-level one
+_NESTS = (
+    lambda body: body,
+    lambda body: [body[: len(body) // 2], body[len(body) // 2:]],
+    lambda body: {"strided": body[::2], "count": len(body),
+                  "wide": body.astype(">u2")},
+    lambda body: (len(body), [(0, body), (1, [body, body[:0]])]),
+)
+
+
+def _payload(src: int, dst: int, tag: int, i: int, size: int,
+             nest: int) -> tuple:
     body = np.full(size, (src * 31 + tag * 7 + i) % 251, dtype=np.uint8)
-    return (src, dst, tag, i, body)
+    return (src, dst, tag, i, _NESTS[nest](body))
 
 
 def _record(pl, status) -> tuple:
     return (status.source, status.tag, status.nbytes,
-            pl[0], pl[1], pl[2], pl[3], pl[4].tobytes())
+            pl[0], pl[1], pl[2], pl[3], repr(canon(pl[4])))
 
 
 def _exchange(comm, sends, wildcard):
     p = comm.size
-    sends = [(src % p, dst % p, tag, size)
-             for (src, dst, tag, size) in sends]
-    for i, (src, dst, tag, size) in enumerate(sends):
+    sends = [(src % p, dst % p, tag, size, nest)
+             for (src, dst, tag, size, nest) in sends]
+    for i, (src, dst, tag, size, nest) in enumerate(sends):
         if src == comm.rank:
-            comm.send(_payload(src, dst, tag, i, size), dst, tag)
+            comm.send(_payload(src, dst, tag, i, size, nest), dst, tag)
     got = []
     if wildcard:
         for _ in [s for s in sends if s[1] == comm.rank]:
@@ -60,7 +74,7 @@ def _exchange(comm, sends, wildcard):
             got.append(_record(pl, status))
         got.sort()  # wildcard match order is timing-dependent by design
     else:
-        for i, (src, dst, tag, size) in enumerate(sends):
+        for i, (src, dst, tag, size, nest) in enumerate(sends):
             if dst == comm.rank:
                 pl, status = comm.recv(src, tag)
                 got.append(_record(pl, status))
@@ -68,11 +82,13 @@ def _exchange(comm, sends, wildcard):
 
 
 @given(PROGRAMS)
-@example((2, [(0, 1, 0, 0)], True))               # smallest wildcard program
-@example((2, [(0, 1, 1, 8), (0, 1, 0, 4)], False))  # out-of-order tag match
-@example((3, [(0, 2, 0, 3), (1, 2, 0, 3), (2, 2, 0, 3)], True))  # fan-in
-@example((3, [(0, 0, 2, 16)], False))             # self-send
-@example((2, [(1, 0, 3, 48)] * 4, False))         # non-overtaking burst
+@example((2, [(0, 1, 0, 0, 0)], True))            # smallest wildcard program
+@example((2, [(0, 1, 1, 8, 0), (0, 1, 0, 4, 0)], False))  # out-of-order tags
+@example((3, [(0, 2, 0, 3, 0), (1, 2, 0, 3, 0), (2, 2, 0, 3, 0)],
+          True))                                   # fan-in
+@example((3, [(0, 0, 2, 16, 0)], False))          # self-send
+@example((2, [(1, 0, 3, 48, 0)] * 4, False))      # non-overtaking burst
+@example((2, [(0, 1, 0, 48, n) for n in range(4)], False))  # every nesting
 @settings(max_examples=15, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 def test_random_send_recv_programs_agree(program):
