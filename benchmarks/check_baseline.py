@@ -14,8 +14,9 @@ reported but never fail — refresh the baseline to lock them in:
 Also re-measures the process/thread backend wall-clock ratio
 (``bench_overhead.backend_wall_ratio``) and compares it against the
 ``process_thread_ratio`` committed in ``BENCH_baseline.json`` (re-recorded
-at PR 15: the median of 15 runs pinned to one CPU).  Wall clock is noisy —
-the same commit reads 4.3x to 10.5x run to run — so the tolerance is 2x: the
+at PR 16, whose wait path made the thread side 1.7x faster: the median of 15
+runs pinned to one CPU).  Wall clock is noisy — the same commit reads 7x to
+11.5x run to run — so the tolerance is 2x: the
 gate catches a process backend that got twice as slow to fork, frame or
 pipe, not scheduling jitter.
 

@@ -144,6 +144,11 @@ def _receiver(plan: CallPlan) -> Callable[..., Any]:
                if plan.kind("recv_buf") == "deserializable" else -1)
     finish = _packer(plan, "recv_buf", "status")
 
+    if count < 0 and wrapper < 0:  # nothing to check, nothing to decode
+        if plan.out_keys == ("recv_buf",) and plan.pos("recv_buf") < 0:
+            return lambda comm, params, received: received[0]  # nor to pack
+        return lambda comm, params, received: finish(params, *received)
+
     def deliver(comm, params, received):
         payload, status = received
         if wrapper >= 0:
@@ -195,17 +200,28 @@ def _sending(plan: CallPlan, name: str) -> Run:
     """send/ssend, and isend/issend whose result owns the buffer."""
     encode, tag = _sender(plan), _arg(plan, "tag", 0)
     buf, dest = plan.index["send_buf"], plan.index["destination"]
-    sig = plan.sig("send_buf")
-    nonblocking = name in ("isend", "issend")
-    re_returned = sig.moved or sig.direction == INOUT  # handed back by wait()
 
-    def run(comm, params):
-        request = getattr(comm.raw, name)(
-            encode(comm, params)[0], params[dest].data, tag(params))
-        if nonblocking:
+    if name in ("isend", "issend"):
+        sig = plan.sig("send_buf")
+        re_returned = sig.moved or sig.direction == INOUT  # handed back by wait()
+
+        def run(comm, params):
+            request = getattr(comm.raw, name)(
+                encode(comm, params)[0], params[dest].data, tag(params))
             data = params[buf].data
             return _in_flight(comm, request, data, name,
                               held=data if re_returned else None)
+    elif (name == "send" and plan.kind("send_buf") == "array"
+            and plan.pos("send_count") < 0 and plan.pos("tag") < 0):
+        def run(comm, params):  # an array, as it is, default tag: one call
+            data = params[buf].data
+            if data.dtype.hasobject:
+                _types.encode_send(data)  # raises SerializationRequiredError
+            comm.raw.send(data, params[dest].data, 0)
+    else:
+        def run(comm, params):
+            getattr(comm.raw, name)(
+                encode(comm, params)[0], params[dest].data, tag(params))
     return run
 
 

@@ -50,10 +50,11 @@ The message tuples:
   the lowest world rank (:class:`_PipeBarrier`).
 - ``("abort", world_rank)`` — sent to every peer by a rank whose ``fn``
   raised, before it reports ``done``.  The receiver adds the rank to
-  ``failed_snapshot()``, so a receive, probe, send or ``ibarrier`` wait that
-  involves it raises :class:`~repro.mpi.errors.RawProcessFailure` within one
-  backoff step instead of sleeping out the deadlock deadline (the parent
-  reports the root cause, not the peers' failures).
+  ``failed_snapshot()`` and interrupts whoever is parked, so a receive,
+  probe, send or ``ibarrier`` wait that involves it raises
+  :class:`~repro.mpi.errors.RawProcessFailure` at once instead of sleeping
+  out the deadlock deadline (the parent reports the root cause, not the
+  peers' failures).
 
 The parent coordinates startup and teardown over a per-rank control pipe:
 every child reports ``up``, the parent releases them all with ``start``
@@ -187,13 +188,13 @@ def _read_frame(frames) -> tuple:
     return pickle.loads(header, buffers=buffers)
 
 
-class _AckEvent:
-    """Receiver-side stand-in for a synchronous send's match event.
+class _AckGate:
+    """Receiver-side stand-in for a synchronous send's match gate.
 
     :meth:`~repro.mpi.p2p.PendingRecv.complete` stamps ``env.match_clock``
-    and calls ``sync_event.set()``; here ``set()`` ships the ack back to the
-    sender, whose transport completes the *sender's* local envelope (a real
-    :class:`threading.Event`), unblocking its ``SyncSendRequest``.
+    and calls ``sync_gate.open()``; here ``open()`` ships the ack back to the
+    sender, whose transport opens the *sender's* local envelope's (real)
+    :class:`~repro.mpi.waiting.Gate`, unblocking its ``SyncSendRequest``.
     """
 
     __slots__ = ("_transport", "_peer_world", "_token", "env")
@@ -204,7 +205,7 @@ class _AckEvent:
         self._token = token
         self.env: Optional[Envelope] = None
 
-    def set(self) -> None:
+    def open(self) -> None:
         self._transport.send(
             self._peer_world,
             ("ack", self._token, self.env.match_clock if self.env else 0.0),
@@ -231,7 +232,7 @@ class _RemoteMailbox:
 
     def deposit(self, env: Envelope) -> None:
         transport = self._transport
-        token = transport.new_token() if env.sync_event is not None else None
+        token = transport.new_token() if env.sync_gate is not None else None
         try:
             frame = _encode((
                 "env", self._comm_id, env.source, env.tag, env.payload,
@@ -317,6 +318,11 @@ class _PipeBarrier:
         with self._cond:
             return self._complete_time[epoch]
 
+    def interrupt(self) -> None:
+        """A peer failed: wake the ``ibarrier`` waits to look."""
+        with self._cond:
+            self._cond.notify_all()
+
     def wait_complete(self, epoch: int, deadline: float, fuzz=None) -> None:
         backoff = Backoff(deadline, fuzz=fuzz)
         with self._cond:
@@ -364,7 +370,7 @@ class _Transport:
 
     def abort(self) -> None:
         """Tell every peer this rank's ``fn`` raised, so receives blocked on
-        it fail within one backoff step instead of at the deadline."""
+        it fail at once instead of at the deadline."""
         for world in self._pipes:
             try:
                 self.send(world, ("abort", self._my))
@@ -406,7 +412,7 @@ class _Transport:
                 env = self._sync.pop(token, None)
             if env is not None:
                 env.match_clock = match_clock
-                env.sync_event.set()
+                env.sync_gate.open()
             return
         if msg[0] == "abort":
             machine.peer_failed(msg[1])
@@ -436,10 +442,10 @@ class _Transport:
             _, _, source, tag, payload, nbytes, arrival_time, token = msg
             sync = None
             if token is not None:
-                sync = _AckEvent(self, state.members[source], token)
+                sync = _AckGate(self, state.members[source], token)
             env = Envelope(source=source, tag=tag, payload=payload,
                            nbytes=nbytes, arrival_time=arrival_time,
-                           sync_event=sync)
+                           sync_gate=sync)
             if sync is not None:
                 sync.env = env
             # freshly unpickled, referenced by nobody else: no snapshot
@@ -493,6 +499,11 @@ class _ProcessCommState:
 
     def _is_revoked(self) -> bool:
         return self.revoked.is_set()
+
+    def interrupt(self) -> None:
+        """Wake what is parked here: this rank's receives, probes, barriers."""
+        self.mailboxes[self.local_of_world[self.machine.my_rank]].interrupt()
+        self.barrier.interrupt()
 
     @property
     def size(self) -> int:
@@ -564,6 +575,9 @@ class _ProcessMachine:
         """An ``abort`` frame arrived (called by that peer's pump thread)."""
         with self._registry_lock:
             self._failed = self._failed | {world_rank}
+            states = list(self._comms.values())
+        for state in states:
+            state.interrupt()
 
     def alive_members(self, state: _ProcessCommState) -> tuple[int, ...]:
         return state.members
@@ -571,7 +585,7 @@ class _ProcessMachine:
     def mark_failed(self, world_rank: int) -> None:
         self.require("failures", "failure injection")
 
-    def shrink_rendezvous(self, state, generation, world_rank):
+    def rendezvous(self, *args):
         self.require("ulfm", "ULFM shrink/agree coordination")
 
 

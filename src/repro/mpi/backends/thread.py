@@ -22,6 +22,7 @@ from repro.mpi.engine import CollectiveEngine
 from repro.mpi.errors import (
     ProcessKilled,
     RawDeadlockError,
+    RawProcessFailure,
     RawUsageError,
     RunTimeout,
 )
@@ -88,6 +89,7 @@ class ThreadBackend(Backend):
             except ProcessKilled:
                 machine.mark_failed(world_rank)
             except BaseException as exc:  # noqa: BLE001 - report to the driver
+                machine.abort(world_rank)  # peers blocked on us fail now
                 errors[world_rank] = exc
 
         threads = [
@@ -118,12 +120,18 @@ class ThreadBackend(Backend):
                         stacks,
                     )
 
-        # Prefer primary errors: a rank dying in a collective makes its peers
-        # hit the deadlock deadline, but the root cause is the original
-        # exception.
+        # Prefer primary errors: a raising rank aborts, so the peers blocked
+        # on it see a process failure (which the bindings re-raise as their
+        # own type, chained) or, blocked elsewhere, hit the deadlock
+        # deadline; the root cause is the original exception (same policy as
+        # the process backend).
         def _priority(item):
-            _, exc = item
-            return 1 if isinstance(exc, RawDeadlockError) else 0
+            exc = item[1]
+            while exc is not None:
+                if isinstance(exc, (RawProcessFailure, RawDeadlockError)):
+                    return 1
+                exc = exc.__context__
+            return 0
 
         raised = [(rank, exc) for rank, exc in enumerate(errors)
                   if exc is not None]

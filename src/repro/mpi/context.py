@@ -12,7 +12,6 @@ tests reproduce the paper's methodology of asserting that the bindings issue
 
 from __future__ import annotations
 
-import threading
 from typing import Any, Hashable, Optional, Sequence
 
 import numpy as np
@@ -37,6 +36,7 @@ from repro.mpi.requests import (
     SyncSendRequest,
 )
 from repro.mpi.tracing import _NULL_SPAN, _sum_payload_bytes
+from repro.mpi.waiting import Gate
 
 
 def _peer(rank: int) -> tuple[int, ...]:
@@ -183,7 +183,7 @@ class RawComm:
             payload=payload,
             nbytes=nbytes,
             arrival_time=arrival,
-            sync_event=threading.Event() if sync else None,
+            sync_gate=Gate() if sync else None,
             origin=auditor.origin() if auditor.enabled else (),
         )
         self.state.mailboxes[dest].deposit(env)
@@ -673,7 +673,7 @@ class RawComm:
         self.machine.require("ulfm", "ULFM revocation (comm_revoke)")
         self._count("comm_revoke")
         with self._span("comm_revoke", peers="all"):
-            self.state.revoked.set()
+            self.state.revoke()
 
     @property
     def is_revoked(self) -> bool:
@@ -691,8 +691,8 @@ class RawComm:
         self.machine.require("ulfm", "ULFM shrink (comm_shrink)")
         self._count("comm_shrink")
         with self._span("comm_shrink", peers="all"):
-            alive = self.machine.shrink_rendezvous(self.state, generation,
-                                                   self.world_rank)
+            alive, _ = self.machine.rendezvous(self.state, generation,
+                                               self.world_rank)
             new_id = (self.comm_id, "shrink", generation, alive)
             state = self.machine.get_or_create_comm(new_id, alive)
         return RawComm(self.machine, state, self.world_rank)
@@ -702,28 +702,9 @@ class RawComm:
         self.machine.require("ulfm", "ULFM agreement (comm_agree)")
         self._count("comm_agree")
         with self._span("comm_agree", peers="all"):
-            return self._agree(flag, generation)
-
-    def _agree(self, flag: bool, generation: Hashable) -> bool:
-        key = ("agree", generation)
-        alive = self.machine.shrink_rendezvous(self.state, key, self.world_rank)
-        # Exchange flags among survivors through machine-level coordination.
-        from repro.mpi.waiting import Backoff
-
-        backoff = Backoff(self.machine.deadline, fuzz=self.machine.fuzzer)
-        with self.machine._shrink_lock:
-            store = self.machine._shrink_results.setdefault(
-                (self.state.comm_id, key, "flags"), {}
-            )
-            store[self.world_rank] = flag
-            self.machine._shrink_lock.notify_all()
-            while not set(store) >= set(alive):
-                self.machine._shrink_lock.wait(timeout=backoff.next_timeout())
-                if backoff.expired and not set(store) >= set(alive):
-                    from repro.mpi.errors import RawDeadlockError
-
-                    raise RawDeadlockError("agree never completed")
-            return all(store[w] for w in alive)
+            return self.machine.rendezvous(
+                self.state, ("agree", generation), self.world_rank, flag,
+                "agree")[1]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"RawComm(id={self.comm_id!r}, rank={self._rank}/{self.size})"

@@ -63,6 +63,16 @@ class CommState:
     def _is_revoked(self) -> bool:
         return self.revoked.is_set()
 
+    def revoke(self) -> None:
+        """Mark the communicator unusable and wake its parked members."""
+        self.revoked.set()
+        self.interrupt()
+
+    def interrupt(self) -> None:
+        """Wake every receive and probe parked on this communicator."""
+        for mb in self.mailboxes.values():
+            mb.interrupt()
+
     @property
     def size(self) -> int:
         return len(self.members)
@@ -173,8 +183,9 @@ class Machine:
         self._failed_lock = threading.Lock()
         self._failed_frozen: frozenset[int] = frozenset()
         self._shrink_lock = threading.Condition()
-        self._shrink_arrivals: dict[Hashable, set[int]] = {}
-        self._shrink_results: dict[Hashable, tuple[int, ...]] = {}
+        #: per rendezvous key: the flags of the arrived, then the result
+        self._shrink_arrivals: dict[Hashable, dict[int, bool]] = {}
+        self._shrink_results: dict[Hashable, tuple[tuple[int, ...], bool]] = {}
         self.world = CommState(self, WORLD_ID, range(num_ranks))
         self._comms[WORLD_ID] = self.world
         #: active fault-injection campaign (``None`` outside injected runs);
@@ -217,7 +228,21 @@ class Machine:
         with self._failed_lock:
             self._failed.add(world_rank)
             self._failed_frozen = frozenset(self._failed)
-        # wake anyone blocked on shrink rendezvous
+        self.interrupt()
+
+    def abort(self, world_rank: int) -> None:
+        """``world_rank``'s ``fn`` raised: to its peers it is a failed rank
+        (what the ``abort`` frame is to the process backend), so whoever is
+        blocked on it raises at once instead of at the deadline."""
+        self.mark_failed(world_rank)
+
+    def interrupt(self) -> None:
+        """Deliver a change of the failed set to everyone parked: receives
+        and probes on every communicator, shrink/agree rendezvous."""
+        with self._registry_lock:
+            states = list(self._comms.values())
+        for state in states:
+            state.interrupt()
         with self._shrink_lock:
             self._shrink_lock.notify_all()
 
@@ -228,31 +253,34 @@ class Machine:
         failed = self.failed_snapshot()
         return tuple(w for w in state.members if w not in failed)
 
-    def shrink_rendezvous(self, state: CommState, generation: Hashable,
-                          world_rank: int) -> tuple[int, ...]:
-        """Agreement among surviving members on the set of alive ranks.
+    def rendezvous(self, state: CommState, key: Hashable, world_rank: int,
+                   flag: bool = True, what: str = "shrink agreement"
+                   ) -> tuple[tuple[int, ...], bool]:
+        """Agreement among the surviving members of ``state``.
 
-        All surviving members of ``state`` call this with the same
-        ``generation`` token; every caller receives the identical sorted tuple
-        of alive world ranks.  This is machine-level coordination — exactly
-        the role the network-level ULFM agreement protocol plays on a real
-        system.
+        All of them call this with the same ``key``; every caller receives
+        the identical ``(sorted alive world ranks, AND of the flags)`` —
+        ``shrink`` uses the first, ``agree`` the second.  This is
+        machine-level coordination — exactly the role the network-level ULFM
+        agreement protocol plays on a real system.  Every arrival records its
+        flag; the one that completes the alive set — or a waiter woken by
+        ``mark_failed`` shrinking that set — stores the result and notifies.
         """
-        key = (state.comm_id, generation)
+        key = (state.comm_id, key)
         backoff = Backoff(self.deadline, fuzz=self.fuzzer)
         with self._shrink_lock:
-            self._shrink_arrivals.setdefault(key, set()).add(world_rank)
+            flags = self._shrink_arrivals.setdefault(key, {})
+            flags[world_rank] = flag
             while key not in self._shrink_results:
-                alive = set(self.alive_members(state))
-                if self._shrink_arrivals[key] >= alive:
-                    self._shrink_results[key] = tuple(sorted(alive))
+                alive = self.alive_members(state)
+                if all(w in flags for w in alive):
+                    self._shrink_results[key] = (
+                        tuple(sorted(alive)), all(flags[w] for w in alive))
                     self._shrink_lock.notify_all()
-                    break
-                self._shrink_lock.wait(timeout=backoff.next_timeout())
-                if (backoff.expired and key not in self._shrink_results
-                        and not self._shrink_arrivals[key]
-                        >= set(self.alive_members(state))):
-                    raise RawDeadlockError("shrink agreement never completed")
+                elif backoff.expired:
+                    raise RawDeadlockError(f"{what} never completed")
+                else:
+                    self._shrink_lock.wait(timeout=backoff.next_timeout())
             return self._shrink_results[key]
 
 

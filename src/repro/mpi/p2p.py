@@ -7,9 +7,13 @@ posted receive; receives first try to match the oldest compatible unexpected
 envelope.  This preserves MPI's non-overtaking guarantee: messages from the
 same sender with compatible tags are matched in send order.
 
-Synchronous sends (``ssend``/``issend``) carry a match event; the sender only
+Synchronous sends (``ssend``/``issend``) carry a match gate; the sender only
 completes once the receiver has matched the message, which is what the NBX
 sparse all-to-all algorithm (plugins) relies on for its termination protocol.
+
+A blocked receive parks on its own gate, a blocked probe on the mailbox's
+condition; :meth:`Mailbox.interrupt` wakes both to re-run their checks
+(:mod:`repro.mpi.waiting`).
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from typing import Any, Callable, Optional
 from repro.mpi.constants import ANY_SOURCE, ANY_TAG
 from repro.mpi.datatypes import snapshot
 from repro.mpi.errors import RawDeadlockError, RawProcessFailure, RawUsageError
-from repro.mpi.waiting import Backoff
+from repro.mpi.waiting import Backoff, Gate
 
 _envelope_ids = itertools.count()
 
@@ -50,8 +54,8 @@ class Envelope:
     nbytes: int
     #: virtual time at which the message is available at the receiver
     arrival_time: float
-    #: set when a synchronous sender must learn about the match
-    sync_event: Optional[threading.Event] = None
+    #: opened at the match when a synchronous sender must learn about it
+    sync_gate: Optional[Gate] = None
     #: receiver-side clock at match time (read by synchronous senders)
     match_clock: float = 0.0
     seq: int = field(default_factory=lambda: next(_envelope_ids))
@@ -67,7 +71,7 @@ class Envelope:
 class PendingRecv:
     """A posted receive waiting for a matching envelope."""
 
-    __slots__ = ("source", "tag", "post_clock", "envelope", "event",
+    __slots__ = ("source", "tag", "post_clock", "envelope", "gate",
                  "cancelled", "origin")
 
     def __init__(self, source: int, tag: int, post_clock: float):
@@ -75,17 +79,18 @@ class PendingRecv:
         self.tag = tag
         self.post_clock = post_clock
         self.envelope: Optional[Envelope] = None
-        self.event = threading.Event()
+        #: opened (under the mailbox's lock) by the match or the cancellation
+        self.gate = Gate()
         self.cancelled = False
         #: creation backtrace (sanitized runs only; see MPIsan)
         self.origin: tuple = ()
 
     def complete(self, env: Envelope) -> None:
         self.envelope = env
-        if env.sync_event is not None:
+        if env.sync_gate is not None:
             env.match_clock = max(env.arrival_time, self.post_clock)
-            env.sync_event.set()
-        self.event.set()
+            env.sync_gate.open()
+        self.gate.open()
 
 
 class Mailbox:
@@ -159,8 +164,11 @@ class Mailbox:
         completed (``MPI_Cancel`` cannot undo a match) and the envelope is
         delivered instead of raising.
         """
+        if pr.envelope is not None:
+            return pr.envelope  # matched by post() or since: nothing to wait for
         backoff = Backoff(self._deadline, fuzz=self.fuzz)
-        while not pr.event.wait(timeout=backoff.next_timeout()):
+        while not pr.gate.park(backoff.next_timeout()):
+            # interrupted or timed out: the same checks either way
             if self.revoke_probe():
                 if not self.cancel(pr):
                     break  # matched concurrently: deliver, don't drop
@@ -209,14 +217,12 @@ class Mailbox:
                 self._posted.remove(pr)
             except ValueError:
                 pass
-            pr.event.set()  # wake any waiter; it observes the cancellation
+            pr.gate.open()  # wake any waiter; it observes the cancellation
             return True
 
     def test(self, pr: PendingRecv) -> Optional[Envelope]:
         """Non-blocking completion check for a posted receive."""
-        if pr.event.is_set():
-            return pr.envelope
-        return None
+        return pr.envelope  # stays ``None`` on a cancelled receive
 
     # -- probing ----------------------------------------------------------
 
@@ -256,6 +262,15 @@ class Mailbox:
                     f"probe(source={source}, tag={tag}) exceeded the "
                     f"{self._deadline:.0f}s deadlock deadline"
                 )
+
+    def interrupt(self) -> None:
+        """Wake every parked receive and probe without completing any: what
+        their checks look at changed (a rank failed, the communicator was
+        revoked)."""
+        with self._cond:
+            for pr in self._posted:
+                pr.gate.interrupt()
+            self._cond.notify_all()
 
     def pending_count(self) -> int:
         """Number of queued unexpected messages (diagnostics only)."""

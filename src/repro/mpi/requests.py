@@ -65,7 +65,7 @@ class SyncSendRequest(RawRequest):
 
     def __init__(self, env: Envelope, clock: Clock, deadline: float = 120.0,
                  fuzz=None):
-        assert env.sync_event is not None
+        assert env.sync_gate is not None
         self._env = env
         self._clock = clock
         self._deadline = deadline
@@ -74,13 +74,13 @@ class SyncSendRequest(RawRequest):
 
     def wait(self) -> None:
         backoff = Backoff(self._deadline, fuzz=self._fuzz)
-        while not self._env.sync_event.wait(timeout=backoff.next_timeout()):
+        while not self._env.sync_gate.park(backoff.next_timeout()):
             if backoff.expired:
                 raise RawDeadlockError("issend never matched a receive")
         self._finish()
 
     def test(self) -> tuple[bool, Any]:
-        if self._env.sync_event.is_set():
+        if self._env.sync_gate.opened:
             self._finish()
             return True, None
         return False, None
@@ -93,7 +93,7 @@ class SyncSendRequest(RawRequest):
     def audit_state(self) -> str:
         if self._done:
             return "completed"
-        if self._env.sync_event.is_set():
+        if self._env.sync_gate.opened:
             return "pending"  # matched, but the sender never waited/tested
         return "unmatched"
 
@@ -270,14 +270,14 @@ def waitany(requests: Sequence[RawRequest], poll_interval: float = 0.001,
             deadline: float = 120.0, fuzz=None) -> tuple[int, Any]:
     """Complete one request, returning ``(index, value)`` (``MPI_Waitany``).
 
-    ``test()`` drives progress (progress-on-test semantics), so this stays a
-    poll loop — but with capped exponential backoff and the deadline
-    accounted on real elapsed time.  The backoff cap is kept small: the
-    polled requests may be state machines that only advance when tested.
+    ``test()`` drives progress (progress-on-test semantics), so this is a
+    genuine poll loop, with the deadline accounted on real elapsed time.  Its
+    step stays small: the polled requests may be state machines that only
+    advance when tested.
     """
     import time
 
-    backoff = Backoff(deadline, initial=poll_interval, cap=0.005, fuzz=fuzz)
+    backoff = Backoff(deadline, step=poll_interval, fuzz=fuzz)
     while True:
         for i, r in enumerate(requests):
             done, value = r.test()

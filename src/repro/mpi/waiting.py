@@ -1,26 +1,35 @@
 """Real-time wait discipline for blocking operations.
 
 Every blocking primitive of the runtime (mailbox waits, probes, synchronous
-sends, non-blocking-collective progress loops, RMA locks, shrink rendezvous)
-needs the same three ingredients:
+sends, the non-blocking barrier, RMA locks, shrink/agree rendezvous) is built
+from the same three ingredients:
 
-- an **event- or condition-based wait** so the thread sleeps until a peer
-  actually makes progress instead of spinning at a fixed interval;
-- **capped exponential backoff** on the wait timeout, so failure checks
-  (process death, revocation, the deadlock deadline) start out responsive and
-  settle at a cheap polling rate for long waits;
+- **park on a gate or a condition**, so the thread sleeps until somebody
+  wakes it.  A receive and a synchronous send park on their own one-shot
+  :class:`Gate` (a raw ``_thread`` lock: no ``threading.Event``, nothing
+  allocated per wait); waits on shared state (probes, barrier epochs,
+  rendezvous, RMA locks) park on that state's ``threading.Condition``.
+- **notification of failure, revocation and abort**: ``Machine.mark_failed``,
+  ``Machine.abort`` and ``CommState.revoke`` call ``interrupt()``, which wakes
+  the posted receives' gates and notifies the conditions concerned.  The
+  woken waiter runs its checks (revoked → failed source → deadline) and parks
+  again if none applies.
 - **deadline accounting on real elapsed time** (``time.monotonic``), not on
-  accumulated step counts — a wait that returns early (a notify for a
-  different message, a spurious wakeup) must not stall the deadline clock.
+  a count of wake-ups — a park that returns early (an interrupt, a notify for
+  somebody else's message) must not stall the deadline clock.
 
-:class:`Backoff` bundles these.  The optional ``fuzz`` hook lets the schedule
-fuzzer (:mod:`repro.mpi.sanitizer`) perturb poll-wakeup ordering
+Nothing is discovered by polling, so no park needs a short timer:
+:class:`Backoff` paces every park with one long timed wait — ``MAX_STEP``, or
+what is left of the deadline if that is nearer — whose expiry merely re-runs
+the checks as belt and braces.  The optional ``fuzz`` hook lets the schedule
+fuzzer (:mod:`repro.mpi.sanitizer`) perturb wake-up ordering
 deterministically without the wait loops knowing about it.
 """
 
 from __future__ import annotations
 
 import time
+from _thread import allocate_lock
 from typing import Optional, Protocol
 
 
@@ -28,45 +37,72 @@ class WakeupFuzz(Protocol):  # pragma: no cover - typing only
     def jitter(self, timeout: float) -> float: ...
 
 
-#: first wait timeout handed out by a fresh :class:`Backoff` (seconds)
-INITIAL_STEP = 0.001
-#: ceiling for the exponentially-growing wait timeout (seconds)
+#: the timeout of every park whose deadline is further away (seconds)
 MAX_STEP = 0.05
 #: smallest timeout ever handed out (keeps fuzzed timeouts positive)
 MIN_STEP = 1e-4
 
 
+class Gate:
+    """A one-shot gate one waiter parks on, over a raw ``_thread`` lock.
+
+    Closed at construction.  :meth:`open` completes it for good;
+    :meth:`interrupt` only wakes the waiter, which looks at what changed and
+    parks again (a wake-up re-closes the lock).  Both are called under the
+    lock of whoever owns the gate (the mailbox's, for a posted receive): that
+    makes ``locked()``/``release()`` atomic among wakers, and the waiter only
+    ever *acquires*, so it cannot invalidate the check.
+    """
+
+    __slots__ = ("_lock", "opened")
+
+    def __init__(self) -> None:
+        self._lock = allocate_lock()
+        self._lock.acquire()
+        self.opened = False
+
+    def open(self) -> None:
+        """Complete the gate (idempotent) and wake the waiter."""
+        self.opened = True
+        self.interrupt()
+
+    def interrupt(self) -> None:
+        """Wake the waiter without completing; a no-op if already woken."""
+        if self._lock.locked():
+            self._lock.release()
+
+    def park(self, timeout: float) -> bool:
+        """Sleep until opened, interrupted or timed out; ``True`` iff opened."""
+        if not self.opened:
+            self._lock.acquire(True, timeout)
+        return self.opened
+
+
 class Backoff:
-    """Deadline-tracked wait pacing with capped exponential backoff.
+    """Deadline-tracked pacing of the parks of one blocking wait.
 
     ``deadline`` is the wall-clock budget in seconds; :attr:`expired` flips
     once that much *real* time has elapsed since construction, no matter how
-    many (possibly early-returning) waits happened in between.
+    many (possibly early-returning) parks happened in between.
     """
 
-    __slots__ = ("_deadline", "_start", "_step", "_cap", "_fuzz")
+    __slots__ = ("_deadline", "_start", "_step", "_fuzz")
 
-    def __init__(self, deadline: float, *, initial: float = INITIAL_STEP,
-                 cap: float = MAX_STEP, fuzz: Optional[WakeupFuzz] = None):
+    def __init__(self, deadline: float, *, step: float = MAX_STEP,
+                 fuzz: Optional[WakeupFuzz] = None):
         self._deadline = deadline
         self._start = time.monotonic()
-        self._step = max(initial, MIN_STEP)
-        self._cap = cap
+        self._step = step
         self._fuzz = fuzz
 
     def next_timeout(self) -> float:
-        """The timeout for the next wait; doubles up to the cap each call.
-
-        Never exceeds the time remaining until the deadline (plus the
-        minimum step), so an expiring wait wakes up close to the deadline
-        instead of oversleeping a whole backoff period.
-        """
+        """The timeout for the next park: ``step``, or what is left of the
+        deadline if that is nearer, so an expiring wait wakes close to the
+        deadline instead of oversleeping a whole step."""
         step = self._step
-        self._step = min(self._step * 2.0, self._cap)
         if self._fuzz is not None:
             step = self._fuzz.jitter(step)
-        remaining = self._deadline - self.elapsed
-        return max(min(step, remaining), MIN_STEP)
+        return max(min(step, self._deadline - self.elapsed), MIN_STEP)
 
     @property
     def elapsed(self) -> float:

@@ -507,18 +507,17 @@ class Cluster:
                 self._directives.append(
                     lambda i: _JoinDirective(index=i, world_rank=join))
                 continue
-            group = self.queue.pop_group(shape_of, self.batch_limit)
-            if group:
-                # blocks when every slot is leased: natural pipelining limit
-                lease = None
-                while lease is None:
+            if len(self.queue):
+                # blocks when every slot is leased: natural pipelining limit.
+                # The group is formed once a slot is free, not before, so
+                # same-shape jobs submitted meanwhile join it (and a higher-
+                # priority one overtakes) instead of queueing behind a group
+                # frozen early; only this thread pops, so it is never empty
+                while not self.pool.wait_free(timeout=0.25):
                     if self._wedged.is_set():
                         return
-                    try:
-                        lease = self.pool._acquire(batch_label(group),
-                                                   timeout=0.25)
-                    except ClusterError:
-                        continue
+                group = self.queue.pop_group(shape_of, self.batch_limit)
+                lease = self.pool._acquire(batch_label(group))
                 self._directives.append(
                     lambda i: _JobsDirective(index=i, jobs=tuple(group),
                                              lease=lease))
@@ -718,7 +717,7 @@ class Cluster:
         for seq in range(self.lease_slots):
             state = self.machine.get_or_create_comm(
                 (raw.comm_id, "dup", seq), raw.state.members)
-            state.revoked.set()
+            state.revoke()
 
     def _with_lease(self, comm, slot: int, label: str,
                     body: Callable) -> Any:

@@ -51,8 +51,8 @@ class CommLease:
 class LeasePool:
     """Fixed pool of communicator slots with blocking acquisition.
 
-    The dispatcher acquires internally (``_acquire``) and may block until a
-    slot frees up; the public :meth:`acquire` — for clients that want a
+    The dispatcher waits for a free slot (``wait_free``), forms its job
+    group, and acquires internally (``_acquire``); the public :meth:`acquire` — for clients that want a
     leased communicator outside the job queue — refuses to take the *last*
     free slot so the dispatcher can always make progress.
     """
@@ -74,6 +74,15 @@ class LeasePool:
         """Leases acquired but not yet returned (diagnostic)."""
         with self._cv:
             return list(self._leased.values())
+
+    def wait_free(self, timeout: Optional[float] = None) -> bool:
+        """Block until a slot is free, without taking it.
+
+        For the dispatcher, the only taker of the last slot: whatever it
+        then ``_acquire``s is granted at once.
+        """
+        with self._cv:
+            return bool(self._cv.wait_for(lambda: self._free, timeout=timeout))
 
     def acquire(self, label: str, timeout: Optional[float] = None
                 ) -> CommLease:

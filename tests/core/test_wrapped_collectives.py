@@ -2,6 +2,7 @@
 reductions, scans, and the simplified in-place variants."""
 
 import operator
+import time
 
 import numpy as np
 import pytest
@@ -111,15 +112,17 @@ def test_scatter_equal_blocks(p):
         assert res.values[r] == [3 * r, 3 * r + 1, 3 * r + 2]
 
 
-@pytest.mark.slow
 def test_scatter_indivisible_raises():
-    """Root raises before scattering; the peer waits out its (short) deadline."""
+    """Root raises before scattering; its abort fails the parked peer at once
+    and the root cause is what is reported."""
     def main(comm):
         comm.scatter(send_buf(np.arange(5)) if comm.rank == 0 else root(0),
                      *([root(0)] if comm.rank == 0 else []))
 
+    t0 = time.monotonic()
     with pytest.raises(RuntimeError, match="divisible"):
         runk(main, 2, deadline=2.0)
+    assert time.monotonic() - t0 < 0.5
 
 
 @pytest.mark.parametrize("p", SMALL_P)

@@ -1,5 +1,7 @@
 """Edge cases and stress for the raw runtime."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -71,10 +73,9 @@ class TestTruncation:
             runp(main, 2)
 
 
-@pytest.mark.slow
 class TestScattervErrors:
-    """Root raises; the other rank sits out its mailbox deadline — these two
-    dominate full-suite runtime, hence the short deadline and ``slow`` mark."""
+    """Root raises; the other rank, parked in the scatter's receive, is woken
+    by the abort and fails at once instead of sitting out its deadline."""
 
     def test_counts_exceed_buffer(self):
         def main(comm):
@@ -83,15 +84,19 @@ class TestScattervErrors:
             else:
                 comm.scatterv(None, None, 0)
 
+        t0 = time.monotonic()
         with pytest.raises(RuntimeError, match="exceed"):
             runp(main, 2, deadline=2.0)
+        assert time.monotonic() - t0 < 0.5
 
     def test_missing_counts_at_root(self):
         def main(comm):
             comm.scatterv(np.arange(4) if comm.rank == 0 else None, None, 0)
 
+        t0 = time.monotonic()
         with pytest.raises(RuntimeError, match="sendcounts"):
             runp(main, 2, deadline=2.0)
+        assert time.monotonic() - t0 < 0.5
 
 
 @pytest.mark.slow

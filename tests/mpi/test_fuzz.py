@@ -89,7 +89,7 @@ def _legacy_cancel(req):
             mb._posted.remove(pr)
         except ValueError:
             pass
-        pr.event.set()
+        pr.gate.open()
     req._cancelled = True
     return True
 

@@ -1,5 +1,7 @@
 """Machine driver, communicator management, and profiling counters."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -14,13 +16,17 @@ def test_run_returns_per_rank_values():
 
 
 def test_exceptions_annotated_with_rank():
+    """The root cause is reported, and at once: the raising rank aborts, so
+    its peers in the barrier fail instead of sleeping out the deadline."""
     def main(comm):
         if comm.rank == 2:
             raise ValueError("boom")
         comm.barrier()
 
+    t0 = time.monotonic()
     with pytest.raises(RuntimeError, match="rank 2 raised ValueError: boom"):
         run_mpi(main, 4, deadline=2.0)
+    assert time.monotonic() - t0 < 0.5
 
 
 def test_zero_ranks_rejected():

@@ -1,5 +1,7 @@
 """Point-to-point semantics of the raw runtime."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -255,8 +257,8 @@ def test_ssend_completes_when_matched_recv_cancel_fails():
             comm.ssend(np.array([5]), dest=0, tag=3)
             return "sent"
         req = comm.irecv(source=1, tag=3)
-        while not req._pr.event.wait(0.001):
-            pass  # wait for the ssend to match
+        while req._pr.envelope is None:
+            time.sleep(0.001)  # wait for the ssend to match
         assert req.cancel() is False
         payload, _ = req.wait()
         return payload.tolist()

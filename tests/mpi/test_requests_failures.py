@@ -1,9 +1,18 @@
 """Raw non-blocking requests, ibarrier, failure injection, and ULFM substrate."""
 
+import time
+
 import numpy as np
 import pytest
 
-from repro.mpi import ANY_SOURCE, SUM, FailureScript, RawProcessFailure, run_mpi
+from repro.mpi import (
+    ANY_SOURCE,
+    SUM,
+    FailureScript,
+    RawCommRevoked,
+    RawProcessFailure,
+    run_mpi,
+)
 from repro.mpi import testall as raw_testall
 from repro.mpi import waitall as raw_waitall
 from repro.mpi import waitany as raw_waitany
@@ -190,6 +199,50 @@ def test_revoke_wakes_blocked_receivers():
 
     res = run_mpi(main, 2, deadline=5.0)
     assert res.values[1] == "RawCommRevoked"
+
+
+#: how long rank 0 has been parked when it is woken: three points across one
+#: 50 ms period, so a waiter that *polls* for the news is late at one of them
+_PARKED_FOR = (0.100, 0.117, 0.133)
+
+
+def _wake_latency(block, wake, parked_for, expect):
+    """Seconds from rank 1's ``wake(comm)`` to rank 0 leaving ``block(comm)``
+    with ``expect``, rank 0 having been parked for ``parked_for`` seconds."""
+    shared = {}
+
+    def main(comm):
+        if comm.rank == 0:
+            shared["parked"] = time.monotonic()
+            with pytest.raises(expect):
+                block(comm)
+            return time.monotonic()
+        while "parked" not in shared:
+            time.sleep(0.001)
+        time.sleep(max(shared["parked"] + parked_for - time.monotonic(), 0.0))
+        shared["woken"] = time.monotonic()
+        wake(comm)
+
+    res = run_mpi(main, 2, deadline=15.0)
+    return res.values[0] - shared["woken"]
+
+
+def test_parked_recv_fails_as_soon_as_its_source_does():
+    """A failure is delivered to the receives parked on the failed rank; it
+    is not found by the next timer tick, let alone at the 15 s deadline."""
+    latencies = [_wake_latency(lambda comm: comm.recv(1),
+                               lambda comm: comm.kill_self(),
+                               parked_for, RawProcessFailure)
+                 for parked_for in _PARKED_FOR]
+    assert max(latencies) < 0.025
+
+
+def test_revoke_wakes_a_parked_probe():
+    latencies = [_wake_latency(lambda comm: comm.probe(1),
+                               lambda comm: comm.revoke(),
+                               parked_for, RawCommRevoked)
+                 for parked_for in _PARKED_FOR]
+    assert max(latencies) < 0.025
 
 
 def test_failed_ranks_listing():
