@@ -6,10 +6,11 @@ Two backends ship today:
     Ranks are threads of the calling process sharing one
     :class:`~repro.mpi.machine.Machine`.  Deterministic, cheap to spawn, and
     the only backend supporting the shared-address-space machinery (MPIsan,
-    schedule fuzzing, fault injection, RMA, ULFM).
+    fault injection, the run watchdog, RMA, ULFM).
 
 ``process`` (:class:`~repro.mpi.backends.process.ProcessBackend`)
-    One OS process per rank connected by per-pair duplex pipes, escaping the
+    One OS process per rank, each running its part of the same ``Machine``
+    over a transport: one simplex pipe per ordered rank pair.  Escapes the
     GIL for genuinely parallel execution.  Payloads and results must be
     picklable; unsupported features raise
     :class:`~repro.mpi.errors.UnsupportedOnBackend`.

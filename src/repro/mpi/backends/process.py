@@ -1,17 +1,17 @@
 """One-OS-process-per-rank execution backend.
 
 Ranks are ``multiprocessing`` processes; every ordered rank pair owns one
-simplex pipe, and envelopes cross it as self-framed messages.  The entire
-binding stack — mailbox matching, the collective algorithms, non-blocking
-collectives, communicator split/dup, tracing, the virtual cost model — runs
-unchanged on top: each rank builds a *rank-local replica* of the machine
-(:class:`_ProcessMachine`) in which its own mailbox is the real
-:class:`~repro.mpi.p2p.Mailbox` and every other rank's mailbox is a
-:class:`_RemoteMailbox` proxy that writes the envelope down the pipe to the
-peer, whose pump thread for that pipe delivers it into the peer's real
-mailbox.  Because matching, clocks, and algorithms are byte-for-byte the same
-code, a wildcard-free program produces bit-identical results, virtual times,
-PMPI counters, and traces on both backends (``tests/backends/`` enforces this).
+simplex pipe, and envelopes cross it as self-framed messages.  This module
+is a *transport* and a launcher, not a second runtime: each rank builds the
+shared :class:`~repro.mpi.machine.Machine` over its :class:`_Transport`, so
+its own endpoint of every communicator is a real
+:class:`~repro.mpi.p2p.Mailbox` and every other rank's is a
+:class:`_RemoteMailbox` that writes the envelope down the pipe to the peer,
+whose pump thread for that pipe delivers it into the mailbox over there.
+Matching, clocks, algorithms, the arrival barrier, failure checks and the
+run's epilogue are the very code the thread backend runs, so a wildcard-free
+program produces bit-identical results, virtual times, PMPI counters, and
+traces on both backends (``tests/backends/`` enforces this).
 
 Wire protocol.  One message is one frame, FIFO per pipe::
 
@@ -46,12 +46,14 @@ The message tuples:
   a message envelope; ``token`` is non-``None`` for synchronous sends and is
   echoed back as ``("ack", token, match_clock)`` when the receiver matches.
 - ``("bar", comm_id, epoch, clock)`` / ``("bardone", comm_id, epoch, t)`` —
-  the non-blocking-barrier arrival protocol, coordinated by the member with
-  the lowest world rank (:class:`_PipeBarrier`).
+  an arrival sent to, and the completion time sent back by, the member with
+  the lowest world rank, which counts the non-blocking barrier's arrivals
+  (:class:`~repro.mpi.requests.ArrivalBarrier`).
 - ``("abort", world_rank)`` — sent to every peer by a rank whose ``fn``
-  raised, before it reports ``done``.  The receiver adds the rank to
-  ``failed_snapshot()`` and interrupts whoever is parked, so a receive,
-  probe, send or ``ibarrier`` wait that involves it raises
+  raised (``Machine.abort``), before it reports ``done``.  The receiver's
+  ``Machine.mark_failed`` adds the rank to ``failed_snapshot()`` and
+  interrupts whoever is parked, so a receive, probe, synchronous send or
+  ``ibarrier`` wait that involves it raises
   :class:`~repro.mpi.errors.RawProcessFailure` at once instead of sleeping
   out the deadlock deadline (the parent reports the root cause, not the
   peers' failures).
@@ -65,14 +67,16 @@ therefore never hit a closed pipe.
 
 What this backend does **not** provide — and refuses loudly
 (:class:`~repro.mpi.errors.UnsupportedOnBackend`) rather than emulating
-badly — is everything built on a shared address space: MPIsan resource
-auditing, the seeded schedule fuzzer, fault-injection campaigns, RMA
-windows, and ULFM failure coordination.  Note the ambient ``REPRO_SANITIZE``
-/ ``REPRO_FUZZ_SEED`` environment defaults are deliberately *ignored* here:
-they opt the thread backend into extra checking, and honoring them would
-make ``REPRO_BACKEND=process`` unrunnable under a sanitizing CI lane.  Only
-an explicit ``sanitize=True`` / ``fuzz_seed=`` / ``faults=`` argument is an
-error.
+badly — is what still needs one shared address space: MPIsan resource
+auditing, fault-injection campaigns, the run watchdog, RMA windows, and ULFM
+failure coordination.  The seeded schedule fuzzer is the shared one: every
+child builds ``ScheduleFuzzer(seed)``, whose streams are keyed by thread
+name, and names its main thread ``rank-<r>`` as the thread backend does.
+Note the ambient ``REPRO_SANITIZE`` environment default is deliberately
+*ignored* here: it opts the thread backend into extra checking, and honoring
+it would make ``REPRO_BACKEND=process`` unrunnable under a sanitizing CI
+lane.  Only an explicit ``sanitize=True`` / ``faults=`` / ``timeout=``
+argument is an error.
 
 Constraints: ``fn``, ``args``, payloads, and return values must be
 picklable.  The start method defaults to ``fork`` where available (so
@@ -91,36 +95,27 @@ import pickle
 import struct
 import threading
 import traceback
-from collections import Counter
 from multiprocessing import connection as mp_connection
 from typing import Any, Callable, Hashable, Optional, Sequence
 
-from repro.mpi.backends.base import Backend
-from repro.mpi.costmodel import Clock, CostModel
+from repro.mpi.backends.base import Backend, RankReport, resolve_tracer
+from repro.mpi.costmodel import CostModel
 from repro.mpi.engine import CollectiveEngine
 from repro.mpi.errors import (
     RawDeadlockError,
-    RawProcessFailure,
     RawUsageError,
     UnsupportedOnBackend,
+    unsupported,
 )
-from repro.mpi.machine import WORLD_ID, RunResult
-from repro.mpi.p2p import Envelope, Mailbox
-from repro.mpi.sanitizer import NULL_AUDITOR
-from repro.mpi.tracing import NULL_TRACER, TraceRecorder
+from repro.mpi.machine import CommState, Machine, RunResult
+from repro.mpi.p2p import Envelope
+from repro.mpi.sanitizer import ScheduleFuzzer
+from repro.mpi.tracing import TraceRecorder
 from repro.mpi.waiting import Backoff
 
 #: extra real-time budget the parent allows beyond the machine deadline
 #: before declaring the run hung and terminating the children
 _COLLECT_GRACE = 60.0
-
-
-def unsupported(feature: str, what: str) -> str:
-    """The pinned message format for process-backend feature refusals."""
-    return (
-        f"{what} is not supported on the 'process' backend: it relies on "
-        f"shared-process state ({feature}); run with backend='thread'"
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -249,96 +244,10 @@ class _RemoteMailbox:
         transport.write(self._dest_world, frame)
 
 
-class _PipeBarrier:
-    """Pipe-based replica of :class:`~repro.mpi.requests.ArrivalBarrier`.
-
-    The member with the lowest world rank coordinates: everyone else sends
-    its arrival to the coordinator, which — once all ``size`` members of the
-    epoch arrived — computes the completion time with the same formula as
-    the thread backend's counter barrier and broadcasts it back.
-    """
-
-    def __init__(self, transport: "_Transport", comm_id: Hashable,
-                 members: tuple[int, ...], my_world: int, alpha: float,
-                 failure_probe: Callable[[], frozenset[int]]):
-        self._transport = transport
-        self._comm_id = comm_id
-        self._members = members
-        self._failure_probe = failure_probe
-        self._my = my_world
-        self._coord = members[0]
-        self._size = len(members)
-        self._alpha = alpha
-        self._cond = threading.Condition()
-        self._arrivals: dict[int, int] = {}
-        self._max_clock: dict[int, float] = {}
-        self._complete_time: dict[int, float] = {}
-
-    def arrive(self, epoch: int, clock_now: float) -> int:
-        if self._my == self._coord:
-            self._record(epoch, clock_now)
-        else:
-            self._transport.send(
-                self._coord, ("bar", self._comm_id, epoch, clock_now)
-            )
-        return epoch
-
-    def remote_arrive(self, epoch: int, clock_now: float) -> None:
-        """A peer's arrival, delivered by the coordinator's pump thread."""
-        self._record(epoch, clock_now)
-
-    def remote_done(self, epoch: int, t: float) -> None:
-        """Completion broadcast, delivered by a non-coordinator's pump."""
-        with self._cond:
-            self._complete_time[epoch] = t
-            self._cond.notify_all()
-
-    def _record(self, epoch: int, clock_now: float) -> None:
-        with self._cond:
-            n = self._arrivals.get(epoch, 0) + 1
-            self._arrivals[epoch] = n
-            self._max_clock[epoch] = max(
-                self._max_clock.get(epoch, 0.0), clock_now
-            )
-            if n < self._size:
-                return
-            rounds = max((self._size - 1).bit_length(), 1)
-            t = self._max_clock[epoch] + rounds * self._alpha
-            self._complete_time[epoch] = t
-            self._cond.notify_all()
-        for w in self._members:
-            if w != self._my:
-                self._transport.send(w, ("bardone", self._comm_id, epoch, t))
-
-    def is_complete(self, epoch: int) -> bool:
-        with self._cond:
-            return epoch in self._complete_time
-
-    def completion_time(self, epoch: int) -> float:
-        with self._cond:
-            return self._complete_time[epoch]
-
-    def interrupt(self) -> None:
-        """A peer failed: wake the ``ibarrier`` waits to look."""
-        with self._cond:
-            self._cond.notify_all()
-
-    def wait_complete(self, epoch: int, deadline: float, fuzz=None) -> None:
-        backoff = Backoff(deadline, fuzz=fuzz)
-        with self._cond:
-            while epoch not in self._complete_time:
-                self._cond.wait(timeout=backoff.next_timeout())
-                if epoch in self._complete_time:
-                    break
-                failed = self._failure_probe().intersection(self._members)
-                if failed:
-                    raise RawProcessFailure(failed)
-                if backoff.expired:
-                    raise RawDeadlockError("ibarrier never completed")
-
-
 class _Transport:
-    """One rank's pipe ends plus the pump threads that drain them.
+    """One rank's pipe ends plus the pump threads that drain them: what the
+    rank's :class:`~repro.mpi.machine.Machine` reaches the other ranks by
+    (``rank``, ``outbox``, ``send``, ``drain``, ``abort``).
 
     ``pipes`` maps each peer to ``(from_peer, to_peer)``, the read end of
     one simplex pipe and the write end of the other.  Frames to one peer are
@@ -349,17 +258,21 @@ class _Transport:
     ``get_or_create_comm``, preserving per-pair FIFO order.
     """
 
-    def __init__(self, my_rank: int, pipes: dict[int, tuple[Any, Any]]):
-        self._my = my_rank
+    def __init__(self, rank: int, pipes: dict[int, tuple[Any, Any]]):
+        #: the one world rank that lives on this side of the pipes
+        self.rank = rank
         self._pipes = pipes
         self._send_locks = {w: threading.Lock() for w in pipes}
-        self._machine: Optional["_ProcessMachine"] = None
+        self._machine: Optional[Machine] = None
         self._stash: dict[Hashable, list[tuple]] = {}
         self._sync: dict[tuple, Envelope] = {}
         self._sync_lock = threading.Lock()
         self._sync_counter = itertools.count()
 
     # -- sending -----------------------------------------------------------
+
+    def outbox(self, comm_id: Hashable, world: int) -> _RemoteMailbox:
+        return _RemoteMailbox(self, comm_id, world)
 
     def write(self, world: int, frame: list) -> None:
         with self._send_locks[world]:
@@ -373,12 +286,12 @@ class _Transport:
         it fail at once instead of at the deadline."""
         for world in self._pipes:
             try:
-                self.send(world, ("abort", self._my))
+                self.send(world, ("abort", self.rank))
             except OSError:  # that peer is already gone
                 pass
 
     def new_token(self) -> tuple:
-        return (self._my, next(self._sync_counter))
+        return (self.rank, next(self._sync_counter))
 
     def register_sync(self, token: tuple, env: Envelope) -> None:
         with self._sync_lock:
@@ -386,13 +299,13 @@ class _Transport:
 
     # -- receiving ---------------------------------------------------------
 
-    def start(self, machine: "_ProcessMachine") -> None:
+    def start(self, machine: Machine) -> None:
         """One blocking reader per peer pipe: per-pair FIFO by construction."""
         self._machine = machine
         for world, (from_peer, _) in self._pipes.items():
             threading.Thread(
                 target=self._pump, args=(from_peer,),
-                name=f"pump-{self._my}<{world}", daemon=True,
+                name=f"pump-{self.rank}<{world}", daemon=True,
             ).start()
 
     def _pump(self, from_peer) -> None:
@@ -415,7 +328,7 @@ class _Transport:
                 env.sync_gate.open()
             return
         if msg[0] == "abort":
-            machine.peer_failed(msg[1])
+            machine.mark_failed(msg[1])
             return
         comm_id = msg[1]
         with machine._registry_lock:
@@ -427,7 +340,7 @@ class _Transport:
                 return
         self._deliver(state, msg)
 
-    def drain(self, state: "_ProcessCommState") -> None:
+    def drain(self, state: CommState) -> None:
         """Deliver stashed messages for a just-created communicator.
 
         Called by ``get_or_create_comm`` while holding the registry lock, so
@@ -436,7 +349,7 @@ class _Transport:
         for msg in self._stash.pop(state.comm_id, ()):
             self._deliver(state, msg)
 
-    def _deliver(self, state: "_ProcessCommState", msg: tuple) -> None:
+    def _deliver(self, state: CommState, msg: tuple) -> None:
         kind = msg[0]
         if kind == "env":
             _, _, source, tag, payload, nbytes, arrival_time, token = msg
@@ -449,144 +362,11 @@ class _Transport:
             if sync is not None:
                 sync.env = env
             # freshly unpickled, referenced by nobody else: no snapshot
-            state.mailboxes[state.local_of_world[self._my]].deliver(env)
+            state.mailboxes[state.local_of_world[self.rank]].deliver(env)
         elif kind == "bar":
-            state.barrier.remote_arrive(msg[2], msg[3])
+            state.barrier.record(msg[2], msg[3])
         elif kind == "bardone":
-            state.barrier.remote_done(msg[2], msg[3])
-
-
-# ---------------------------------------------------------------------------
-# the rank-local machine replica
-# ---------------------------------------------------------------------------
-
-
-class _ProcessCommState:
-    """Rank-local view of one communicator (duck-types ``CommState``).
-
-    This rank's own slot in ``mailboxes`` is a real matching
-    :class:`~repro.mpi.p2p.Mailbox`; every peer slot is a
-    :class:`_RemoteMailbox`.  ``revoked`` exists so ``_check_usable`` stays
-    cheap, but setting it is guarded off via ``machine.require``.
-    """
-
-    def __init__(self, machine: "_ProcessMachine", comm_id: Hashable,
-                 members: Sequence[int], topology=None):
-        self.machine = machine
-        self.comm_id = comm_id
-        self.members: tuple[int, ...] = tuple(members)
-        self.local_of_world = {w: i for i, w in enumerate(self.members)}
-        self.mailboxes: dict[int, Any] = {}
-        for local, world in enumerate(self.members):
-            if world == machine.my_rank:
-                mb = Mailbox(deadline_seconds=machine.deadline)
-                mb.failure_probe = machine.failed_snapshot
-                mb.source_to_world = (
-                    lambda r, m=self.members: m[r] if 0 <= r < len(m) else -1
-                )
-                mb.revoke_probe = self._is_revoked
-                self.mailboxes[local] = mb
-            else:
-                self.mailboxes[local] = _RemoteMailbox(
-                    machine.transport, comm_id, world
-                )
-        self.barrier = _PipeBarrier(
-            machine.transport, comm_id, self.members, machine.my_rank,
-            machine.cost_model.alpha, machine.failed_snapshot,
-        )
-        self.topology = topology
-        self.revoked = threading.Event()
-
-    def _is_revoked(self) -> bool:
-        return self.revoked.is_set()
-
-    def interrupt(self) -> None:
-        """Wake what is parked here: this rank's receives, probes, barriers."""
-        self.mailboxes[self.local_of_world[self.machine.my_rank]].interrupt()
-        self.barrier.interrupt()
-
-    @property
-    def size(self) -> int:
-        return len(self.members)
-
-
-class _ProcessMachine:
-    """Rank-local replica of :class:`~repro.mpi.machine.Machine`.
-
-    Satisfies the same duck-typed contract the binding layer consumes —
-    clocks, profiles, tracer, engine, communicator registry — but holds no
-    cross-rank shared state: only this rank's clock/profile slots ever
-    advance, and every shared-address-space feature is refused via
-    :meth:`require`.
-    """
-
-    def __init__(self, my_rank: int, num_ranks: int, *,
-                 cost_model: Optional[CostModel],
-                 deadline: float,
-                 tracer: Optional[TraceRecorder],
-                 engine: Optional[CollectiveEngine],
-                 transport: _Transport):
-        self.my_rank = my_rank
-        self.num_ranks = num_ranks
-        self.cost_model = cost_model if cost_model is not None else CostModel()
-        self.deadline = deadline
-        self.auditor = NULL_AUDITOR
-        self.fuzzer = None
-        self.faults = None
-        self.engine = (engine if engine is not None
-                       else CollectiveEngine(self.cost_model))
-        self.clocks = [Clock(self.cost_model) for _ in range(num_ranks)]
-        self.profile: list[Counter] = [Counter() for _ in range(num_ranks)]
-        self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.transport = transport
-        self._registry_lock = threading.Lock()
-        self._comms: dict[Hashable, _ProcessCommState] = {}
-        self._failed: frozenset[int] = frozenset()
-        self.world = self.get_or_create_comm(WORLD_ID, range(num_ranks))
-
-    # -- backend feature contract ------------------------------------------
-
-    def require(self, feature: str, what: str) -> None:
-        raise UnsupportedOnBackend(unsupported(feature, what))
-
-    # -- communicator registry ---------------------------------------------
-
-    def get_or_create_comm(self, comm_id: Hashable, members: Sequence[int],
-                           topology=None) -> _ProcessCommState:
-        with self._registry_lock:
-            state = self._comms.get(comm_id)
-            if state is None:
-                state = _ProcessCommState(self, comm_id, members, topology)
-                self._comms[comm_id] = state
-                self.transport.drain(state)
-            elif state.members != tuple(members):
-                raise RawUsageError(
-                    f"communicator id {comm_id!r} re-created with different "
-                    f"members"
-                )
-            return state
-
-    # -- failures: peers whose ``fn`` raised; injection is thread-only -----
-
-    def failed_snapshot(self) -> frozenset[int]:
-        return self._failed
-
-    def peer_failed(self, world_rank: int) -> None:
-        """An ``abort`` frame arrived (called by that peer's pump thread)."""
-        with self._registry_lock:
-            self._failed = self._failed | {world_rank}
-            states = list(self._comms.values())
-        for state in states:
-            state.interrupt()
-
-    def alive_members(self, state: _ProcessCommState) -> tuple[int, ...]:
-        return state.members
-
-    def mark_failed(self, world_rank: int) -> None:
-        self.require("failures", "failure injection")
-
-    def rendezvous(self, *args):
-        self.require("ulfm", "ULFM shrink/agree coordination")
+            state.barrier.complete(msg[2], msg[3])
 
 
 # ---------------------------------------------------------------------------
@@ -599,47 +379,43 @@ def _child_main(rank: int, num_ranks: int, fn: Callable[..., Any],
                 parent_conn) -> None:
     from repro.mpi.context import RawComm
 
+    # the schedule fuzzer keys its streams by thread name
+    threading.current_thread().name = f"rank-{rank}"
     tracer = TraceRecorder(num_ranks) if cfg["trace"] else None
+    seed = cfg["fuzz_seed"]
     transport = _Transport(rank, pipes)
-    machine = _ProcessMachine(
-        rank, num_ranks, cost_model=cfg["cost_model"],
-        deadline=cfg["deadline"], tracer=tracer, engine=cfg["engine"],
+    machine = Machine(
+        num_ranks, cost_model=cfg["cost_model"], deadline=cfg["deadline"],
+        tracer=tracer, engine=cfg["engine"],
+        fuzzer=ScheduleFuzzer(seed) if seed is not None else None,
         transport=transport,
     )
     parent_conn.send(("up", rank, os.getpid()))
     parent_conn.recv()  # ("start",) — every rank's endpoints are live
     transport.start(machine)
 
-    value: Any = None
-    error: Optional[tuple[str, str, str]] = None
-    try:
-        comm = RawComm(machine, machine.world, rank)
-        value = fn(comm, *args)
-    except BaseException as exc:  # noqa: BLE001 - marshalled to the parent
-        error = (type(exc).__name__, str(exc), traceback.format_exc())
-        transport.abort()
+    def report(value: Any, exc: Optional[BaseException]) -> RankReport:
+        # called inside the ``except`` block: the exception object need not
+        # pickle, so the parent gets its formatted traceback instead
+        detail = "" if exc is None else (
+            f"\n--- traceback from rank {rank} (process backend) ---\n"
+            f"{traceback.format_exc()}")
+        rep = RankReport.of(machine, rank, value, exc, detail)
+        rep.cause = None
+        rep.events = tracer._events[rank] if tracer is not None else None
+        return rep
 
-    clock = machine.clocks[rank]
-    report = {
-        "value": value,
-        "error": error,
-        "time": clock.now,
-        "comm_seconds": clock.comm_seconds,
-        "compute_seconds": clock.compute_seconds,
-        "counts": dict(machine.profile[rank]),
-        "trace": list(tracer._events[rank]) if tracer is not None else None,
-    }
     try:
-        parent_conn.send(("done", rank, report))
+        rep = report(fn(RawComm(machine, machine.world, rank), *args), None)
+    except BaseException as exc:  # noqa: BLE001 - reported to the parent
+        machine.abort(rank)  # peers blocked on us fail now
+        rep = report(None, exc)
+    try:
+        parent_conn.send(("done", rank, rep))
     except Exception as exc:  # unpicklable return value: report that instead
-        report["value"] = None
-        report["error"] = (
-            "RawUsageError",
+        parent_conn.send(("done", rank, report(None, RawUsageError(
             f"rank {rank} returned a value that could not be pickled back "
-            f"to the parent: {exc}",
-            traceback.format_exc(),
-        )
-        parent_conn.send(("done", rank, report))
+            f"to the parent: {exc}"))))
     parent_conn.recv()  # ("exit",) — all ranks reported; safe to tear down
 
 
@@ -676,9 +452,10 @@ class ProcessBackend(Backend):
             faults: Any = None) -> RunResult:
         if num_ranks < 1:
             raise RawUsageError(f"num_ranks must be >= 1, got {num_ranks}")
-        # Explicit requests for thread-only features fail loudly up front.
-        # sanitize=None means "env default", which this backend ignores (see
-        # the module docstring); only a literal True is a hard request.
+        # Explicit requests for shared-address-space features fail loudly up
+        # front.  sanitize=None means "env default", which this backend
+        # ignores (see the module docstring); only a literal True is a hard
+        # request.
         if timeout is not None:
             # the watchdog's value is the per-rank stack dumps, and
             # sys._current_frames() cannot see another OS process's threads
@@ -689,16 +466,12 @@ class ProcessBackend(Backend):
             raise UnsupportedOnBackend(
                 unsupported("sanitize", "MPIsan resource auditing "
                             "(sanitize=True)"))
-        if fuzz_seed is not None:
-            raise UnsupportedOnBackend(
-                unsupported("fuzz_seed", "the seeded schedule fuzzer "
-                            "(fuzz_seed=...)"))
         if faults is not None:
             raise UnsupportedOnBackend(
                 unsupported("faults", "fault-injection campaigns "
                             "(faults=...)"))
 
-        want_trace = bool(trace) or isinstance(trace, TraceRecorder)
+        tracer = resolve_tracer(trace, num_ranks)
         ctx = self._context()
 
         # a simplex pipe per ordered rank pair + a control pipe per rank
@@ -711,7 +484,8 @@ class ProcessBackend(Backend):
             for r in range(num_ranks)
         }
         cfg = {"cost_model": cost_model, "deadline": deadline,
-               "trace": want_trace, "engine": engine}
+               "trace": tracer is not None, "engine": engine,
+               "fuzz_seed": fuzz_seed}
         ctl: dict[int, Any] = {}
         child_ends = []
         procs: dict[int, Any] = {}
@@ -756,7 +530,7 @@ class ProcessBackend(Backend):
             for conn in ctl.values():
                 conn.close()
 
-        return self._assemble(reports, num_ranks, trace, want_trace)
+        return self.finish([reports[r][0] for r in range(num_ranks)], tracer)
 
     # -- parent-side collection --------------------------------------------
 
@@ -802,47 +576,3 @@ class ProcessBackend(Backend):
         for p in procs.values():
             if p.is_alive():
                 p.terminate()
-
-    def _assemble(self, reports: dict[int, Any], num_ranks: int,
-                  trace: bool | TraceRecorder, want_trace: bool) -> RunResult:
-        by_rank = {r: payload[0] for r, payload in reports.items()}
-
-        def _priority(item):
-            # peers of a raising rank see it fail (or, blocked elsewhere, hit
-            # their deadlock deadline); surface the root cause first (same
-            # policy as the thread backend)
-            return item[1]["error"][0] in ("RawProcessFailure",
-                                           "RawDeadlockError")
-
-        raised = [(r, rep) for r, rep in sorted(by_rank.items())
-                  if rep["error"] is not None]
-        for rank, rep in sorted(raised, key=_priority):
-            etype, emsg, tb = rep["error"]
-            raise RuntimeError(
-                f"rank {rank} raised {etype}: {emsg}\n"
-                f"--- traceback from rank {rank} (process backend) ---\n{tb}"
-            )
-
-        tracer: Optional[TraceRecorder] = None
-        if want_trace:
-            tracer = (trace if isinstance(trace, TraceRecorder)
-                      else TraceRecorder(num_ranks))
-            for r in range(num_ranks):
-                events = by_rank[r]["trace"]
-                if events:
-                    tracer._events[r].extend(events)
-
-        return RunResult(
-            values=[by_rank[r]["value"] for r in range(num_ranks)],
-            times=[by_rank[r]["time"] for r in range(num_ranks)],
-            counts=[Counter(by_rank[r]["counts"]) for r in range(num_ranks)],
-            comm_seconds=[by_rank[r]["comm_seconds"]
-                          for r in range(num_ranks)],
-            compute_seconds=[by_rank[r]["compute_seconds"]
-                             for r in range(num_ranks)],
-            failed=frozenset(),
-            machine=None,
-            trace=tracer,
-            leaks=None,
-            backend=self.name,
-        )

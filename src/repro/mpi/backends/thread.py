@@ -1,13 +1,13 @@
 """Threads-as-ranks execution backend (the seed runtime's original engine).
 
 One daemon thread per rank, all sharing a single :class:`~repro.mpi.machine.
-Machine`: mailboxes are plain in-process queues, collectives run over them,
-and the virtual clocks advance deterministically.  Because everything shares
-one address space, this backend is the only one that supports the
-introspection and chaos machinery — MPIsan resource auditing, the seeded
-schedule fuzzer, fault-injection campaigns, RMA windows, and ULFM failure
-coordination — which makes it the deterministic debug target the process
-backend is differentially tested against (``tests/backends/``).
+Machine` built with no transport: mailboxes are plain in-process queues,
+collectives run over them, and the virtual clocks advance deterministically.
+Because everything shares one address space, this backend is the only one
+that supports the introspection and chaos machinery — MPIsan resource
+auditing, fault-injection campaigns, the run watchdog, RMA windows, and ULFM
+failure coordination — which makes it the deterministic debug target the
+process backend is differentially tested against (``tests/backends/``).
 """
 
 from __future__ import annotations
@@ -16,24 +16,20 @@ import threading
 import time
 from typing import Any, Callable, Optional, Sequence
 
-from repro.mpi.backends.base import Backend
+from repro.mpi.backends.base import Backend, RankReport, resolve_tracer
 from repro.mpi.costmodel import CostModel
 from repro.mpi.engine import CollectiveEngine
 from repro.mpi.errors import (
     ProcessKilled,
     RawDeadlockError,
-    RawProcessFailure,
     RawUsageError,
     RunTimeout,
 )
-from repro.mpi.machine import Machine, RunResult, _emit_leak_events
+from repro.mpi.machine import Machine, RunResult
 from repro.mpi.watchdog import format_stacks, thread_stacks
 from repro.mpi.sanitizer import (
-    LeakReport,
     ResourceAuditor,
-    ResourceLeakError,
     ScheduleFuzzer,
-    env_fuzz_seed_default,
     env_sanitize_default,
 )
 from repro.mpi.tracing import TraceRecorder
@@ -59,18 +55,9 @@ class ThreadBackend(Backend):
         if timeout is not None and timeout <= 0:
             raise RawUsageError(f"timeout must be > 0 seconds, got {timeout}")
 
-        tracer: Optional[TraceRecorder]
-        if isinstance(trace, TraceRecorder):
-            tracer = trace
-        elif trace:
-            tracer = TraceRecorder(num_ranks)
-        else:
-            tracer = None
-
+        tracer = resolve_tracer(trace, num_ranks)
         if sanitize is None:
             sanitize = env_sanitize_default()
-        if fuzz_seed is None:
-            fuzz_seed = env_fuzz_seed_default()
         auditor = ResourceAuditor() if sanitize else None
         fuzzer = ScheduleFuzzer(fuzz_seed) if fuzz_seed is not None else None
 
@@ -120,45 +107,7 @@ class ThreadBackend(Backend):
                         stacks,
                     )
 
-        # Prefer primary errors: a raising rank aborts, so the peers blocked
-        # on it see a process failure (which the bindings re-raise as their
-        # own type, chained) or, blocked elsewhere, hit the deadlock
-        # deadline; the root cause is the original exception (same policy as
-        # the process backend).
-        def _priority(item):
-            exc = item[1]
-            while exc is not None:
-                if isinstance(exc, (RawProcessFailure, RawDeadlockError)):
-                    return 1
-                exc = exc.__context__
-            return 0
-
-        raised = [(rank, exc) for rank, exc in enumerate(errors)
-                  if exc is not None]
-        for rank, exc in sorted(raised, key=_priority):
-            raise RuntimeError(
-                f"rank {rank} raised {type(exc).__name__}: {exc}"
-            ) from exc
-
-        leaks: Optional[LeakReport] = None
-        if machine.auditor.enabled:
-            leaks = machine.auditor.collect(machine)
-            if leaks and tracer is not None:
-                _emit_leak_events(tracer, leaks)
-            # failed ranks tear down mid-operation: report, but don't fail
-            # the run
-            if leaks and not machine.failed_snapshot():
-                raise ResourceLeakError(leaks)
-
-        return RunResult(
-            values=values,
-            times=[c.now for c in machine.clocks],
-            counts=machine.profile,
-            comm_seconds=[c.comm_seconds for c in machine.clocks],
-            compute_seconds=[c.compute_seconds for c in machine.clocks],
-            failed=machine.failed_snapshot(),
-            machine=machine,
-            trace=tracer,
-            leaks=leaks,
-            backend=self.name,
-        )
+        return self.finish(
+            [RankReport.of(machine, r, values[r], errors[r])
+             for r in range(num_ranks)],
+            tracer, machine)

@@ -221,8 +221,8 @@ class RawComm:
             return
         with self._span("ssend", peers=(dest,), tag=tag, payload=payload):
             env = self._deposit(payload, dest, validate_user_tag(tag), sync=True)
-            SyncSendRequest(env, self.clock, self.machine.deadline,
-                            fuzz=self.machine.fuzzer).wait()
+            SyncSendRequest(env, self.clock, self.machine,
+                            self.state.members[dest]).wait()
 
     def isend(self, payload: Any, dest: int, tag: int = 0) -> RawRequest:
         """Non-blocking standard send (buffered: completes immediately)."""
@@ -242,8 +242,8 @@ class RawComm:
             return CompletedRequest()
         with self._span("issend", peers=(dest,), tag=tag, payload=payload):
             env = self._deposit(payload, dest, validate_user_tag(tag), sync=True)
-        req = SyncSendRequest(env, self.clock, self.machine.deadline,
-                              fuzz=self.machine.fuzzer)
+        req = SyncSendRequest(env, self.clock, self.machine,
+                              self.state.members[dest])
         auditor = self.machine.auditor
         if auditor.enabled:
             auditor.track_request(req, self, op="issend", peer=dest, tag=tag,
@@ -343,10 +343,7 @@ class RawComm:
             self._ibarrier_epoch += 1
             self.clock.charge_overhead()
             ticket = self.state.barrier.arrive(epoch, self.clock.now)
-        req = CounterBarrierRequest(
-            self.state.barrier, ticket, self.clock, self.machine.deadline,
-            fuzz=self.machine.fuzzer,
-        )
+        req = CounterBarrierRequest(self.state.barrier, ticket, self.clock)
         auditor = self.machine.auditor
         if auditor.enabled:
             auditor.track_request(req, self, op="ibarrier")

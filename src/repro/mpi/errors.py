@@ -30,6 +30,14 @@ class UnsupportedOnBackend(RawUsageError):
     """
 
 
+def unsupported(feature: str, what: str) -> str:
+    """The pinned message format for process-backend feature refusals."""
+    return (
+        f"{what} is not supported on the 'process' backend: it relies on "
+        f"shared-process state ({feature}); run with backend='thread'"
+    )
+
+
 class RawTruncationError(RawMpiError):
     """A receive buffer was too small for the matched message (``MPI_ERR_TRUNCATE``)."""
 

@@ -33,6 +33,7 @@ class FailureScript:
         """Kill the calling rank if the plan says so at this checkpoint."""
         victims = self.plan.get(name)
         if victims and comm.world_rank in victims:
+            comm.machine.require("failures", "failure injection")
             comm.machine.mark_failed(comm.world_rank)
             raise ProcessKilled(comm.world_rank)
 

@@ -5,9 +5,10 @@ execution backend (:mod:`repro.mpi.backends`; threads-as-ranks by default,
 one-OS-process-per-rank with ``backend="process"``), hands each rank a
 :class:`~repro.mpi.context.RawComm` for the world communicator, and collects
 results, virtual times, and PMPI-style call counts.  The :class:`Machine`
-defined here is the shared state of the *thread* backend; the process
-backend builds a rank-local replica satisfying the same duck-typed contract
-(see :mod:`repro.mpi.backends.process`).
+defined here is the one runtime core of every backend: built with no
+transport, all its ranks live in this address space (the thread backend, the
+cluster service); built over a transport, it is the part of the machine that
+lives with the transport's rank (see :mod:`repro.mpi.backends.process`).
 """
 
 from __future__ import annotations
@@ -21,7 +22,12 @@ from typing import Any, Callable, Hashable, Optional, Sequence
 from repro.mpi.constants import WORLD_ID
 from repro.mpi.costmodel import Clock, CostModel
 from repro.mpi.engine import CollectiveEngine
-from repro.mpi.errors import RawDeadlockError, RawUsageError
+from repro.mpi.errors import (
+    RawDeadlockError,
+    RawUsageError,
+    UnsupportedOnBackend,
+    unsupported,
+)
 from repro.mpi.p2p import Mailbox
 from repro.mpi.requests import ArrivalBarrier
 from repro.mpi.sanitizer import (
@@ -30,13 +36,14 @@ from repro.mpi.sanitizer import (
     NullAuditor,
     ResourceAuditor,
     ScheduleFuzzer,
+    env_fuzz_seed_default,
 )
 from repro.mpi.tracing import NULL_TRACER, NullTraceRecorder, TraceEvent, TraceRecorder
 from repro.mpi.waiting import Backoff
 
 
 class CommState:
-    """Shared (cross-thread) state of one communicator."""
+    """State of one communicator: every member's endpoint, as seen from here."""
 
     def __init__(self, machine: "Machine", comm_id: Hashable,
                  members: Sequence[int],
@@ -46,16 +53,21 @@ class CommState:
         #: world ranks of the members; local rank == index
         self.members: tuple[int, ...] = tuple(members)
         self.local_of_world = {w: i for i, w in enumerate(self.members)}
-        self.mailboxes: dict[int, Mailbox] = {}
-        for local in range(len(self.members)):
-            mb = Mailbox(deadline_seconds=machine.deadline)
-            mb.failure_probe = machine.failed_snapshot
-            mb.source_to_world = lambda r, m=self.members: m[r] if 0 <= r < len(m) else -1
-            mb.fuzz = machine.fuzzer
+        transport = machine.transport
+        #: per local rank where a send to it is deposited: the member's
+        #: mailbox if it lives here, else the transport's outbox to it
+        self.mailboxes: dict[int, Any] = {}
+        for local, world in enumerate(self.members):
+            if transport is None or world == transport.rank:
+                mb = Mailbox(deadline_seconds=machine.deadline)
+                mb.failure_probe = machine.failed_snapshot
+                mb.source_to_world = lambda r, m=self.members: m[r] if 0 <= r < len(m) else -1
+                mb.revoke_probe = self._is_revoked
+                mb.fuzz = machine.fuzzer
+            else:
+                mb = transport.outbox(comm_id, world)
             self.mailboxes[local] = mb
-        for mb in self.mailboxes.values():
-            mb.revoke_probe = self._is_revoked
-        self.barrier = ArrivalBarrier(len(self.members), machine.cost_model.alpha)
+        self.barrier = ArrivalBarrier(comm_id, self.members, machine)
         #: per-local-rank (sources, destinations) for dist-graph communicators
         self.topology = topology
         self.revoked = threading.Event()
@@ -69,9 +81,12 @@ class CommState:
         self.interrupt()
 
     def interrupt(self) -> None:
-        """Wake every receive and probe parked on this communicator."""
+        """Wake every receive, probe and ``ibarrier`` wait parked on this
+        communicator."""
         for mb in self.mailboxes.values():
-            mb.interrupt()
+            if isinstance(mb, Mailbox):  # lives here: something may be parked
+                mb.interrupt()
+        self.barrier.interrupt()
 
     @property
     def size(self) -> int:
@@ -145,7 +160,15 @@ class RunResult:
 
 
 class Machine:
-    """An in-process parallel machine with ``num_ranks`` rank threads."""
+    """A parallel machine of ``num_ranks`` ranks — all of it, or with a
+    ``transport`` the part that lives with rank ``transport.rank``.
+
+    All the core uses of a transport: ``rank``, ``outbox(comm_id, world)``
+    (its ``deposit(env)`` delivers to that rank's mailbox), ``send(world,
+    msg)`` (a control message to that rank's machine), ``drain(state)``
+    (hand over what arrived for a communicator before it existed here) and
+    ``abort()`` (tell every other rank this one's ``fn`` raised).
+    """
 
     def __init__(self, num_ranks: int, cost_model: Optional[CostModel] = None,
                  deadline: float = 120.0,
@@ -153,10 +176,12 @@ class Machine:
                  engine: Optional["CollectiveEngine"] = None,
                  auditor: Optional[ResourceAuditor] = None,
                  fuzzer: Optional[ScheduleFuzzer] = None,
-                 faults=None):
+                 faults=None, transport=None):
         if num_ranks < 1:
             raise RawUsageError(f"num_ranks must be >= 1, got {num_ranks}")
         self.num_ranks = num_ranks
+        #: ``None``: every rank lives in this address space
+        self.transport = transport
         self.cost_model = cost_model if cost_model is not None else CostModel()
         self.deadline = deadline
         #: MPIsan resource auditor; the no-op singleton unless sanitizing
@@ -186,8 +211,7 @@ class Machine:
         #: per rendezvous key: the flags of the arrived, then the result
         self._shrink_arrivals: dict[Hashable, dict[int, bool]] = {}
         self._shrink_results: dict[Hashable, tuple[tuple[int, ...], bool]] = {}
-        self.world = CommState(self, WORLD_ID, range(num_ranks))
-        self._comms[WORLD_ID] = self.world
+        self.world = self.get_or_create_comm(WORLD_ID, range(num_ranks))
         #: active fault-injection campaign (``None`` outside injected runs);
         #: attach last — it wires itself into the engine's fault hook
         self.faults = faults
@@ -197,14 +221,16 @@ class Machine:
     # -- backend feature contract ------------------------------------------
 
     def require(self, feature: str, what: str) -> None:
-        """Assert a backend feature is available (no-op: threads have all).
+        """Assert a feature built on one shared address space is available.
 
-        The thread backend shares one address space across ranks, so RMA
-        windows, ULFM failure coordination, fault injection, MPIsan, and the
-        schedule fuzzer all work.  Other backends override this to raise
+        RMA windows, ULFM failure coordination and failure injection read and
+        write other ranks' state directly, so they exist only where every
+        rank lives here; over a transport they raise
         :class:`~repro.mpi.errors.UnsupportedOnBackend` with an actionable
         message instead of silently misbehaving.
         """
+        if self.transport is not None:
+            raise UnsupportedOnBackend(unsupported(feature, what))
 
     # -- communicator registry -------------------------------------------
 
@@ -216,6 +242,8 @@ class Machine:
             if state is None:
                 state = CommState(self, comm_id, members, topology)
                 self._comms[comm_id] = state
+                if self.transport is not None:
+                    self.transport.drain(state)
             elif state.members != tuple(members):
                 raise RawUsageError(
                     f"communicator id {comm_id!r} re-created with different members"
@@ -231,14 +259,17 @@ class Machine:
         self.interrupt()
 
     def abort(self, world_rank: int) -> None:
-        """``world_rank``'s ``fn`` raised: to its peers it is a failed rank
-        (what the ``abort`` frame is to the process backend), so whoever is
-        blocked on it raises at once instead of at the deadline."""
+        """``world_rank``'s ``fn`` raised: to its peers it is a failed rank,
+        so whoever is blocked on it raises at once instead of at the
+        deadline (peers living elsewhere ``mark_failed`` it when told)."""
         self.mark_failed(world_rank)
+        if self.transport is not None:
+            self.transport.abort()
 
     def interrupt(self) -> None:
-        """Deliver a change of the failed set to everyone parked: receives
-        and probes on every communicator, shrink/agree rendezvous."""
+        """Deliver a change of the failed set to everyone parked: receives,
+        probes and ``ibarrier`` waits on every communicator, shrink/agree
+        rendezvous."""
         with self._registry_lock:
             states = list(self._comms.values())
         for state in states:
@@ -334,11 +365,11 @@ def run_mpi(fn: Callable[..., Any], num_ranks: int, *,
     ``backend`` selects the execution backend (default: the ``REPRO_BACKEND``
     environment variable, else ``"thread"``).  ``"thread"`` runs ranks as
     threads of this process — the deterministic debug/fuzz/virtual-time
-    target.  ``"process"`` runs each rank in its own OS process connected by
-    per-pair duplex pipes, escaping the GIL for genuinely parallel execution;
-    payloads, ``fn``, ``args``, and return values must then be picklable, and
-    thread-backend-only features (MPIsan, fault injection, the schedule
-    fuzzer, RMA, ULFM) raise
+    target.  ``"process"`` runs each rank in its own OS process, one simplex
+    pipe per ordered rank pair, escaping the GIL for genuinely parallel
+    execution; payloads, ``fn``, ``args``, and return values must then be
+    picklable, and thread-backend-only features (MPIsan, fault injection,
+    the run watchdog, RMA, ULFM) raise
     :class:`~repro.mpi.errors.UnsupportedOnBackend`.  See
     :mod:`repro.mpi.backends` and DESIGN §12.
 
@@ -370,7 +401,8 @@ def run_mpi(fn: Callable[..., Any], num_ranks: int, *,
     ``fuzz_seed`` (default: the ``REPRO_FUZZ_SEED`` env var) enables the
     seeded schedule fuzzer: deterministic per-rank delivery delays and
     poll-wakeup jitter that perturb real-time interleaving without touching
-    virtual time (see :class:`~repro.mpi.sanitizer.ScheduleFuzzer`).
+    virtual time (see :class:`~repro.mpi.sanitizer.ScheduleFuzzer`), on
+    either backend.
 
     ``faults`` attaches a :class:`~repro.mpi.faultinject.FaultCampaign`
     that kills or slows ranks at counted-operation entries, between the p2p
@@ -421,6 +453,8 @@ def run_mpi(fn: Callable[..., Any], num_ranks: int, *,
     else:
         from repro.mpi.backends import resolve_backend
 
+        if fuzz_seed is None:
+            fuzz_seed = env_fuzz_seed_default()
         result = resolve_backend(backend).run(
             fn, num_ranks, args=args, cost_model=cost_model,
             deadline=deadline, timeout=timeout, trace=trace, engine=engine,

@@ -8,10 +8,10 @@ them into ownership-tracking non-blocking results.
 from __future__ import annotations
 
 import threading
-from typing import Any, Optional, Sequence
+from typing import Any, Hashable, Optional, Sequence
 
 from repro.mpi.costmodel import Clock
-from repro.mpi.errors import RawDeadlockError, RawUsageError
+from repro.mpi.errors import RawDeadlockError, RawProcessFailure, RawUsageError
 from repro.mpi.p2p import Envelope, Mailbox, PendingRecv, Status
 from repro.mpi.waiting import Backoff
 
@@ -63,18 +63,20 @@ class CompletedRequest(RawRequest):
 class SyncSendRequest(RawRequest):
     """Request for ``issend``: completes once the receiver matched the message."""
 
-    def __init__(self, env: Envelope, clock: Clock, deadline: float = 120.0,
-                 fuzz=None):
+    def __init__(self, env: Envelope, clock: Clock, machine, dest_world: int):
         assert env.sync_gate is not None
         self._env = env
         self._clock = clock
-        self._deadline = deadline
-        self._fuzz = fuzz
+        self._machine = machine
+        self._dest_world = dest_world
         self._done = False
 
     def wait(self) -> None:
-        backoff = Backoff(self._deadline, fuzz=self._fuzz)
+        machine = self._machine
+        backoff = Backoff(machine.deadline, fuzz=machine.fuzzer)
         while not self._env.sync_gate.park(backoff.next_timeout()):
+            if self._dest_world in machine.failed_snapshot():
+                raise RawProcessFailure([self._dest_world])
             if backoff.expired:
                 raise RawDeadlockError("issend never matched a receive")
         self._finish()
@@ -165,20 +167,16 @@ class RecvRequest(RawRequest):
 
 
 class CounterBarrierRequest(RawRequest):
-    """Request for ``ibarrier``, backed by a machine-level arrival counter."""
+    """Request for ``ibarrier``, backed by the communicator's arrival counter."""
 
-    def __init__(self, barrier: "ArrivalBarrier", ticket: int, clock: Clock,
-                 deadline: float = 120.0, fuzz=None):
+    def __init__(self, barrier: "ArrivalBarrier", ticket: int, clock: Clock):
         self._barrier = barrier
         self._ticket = ticket
         self._clock = clock
-        self._deadline = deadline
-        self._fuzz = fuzz
         self._done = False
 
     def wait(self) -> None:
-        self._barrier.wait_complete(self._ticket, self._deadline,
-                                    fuzz=self._fuzz)
+        self._barrier.wait_complete(self._ticket)
         self._finish()
 
     def test(self) -> tuple[bool, Any]:
@@ -204,16 +202,28 @@ class CounterBarrierRequest(RawRequest):
 
 
 class ArrivalBarrier:
-    """Shared state for non-blocking barriers on one communicator.
+    """Arrival counter for the non-blocking barriers of one communicator.
 
-    Each barrier *epoch* completes when all ``size`` members have arrived.
-    Completion time in virtual time is the latest arrival clock plus a
-    logarithmic dissemination term.
+    Each barrier *epoch* completes when all members have arrived.  Completion
+    time in virtual time is the latest arrival clock plus a logarithmic
+    dissemination term.
+
+    Arrivals are counted where the member with the lowest world rank lives:
+    with no transport that is here, for everyone.  A member living elsewhere
+    sends ``("bar", comm_id, epoch, clock)`` there, which the transport hands
+    to :meth:`record`, and gets ``("bardone", comm_id, epoch, t)`` back
+    (:meth:`complete`).
     """
 
-    def __init__(self, size: int, alpha: float):
-        self._size = size
-        self._alpha = alpha
+    def __init__(self, comm_id: Hashable, members: tuple[int, ...], machine):
+        self._comm_id = comm_id
+        self._members = members
+        self._machine = machine
+        transport = machine.transport
+        #: world rank that counts the arrivals when that is not done here
+        self._counted_at: Optional[int] = (
+            None if transport is None or transport.rank == members[0]
+            else members[0])
         self._cond = threading.Condition()
         self._arrivals: dict[int, int] = {}
         self._max_clock: dict[int, float] = {}
@@ -221,17 +231,37 @@ class ArrivalBarrier:
 
     def arrive(self, epoch: int, clock_now: float) -> int:
         """Record arrival in ``epoch``; returns the epoch as the wait ticket."""
+        if self._counted_at is None:
+            self.record(epoch, clock_now)
+        else:
+            self._machine.transport.send(
+                self._counted_at, ("bar", self._comm_id, epoch, clock_now))
+        return epoch
+
+    def record(self, epoch: int, clock_now: float) -> None:
+        """Count one arrival; the last one completes the epoch."""
+        size = len(self._members)
         with self._cond:
             n = self._arrivals.get(epoch, 0) + 1
             self._arrivals[epoch] = n
             self._max_clock[epoch] = max(self._max_clock.get(epoch, 0.0), clock_now)
-            if n == self._size:
-                rounds = max((self._size - 1).bit_length(), 1)
-                self._complete_time[epoch] = (
-                    self._max_clock[epoch] + rounds * self._alpha
-                )
-                self._cond.notify_all()
-            return epoch
+            if n < size:
+                return
+            rounds = max((size - 1).bit_length(), 1)
+            t = self._max_clock[epoch] + rounds * self._machine.cost_model.alpha
+            self._complete_time[epoch] = t
+            self._cond.notify_all()
+        transport = self._machine.transport
+        if transport is not None:
+            for world in self._members:
+                if world != transport.rank:
+                    transport.send(world, ("bardone", self._comm_id, epoch, t))
+
+    def complete(self, epoch: int, t: float) -> None:
+        """The counting side's completion time for ``epoch`` arrived."""
+        with self._cond:
+            self._complete_time[epoch] = t
+            self._cond.notify_all()
 
     def is_complete(self, epoch: int) -> bool:
         with self._cond:
@@ -241,12 +271,23 @@ class ArrivalBarrier:
         with self._cond:
             return self._complete_time[epoch]
 
-    def wait_complete(self, epoch: int, deadline: float, fuzz=None) -> None:
-        backoff = Backoff(deadline, fuzz=fuzz)
+    def interrupt(self) -> None:
+        """Wake the parked ``ibarrier`` waits to look at the failed set."""
+        with self._cond:
+            self._cond.notify_all()
+
+    def wait_complete(self, epoch: int) -> None:
+        machine = self._machine
+        backoff = Backoff(machine.deadline, fuzz=machine.fuzzer)
         with self._cond:
             while epoch not in self._complete_time:
                 self._cond.wait(timeout=backoff.next_timeout())
-                if epoch not in self._complete_time and backoff.expired:
+                if epoch in self._complete_time:
+                    break
+                failed = machine.failed_snapshot().intersection(self._members)
+                if failed:
+                    raise RawProcessFailure(failed)
+                if backoff.expired:
                     raise RawDeadlockError("ibarrier never completed")
 
 

@@ -373,8 +373,9 @@ class ScheduleFuzzer:
     """Seeded, deterministic perturbation of the real-time schedule.
 
     Each thread draws from its own :class:`random.Random` stream seeded by
-    ``(seed, thread name)``.  Rank threads have stable names (``rank-<r>``),
-    so a given seed replays the same per-rank delay/jitter sequence run after
+    ``(seed, thread name)``.  Rank threads have stable names (``rank-<r>``, on
+    the process backend each child's main thread; its pumps are
+    ``pump-<r><<peer>``), so a given seed replays the same per-rank delay/jitter sequence run after
     run — the determinism contract the seed-minimization workflow relies on.
 
     Two perturbation points:

@@ -120,20 +120,18 @@ class TestUnsupportedFeatures:
         with pytest.raises(UnsupportedOnBackend, match=REFUSAL):
             run_mpi(_idle, 2, backend="process", sanitize=True)
 
-    def test_fuzz_seed_refused(self):
-        with pytest.raises(UnsupportedOnBackend, match=REFUSAL):
-            run_mpi(_idle, 2, backend="process", fuzz_seed=7)
-
     def test_faults_refused(self):
         campaign = FaultCampaign([KillOnOp(rank=0, op="send", nth=1)])
         with pytest.raises(UnsupportedOnBackend, match=REFUSAL):
             run_mpi(_idle, 2, backend="process", faults=campaign)
 
     def test_ambient_env_defaults_are_ignored(self, monkeypatch):
-        # REPRO_SANITIZE / REPRO_FUZZ_SEED opt the *thread* backend into
-        # extra checking; the process backend must ignore them (a sanitizing
-        # CI lane would otherwise be unable to run REPRO_BACKEND=process),
-        # erroring only on explicit arguments.
+        # REPRO_SANITIZE opts the *thread* backend into extra checking; the
+        # process backend must ignore it, because sanitize=True stays refused
+        # here (a sanitizing CI lane would otherwise be unable to run
+        # REPRO_BACKEND=process), erroring only on the explicit argument.
+        # REPRO_FUZZ_SEED is not ignored any more: the fuzzer runs on both
+        # backends (test_fuzzed_process_run_is_bit_identical_to_plain_threads)
         monkeypatch.setenv("REPRO_SANITIZE", "1")
         monkeypatch.setenv("REPRO_FUZZ_SEED", "3")
         res = run_mpi(_idle, 2, backend="process")

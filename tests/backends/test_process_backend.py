@@ -14,6 +14,7 @@ import pytest
 
 from repro.mpi import (
     BACKENDS,
+    Machine,
     ProcessBackend,
     RawUsageError,
     SUM,
@@ -21,6 +22,9 @@ from repro.mpi import (
     resolve_backend,
     run_mpi,
 )
+from repro.mpi.machine import CommState
+from repro.mpi.p2p import Mailbox
+from repro.mpi.requests import ArrivalBarrier
 from tests.backends.conftest import canon
 from tests.conftest import runk
 
@@ -49,6 +53,60 @@ def test_four_ranks_four_processes_bit_identical_results():
     assert got.times == ref.times
     assert got.counts == ref.counts
     assert got.backend == "process" and ref.backend == "thread"
+
+
+def _runtime_classes(comm):
+    mailboxes = comm.state.mailboxes
+    return (type(comm.machine) is Machine, type(comm.state) is CommState,
+            type(comm.state.barrier) is ArrivalBarrier,
+            [r for r in range(comm.size) if type(mailboxes[r]) is Mailbox])
+
+
+def test_a_process_rank_runs_the_shared_runtime_core():
+    """No replicas: the one Machine / CommState / ArrivalBarrier, over a
+    transport; only the rank's own endpoint is a mailbox."""
+    res = run_mpi(_runtime_classes, 3, backend="process")
+    for rank, value in enumerate(res.values):
+        assert value == (True, True, True, [rank])
+
+
+def _mixed_program(comm):
+    p, r = comm.size, comm.rank
+    total = comm.allreduce(r + 1, SUM)
+    comm.send(np.arange(4) * r, (r + 1) % p, tag=3)
+    ring, _ = comm.recv((r - 1) % p, 3)
+    comm.ibarrier().wait()
+    if r % 2 == 0:
+        comm.ssend(("sync", r), r + 1, tag=4)
+        pair = None
+    else:
+        pair, _ = comm.recv(r - 1, 4)
+    sub = comm.split(r % 2, r)
+    return int(total), ring, pair, sub.allgather(r)
+
+
+@pytest.mark.parametrize("seed", [0, 7, 1234])
+def test_fuzzed_process_run_is_bit_identical_to_plain_threads(seed):
+    got = run_mpi(_mixed_program, 4, backend="process", fuzz_seed=seed)
+    ref = run_mpi(_mixed_program, 4, backend="thread")
+    assert canon(got.values) == canon(ref.values)
+    assert got.times == ref.times
+    assert got.counts == ref.counts
+
+
+def _ibarrier_right_after_split(comm):
+    # a rank that does not count the arrivals leaves split first, so its
+    # arrival reaches the member that does before the communicator exists
+    # there: it is held back and handed over when it is created
+    for i in range(50):
+        comm.split(0, comm.rank).ibarrier().wait()
+    return comm.clock.now
+
+
+def test_ibarrier_right_after_split_takes_the_early_arrivals():
+    got = run_mpi(_ibarrier_right_after_split, 4, backend="process")
+    ref = run_mpi(_ibarrier_right_after_split, 4, backend="thread")
+    assert got.values == ref.values and got.times == ref.times
 
 
 def test_runresult_shape():

@@ -5,6 +5,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.core import Communicator, source
 from repro.mpi import (
     ANY_SOURCE,
     SUM,
@@ -106,7 +107,8 @@ def test_irecv_cancel():
 
 
 # ---------------------------------------------------------------------------
-# failures
+# failures (injection, ULFM and state the ranks of a test share exist on the
+# thread backend only: these runs say so instead of following REPRO_BACKEND)
 # ---------------------------------------------------------------------------
 
 def test_recv_from_dead_rank_raises():
@@ -121,7 +123,7 @@ def test_recv_from_dead_rank_raises():
                 return ("failed", exc.failed_ranks)
         return "alive"
 
-    res = run_mpi(main, 3, deadline=5.0)
+    res = run_mpi(main, 3, deadline=5.0, backend="thread")
     assert res.values[0] == ("failed", [1])
     assert res.values[1] is None
     assert res.failed == frozenset({1})
@@ -143,7 +145,7 @@ def test_send_to_dead_rank_raises():
                 return "detected"
         return "ok"
 
-    res = run_mpi(main, 3, deadline=5.0)
+    res = run_mpi(main, 3, deadline=5.0, backend="thread")
     assert res.values[0] == "detected"
 
 
@@ -159,7 +161,7 @@ def test_collective_with_dead_rank_raises_for_participants():
         except RawProcessFailure:
             return (total, "second-failed")
 
-    res = run_mpi(main, 2, deadline=5.0)
+    res = run_mpi(main, 2, deadline=5.0, backend="thread")
     assert res.values[1] == (2, "second-failed")
 
 
@@ -171,7 +173,7 @@ def test_shrink_and_continue():
         shrunk = comm.shrink(generation=0)
         return shrunk.size, shrunk.allreduce(1, SUM)
 
-    res = run_mpi(main, 5, deadline=10.0)
+    res = run_mpi(main, 5, deadline=10.0, backend="thread")
     for r in (0, 3, 4):
         assert res.values[r] == (3, 3)
 
@@ -183,7 +185,7 @@ def test_agree_is_logical_and():
         script.checkpoint(comm, "mid")
         return comm.agree(comm.rank != 0, generation=0)
 
-    res = run_mpi(main, 4, deadline=10.0)
+    res = run_mpi(main, 4, deadline=10.0, backend="thread")
     assert res.values[0] is False and res.values[1] is False
 
 
@@ -197,7 +199,7 @@ def test_revoke_wakes_blocked_receivers():
         except Exception as exc:
             return type(exc).__name__
 
-    res = run_mpi(main, 2, deadline=5.0)
+    res = run_mpi(main, 2, deadline=5.0, backend="thread")
     assert res.values[1] == "RawCommRevoked"
 
 
@@ -223,7 +225,7 @@ def _wake_latency(block, wake, parked_for, expect):
         shared["woken"] = time.monotonic()
         wake(comm)
 
-    res = run_mpi(main, 2, deadline=15.0)
+    res = run_mpi(main, 2, deadline=15.0, backend="thread")
     return res.values[0] - shared["woken"]
 
 
@@ -245,6 +247,38 @@ def test_revoke_wakes_a_parked_probe():
     assert max(latencies) < 0.025
 
 
+#: what rank 0 is parked in when rank 1 raises
+_PARKED_IN = {
+    # not receives: each relies on the failure check of its own wait
+    "ibarrier": lambda comm: comm.ibarrier().wait(),
+    "ssend": lambda comm: comm.ssend("never received", 1),
+    "issend": lambda comm: comm.issend("never received", 1).wait(),
+    # the bindings re-raise rank 0's failure as their own type, chained: it
+    # is still the consequence, not the cause
+    "wrapped_recv": lambda comm: Communicator(comm).recv(source(1)),
+}
+
+
+@pytest.mark.parametrize("backend", [
+    "thread", pytest.param("process", marks=pytest.mark.slow)])
+@pytest.mark.parametrize("parked_in", sorted(_PARKED_IN))
+def test_a_raising_peer_ends_the_wait_and_is_the_reported_root_cause(
+        parked_in, backend):
+    """Same behaviour on both backends: rank 0 does not ride the 2 s
+    deadline, and the run reports rank 1's exception, not rank 0's."""
+    def main(comm):
+        if comm.rank == 1:
+            time.sleep(0.05)
+            raise ValueError("rank 1 gives up")
+        _PARKED_IN[parked_in](comm)
+
+    t0 = time.monotonic()
+    with pytest.raises(RuntimeError,
+                       match="rank 1 raised ValueError: rank 1 gives up"):
+        run_mpi(main, 2, deadline=2.0, backend=backend)
+    assert time.monotonic() - t0 < 0.5
+
+
 def test_failed_ranks_listing():
     script = FailureScript({"go": {2}})
 
@@ -257,5 +291,5 @@ def test_failed_ranks_listing():
             time.sleep(0.01)
         return comm.failed_ranks()
 
-    res = run_mpi(main, 3, deadline=6.0)
+    res = run_mpi(main, 3, deadline=6.0, backend="thread")
     assert res.values[0] == (2,)
