@@ -49,8 +49,8 @@ from repro.mpi.algorithms.schedule import (
 from repro.mpi.errors import RawUsageError
 
 #: cost formula signature: ``(p, nbytes, cost_model) -> seconds``, where
-#: ``nbytes`` follows the per-collective hint convention documented in
-#: :meth:`repro.mpi.engine.CollectiveEngine.resolve`.
+#: ``nbytes`` follows the per-collective hint convention declared in
+#: :mod:`repro.mpi.collectives`.
 CostFn = Callable[[int, int, object], float]
 
 

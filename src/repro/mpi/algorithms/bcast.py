@@ -97,6 +97,8 @@ def bcast_scatter_allgather(p: int, r: int, payload: Any, root: int):
         yield Send(right, cur)
         cur = yield Recv(left)
         parts[(vr - i) % p] = cur
+    if r == root:
+        return payload  # its own object, like binomial and linear: no copy
     if parts[0][0] == "whole":
         return parts[0][1]
     return np.concatenate([chunk for _, chunk in parts])

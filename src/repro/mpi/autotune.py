@@ -55,6 +55,7 @@ from typing import Any, Mapping, Optional, Sequence
 import numpy as np
 
 from repro.mpi import algorithms as _registry
+from repro.mpi.collectives import COLLECTIVES
 from repro.mpi.costmodel import AlphaBetaFit, CostModel, fit_alpha_beta, linear_coefficients
 from repro.mpi.engine import CollectiveEngine, TuningRule
 from repro.mpi.errors import RawUsageError
@@ -65,13 +66,13 @@ ENV_AUTOTUNE = "REPRO_AUTOTUNE"
 ENV_AUTOTUNE_DIR = "REPRO_AUTOTUNE_DIR"
 
 #: ops whose resolve-time ``nbytes`` hint is reconstructible from trace
-#: events (the symmetric, size-hinted collectives).  Rooted ops resolve with
+#: events: those that declare one.  Rooted scatter-side ops resolve with
 #: ``nbytes=0`` on purpose — only the root knows the payload — so learned
 #: size buckets could never match them and they are not harvested.
-SIZE_HINTED_OPS = frozenset({
-    "allgather", "allgatherv", "allreduce", "alltoall", "alltoallv",
-    "gather", "gatherv", "reduce", "scan", "exscan",
-})
+#: (alltoallw declares a hint but has one registered algorithm, so
+#: harvesting it can never change a selection.)
+SIZE_HINTED_OPS = frozenset(
+    c.name for c in COLLECTIVES.values() if c.hint is not None)
 
 PERSIST_VERSION = 1
 
@@ -131,10 +132,10 @@ def _sweep_alltoallv(comm, width: int, seed: int) -> None:
     comm.alltoallv(buf, [width] * p, [width] * p)
 
 
+#: collective name -> workload, keyed by what follows ``_sweep_``
 SWEEP_WORKLOADS = {
-    "allgather": _sweep_allgather,
-    "allreduce": _sweep_allreduce,
-    "alltoallv": _sweep_alltoallv,
+    fn.__name__[len("_sweep_"):]: fn
+    for fn in (_sweep_allgather, _sweep_allreduce, _sweep_alltoallv)
 }
 
 #: default sweep grid — matches benchmarks/bench_coll_algorithms.py
@@ -145,9 +146,9 @@ ITEM = 8
 
 def _hint_bytes(op: str, p: int, width: int) -> int:
     """The engine's ``nbytes`` hint for one sweep workload call."""
-    if op == "alltoallv":
-        return p * width * ITEM  # hint convention: sum of send counts
-    return width * ITEM
+    if COLLECTIVES[op].hint == "payload":
+        return width * ITEM
+    return p * width * ITEM  # a count vector's total: p blocks of ``width``
 
 
 class AutoTuner:

@@ -12,11 +12,14 @@ tests reproduce the paper's methodology of asserting that the bindings issue
 
 from __future__ import annotations
 
+from types import SimpleNamespace
 from typing import Any, Hashable, Optional, Sequence
 
 import numpy as np
 
+from repro.mpi import nbc
 from repro.mpi.algorithms import SINGLETON, Algorithm
+from repro.mpi.collectives import COLLECTIVES, Collective
 from repro.mpi.constants import ANY_SOURCE, ANY_TAG, PROC_NULL, collective_tag, validate_user_tag
 from repro.mpi.costmodel import Clock
 from repro.mpi.datatypes import payload_nbytes
@@ -37,6 +40,10 @@ from repro.mpi.requests import (
 )
 from repro.mpi.tracing import _NULL_SPAN, _sum_payload_bytes
 from repro.mpi.waiting import Gate
+
+
+#: the declarations as attributes (``_CALL.bcast``), for the one-line methods
+_CALL = SimpleNamespace(**COLLECTIVES)
 
 
 def _peer(rank: int) -> tuple[int, ...]:
@@ -115,18 +122,14 @@ class RawComm:
                            algorithm=algorithm, ir_pass=self._ir_pass,
                            job=self._job_label)
 
-    def _coll_algo(self, op: str, payload: Any = None, hint=None) -> Algorithm:
+    def _coll_algo(self, op: str, args: tuple = ()) -> Algorithm:
         """Resolve which algorithm runs one collective call.
 
         Singleton communicators always take the pure-local fast path (even
-        under forced selection).  Otherwise the machine's engine decides;
-        the ``nbytes`` hint is only computed when some configured policy will
-        actually look at it, so the pure-default hot path never sizes
-        payloads.  ``payload`` sizes a local buffer; ``hint`` is a callable
-        for ops whose convention is not the local payload (e.g. allgatherv's
-        total gathered volume).  Rooted scatter-side ops (bcast, scatter,
-        scatterv) pass neither: only the root knows the payload, so all ranks
-        must select with nbytes=0 to stay SPMD-consistent.
+        under forced selection).  Otherwise the machine's engine decides; the
+        ``nbytes`` hint — taken from ``args`` as the op's declaration says
+        (:mod:`repro.mpi.collectives`) — is only computed when some configured
+        policy will look at it, so the pure-default hot path sizes no payload.
         """
         if self.state.size == 1:
             algo = SINGLETON.get(op)
@@ -135,11 +138,13 @@ class RawComm:
         engine = self.machine.engine
         scoped = self._coll_tuning.get(op)
         nbytes = 0
-        if engine.size_sensitive(op, self.comm_id, scoped=scoped):
-            if hint is not None:
-                nbytes = int(hint())
-            elif payload is not None:
-                nbytes = _sum_payload_bytes(payload)
+        if args and engine.size_sensitive(op, self.comm_id, scoped=scoped):
+            call = COLLECTIVES[op]
+            if call.hint == "payload":
+                nbytes = _sum_payload_bytes(args[0])
+            elif call.hint is not None:
+                counts = args[call.params.index(call.hint)]
+                nbytes = int(np.sum(counts)) * np.asarray(args[0]).itemsize
         return engine.resolve(op, p=self.state.size, nbytes=nbytes,
                               comm_id=self.comm_id, scoped=scoped)
 
@@ -328,11 +333,7 @@ class RawComm:
 
     def barrier(self) -> None:
         """Barrier (default algorithm: dissemination)."""
-        self._count("barrier")
-        self._check_usable()
-        algo = self._coll_algo("barrier")
-        with self._span("barrier", peers="all", algorithm=algo.name):
-            algo.fn(self)
+        self._collective(_CALL.barrier)
 
     def ibarrier(self) -> RawRequest:
         """Non-blocking barrier."""
@@ -351,100 +352,61 @@ class RawComm:
 
     # -- collectives ----------------------------------------------------------
 
-    def bcast(self, payload: Any, root: int = 0) -> Any:
-        self._count("bcast")
+    def _collective(self, call: Collective, *args: Any) -> Any:
+        """The one body of every blocking collective.
+
+        Everything that differs between them — who contributes the payload,
+        who records received bytes, the trace peers, the hint convention — is
+        read from the op's declaration in :mod:`repro.mpi.collectives`; span
+        arguments are only built when the tracer is on.  The IR recorder
+        overrides this method (and :meth:`_start`) to journal the call.
+        """
+        op = call.name
+        self._count(op)
         self._check_usable()
-        algo = self._coll_algo("bcast")
-        with self._span("bcast", peers=(root,),
-                        payload=payload if self._rank == root else None,
-                        algorithm=algo.name) as sp:
-            out = algo.fn(self, payload, root)
-            if self._rank != root:
+        algo = self._coll_algo(op, args)
+        if self.machine.tracer.enabled:
+            span = self._span(op, peers=call.span_peers(args),
+                              payload=call.payload(self._rank, args),
+                              algorithm=algo.name)
+        else:
+            span = _NULL_SPAN
+        with span as sp:
+            out = algo.fn(self, *args)
+            who = call.receives  # read here only, inline: the hot path
+            if who == "all" or (self._rank == args[-1]) == (who == "root"):
                 sp.set(recvd_payload=out)
         return out
 
+    def bcast(self, payload: Any, root: int = 0) -> Any:
+        return self._collective(_CALL.bcast, payload, root)
+
     def gather(self, payload: Any, root: int = 0) -> Optional[list]:
-        self._count("gather")
-        self._check_usable()
-        algo = self._coll_algo("gather", payload=payload)
-        with self._span("gather", peers=(root,), payload=payload,
-                        algorithm=algo.name) as sp:
-            out = algo.fn(self, payload, root)
-            if out is not None:
-                sp.set(recvd_payload=out)
-        return out
+        return self._collective(_CALL.gather, payload, root)
 
     def gatherv(self, sendbuf: np.ndarray, recvcounts: Optional[Sequence[int]],
                 root: int = 0) -> Optional[np.ndarray]:
         """Variable gather.  ``recvcounts`` is required at the root (C semantics)."""
-        self._count("gatherv")
-        self._check_usable()
-        algo = self._coll_algo("gatherv", payload=sendbuf)
-        with self._span("gatherv", peers=(root,), payload=sendbuf,
-                        algorithm=algo.name) as sp:
-            out = algo.fn(self, sendbuf, recvcounts, root)
-            if out is not None:
-                sp.set(recvd_payload=out)
-        return out
+        return self._collective(_CALL.gatherv, sendbuf, recvcounts, root)
 
     def scatter(self, payloads: Optional[Sequence[Any]], root: int = 0) -> Any:
-        self._count("scatter")
-        self._check_usable()
-        algo = self._coll_algo("scatter")
-        with self._span("scatter", peers=(root,),
-                        payload=payloads if self._rank == root else None,
-                        algorithm=algo.name) as sp:
-            out = algo.fn(self, payloads, root)
-            sp.set(recvd_payload=out)
-        return out
+        return self._collective(_CALL.scatter, payloads, root)
 
     def scatterv(self, sendbuf: Optional[np.ndarray],
                  sendcounts: Optional[Sequence[int]], root: int = 0) -> np.ndarray:
-        self._count("scatterv")
-        self._check_usable()
-        algo = self._coll_algo("scatterv")
-        with self._span("scatterv", peers=(root,),
-                        payload=sendbuf if self._rank == root else None,
-                        algorithm=algo.name) as sp:
-            out = algo.fn(self, sendbuf, sendcounts, root)
-            sp.set(recvd_payload=out)
-        return out
+        return self._collective(_CALL.scatterv, sendbuf, sendcounts, root)
 
     def allgather(self, payload: Any) -> list:
         """Allgather of one payload per rank (default: Bruck, ⌈log p⌉ rounds)."""
-        self._count("allgather")
-        self._check_usable()
-        algo = self._coll_algo("allgather", payload=payload)
-        with self._span("allgather", peers="all", payload=payload,
-                        algorithm=algo.name) as sp:
-            out = algo.fn(self, payload)
-            sp.set(recvd_payload=out)
-        return out
+        return self._collective(_CALL.allgather, payload)
 
     def allgatherv(self, sendbuf: np.ndarray,
                    recvcounts: Sequence[int]) -> np.ndarray:
         """Variable allgather.  ``recvcounts`` is required on all ranks (C semantics)."""
-        self._count("allgatherv")
-        self._check_usable()
-        algo = self._coll_algo(
-            "allgatherv",
-            hint=lambda: int(np.sum(recvcounts)) * np.asarray(sendbuf).itemsize,
-        )
-        with self._span("allgatherv", peers="all", payload=sendbuf,
-                        algorithm=algo.name) as sp:
-            out = algo.fn(self, sendbuf, recvcounts)
-            sp.set(recvd_payload=out)
-        return out
+        return self._collective(_CALL.allgatherv, sendbuf, recvcounts)
 
     def alltoall(self, payloads: Sequence[Any]) -> list:
-        self._count("alltoall")
-        self._check_usable()
-        algo = self._coll_algo("alltoall", payload=payloads)
-        with self._span("alltoall", peers="all", payload=payloads,
-                        algorithm=algo.name) as sp:
-            out = algo.fn(self, payloads)
-            sp.set(recvd_payload=out)
-        return out
+        return self._collective(_CALL.alltoall, payloads)
 
     def alltoallv(self, sendbuf: np.ndarray, sendcounts: Sequence[int],
                   recvcounts: Sequence[int]) -> np.ndarray:
@@ -453,17 +415,8 @@ class RawComm:
         ``recvcounts`` is required (C semantics) — the boilerplate count
         exchange this forces on users is exactly what the bindings remove.
         """
-        self._count("alltoallv")
-        self._check_usable()
-        algo = self._coll_algo(
-            "alltoallv",
-            hint=lambda: int(np.sum(sendcounts)) * np.asarray(sendbuf).itemsize,
-        )
-        with self._span("alltoallv", peers="all", payload=sendbuf,
-                        algorithm=algo.name) as sp:
-            out = algo.fn(self, sendbuf, sendcounts, recvcounts)
-            sp.set(recvd_payload=out)
-        return out
+        return self._collective(_CALL.alltoallv, sendbuf, sendcounts,
+                                recvcounts)
 
     def alltoallw(self, send_blocks: Sequence[Any]) -> list:
         """All-to-all with per-block derived datatypes.
@@ -472,101 +425,55 @@ class RawComm:
         setup plus pack/unpack cost, paid even for empty blocks) that makes
         MPL's v-collectives slow (paper §II, §IV-B).
         """
-        self._count("alltoallw")
-        self._check_usable()
-        algo = self._coll_algo("alltoallw", payload=send_blocks)
-        with self._span("alltoallw", peers="all", payload=send_blocks,
-                        algorithm=algo.name) as sp:
-            out = algo.fn(self, send_blocks)
-            sp.set(recvd_payload=out)
-        return out
+        return self._collective(_CALL.alltoallw, send_blocks)
 
     def reduce(self, value: Any, op: Op, root: int = 0) -> Any:
-        self._count("reduce")
-        self._check_usable()
-        algo = self._coll_algo("reduce", payload=value)
-        with self._span("reduce", peers=(root,), payload=value,
-                        algorithm=algo.name) as sp:
-            out = algo.fn(self, value, op, root)
-            if self._rank == root:
-                sp.set(recvd_payload=out)
-        return out
+        return self._collective(_CALL.reduce, value, op, root)
 
     def allreduce(self, value: Any, op: Op) -> Any:
-        self._count("allreduce")
-        self._check_usable()
-        algo = self._coll_algo("allreduce", payload=value)
-        with self._span("allreduce", peers="all", payload=value,
-                        algorithm=algo.name) as sp:
-            out = algo.fn(self, value, op)
-            sp.set(recvd_payload=out)
-        return out
+        return self._collective(_CALL.allreduce, value, op)
 
     def scan(self, value: Any, op: Op) -> Any:
         """Inclusive prefix reduction."""
-        self._count("scan")
-        self._check_usable()
-        algo = self._coll_algo("scan", payload=value)
-        with self._span("scan", peers="all", payload=value,
-                        algorithm=algo.name) as sp:
-            out = algo.fn(self, value, op)
-            sp.set(recvd_payload=out)
-        return out
+        return self._collective(_CALL.scan, value, op)
 
     def exscan(self, value: Any, op: Op) -> Any:
         """Exclusive prefix reduction (undefined — here: identity — on rank 0)."""
-        self._count("exscan")
-        self._check_usable()
-        algo = self._coll_algo("exscan", payload=value)
-        with self._span("exscan", peers="all", payload=value,
-                        algorithm=algo.name) as sp:
-            out = algo.fn(self, value, op)
-            sp.set(recvd_payload=out)
-        return out
+        return self._collective(_CALL.exscan, value, op)
 
     # -- non-blocking collectives (MPI-3) -----------------------------------------
 
+    def _start(self, call: Collective, *args: Any) -> RawRequest:
+        """The one body of every non-blocking collective: the blocking
+        twin's declaration, started instead of waited (:mod:`repro.mpi.nbc`)."""
+        return nbc.start(self, call, args)
+
     def ibcast(self, payload: Any, root: int = 0):
         """Non-blocking broadcast; complete with wait()/test() (``MPI_Ibcast``)."""
-        from repro.mpi import nbc
-
-        return nbc.ibcast(self, payload, root)
+        return self._start(_CALL.bcast, payload, root)
 
     def iallreduce(self, value: Any, op: Op):
         """Non-blocking allreduce (``MPI_Iallreduce``, commutative ops)."""
-        from repro.mpi import nbc
-
-        return nbc.iallreduce(self, value, op)
+        if not op.commutative:
+            raise RawUsageError(
+                "iallreduce supports commutative operations only; use the "
+                "blocking allreduce for ordered reductions")
+        return self._start(_CALL.allreduce, value, op)
 
     def iallgather(self, payload: Any):
         """Non-blocking allgather (``MPI_Iallgather``)."""
-        from repro.mpi import nbc
-
-        return nbc.iallgather(self, payload)
+        return self._start(_CALL.allgather, payload)
 
     # -- neighborhood collectives ----------------------------------------------
 
     def neighbor_alltoall(self, payloads: Sequence[Any]) -> list:
         """Exchange one payload with each topology neighbor."""
-        self._count("neighbor_alltoall")
-        self._check_usable()
-        algo = self._coll_algo("neighbor_alltoall")
-        with self._span("neighbor_alltoall", peers="neighbors",
-                        payload=payloads, algorithm=algo.name) as sp:
-            out = algo.fn(self, payloads)
-            sp.set(recvd_payload=out)
-        return out
+        return self._collective(_CALL.neighbor_alltoall, payloads)
 
     def neighbor_alltoallv(self, sendbuf: np.ndarray, sendcounts: Sequence[int],
                            recvcounts: Sequence[int]) -> np.ndarray:
-        self._count("neighbor_alltoallv")
-        self._check_usable()
-        algo = self._coll_algo("neighbor_alltoallv")
-        with self._span("neighbor_alltoallv", peers="neighbors",
-                        payload=sendbuf, algorithm=algo.name) as sp:
-            out = algo.fn(self, sendbuf, sendcounts, recvcounts)
-            sp.set(recvd_payload=out)
-        return out
+        return self._collective(_CALL.neighbor_alltoallv, sendbuf, sendcounts,
+                                recvcounts)
 
     @property
     def topology(self) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -613,7 +520,7 @@ class RawComm:
         seq = self._mgmt_seq
         self._mgmt_seq += 1
         entry = (color, key if key is not None else self._rank, self._rank)
-        entries = self._coll_algo("allgather", payload=entry).fn(self, entry)
+        entries = self._coll_algo("allgather", (entry,)).fn(self, entry)
         if color is None:
             return None
         group = sorted(

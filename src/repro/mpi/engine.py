@@ -27,9 +27,10 @@ the crossover analysis of the paper's §V into actual behavior.
 Selection must be SPMD-consistent: every rank of one call must reach the
 same decision.  All inputs here are symmetric — ``p``, the tuning table, the
 environment (one process), and ``nbytes`` by each collective's hint
-convention (rooted scatter-side ops always pass 0 because only the root
-knows the payload; symmetric ops pass locally-known sizes that MPI's
-matching-count semantics make equal everywhere).  The one sanctioned
+convention, declared in :mod:`repro.mpi.collectives` (rooted scatter-side
+ops always pass 0 because only the root knows the payload; symmetric ops
+pass locally-known sizes that MPI's matching-count semantics make equal
+everywhere).  The one sanctioned
 exception: alltoall(v)'s pairwise and spread schedules exchange identical
 message sets with explicit-source receives, so even a divergent pick would
 match correctly.
@@ -247,6 +248,10 @@ class CollectiveEngine:
     def resolve(self, op: str, *, p: int, nbytes: int = 0,
                 comm_id: Hashable = None,
                 scoped: Optional[Sequence[TuningRule]] = None) -> Algorithm:
+        """Pick the algorithm of one collective call (the counted hot path:
+        records a :class:`Decision`, fires ``fault_hook``).  ``nbytes``
+        follows the hint convention ``op`` declares in
+        :mod:`repro.mpi.collectives`."""
         algo, source, rule = self._decide(op, p=p, nbytes=nbytes,
                                           comm_id=comm_id, scoped=scoped)
         if self.record_decisions:

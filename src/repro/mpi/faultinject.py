@@ -48,6 +48,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Hashable, Optional, Sequence
 
+from repro.mpi.collectives import COLLECTIVES, NONBLOCKING
 from repro.mpi.errors import ProcessKilled, RawUsageError
 from repro.mpi.tracing import TraceEvent
 
@@ -56,13 +57,7 @@ from repro.mpi.tracing import TraceEvent
 OP_CATEGORIES: dict[str, frozenset[str]] = {
     "send": frozenset({"send", "ssend", "isend", "issend"}),
     "recv": frozenset({"recv", "irecv", "probe", "iprobe"}),
-    "collective": frozenset({
-        "barrier", "ibarrier", "bcast", "ibcast", "gather", "gatherv",
-        "scatter", "scatterv", "allgather", "iallgather", "allgatherv",
-        "alltoall", "alltoallv", "alltoallw", "reduce", "allreduce",
-        "iallreduce", "scan", "exscan", "neighbor_alltoall",
-        "neighbor_alltoallv",
-    }),
+    "collective": frozenset({*COLLECTIVES, *NONBLOCKING}),
     "rma": frozenset({
         "win_create", "win_fence", "win_lock", "win_unlock", "win_put",
         "win_get", "win_accumulate", "win_fetch_and_op",

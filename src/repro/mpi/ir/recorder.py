@@ -4,7 +4,10 @@
 run is started with ``run_mpi(fn, p, ir=...)``.  Every *public* raw call is
 executed normally (``super()``) and journaled as one :class:`CommOp` node —
 inputs snapshotted before the call, outputs after — so the recorded graph is
-simultaneously a faithful transcript and an executable schedule.  The
+simultaneously a faithful transcript and an executable schedule.  All
+collectives go through two overrides, of ``RawComm._collective`` and
+``._start``, which read what to journal from the op's declaration
+(:mod:`repro.mpi.collectives`).  The
 *internal* point-to-point rounds of collective algorithms are deliberately
 not recorded: a collective is one node, and its internal schedule is the
 engine's business (the node pins which algorithm ran instead).
@@ -25,20 +28,16 @@ from typing import Any, Hashable, Optional, Sequence
 
 import numpy as np
 
+from repro.mpi.collectives import Collective
 from repro.mpi.constants import ANY_SOURCE, ANY_TAG
 from repro.mpi.context import RawComm
-from repro.mpi.datatypes import snapshot
+from repro.mpi.datatypes import snapshot as _snap
 from repro.mpi.ir.nodes import CommOp
-from repro.mpi.ops import Op
 from repro.mpi.requests import RawRequest
 
 
 class UnsupportedForIR(RuntimeError):
     """The recorded epoch used ops the IR cannot replay faithfully."""
-
-
-def _snap(value: Any) -> Any:
-    return snapshot(value)
 
 
 class Recorder:
@@ -50,8 +49,10 @@ class Recorder:
         self.unsupported: set[str] = set()
         #: comm id -> tuple of world ranks backing its local ranks
         self.members: dict[Hashable, tuple[int, ...]] = {}
-        #: id(result object) -> index of the node that produced it
-        self._producers: dict[int, int] = {}
+        #: id(result object) -> (index of the node that produced it, the
+        #: object).  The journal keeps only a snapshot of a result, so once
+        #: the program drops the object a fresh payload can reuse its id.
+        self._producers: dict[int, tuple[int, Any]] = {}
         #: per-comm instance counter for collectives/nbc/management ops
         self._seq: dict[Hashable, int] = {}
 
@@ -65,26 +66,23 @@ class Recorder:
 
     def deps_of(self, *payloads: Any) -> tuple[int, ...]:
         """Dependency edges for a node's input payloads (identity-based)."""
-        deps = []
+        deps = set()
         for payload in payloads:
-            idx = self._producers.get(id(payload))
-            if idx is not None:
-                deps.append(idx)
-            if isinstance(payload, (list, tuple)):
-                for item in payload:
-                    idx = self._producers.get(id(item))
-                    if idx is not None:
-                        deps.append(idx)
-        return tuple(sorted(set(deps)))
+            items = payload if isinstance(payload, (list, tuple)) else ()
+            for obj in (payload, *items):
+                entry = self._producers.get(id(obj))
+                if entry is not None and entry[1] is obj:
+                    deps.add(entry[0])
+        return tuple(sorted(deps))
 
     def note_result(self, idx: int, obj: Any) -> None:
         """Register ``obj`` (and its elements) as produced by node ``idx``."""
         if isinstance(obj, (np.ndarray, list, tuple, dict)):
-            self._producers[id(obj)] = idx
+            self._producers[id(obj)] = (idx, obj)
             if isinstance(obj, (list, tuple)):
                 for item in obj:
                     if isinstance(item, (np.ndarray, list, tuple, dict)):
-                        self._producers[id(item)] = idx
+                        self._producers[id(item)] = (idx, item)
 
     def add(self, comm: RawComm, kind: str, op: str, *,
             seq: Optional[int] = None, args: Optional[dict] = None,
@@ -184,45 +182,38 @@ class RecordingComm(RawComm):
 
     # -- helpers -----------------------------------------------------------
 
-    def _rec_coll(self, op: str, result: Any, *, payload: Any = None,
-                  seq: int, args: Optional[dict] = None,
-                  kind: str = "coll", extra_inputs: tuple = ()) -> None:
-        self.recorder.add(
-            self, kind, op, seq=seq, args=args, payload=payload,
-            result=result,
-            deps=self.recorder.deps_of(payload, *extra_inputs),
-        )
+    def _coll_algo(self, op: str, args: tuple = ()):
+        """Resolve as usual, remembering the answer: the node journalled for
+        a collective names the algorithm its call actually ran."""
+        self._resolved = super()._coll_algo(op, args)
+        return self._resolved
 
-    def _algo_name(self, op: str, *, payload: Any = None, hint=None) -> str:
-        """The algorithm :meth:`_coll_algo` resolves for this call — observed
-        via the engine's side-effect-free :meth:`peek` (plus the singleton
-        fast path), so recording never double-fires fault hooks."""
-        if self.state.size == 1:
-            from repro.mpi.algorithms import SINGLETON
-
-            algo = SINGLETON.get(op)
-            if algo is not None:
-                return algo.name
-        engine = self.machine.engine
-        scoped = self._coll_tuning.get(op)
-        nbytes = 0
-        if engine.size_sensitive(op, self.comm_id, scoped=scoped):
-            from repro.mpi.tracing import _sum_payload_bytes
-
-            if hint is not None:
-                nbytes = int(hint())
-            elif payload is not None:
-                nbytes = _sum_payload_bytes(payload)
-        return engine.peek(op, p=self.state.size, nbytes=nbytes,
-                           comm_id=self.comm_id, scoped=scoped).name
+    def _journal(self, kind: str, op: str, call: Collective, args: tuple,
+                 seq: int, *, result: Any = None,
+                 algorithm: Optional[str] = None) -> CommOp:
+        """Append the node of one declared collective call: the payload only
+        where the declaration says this rank contributes it, the other
+        arguments under their declared names, count vectors snapshotted and —
+        results of earlier calls as a rule — tracked as inputs too."""
+        payload = call.payload(self.rank, args)
+        inputs, recorded = [payload], {}
+        for name, value in zip(call.params[1:], args[1:]):
+            if name.endswith("counts"):
+                inputs.append(value)
+                value = _snap(value)
+            recorded[name] = value
+        if algorithm is not None:
+            recorded["algorithm"] = algorithm
+        return self.recorder.add(self, kind, op, seq=seq, args=recorded,
+                                 payload=payload, result=result,
+                                 deps=self.recorder.deps_of(*inputs))
 
     def _adopt(self, comm: Optional[RawComm]) -> Optional["RecordingComm"]:
         """Re-wrap a communicator returned by a management op."""
         if comm is None:
             return None
-        wrapped = RecordingComm(comm.machine, comm.state, comm.world_rank,
-                                self.recorder)
-        return wrapped
+        return RecordingComm(comm.machine, comm.state, comm.world_rank,
+                             self.recorder)
 
     def _unsupported(self, op: str) -> None:
         self.recorder.unsupported.add(op)
@@ -307,195 +298,26 @@ class RecordingComm(RawComm):
 
     # -- synchronization -----------------------------------------------------
 
-    def barrier(self) -> None:
-        seq = self.recorder.next_seq(self.comm_id)
-        algo = self._algo_name("barrier")
-        super().barrier()
-        self._rec_coll("barrier", None, seq=seq, args={"algorithm": algo})
-
     def ibarrier(self) -> RawRequest:
         seq = self.recorder.next_seq(self.comm_id)
         req = super().ibarrier()
         node = self.recorder.add(self, "nbc", "ibarrier", seq=seq)
         return RecordingRequest(req, self, node)
 
-    # -- collectives ---------------------------------------------------------
+    # -- collectives, blocking and non-blocking --------------------------------
 
-    def bcast(self, payload: Any, root: int = 0) -> Any:
+    def _collective(self, call: Collective, *args: Any) -> Any:
         seq = self.recorder.next_seq(self.comm_id)
-        algo = self._algo_name("bcast")
-        out = super().bcast(payload, root)
-        self._rec_coll("bcast", out,
-                       payload=payload if self.rank == root else None,
-                       seq=seq, args={"root": root, "algorithm": algo})
+        out = super()._collective(call, *args)
+        self._journal("coll", call.name, call, args, seq, result=out,
+                      algorithm=self._resolved.name)
         return out
 
-    def gather(self, payload: Any, root: int = 0):
+    def _start(self, call: Collective, *args: Any) -> RawRequest:
         seq = self.recorder.next_seq(self.comm_id)
-        algo = self._algo_name("gather", payload=payload)
-        out = super().gather(payload, root)
-        self._rec_coll("gather", out, payload=payload, seq=seq,
-                       args={"root": root, "algorithm": algo})
-        return out
-
-    def gatherv(self, sendbuf, recvcounts, root: int = 0):
-        seq = self.recorder.next_seq(self.comm_id)
-        algo = self._algo_name("gatherv", payload=sendbuf)
-        out = super().gatherv(sendbuf, recvcounts, root)
-        self._rec_coll("gatherv", out, payload=sendbuf, seq=seq,
-                       args={"root": root, "algorithm": algo,
-                             "recvcounts": _snap(recvcounts)},
-                       extra_inputs=(recvcounts,))
-        return out
-
-    def scatter(self, payloads, root: int = 0):
-        seq = self.recorder.next_seq(self.comm_id)
-        algo = self._algo_name("scatter")
-        out = super().scatter(payloads, root)
-        self._rec_coll("scatter", out,
-                       payload=payloads if self.rank == root else None,
-                       seq=seq, args={"root": root, "algorithm": algo})
-        return out
-
-    def scatterv(self, sendbuf, sendcounts, root: int = 0):
-        seq = self.recorder.next_seq(self.comm_id)
-        algo = self._algo_name("scatterv")
-        out = super().scatterv(sendbuf, sendcounts, root)
-        self._rec_coll("scatterv", out,
-                       payload=sendbuf if self.rank == root else None,
-                       seq=seq, args={"root": root, "algorithm": algo,
-                                      "sendcounts": _snap(sendcounts)})
-        return out
-
-    def allgather(self, payload: Any) -> list:
-        seq = self.recorder.next_seq(self.comm_id)
-        algo = self._algo_name("allgather", payload=payload)
-        out = super().allgather(payload)
-        self._rec_coll("allgather", out, payload=payload, seq=seq,
-                       args={"algorithm": algo})
-        return out
-
-    def allgatherv(self, sendbuf, recvcounts):
-        seq = self.recorder.next_seq(self.comm_id)
-        algo = self._algo_name(
-            "allgatherv",
-            hint=lambda: int(np.sum(recvcounts)) * np.asarray(sendbuf).itemsize,
-        )
-        out = super().allgatherv(sendbuf, recvcounts)
-        self._rec_coll("allgatherv", out, payload=sendbuf, seq=seq,
-                       args={"algorithm": algo,
-                             "recvcounts": _snap(recvcounts)},
-                       extra_inputs=(recvcounts,))
-        return out
-
-    def alltoall(self, payloads) -> list:
-        seq = self.recorder.next_seq(self.comm_id)
-        algo = self._algo_name("alltoall", payload=payloads)
-        out = super().alltoall(payloads)
-        self._rec_coll("alltoall", out, payload=payloads, seq=seq,
-                       args={"algorithm": algo})
-        return out
-
-    def alltoallv(self, sendbuf, sendcounts, recvcounts):
-        seq = self.recorder.next_seq(self.comm_id)
-        algo = self._algo_name(
-            "alltoallv",
-            hint=lambda: int(np.sum(sendcounts)) * np.asarray(sendbuf).itemsize,
-        )
-        out = super().alltoallv(sendbuf, sendcounts, recvcounts)
-        self._rec_coll("alltoallv", out, payload=sendbuf, seq=seq,
-                       args={"algorithm": algo,
-                             "sendcounts": _snap(sendcounts),
-                             "recvcounts": _snap(recvcounts)},
-                       extra_inputs=(sendcounts, recvcounts))
-        return out
-
-    def alltoallw(self, send_blocks) -> list:
-        seq = self.recorder.next_seq(self.comm_id)
-        algo = self._algo_name("alltoallw", payload=send_blocks)
-        out = super().alltoallw(send_blocks)
-        self._rec_coll("alltoallw", out, payload=send_blocks, seq=seq,
-                       args={"algorithm": algo})
-        return out
-
-    def reduce(self, value: Any, op: Op, root: int = 0) -> Any:
-        seq = self.recorder.next_seq(self.comm_id)
-        algo = self._algo_name("reduce", payload=value)
-        out = super().reduce(value, op, root)
-        self._rec_coll("reduce", out, payload=value, seq=seq,
-                       args={"root": root, "op": op, "algorithm": algo})
-        return out
-
-    def allreduce(self, value: Any, op: Op) -> Any:
-        seq = self.recorder.next_seq(self.comm_id)
-        algo = self._algo_name("allreduce", payload=value)
-        out = super().allreduce(value, op)
-        self._rec_coll("allreduce", out, payload=value, seq=seq,
-                       args={"op": op, "algorithm": algo})
-        return out
-
-    def scan(self, value: Any, op: Op) -> Any:
-        seq = self.recorder.next_seq(self.comm_id)
-        algo = self._algo_name("scan", payload=value)
-        out = super().scan(value, op)
-        self._rec_coll("scan", out, payload=value, seq=seq,
-                       args={"op": op, "algorithm": algo})
-        return out
-
-    def exscan(self, value: Any, op: Op) -> Any:
-        seq = self.recorder.next_seq(self.comm_id)
-        algo = self._algo_name("exscan", payload=value)
-        out = super().exscan(value, op)
-        self._rec_coll("exscan", out, payload=value, seq=seq,
-                       args={"op": op, "algorithm": algo})
-        return out
-
-    # -- non-blocking collectives -------------------------------------------
-
-    def ibcast(self, payload: Any, root: int = 0):
-        seq = self.recorder.next_seq(self.comm_id)
-        req = super().ibcast(payload, root)
-        node = self.recorder.add(self, "nbc", "ibcast", seq=seq,
-                                 args={"root": root}, payload=payload,
-                                 deps=self.recorder.deps_of(payload))
+        req = super()._start(call, *args)
+        node = self._journal("nbc", call.nbc[0], call, args, seq)
         return RecordingRequest(req, self, node)
-
-    def iallreduce(self, value: Any, op: Op):
-        seq = self.recorder.next_seq(self.comm_id)
-        req = super().iallreduce(value, op)
-        node = self.recorder.add(self, "nbc", "iallreduce", seq=seq,
-                                 args={"op": op}, payload=value,
-                                 deps=self.recorder.deps_of(value))
-        return RecordingRequest(req, self, node)
-
-    def iallgather(self, payload: Any):
-        seq = self.recorder.next_seq(self.comm_id)
-        req = super().iallgather(payload)
-        node = self.recorder.add(self, "nbc", "iallgather", seq=seq,
-                                 payload=payload,
-                                 deps=self.recorder.deps_of(payload))
-        return RecordingRequest(req, self, node)
-
-    # -- neighborhood collectives ---------------------------------------------
-
-    def neighbor_alltoall(self, payloads) -> list:
-        seq = self.recorder.next_seq(self.comm_id)
-        algo = self._algo_name("neighbor_alltoall")
-        out = super().neighbor_alltoall(payloads)
-        self._rec_coll("neighbor_alltoall", out, payload=payloads, seq=seq,
-                       args={"algorithm": algo})
-        return out
-
-    def neighbor_alltoallv(self, sendbuf, sendcounts, recvcounts):
-        seq = self.recorder.next_seq(self.comm_id)
-        algo = self._algo_name("neighbor_alltoallv")
-        out = super().neighbor_alltoallv(sendbuf, sendcounts, recvcounts)
-        self._rec_coll("neighbor_alltoallv", out, payload=sendbuf, seq=seq,
-                       args={"algorithm": algo,
-                             "sendcounts": _snap(sendcounts),
-                             "recvcounts": _snap(recvcounts)},
-                       extra_inputs=(sendcounts, recvcounts))
-        return out
 
     # -- communicator management ---------------------------------------------
 

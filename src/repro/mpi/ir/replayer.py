@@ -24,6 +24,7 @@ from typing import Any, Callable, Dict, Hashable, List, Optional
 import numpy as np
 
 from repro.core.plans import PlanCache
+from repro.mpi.collectives import COLLECTIVES, NONBLOCKING, Collective
 from repro.mpi.context import RawComm
 from repro.mpi.ir.nodes import CommOp, values_equal
 
@@ -55,6 +56,19 @@ def _verify(node: CommOp, value: Any) -> None:
             f"replay diverged at {_describe(node)}: replayed value "
             f"{value!r} != recorded {node.result!r}"
         )
+
+
+def _invoker(table: Dict[str, Collective], node: CommOp
+             ) -> Callable[[RawComm, CommOp], Any]:
+    """``comm.<op>(payload, *arguments)`` in the order ``op`` declares them
+    (cut to its arity: barrier takes no payload either)."""
+    call = table.get(node.op)
+    if call is None:
+        raise IRReplayError(f"{_describe(node)}: no declared collective of "
+                            f"that name (repro.mpi.collectives)")
+    op, arity, names = node.op, len(call.params), call.params[1:]
+    return lambda comm, n: getattr(comm, op)(
+        *[n.payload, *(n.args[k] for k in names)][:arity])
 
 
 def _concrete(args: dict, matched: str, fallback: str) -> Any:
@@ -206,42 +220,12 @@ class Replayer:
 
     def _compile_coll(self, node: CommOp) -> Callable[[RawComm, CommOp], None]:
         op = node.op
+        invoke = _invoker(COLLECTIVES, node)
         post_concat = node.args.get("post") == "concat"
-        has_root = "root" in node.args
-        has_op = "op" in node.args
-
-        def call(comm: RawComm, n: CommOp) -> Any:
-            if op == "barrier":
-                return comm.barrier()
-            if op == "bcast":
-                return comm.bcast(n.payload, n.args["root"])
-            if op == "gatherv":
-                return comm.gatherv(n.payload, n.args["recvcounts"],
-                                    n.args["root"])
-            if op == "scatterv":
-                return comm.scatterv(n.payload, n.args["sendcounts"],
-                                     n.args["root"])
-            if op == "allgatherv":
-                return comm.allgatherv(n.payload, n.args["recvcounts"])
-            if op == "alltoallv":
-                return comm.alltoallv(n.payload, n.args["sendcounts"],
-                                      n.args["recvcounts"])
-            if op == "neighbor_alltoallv":
-                return comm.neighbor_alltoallv(
-                    n.payload, n.args["sendcounts"], n.args["recvcounts"])
-            if has_op and has_root:  # reduce
-                return getattr(comm, op)(n.payload, n.args["op"],
-                                         n.args["root"])
-            if has_op:  # allreduce / scan / exscan
-                return getattr(comm, op)(n.payload, n.args["op"])
-            if has_root:  # gather / scatter
-                return getattr(comm, op)(n.payload, n.args["root"])
-            # allgather / alltoall / alltoallw / neighbor_alltoall
-            return getattr(comm, op)(n.payload)
 
         def run_coll(comm: RawComm, n: CommOp) -> None:
             self._pin_algorithm(comm, n)
-            out = call(comm, n)
+            out = invoke(comm, n)
             if post_concat:
                 out = np.concatenate(out)
             if n.result is not None or op not in ("barrier",):
@@ -252,20 +236,10 @@ class Replayer:
     # -- non-blocking collectives ------------------------------------------
 
     def _compile_nbc(self, node: CommOp) -> Callable[[RawComm, CommOp], None]:
-        op = node.op
+        invoke = _invoker(NONBLOCKING, node)
 
         def run_nbc(comm: RawComm, n: CommOp) -> None:
-            if op == "ibarrier":
-                req = comm.ibarrier()
-            elif op == "ibcast":
-                req = comm.ibcast(n.payload, n.args["root"])
-            elif op == "iallreduce":
-                req = comm.iallreduce(n.payload, n.args["op"])
-            elif op == "iallgather":
-                req = comm.iallgather(n.payload)
-            else:
-                raise IRReplayError(f"{_describe(n)}: unreplayable nbc op")
-            self.pending[n.idx] = req
+            self.pending[n.idx] = invoke(comm, n)
         return run_nbc
 
     # -- waits -------------------------------------------------------------

@@ -32,6 +32,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Hashable, Iterable, Optional, Sequence
 
+from repro.mpi.collectives import COLLECTIVES
 from repro.mpi.datatypes import payload_nbytes
 
 
@@ -351,8 +352,8 @@ class TraceRecorder:
         - ``p`` is the communicator size (``len(peers)`` — collective spans
           resolve ``peers="all"`` to every member's world rank);
         - ``nbytes`` is the engine's size hint reconstructed from the event:
-          the max over ranks of ``sent`` (``recvd`` for allgatherv, whose
-          hint convention is total-gathered bytes);
+          the max over ranks of ``sent`` (``recvd`` where the op declares a
+          ``"recvcounts"`` hint — allgatherv's total gathered bytes);
         - seconds is the max event duration over ranks — the virtual time
           the slowest rank spent inside the call, matching how
           ``RunResult.max_time`` scores a run.
@@ -369,7 +370,8 @@ class TraceRecorder:
                 instances.setdefault((e.comm, e.op, idx), []).append(e)
         rows = []
         for (_, op, _), events in instances.items():
-            hint_field = "recvd" if op == "allgatherv" else "sent"
+            hint_field = ("recvd" if COLLECTIVES[op].hint == "recvcounts"
+                          else "sent")
             rows.append((
                 op,
                 events[0].algorithm,

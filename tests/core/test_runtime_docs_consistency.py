@@ -43,6 +43,50 @@ def test_every_spec_backs_a_method():
         assert hasattr(Communicator, name), f"spec {name} has no method"
 
 
+def test_every_declared_collective_matches_what_it_describes():
+    """The raw-layer twin of the spec check: a declaration in
+    ``repro.mpi.collectives`` names the parameters of the ``RawComm`` method,
+    of every registered schedule and of the p = 1 fast path, and the op sets
+    computed from the table are the ones that used to be written out."""
+    from repro.mpi import algorithms, autotune, faultinject
+    from repro.mpi.collectives import COLLECTIVES, NONBLOCKING
+
+    def params(fn, skip):
+        return tuple(inspect.signature(fn).parameters)[skip:]
+
+    assert tuple(sorted(COLLECTIVES)) == algorithms.collectives()
+    for name, call in COLLECTIVES.items():
+        assert call.name == name
+        assert params(getattr(mpi.RawComm, name), 1) == call.params  # self
+        for algo in algorithms.algorithms(name):  # after (p, rank)
+            assert params(algo.schedule, 2) == call.params, algo.name
+        singleton = algorithms.SINGLETON.get(name)
+        if singleton is not None:  # after comm
+            assert params(singleton.fn, 1) == call.params
+        roles = (call.contributes, call.receives, call.peers)
+        if "root" in roles or "nonroot" in roles:
+            assert call.params[-1] == "root"
+        if call.hint not in (None, "payload"):
+            assert call.hint in call.params and call.hint.endswith("counts")
+    assert sorted(NONBLOCKING) == ["iallgather", "iallreduce", "ibarrier",
+                                   "ibcast"]
+    for name, call in NONBLOCKING.items():
+        assert params(getattr(mpi.RawComm, name), 1) == call.params
+
+    assert faultinject.OP_CATEGORIES["collective"] == {
+        "barrier", "ibarrier", "bcast", "ibcast", "gather", "gatherv",
+        "scatter", "scatterv", "allgather", "iallgather", "allgatherv",
+        "alltoall", "alltoallv", "alltoallw", "reduce", "allreduce",
+        "iallreduce", "scan", "exscan", "neighbor_alltoall",
+        "neighbor_alltoallv",
+    }
+    assert autotune.SIZE_HINTED_OPS == {
+        "allgather", "allgatherv", "allreduce", "alltoall", "alltoallv",
+        "gather", "gatherv", "reduce", "scan", "exscan",
+        "alltoallw",  # hinted in RawComm all along; one algorithm: inert
+    }
+
+
 def test_every_wrapped_method_documented():
     for name in SPECS:
         method = getattr(Communicator, name, None)

@@ -43,17 +43,22 @@ def test_bcast_into_referencing_array():
         assert ret is None and data == [0.0, 1.0, 2.0, 3.0]
 
 
-@pytest.mark.parametrize("p", (1, 3))
-def test_bcast_root_buffer_is_not_copied_onto_itself(p):
+@pytest.mark.parametrize("p, algorithm", [
+    pytest.param(1, None, id="1"), pytest.param(3, None, id="3"),
+    pytest.param(3, "scatter_allgather", id="3-scatter_allgather"),
+])
+def test_bcast_root_buffer_is_not_copied_onto_itself(p, algorithm):
     """The root's container already holds the value: it is left alone (a
-    read-only array can be the source), non-roots still receive into theirs."""
+    read-only array can be the source), non-roots still receive into theirs.
+    Every bcast algorithm hands the root its own object back."""
     def main(comm):
         if comm.rank == 0:
             data = np.arange(4.0)
             data.flags.writeable = False
         else:
             data = np.zeros(6)
-        ret = comm.bcast(send_recv_buf(data))
+        with comm.use_algorithms(**({"bcast": algorithm} if algorithm else {})):
+            ret = comm.bcast(send_recv_buf(data))
         return ret, data.tolist()
 
     values = runk(main, p).values

@@ -80,6 +80,53 @@ def test_dependency_edges_track_produced_payloads():
     assert a2av.deps == (a2a.idx,)
 
 
+def test_count_vectors_are_inputs_of_every_v_collective():
+    """scatterv's count vector is tracked like gatherv's and alltoallv's."""
+    def program(raw):
+        counts = raw.bcast([1, 2] if raw.rank == 0 else None, 0)
+        buf = np.arange(3, dtype=np.int64) if raw.rank == 0 else None
+        raw.scatterv(buf, counts if raw.rank == 0 else None, 0)
+        return raw.gatherv(np.full(counts[raw.rank], raw.rank),
+                           counts if raw.rank == 0 else None, 0)
+
+    res = run_mpi(program, 2, ir="record")
+    bcast, scatterv, gatherv = res.ir.epoch.ops[0]
+    assert scatterv.deps == (bcast.idx,)
+    assert gatherv.deps == (bcast.idx,)
+
+
+def test_dependency_edges_survive_recycled_object_ids():
+    """The journal holds a snapshot of a result, not the object: dropping the
+    object must not let a later payload that reuses its id inherit the edge."""
+    def program(raw):
+        counts = raw.bcast([1, 1] if raw.rank == 0 else None, 0)
+        out = raw.scatterv(np.arange(2) if raw.rank == 0 else None,
+                           counts if raw.rank == 0 else None, 0)
+        del out
+        rc = raw.bcast([1, 1] if raw.rank == 0 else None, 0)
+        return raw.gatherv(np.array([raw.rank]),
+                           rc if raw.rank == 0 else None, 0)
+
+    res = run_mpi(program, 2, ir="record")
+    deps = [n.deps for n in res.ir.epoch.ops[0]]
+    assert deps == [(), (0,), (), (2,)]
+
+
+def test_nonroot_ibcast_journals_no_payload():
+    """Off the root the buffer passed to a broadcast is a placeholder, not an
+    input: ``ibcast`` journals ``None`` there exactly like ``bcast``."""
+    def program(raw, start):
+        data = np.arange(4) if raw.rank == 0 else np.zeros(4, dtype=int)
+        out = getattr(raw, start)(data, 0)
+        return out.wait() if start == "ibcast" else out
+
+    for start in ("bcast", "ibcast"):
+        res = run_mpi(program, 2, args=(start,), ir="record")
+        root_node, other_node = (res.ir.epoch.ops[r][0] for r in (0, 1))
+        assert values_equal(root_node.payload, np.arange(4))
+        assert other_node.payload is None
+
+
 def test_nonblocking_ops_record_start_and_wait_nodes():
     def nbc(raw):
         req = raw.iallreduce(raw.rank, SUM)

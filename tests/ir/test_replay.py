@@ -19,6 +19,7 @@ from repro.apps.ir_demo import bfs_epoch, sample_sort_epoch
 from repro.mpi import run_mpi
 from repro.mpi.engine import CollectiveEngine
 from repro.mpi.errors import RawUsageError
+from repro.mpi.ir.nodes import CommOp
 from repro.mpi.ir.replayer import ReplayPlan, replay_main
 from repro.mpi.ops import SUM
 
@@ -155,6 +156,20 @@ def test_replay_detects_value_divergence(clean_engine):
     plan = ReplayPlan(schedule=tampered.ops, members=dict(tampered.members))
     with pytest.raises(RuntimeError, match="IRReplayError"):
         run_mpi(replay_main, 4, args=(plan,), engine=clean_engine)
+
+
+def test_replay_refuses_an_undeclared_collective(clean_engine):
+    """A ``coll`` node must name a declared collective; any other ``RawComm``
+    method (here ``compute``) is never called with the node's payload."""
+    res = run_mpi(_fusable, 2, ir="record", engine=clean_engine)
+    tampered = copy.deepcopy(res.ir.epoch)
+    for nodes in tampered.ops:  # appended last: no rank strands a peer
+        nodes.append(CommOp(idx=len(nodes), rank=nodes[0].rank, kind="coll",
+                            op="compute", payload=1e-6))
+    plan = ReplayPlan(schedule=tampered.ops, members=dict(tampered.members))
+    with pytest.raises(RuntimeError,
+                       match="IRReplayError.*no declared collective"):
+        run_mpi(replay_main, 2, args=(plan,), engine=clean_engine)
 
 
 # -- activation surface ----------------------------------------------------

@@ -155,7 +155,8 @@ class TestKillMidCollective:
         camp = FaultCampaign(
             [KillMidCollective(rank=1, op="allgather", after_p2p=2)]
         )
-        res = runp(main, 4, faults=camp)
+        # after_p2p counts the default (Bruck) rounds: blind to REPRO_COLL_*
+        res = runp(main, 4, faults=camp, engine=CollectiveEngine(env={}))
         assert res.failed == frozenset({1})
         (kill,) = camp.kills()
         assert kill["kind"] == "kill_mid_collective"

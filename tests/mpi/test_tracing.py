@@ -24,6 +24,8 @@ from repro.mpi import (
     ANY_TAG,
     PROC_NULL,
     SUM,
+    CollectiveEngine,
+    CostModel,
     RawUsageError,
     TraceRecorder,
     calls,
@@ -191,6 +193,80 @@ class TestGoldenGathervNonzeroRoot:
                 comm.gatherv(send_buf(v), root(rt))
 
         _trace_kamping(main, p)
+
+
+class TestGoldenRawCollectives:
+    """The collectives the count-inference goldens above never reach, called
+    raw at a non-zero root: who sends, who records received bytes and who the
+    peers are is what each op's declaration says (``repro.mpi.collectives``).
+    Values recorded before the 17 hand-written ``RawComm`` bodies became one."""
+
+    P = 4
+    ROOT = 3
+    ALL = (0, 1, 2, 3)
+    #: per rank: ``(op, peers, sent, recvd, algorithm)``; the neighborhood
+    #: ops run on a ring (sources: left, destinations: right)
+    GOLDEN = [
+        [("bcast", (3,), 0, 24, "binomial"), ("scatter", (3,), 0, 16, "linear"),
+         ("scatterv", (3,), 0, 8, "linear"),
+         ("alltoallw", ALL, 48, 32, "pairwise"),
+         ("reduce", (3,), 32, 0, "binomial"), ("scan", ALL, 16, 16, "doubling"),
+         ("exscan", ALL, 16, 16, "doubling"),
+         ("neighbor_alltoall", (1, 3), 8, 32, "direct"),
+         ("neighbor_alltoallv", (1, 3), 8, 32, "direct")],
+        [("bcast", (3,), 0, 24, "binomial"), ("scatter", (3,), 0, 16, "linear"),
+         ("scatterv", (3,), 0, 16, "linear"),
+         ("alltoallw", ALL, 48, 64, "pairwise"),
+         ("reduce", (3,), 32, 0, "binomial"), ("scan", ALL, 16, 16, "doubling"),
+         ("exscan", ALL, 16, 16, "doubling"),
+         ("neighbor_alltoall", (0, 2), 16, 8, "direct"),
+         ("neighbor_alltoallv", (0, 2), 16, 8, "direct")],
+        [("bcast", (3,), 0, 24, "binomial"), ("scatter", (3,), 0, 16, "linear"),
+         ("scatterv", (3,), 0, 24, "linear"),
+         ("alltoallw", ALL, 48, 32, "pairwise"),
+         ("reduce", (3,), 32, 0, "binomial"), ("scan", ALL, 16, 16, "doubling"),
+         ("exscan", ALL, 16, 16, "doubling"),
+         ("neighbor_alltoall", (1, 3), 24, 16, "direct"),
+         ("neighbor_alltoallv", (1, 3), 24, 16, "direct")],
+        [("bcast", (3,), 24, 0, "binomial"), ("scatter", (3,), 64, 16, "linear"),
+         ("scatterv", (3,), 80, 32, "linear"),
+         ("alltoallw", ALL, 48, 64, "pairwise"),
+         ("reduce", (3,), 32, 32, "binomial"), ("scan", ALL, 16, 16, "doubling"),
+         ("exscan", ALL, 16, 16, "doubling"),
+         ("neighbor_alltoall", (0, 2), 32, 24, "direct"),
+         ("neighbor_alltoallv", (0, 2), 32, 24, "direct")],
+    ]
+
+    @staticmethod
+    def _main(raw):
+        p, r, root = raw.size, raw.rank, TestGoldenRawCollectives.ROOT
+        at_root = r == root
+        raw.bcast(np.arange(3, dtype=np.int64) if at_root else None, root)
+        raw.scatter([np.full(2, i, dtype=np.int64) for i in range(p)]
+                    if at_root else None, root)
+        counts = [i + 1 for i in range(p)]
+        raw.scatterv(
+            np.arange(sum(counts), dtype=np.int64) if at_root else None,
+            counts if at_root else None, root)
+        raw.alltoallw([np.full(d % 2 + 1, r, dtype=np.int64)
+                       for d in range(p)])
+        raw.reduce(np.arange(4, dtype=np.int64) * r, SUM, root)
+        raw.scan(np.full(2, r, dtype=np.int64), SUM)
+        raw.exscan(np.full(2, r, dtype=np.int64), SUM)
+        ring = raw.dist_graph_create_adjacent([(r - 1) % p], [(r + 1) % p])
+        ring.neighbor_alltoall([np.full(r + 1, r, dtype=np.int64)])
+        ring.neighbor_alltoallv(np.full(r + 1, r, dtype=np.int64), [r + 1],
+                                [(r - 1) % p + 1])
+
+    def test_exact_volumes_peers_and_algorithms(self):
+        res = run_mpi(self._main, self.P, trace=True,
+                      engine=CollectiveEngine(CostModel(), env={}))
+        for r in range(self.P):
+            traced = [(e.op, e.peers, e.sent, e.recvd, e.algorithm)
+                      for e in res.trace.events_for(r)
+                      if e.algorithm is not None]
+            assert traced == self.GOLDEN[r]
+        _counters_match_events(res)
 
 
 # -- Chrome trace-event export (acceptance test) ---------------------------

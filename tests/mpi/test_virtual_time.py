@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.mpi import FREE, CostModel, SUM, run_mpi
+from repro.mpi import FREE, CollectiveEngine, CostModel, SUM, run_mpi
 from tests.conftest import runp
 
 CM = CostModel(alpha=1e-3, beta=1e-6, overhead=0.0)
@@ -74,7 +74,9 @@ def test_alltoallv_latency_linear_in_p():
             comm.alltoallv(np.zeros(comm.size, dtype=np.int64), counts, counts)
             return comm.clock.now
 
-        return max(run_mpi(main, p, cost_model=CM).values)
+        # pins the default (pairwise) schedule: blind to REPRO_COLL_*
+        return max(run_mpi(main, p, cost_model=CM,
+                           engine=CollectiveEngine(CM, env={})).values)
 
     t4, t16 = time_a2a(4), time_a2a(16)
     assert t16 / t4 == pytest.approx(15 / 3, rel=0.3)
@@ -131,7 +133,9 @@ def test_bcast_latency_logarithmic_not_linear():
             comm.bcast(np.zeros(4), 0)
             return comm.clock.now
 
-        return max(run_mpi(main, p, cost_model=CM).values)
+        # pins the default (binomial) schedule: blind to REPRO_COLL_*
+        return max(run_mpi(main, p, cost_model=CM,
+                           engine=CollectiveEngine(CM, env={})).values)
 
     t2, t16 = time_bcast(2), time_bcast(16)
     assert t16 <= 5 * t2  # binomial: 4 rounds vs 1, never 15x

@@ -59,7 +59,7 @@ def test_grid_recv_counts_out():
 
 def test_grid_latency_scales_with_sqrt_p():
     """Grid beats direct alltoallv on many-zero-block exchanges at scale."""
-    from repro.mpi import CostModel
+    from repro.mpi import CollectiveEngine, CostModel
 
     cm = CostModel(alpha=1e-3, beta=0.0, overhead=0.0)
 
@@ -74,7 +74,9 @@ def test_grid_latency_scales_with_sqrt_p():
         t2 = comm.raw.clock.now
         return t1 - t0, t2 - t1
 
-    res = runk(main, 16, comm_class=GridComm, cost_model=cm)
+    # "direct" is the default (pairwise) alltoallv: blind to REPRO_COLL_*
+    res = runk(main, 16, comm_class=GridComm, cost_model=cm,
+               engine=CollectiveEngine(cm, env={}))
     direct, grid = map(max, zip(*res.values))
     assert grid < direct  # 2·(√p−1) rounds beat (p−1) rounds at p=16
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import Communicator, extend, recv_counts_out, send_buf, send_counts
-from repro.mpi import CostModel
+from repro.mpi import CollectiveEngine, CostModel
 from repro.plugins.hierarchical_alltoall import (
     HierarchicalAlltoall,
     balanced_dims,
@@ -104,7 +104,9 @@ def test_latency_decreases_with_dimension_for_sparse_traffic():
             times[d] = comm.raw.clock.now - t0
         return times
 
-    res = runk(main, 27, comm_class=HComm, cost_model=cm)
+    # every hop is a default (pairwise) alltoallv: blind to REPRO_COLL_*
+    res = runk(main, 27, comm_class=HComm, cost_model=cm,
+               engine=CollectiveEngine(cm, env={}))
     times = {d: max(v[d] for v in res.values) for d in (1, 2, 3)}
     # 26 start-ups vs 2·(9−1)+... vs 3·(3−1) rounds — monotone decreasing
     assert times[3] < times[2] < times[1]
