@@ -132,11 +132,12 @@ def _sweep_alltoallv(comm, width: int, seed: int) -> None:
     comm.alltoallv(buf, [width] * p, [width] * p)
 
 
-#: collective name -> workload, keyed by what follows ``_sweep_``
-SWEEP_WORKLOADS = {
-    fn.__name__[len("_sweep_"):]: fn
-    for fn in (_sweep_allgather, _sweep_allreduce, _sweep_alltoallv)
-}
+#: collective name -> workload (also the values ``--ops`` accepts)
+SWEEP_WORKLOADS = dict(
+    allgather=_sweep_allgather,
+    allreduce=_sweep_allreduce,
+    alltoallv=_sweep_alltoallv,
+)
 
 #: default sweep grid — matches benchmarks/bench_coll_algorithms.py
 SWEEP_PS = (4, 8)
@@ -146,7 +147,10 @@ ITEM = 8
 
 def _hint_bytes(op: str, p: int, width: int) -> int:
     """The engine's ``nbytes`` hint for one sweep workload call."""
-    if COLLECTIVES[op].hint == "payload":
+    hint = COLLECTIVES[op].hint
+    if hint is None:
+        return 0
+    if hint == "payload":
         return width * ITEM
     return p * width * ITEM  # a count vector's total: p blocks of ``width``
 

@@ -7,7 +7,8 @@ inputs snapshotted before the call, outputs after — so the recorded graph is
 simultaneously a faithful transcript and an executable schedule.  All
 collectives go through two overrides, of ``RawComm._collective`` and
 ``._start``, which read what to journal from the op's declaration
-(:mod:`repro.mpi.collectives`).  The
+(:mod:`repro.mpi.collectives`); only ``ibarrier``, which completes on the
+arrival counter and starts no schedule, keeps a method of its own.  The
 *internal* point-to-point rounds of collective algorithms are deliberately
 not recorded: a collective is one node, and its internal schedule is the
 engine's business (the node pins which algorithm ran instead).
@@ -77,12 +78,10 @@ class Recorder:
 
     def note_result(self, idx: int, obj: Any) -> None:
         """Register ``obj`` (and its elements) as produced by node ``idx``."""
-        if isinstance(obj, (np.ndarray, list, tuple, dict)):
-            self._producers[id(obj)] = (idx, obj)
-            if isinstance(obj, (list, tuple)):
-                for item in obj:
-                    if isinstance(item, (np.ndarray, list, tuple, dict)):
-                        self._producers[id(item)] = (idx, item)
+        items = obj if isinstance(obj, (list, tuple)) else ()
+        for produced in (obj, *items):
+            if isinstance(produced, (np.ndarray, list, tuple, dict)):
+                self._producers[id(produced)] = (idx, produced)
 
     def add(self, comm: RawComm, kind: str, op: str, *,
             seq: Optional[int] = None, args: Optional[dict] = None,
@@ -178,6 +177,7 @@ class RecordingComm(RawComm):
     def __init__(self, machine, state, world_rank: int, recorder: Recorder):
         super().__init__(machine, state, world_rank)
         self.recorder = recorder
+        self._resolved = None  # what _coll_algo answered, for _collective
         recorder.register_comm(self)
 
     # -- helpers -----------------------------------------------------------
@@ -308,6 +308,7 @@ class RecordingComm(RawComm):
 
     def _collective(self, call: Collective, *args: Any) -> Any:
         seq = self.recorder.next_seq(self.comm_id)
+        self._resolved = None  # nothing a split or an RMA epoch left behind
         out = super()._collective(call, *args)
         self._journal("coll", call.name, call, args, seq, result=out,
                       algorithm=self._resolved.name)

@@ -19,7 +19,7 @@ instead of silently producing a different run.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Hashable, List, Optional
+from typing import Any, Callable, Dict, Hashable, List
 
 import numpy as np
 
@@ -60,15 +60,16 @@ def _verify(node: CommOp, value: Any) -> None:
 
 def _invoker(table: Dict[str, Collective], node: CommOp
              ) -> Callable[[RawComm, CommOp], Any]:
-    """``comm.<op>(payload, *arguments)`` in the order ``op`` declares them
-    (cut to its arity: barrier takes no payload either)."""
+    """``comm.<op>(payload, *arguments)`` in the order ``op`` declares them."""
     call = table.get(node.op)
     if call is None:
         raise IRReplayError(f"{_describe(node)}: no declared collective of "
                             f"that name (repro.mpi.collectives)")
-    op, arity, names = node.op, len(call.params), call.params[1:]
+    op, names = node.op, call.params[1:]
+    if not call.params:  # barrier and ibarrier take no payload either
+        return lambda comm, n: getattr(comm, op)()
     return lambda comm, n: getattr(comm, op)(
-        *[n.payload, *(n.args[k] for k in names)][:arity])
+        n.payload, *(n.args[k] for k in names))
 
 
 def _concrete(args: dict, matched: str, fallback: str) -> Any:
@@ -155,17 +156,12 @@ class Replayer:
     def _compile_p2p(self, node: CommOp) -> Callable[[RawComm, CommOp], None]:
         op = node.op
         if op in ("send", "ssend"):
-            fn_name = op
-
             def run_send(comm: RawComm, n: CommOp) -> None:
-                getattr(comm, fn_name)(n.payload, n.args["dest"],
-                                       n.args["tag"])
+                getattr(comm, op)(n.payload, n.args["dest"], n.args["tag"])
             return run_send
         if op in ("isend", "issend"):
-            fn_name = op
-
             def run_isend(comm: RawComm, n: CommOp) -> None:
-                self.pending[n.idx] = getattr(comm, fn_name)(
+                self.pending[n.idx] = getattr(comm, op)(
                     n.payload, n.args["dest"], n.args["tag"])
             return run_isend
         if op == "recv":

@@ -85,6 +85,7 @@ def test_every_declared_collective_matches_what_it_describes():
         "gather", "gatherv", "reduce", "scan", "exscan",
         "alltoallw",  # hinted in RawComm all along; one algorithm: inert
     }
+    assert set(autotune.SWEEP_WORKLOADS) <= autotune.SIZE_HINTED_OPS
 
 
 def test_every_wrapped_method_documented():
