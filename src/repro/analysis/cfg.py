@@ -114,12 +114,6 @@ class CFG:
 
     # -- queries ----------------------------------------------------------------
 
-    def node_of(self, stmt: ast.stmt) -> Optional[int]:
-        for node, candidate in self.stmts.items():
-            if candidate is stmt:
-                return node
-        return None
-
     def header_names(self, node: int) -> Iterator[ast.Name]:
         """Every Name in the statement's *own* expressions (not nested bodies)."""
         stmt = self.stmts[node]

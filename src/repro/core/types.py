@@ -69,14 +69,6 @@ def register_type(cls: type, dtype: np.dtype, *, as_bytes: bool = True,
     return traits
 
 
-def lookup_traits(cls: type) -> Optional[TypeTraits]:
-    return _registry.get(cls)
-
-
-def has_traits(cls: type) -> bool:
-    return cls in _registry
-
-
 # ---------------------------------------------------------------------------
 # static struct reflection (the PFR analog)
 # ---------------------------------------------------------------------------

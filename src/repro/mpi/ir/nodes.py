@@ -28,7 +28,7 @@ from __future__ import annotations
 import pickle
 import struct
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Dict, Hashable, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
@@ -199,9 +199,6 @@ class CommOp:
                 tag = ANY if tag is not None and tag < 0 else tag
                 return P2P("recv", self.rank, peer, tag, 0)
         return None
-
-    def clone(self, **changes: Any) -> "CommOp":
-        return replace(self, **changes)
 
 
 @dataclass

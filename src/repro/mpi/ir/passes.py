@@ -33,12 +33,14 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
+from itertools import groupby
+from typing import (Callable, Dict, Hashable, Iterator, List, Optional,
+                    Sequence, Tuple)
 
 import numpy as np
 
 from repro.mpi.errors import RawUsageError
-from repro.mpi.ir.nodes import CommOp, Epoch, canonical, values_equal
+from repro.mpi.ir.nodes import CommOp, Epoch, values_equal
 from repro.mpi.p2p import Status
 
 ENV_PASSES = "REPRO_IR_PASSES"
@@ -58,39 +60,116 @@ class PassResult:
         self.details.append(detail)
 
 
-# -- shared helpers ----------------------------------------------------------
+# -- the rewrite driver: one replace, one run finder, one fixpoint ------------
+#
+# A rewriting pass is a *match* (which nodes, on which ranks) plus a *build*
+# (what the one new node is); everything else lives here, once.
+
+#: one collective instance: world rank -> (position in ``ops[w]``, node)
+Instance = Dict[int, Tuple[int, CommOp]]
 
 
 def _is_scalar(x) -> bool:
     return isinstance(x, (bool, int, float, np.integer, np.floating))
 
 
-def _only_local_between(nodes: Sequence[CommOp], i: int, j: int) -> bool:
-    """True when every node strictly between positions ``i`` and ``j`` is
-    local compute (safe to treat the endpoints as adjacent)."""
-    lo, hi = (i, j) if i < j else (j, i)
-    return all(n.kind == "local" for n in nodes[lo + 1:hi])
+def _adjacent(nodes: Sequence[CommOp], positions: Sequence[int]) -> bool:
+    """True when ``positions`` ascend and every node strictly between two of
+    them is local compute (safe to treat the nodes there as one run)."""
+    return all(p < q and all(n.kind == "local" for n in nodes[p + 1:q])
+               for p, q in zip(positions, positions[1:]))
 
 
-def _dependents(nodes: Sequence[CommOp], idx: int) -> List[CommOp]:
-    return [n for n in nodes if idx in n.deps]
+def _replace(epoch: Epoch, w: int, positions: Sequence[int], name: str,
+             **fields) -> None:
+    """Replace the nodes at ascending ``positions`` of world rank ``w`` by one
+    node at the first position — the only place in this module that builds a
+    node, deletes one or rewrites ``deps``.
 
-
-def _remap_deps(nodes: Sequence[CommOp], mapping: Dict[int, int]) -> None:
+    The new node gets a fresh ``idx``, the first replaced node's ``rank``,
+    ``kind``, ``comm`` and ``seq`` (so ``(comm, seq)`` alignment survives),
+    ``ir_pass=name`` and ``fields`` (``op``, ``args``, ``payload``,
+    ``result``).  Its ``deps`` are the union of the replaced nodes' deps
+    *minus the replaced indices* — a node cannot depend on what it absorbed,
+    let alone on itself — and every consumer of a replaced node is remapped
+    onto it.  Callers replace adjacent nodes only (:func:`_adjacent`), so no
+    producer lies between the positions and every edge still points backwards.
+    """
+    nodes = epoch.ops[w]
+    old = [nodes[pos] for pos in positions]
+    gone = {n.idx for n in old}
+    new = CommOp(
+        idx=epoch.alloc_idx(w), rank=old[0].rank, kind=old[0].kind,
+        comm=old[0].comm, seq=old[0].seq, ir_pass=name,
+        deps=tuple(sorted({d for n in old for d in n.deps} - gone)), **fields)
+    nodes[positions[0]] = new
+    for pos in reversed(positions[1:]):
+        del nodes[pos]
     for n in nodes:
-        if any(d in mapping for d in n.deps):
-            n.deps = tuple(sorted({mapping.get(d, d) for d in n.deps}))
+        if not gone.isdisjoint(n.deps):
+            n.deps = tuple(sorted({new.idx if d in gone else d
+                                   for d in n.deps}))
 
 
-def _full_instance(epoch: Epoch, comm: Hashable,
-                   inst: Dict[int, Tuple[int, CommOp]]) -> bool:
-    """Instance observed on every member rank of its communicator."""
-    members = epoch.members.get(comm)
-    return members is not None and set(inst) == set(members)
+def _runs(epoch: Epoch, *ops: str
+          ) -> Iterator[Tuple[Hashable, List[Tuple[int, Instance]]]]:
+    """Yield ``(comm, [(seq, instance), ...])`` for every maximal run of
+    collective instances that a pattern over ``ops`` may treat as one — the
+    only all-ranks-or-none walk in this module.
+
+    In a run, ``seq`` numbers are consecutive on ``comm``; every node of every
+    instance was recorded (no pass touched it) and names an op in ``ops``;
+    every instance is observed on *every* member rank (invariant 2); and —
+    checked last, because it walks each rank's node list — neighbouring
+    instances are in program order and separated by local compute only, on
+    every rank.  A run that breaks on adjacency alone starts the next one.
+    """
+    by_comm: Dict[Hashable, Dict[int, Instance]] = {}
+    for (comm, seq), inst in epoch.instances().items():
+        by_comm.setdefault(comm, {})[seq] = inst
+    for comm, members in epoch.members.items():
+        insts, everyone = by_comm.get(comm, {}), set(members)
+        run: List[Tuple[int, Instance]] = []
+        for seq in sorted(insts):
+            inst = insts[seq]
+            ok = (all(n.op in ops and n.ir_pass is None
+                      for _, n in inst.values())
+                  and inst.keys() == everyone)
+            if run and not (ok and seq == run[-1][0] + 1 and all(
+                    _adjacent(epoch.ops[w], (run[-1][1][w][0], pos))
+                    for w, (pos, _) in inst.items())):
+                yield comm, run
+                run = []
+            if ok:
+                run.append((seq, inst))
+        if run:
+            yield comm, run
 
 
-def _comm_seqs(epoch: Epoch, instances, comm: Hashable) -> List[int]:
-    return sorted(s for (c, s) in instances if c == comm)
+def _pairs(epoch: Epoch, first: str, second: str
+           ) -> Iterator[Tuple[Hashable, int, Instance, Instance]]:
+    """Yield ``(comm, seq, a, b)`` for neighbours of one :func:`_runs` run —
+    instance ``a`` of ``first`` at ``seq``, ``b`` of ``second`` at ``seq + 1``
+    — where on every rank nothing but ``b``'s node consumes ``a``'s result."""
+    for comm, run in _runs(epoch, first, second):
+        for (seq, a), (_, b) in zip(run, run[1:]):
+            if (all(n.op == first for _, n in a.values())
+                    and all(n.op == second for _, n in b.values())
+                    and all(n is b[w][1]
+                            for w, (_, node_a) in a.items()
+                            for n in epoch.ops[w] if node_a.idx in n.deps)):
+                yield comm, seq, a, b
+
+
+def _to_fixpoint(epoch: Epoch, name: str,
+                 rewrite_one: Callable[[Epoch], Optional[str]]) -> PassResult:
+    """Run ``rewrite_one`` — apply the first match, return its ``details``
+    line, or ``None`` when nothing matches — until nothing does.  Positions
+    go stale after a rewrite, so every round rescans."""
+    result = PassResult(name)
+    while (detail := rewrite_one(epoch)) is not None:
+        result.note(detail)
+    return result
 
 
 # -- pass: fuse reduce(root=0) + bcast(root=0) -> allreduce[reduce_bcast] ----
@@ -106,83 +185,33 @@ def fuse_reduce_bcast(epoch: Epoch) -> PassResult:
     result there (the program really did rebroadcast the reduction), and
     (c) nothing else consumed the intermediate reduce result.
     """
-    result = PassResult("fuse_reduce_bcast")
-    rewrote = True
-    while rewrote:  # positions go stale after a rewrite: rescan
-        rewrote = False
-        instances = epoch.instances()
-        for comm in list(epoch.members):
-            if rewrote:
-                break
-            for s in _comm_seqs(epoch, instances, comm):
-                a = instances.get((comm, s))
-                b = instances.get((comm, s + 1))
-                if a is None or b is None:
-                    continue
-                if not (_full_instance(epoch, comm, a)
-                        and _full_instance(epoch, comm, b)):
-                    continue
-                a_nodes = [n for _, n in a.values()]
-                b_nodes = [n for _, n in b.values()]
-                if not all(n.op == "reduce" and n.args.get("root") == 0
-                           and n.args.get("algorithm") == "binomial"
-                           and n.ir_pass is None for n in a_nodes):
-                    continue
-                if not all(n.op == "bcast" and n.args.get("root") == 0
-                           and n.args.get("algorithm") == "binomial"
-                           and n.ir_pass is None for n in b_nodes):
-                    continue
-                red_ops = {getattr(n.args.get("op"), "name", None)
-                           for n in a_nodes}
-                if len(red_ops) != 1 or None in red_ops:
-                    continue
-                # adjacency and single-use of the intermediate, on every rank
-                ok = True
-                root_world = epoch.members[comm][0]
-                for w, (pos_a, node_a) in a.items():
-                    pos_b, node_b = b[w]
-                    nodes = epoch.ops[w]
-                    if (pos_b <= pos_a
-                            or not _only_local_between(nodes, pos_a, pos_b)):
-                        ok = False
-                        break
-                    if any(n is not node_b
-                           for n in _dependents(nodes, node_a.idx)):
-                        ok = False
-                        break
-                if not ok:
-                    continue
-                # the rebroadcast value must be the reduction's result
-                _, root_reduce = a[root_world]
-                _, root_bcast = b[root_world]
-                if not values_equal(root_reduce.result, root_bcast.payload):
-                    continue
-                for w, (pos_a, node_a) in a.items():
-                    pos_b, node_b = b[w]
-                    nodes = epoch.ops[w]
-                    fused = CommOp(
-                        idx=epoch.alloc_idx(w),
-                        rank=node_a.rank,
-                        kind="coll",
-                        op="allreduce",
-                        comm=comm,
-                        seq=node_a.seq,
-                        args={"op": node_a.args["op"],
-                              "algorithm": "reduce_bcast"},
-                        payload=node_a.payload,
-                        result=node_b.result,
-                        deps=node_a.deps,
-                        ir_pass="fuse_reduce_bcast",
-                    )
-                    nodes[pos_a] = fused
-                    del nodes[pos_b]
-                    _remap_deps(nodes, {node_a.idx: fused.idx,
-                                        node_b.idx: fused.idx})
-                result.note(f"comm={comm!r} seq={s}: reduce+bcast -> "
-                            f"allreduce[reduce_bcast]")
-                rewrote = True
-                break
-    return result
+    return _to_fixpoint(epoch, "fuse_reduce_bcast", _fuse_one_reduce_bcast)
+
+
+def _fuse_one_reduce_bcast(epoch: Epoch) -> Optional[str]:
+    for comm, seq, a, b in _pairs(epoch, "reduce", "bcast"):
+        if not all(n.args.get("root") == 0
+                   and n.args.get("algorithm") == "binomial"
+                   for inst in (a, b) for _, n in inst.values()):
+            continue
+        red_ops = {getattr(n.args.get("op"), "name", None)
+                   for _, n in a.values()}
+        if len(red_ops) != 1 or None in red_ops:
+            continue
+        # the rebroadcast value must be the reduction's result
+        root_world = epoch.members[comm][0]
+        if not values_equal(a[root_world][1].result, b[root_world][1].payload):
+            continue
+        for w, (pos_a, node_a) in a.items():
+            pos_b, node_b = b[w]
+            _replace(epoch, w, (pos_a, pos_b), "fuse_reduce_bcast",
+                     op="allreduce",
+                     args={"op": node_a.args["op"],
+                           "algorithm": "reduce_bcast"},
+                     payload=node_a.payload, result=node_b.result)
+        return (f"comm={comm!r} seq={seq}: reduce+bcast -> "
+                f"allreduce[reduce_bcast]")
+    return None
 
 
 # -- pass: batch consecutive same-root bcasts into one list bcast ------------
@@ -192,90 +221,39 @@ def batch_bcasts(epoch: Epoch) -> PassResult:
     """Merge a run of k >= 2 consecutive same-root scalar bcasts into one
     bcast of a k-element scalar list (byte-neutral: the size model charges a
     scalar list exactly the sum of its elements; k trees become one)."""
-    result = PassResult("batch_bcasts")
-    instances = epoch.instances()
-    for comm in list(epoch.members):
-        seqs = _comm_seqs(epoch, instances, comm)
-        i = 0
-        while i < len(seqs):
-            run = [seqs[i]]
-            while (i + len(run) < len(seqs)
-                   and seqs[i + len(run)] == run[-1] + 1
-                   and _batchable_bcast(epoch, instances, comm, run[-1] + 1)
-                   and _batchable_bcast(epoch, instances, comm, run[0])
-                   and _same_bcast_shape(epoch, instances, comm,
-                                         run[0], run[-1] + 1)):
-                run.append(run[-1] + 1)
-            if len(run) >= 2 and _contiguous_run(epoch, instances, comm, run):
-                _rewrite_bcast_run(epoch, instances, comm, run)
-                result.note(f"comm={comm!r} seqs={run[0]}..{run[-1]}: "
-                            f"{len(run)} bcasts -> 1 batched bcast")
-                instances = epoch.instances()
-                seqs = _comm_seqs(epoch, instances, comm)
-                i = 0
+    return _to_fixpoint(epoch, "batch_bcasts", _batch_one_bcast_run)
+
+
+def _batchable_root(item: Tuple[int, Instance]) -> Optional[int]:
+    """The one root of an instance of scalar binomial bcasts, else ``None``."""
+    nodes = [n for _, n in item[1].values()]
+    roots = {n.args.get("root") for n in nodes}
+    if len(roots) == 1 and all(
+            _is_scalar(n.result) and n.args.get("algorithm") == "binomial"
+            for n in nodes):
+        return roots.pop()
+    return None
+
+
+def _batch_one_bcast_run(epoch: Epoch) -> Optional[str]:
+    for comm, run in _runs(epoch, "bcast"):
+        for root, group in groupby(run, key=_batchable_root):
+            batch = list(group)
+            if root is None or len(batch) < 2:
                 continue
-            i += 1
-    return result
-
-
-def _batchable_bcast(epoch, instances, comm, seq) -> bool:
-    inst = instances.get((comm, seq))
-    if inst is None or not _full_instance(epoch, comm, inst):
-        return False
-    return all(n.op == "bcast" and n.ir_pass is None and _is_scalar(n.result)
-               and n.args.get("algorithm") == "binomial"
-               for _, n in inst.values())
-
-
-def _same_bcast_shape(epoch, instances, comm, s0, s1) -> bool:
-    a = instances.get((comm, s0))
-    b = instances.get((comm, s1))
-    if a is None or b is None:
-        return False
-    roots_a = {n.args.get("root") for _, n in a.values()}
-    roots_b = {n.args.get("root") for _, n in b.values()}
-    return roots_a == roots_b and len(roots_a) == 1
-
-
-def _contiguous_run(epoch, instances, comm, run) -> bool:
-    for w in epoch.members[comm]:
-        positions = [instances[(comm, s)][w][0] for s in run]
-        if positions != sorted(positions):
-            return False
-        nodes = epoch.ops[w]
-        for p, q in zip(positions, positions[1:]):
-            if not _only_local_between(nodes, p, q):
-                return False
-    return True
-
-
-def _rewrite_bcast_run(epoch, instances, comm, run) -> None:
-    for w in epoch.members[comm]:
-        entries = [instances[(comm, s)][w] for s in run]
-        positions = [pos for pos, _ in entries]
-        nodes_run = [n for _, n in entries]
-        first = nodes_run[0]
-        root = first.args["root"]
-        nodes = epoch.ops[w]
-        is_root = first.rank == root
-        batched = CommOp(
-            idx=epoch.alloc_idx(w),
-            rank=first.rank,
-            kind="coll",
-            op="bcast",
-            comm=comm,
-            seq=first.seq,
-            args={"root": root, "algorithm": "binomial",
-                  "batched": len(run)},
-            payload=[n.payload for n in nodes_run] if is_root else None,
-            result=[n.result for n in nodes_run],
-            deps=tuple(sorted({d for n in nodes_run for d in n.deps})),
-            ir_pass="batch_bcasts",
-        )
-        nodes[positions[0]] = batched
-        for pos in reversed(positions[1:]):
-            del nodes[pos]
-        _remap_deps(nodes, {n.idx: batched.idx for n in nodes_run})
+            for w in epoch.members[comm]:
+                entries = [inst[w] for _, inst in batch]
+                nodes = [n for _, n in entries]
+                _replace(epoch, w, [pos for pos, _ in entries], "batch_bcasts",
+                         op="bcast",
+                         args={"root": root, "algorithm": "binomial",
+                               "batched": len(batch)},
+                         payload=([n.payload for n in nodes]
+                                  if nodes[0].rank == root else None),
+                         result=[n.result for n in nodes])
+            return (f"comm={comm!r} seqs={batch[0][0]}..{batch[-1][0]}: "
+                    f"{len(batch)} bcasts -> 1 batched bcast")
+    return None
 
 
 # -- pass: fuse the alltoall count exchange into its alltoallv ---------------
@@ -292,86 +270,37 @@ def fuse_count_exchange(epoch: Epoch) -> PassResult:
     8·p bytes and one collective per rank — disappears entirely; this is the
     strict byte reduction ``bench_ir`` measures on sample sort and BFS.
     """
-    result = PassResult("fuse_count_exchange")
-    rewrote = True
-    while rewrote:
-        rewrote = False
-        instances = epoch.instances()
-        for comm in list(epoch.members):
-            p = len(epoch.members[comm])
-            for s in _comm_seqs(epoch, instances, comm):
-                a = instances.get((comm, s))
-                b = instances.get((comm, s + 1))
-                if a is None or b is None:
-                    continue
-                if not (_full_instance(epoch, comm, a)
-                        and _full_instance(epoch, comm, b)):
-                    continue
-                if not all(n.op == "alltoall" and n.ir_pass is None
-                           for _, n in a.values()):
-                    continue
-                if not all(n.op == "alltoallv" and n.ir_pass is None
-                           for _, n in b.values()):
-                    continue
-                ok = True
-                for w, (pos_a, node_a) in a.items():
-                    pos_b, node_b = b[w]
-                    nodes = epoch.ops[w]
-                    counts = node_a.payload
-                    if not (isinstance(counts, (list, tuple))
-                            and len(counts) == p
-                            and all(_is_scalar(c) for c in counts)):
-                        ok = False
-                        break
-                    if canonical(counts) != canonical(
-                            node_b.args.get("sendcounts")):
-                        ok = False
-                        break
-                    if canonical(node_a.result) != canonical(
-                            node_b.args.get("recvcounts")):
-                        ok = False
-                        break
-                    if pos_b <= pos_a or not _only_local_between(
-                            nodes, pos_a, pos_b):
-                        ok = False
-                        break
-                    if any(n is not node_b
-                           for n in _dependents(nodes, node_a.idx)):
-                        ok = False
-                        break
-                if not ok:
-                    continue
-                for w, (pos_a, node_a) in a.items():
-                    pos_b, node_b = b[w]
-                    nodes = epoch.ops[w]
-                    sendbuf = np.asarray(node_b.payload)
-                    scounts = [int(c) for c in node_a.payload]
-                    splits = np.split(sendbuf, np.cumsum(scounts)[:-1])
-                    fused = CommOp(
-                        idx=epoch.alloc_idx(w),
-                        rank=node_a.rank,
-                        kind="coll",
-                        op="alltoall",
-                        comm=comm,
-                        seq=node_a.seq,
-                        args={"algorithm": node_a.args.get("algorithm"),
-                              "post": "concat"},
-                        payload=[np.ascontiguousarray(blk) for blk in splits],
-                        result=node_b.result,
-                        deps=tuple(sorted(set(node_a.deps) | set(node_b.deps))),
-                        ir_pass="fuse_count_exchange",
-                    )
-                    nodes[pos_a] = fused
-                    del nodes[pos_b]
-                    _remap_deps(nodes, {node_a.idx: fused.idx,
-                                        node_b.idx: fused.idx})
-                result.note(f"comm={comm!r} seq={s}: count exchange folded "
-                            f"into alltoall of blocks (saves {8 * p}B/rank)")
-                rewrote = True
-                break
-            if rewrote:
-                break
-    return result
+    return _to_fixpoint(epoch, "fuse_count_exchange",
+                        _fuse_one_count_exchange)
+
+
+def _fuse_one_count_exchange(epoch: Epoch) -> Optional[str]:
+    for comm, seq, a, b in _pairs(epoch, "alltoall", "alltoallv"):
+        p = len(epoch.members[comm])
+        # the alltoall moved exactly the alltoallv's count vectors
+        if not all(isinstance(node_a.payload, (list, tuple))
+                   and len(node_a.payload) == p
+                   and all(_is_scalar(c) for c in node_a.payload)
+                   and values_equal(node_a.payload,
+                                    b[w][1].args.get("sendcounts"))
+                   and values_equal(node_a.result,
+                                    b[w][1].args.get("recvcounts"))
+                   for w, (_, node_a) in a.items()):
+            continue
+        for w, (pos_a, node_a) in a.items():
+            pos_b, node_b = b[w]
+            scounts = [int(c) for c in node_a.payload]
+            splits = np.split(np.asarray(node_b.payload),
+                              np.cumsum(scounts)[:-1])
+            _replace(epoch, w, (pos_a, pos_b), "fuse_count_exchange",
+                     op="alltoall",
+                     args={"algorithm": node_a.args.get("algorithm"),
+                           "post": "concat"},
+                     payload=[np.ascontiguousarray(blk) for blk in splits],
+                     result=node_b.result)
+        return (f"comm={comm!r} seq={seq}: count exchange folded "
+                f"into alltoall of blocks (saves {8 * p}B/rank)")
+    return None
 
 
 # -- pass: coalesce runs of small same-peer same-tag sends -------------------
@@ -386,92 +315,58 @@ def coalesce_sends(epoch: Epoch) -> PassResult:
     so FIFO pairing between the packed send and the packed recv is exact by
     construction.
     """
-    result = PassResult("coalesce_sends")
-    while _coalesce_one_channel(epoch, result):
-        pass  # positions go stale after each rewrite: rescan
-    return result
+    return _to_fixpoint(epoch, "coalesce_sends", _coalesce_one_channel)
 
 
-def _coalesce_one_channel(epoch: Epoch, result: PassResult) -> bool:
-    for comm, members in list(epoch.members.items()):
-        channels: Dict[Tuple[int, int, Optional[int]], Dict[str, list]] = {}
+def _coalesce_one_channel(epoch: Epoch) -> Optional[str]:
+    for comm, members in epoch.members.items():
+        #: (source, dest, tag), comm-local -> ([(pos, send)], [(pos, recv)])
+        channels: Dict[Tuple[int, int, int], Tuple[list, list]] = {}
         for local, w in enumerate(members):
             for pos, n in enumerate(epoch.ops[w]):
                 if n.comm != comm or n.ir_pass is not None or n.kind != "p2p":
                     continue
                 if n.op == "send" and _is_scalar(n.payload):
                     key = (local, n.args["dest"], n.args["tag"])
-                    channels.setdefault(key, {"send": [], "recv": []})[
-                        "send"].append((w, pos, n))
+                    channels.setdefault(key, ([], []))[0].append((pos, n))
                 elif n.op == "recv":
                     src = n.args.get("source")
                     tag = n.args.get("tag")
                     if src is None or src < 0 or tag is None or tag < 0:
                         continue  # wildcard: FIFO pairing not provable
                     key = (src, local, tag)
-                    channels.setdefault(key, {"send": [], "recv": []})[
-                        "recv"].append((w, pos, n))
-        for (src, dst, tag), traffic in channels.items():
-            sends, recvs = traffic["send"], traffic["recv"]
+                    channels.setdefault(key, ([], []))[1].append((pos, n))
+        for (src, dst, tag), (sends, recvs) in channels.items():
             k = len(sends)
             if k < 2 or len(recvs) != k:
                 continue
-            if not (0 <= dst < len(members)):
-                continue
-            if len({w for w, _, _ in sends}) != 1:
-                continue
-            if len({w for w, _, _ in recvs}) != 1:
-                continue
             if not all(isinstance(n.result, tuple) and _is_scalar(n.result[0])
-                       for _, _, n in recvs):
+                       for _, n in recvs):
                 continue
-            # runs must be contiguous on both sides
-            s_positions = [pos for _, pos, _ in sends]
-            r_positions = [pos for _, pos, _ in recvs]
-            sw, rw = sends[0][0], recvs[0][0]
-            if not all(_only_local_between(epoch.ops[sw], p, q)
-                       for p, q in zip(s_positions, s_positions[1:])):
-                continue
-            if not all(_only_local_between(epoch.ops[rw], p, q)
-                       for p, q in zip(r_positions, r_positions[1:])):
+            # runs must be contiguous on both sides (the key names both ends)
+            sw, rw = members[src], members[dst]
+            s_positions = [pos for pos, _ in sends]
+            r_positions = [pos for pos, _ in recvs]
+            if not (_adjacent(epoch.ops[sw], s_positions)
+                    and _adjacent(epoch.ops[rw], r_positions)):
                 continue
             # payloads must line up FIFO with the recorded receipts
             if not all(values_equal(sn.payload, rn.result[0])
-                       for (_, _, sn), (_, _, rn) in zip(sends, recvs)):
+                       for (_, sn), (_, rn) in zip(sends, recvs)):
                 continue
-            packed_payload = [n.payload for _, _, n in sends]
-            first_s = sends[0][2]
-            packed_send = CommOp(
-                idx=epoch.alloc_idx(sw), rank=first_s.rank, kind="p2p",
-                op="send", comm=comm,
-                args={"dest": dst, "tag": tag, "packed": k},
-                payload=packed_payload,
-                deps=tuple(sorted({d for _, _, n in sends for d in n.deps})),
-                ir_pass="coalesce_sends",
-            )
-            first_r = recvs[0][2]
-            packed_recv = CommOp(
-                idx=epoch.alloc_idx(rw), rank=first_r.rank, kind="p2p",
-                op="recv", comm=comm,
-                args={"source": src, "tag": tag, "packed": k,
-                      "matched_source": src, "matched_tag": tag},
-                result=(packed_payload, Status(src, tag, 8 * k)),
-                ir_pass="coalesce_sends",
-            )
-            epoch.ops[sw][s_positions[0]] = packed_send
-            for pos in reversed(s_positions[1:]):
-                del epoch.ops[sw][pos]
-            _remap_deps(epoch.ops[sw],
-                        {n.idx: packed_send.idx for _, _, n in sends})
-            epoch.ops[rw][r_positions[0]] = packed_recv
-            for pos in reversed(r_positions[1:]):
-                del epoch.ops[rw][pos]
-            _remap_deps(epoch.ops[rw],
-                        {n.idx: packed_recv.idx for _, _, n in recvs})
-            result.note(f"comm={comm!r} channel {src}->{dst} tag={tag}: "
-                        f"{k} scalar messages packed into 1")
-            return True
-    return False
+            packed = [n.payload for _, n in sends]
+            # recvs first: on a self-channel they follow the sends on one
+            # rank, and replacing them leaves the send positions valid
+            _replace(epoch, rw, r_positions, "coalesce_sends", op="recv",
+                     args={"source": src, "tag": tag, "packed": k,
+                           "matched_source": src, "matched_tag": tag},
+                     result=(packed, Status(src, tag, 8 * k)))
+            _replace(epoch, sw, s_positions, "coalesce_sends", op="send",
+                     args={"dest": dst, "tag": tag, "packed": k},
+                     payload=packed)
+            return (f"comm={comm!r} channel {src}->{dst} tag={tag}: "
+                    f"{k} scalar messages packed into 1")
+    return None
 
 
 # -- pass: recognize shift rings as sendrecv ---------------------------------
@@ -482,19 +377,18 @@ def ring_to_sendrecv(epoch: Epoch) -> PassResult:
     then receives from (r-d) mod p with one tag — into one ``sendrecv`` per
     rank (p combined ops instead of 2p; the collective shape of a ring step).
     """
-    result = PassResult("ring_to_sendrecv")
-    while _ring_one_round(epoch, result):
-        pass  # positions go stale after each rewrite: rescan
-    return result
+    return _to_fixpoint(epoch, "ring_to_sendrecv", _ring_one_round)
 
 
-def _ring_one_round(epoch: Epoch, result: PassResult) -> bool:
-    for comm, members in list(epoch.members.items()):
+def _ring_one_round(epoch: Epoch) -> Optional[str]:
+    for comm, members in epoch.members.items():
         p = len(members)
         if p < 2:
             continue
-        candidates: Dict[int, List[Tuple[int, int, CommOp, CommOp]]] = {}
-        for local, w in enumerate(members):
+        # per comm-local rank: (pos, pos, send, recv) of every recorded send
+        # whose next non-local node is a same-tag recv from a named source
+        candidates: List[List[Tuple[int, int, CommOp, CommOp]]] = []
+        for w in members:
             nodes = epoch.ops[w]
             found = []
             for i, n in enumerate(nodes):
@@ -511,9 +405,8 @@ def _ring_one_round(epoch: Epoch, result: PassResult) -> bool:
                             and m.args.get("tag") == n.args.get("tag")):
                         found.append((i, j, n, m))
                     break
-            candidates[local] = found
-        rounds = min((len(v) for v in candidates.values()), default=0)
-        for t in range(rounds):
+            candidates.append(found)
+        for t in range(min(len(found) for found in candidates)):
             ds = set()
             tags = set()
             for local in range(p):
@@ -533,27 +426,16 @@ def _ring_one_round(epoch: Epoch, result: PassResult) -> bool:
                 continue
             for local, w in enumerate(members):
                 i, j, sn, rn = candidates[local][t]
-                nodes = epoch.ops[w]
-                fused = CommOp(
-                    idx=epoch.alloc_idx(w), rank=sn.rank, kind="p2p",
-                    op="sendrecv", comm=comm,
-                    args={"dest": sn.args["dest"], "source": rn.args["source"],
-                          "sendtag": sn.args["tag"],
-                          "recvtag": rn.args["tag"],
-                          "matched_source": rn.args["matched_source"],
-                          "matched_tag": rn.args["matched_tag"]},
-                    payload=sn.payload,
-                    result=rn.result,
-                    deps=tuple(sorted(set(sn.deps) | set(rn.deps))),
-                    ir_pass="ring_to_sendrecv",
-                )
-                nodes[i] = fused
-                del nodes[j]
-                _remap_deps(nodes, {sn.idx: fused.idx, rn.idx: fused.idx})
-            result.note(f"comm={comm!r}: ring shift d={d} "
-                        f"-> {p} sendrecv ops")
-            return True
-    return False
+                _replace(epoch, w, (i, j), "ring_to_sendrecv", op="sendrecv",
+                         args={"dest": sn.args["dest"],
+                               "source": rn.args["source"],
+                               "sendtag": sn.args["tag"],
+                               "recvtag": rn.args["tag"],
+                               "matched_source": rn.args["matched_source"],
+                               "matched_tag": rn.args["matched_tag"]},
+                         payload=sn.payload, result=rn.result)
+            return f"comm={comm!r}: ring shift d={d} -> {p} sendrecv ops"
+    return None
 
 
 # -- pass: push waits past independent local compute -------------------------

@@ -18,17 +18,14 @@ condition; :meth:`Mailbox.interrupt` wakes both to re-run their checks
 
 from __future__ import annotations
 
-import itertools
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 from repro.mpi.constants import ANY_SOURCE, ANY_TAG
 from repro.mpi.datatypes import snapshot
 from repro.mpi.errors import RawDeadlockError, RawProcessFailure, RawUsageError
 from repro.mpi.waiting import Backoff, Gate
-
-_envelope_ids = itertools.count()
 
 
 @dataclass
@@ -58,7 +55,6 @@ class Envelope:
     sync_gate: Optional[Gate] = None
     #: receiver-side clock at match time (read by synchronous senders)
     match_clock: float = 0.0
-    seq: int = field(default_factory=lambda: next(_envelope_ids))
     #: sender-side creation backtrace (sanitized runs only; see MPIsan)
     origin: tuple = ()
 
@@ -271,11 +267,6 @@ class Mailbox:
             for pr in self._posted:
                 pr.gate.interrupt()
             self._cond.notify_all()
-
-    def pending_count(self) -> int:
-        """Number of queued unexpected messages (diagnostics only)."""
-        with self._cond:
-            return len(self._unexpected)
 
     def audit_snapshot(self) -> tuple[tuple[PendingRecv, ...], tuple[Envelope, ...]]:
         """Consistent snapshot of both queues (MPIsan's finalize-time sweep)."""

@@ -24,7 +24,8 @@ from typing import Any, Hashable, Optional
 
 import numpy as np
 
-from repro.mpi.errors import RawDeadlockError, RawUsageError
+from repro.mpi.errors import (RawDeadlockError, RawProcessFailure,
+                              RawUsageError)
 from repro.mpi.ops import Op, SUM
 from repro.mpi.waiting import Backoff
 
@@ -98,7 +99,13 @@ class RawWindow:
         with self.comm._span("win_lock", peers=(target,)), st.lock_cond:
             while blocked():
                 st.lock_cond.wait(timeout=backoff.next_timeout())
-                if blocked() and backoff.expired:
+                if not blocked():
+                    break
+                failed = machine.failed_snapshot().intersection(
+                    self.comm.state.members)
+                if failed:  # the holder may never unlock
+                    raise RawProcessFailure(failed)
+                if backoff.expired:
                     raise RawDeadlockError(
                         f"win_lock(target={target}) exceeded the "
                         f"{machine.deadline:.0f}s deadlock deadline"

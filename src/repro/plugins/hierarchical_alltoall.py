@@ -11,8 +11,8 @@ processes in a hop is **aggregated into a single message**.
 Cost structure: per hop one alltoallv over a communicator of size
 ``p^(1/d)`` ⇒ start-up latency Θ(d · p^{1/d}) instead of Θ(p), at the price
 of shipping each element up to ``d`` times plus a routing header.
-``d = 1`` degenerates to the direct exchange, ``d = 2`` to the grid plugin
-(over its own generalized implementation); larger ``d`` trades more volume
+``d = 1`` degenerates to the direct exchange, ``d = 2`` *is* the grid plugin
+(``alltoallv_grid`` runs this module's plan); larger ``d`` trades more volume
 for even lower latency — useful at extreme scale or for very small messages.
 """
 

@@ -131,6 +131,35 @@ def test_batch_bcasts_refuses_array_payloads(clean_engine):
     assert result.rewrites == 0
 
 
+def _bcasts_around_a_message(raw):
+    first = raw.bcast(1 if raw.rank == 0 else None, 0)
+    second = raw.bcast(2 if raw.rank == 0 else None, 0)
+    if raw.rank == 0:
+        raw.send(3, 1, tag=4)
+        between = 3
+    else:
+        between = raw.recv(0, 4)[0]
+    return first, second, between, raw.bcast(4 if raw.rank == 0 else None, 0)
+
+
+def test_batch_bcasts_batches_the_run_before_a_message(clean_engine):
+    """``bcast; bcast; send/recv; bcast``: the third bcast is not adjacent to
+    the first two, which must not stop *them* from being batched."""
+    epoch = _record(_bcasts_around_a_message, 2, clean_engine)
+    assert epoch.total_raw_ops() == 8
+    optimized, result = _run_pass("batch_bcasts", epoch)
+    assert result.details == [
+        "comm='world' seqs=0..1: 2 bcasts -> 1 batched bcast"]
+    assert optimized.total_raw_ops() == 6
+    base = run_mpi(_bcasts_around_a_message, 2, engine=clean_engine)
+    res = run_mpi(_bcasts_around_a_message, 2, ir="optimize",
+                  engine=clean_engine)
+    assert res.values == base.values == [(1, 2, 3, 4)] * 2
+    assert res.ir.pass_rewrites()["batch_bcasts"] == 1
+    assert res.ir.optimized.total_raw_ops() == 6
+    assert all(s["verified"] > 0 for s in res.ir.replay_stats)
+
+
 # -- fuse_count_exchange -----------------------------------------------------
 
 
@@ -162,6 +191,19 @@ def test_fuse_count_exchange_refuses_mismatched_counts(clean_engine):
     epoch = _record(independent, 4, clean_engine)
     _, result = _run_pass("fuse_count_exchange", epoch)
     assert result.rewrites == 0
+
+
+@pytest.mark.parametrize("p", [2, 4])
+def test_fused_count_exchange_does_not_depend_on_itself(p, clean_engine):
+    """The alltoallv consumed the alltoall's result; the node that replaces
+    both inherits their outside dependencies, not the edge between them."""
+    epoch = _record(_counted_exchange, p, clean_engine)
+    assert all(nodes[1].deps == (nodes[0].idx,) for nodes in epoch.ops)
+    optimized, result = _run_pass("fuse_count_exchange", epoch)
+    assert result.rewrites == 1
+    for nodes in optimized.ops:
+        assert [n.ir_pass for n in nodes] == ["fuse_count_exchange"]
+        assert nodes[0].deps == ()
 
 
 # -- coalesce_sends ----------------------------------------------------------
@@ -216,6 +258,23 @@ def test_coalesce_refuses_wildcard_receives(clean_engine):
     epoch = _record(wild, 2, clean_engine)
     _, result = _run_pass("coalesce_sends", epoch)
     assert result.rewrites == 0
+
+
+def test_coalesce_packs_a_self_channel(clean_engine):
+    """Sends and recvs of a rank's channel to itself sit on one node list:
+    replacing one side must not leave the other's positions stale."""
+    def to_self(raw):
+        raw.send(1, raw.rank, tag=3)
+        raw.send(2, raw.rank, tag=3)
+        return [raw.recv(raw.rank, 3)[0] for _ in range(2)]
+
+    epoch = _record(to_self, 2, clean_engine)
+    optimized, result = _run_pass("coalesce_sends", epoch)
+    assert result.rewrites == 2
+    assert optimized.op_counts() == {"send": 2, "recv": 2}
+    res = run_mpi(to_self, 2, ir="optimize", engine=clean_engine)
+    assert res.values == [[1, 2]] * 2
+    assert res.ir.pass_rewrites()["coalesce_sends"] == 2
 
 
 # -- ring_to_sendrecv --------------------------------------------------------

@@ -256,7 +256,21 @@ _PARKED_IN = {
     # the bindings re-raise rank 0's failure as their own type, chained: it
     # is still the consequence, not the cause
     "wrapped_recv": lambda comm: Communicator(comm).recv(source(1)),
+    # the holder of a passive-target lock dies with it
+    "win_lock": lambda win: win.lock(1),
 }
+
+
+def _window_locked_by_rank_1(comm):
+    win = comm.win_create(np.zeros(1))
+    if comm.rank == 1:
+        win.lock(1)
+    comm.barrier()  # rank 0 asks for the lock only once rank 1 holds it
+    return win
+
+
+#: collective set-up both ranks run first; rank 0 parks on what it returns
+_SET_UP = {"win_lock": _window_locked_by_rank_1}
 
 
 @pytest.mark.parametrize("backend", [
@@ -266,11 +280,15 @@ def test_a_raising_peer_ends_the_wait_and_is_the_reported_root_cause(
         parked_in, backend):
     """Same behaviour on both backends: rank 0 does not ride the 2 s
     deadline, and the run reports rank 1's exception, not rank 0's."""
+    if parked_in == "win_lock" and backend == "process":
+        pytest.skip("RMA windows exist in one address space only")
+
     def main(comm):
+        on = _SET_UP.get(parked_in, lambda comm: comm)(comm)
         if comm.rank == 1:
             time.sleep(0.05)
             raise ValueError("rank 1 gives up")
-        _PARKED_IN[parked_in](comm)
+        _PARKED_IN[parked_in](on)
 
     t0 = time.monotonic()
     with pytest.raises(RuntimeError,

@@ -1,11 +1,14 @@
 """The §VI extension: d-dimensional indirect all-to-all with aggregation."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import Communicator, extend, recv_counts_out, send_buf, send_counts
 from repro.mpi import CollectiveEngine, CostModel
+from repro.plugins.grid_alltoall import GridAlltoall, grid_dims
 from repro.plugins.hierarchical_alltoall import (
     HierarchicalAlltoall,
     balanced_dims,
@@ -15,6 +18,7 @@ from repro.plugins.hierarchical_alltoall import (
 from tests.conftest import runk
 
 HComm = extend(Communicator, HierarchicalAlltoall)
+BothComm = extend(Communicator, GridAlltoall, HierarchicalAlltoall)
 
 
 class TestDims:
@@ -136,3 +140,38 @@ def test_hypergrid_property(seed, d):
     res = runk(lambda c: _exchange(c, d, seed), 8, comm_class=HComm)
     for direct, hyper, _ in res.values:
         assert hyper == direct
+
+
+@pytest.mark.parametrize("p", [4, 6, 7, 12])
+def test_grid_is_the_two_dimensional_hypergrid(p):
+    """``alltoallv_grid`` and ``alltoallv_hypergrid(d=2)`` are one exchange:
+    same values, virtual clocks, PMPI counts and trace events — all but the
+    ids of the sub-communicators the hops run on."""
+    assert grid_dims(p) == balanced_dims(p, 2)[::-1]
+
+    def main(comm, method, kwargs):
+        out = []
+        for seed, dtype in ((1, np.int64), (2, np.float64), (3, np.int64)):
+            rng = np.random.default_rng((seed, comm.rank))
+            counts = rng.integers(0, 4, size=comm.size).tolist()
+            data = rng.integers(0, 1000, size=sum(counts)).astype(dtype)
+            buf, rcounts = getattr(comm, method)(
+                send_buf(data), send_counts(counts), recv_counts_out(),
+                **kwargs)
+            out.append((buf.dtype.str, buf.tolist(), rcounts))
+        return out
+
+    cm = CostModel()
+    grid, hyper = (
+        runk(main, p, args=(method, kwargs), comm_class=BothComm, trace=True,
+             cost_model=cm, engine=CollectiveEngine(cm, env={}))
+        for method, kwargs in (("alltoallv_grid", {}),
+                               ("alltoallv_hypergrid", {"d": 2})))
+    assert grid.values == hyper.values
+    assert grid.times == hyper.times
+    assert grid.counts == hyper.counts
+    for r in range(p):
+        assert ([dataclasses.replace(e, comm=None)
+                 for e in grid.trace.events_for(r)]
+                == [dataclasses.replace(e, comm=None)
+                    for e in hyper.trace.events_for(r)])

@@ -67,6 +67,15 @@ class TestGridEdge:
         assert all(v == 2 for v in res.values)  # one row + one column split
 
 
+    def test_usage_errors_name_alltoallv_grid(self):
+        """The plan is hypergrid's; the operation a user called is not."""
+        def main(comm):
+            comm.alltoallv_grid(send_buf(np.arange(comm.size)))
+
+        with pytest.raises(RuntimeError, match=r"alltoallv_grid.*send_counts"):
+            runk(main, 2, comm_class=GridComm)
+
+
 class TestSparseEdge:
     def test_list_payloads(self):
         def main(comm):
