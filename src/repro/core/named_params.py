@@ -17,17 +17,43 @@ import operator
 from typing import Any, Optional
 
 from repro.core.errors import UsageError
-from repro.core.parameters import IN, INOUT, OUT, Parameter
+from repro.core.parameters import IN, INOUT, OUT, Parameter, constructor
 from repro.core.resize import ResizePolicy, no_resize
 from repro.mpi import ops as _ops
 from repro.mpi.ops import Op
 
+# Each factory builds through its own ``constructor(key, direction)``: a probe
+# of that factory's ``type(payload) → token`` table and two slot stores, behind
+# the ``def`` that documents the parameter and checks how it is called.
+_send_buf = constructor("send_buf", IN)
+_send_buf_out = constructor("send_buf", INOUT)
+_recv_buf = constructor("recv_buf", OUT)
+_send_recv_buf = constructor("send_recv_buf", INOUT)
+_send_counts = constructor("send_counts", IN)
+_send_counts_out = constructor("send_counts", OUT)
+_recv_counts = constructor("recv_counts", IN)
+_recv_counts_out = constructor("recv_counts", OUT)
+_send_displs = constructor("send_displs", IN)
+_send_displs_out = constructor("send_displs", OUT)
+_recv_displs = constructor("recv_displs", IN)
+_recv_displs_out = constructor("recv_displs", OUT)
+_send_count = constructor("send_count", IN)
+_recv_count = constructor("recv_count", IN)
+_recv_count_out = constructor("recv_count", OUT)
+_send_recv_count = constructor("send_recv_count", IN)
+_root = constructor("root", IN)
+_destination = constructor("destination", IN)
+_source = constructor("source", IN)
+_tag = constructor("tag", IN)
+_values_on_rank_0 = constructor("values_on_rank_0", IN)
+_status_out = constructor("status", OUT)
+_op = constructor("op", IN)
 
 # -- buffers -----------------------------------------------------------------
 
 def send_buf(data: Any) -> Parameter:
     """The data this rank contributes to the operation."""
-    return Parameter("send_buf", IN, data)
+    return _send_buf(data)
 
 
 def send_buf_out(data: Any) -> Parameter:
@@ -36,7 +62,7 @@ def send_buf_out(data: Any) -> Parameter:
     Used with non-blocking calls: ``isend(send_buf_out(move(v)), ...)`` hands
     the buffer to the operation and gets it back from ``wait()`` (Fig. 6).
     """
-    return Parameter("send_buf", INOUT, data)
+    return _send_buf_out(data)
 
 
 def recv_buf(container: Any = None, resize: ResizePolicy = no_resize) -> Parameter:
@@ -46,110 +72,110 @@ def recv_buf(container: Any = None, resize: ResizePolicy = no_resize) -> Paramet
     is written in place under ``resize`` (pass ``move(container)`` to have
     the storage reused *and* returned by value).
     """
-    return Parameter("recv_buf", OUT, container, resize)
+    return _recv_buf(container, resize)
 
 
 def send_recv_buf(data: Any, resize: ResizePolicy = no_resize) -> Parameter:
     """In-place buffer: both contributes and receives (simplified ``MPI_IN_PLACE``)."""
-    return Parameter("send_recv_buf", INOUT, data, resize)
+    return _send_recv_buf(data, resize)
 
 
 # -- counts & displacements ----------------------------------------------------
 
 def send_counts(counts: Any) -> Parameter:
     """Per-destination element counts for all-to-all style operations."""
-    return Parameter("send_counts", IN, counts)
+    return _send_counts(counts)
 
 
 def send_counts_out(container: Any = None,
                     resize: ResizePolicy = no_resize) -> Parameter:
     """Request the (library-computed) send counts back."""
-    return Parameter("send_counts", OUT, container, resize)
+    return _send_counts_out(container, resize)
 
 
 def recv_counts(counts: Any) -> Parameter:
     """Per-source element counts; omitting them makes the library exchange counts."""
-    return Parameter("recv_counts", IN, counts)
+    return _recv_counts(counts)
 
 
 def recv_counts_out(container: Any = None,
                     resize: ResizePolicy = no_resize) -> Parameter:
     """Request the inferred receive counts back (avoids re-computing them)."""
-    return Parameter("recv_counts", OUT, container, resize)
+    return _recv_counts_out(container, resize)
 
 
 def send_displs(displs: Any) -> Parameter:
     """Explicit per-destination send displacements (offsets into send_buf)."""
-    return Parameter("send_displs", IN, displs)
+    return _send_displs(displs)
 
 
 def send_displs_out(container: Any = None,
                     resize: ResizePolicy = no_resize) -> Parameter:
     """Request the (library-computed) send displacements back."""
-    return Parameter("send_displs", OUT, container, resize)
+    return _send_displs_out(container, resize)
 
 
 def recv_displs(displs: Any) -> Parameter:
     """Explicit per-source receive displacements (offsets into recv_buf)."""
-    return Parameter("recv_displs", IN, displs)
+    return _recv_displs(displs)
 
 
 def recv_displs_out(container: Any = None,
                     resize: ResizePolicy = no_resize) -> Parameter:
     """Request the inferred receive displacements back (local prefix sum)."""
-    return Parameter("recv_displs", OUT, container, resize)
+    return _recv_displs_out(container, resize)
 
 
 def send_count(count: int) -> Parameter:
     """Explicit number of elements to send (otherwise inferred from send_buf)."""
-    return Parameter("send_count", IN, int(count))
+    return _send_count(int(count))
 
 
 def recv_count(count: int) -> Parameter:
     """Explicit number of elements to receive (e.g. for ``irecv``)."""
-    return Parameter("recv_count", IN, int(count))
+    return _recv_count(int(count))
 
 
 def recv_count_out(container: Any = None) -> Parameter:
     """Request the number of received elements back (e.g. from scatterv)."""
-    return Parameter("recv_count", OUT, container)
+    return _recv_count_out(container)
 
 
 def send_recv_count(count: int) -> Parameter:
     """Element count of an in-place buffer where MPI would take one count."""
-    return Parameter("send_recv_count", IN, int(count))
+    return _send_recv_count(int(count))
 
 
 # -- scalar control parameters ---------------------------------------------------
 
 def root(rank: int) -> Parameter:
     """Root rank of a rooted collective (default 0)."""
-    return Parameter("root", IN, int(rank))
+    return _root(int(rank))
 
 
 def destination(rank: int) -> Parameter:
     """Destination rank of a point-to-point send."""
-    return Parameter("destination", IN, int(rank))
+    return _destination(int(rank))
 
 
 def source(rank: int) -> Parameter:
     """Source rank of a receive (default: any source)."""
-    return Parameter("source", IN, int(rank))
+    return _source(int(rank))
 
 
 def tag(value: int) -> Parameter:
     """Message tag (default 0)."""
-    return Parameter("tag", IN, int(value))
+    return _tag(int(value))
 
 
 def values_on_rank_0(value: Any) -> Parameter:
     """Value exscan should produce on rank 0 (which MPI leaves undefined)."""
-    return Parameter("values_on_rank_0", IN, value)
+    return _values_on_rank_0(value)
 
 
 def status_out() -> Parameter:
     """Request the receive status (source / tag / size) back."""
-    return Parameter("status", OUT)
+    return _status_out()
 
 
 # -- reduction operations -----------------------------------------------------------
@@ -201,4 +227,4 @@ def op(operation: Any, *, commutative: Optional[bool] = None) -> Parameter:
             f"op() requires an Op, a known functor, or a binary callable; "
             f"got {operation!r}"
         )
-    return Parameter("op", IN, resolved)
+    return _op(resolved)

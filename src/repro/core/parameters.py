@@ -2,10 +2,11 @@
 
 Named parameters are realized — as in the paper — by lightweight objects
 produced by factory functions (:mod:`repro.core.named_params`).  Each object
-carries its *parameter key* (send buffer, receive counts, …), its direction
-(in / out / in-out), its payload, its resize policy and move-ownership, and
-an interned *signature token* naming everything about it but the payload —
-the call-plan cache (:mod:`repro.core.plans`) keys on these tokens.
+holds two things: its payload, and an interned *signature token* naming
+everything else about it — the *parameter key* (send buffer, receive counts,
+…), the direction (in / out / in-out), the resize policy, move-ownership and
+the payload's container kind.  The call-plan cache (:mod:`repro.core.plans`)
+keys on these tokens; a factory finds the token by the payload's type.
 
 The registry is open: plugins may register new parameter keys
 (:func:`register_parameter`), which gives library extensions the full named
@@ -14,7 +15,7 @@ parameter flexibility (paper §III-F).
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
@@ -42,26 +43,6 @@ def is_registered(key: str) -> bool:
     return key in _REGISTRY
 
 
-# Built-in parameter keys.
-SEND_BUF = register_parameter("send_buf")
-RECV_BUF = register_parameter("recv_buf")
-SEND_RECV_BUF = register_parameter("send_recv_buf")
-SEND_COUNTS = register_parameter("send_counts")
-RECV_COUNTS = register_parameter("recv_counts")
-SEND_DISPLS = register_parameter("send_displs")
-RECV_DISPLS = register_parameter("recv_displs")
-SEND_COUNT = register_parameter("send_count")
-RECV_COUNT = register_parameter("recv_count")
-SEND_RECV_COUNT = register_parameter("send_recv_count")
-OP = register_parameter("op")
-ROOT = register_parameter("root")
-DESTINATION = register_parameter("destination")
-SOURCE = register_parameter("source")
-TAG = register_parameter("tag")
-VALUES_ON_RANK_0 = register_parameter("values_on_rank_0")
-STATUS = register_parameter("status")
-
-
 class Signature:
     """Payload-free shape of one parameter — what call plans are keyed on.
 
@@ -82,34 +63,36 @@ class Signature:
         self.kind = kind
 
 
-#: (key, direction, moved, resize, type(data)) -> signature: the one probe a
-#: parameter's construction costs.  Kind and has-data are functions of the
-#: payload's type, so the probe is exact.
+#: (key, direction, moved, resize, type(data)) -> signature: the interning
+#: probe, for what no factory's own table answers (:func:`constructor`).  Kind
+#: and has-data are functions of the payload's type, so the probe is exact.
 _BY_TYPE: dict[tuple, Signature] = {}
 _INTERNED: dict[tuple, Signature] = {}
 
 
 class Parameter:
-    """One named argument to a wrapped MPI call."""
+    """One named argument to a wrapped MPI call: its payload and the interned
+    :class:`Signature` token that says everything else about it."""
 
-    __slots__ = ("key", "direction", "data", "resize", "moved", "token")
+    __slots__ = ("data", "token")
 
     def __init__(self, key: str, direction: str, data: Any = None,
                  resize: ResizePolicy = no_resize):
         data, moved = unwrap_moved(data)  # move(c) hands the container over
-        self.key = key
-        self.direction = direction
         self.data = data
-        self.resize = resize
-        self.moved = moved
         probe = (key, direction, moved, resize, type(data))
-        try:
-            self.token = _BY_TYPE[probe]
-        except KeyError:  # first parameter of this shape and payload type
+        token = _BY_TYPE.get(probe)
+        if token is None:  # first parameter of this shape and payload type
             shape = (key, direction, moved, data is not None, resize,
                      _kind_of(data))
-            self.token = _BY_TYPE[probe] = _INTERNED.setdefault(
+            token = _BY_TYPE[probe] = _INTERNED.setdefault(
                 shape, Signature(*shape))
+        self.token = token
+
+    key = property(lambda self: self.token.key)
+    direction = property(lambda self: self.token.direction)
+    resize = property(lambda self: self.token.resize)
+    moved = property(lambda self: self.token.moved)
 
     def signature(self) -> Signature:
         """Hashable shape of this parameter (its interned ``token``).
@@ -121,6 +104,32 @@ class Parameter:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Parameter({self.key}, {self.direction})"
+
+
+def constructor(key: str, direction: str) -> Callable[..., Parameter]:
+    """``make(data=None, resize=no_resize)``, which every factory of
+    ``(key, direction)`` parameters builds through (and registers ``key``): a
+    probe of the factory's own ``type(data) → token`` table — the policy
+    beside the type where one is given — and two slot stores.  ``move(c)``
+    and the first payload of a type are interned by :class:`Parameter`."""
+    register_parameter(key)
+    tokens: dict[Any, Signature] = {}
+    known, new = tokens.get, object.__new__
+
+    def make(data: Any = None, resize: ResizePolicy = no_resize) -> Parameter:
+        probe = type(data) if resize is no_resize else (resize, type(data))
+        token = known(probe)
+        if token is None:
+            param = Parameter(key, direction, data, resize)
+            if not param.token.moved:  # a Moved says nothing of what it holds
+                tokens[probe] = param.token
+            return param
+        param = new(Parameter)
+        param.data = data
+        param.token = token
+        return param
+
+    return make
 
 
 def _kind_of(data: Any) -> str:

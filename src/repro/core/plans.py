@@ -125,6 +125,21 @@ class CallPlan:
         """Does the caller get ``key`` back (by value or in place)?"""
         return key in self.out_keys or key in self.referencing_out
 
+    # When both hold a builder returns a straight-line closure: nothing to
+    # encode on the way in, nothing to decode, pack or write on the way out.
+
+    def sends_array_whole(self, key: str = "send_buf",
+                          count_key: str = "send_count") -> bool:
+        """Is ``key`` an ndarray sent as it is — no ``count_key`` slices it?"""
+        return self.kind(key) == "array" and self.pos(count_key) < 0
+
+    def returns_bare(self, key: str) -> bool:
+        """Is the by-value ``key`` the whole result — nothing else requested,
+        nothing written in place, no moved-in storage to reuse?"""
+        sig = self.sig(key)
+        return (self.out_keys == (key,) and not self.referencing_out
+                and not (sig is not None and sig.moved and sig.has_data))
+
 
 _token_of = attrgetter("token")
 
@@ -143,6 +158,9 @@ class PlanCache:
     def __init__(self, enabled: bool = True):
         self.enabled = enabled
         self._cache: dict[Hashable, Any] = {}
+        #: the bare probe, ``key → artifact or None``, uncounted: a caller
+        #: that inlines the hit path counts its own ``hits``
+        self.probe = self._cache.get
         self.compilations = 0
         self.hits = 0
 
@@ -193,15 +211,16 @@ def compile_plan(spec: OpSpec, params: Sequence[Parameter]) -> CallPlan:
                 f"{spec.name}() arguments must be named parameters "
                 f"(send_buf(...), recv_counts_out(), ...); got {type(p).__name__}"
             )
-        if not is_registered(p.key):
-            raise UsageError(f"unknown parameter key {p.key!r}")
-        if p.key in index:
-            if p.key not in duplicated:
-                duplicated.append(p.key)
+        key = p.token.key
+        if not is_registered(key):
+            raise UsageError(f"unknown parameter key {key!r}")
+        if key in index:
+            if key not in duplicated:
+                duplicated.append(key)
             continue
-        if p.key not in allowed:
-            raise UnsupportedParameterError(spec.name, p.key, tuple(allowed))
-        index[p.key] = i
+        if key not in allowed:
+            raise UnsupportedParameterError(spec.name, key, tuple(allowed))
+        index[key] = i
     if duplicated:
         # every duplicated key is collected first so one diagnostic lists all
         raise DuplicateParameterError(spec.name, duplicated)

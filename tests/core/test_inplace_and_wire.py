@@ -58,6 +58,27 @@ class TestInPlaceSemantics:
 
         assert runk(main, 4).values[0] == [6.0]
 
+    @pytest.mark.parametrize("p", [1, 3])
+    def test_inplace_allreduce_writes_a_referenced_list_in_place(self, p):
+        """Like the ndarray, and like bcast / allgather with a list: the plan
+        files a referenced ``send_recv_buf`` under ``referencing_out``."""
+        def main(comm):
+            data, array = [1, 2, 3], np.array([1, 2, 3])
+            returned = (comm.allreduce(send_recv_buf(data), op(SUM)),
+                        comm.allreduce(send_recv_buf(array), op(SUM)))
+            return returned, data, array.tolist()
+
+        expected = [p, 2 * p, 3 * p]
+        assert runk(main, p).values == [((None, None), expected, expected)] * p
+
+    @pytest.mark.parametrize("p", [1, 3])
+    def test_inplace_allreduce_moved_list_returns_by_value(self, p):
+        def main(comm):
+            data = [1, 2, 3]
+            return comm.allreduce(send_recv_buf(move(data)), op(SUM)), data
+
+        assert runk(main, p).values == [([p, 2 * p, 3 * p], [1, 2, 3])] * p
+
     def test_bcast_requires_send_recv_buf(self):
         def main(comm):
             comm.bcast(send_buf(1))

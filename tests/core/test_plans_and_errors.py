@@ -88,6 +88,48 @@ class TestValidation:
             compile_plan(spec, (send_buf([1]), tag(3)))
 
 
+class TestRawUsageErrorsAreTranslated:
+    """§III-G: a raw usage error leaves the bindings as a ``UsageError`` —
+    a ``KampingError`` like every other — with the raw message unchanged."""
+
+    CASES = {
+        "destination": (lambda comm, v: comm.send(send_buf(v), destination(5)),
+                        "peer rank 5 out of range for communicator of size 2"),
+        "root": (lambda comm, v: comm.bcast(send_recv_buf(v), root(7)),
+                 "root 7 out of range for size 2"),
+        "tag": (lambda comm, v: comm.send(send_buf(v), destination(0),
+                                          tag(-5)),
+                "user tags must be in [0, 1048576) or ANY_TAG, got -5"),
+        "allgatherv": (lambda comm, v: comm.allgatherv(send_buf(v),
+                                                       recv_counts([4])),
+                       "recvcounts must have length 2"),
+        "gatherv": (lambda comm, v: comm.gatherv(send_buf(v),
+                                                 recv_counts([4])),
+                    "recvcounts must have length 2"),
+        "alltoallv": (lambda comm, v: comm.alltoallv(
+            send_buf(v), send_counts([2, 2]), recv_counts([2])),
+            "sendcounts/recvcounts must have length 2"),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_raw_usage_error_becomes_usage_error(self, case):
+        from repro.core import KampingError
+        from repro.mpi import RawUsageError
+
+        call, message = self.CASES[case]
+
+        def main(comm):
+            if case == "gatherv" and comm.rank != 0:
+                return message  # only the root has counts to be wrong about
+            with pytest.raises(UsageError) as caught:
+                call(comm, np.arange(4))
+            assert isinstance(caught.value, KampingError)
+            assert isinstance(caught.value.__cause__, RawUsageError)
+            return str(caught.value)
+
+        assert runk(main, 2).values == [message] * 2
+
+
 class TestPlanCache:
     def test_same_signature_compiles_once(self):
         cache = PlanCache()
