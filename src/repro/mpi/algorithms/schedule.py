@@ -87,6 +87,7 @@ class Run(RawRequest):
             return True
         comm = self._comm
         clock = comm.clock
+        faults = comm.machine.faults
         send = self._steps.send
         pending = self._pending
         answer = None
@@ -105,15 +106,15 @@ class Run(RawRequest):
                 step = send(answer)
                 kind = type(step)
                 if kind is Recv:
-                    if comm.machine.faults is not None:
-                        comm.machine.faults.on_internal(comm)
+                    if faults is not None:
+                        faults.on_internal(comm)
                     pending = self._pending = self._mailbox.post(
                         step.peer, self.tag, clock.now)
                     continue
                 answer = None
                 if kind is Send:
-                    comm._deposit(step.payload, step.peer, self.tag,
-                                  packed=step.packed)
+                    comm._deposit(step.payload, step.peer, self.tag, False,
+                                  step.packed)
                 elif kind is Tag:
                     self.tag = comm._next_coll_tag(
                         step.code if self._code is None else self._code)

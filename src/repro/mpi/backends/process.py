@@ -247,15 +247,15 @@ class _RemoteMailbox:
 class _Transport:
     """One rank's pipe ends plus the pump threads that drain them: what the
     rank's :class:`~repro.mpi.machine.Machine` reaches the other ranks by
-    (``rank``, ``outbox``, ``send``, ``drain``, ``abort``).
+    (``rank``, ``outbox``, ``send``, ``stash``, ``drain``, ``abort``).
 
     ``pipes`` maps each peer to ``(from_peer, to_peer)``, the read end of
     one simplex pipe and the write end of the other.  Frames to one peer are
     written under a per-destination lock (the rank's main thread and its
     pump threads — acks, barrier broadcasts — both send), so they never
     interleave.  Messages for communicators this rank has not locally
-    created yet are stashed under the registry lock and drained by
-    ``get_or_create_comm``, preserving per-pair FIFO order.
+    created yet are stashed (``Machine.comm_or_stash``) and drained
+    (``get_or_create_comm``) under the registry lock, in per-pair FIFO order.
     """
 
     def __init__(self, rank: int, pipes: dict[int, tuple[Any, Any]]):
@@ -330,15 +330,15 @@ class _Transport:
         if msg[0] == "abort":
             machine.mark_failed(msg[1])
             return
-        comm_id = msg[1]
-        with machine._registry_lock:
-            state = machine._comms.get(comm_id)
-            if state is None:
-                # communicator not created locally yet (e.g. a peer raced
-                # ahead through a split): hold the message until it is
-                self._stash.setdefault(comm_id, []).append(msg)
-                return
-        self._deliver(state, msg)
+        # a communicator not created locally yet (e.g. a peer raced ahead
+        # through a split): the message is held until it is
+        state = machine.comm_or_stash(msg[1], msg)
+        if state is not None:
+            self._deliver(state, msg)
+
+    def stash(self, comm_id: Hashable, msg: tuple) -> None:
+        """Hold ``msg`` for :meth:`drain` (called under the registry lock)."""
+        self._stash.setdefault(comm_id, []).append(msg)
 
     def drain(self, state: CommState) -> None:
         """Deliver stashed messages for a just-created communicator.
@@ -356,9 +356,7 @@ class _Transport:
             sync = None
             if token is not None:
                 sync = _AckGate(self, state.members[source], token)
-            env = Envelope(source=source, tag=tag, payload=payload,
-                           nbytes=nbytes, arrival_time=arrival_time,
-                           sync_gate=sync)
+            env = Envelope(source, tag, payload, nbytes, arrival_time, sync)
             if sync is not None:
                 sync.env = env
             # freshly unpickled, referenced by nobody else: no snapshot

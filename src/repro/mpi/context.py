@@ -59,6 +59,8 @@ class RawComm:
         self.state = state
         self.world_rank = world_rank
         self._rank = state.local_of_world[world_rank]
+        #: this rank's virtual clock
+        self.clock: Clock = machine.clocks[world_rank]
         self._coll_seq = 0
         self._mgmt_seq = 0
         self._ibarrier_epoch = 0
@@ -87,11 +89,6 @@ class RawComm:
     @property
     def comm_id(self) -> Hashable:
         return self.state.comm_id
-
-    @property
-    def clock(self) -> Clock:
-        """This rank's virtual clock."""
-        return self.machine.clocks[self.world_rank]
 
     def compute(self, seconds: float) -> None:
         """Charge local computation time to the virtual clock."""
@@ -153,58 +150,55 @@ class RawComm:
             raise RawCommRevoked(f"communicator {self.comm_id!r} has been revoked")
 
     def _check_peer(self, rank: int) -> None:
-        if not 0 <= rank < self.size:
+        members = self.state.members
+        if not 0 <= rank < len(members):
             raise RawUsageError(
-                f"peer rank {rank} out of range for communicator of size {self.size}"
+                f"peer rank {rank} out of range for communicator of size {len(members)}"
             )
-        failed = self.machine.failed_snapshot()
-        if failed and self.state.members[rank] in failed:
-            raise RawProcessFailure([self.state.members[rank]])
+        failed = self.machine.failed
+        if failed and members[rank] in failed:
+            raise RawProcessFailure([members[rank]])
 
     def _next_coll_tag(self, code: int) -> int:
         tag = collective_tag(self._coll_seq, code)
         self._coll_seq += 1
         return tag
 
-    # -- internal point-to-point (used by the schedule driver; uncounted) ----
+    # -- internal point-to-point (uncounted; also the schedule driver's steps) --
 
-    def _deposit(self, payload: Any, dest: int, tag: int, *, sync: bool = False,
+    def _deposit(self, payload: Any, dest: int, tag: int, sync: bool = False,
                  packed: bool = False) -> Envelope:
-        if self.machine.faults is not None:
-            self.machine.faults.on_internal(self)
-        self._check_peer(dest)
+        machine = self.machine
+        if machine.faults is not None:
+            machine.faults.on_internal(self)
+        if machine.failed or not 0 <= dest < len(self.state.members):
+            self._check_peer(dest)  # the full check, only where it can raise
         clock = self.clock
-        model = self.machine.cost_model
+        model = machine.cost_model
         nbytes = payload_nbytes(payload)
         clock.charge_overhead()
         if packed:
             arrival = clock.now + model.packed_transfer_time(nbytes)
         else:
             arrival = clock.now + model.transfer_time(nbytes)
-        auditor = self.machine.auditor
-        env = Envelope(
-            source=self._rank,
-            tag=tag,
-            payload=payload,
-            nbytes=nbytes,
-            arrival_time=arrival,
-            sync_gate=Gate() if sync else None,
-            origin=auditor.origin() if auditor.enabled else (),
-        )
+        auditor = machine.auditor
+        env = Envelope(self._rank, tag, payload, nbytes, arrival,
+                       Gate() if sync else None, 0.0,
+                       auditor.origin() if auditor.enabled else ())
         self.state.mailboxes[dest].deposit(env)
         return env
-
-    def _send(self, payload: Any, dest: int, tag: int, *, packed: bool = False) -> None:
-        self._deposit(payload, dest, tag, packed=packed)
 
     def _recv(self, source: int, tag: int) -> tuple[Any, Status]:
         if self.machine.faults is not None:
             self.machine.faults.on_internal(self)
+        clock = self.clock
         mb = self.state.mailboxes[self._rank]
-        pr = mb.post(source, tag, self.clock.now)
-        env = mb.wait(pr)
-        self.clock.wait_until(env.arrival_time)
-        self.clock.charge_overhead()
+        pr = mb.post(source, tag, clock.now)
+        env = pr.envelope
+        if env is None:  # not queued already: park until it arrives
+            env = mb.wait(pr)
+        clock.wait_until(env.arrival_time)
+        clock.charge_overhead()
         return env.payload, Status(env.source, env.tag, env.nbytes)
 
     # -- point-to-point (public, counted) -----------------------------------
@@ -215,8 +209,11 @@ class RawComm:
         self._check_usable()
         if dest == PROC_NULL:
             return
+        if not self.machine.tracer.enabled:
+            self._deposit(payload, dest, validate_user_tag(tag))
+            return
         with self._span("send", peers=(dest,), tag=tag, payload=payload):
-            self._send(payload, dest, validate_user_tag(tag))
+            self._deposit(payload, dest, validate_user_tag(tag))
 
     def ssend(self, payload: Any, dest: int, tag: int = 0) -> None:
         """Synchronous send: returns only once the receiver matched the message."""
@@ -235,8 +232,11 @@ class RawComm:
         self._check_usable()
         if dest == PROC_NULL:
             return CompletedRequest()
+        if not self.machine.tracer.enabled:
+            self._deposit(payload, dest, validate_user_tag(tag))
+            return CompletedRequest()
         with self._span("isend", peers=(dest,), tag=tag, payload=payload):
-            self._send(payload, dest, validate_user_tag(tag))
+            self._deposit(payload, dest, validate_user_tag(tag))
         return CompletedRequest()
 
     def issend(self, payload: Any, dest: int, tag: int = 0) -> RawRequest:
@@ -263,6 +263,8 @@ class RawComm:
             return None, Status(PROC_NULL, tag, 0)
         if source != ANY_SOURCE:
             self._check_peer(source)
+        if not self.machine.tracer.enabled:
+            return self._recv(source, validate_user_tag(tag))
         with self._span("recv", peers=_peer(source), tag=tag) as sp:
             payload, status = self._recv(source, validate_user_tag(tag))
             sp.set(peers=(status.source,), tag=status.tag, recvd=status.nbytes)
@@ -274,9 +276,12 @@ class RawComm:
         self._check_usable()
         if source != ANY_SOURCE:
             self._check_peer(source)
-        with self._span("irecv", peers=_peer(source), tag=tag):
-            mb = self.state.mailboxes[self._rank]
+        mb = self.state.mailboxes[self._rank]
+        if not self.machine.tracer.enabled:
             pr = mb.post(source, validate_user_tag(tag), self.clock.now)
+        else:
+            with self._span("irecv", peers=_peer(source), tag=tag):
+                pr = mb.post(source, validate_user_tag(tag), self.clock.now)
         req = RecvRequest(mb, pr, self.clock)
         auditor = self.machine.auditor
         if auditor.enabled:
@@ -297,14 +302,17 @@ class RawComm:
         self._check_usable()
         if source not in (ANY_SOURCE, PROC_NULL):
             self._check_peer(source)
-        with self._span("sendrecv", peers=_peer(dest) + _peer(source),
-                        tag=sendtag, payload=payload) as sp:
+        traced = self.machine.tracer.enabled
+        span = self._span("sendrecv", peers=_peer(dest) + _peer(source),
+                          tag=sendtag, payload=payload) if traced else _NULL_SPAN
+        with span as sp:
             if dest != PROC_NULL:
-                self._send(payload, dest, validate_user_tag(sendtag))
+                self._deposit(payload, dest, validate_user_tag(sendtag))
             if source == PROC_NULL:
                 return None, Status(PROC_NULL, recvtag, 0)
             out, status = self._recv(source, validate_user_tag(recvtag))
-            sp.set(peers=_peer(dest) + (status.source,), recvd=status.nbytes)
+            if traced:
+                sp.set(peers=_peer(dest) + (status.source,), recvd=status.nbytes)
         return out, status
 
     def probe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Status:
@@ -585,7 +593,7 @@ class RawComm:
 
     def failed_ranks(self) -> tuple[int, ...]:
         """Communicator-local ranks of members known to have failed."""
-        failed = self.machine.failed_snapshot()
+        failed = self.machine.failed
         return tuple(
             i for i, w in enumerate(self.state.members) if w in failed
         )

@@ -165,9 +165,10 @@ class Machine:
 
     All the core uses of a transport: ``rank``, ``outbox(comm_id, world)``
     (its ``deposit(env)`` delivers to that rank's mailbox), ``send(world,
-    msg)`` (a control message to that rank's machine), ``drain(state)``
-    (hand over what arrived for a communicator before it existed here) and
-    ``abort()`` (tell every other rank this one's ``fn`` raised).
+    msg)`` (a control message to that rank's machine), ``stash(comm_id,
+    msg)`` / ``drain(state)`` (hold, then hand over, what arrived for a
+    communicator before it existed here) and ``abort()`` (tell every other
+    rank this one's ``fn`` raised).
     """
 
     def __init__(self, num_ranks: int, cost_model: Optional[CostModel] = None,
@@ -206,7 +207,8 @@ class Machine:
         self._comms: dict[Hashable, CommState] = {}
         self._failed: set[int] = set()
         self._failed_lock = threading.Lock()
-        self._failed_frozen: frozenset[int] = frozenset()
+        #: failed world ranks; replaced whole, never mutated: read without a lock
+        self.failed: frozenset[int] = frozenset()
         self._shrink_lock = threading.Condition()
         #: per rendezvous key: the flags of the arrived, then the result
         self._shrink_arrivals: dict[Hashable, dict[int, bool]] = {}
@@ -250,12 +252,22 @@ class Machine:
                 )
             return state
 
+    def comm_or_stash(self, comm_id: Hashable, msg: tuple) -> Optional[CommState]:
+        """For the transport's pump: the communicator ``msg`` is addressed
+        to — or ``None``, with ``msg`` handed to ``transport.stash`` under
+        the lock ``get_or_create_comm`` drains under, so it cannot be missed."""
+        with self._registry_lock:
+            state = self._comms.get(comm_id)
+            if state is None:
+                self.transport.stash(comm_id, msg)
+            return state
+
     # -- failures (substrate for ULFM) ------------------------------------
 
     def mark_failed(self, world_rank: int) -> None:
         with self._failed_lock:
             self._failed.add(world_rank)
-            self._failed_frozen = frozenset(self._failed)
+            self.failed = frozenset(self._failed)
         self.interrupt()
 
     def abort(self, world_rank: int) -> None:
@@ -278,7 +290,7 @@ class Machine:
             self._shrink_lock.notify_all()
 
     def failed_snapshot(self) -> frozenset[int]:
-        return self._failed_frozen
+        return self.failed
 
     def alive_members(self, state: CommState) -> tuple[int, ...]:
         failed = self.failed_snapshot()

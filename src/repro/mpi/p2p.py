@@ -11,24 +11,32 @@ Synchronous sends (``ssend``/``issend``) carry a match gate; the sender only
 completes once the receiver has matched the message, which is what the NBX
 sparse all-to-all algorithm (plugins) relies on for its termination protocol.
 
-A blocked receive parks on its own gate, a blocked probe on the mailbox's
-condition; :meth:`Mailbox.interrupt` wakes both to re-run their checks
+Both queues live under one raw ``_thread`` lock.  Only a receive that has to
+queue gets a gate to park on; a blocked probe parks on the mailbox's condition
+(over the same lock), which a delivery notifies only while a probe is parked.
+:meth:`Mailbox.interrupt` wakes both to re-run their checks
 (:mod:`repro.mpi.waiting`).
 """
 
 from __future__ import annotations
 
 import threading
+from _thread import allocate_lock
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 from repro.mpi.constants import ANY_SOURCE, ANY_TAG
 from repro.mpi.datatypes import snapshot
-from repro.mpi.errors import RawDeadlockError, RawProcessFailure, RawUsageError
+from repro.mpi.errors import (
+    RawCommRevoked,
+    RawDeadlockError,
+    RawProcessFailure,
+    RawUsageError,
+)
 from repro.mpi.waiting import Backoff, Gate
 
 
-@dataclass
+@dataclass(slots=True)
 class Status:
     """Receive status (analog of ``MPI_Status``)."""
 
@@ -41,9 +49,9 @@ class Status:
         return self.nbytes // max(itemsize, 1)
 
 
-@dataclass
+@dataclass(slots=True)
 class Envelope:
-    """A message in flight."""
+    """A message in flight (built positionally, once per message)."""
 
     source: int
     tag: int
@@ -59,6 +67,7 @@ class Envelope:
     origin: tuple = ()
 
     def matches(self, source: int, tag: int) -> bool:
+        """The matching rule (``Mailbox.deliver`` / ``post`` inline it)."""
         return (source == ANY_SOURCE or source == self.source) and (
             tag == ANY_TAG or tag == self.tag
         )
@@ -75,25 +84,31 @@ class PendingRecv:
         self.tag = tag
         self.post_clock = post_clock
         self.envelope: Optional[Envelope] = None
-        #: opened (under the mailbox's lock) by the match or the cancellation
-        self.gate = Gate()
+        #: what a queued receive parks on (``None`` if an envelope was there
+        #: when it was posted); opened and interrupted under the mailbox's lock
+        self.gate: Optional[Gate] = None
         self.cancelled = False
         #: creation backtrace (sanitized runs only; see MPIsan)
         self.origin: tuple = ()
 
     def complete(self, env: Envelope) -> None:
+        """The match, under the mailbox's lock; tells a synchronous sender."""
         self.envelope = env
         if env.sync_gate is not None:
             env.match_clock = max(env.arrival_time, self.post_clock)
             env.sync_gate.open()
-        self.gate.open()
 
 
 class Mailbox:
     """Matching queues for one (communicator, rank) endpoint."""
 
     def __init__(self, deadline_seconds: float = 120.0):
-        self._cond = threading.Condition()
+        self._lock = allocate_lock()
+        #: where probes park, over the same lock
+        self._cond = threading.Condition(self._lock)
+        #: probes parked on ``_cond`` right now (counted under the lock): a
+        #: delivery pays for ``notify_all`` only while there is one
+        self._probing = 0
         self._posted: list[PendingRecv] = []
         self._unexpected: list[Envelope] = []
         self._deadline = deadline_seconds
@@ -119,34 +134,39 @@ class Mailbox:
         self.deliver(env)
 
     def deliver(self, env: Envelope) -> None:
-        """Match a posted receive if one is waiting, else queue the envelope.
+        """Match the oldest compatible posted receive, else queue the envelope.
 
         Entered directly only with a payload nobody else references (the
         process backend's pump, holding a freshly unpickled one).
         """
         if self.fuzz is not None:
             self.fuzz.pause("deposit")
-        with self._cond:
+        source, tag = env.source, env.tag
+        with self._lock:
             for i, pr in enumerate(self._posted):
-                if pr_matches(pr, env):
+                if (pr.source == source or pr.source == ANY_SOURCE) and (
+                        pr.tag == tag or pr.tag == ANY_TAG):
                     del self._posted[i]
                     pr.complete(env)
-                    self._cond.notify_all()
+                    pr.gate.open()
                     return
             self._unexpected.append(env)
-            self._cond.notify_all()
+            if self._probing:  # a probe only ever looks at this queue
+                self._cond.notify_all()
 
     # -- receiving --------------------------------------------------------
 
     def post(self, source: int, tag: int, post_clock: float) -> PendingRecv:
         """Post a receive; matches an unexpected envelope immediately if present."""
         pr = PendingRecv(source, tag, post_clock)
-        with self._cond:
+        with self._lock:
             for i, env in enumerate(self._unexpected):
-                if env.matches(source, tag):
+                if (source == env.source or source == ANY_SOURCE) and (
+                        tag == env.tag or tag == ANY_TAG):
                     del self._unexpected[i]
                     pr.complete(env)
                     return pr
+            pr.gate = Gate()
             self._posted.append(pr)
         return pr
 
@@ -168,8 +188,6 @@ class Mailbox:
             if self.revoke_probe():
                 if not self.cancel(pr):
                     break  # matched concurrently: deliver, don't drop
-                from repro.mpi.errors import RawCommRevoked
-
                 raise RawCommRevoked("communicator revoked while receive pending")
             failed = self.failure_probe()
             if failed and self._source_failed(pr, failed):
@@ -205,7 +223,7 @@ class Mailbox:
         matched message and, for synchronous sends, left the sender convinced
         its message had been received.
         """
-        with self._cond:
+        with self._lock:
             if pr.envelope is not None:
                 return False
             pr.cancelled = True
@@ -224,7 +242,7 @@ class Mailbox:
 
     def iprobe(self, source: int, tag: int) -> Optional[Envelope]:
         """Check for a matching unexpected message without consuming it."""
-        with self._cond:
+        with self._lock:
             for env in self._unexpected:
                 if env.matches(source, tag):
                     return env
@@ -239,14 +257,18 @@ class Mailbox:
         """
         backoff = Backoff(self._deadline, fuzz=self.fuzz)
         while True:
-            with self._cond:
+            with self._lock:
                 for env in self._unexpected:
                     if env.matches(source, tag):
                         return env
-                self._cond.wait(timeout=backoff.next_timeout())
+                # counted before the wait gives the lock up, so no delivery
+                # can queue an envelope and skip the notification in between
+                self._probing += 1
+                try:
+                    self._cond.wait(timeout=backoff.next_timeout())
+                finally:
+                    self._probing -= 1
             if self.revoke_probe():
-                from repro.mpi.errors import RawCommRevoked
-
                 raise RawCommRevoked("communicator revoked while probing")
             failed = self.failure_probe()
             if failed and (
@@ -263,19 +285,12 @@ class Mailbox:
         """Wake every parked receive and probe without completing any: what
         their checks look at changed (a rank failed, the communicator was
         revoked)."""
-        with self._cond:
+        with self._lock:
             for pr in self._posted:
                 pr.gate.interrupt()
             self._cond.notify_all()
 
     def audit_snapshot(self) -> tuple[tuple[PendingRecv, ...], tuple[Envelope, ...]]:
         """Consistent snapshot of both queues (MPIsan's finalize-time sweep)."""
-        with self._cond:
+        with self._lock:
             return tuple(self._posted), tuple(self._unexpected)
-
-
-def pr_matches(pr: PendingRecv, env: Envelope) -> bool:
-    """Does envelope ``env`` satisfy posted receive ``pr``?"""
-    return (pr.source == ANY_SOURCE or pr.source == env.source) and (
-        pr.tag == ANY_TAG or pr.tag == env.tag
-    )

@@ -153,7 +153,7 @@ class RecvRequest(RawRequest):
     def _consume(self, env: Envelope) -> tuple[Any, Status]:
         self._clock.wait_until(env.arrival_time)
         self._clock.charge_overhead()
-        return env.payload, Status(source=env.source, tag=env.tag, nbytes=env.nbytes)
+        return env.payload, Status(env.source, env.tag, env.nbytes)
 
     def audit_state(self) -> str:
         if self._result is not None:

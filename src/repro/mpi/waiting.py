@@ -6,9 +6,10 @@ from the same three ingredients:
 
 - **park on a gate or a condition**, so the thread sleeps until somebody
   wakes it.  A receive and a synchronous send park on their own one-shot
-  :class:`Gate` (a raw ``_thread`` lock: no ``threading.Event``, nothing
-  allocated per wait); waits on shared state (probes, barrier epochs,
-  rendezvous, RMA locks) park on that state's ``threading.Condition``.
+  :class:`Gate` (a raw ``_thread`` lock, no ``threading.Event``; a receive
+  gets one only when it has to queue); waits on shared state (probes,
+  barrier epochs, rendezvous, RMA locks) park on that state's
+  ``threading.Condition``.
 - **notification of failure, revocation and abort**: ``Machine.mark_failed``,
   ``Machine.abort`` and ``CommState.revoke`` call ``interrupt()``, which wakes
   the posted receives' gates and notifies the conditions concerned.  The
@@ -64,7 +65,8 @@ class Gate:
     def open(self) -> None:
         """Complete the gate (idempotent) and wake the waiter."""
         self.opened = True
-        self.interrupt()
+        if self._lock.locked():  # interrupt(), without its frame per message
+            self._lock.release()
 
     def interrupt(self) -> None:
         """Wake the waiter without completing; a no-op if already woken."""
@@ -102,7 +104,8 @@ class Backoff:
         step = self._step
         if self._fuzz is not None:
             step = self._fuzz.jitter(step)
-        return max(min(step, self._deadline - self.elapsed), MIN_STEP)
+        left = self._deadline - (time.monotonic() - self._start)
+        return max(min(step, left), MIN_STEP)
 
     @property
     def elapsed(self) -> float:

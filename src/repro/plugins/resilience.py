@@ -128,6 +128,16 @@ class ResilientScope:
 
     # -- the epoch loop ----------------------------------------------------
 
+    def run_stateless(self, body: Callable[[Any], Any]) -> Shards:
+        """Run ``body(comm)`` as one epoch that cannot change the shards (it
+        is handed none).  While the buddy replica is current — judged by
+        agreed-on facts only, so every rank decides alike — the epoch runs on
+        the committed shards with no copy and no buddy transfer; the first
+        attempt after a recovery replicates as :meth:`run` does."""
+        def epoch(comm, _shards, _epoch):
+            body(comm)
+        return self._run(epoch, stateless=True)
+
     def run(self, epoch_fn: EpochFn) -> Shards:
         """Run one epoch with recovery; returns the committed shard list.
 
@@ -144,6 +154,9 @@ class ResilientScope:
         real-time ``deadline`` expires — both exhaustion paths raise
         :class:`RecoveryFailed`.
         """
+        return self._run(epoch_fn, stateless=False)
+
+    def _run(self, epoch_fn: EpochFn, stateless: bool) -> Shards:
         attempts = 0
         budget = (self.max_attempts if self.max_attempts is not None
                   else self.max_retries + 1)
@@ -154,12 +167,18 @@ class ResilientScope:
             token = (self.label, self.committed, attempts)
             result: Optional[Shards] = None
             incoming: Optional[tuple[int, Shards]] = None
+            # the replica is current, by facts every rank agrees on
+            skip = (stateless and self._store is not None
+                    and not self._failed_since_commit
+                    and not self._adoptions_since_commit
+                    and self._ring == comm.raw.state.members)
             try:
-                work = copy.deepcopy(self.shards)
+                work = self.shards if skip else copy.deepcopy(self.shards)
                 result = epoch_fn(comm, work, self.committed)
                 if result is None:
                     result = work
-                incoming = self._replicate(comm, result, token)
+                if not skip:
+                    incoming = self._replicate(comm, result, token)
                 healthy = not comm.failed_ranks()
             except MPIFailureDetected:
                 self._revoke_quietly(comm)

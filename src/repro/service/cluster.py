@@ -665,12 +665,12 @@ class Cluster:
         outcomes: dict[int, tuple[str, Any]] = {}
         job = jobs[0]
         if len(jobs) == 1 and job.kind == "call":
-            scope.run(self._call_epoch(job, directive, outcomes))
+            scope.run_stateless(self._call_epoch(job, directive, outcomes))
         elif len(jobs) == 1 and job.kind == "epochs":
             for epoch in range(job.epochs):
                 scope.run(self._epochs_epoch(job, directive, outcomes, epoch))
         else:
-            scope.run(self._batch_epoch(jobs, directive, outcomes))
+            scope.run_stateless(self._batch_epoch(jobs, directive, outcomes))
         # the commit is agreement-gated, so every survivor reaches here with
         # the same committed membership; its local rank 0 settles the group
         # (no MPI op sits between the commit and this point, and faults fire
@@ -756,10 +756,8 @@ class Cluster:
             else:
                 outcomes[job.job_id] = ("ok", value)
 
-        def epoch(comm, shards, _epoch):
-            self._with_lease(comm, directive.lease.slot, job.label, body)
-            return shards
-        return epoch
+        return lambda comm: self._with_lease(
+            comm, directive.lease.slot, job.label, body)
 
     def _epochs_epoch(self, job: Job, directive: _JobsDirective,
                       outcomes: dict, epoch_index: int) -> Callable:
@@ -801,8 +799,5 @@ class Cluster:
             for job, outcome in zip(jobs, run_batch(leased, list(jobs))):
                 outcomes[job.job_id] = outcome
 
-        def epoch(comm, shards, _epoch):
-            self._with_lease(comm, directive.lease.slot,
-                             batch_label(list(jobs)), body)
-            return shards
-        return epoch
+        return lambda comm: self._with_lease(
+            comm, directive.lease.slot, batch_label(list(jobs)), body)

@@ -31,8 +31,8 @@ FRAMES = {
     "allreduce": (7, 10),
     "bcast": (7, 14),
     "alltoallv_inferred": (10, 23),
-    "send": (7, 20),
-    "recv": (6, 27),
+    "send": (7, 11),
+    "recv": (6, 11),
 }
 
 

@@ -91,7 +91,8 @@ def _legacy_cancel(req):
             mb._posted.remove(pr)
         except ValueError:
             pass
-        pr.gate.open()
+        if pr.gate is not None:  # made only by a wait that parked
+            pr.gate.open()
     req._cancelled = True
     return True
 

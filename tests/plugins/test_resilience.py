@@ -126,6 +126,51 @@ class TestScopeMechanics:
         for r in (0, 1):
             assert res.values[r] == ([("blk", r)], [2], 3)
 
+    def test_stateless_epoch_skips_the_copy_and_the_buddy_transfer(self):
+        """While the replica is current a stateless epoch sends nothing and
+        commits the very shard list; a stateful one replicates as before."""
+        def main(comm):
+            scope = ResilientScope(comm, [(comm.rank, [comm.rank])])
+            sends = lambda: comm.raw.machine.profile[comm.rank]["send"]
+            genesis, committed = sends(), scope.shards
+            totals = []
+            for _ in range(3):
+                shards = scope.run_stateless(lambda c: totals.append(
+                    c.allreduce_single(send_buf(1), op(SUM))))
+                assert shards is committed and sends() == genesis
+            scope.run(lambda _c, work, _epoch: work)
+            return genesis, sends(), scope.committed, totals
+
+        res = runk(main, 3, comm_class=FTComm)
+        assert all(v == (1, 2, 5, [3, 3, 3]) for v in res.values)
+
+    def test_stateless_epoch_replicates_on_the_first_attempt_after_a_recovery(
+            self):
+        """Rank 2 dies inside a stateless epoch: the retry runs on the
+        survivors with the adopted shard, transfers it to its new buddy
+        (so a second death is survivable), and only then skips again."""
+        def main(comm):
+            scope = ResilientScope(comm, [(comm.rank, comm.rank * 10)])
+            sends = lambda: comm.raw.machine.profile[comm.rank]["send"]
+            attempts = []
+
+            def body(c):
+                attempts.append(sends())
+                if len(attempts) == 1 and c.raw.world_rank == 2:
+                    c.raw.kill_self()
+                c.allreduce_single(send_buf(1), op(SUM))
+
+            scope.run_stateless(body)
+            in_retry = sends() - attempts[-1]
+            scope.run_stateless(body)
+            return (sorted(scope.shards), scope.recovered_from,
+                    in_retry, sends() - attempts[-1])
+
+        res = runk(main, 4, comm_class=FTComm)
+        assert res.values[3] == ([(2, 20), (3, 30)], [2], 1, 0)
+        for r in (0, 1):
+            assert res.values[r] == ([(r, r * 10)], [2], 1, 0)
+
     def test_genesis_death_is_honest_checkpoint_loss(self):
         """A rank killed while replicating its *initial* shards has no
         committed replica anywhere: recovery must refuse, not fabricate."""
