@@ -13,37 +13,47 @@ run's epilogue are the very code the thread backend runs, so a wildcard-free
 program produces bit-identical results, virtual times, PMPI counters, and
 traces on both backends (``tests/backends/`` enforces this).
 
-Wire protocol.  One message is one frame, FIFO per pipe::
+Wire protocol.  One message is one frame, FIFO per pipe; :func:`_encode`
+picks the frame from what the message carries.  An envelope whose payload is
+exactly an ``ndarray``, C-contiguous, of a plain dtype (``_PLAIN_KINDS``: no
+object, structured, void or datetime arrays) takes the *array frame*, which
+pickles nothing; every other message — F-ordered, strided and structured
+arrays, ``bytes``, scalars, the nested lists, tuples and dicts the collective
+schedules ship, and the control messages — takes the *pickled frame*::
 
-    <II  header length, buffer count n     (_PREFIX)
-    <nQ  the n buffer lengths
-    header   protocol-5 pickle of the message tuple, taken with
-             ``buffer_callback``: every contiguous buffer inside it — a
-             top-level ndarray or the arrays nested in the lists, tuples and
-             dicts the collective schedules ship — is left out of band
-    the n buffers, raw
+    <II       header length, 0xFFFFFFFF     |  <II  header length, count n
+    <qqQdqBB  source, tag, nbytes, arrival  |  <nQ  the n buffer lengths
+              time, sync token or -1, ndim, |  header   protocol-5 pickle of
+              len(dtype.str)                |      the message tuple; every
+    dtype.str, <ndimQ shape, route          |      contiguous buffer inside
+    the nbytes of the array, raw            |      it is left out of band
+                                            |  the n buffers, raw
 
-The sender gather-writes the frame with ``os.writev`` straight from the
+The sender gather-writes a frame with ``os.writev`` straight from the
 payload's own memory, under a per-destination lock; the receiver reads each
-buffer straight into the ``bytearray`` the unpickled array then uses as its
-storage.  Those are the only two copies a buffer pays (into the pipe, out of
-the pipe); an object that exports no buffer is simply a frame with ``n = 0``.
-Serialisation finishes before the first byte is written, so an unpicklable
+buffer straight into the ``bytearray`` the array then keeps as its storage.
+Those are the only two copies a buffer pays (into the pipe, out of it).
+Encoding finishes before the first byte is written, so an unpicklable
 payload raises without leaving half a frame behind.  No send-time
-:func:`~repro.mpi.datatypes.snapshot` is taken on this path — that is
-:meth:`Mailbox.deposit <repro.mpi.p2p.Mailbox.deposit>`'s job, where sender
-and receiver share memory; here the blocking write has copied the bytes out
-of the caller's buffer before the send returns, and the pump hands what it
-unpickled to :meth:`~repro.mpi.p2p.Mailbox.deliver` without copying it again.
-What arrives is what a snapshot would be: same dtype, shape and memory order,
-private, and writeable even if the sent array was not (pickle would carry a
-buffer's read-only flag across, so a message holding one is deep-copied
-first: the one case that pays a third copy).
+:func:`~repro.mpi.datatypes.snapshot` is taken — that is :meth:`Mailbox.deposit
+<repro.mpi.p2p.Mailbox.deposit>`'s job, where sender and receiver share
+memory; here the blocking write has copied the bytes out of the caller's
+buffer before the send returns, and the pump hands what it read to
+:meth:`~repro.mpi.p2p.Mailbox.deliver` without copying it again.  What
+arrives is what a snapshot would be: same dtype, shape and memory order,
+private, and writeable even if the sent array was not.  The array frame gives
+that by construction; pickle would carry a buffer's read-only flag across, so
+a *pickled* message holding a read-only buffer is deep-copied first — the
+one case left that pays a third copy.
 
-The message tuples:
+The message tuples (what :func:`_read_frame` returns for either frame):
 
-- ``("env", comm_id, source, tag, payload, nbytes, arrival_time, token)`` —
-  a message envelope; ``token`` is non-``None`` for synchronous sends and is
+- ``("env", route, source, tag, payload, nbytes, arrival_time, token)`` — a
+  message envelope.  ``route`` is ``pickle.dumps(comm_id)``, made once per
+  :class:`_RemoteMailbox`; the receiver caches ``route -> CommState`` the
+  first time the registry answers for it (a communicator is never dropped),
+  so a steady-state message takes neither the registry lock nor an unpickle.
+  ``token`` is the sender's counter for a synchronous send, else ``None``,
   echoed back as ``("ack", token, match_clock)`` when the receiver matches.
 - ``("bar", comm_id, epoch, clock)`` / ``("bardone", comm_id, epoch, t)`` —
   an arrival sent to, and the completion time sent back by, the member with
@@ -51,12 +61,17 @@ The message tuples:
   (:class:`~repro.mpi.requests.ArrivalBarrier`).
 - ``("abort", world_rank)`` — sent to every peer by a rank whose ``fn``
   raised (``Machine.abort``), before it reports ``done``.  The receiver's
-  ``Machine.mark_failed`` adds the rank to ``failed_snapshot()`` and
-  interrupts whoever is parked, so a receive, probe, synchronous send or
-  ``ibarrier`` wait that involves it raises
+  ``Machine.mark_failed`` interrupts whoever is parked, so a receive, probe,
+  synchronous send or ``ibarrier`` wait that involves the rank raises
   :class:`~repro.mpi.errors.RawProcessFailure` at once instead of sleeping
-  out the deadlock deadline (the parent reports the root cause, not the
-  peers' failures).
+  out the deadline (the parent reports the root cause, not the peers').
+
+``ack``, ``bar``, ``bardone`` and ``abort`` are *control frames*
+(:meth:`_Transport.send`): queued per destination and written only if the
+pipe's lock is free — else by whoever holds it, before letting go.  Pump
+threads send them, and a pump that waited for the lock behind its own rank's
+blocked write would stop draining the pipe the peer is blocked on in turn.
+They may therefore overtake an envelope; nothing orders the two.
 
 The parent coordinates startup and teardown over a per-rank control pipe:
 every child reports ``up``, the parent releases them all with ``start``
@@ -95,8 +110,11 @@ import pickle
 import struct
 import threading
 import traceback
+from collections import deque
 from multiprocessing import connection as mp_connection
 from typing import Any, Callable, Hashable, Optional, Sequence
+
+import numpy as np
 
 from repro.mpi.backends.base import Backend, RankReport, resolve_tracer
 from repro.mpi.costmodel import CostModel
@@ -124,6 +142,14 @@ _COLLECT_GRACE = 60.0
 
 #: start of every frame: header length, out-of-band buffer count
 _PREFIX = struct.Struct("<II")
+#: in the buffer count's place, where no pickled frame reaches: an array frame
+_ARRAY = 0xFFFFFFFF
+#: an array frame's header opens with: source, tag, nbytes, arrival time,
+#: sync token or -1, ndim, len(dtype.str)
+_ENV = struct.Struct("<qqQdqBB")
+#: dtype kinds whose bytes are the whole value and ``dtype.str`` the whole
+#: type: not object, structured, void, datetime or variable-width string
+_PLAIN_KINDS = "biufcSU"
 _IOV_MAX = os.sysconf("SC_IOV_MAX")
 
 
@@ -134,11 +160,25 @@ def _pickle(msg: tuple) -> tuple[bytes, list[memoryview]]:
 
 
 def _encode(msg: tuple) -> list:
-    """Serialise ``msg`` into the gather list of one frame.
-
-    Everything that can fail on the payload's account happens here, before
-    a byte is written.  The out-of-band views alias the sender's memory.
+    """Serialise ``msg`` into the gather list of one frame: the array frame
+    for an envelope holding a plain C-contiguous ``ndarray``, else the pickled
+    one.  Everything that can fail on the payload's account happens here,
+    before a byte is written.  The buffers in the list alias the sender's.
     """
+    payload = msg[4] if msg[0] == "env" else None
+    if (type(payload) is np.ndarray and payload.flags.c_contiguous
+            and payload.dtype.kind in _PLAIN_KINDS):
+        _, route, source, tag, _, nbytes, arrival_time, token = msg
+        shape = payload.shape
+        dtype = payload.dtype.str.encode()
+        header = b"".join((
+            _ENV.pack(source, tag, nbytes, arrival_time,
+                      -1 if token is None else token, len(shape), len(dtype)),
+            dtype, struct.pack(f"<{len(shape)}Q", *shape), route))
+        frame = [_PREFIX.pack(len(header), _ARRAY) + header]
+        if nbytes:
+            frame.append(pickle.PickleBuffer(payload).raw())
+        return frame
     header, views = _pickle(msg)
     if any(v.readonly for v in views):
         # pickle would mark the receiver's buffer read-only too, but a
@@ -170,17 +210,31 @@ def _read_exact(frames, size: int) -> bytes:
     return data
 
 
+def _read_into(frames, size: int) -> bytearray:
+    buf = bytearray(size)
+    if size and frames.readinto(buf) < size:
+        raise EOFError
+    return buf
+
+
 def _read_frame(frames) -> tuple:
-    """Read one frame; each out-of-band buffer lands in the ``bytearray``
-    the unpickled array keeps as its (writeable, private) storage."""
+    """Read one frame back into its message tuple; each buffer lands in the
+    ``bytearray`` the array keeps as its (writeable, private) storage."""
     header_len, nbuf = _PREFIX.unpack(_read_exact(frames, _PREFIX.size))
+    if nbuf == _ARRAY:
+        header = _read_exact(frames, header_len)
+        source, tag, nbytes, arrival_time, token, ndim, dtype_len = (
+            _ENV.unpack_from(header))
+        shape_at = _ENV.size + dtype_len
+        route_at = shape_at + 8 * ndim
+        payload = np.ndarray(
+            struct.unpack_from(f"<{ndim}Q", header, shape_at),
+            header[_ENV.size:shape_at].decode(), _read_into(frames, nbytes))
+        return ("env", header[route_at:], source, tag, payload, nbytes,
+                arrival_time, None if token < 0 else token)
     sizes = struct.unpack(f"<{nbuf}Q", _read_exact(frames, 8 * nbuf))
     header = _read_exact(frames, header_len)
-    buffers = [bytearray(size) for size in sizes]
-    for buf in buffers:
-        if frames.readinto(buf) < len(buf):
-            raise EOFError
-    return pickle.loads(header, buffers=buffers)
+    return pickle.loads(header, buffers=[_read_into(frames, n) for n in sizes])
 
 
 class _AckGate:
@@ -192,19 +246,18 @@ class _AckGate:
     :class:`~repro.mpi.waiting.Gate`, unblocking its ``SyncSendRequest``.
     """
 
-    __slots__ = ("_transport", "_peer_world", "_token", "env")
+    __slots__ = ("_transport", "_peer_world", "_token", "_env")
 
-    def __init__(self, transport: "_Transport", peer_world: int, token):
+    def __init__(self, transport: "_Transport", peer_world: int, token: int,
+                 env: Envelope):
         self._transport = transport
         self._peer_world = peer_world
         self._token = token
-        self.env: Optional[Envelope] = None
+        self._env = env
 
     def open(self) -> None:
         self._transport.send(
-            self._peer_world,
-            ("ack", self._token, self.env.match_clock if self.env else 0.0),
-        )
+            self._peer_world, ("ack", self._token, self._env.match_clock))
 
 
 class _RemoteMailbox:
@@ -212,17 +265,15 @@ class _RemoteMailbox:
     envelope down the pipe; the peer's pump thread delivers it into the real
     :class:`~repro.mpi.p2p.Mailbox` over there.  Only ``deposit`` exists —
     probing and receiving always target the rank's own (local) mailbox.
-
-    No send-time snapshot is taken: the blocking write has copied the bytes
-    out of the caller's buffer by the time ``deposit`` returns.
     """
 
-    __slots__ = ("_transport", "_comm_id", "_dest_world")
+    __slots__ = ("_transport", "_route", "_dest_world")
 
     def __init__(self, transport: "_Transport", comm_id: Hashable,
                  dest_world: int):
         self._transport = transport
-        self._comm_id = comm_id
+        #: the id as every envelope carries it, and the receiver's cache key
+        self._route = pickle.dumps(comm_id)
         self._dest_world = dest_world
 
     def deposit(self, env: Envelope) -> None:
@@ -230,7 +281,7 @@ class _RemoteMailbox:
         token = transport.new_token() if env.sync_gate is not None else None
         try:
             frame = _encode((
-                "env", self._comm_id, env.source, env.tag, env.payload,
+                "env", self._route, env.source, env.tag, env.payload,
                 env.nbytes, env.arrival_time, token,
             ))
         except (pickle.PicklingError, TypeError, AttributeError,
@@ -253,9 +304,10 @@ class _Transport:
     one simplex pipe and the write end of the other.  Frames to one peer are
     written under a per-destination lock (the rank's main thread and its
     pump threads — acks, barrier broadcasts — both send), so they never
-    interleave.  Messages for communicators this rank has not locally
-    created yet are stashed (``Machine.comm_or_stash``) and drained
-    (``get_or_create_comm``) under the registry lock, in per-pair FIFO order.
+    interleave; a control frame (:meth:`send`) never waits for that lock.
+    Messages for communicators this rank has not locally created yet are
+    stashed (``Machine.comm_or_stash``) and drained (``get_or_create_comm``)
+    under the registry lock, in per-pair FIFO order.
     """
 
     def __init__(self, rank: int, pipes: dict[int, tuple[Any, Any]]):
@@ -263,9 +315,13 @@ class _Transport:
         self.rank = rank
         self._pipes = pipes
         self._send_locks = {w: threading.Lock() for w in pipes}
+        #: per destination, encoded control frames not written yet
+        self._control: dict[int, deque] = {w: deque() for w in pipes}
         self._machine: Optional[Machine] = None
         self._stash: dict[Hashable, list[tuple]] = {}
-        self._sync: dict[tuple, Envelope] = {}
+        #: an envelope's ``route`` -> its communicator, once the registry knew
+        self._routes: dict[bytes, CommState] = {}
+        self._sync: dict[int, Envelope] = {}
         self._sync_lock = threading.Lock()
         self._sync_counter = itertools.count()
 
@@ -275,11 +331,29 @@ class _Transport:
         return _RemoteMailbox(self, comm_id, world)
 
     def write(self, world: int, frame: list) -> None:
+        """Write an envelope's frame, blocking while the pipe is full."""
         with self._send_locks[world]:
             _write_frame(self._pipes[world][1].fileno(), frame)
+        if self._control[world]:  # queued while the pipe was ours
+            self._flush(world)
 
     def send(self, world: int, msg: tuple) -> None:
-        self.write(world, _encode(msg))
+        """Queue a control frame and write it unless the pipe is taken:
+        whoever holds it flushes the queue on letting go."""
+        self._control[world].append(_encode(msg))
+        self._flush(world)
+
+    def _flush(self, world: int) -> None:
+        queue, lock = self._control[world], self._send_locks[world]
+        fd = self._pipes[world][1].fileno()
+        # re-checked after every release: a frame queued while we held the
+        # lock, by a sender whose own try then failed, is ours to write
+        while queue and lock.acquire(blocking=False):
+            try:
+                while queue:
+                    _write_frame(fd, queue.popleft())
+            finally:
+                lock.release()
 
     def abort(self) -> None:
         """Tell every peer this rank's ``fn`` raised, so receives blocked on
@@ -290,10 +364,10 @@ class _Transport:
             except OSError:  # that peer is already gone
                 pass
 
-    def new_token(self) -> tuple:
-        return (self.rank, next(self._sync_counter))
+    def new_token(self) -> int:
+        return next(self._sync_counter)
 
-    def register_sync(self, token: tuple, env: Envelope) -> None:
+    def register_sync(self, token: int, env: Envelope) -> None:
         with self._sync_lock:
             self._sync[token] = env
 
@@ -318,23 +392,30 @@ class _Transport:
                 self._dispatch(msg)
 
     def _dispatch(self, msg: tuple) -> None:
-        machine = self._machine
-        if msg[0] == "ack":
+        kind = msg[0]
+        if kind == "env":
+            state = self._routes.get(msg[1])
+            if state is None:
+                state = self._machine.comm_or_stash(pickle.loads(msg[1]), msg)
+                if state is None:
+                    return
+                self._routes[msg[1]] = state
+            self._deliver(state, msg)
+        elif kind == "ack":
             _, token, match_clock = msg
             with self._sync_lock:
                 env = self._sync.pop(token, None)
             if env is not None:
                 env.match_clock = match_clock
                 env.sync_gate.open()
-            return
-        if msg[0] == "abort":
-            machine.mark_failed(msg[1])
-            return
-        # a communicator not created locally yet (e.g. a peer raced ahead
-        # through a split): the message is held until it is
-        state = machine.comm_or_stash(msg[1], msg)
-        if state is not None:
-            self._deliver(state, msg)
+        elif kind == "abort":
+            self._machine.mark_failed(msg[1])
+        else:
+            # a communicator not created locally yet (e.g. a peer raced
+            # ahead through a split): the message is held until it is
+            state = self._machine.comm_or_stash(msg[1], msg)
+            if state is not None:
+                self._deliver(state, msg)
 
     def stash(self, comm_id: Hashable, msg: tuple) -> None:
         """Hold ``msg`` for :meth:`drain` (called under the registry lock)."""
@@ -353,13 +434,11 @@ class _Transport:
         kind = msg[0]
         if kind == "env":
             _, _, source, tag, payload, nbytes, arrival_time, token = msg
-            sync = None
+            env = Envelope(source, tag, payload, nbytes, arrival_time)
             if token is not None:
-                sync = _AckGate(self, state.members[source], token)
-            env = Envelope(source, tag, payload, nbytes, arrival_time, sync)
-            if sync is not None:
-                sync.env = env
-            # freshly unpickled, referenced by nobody else: no snapshot
+                env.sync_gate = _AckGate(
+                    self, state.members[source], token, env)
+            # freshly read off the pipe, referenced by nobody else: no snapshot
             state.mailboxes[state.local_of_world[self.rank]].deliver(env)
         elif kind == "bar":
             state.barrier.record(msg[2], msg[3])

@@ -1,7 +1,8 @@
 """Wire conformance: what a payload looks like after crossing a rank boundary.
 
-The process backend frames every message itself (protocol-5 pickle header,
-array storage out of band, gather-written from the sender's memory and read
+The process backend frames every message itself (a plain C-contiguous array
+behind a fixed header; anything else as a protocol-5 pickle with array
+storage out of band; both gather-written from the sender's memory and read
 into the receiver's); the thread backend hands over a send-time snapshot.
 Both must deliver the same thing: equal values, dtype (byte order included),
 shape and memory order, always writeable and never aliasing the send buffer.
@@ -12,7 +13,10 @@ file with ``REPRO_PROCESS_START=spawn``.
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
+import pytest
 
 BIG = 1 << 21  # int64 elements: 16 MiB, larger than any pipe buffer
 
@@ -26,6 +30,9 @@ def _zoo() -> dict:
     record["key"] = np.arange(5)
     return {
         "read_only": read_only,
+        # ... and inside a pickled payload: the one deep copy left
+        "read_only_nested": {"frozen": read_only, "n": 64},
+        "c_2d": grid,
         "fortran_2d": np.asfortranarray(grid),
         "strided": grid[::2, 1::2],
         "zero_length": np.empty(0, dtype=np.int32),
@@ -126,3 +133,38 @@ def test_sixteen_mib_both_ways_at_once(differential):
     for p in (2, 3):
         res = differential(_big_ring, p)
         assert [v[1] for v in res.values] == [8 * BIG] * p
+
+
+def _sync_then_big(comm):
+    """A small ``issend`` and then a blocking 2 MiB ``send`` each way: each
+    rank's pump has to acknowledge the peer's ``issend`` while its own main
+    thread is parked in a write to the very pipe the ack goes down.  The
+    barrier starts both ranks together; eight rounds make it all but certain
+    that some ack meets a blocked write (10 of 10 runs hung before control
+    frames had their own queue, 8 of 10 with one round)."""
+    other = 1 - comm.rank
+    seen = []
+    for _ in range(8):
+        comm.barrier()
+        posted = comm.irecv(other, 1)
+        sync = comm.issend(np.arange(4, dtype=np.int64) + comm.rank, other, 1)
+        comm.send(np.full(1 << 18, comm.rank, dtype=np.int64), other, 2)
+        big, big_status = comm.recv(other, 2)
+        small, small_status = posted.wait()
+        sync.wait()
+        seen.append((small.tolist(), small_status.nbytes, int(big.sum()),
+                     big_status.nbytes, comm.clock.now))
+    return seen
+
+
+@pytest.mark.timeout(20)
+def test_an_ack_never_waits_behind_its_own_ranks_blocked_write(differential):
+    started = time.perf_counter()
+    res = differential(_sync_then_big, 2, deadline=5.0)
+    elapsed = time.perf_counter() - started
+    for rank, other in ((0, 1), (1, 0)):
+        for small, small_nbytes, big_sum, big_nbytes, _ in res.values[rank]:
+            assert small == [other + i for i in range(4)]
+            assert (small_nbytes, big_sum, big_nbytes) == (
+                32, other << 18, 1 << 21)
+    assert elapsed < 5.0, f"{elapsed:.1f} s: frames waited on each other"
