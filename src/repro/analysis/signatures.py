@@ -16,6 +16,7 @@ from repro.core import named_params as _np_mod
 from repro.core.communicator import SPECS
 from repro.core.parameters import IN, INOUT, OUT
 from repro.core.plans import OpSpec
+from repro.mpi.collectives import COLLECTIVES
 
 #: factory function name -> (parameter key, direction)
 FACTORY_PARAMS: Dict[str, Tuple[str, str]] = {
@@ -64,35 +65,31 @@ METHOD_SPECS.update({
     "probe": "recv",
 })
 
-#: methods returning a NonBlockingResult that must be completed
-NONBLOCKING_METHODS: FrozenSet[str] = frozenset({
-    "isend", "issend", "irecv", "ibcast", "iallreduce", "iallgather",
-})
+#: methods returning a NonBlockingResult that must be completed: MPI's "I"
+#: before the name of a blocking one
+NONBLOCKING_METHODS: FrozenSet[str] = frozenset(
+    m for m in METHOD_SPECS if m[0] == "i" and m[1:] in SPECS)
 
 #: methods that are collectives (every rank of the communicator must call)
-COLLECTIVE_METHODS: FrozenSet[str] = frozenset({
-    "barrier", "bcast", "bcast_single", "gather", "gatherv", "scatter",
-    "scatterv", "allgather", "allgatherv", "alltoall", "alltoallv",
-    "reduce", "reduce_single", "allreduce", "allreduce_single",
-    "scan", "scan_single", "exscan", "exscan_single",
-    "neighbor_alltoall", "neighbor_alltoallv",
-    "ibcast", "iallreduce", "iallgather",
-})
+COLLECTIVE_METHODS: FrozenSet[str] = frozenset(
+    m for m, spec in METHOD_SPECS.items() if spec in COLLECTIVES)
 
 #: reductions, for RPL103 op-mismatch checking
-REDUCTION_METHODS: FrozenSet[str] = frozenset({
-    "reduce", "reduce_single", "allreduce", "allreduce_single",
-    "scan", "scan_single", "exscan", "exscan_single", "iallreduce",
-})
+REDUCTION_METHODS: FrozenSet[str] = frozenset(
+    m for m, spec in METHOD_SPECS.items() if "op" in SPECS[spec].required)
+
+#: collectives that take a root (default 0), for RPL102
+ROOTED_METHODS: FrozenSet[str] = frozenset(
+    m for m, spec in METHOD_SPECS.items() if "root" in SPECS[spec].optional)
 
 #: point-to-point sends / receives, for RPL104 matching
 SEND_METHODS: FrozenSet[str] = frozenset({"send", "ssend", "isend", "issend"})
 RECV_METHODS: FrozenSet[str] = frozenset({"recv", "irecv"})
 
 #: variable-size collectives that infer recv counts when none are passed
-COUNT_INFERRING_METHODS: FrozenSet[str] = frozenset({
-    "gatherv", "allgatherv", "alltoallv", "neighbor_alltoallv",
-})
+COUNT_INFERRING_METHODS: FrozenSet[str] = frozenset(
+    m for m, spec in METHOD_SPECS.items()
+    if "recv_counts" in SPECS[spec].optional)
 
 #: method names unambiguous enough to lint regardless of the receiver's name
 #: (the raw simulator layer shares the short names — send, recv, gather … —

@@ -33,6 +33,7 @@ from repro.analysis.signatures import (
     METHOD_SPECS,
     RECV_METHODS,
     REDUCTION_METHODS,
+    ROOTED_METHODS,
     SEND_METHODS,
 )
 
@@ -42,12 +43,6 @@ SIM_SIZE = 4
 MAX_UNROLL = 64
 #: per-rank event budget (runaway-unrolling backstop)
 MAX_EVENTS = 2048
-
-#: collectives that take a root (default 0) — for RPL102
-_ROOTED = frozenset({
-    "bcast", "bcast_single", "ibcast", "gather", "gatherv",
-    "scatter", "scatterv", "reduce", "reduce_single",
-})
 
 #: canonicalization of op() arguments, so spellings that resolve to the same
 #: built-in reduction (operator.add, np.add, SUM, sum) compare equal
@@ -383,7 +378,7 @@ class RankWalker:
         if method in COLLECTIVE_METHODS:
             canon = METHOD_SPECS[method]
             root: Optional[int] = None
-            if method in _ROOTED:
+            if method in ROOTED_METHODS:
                 value = self._factory_value(cc, "root", default=0)
                 root = value if isinstance(value, int) else None
             op = None

@@ -125,7 +125,7 @@ class Backend:
         leaks = None
         failed: frozenset[int] = frozenset()
         if machine is not None:
-            failed = machine.failed_snapshot()
+            failed = machine.failed
             if machine.auditor.enabled:
                 leaks = machine.auditor.collect(machine)
                 if leaks and tracer is not None:

@@ -533,20 +533,19 @@ class ProcessBackend(Backend):
         # front.  sanitize=None means "env default", which this backend
         # ignores (see the module docstring); only a literal True is a hard
         # request.
+        here = f"on the {self.name!r} backend"
         if timeout is not None:
             # the watchdog's value is the per-rank stack dumps, and
             # sys._current_frames() cannot see another OS process's threads
-            raise UnsupportedOnBackend(
-                unsupported("timeout", "the run watchdog with per-rank "
-                            "stack dumps (timeout=...)"))
+            raise UnsupportedOnBackend(unsupported(
+                "timeout", "the run watchdog with per-rank stack dumps "
+                "(timeout=...)", here))
         if sanitize:
-            raise UnsupportedOnBackend(
-                unsupported("sanitize", "MPIsan resource auditing "
-                            "(sanitize=True)"))
+            raise UnsupportedOnBackend(unsupported(
+                "sanitize", "MPIsan resource auditing (sanitize=True)", here))
         if faults is not None:
-            raise UnsupportedOnBackend(
-                unsupported("faults", "fault-injection campaigns "
-                            "(faults=...)"))
+            raise UnsupportedOnBackend(unsupported(
+                "faults", "fault-injection campaigns (faults=...)", here))
 
         tracer = resolve_tracer(trace, num_ranks)
         ctx = self._context()

@@ -36,9 +36,9 @@ class Collective:
     """The calling convention of one blocking collective (and its ``i*`` twin)."""
 
     name: str
-    #: positional parameter names after ``self``: the first is the payload, a
-    #: trailing ``root`` makes the collective rooted, names ending in
-    #: ``counts`` are count vectors
+    #: positional parameter names after ``self``: the first is the payload (in
+    #: the plural: a list of one block per rank), a trailing ``root`` makes
+    #: the collective rooted, names ending in ``counts`` are count vectors
     params: tuple[str, ...] = ()
     #: ranks whose payload argument is an input: all | root
     contributes: str = "all"
@@ -50,6 +50,11 @@ class Collective:
     hint: Optional[str] = None
     #: name and collective-tag code of the non-blocking twin, where one exists
     nbc: Optional[tuple[str, int]] = None
+
+    @property
+    def blocks(self) -> bool:
+        """Whether the payload is a list of one block per rank."""
+        return bool(self.params) and self.params[0].endswith("s")
 
     def payload(self, rank: int, args: tuple) -> Any:
         """The payload ``rank`` contributes to this call (``None``: nothing)."""

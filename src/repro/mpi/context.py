@@ -146,7 +146,7 @@ class RawComm:
                               comm_id=self.comm_id, scoped=scoped)
 
     def _check_usable(self) -> None:
-        if self.state.revoked.is_set():
+        if self.state.waits.revoked:
             raise RawCommRevoked(f"communicator {self.comm_id!r} has been revoked")
 
     def _check_peer(self, rank: int) -> None:
@@ -223,8 +223,7 @@ class RawComm:
             return
         with self._span("ssend", peers=(dest,), tag=tag, payload=payload):
             env = self._deposit(payload, dest, validate_user_tag(tag), sync=True)
-            SyncSendRequest(env, self.clock, self.machine,
-                            self.state.members[dest]).wait()
+            SyncSendRequest(env, self.clock, self.state.waits, dest).wait()
 
     def isend(self, payload: Any, dest: int, tag: int = 0) -> RawRequest:
         """Non-blocking standard send (buffered: completes immediately)."""
@@ -247,8 +246,7 @@ class RawComm:
             return CompletedRequest()
         with self._span("issend", peers=(dest,), tag=tag, payload=payload):
             env = self._deposit(payload, dest, validate_user_tag(tag), sync=True)
-        req = SyncSendRequest(env, self.clock, self.machine,
-                              self.state.members[dest])
+        req = SyncSendRequest(env, self.clock, self.state.waits, dest)
         auditor = self.machine.auditor
         if auditor.enabled:
             auditor.track_request(req, self, op="issend", peer=dest, tag=tag,
@@ -589,7 +587,7 @@ class RawComm:
 
     @property
     def is_revoked(self) -> bool:
-        return self.state.revoked.is_set()
+        return self.state.waits.revoked
 
     def failed_ranks(self) -> tuple[int, ...]:
         """Communicator-local ranks of members known to have failed."""

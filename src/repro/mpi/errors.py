@@ -26,14 +26,17 @@ class UnsupportedOnBackend(RawUsageError):
     The backend contract (DESIGN §12) requires features that cannot work on
     a given transport to fail loudly with an actionable message — never to
     silently fall back or misbehave.  The message always names the feature,
-    the backend, and the way out (usually ``backend='thread'``).
+    where it is refused, and the way out (usually ``backend='thread'``).
     """
 
 
-def unsupported(feature: str, what: str) -> str:
-    """The pinned message format for process-backend feature refusals."""
+def unsupported(feature: str, what: str, where: str) -> str:
+    """The pinned message format for refusing a feature that needs every rank
+    in one address space; ``where`` is who refuses ("on the 'process'
+    backend" from the backend itself, "over a transport" from the machine,
+    which knows no more than that there is one)."""
     return (
-        f"{what} is not supported on the 'process' backend: it relies on "
+        f"{what} is not supported {where}: it relies on "
         f"shared-process state ({feature}); run with backend='thread'"
     )
 

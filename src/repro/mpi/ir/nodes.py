@@ -33,6 +33,7 @@ from typing import Any, Dict, Hashable, List, Optional, Sequence, Set, Tuple, Un
 
 import numpy as np
 
+from repro.mpi.collectives import COLLECTIVES
 from repro.mpi.datatypes import payload_nbytes
 
 ANY = "*"  # wildcard source/tag on a receive (shared with the SPMD checker)
@@ -169,9 +170,9 @@ class CommOp:
         """Wire-byte estimate of the node's input payload."""
         if self.payload is None:
             return 0
-        if isinstance(self.payload, (list, tuple)) and self.op in (
-            "alltoall", "alltoallw", "scatter", "neighbor_alltoall"
-        ):
+        call = COLLECTIVES.get(self.op)
+        if (call is not None and call.blocks
+                and isinstance(self.payload, (list, tuple))):
             return sum(payload_nbytes(x) for x in self.payload)
         return payload_nbytes(self.payload)
 

@@ -22,12 +22,7 @@ from typing import Any, Callable, Hashable, Optional, Sequence
 from repro.mpi.constants import WORLD_ID
 from repro.mpi.costmodel import Clock, CostModel
 from repro.mpi.engine import CollectiveEngine
-from repro.mpi.errors import (
-    RawDeadlockError,
-    RawUsageError,
-    UnsupportedOnBackend,
-    unsupported,
-)
+from repro.mpi.errors import RawUsageError, UnsupportedOnBackend, unsupported
 from repro.mpi.p2p import Mailbox
 from repro.mpi.requests import ArrivalBarrier
 from repro.mpi.sanitizer import (
@@ -39,7 +34,7 @@ from repro.mpi.sanitizer import (
     env_fuzz_seed_default,
 )
 from repro.mpi.tracing import NULL_TRACER, NullTraceRecorder, TraceEvent, TraceRecorder
-from repro.mpi.waiting import Backoff
+from repro.mpi.waiting import Gate, WaitContext
 
 
 class CommState:
@@ -53,40 +48,24 @@ class CommState:
         #: world ranks of the members; local rank == index
         self.members: tuple[int, ...] = tuple(members)
         self.local_of_world = {w: i for i, w in enumerate(self.members)}
+        #: what every blocking wait on this communicator looks at when woken
+        self.waits = WaitContext(machine.deadline, machine, self.members)
         transport = machine.transport
         #: per local rank where a send to it is deposited: the member's
         #: mailbox if it lives here, else the transport's outbox to it
-        self.mailboxes: dict[int, Any] = {}
-        for local, world in enumerate(self.members):
-            if transport is None or world == transport.rank:
-                mb = Mailbox(deadline_seconds=machine.deadline)
-                mb.failure_probe = machine.failed_snapshot
-                mb.source_to_world = lambda r, m=self.members: m[r] if 0 <= r < len(m) else -1
-                mb.revoke_probe = self._is_revoked
-                mb.fuzz = machine.fuzzer
-            else:
-                mb = transport.outbox(comm_id, world)
-            self.mailboxes[local] = mb
-        self.barrier = ArrivalBarrier(comm_id, self.members, machine)
+        self.mailboxes: dict[int, Any] = {
+            local: (Mailbox(self.waits)
+                    if transport is None or world == transport.rank
+                    else transport.outbox(comm_id, world))
+            for local, world in enumerate(self.members)}
+        self.barrier = ArrivalBarrier(comm_id, machine, self.waits)
         #: per-local-rank (sources, destinations) for dist-graph communicators
         self.topology = topology
-        self.revoked = threading.Event()
-
-    def _is_revoked(self) -> bool:
-        return self.revoked.is_set()
 
     def revoke(self) -> None:
         """Mark the communicator unusable and wake its parked members."""
-        self.revoked.set()
-        self.interrupt()
-
-    def interrupt(self) -> None:
-        """Wake every receive, probe and ``ibarrier`` wait parked on this
-        communicator."""
-        for mb in self.mailboxes.values():
-            if isinstance(mb, Mailbox):  # lives here: something may be parked
-                mb.interrupt()
-        self.barrier.interrupt()
+        self.waits.revoked = True
+        self.waits.interrupt()
 
     @property
     def size(self) -> int:
@@ -190,7 +169,7 @@ class Machine:
             auditor if auditor is not None else NULL_AUDITOR
         )
         #: seeded schedule fuzzer (``None`` outside fuzzed runs); must be set
-        #: before any CommState wires it into its mailboxes
+        #: before any CommState builds its wait context
         self.fuzzer = fuzzer
         #: collective algorithm selector; the default engine reads the
         #: REPRO_COLL_* environment and uses the seed's static algorithm table
@@ -205,13 +184,12 @@ class Machine:
         )
         self._registry_lock = threading.Lock()
         self._comms: dict[Hashable, CommState] = {}
-        self._failed: set[int] = set()
         self._failed_lock = threading.Lock()
         #: failed world ranks; replaced whole, never mutated: read without a lock
         self.failed: frozenset[int] = frozenset()
-        self._shrink_lock = threading.Condition()
-        #: per rendezvous key: the flags of the arrived, then the result
-        self._shrink_arrivals: dict[Hashable, dict[int, bool]] = {}
+        self._shrink_lock = threading.Lock()
+        #: per unsettled rendezvous key: ``(flag, gate)`` of each arrived rank
+        self._shrink_arrivals: dict[Hashable, dict[int, tuple[bool, Gate]]] = {}
         self._shrink_results: dict[Hashable, tuple[tuple[int, ...], bool]] = {}
         self.world = self.get_or_create_comm(WORLD_ID, range(num_ranks))
         #: active fault-injection campaign (``None`` outside injected runs);
@@ -232,7 +210,8 @@ class Machine:
         message instead of silently misbehaving.
         """
         if self.transport is not None:
-            raise UnsupportedOnBackend(unsupported(feature, what))
+            raise UnsupportedOnBackend(
+                unsupported(feature, what, "over a transport"))
 
     # -- communicator registry -------------------------------------------
 
@@ -265,10 +244,17 @@ class Machine:
     # -- failures (substrate for ULFM) ------------------------------------
 
     def mark_failed(self, world_rank: int) -> None:
+        """Record the failure and deliver it: every parked wait re-runs its
+        checks, a rendezvous only the failed rank was missing from completes."""
         with self._failed_lock:
-            self._failed.add(world_rank)
-            self.failed = frozenset(self._failed)
-        self.interrupt()
+            self.failed = self.failed | {world_rank}
+        with self._registry_lock:
+            states = list(self._comms.values())
+        for state in states:
+            state.waits.interrupt()
+        with self._shrink_lock:
+            for key in list(self._shrink_arrivals):
+                self._settle(key)
 
     def abort(self, world_rank: int) -> None:
         """``world_rank``'s ``fn`` raised: to its peers it is a failed rank,
@@ -277,24 +263,6 @@ class Machine:
         self.mark_failed(world_rank)
         if self.transport is not None:
             self.transport.abort()
-
-    def interrupt(self) -> None:
-        """Deliver a change of the failed set to everyone parked: receives,
-        probes and ``ibarrier`` waits on every communicator, shrink/agree
-        rendezvous."""
-        with self._registry_lock:
-            states = list(self._comms.values())
-        for state in states:
-            state.interrupt()
-        with self._shrink_lock:
-            self._shrink_lock.notify_all()
-
-    def failed_snapshot(self) -> frozenset[int]:
-        return self.failed
-
-    def alive_members(self, state: CommState) -> tuple[int, ...]:
-        failed = self.failed_snapshot()
-        return tuple(w for w in state.members if w not in failed)
 
     def rendezvous(self, state: CommState, key: Hashable, world_rank: int,
                    flag: bool = True, what: str = "shrink agreement"
@@ -306,25 +274,31 @@ class Machine:
         ``shrink`` uses the first, ``agree`` the second.  This is
         machine-level coordination — exactly the role the network-level ULFM
         agreement protocol plays on a real system.  Every arrival records its
-        flag; the one that completes the alive set — or a waiter woken by
-        ``mark_failed`` shrinking that set — stores the result and notifies.
+        flag; the one that completes the alive set — or ``mark_failed``
+        shrinking that set — stores the result and lets the others through.
+        It runs *on* a revoked communicator, so revocation does not end it.
         """
         key = (state.comm_id, key)
-        backoff = Backoff(self.deadline, fuzz=self.fuzzer)
+        gate = Gate()
         with self._shrink_lock:
-            flags = self._shrink_arrivals.setdefault(key, {})
-            flags[world_rank] = flag
-            while key not in self._shrink_results:
-                alive = self.alive_members(state)
-                if all(w in flags for w in alive):
-                    self._shrink_results[key] = (
-                        tuple(sorted(alive)), all(flags[w] for w in alive))
-                    self._shrink_lock.notify_all()
-                elif backoff.expired:
-                    raise RawDeadlockError(f"{what} never completed")
-                else:
-                    self._shrink_lock.wait(timeout=backoff.next_timeout())
-            return self._shrink_results[key]
+            if key not in self._shrink_results:
+                self._shrink_arrivals.setdefault(key, {})[world_rank] = (
+                    flag, gate)
+                self._settle(key)
+        if key not in self._shrink_results:
+            state.waits.park(gate, (), None, f"{what} never completed")
+        return self._shrink_results[key]
+
+    def _settle(self, key: Hashable) -> None:
+        """Under the lock: once every alive member has arrived at rendezvous
+        ``key``, store its result and let the arrived through."""
+        arrived = self._shrink_arrivals[key]
+        alive = sorted(set(self._comms[key[0]].members) - self.failed)
+        if all(w in arrived for w in alive):
+            self._shrink_results[key] = (
+                tuple(alive), all(arrived[w][0] for w in alive))
+            for _, gate in self._shrink_arrivals.pop(key).values():
+                gate.open()
 
 
 def _emit_leak_events(tracer: TraceRecorder, leaks: LeakReport) -> None:

@@ -11,29 +11,27 @@ Synchronous sends (``ssend``/``issend``) carry a match gate; the sender only
 completes once the receiver has matched the message, which is what the NBX
 sparse all-to-all algorithm (plugins) relies on for its termination protocol.
 
-Both queues live under one raw ``_thread`` lock.  Only a receive that has to
-queue gets a gate to park on; a blocked probe parks on the mailbox's condition
-(over the same lock), which a delivery notifies only while a probe is parked.
-:meth:`Mailbox.interrupt` wakes both to re-run their checks
-(:mod:`repro.mpi.waiting`).
+Both queues and the parked probes live under one raw ``_thread`` lock.  The
+mailbox only matches: a receive or a probe that finds nothing gets a gate,
+which the matching delivery opens; *waiting* on it — deadline, failed source,
+revocation — is :meth:`~repro.mpi.waiting.WaitContext.park`.
 """
 
 from __future__ import annotations
 
-import threading
 from _thread import allocate_lock
 from dataclasses import dataclass
-from typing import Any, Callable, Optional
+from typing import Any, Optional
 
 from repro.mpi.constants import ANY_SOURCE, ANY_TAG
 from repro.mpi.datatypes import snapshot
-from repro.mpi.errors import (
-    RawCommRevoked,
-    RawDeadlockError,
-    RawProcessFailure,
-    RawUsageError,
-)
-from repro.mpi.waiting import Backoff, Gate
+from repro.mpi.errors import RawUsageError
+from repro.mpi.waiting import Gate, WaitContext
+
+#: the deadline texts of a mailbox's two waits (``{0}``: the entry)
+_RECV_STUCK = ("recv(source={0.source}, tag={0.tag}) exceeded the "
+               "{deadline:.0f}s deadlock deadline")
+_PROBE_STUCK = _RECV_STUCK.replace("recv", "probe")
 
 
 @dataclass(slots=True)
@@ -74,7 +72,7 @@ class Envelope:
 
 
 class PendingRecv:
-    """A posted receive waiting for a matching envelope."""
+    """A posted receive — or a parked probe — waiting for a matching envelope."""
 
     __slots__ = ("source", "tag", "post_clock", "envelope", "gate",
                  "cancelled", "origin")
@@ -85,7 +83,7 @@ class PendingRecv:
         self.post_clock = post_clock
         self.envelope: Optional[Envelope] = None
         #: what a queued receive parks on (``None`` if an envelope was there
-        #: when it was posted); opened and interrupted under the mailbox's lock
+        #: when it was posted); opened under the mailbox's lock
         self.gate: Optional[Gate] = None
         self.cancelled = False
         #: creation backtrace (sanitized runs only; see MPIsan)
@@ -102,26 +100,15 @@ class PendingRecv:
 class Mailbox:
     """Matching queues for one (communicator, rank) endpoint."""
 
-    def __init__(self, deadline_seconds: float = 120.0):
+    def __init__(self, waits: Optional[WaitContext] = None):
         self._lock = allocate_lock()
-        #: where probes park, over the same lock
-        self._cond = threading.Condition(self._lock)
-        #: probes parked on ``_cond`` right now (counted under the lock): a
-        #: delivery pays for ``notify_all`` only while there is one
-        self._probing = 0
         self._posted: list[PendingRecv] = []
         self._unexpected: list[Envelope] = []
-        self._deadline = deadline_seconds
-        #: callable returning the set of currently-failed peer world ranks
-        self.failure_probe: Callable[[], frozenset[int]] = frozenset
-        #: maps communicator-local source ranks to world ranks for failure checks
-        self.source_to_world: Callable[[int], int] = lambda r: r
-        #: callable reporting whether the owning communicator was revoked;
-        #: blocked operations on a revoked communicator abort (ULFM semantics)
-        self.revoke_probe: Callable[[], bool] = lambda: False
-        #: schedule fuzzer of the owning machine (``None`` outside fuzzed runs);
-        #: perturbs delivery timing and poll wakeups, never virtual time
-        self.fuzz = None
+        #: probes parked until an envelope they match is queued
+        self._probes: list[PendingRecv] = []
+        #: how this endpoint's receives and probes wait; a bare mailbox's
+        #: wait with a deadline and nothing else
+        self.waits = waits if waits is not None else WaitContext()
 
     # -- sending ----------------------------------------------------------
 
@@ -139,8 +126,9 @@ class Mailbox:
         Entered directly only with a payload nobody else references (the
         process backend's pump, holding a freshly unpickled one).
         """
-        if self.fuzz is not None:
-            self.fuzz.pause("deposit")
+        fuzz = self.waits.fuzz
+        if fuzz is not None:  # perturbs delivery timing, never virtual time
+            fuzz.pause("deposit")
         source, tag = env.source, env.tag
         with self._lock:
             for i, pr in enumerate(self._posted):
@@ -151,8 +139,12 @@ class Mailbox:
                     pr.gate.open()
                     return
             self._unexpected.append(env)
-            if self._probing:  # a probe only ever looks at this queue
-                self._cond.notify_all()
+            if self._probes:  # parked probes only ever look at this queue
+                for probe in [p for p in self._probes
+                              if env.matches(p.source, p.tag)]:
+                    self._probes.remove(probe)
+                    probe.envelope = env
+                    probe.gate.open()
 
     # -- receiving --------------------------------------------------------
 
@@ -170,67 +162,47 @@ class Mailbox:
             self._posted.append(pr)
         return pr
 
-    def wait(self, pr: PendingRecv) -> Envelope:
-        """Block until the posted receive completes.
+    def wait(self, pr: PendingRecv, doing: str = "receive pending",
+             stuck: str = _RECV_STUCK) -> Envelope:
+        """Block until the posted receive (or parked probe) has its envelope.
 
         Raises :class:`RawProcessFailure` if the awaited source dies while the
-        receive is pending, and :class:`RawDeadlockError` if the machine's
-        deadlock deadline elapses.  On every error path the receive is first
-        cancelled; if an envelope matched it in the meantime the receive has
-        completed (``MPI_Cancel`` cannot undo a match) and the envelope is
-        delivered instead of raising.
+        receive is pending, :class:`RawCommRevoked` if the communicator is
+        revoked and :class:`RawDeadlockError` if the deadlock deadline
+        elapses.  On every error path the receive is first cancelled; if an
+        envelope matched it in the meantime the receive has completed
+        (``MPI_Cancel`` cannot undo a match) and the envelope is delivered
+        instead of raising.
         """
-        if pr.envelope is not None:
-            return pr.envelope  # matched by post() or since: nothing to wait for
-        backoff = Backoff(self._deadline, fuzz=self.fuzz)
-        while not pr.gate.park(backoff.next_timeout()):
-            # interrupted or timed out: the same checks either way
-            if self.revoke_probe():
-                if not self.cancel(pr):
-                    break  # matched concurrently: deliver, don't drop
-                raise RawCommRevoked("communicator revoked while receive pending")
-            failed = self.failure_probe()
-            if failed and self._source_failed(pr, failed):
-                if not self.cancel(pr):
-                    break
-                raise RawProcessFailure(failed)
-            if backoff.expired:
-                if not self.cancel(pr):
-                    break
-                raise RawDeadlockError(
-                    f"recv(source={pr.source}, tag={pr.tag}) exceeded the "
-                    f"{self._deadline:.0f}s deadlock deadline"
-                )
+        env = pr.envelope
+        if env is not None:
+            return env  # matched by post() or since: nothing to wait for
+        source = pr.source  # any failure may leave a wildcard recv stuck
+        self.waits.park(pr.gate, None if source < 0 else (source,), doing,
+                        stuck, self.cancel, pr)
         if pr.envelope is None:
             # only reachable by waiting on a receive cancelled elsewhere
             raise RawUsageError("wait() on a cancelled receive")
         return pr.envelope
 
-    def _source_failed(self, pr: PendingRecv, failed: frozenset[int]) -> bool:
-        if pr.source == ANY_SOURCE:
-            return True  # any failure may leave a wildcard recv stuck: report it
-        return self.source_to_world(pr.source) in failed
-
     def cancel(self, pr: PendingRecv) -> bool:
         """Try to cancel a posted receive (``MPI_Cancel`` semantics).
 
         Returns ``True`` when the receive was still unmatched: it is removed
-        from the posted queue and marked cancelled.  Returns ``False`` when an
-        envelope already matched it — a matched receive must complete
+        from the queue it waits in and marked cancelled.  Returns ``False``
+        when an envelope already matched it — a matched receive must complete
         normally, so the caller has to consume ``pr.envelope`` (via ``wait``/
-        ``test``) instead of treating the operation as cancelled.  The
-        previous behaviour (cancel unconditionally) silently dropped the
-        matched message and, for synchronous sends, left the sender convinced
-        its message had been received.
+        ``test``) instead of treating the operation as cancelled: cancelling
+        regardless would drop the matched message and, for a synchronous
+        send, leave the sender convinced its message had been received.
         """
         with self._lock:
             if pr.envelope is not None:
                 return False
             pr.cancelled = True
-            try:
-                self._posted.remove(pr)
-            except ValueError:
-                pass
+            for queue in (self._posted, self._probes):
+                if pr in queue:
+                    queue.remove(pr)
             pr.gate.open()  # wake any waiter; it observes the cancellation
             return True
 
@@ -251,44 +223,16 @@ class Mailbox:
     def probe(self, source: int, tag: int) -> Envelope:
         """Block until a matching message is available; do not consume it.
 
-        Failure, revocation, and deadline checks run on every wakeup: a
-        notified-but-unmatched wakeup (a message for a different receive)
-        must not stall the deadline clock, which accounts real elapsed time.
-        """
-        backoff = Backoff(self._deadline, fuzz=self.fuzz)
-        while True:
-            with self._lock:
-                for env in self._unexpected:
-                    if env.matches(source, tag):
-                        return env
-                # counted before the wait gives the lock up, so no delivery
-                # can queue an envelope and skip the notification in between
-                self._probing += 1
-                try:
-                    self._cond.wait(timeout=backoff.next_timeout())
-                finally:
-                    self._probing -= 1
-            if self.revoke_probe():
-                raise RawCommRevoked("communicator revoked while probing")
-            failed = self.failure_probe()
-            if failed and (
-                source == ANY_SOURCE or self.source_to_world(source) in failed
-            ):
-                raise RawProcessFailure(failed)
-            if backoff.expired:
-                raise RawDeadlockError(
-                    f"probe(source={source}, tag={tag}) exceeded the "
-                    f"{self._deadline:.0f}s deadlock deadline"
-                )
-
-    def interrupt(self) -> None:
-        """Wake every parked receive and probe without completing any: what
-        their checks look at changed (a rank failed, the communicator was
-        revoked)."""
+        A probe that finds nothing parks an entry which the first matching
+        envelope to be *queued* completes, and waits on it like a receive."""
+        probe = PendingRecv(source, tag, 0.0)
         with self._lock:
-            for pr in self._posted:
-                pr.gate.interrupt()
-            self._cond.notify_all()
+            for env in self._unexpected:
+                if env.matches(source, tag):
+                    return env
+            probe.gate = Gate()
+            self._probes.append(probe)
+        return self.wait(probe, "probing", _PROBE_STUCK)
 
     def audit_snapshot(self) -> tuple[tuple[PendingRecv, ...], tuple[Envelope, ...]]:
         """Consistent snapshot of both queues (MPIsan's finalize-time sweep)."""

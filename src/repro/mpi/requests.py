@@ -7,13 +7,13 @@ them into ownership-tracking non-blocking results.
 
 from __future__ import annotations
 
-import threading
+from _thread import allocate_lock
 from typing import Any, Hashable, Optional, Sequence
 
 from repro.mpi.costmodel import Clock
-from repro.mpi.errors import RawDeadlockError, RawProcessFailure, RawUsageError
+from repro.mpi.errors import RawDeadlockError, RawUsageError
 from repro.mpi.p2p import Envelope, Mailbox, PendingRecv, Status
-from repro.mpi.waiting import Backoff
+from repro.mpi.waiting import Backoff, Gate, WaitContext
 
 
 class RawRequest:
@@ -63,22 +63,19 @@ class CompletedRequest(RawRequest):
 class SyncSendRequest(RawRequest):
     """Request for ``issend``: completes once the receiver matched the message."""
 
-    def __init__(self, env: Envelope, clock: Clock, machine, dest_world: int):
+    def __init__(self, env: Envelope, clock: Clock, waits: WaitContext,
+                 dest: int):
         assert env.sync_gate is not None
         self._env = env
         self._clock = clock
-        self._machine = machine
-        self._dest_world = dest_world
+        self._waits = waits
+        self._dest = dest
         self._done = False
 
     def wait(self) -> None:
-        machine = self._machine
-        backoff = Backoff(machine.deadline, fuzz=machine.fuzzer)
-        while not self._env.sync_gate.park(backoff.next_timeout()):
-            if self._dest_world in machine.failed_snapshot():
-                raise RawProcessFailure([self._dest_world])
-            if backoff.expired:
-                raise RawDeadlockError("issend never matched a receive")
+        self._waits.park(self._env.sync_gate, (self._dest,),
+                         "synchronous send pending",
+                         "issend never matched a receive")
         self._finish()
 
     def test(self) -> tuple[bool, Any]:
@@ -182,7 +179,7 @@ class CounterBarrierRequest(RawRequest):
     def test(self) -> tuple[bool, Any]:
         if self._done:
             return True, None
-        if self._barrier.is_complete(self._ticket):
+        if self._barrier.completion_time(self._ticket) is not None:
             self._finish()
             return True, None
         return False, None
@@ -196,7 +193,7 @@ class CounterBarrierRequest(RawRequest):
     def audit_state(self) -> str:
         # a fully-arrived barrier holds no per-rank resources even if this
         # rank never waited; only a still-incomplete epoch is a leak
-        if self._done or self._barrier.is_complete(self._ticket):
+        if self._done or self._barrier.completion_time(self._ticket) is not None:
             return "completed"
         return "pending"
 
@@ -215,19 +212,22 @@ class ArrivalBarrier:
     (:meth:`complete`).
     """
 
-    def __init__(self, comm_id: Hashable, members: tuple[int, ...], machine):
+    def __init__(self, comm_id: Hashable, machine, waits: WaitContext):
         self._comm_id = comm_id
-        self._members = members
+        self._members = members = waits.members
         self._machine = machine
+        self._waits = waits
         transport = machine.transport
         #: world rank that counts the arrivals when that is not done here
         self._counted_at: Optional[int] = (
             None if transport is None or transport.rank == members[0]
             else members[0])
-        self._cond = threading.Condition()
+        self._lock = allocate_lock()
         self._arrivals: dict[int, int] = {}
         self._max_clock: dict[int, float] = {}
         self._complete_time: dict[int, float] = {}
+        #: per incomplete epoch, the gates of the waits parked for it
+        self._parked: dict[int, list[Gate]] = {}
 
     def arrive(self, epoch: int, clock_now: float) -> int:
         """Record arrival in ``epoch``; returns the epoch as the wait ticket."""
@@ -241,7 +241,7 @@ class ArrivalBarrier:
     def record(self, epoch: int, clock_now: float) -> None:
         """Count one arrival; the last one completes the epoch."""
         size = len(self._members)
-        with self._cond:
+        with self._lock:
             n = self._arrivals.get(epoch, 0) + 1
             self._arrivals[epoch] = n
             self._max_clock[epoch] = max(self._max_clock.get(epoch, 0.0), clock_now)
@@ -249,8 +249,7 @@ class ArrivalBarrier:
                 return
             rounds = max((size - 1).bit_length(), 1)
             t = self._max_clock[epoch] + rounds * self._machine.cost_model.alpha
-            self._complete_time[epoch] = t
-            self._cond.notify_all()
+        self.complete(epoch, t)
         transport = self._machine.transport
         if transport is not None:
             for world in self._members:
@@ -258,37 +257,26 @@ class ArrivalBarrier:
                     transport.send(world, ("bardone", self._comm_id, epoch, t))
 
     def complete(self, epoch: int, t: float) -> None:
-        """The counting side's completion time for ``epoch`` arrived."""
-        with self._cond:
+        """``epoch`` completed at ``t`` (counted here, or the counting side
+        said so): let the waits parked for it through."""
+        with self._lock:
             self._complete_time[epoch] = t
-            self._cond.notify_all()
+            for gate in self._parked.pop(epoch, ()):
+                gate.open()
 
-    def is_complete(self, epoch: int) -> bool:
-        with self._cond:
-            return epoch in self._complete_time
-
-    def completion_time(self, epoch: int) -> float:
-        with self._cond:
-            return self._complete_time[epoch]
-
-    def interrupt(self) -> None:
-        """Wake the parked ``ibarrier`` waits to look at the failed set."""
-        with self._cond:
-            self._cond.notify_all()
+    def completion_time(self, epoch: int) -> Optional[float]:
+        """When ``epoch`` completed, in virtual time; ``None`` until it has."""
+        with self._lock:
+            return self._complete_time.get(epoch)
 
     def wait_complete(self, epoch: int) -> None:
-        machine = self._machine
-        backoff = Backoff(machine.deadline, fuzz=machine.fuzzer)
-        with self._cond:
-            while epoch not in self._complete_time:
-                self._cond.wait(timeout=backoff.next_timeout())
-                if epoch in self._complete_time:
-                    break
-                failed = machine.failed_snapshot().intersection(self._members)
-                if failed:
-                    raise RawProcessFailure(failed)
-                if backoff.expired:
-                    raise RawDeadlockError("ibarrier never completed")
+        with self._lock:
+            if epoch in self._complete_time:
+                return
+            gate = Gate()
+            self._parked.setdefault(epoch, []).append(gate)
+        self._waits.park(gate, range(len(self._members)), "ibarrier pending",
+                         "ibarrier never completed")
 
 
 def waitall(requests: Sequence[RawRequest]) -> list[Any]:

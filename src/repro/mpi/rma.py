@@ -24,10 +24,12 @@ from typing import Any, Hashable, Optional
 
 import numpy as np
 
-from repro.mpi.errors import (RawDeadlockError, RawProcessFailure,
-                              RawUsageError)
+from repro.mpi.errors import RawUsageError
 from repro.mpi.ops import Op, SUM
-from repro.mpi.waiting import Backoff
+from repro.mpi.waiting import Gate
+
+_LOCK_STUCK = ("win_lock(target={0[1]}) exceeded the {deadline:.0f}s "
+               "deadlock deadline")
 
 
 class _WindowState:
@@ -38,12 +40,36 @@ class _WindowState:
         self.locks: dict[int, threading.RLock] = {
             r: threading.RLock() for r in range(comm_size)
         }
-        #: shared/exclusive passive-target lock bookkeeping
-        self.lock_cond = threading.Condition()
-        self.exclusive_holder: dict[int, Optional[int]] = {
-            r: None for r in range(comm_size)
-        }
-        self.shared_count: dict[int, int] = {r: 0 for r in range(comm_size)}
+        #: passive-target locks, under ``mutex``: per target the ``(rank,
+        #: exclusive)`` of its holders and, oldest first, the ``(gate, target,
+        #: rank, exclusive)`` requests it has not been handed to yet
+        self.mutex = threading.Lock()
+        self.holders: dict[int, list[tuple]] = {r: [] for r in range(comm_size)}
+        self.queue: dict[int, list[tuple]] = {r: [] for r in range(comm_size)}
+
+    def grant(self, target: int) -> None:
+        """Under ``mutex``: hand ``target``'s lock to the requests queued for
+        it, oldest first, while it is free for the next one — nobody holds
+        it, or the request and the holders are all shared."""
+        held, queue = self.holders[target], self.queue[target]
+        while queue:
+            gate, _, rank, exclusive = queue[0]
+            if held and (exclusive or held[0][1]):
+                return
+            held.append((rank, exclusive))
+            del queue[0]
+            gate.open()
+
+    def withdraw(self, request: tuple) -> bool:
+        """Take a request back out of its queue; ``False`` if the lock was
+        handed to it in the meantime."""
+        gate, target = request[:2]
+        with self.mutex:
+            if gate.opened:
+                return False
+            self.queue[target].remove(request)
+            self.grant(target)  # it may have been what held the next up
+            return True
 
 
 class RawWindow:
@@ -85,52 +111,33 @@ class RawWindow:
     def lock(self, target: int, exclusive: bool = True) -> None:
         """``MPI_Win_lock``: begin a passive-target access epoch."""
         self.comm._count("win_lock")
-        me = self.comm.rank
         st = self._state
-        machine = self.comm.machine
-        backoff = Backoff(machine.deadline, fuzz=machine.fuzzer)
-
-        def blocked() -> bool:
-            if exclusive:
-                return (st.exclusive_holder[target] is not None
-                        or st.shared_count[target] > 0)
-            return st.exclusive_holder[target] is not None
-
-        with self.comm._span("win_lock", peers=(target,)), st.lock_cond:
-            while blocked():
-                st.lock_cond.wait(timeout=backoff.next_timeout())
-                if not blocked():
-                    break
-                failed = machine.failed_snapshot().intersection(
-                    self.comm.state.members)
-                if failed:  # the holder may never unlock
-                    raise RawProcessFailure(failed)
-                if backoff.expired:
-                    raise RawDeadlockError(
-                        f"win_lock(target={target}) exceeded the "
-                        f"{machine.deadline:.0f}s deadlock deadline"
-                    )
-            if exclusive:
-                st.exclusive_holder[target] = me
-            else:
-                st.shared_count[target] += 1
-        auditor = machine.auditor
+        comm = self.comm
+        request = (Gate(), target, comm.rank, exclusive)
+        with comm._span("win_lock", peers=(target,)):
+            with st.mutex:
+                st.queue[target].append(request)
+                st.grant(target)
+            # any member's failure ends it: the holder may never unlock
+            comm.state.waits.park(request[0], range(comm.size),
+                                  "win_lock pending", _LOCK_STUCK,
+                                  st.withdraw, request)
+        auditor = comm.machine.auditor
         if auditor.enabled:
-            auditor.track_rma_lock(st, target, self.comm)
+            auditor.track_rma_lock(st, target, comm)
 
     def unlock(self, target: int) -> None:
         """``MPI_Win_unlock``: end the passive-target epoch."""
         self.comm._count("win_unlock")
         me = self.comm.rank
         st = self._state
-        with self.comm._span("win_unlock", peers=(target,)), st.lock_cond:
-            if st.exclusive_holder[target] == me:
-                st.exclusive_holder[target] = None
-            elif st.shared_count[target] > 0:
-                st.shared_count[target] -= 1
-            else:
+        with self.comm._span("win_unlock", peers=(target,)), st.mutex:
+            held = st.holders[target]
+            mine = [h for h in held if h[0] == me]
+            if not mine:
                 raise RawUsageError(f"unlock({target}) without a matching lock")
-            st.lock_cond.notify_all()
+            held.remove(mine[0])
+            st.grant(target)
         auditor = self.comm.machine.auditor
         if auditor.enabled:
             auditor.release_rma_lock(st, target, self.comm)

@@ -453,7 +453,7 @@ class Cluster:
         if leaks and self.tracer is not NULL_TRACER:
             _emit_leak_events(self.tracer, leaks)
         self._shutdown_report = leaks
-        had_failures = bool(self.machine.failed_snapshot()) or \
+        had_failures = bool(self.machine.failed) or \
             self._wedge_error is not None
         lease_leaks = [r for r in leaks if r.kind == "lease"]
         if lease_leaks and had_failures:

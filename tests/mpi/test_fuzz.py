@@ -76,23 +76,15 @@ class _MessageLost(AssertionError):
 
 
 def _legacy_cancel(req):
-    """The pre-fix ``Mailbox.cancel``: cancel unconditionally.
+    """The pre-fix cancel: every cancellation "succeeded".
 
     It ignored whether an envelope had already matched the posted receive, so
-    a cancel racing a deposit marked the receive cancelled *after* the match
-    and the delivered message vanished — never returned by ``wait``, never
-    re-queued for another receive.  Returns ``True`` like the old code
-    (cancellation always "succeeded").
+    a cancel racing a deposit treated the receive as cancelled *after* the
+    match and the delivered message vanished — never returned by ``wait``,
+    never re-queued for another receive.  Here: the mailbox's answer ("too
+    late, it matched") is dropped and ``True`` returned like the old code.
     """
-    mb, pr = req._mailbox, req._pr
-    with mb._cond:
-        pr.cancelled = True
-        try:
-            mb._posted.remove(pr)
-        except ValueError:
-            pass
-        if pr.gate is not None:  # made only by a wait that parked
-            pr.gate.open()
+    req._mailbox.cancel(req._pr)
     req._cancelled = True
     return True
 

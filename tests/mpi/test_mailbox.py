@@ -1,14 +1,16 @@
-"""`Mailbox` on its own: the probe's conditional notification and the inlined
-matcher.
+"""`Mailbox` on its own: parked probes and the inlined matcher.
 
-A delivery pays for ``notify_all`` only while a probe is parked
-(``Mailbox._probing``), and ``deliver`` / ``post`` spell the matching rule out
-inline.  Both are shortcuts past something simpler — an unconditional notify,
-``Envelope.matches`` per candidate — so both are checked against it here.
+A probe that finds nothing parks an entry that only the delivery of a
+matching *unexpected* envelope completes, and ``deliver`` / ``post`` spell the
+matching rule out inline.  Both are shortcuts past something simpler — every
+delivery waking every probe, ``Envelope.matches`` per candidate — so both are
+checked against it here, from outside: what a parked call returns, who is
+parked on the mailbox's :class:`WaitContext` and what is left in its queues.
 """
 
 import threading
 import time
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 from repro.mpi import (
     ANY_SOURCE, ANY_TAG, RawCommRevoked, RawDeadlockError, RawProcessFailure)
 from repro.mpi.p2p import Envelope, Mailbox
+from repro.mpi.waiting import Backoff, WaitContext
 from tests.mpi.test_waiting import _joined
 
 
@@ -34,11 +37,11 @@ def _parked(box, fn, *args):
         except Exception as exc:  # noqa: BLE001 - asserted on by the test
             outcome["error"] = exc
 
-    before = box._probing + len(box.audit_snapshot()[0])
+    before = len(box.waits.parked)
     thread = threading.Thread(target=call, daemon=True)
     thread.start()
     limit = time.perf_counter() + 5.0
-    while box._probing + len(box.audit_snapshot()[0]) == before:
+    while len(box.waits.parked) == before:
         assert time.perf_counter() < limit, "never parked"
         time.sleep(0.001)
     return thread, outcome
@@ -47,60 +50,69 @@ def _parked(box, fn, *args):
 def test_a_probe_parked_before_the_deposit_returns_its_envelope():
     box = Mailbox()
     thread, outcome = _parked(box, box.probe, 0, 5)
-    assert box._probing == 1
     other, mine = _envelope(tag=6), _envelope(tag=5)
-    box.deposit(other)  # notified, looks, parks again
+    box.deposit(other)  # not what it waits for: it stays parked
+    time.sleep(0.02)
+    assert thread.is_alive() and len(box.waits.parked) == 1
     box.deposit(mine)
     _joined(thread)
     assert outcome["value"] is mine
-    assert box._probing == 0
+    assert not box.waits.parked
     assert box.audit_snapshot()[1] == (other, mine)  # a probe consumes nothing
 
 
-def test_a_delivery_to_a_posted_receive_notifies_nobody():
-    """Nothing a probe could see changed, so the condition is left alone —
-    and with no probe parked it is never touched at all."""
+def test_a_delivery_to_a_posted_receive_notifies_nobody(monkeypatch):
+    """An envelope a posted receive takes is never visible to a probe: the
+    parked probe is not handed it and not even woken (every wake-up that
+    does not complete a wait parks again, on a new timeout)."""
+    parks = []
+    next_timeout = Backoff.next_timeout
+    monkeypatch.setattr(Backoff, "next_timeout", lambda self: (
+        parks.append(threading.current_thread()), next_timeout(self))[1])
     box = Mailbox()
-    notified, notify_all = [], box._cond.notify_all
-    box._cond.notify_all = lambda: (notified.append(box._probing),
-                                    notify_all())
     box.deposit(_envelope())  # queued, nobody probing
-    pr = box.post(0, 7, 0.0)
+    assert box.probe(ANY_SOURCE, ANY_TAG).tag == 5 and parks == []
+    pr = box.post(ANY_SOURCE, 7, 0.0)
     thread, outcome = _parked(box, box.probe, 0, 9)
     box.deposit(_envelope(tag=7))  # matches the posted receive
-    assert notified == [] and pr.envelope.tag == 7
+    time.sleep(0.02)
+    assert pr.envelope.tag == 7 and thread.is_alive()
     box.deposit(_envelope(tag=9))
     _joined(thread)
-    assert notified == [1] and outcome["value"].tag == 9
+    assert outcome["value"].tag == 9 and parks == [thread]
 
 
 @pytest.mark.parametrize("reason, error", [
     ("failure", RawProcessFailure), ("revoke", RawCommRevoked)])
 def test_interrupt_wakes_a_parked_probe_and_a_parked_recv(reason, error):
-    box = Mailbox(deadline_seconds=30.0)
-    changed = []
-    box.failure_probe = lambda: frozenset(changed if reason == "failure"
-                                          else ())
-    box.revoke_probe = lambda: bool(changed) and reason == "revoke"
+    machine = SimpleNamespace(failed=frozenset(), fuzzer=None)
+    box = Mailbox(WaitContext(30.0, machine, members=(0,)))
     probing, probed = _parked(box, box.probe, 0, 5)
     receiving, received = _parked(box, lambda: box.wait(box.post(0, 5, 0.0)))
-    changed.append(0)
+    if reason == "failure":
+        machine.failed = frozenset({0})
+    else:
+        box.waits.revoked = True
     t0 = time.perf_counter()
-    box.interrupt()
+    box.waits.interrupt()
     _joined(probing), _joined(receiving)
     assert time.perf_counter() - t0 < 0.2
     assert isinstance(probed["error"], error)
     assert isinstance(received["error"], error)
-    assert box._probing == 0 and box.audit_snapshot() == ((), ())
+    assert not box.waits.parked and box.audit_snapshot() == ((), ())
+    box.deposit(_envelope())  # neither left an entry behind to be matched
+    assert box.audit_snapshot()[1][0].tag == 5
 
 
 def test_the_parked_probe_count_returns_to_zero_after_a_time_out():
-    box = Mailbox(deadline_seconds=0.05)
-    with pytest.raises(RawDeadlockError, match="probe"):
+    box = Mailbox(WaitContext(0.05))
+    with pytest.raises(RawDeadlockError, match=r"probe\(source=-1, tag=-1\) "
+                                               "exceeded the 0s deadlock"):
         box.probe(ANY_SOURCE, ANY_TAG)
-    assert box._probing == 0
-    box.deposit(_envelope())  # and the mailbox still works
-    assert box.probe(0, 5).tag == 5
+    assert not box.waits.parked
+    env = _envelope()
+    box.deposit(env)  # no stale probe entry takes it, and the mailbox works
+    assert box.probe(0, 5) is env and box.iprobe(0, 5) is env
 
 
 # -- the inlined matcher against the reference predicate ------------------------

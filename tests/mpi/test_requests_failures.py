@@ -1,5 +1,6 @@
 """Raw non-blocking requests, ibarrier, failure injection, and ULFM substrate."""
 
+import contextlib
 import time
 
 import numpy as np
@@ -18,6 +19,7 @@ from repro.mpi import testall as raw_testall
 from repro.mpi import waitall as raw_waitall
 from repro.mpi import waitany as raw_waitany
 from tests.conftest import runp
+from tests.mpi.test_waiting import _RACE_SEEDS
 
 
 def test_isend_irecv_roundtrip():
@@ -208,25 +210,34 @@ def test_revoke_wakes_blocked_receivers():
 _PARKED_FOR = (0.100, 0.117, 0.133)
 
 
-def _wake_latency(block, wake, parked_for, expect):
-    """Seconds from rank 1's ``wake(comm)`` to rank 0 leaving ``block(comm)``
-    with ``expect``, rank 0 having been parked for ``parked_for`` seconds."""
+def _wake_latency(block, wake, parked_for, expect, *, match=None,
+                  set_up=lambda comm: comm, run_raises=None, **run_kwargs):
+    """Seconds from rank 1's ``wake(comm)`` to rank 0 leaving ``block(on)``
+    with ``expect``, rank 0 having been parked for ``parked_for`` seconds;
+    ``on`` is what the collective ``set_up(comm)`` returned.  ``run_raises``:
+    what the run as a whole reports when ``wake`` is an exception."""
     shared = {}
 
     def main(comm):
+        on = set_up(comm)
         if comm.rank == 0:
             shared["parked"] = time.monotonic()
-            with pytest.raises(expect):
-                block(comm)
-            return time.monotonic()
+            try:
+                with pytest.raises(expect, match=match):
+                    block(on)
+            finally:
+                shared["left"] = time.monotonic()
+            return
         while "parked" not in shared:
             time.sleep(0.001)
         time.sleep(max(shared["parked"] + parked_for - time.monotonic(), 0.0))
         shared["woken"] = time.monotonic()
         wake(comm)
 
-    res = run_mpi(main, 2, deadline=15.0, backend="thread")
-    return res.values[0] - shared["woken"]
+    with (pytest.raises(RuntimeError, match=run_raises) if run_raises
+          else contextlib.nullcontext()):
+        run_mpi(main, 2, deadline=15.0, backend="thread", **run_kwargs)
+    return shared["left"] - shared["woken"]
 
 
 def test_parked_recv_fails_as_soon_as_its_source_does():
@@ -295,6 +306,57 @@ def test_a_raising_peer_ends_the_wait_and_is_the_reported_root_cause(
                        match="rank 1 raised ValueError: rank 1 gives up"):
         run_mpi(main, 2, deadline=2.0, backend=backend)
     assert time.monotonic() - t0 < 0.5
+
+
+def _give_up(comm):
+    raise ValueError("rank 1 gives up")
+
+
+#: what rank 1 does to end rank 0's wait
+_CAUSES = {
+    "failed": lambda comm: comm.kill_self(),
+    "raises": _give_up,
+    "revoked": lambda comm: comm.revoke(),
+}
+
+#: what rank 0 is parked in, and how "communicator revoked while ..." ends
+_WAITS = {
+    "recv": (lambda comm: comm.recv(1), "receive pending"),
+    "irecv_wait": (lambda comm: comm.irecv(1).wait(), "receive pending"),
+    "probe": (lambda comm: comm.probe(1), "probing"),
+    "ssend": (_PARKED_IN["ssend"], "synchronous send pending"),
+    "issend_wait": (_PARKED_IN["issend"], "synchronous send pending"),
+    "ibarrier_wait": (_PARKED_IN["ibarrier"], "ibarrier pending"),
+    "win_lock": (_PARKED_IN["win_lock"], "win_lock pending"),
+    # rank 1 never enters: rank 0 is parked on a receive of the schedule
+    "collective": (lambda comm: comm.allreduce(1, SUM), "receive pending"),
+}
+
+
+@pytest.mark.fuzz
+@pytest.mark.parametrize("seed", _RACE_SEEDS)
+@pytest.mark.parametrize("cause", sorted(_CAUSES))
+@pytest.mark.parametrize("parked_in", sorted(_WAITS))
+def test_every_parked_wait_ends_at_once_whatever_the_cause(
+        parked_in, cause, seed):
+    """Wait kind × cause under jittered wake-ups: the same checks from the
+    same loop, so every cell raises the right type with the right text
+    within 50 ms of the cause — none sleeps to a timer, let alone to the
+    15 s deadline."""
+    block, doing = _WAITS[parked_in]
+    if cause == "revoked":
+        expect, match = RawCommRevoked, f"communicator revoked while {doing}$"
+    else:
+        expect, match = RawProcessFailure, r"failed: ranks \[1\]$"
+
+    latency = _wake_latency(
+        block, _CAUSES[cause], 0.03, expect, match=match,
+        set_up=_SET_UP.get(parked_in, lambda comm: comm), fuzz_seed=seed,
+        # a wait ended by revocation leaves its message or lock behind
+        sanitize=False,
+        # the run reports the cause, not its effect on rank 0
+        run_raises="rank 1 raised ValueError" if cause == "raises" else None)
+    assert latency < 0.05
 
 
 def test_failed_ranks_listing():
