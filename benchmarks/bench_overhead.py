@@ -122,7 +122,8 @@ def _backend_workload(comm):
     acc = 0
     for _ in range(20):
         comm.send(v, right, tag=1)
-        payload, _ = comm.recv(left, 1)
+        # comm is the raw handle run_mpi passes, whose recv takes positions
+        payload, _ = comm.recv(left, 1)  # reprolint: disable=RPL008
         acc += int(comm.allreduce(int(payload[0]), SUM))
     return acc
 

@@ -2,8 +2,8 @@
 
 Two layers over plain ``ast``:
 
-- **Layer 1** (:mod:`repro.analysis.lint`): a per-call-site lint that replays
-  the call-plan compiler's parameter validation before any process runs, plus
+- **Layer 1** (:mod:`repro.analysis.lint`): a per-call-site lint that runs
+  the call-plan compiler's contract check before any process runs, plus
   dataflow checks for leaked non-blocking results, use-after-``move()``, and
   ``no_resize`` receive buffers fed by inferred counts.
 - **Layer 2** (:mod:`repro.analysis.spmd`): an SPMD protocol checker that

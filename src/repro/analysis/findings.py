@@ -7,9 +7,10 @@ MPIsan's runtime resource audit); ``RPL1xx`` codes are Layer-2 findings (the
 SPMD protocol checker, which flags cross-rank mismatches — deadlocks found
 without the machine ever spawning).
 
-Messages for the ``RPL001``–``RPL004`` family are rendered through the shared
-table in :mod:`repro.core.errors`, so the static diagnostic is *verbatim* the
-message the runtime would raise.
+An ``RPL001``–``RPL004`` finding is one error of the call-plan compiler's
+own contract check (:func:`repro.core.plans.contract_errors`) and its message
+is that error's, so the static diagnostic is *verbatim* what the runtime
+would raise.
 """
 
 from __future__ import annotations

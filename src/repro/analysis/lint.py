@@ -1,11 +1,11 @@
 """Layer 1: the per-call-site AST lint.
 
-Statically replays the call-plan compiler's parameter validation
-(:func:`repro.core.plans.compile_plan`) over every wrapped-communicator call
-it can recognize in the source — reporting missing / unsupported / duplicate
-/ ignored named parameters with the *same wording* the runtime would raise —
-plus three dataflow checks no runtime validation can do before the defect
-bites:
+Runs the call-plan compiler's own contract check
+(:func:`repro.core.plans.contract_errors`) over every wrapped-communicator
+call it can recognize in the source — reporting missing / unsupported /
+duplicate / ignored named parameters as the very errors the runtime would
+raise — plus three dataflow checks no runtime validation can do before the
+defect bites:
 
 - ``RPL005`` — a non-blocking result whose ``wait()``/``test()`` is
   unreachable on some path (the static counterpart of MPIsan's
@@ -24,16 +24,16 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.core.errors import (
-    duplicate_parameter_message,
-    ignored_parameter_message,
-    missing_parameter_message,
-    unsupported_parameter_message,
+    DuplicateParameterError,
+    IgnoredParameterError,
+    MissingParameterError,
+    UnsupportedParameterError,
 )
 from repro.core.parameters import IN, INOUT, OUT
-from repro.core.plans import OpSpec
+from repro.core.plans import OpSpec, contract_errors
 
 from repro.analysis.cfg import CFG
 from repro.analysis.findings import Finding
@@ -66,7 +66,6 @@ class ParsedArg:
 
     node: ast.expr
     kind: str  # "factory" | "literal" | "unknown" | "splat"
-    factory: Optional[str] = None
     key: Optional[str] = None
     direction: Optional[str] = None
 
@@ -101,10 +100,10 @@ class CommCall:
 def parse_comm_call(call: ast.Call) -> Optional[CommCall]:
     """Recognize ``<comm>.<wrapped-op>(...)``; None if it is not one.
 
-    Receivers named ``raw`` (the simulator's PMPI layer, which shares the
-    short method names) are never treated as wrapped communicators.  For the
-    ambiguous short names (``send``, ``recv``, …) either the receiver must be
-    comm-like or at least one argument must be a named-parameter factory.
+    Receivers named ``raw`` (the simulator's PMPI layer) are never treated
+    as wrapped communicators.  For a method name that layer shares
+    (``send``, ``gatherv``, …) either the receiver must be comm-like or at
+    least one argument must be a named-parameter factory.
     """
     func = call.func
     if not isinstance(func, ast.Attribute):
@@ -132,8 +131,7 @@ def _parse_arg(arg: ast.expr) -> ParsedArg:
         name = terminal_name(arg.func)
         if name in FACTORY_PARAMS:
             key, direction = FACTORY_PARAMS[name]
-            return ParsedArg(arg, "factory", factory=name, key=key,
-                             direction=direction)
+            return ParsedArg(arg, "factory", key=key, direction=direction)
         return ParsedArg(arg, "unknown")
     if isinstance(arg, _LITERAL_NODES) or (
         isinstance(arg, ast.UnaryOp) and isinstance(arg.operand, ast.Constant)
@@ -182,6 +180,14 @@ def _finding(findings: List[Finding], code: str, message: str, path: str,
 
 # -- per-call parameter-contract checks (RPL001-RPL004, RPL007, RPL008) -----
 
+#: the finding code of each contract error
+_CODES = {
+    MissingParameterError: "RPL001",
+    UnsupportedParameterError: "RPL002",
+    DuplicateParameterError: "RPL003",
+    IgnoredParameterError: "RPL004",
+}
+
 
 def _check_call(cc: CommCall, path: str, findings: List[Finding]) -> None:
     spec = cc.spec
@@ -197,54 +203,22 @@ def _check_call(cc: CommCall, path: str, findings: List[Finding]) -> None:
                 path, a.node,
             )
 
-    # RPL003: duplicates (all collected, mirroring compile_plan)
-    seen: Set[str] = set()
-    duplicated: List[str] = []
-    for a in cc.args:
-        if a.kind != "factory" or a.key is None:
-            continue
-        if a.key in seen and a.key not in duplicated:
-            duplicated.append(a.key)
-        seen.add(a.key)
-    if duplicated:
-        _finding(findings, "RPL003",
-                 duplicate_parameter_message(op, duplicated),
-                 path, cc.node, keys=tuple(duplicated))
+    # RPL001-RPL004: the contract errors of the resolved factory calls
+    resolved = [a for a in cc.args if a.kind == "factory"]
+    for error in contract_errors(spec, resolved):
+        if isinstance(error, MissingParameterError) and not cc.known:
+            continue  # an unresolved argument could be the missing parameter
+        node = (resolved[error.position].node
+                if isinstance(error, UnsupportedParameterError) else cc.node)
+        if isinstance(error, DuplicateParameterError):
+            details = {"keys": error.keys}
+        else:
+            details = {"key": error.key}
+        _finding(findings, _CODES[type(error)], str(error), path, node,
+                 **details)
 
-    # RPL002: unsupported parameters (same precedence as compile_plan:
-    # not-allowed-at-all first, then out-direction not in out_allowed)
-    for a in cc.args:
-        if a.kind != "factory" or a.key is None:
-            continue
-        if a.key not in spec.allowed:
-            _finding(findings, "RPL002",
-                     unsupported_parameter_message(op, a.key,
-                                                   tuple(spec.allowed)),
-                     path, a.node, key=a.key)
-        elif a.direction == OUT and a.key not in spec.out_allowed:
-            _finding(findings, "RPL002",
-                     unsupported_parameter_message(op, a.key,
-                                                   spec.out_allowed),
-                     path, a.node, key=a.key)
-
-    # RPL004: parameters the (in-place) variant would ignore
-    present = set(cc.keys())
-    for present_key, forbidden, reason in spec.conflicts:
-        if present_key in present and forbidden in present:
-            _finding(findings, "RPL004",
-                     ignored_parameter_message(op, forbidden, reason,
-                                               tuple(spec.allowed)),
-                     path, cc.node, key=forbidden)
-
-    # RPL001: missing required parameters — only when every argument was
-    # resolved (an unknown argument could be the missing parameter)
+    # RPL001 for the two operations whose buffer is one of several
     if cc.known:
-        in_keys = set(cc.keys(IN, INOUT))
-        for req in spec.required:
-            if req not in in_keys:
-                _finding(findings, "RPL001",
-                         missing_parameter_message(op, req, spec.required),
-                         path, cc.node, key=req)
         either = EITHER_REQUIRED.get(cc.method)
         if either is not None and not (set(either) & set(cc.keys())):
             alts = " (or ".join(either) + (")" if len(either) > 1 else "")

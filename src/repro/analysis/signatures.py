@@ -1,69 +1,47 @@
-"""The linter's knowledge of the named-parameter API.
+"""The linter's knowledge of the named-parameter API, read off the runtime.
 
-This module is the bridge between the static analyzer and the runtime: the
-operation contracts come straight from :data:`repro.core.communicator.SPECS`
-(the same :class:`~repro.core.plans.OpSpec` objects the call-plan compiler
-validates against), and the factory → parameter-key mapping is checked at
-import time against :mod:`repro.core.named_params`.  The linter therefore
-cannot know a *different* API than the one that executes.
+The operation contracts are the :class:`~repro.core.plans.OpSpec` objects
+the call-plan compiler validates against: every
+:class:`~repro.core.communicator.Communicator` method carries the one its
+calls are checked by (``method.spec``).  The factory → parameter map is what
+each factory of :mod:`repro.core.named_params` builds, and the raw layer's
+method names are :class:`~repro.mpi.context.RawComm`'s.  The linter therefore
+cannot know a *different* API than the one that executes.  Written down here
+are only what no runtime table says: the point-to-point send and receive
+methods, and the two operations whose buffer is one of several.
 """
 
 from __future__ import annotations
 
+import inspect
 from typing import Dict, FrozenSet, Mapping, Optional, Tuple
 
-from repro.core import named_params as _np_mod
-from repro.core.communicator import SPECS
-from repro.core.parameters import IN, INOUT, OUT
+from repro.core import named_params
+from repro.core.communicator import SPECS, Communicator
 from repro.core.plans import OpSpec
 from repro.mpi.collectives import COLLECTIVES
+from repro.mpi.context import RawComm
+
+
+def _builds(factory: str) -> Tuple[str, str]:
+    """(key, direction) of the parameter ``factory`` builds: what its
+    ``_<factory> = constructor(key, direction)`` makes of no payload."""
+    token = getattr(named_params, f"_{factory}")().token
+    return token.key, token.direction
+
 
 #: factory function name -> (parameter key, direction)
 FACTORY_PARAMS: Dict[str, Tuple[str, str]] = {
-    "send_buf": ("send_buf", IN),
-    "send_buf_out": ("send_buf", INOUT),
-    "recv_buf": ("recv_buf", OUT),
-    "send_recv_buf": ("send_recv_buf", INOUT),
-    "send_counts": ("send_counts", IN),
-    "send_counts_out": ("send_counts", OUT),
-    "recv_counts": ("recv_counts", IN),
-    "recv_counts_out": ("recv_counts", OUT),
-    "send_displs": ("send_displs", IN),
-    "send_displs_out": ("send_displs", OUT),
-    "recv_displs": ("recv_displs", IN),
-    "recv_displs_out": ("recv_displs", OUT),
-    "send_count": ("send_count", IN),
-    "recv_count": ("recv_count", IN),
-    "recv_count_out": ("recv_count", OUT),
-    "send_recv_count": ("send_recv_count", IN),
-    "op": ("op", IN),
-    "root": ("root", IN),
-    "destination": ("destination", IN),
-    "source": ("source", IN),
-    "tag": ("tag", IN),
-    "values_on_rank_0": ("values_on_rank_0", IN),
-    "status_out": ("status", OUT),
+    name: _builds(name)
+    for name, factory in inspect.getmembers(named_params, inspect.isfunction)
+    if factory.__module__ == named_params.__name__ and name[0] != "_"
 }
 
-# import-time drift check: every factory the mapping names must exist in
-# repro.core.named_params (adding a factory without teaching the linter shows
-# up as a missed finding, not a crash, so this is deliberately one-sided)
-for _name in FACTORY_PARAMS:
-    assert hasattr(_np_mod, _name), f"named_params.{_name} disappeared"
-
-#: wrapped-method aliases: method name -> the OpSpec name validating its call
-METHOD_SPECS: Dict[str, str] = {name: name for name in SPECS}
-METHOD_SPECS.update({
-    "bcast_single": "bcast",
-    "reduce_single": "reduce",
-    "allreduce_single": "allreduce",
-    "scan_single": "scan",
-    "exscan_single": "exscan",
-    "ibcast": "bcast",
-    "iallreduce": "allreduce",
-    "iallgather": "allgather",
-    "probe": "recv",
-})
+#: wrapped method name -> the name of the OpSpec validating its calls
+METHOD_SPECS: Dict[str, str] = {
+    name: method.spec.name for name, method in vars(Communicator).items()
+    if hasattr(method, "spec")
+}
 
 #: methods returning a NonBlockingResult that must be completed: MPI's "I"
 #: before the name of a blocking one
@@ -91,15 +69,11 @@ COUNT_INFERRING_METHODS: FrozenSet[str] = frozenset(
     m for m, spec in METHOD_SPECS.items()
     if "recv_counts" in SPECS[spec].optional)
 
-#: method names unambiguous enough to lint regardless of the receiver's name
-#: (the raw simulator layer shares the short names — send, recv, gather … —
-#: so those additionally need a comm-like receiver or a factory argument)
-DISTINCTIVE_METHODS: FrozenSet[str] = frozenset(METHOD_SPECS) - frozenset({
-    "send", "ssend", "recv", "probe", "gather", "scatter", "reduce",
-    "bcast", "barrier", "scan", "exscan", "alltoall", "allgather",
-    "allreduce", "isend", "issend", "irecv", "ibcast", "iallreduce",
-    "iallgather",
-})
+#: method names the raw layer does not share, unambiguous enough to lint
+#: regardless of the receiver's name (a shared one — send, gatherv, … — also
+#: needs a comm-like receiver or a factory argument)
+DISTINCTIVE_METHODS: FrozenSet[str] = frozenset(METHOD_SPECS) - frozenset(
+    dir(RawComm))
 
 #: operations where one of several buffer parameters must be present; the
 #: OpSpec marks them optional because either one satisfies the contract

@@ -36,6 +36,8 @@ from repro.analysis.signatures import (
     ROOTED_METHODS,
     SEND_METHODS,
 )
+from repro.core.named_params import _FUNCTOR_MAP
+from repro.mpi.ops import BUILTIN_OPS
 
 #: number of simulated ranks (communicator size) used to evaluate branches
 SIM_SIZE = 4
@@ -45,17 +47,11 @@ MAX_UNROLL = 64
 MAX_EVENTS = 2048
 
 #: canonicalization of op() arguments, so spellings that resolve to the same
-#: built-in reduction (operator.add, np.add, SUM, sum) compare equal
-_OP_CANON = {
-    "SUM": "SUM", "add": "SUM", "sum": "SUM",
-    "PROD": "PROD", "mul": "PROD", "multiply": "PROD",
-    "MIN": "MIN", "min": "MIN", "minimum": "MIN",
-    "MAX": "MAX", "max": "MAX", "maximum": "MAX",
-    "BAND": "BAND", "and_": "BAND", "BOR": "BOR", "or_": "BOR",
-    "BXOR": "BXOR", "xor": "BXOR",
-    "LAND": "LAND", "logical_and": "LAND",
-    "LOR": "LOR", "logical_or": "LOR",
-}
+#: built-in reduction (operator.add, np.add, SUM, sum) compare equal: the
+#: built-ins' constant names, and the functors ``op()`` maps to them
+_OP_CANON = {name.upper(): name.upper() for name in BUILTIN_OPS} | {
+    functor.__name__: builtin.name.upper()
+    for functor, builtin in _FUNCTOR_MAP.items()}
 
 # The event node types are shared with the dynamic communication-plan IR
 # (one vocabulary for "what a program communicates", static and recorded);

@@ -289,7 +289,8 @@ def _method(spec: OpSpec) -> Callable[..., Any]:
     """What every wrapped operation does per call: probe the plan table with
     the parameters' signature tokens, run the plan, translate raw failures
     (§III-G).  What the probe cannot answer — a first call, a disabled cache,
-    an argument that is no parameter — goes to ``PlanCache.lookup``."""
+    an argument that is no parameter — goes to ``PlanCache.lookup``.  The
+    method carries the ``spec`` it serves, for ``repro.analysis`` to read."""
     def method(self: "Communicator", *params: Parameter) -> Any:
         plans = self._plans
         try:
@@ -316,7 +317,17 @@ def _method(spec: OpSpec) -> Callable[..., Any]:
     method.__name__ = spec.build.__name__
     method.__qualname__ = f"Communicator.{method.__name__}"
     method.__doc__ = spec.build.__doc__
+    method.spec = spec  # type: ignore[attr-defined]
     return method
+
+
+def _forwards_to(name: str) -> Callable[[Callable[..., Any]], Any]:
+    """A method that calls operation ``name``'s, and so is checked by its
+    contract: it carries ``name``'s spec as every :func:`_method` does."""
+    def stamp(method: Callable[..., Any]) -> Callable[..., Any]:
+        method.spec = SPECS[name]  # type: ignore[attr-defined]
+        return method
+    return stamp
 
 
 #: shared across communicators; plans are rank-independent
@@ -1010,22 +1021,27 @@ class Communicator:
             return finish(params, decode(out))
         return run
 
+    @_forwards_to("bcast")
     def bcast_single(self, *params: Parameter) -> Any:
         """Broadcast of a single value."""
         return self.bcast(*params)
 
+    @_forwards_to("reduce")
     def reduce_single(self, *params: Parameter) -> Any:
         """Reduction of a single value per rank."""
         return self.reduce(*params)
 
+    @_forwards_to("allreduce")
     def allreduce_single(self, *params: Parameter) -> Any:
         """Allreduce of a single value per rank — e.g. the BFS termination check
         ``allreduce_single(send_buf(frontier_empty), op(logical_and))`` (Fig. 9)."""
         return self.allreduce(*params)
 
+    @_forwards_to("scan")
     def scan_single(self, *params: Parameter) -> Any:
         return self.scan(*params)
 
+    @_forwards_to("exscan")
     def exscan_single(self, *params: Parameter) -> Any:
         return self.exscan(*params)
 

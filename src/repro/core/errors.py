@@ -8,6 +8,11 @@ The paper distinguishes (Section III-G):
 - *failures* — reported via exceptions (communication failures, truncation);
 - *runtime assertions* — grouped into levels from lightweight checks to
   checks requiring additional communication, each level can be disabled.
+
+The four parameter-contract errors word their own diagnostics, and one check
+constructs them (:func:`repro.core.plans.contract_errors`): the call-plan
+compiler raises the first, the static analyzer (``repro.analysis``) reports
+each one's message — the runtime's, verbatim.
 """
 
 from __future__ import annotations
@@ -16,56 +21,6 @@ import threading
 from contextlib import contextmanager
 from enum import IntEnum
 from typing import Callable, Iterator, Sequence, Union
-
-
-# ---------------------------------------------------------------------------
-# shared diagnostic message table
-# ---------------------------------------------------------------------------
-# The exact wording of the parameter-contract diagnostics is produced by the
-# functions below and *only* here.  Both the runtime (the exception classes in
-# this module, raised at call-plan compilation) and the static analyzer
-# (``repro.analysis``, which reports the same defects without running the
-# program) render their messages through this table, so the static and
-# runtime diagnostics can never drift apart.  Golden tests pin the strings
-# (tests/core/test_error_messages.py).
-
-
-def missing_parameter_message(op: str, key: str,
-                              required: Sequence[str]) -> str:
-    """A required named parameter was not supplied."""
-    return (
-        f"{op}() is missing the required parameter '{key}'. "
-        f"Required parameters: {', '.join(required)}."
-    )
-
-
-def unsupported_parameter_message(op: str, key: str,
-                                  allowed: Sequence[str]) -> str:
-    """A named parameter the operation does not accept was supplied."""
-    return (
-        f"{op}() does not accept the parameter '{key}'. "
-        f"Accepted parameters: {', '.join(sorted(allowed))}."
-    )
-
-
-def duplicate_parameter_message(op: str, keys: Sequence[str]) -> str:
-    """The same named parameter(s) were supplied more than once."""
-    if len(keys) == 1:
-        return f"{op}() received the parameter '{keys[0]}' more than once."
-    listed = ", ".join(f"'{k}'" for k in keys)
-    return f"{op}() received the parameters {listed} more than once."
-
-
-def ignored_parameter_message(op: str, key: str, reason: str,
-                              allowed: Sequence[str] = ()) -> str:
-    """A parameter the (in-place) variant would silently ignore was supplied."""
-    message = (
-        f"{op}(): parameter '{key}' would be ignored ({reason}); "
-        f"remove it or use the non-in-place variant."
-    )
-    if allowed:
-        message += f" Accepted parameters: {', '.join(sorted(allowed))}."
-    return message
 
 
 class KampingError(Exception):
@@ -83,32 +38,49 @@ class MissingParameterError(UsageError):
     the paper's readable ``static_assert`` diagnostics.
     """
 
-    def __init__(self, op: str, key: str, required: tuple[str, ...]):
+    def __init__(self, op: str, key: str, required: Sequence[str]):
         self.op = op
         self.key = key
-        super().__init__(missing_parameter_message(op, key, required))
+        super().__init__(
+            f"{op}() is missing the required parameter '{key}'. "
+            f"Required parameters: {', '.join(required)}."
+        )
 
 
 class UnsupportedParameterError(UsageError):
-    """A named parameter that this operation does not accept was supplied."""
+    """A named parameter that this operation does not accept was supplied.
 
-    def __init__(self, op: str, key: str, allowed: tuple[str, ...]):
+    ``position`` is the offending argument's index in the call.
+    """
+
+    def __init__(self, op: str, key: str, allowed: Sequence[str],
+                 position: int):
         self.op = op
         self.key = key
-        super().__init__(unsupported_parameter_message(op, key, allowed))
+        self.position = position
+        super().__init__(
+            f"{op}() does not accept the parameter '{key}'. "
+            f"Accepted parameters: {', '.join(sorted(allowed))}."
+        )
 
 
 class DuplicateParameterError(UsageError):
     """The same named parameter was supplied more than once.
 
-    ``keys`` may name several parameters: the call-plan compiler collects
-    *every* duplicated key before raising, so one diagnostic lists them all.
+    ``keys`` may name several parameters: the contract check collects *every*
+    duplicated key, so one diagnostic lists them all.
     """
 
     def __init__(self, op: str, keys: Union[str, Sequence[str]]):
         self.op = op
         self.keys = (keys,) if isinstance(keys, str) else tuple(keys)
-        super().__init__(duplicate_parameter_message(op, self.keys))
+        if len(self.keys) == 1:
+            message = (f"{op}() received the parameter '{self.keys[0]}' "
+                       f"more than once.")
+        else:
+            listed = ", ".join(f"'{k}'" for k in self.keys)
+            message = f"{op}() received the parameters {listed} more than once."
+        super().__init__(message)
 
 
 class IgnoredParameterError(UsageError):
@@ -123,7 +95,13 @@ class IgnoredParameterError(UsageError):
                  allowed: Sequence[str] = ()):
         self.op = op
         self.key = key
-        super().__init__(ignored_parameter_message(op, key, reason, allowed))
+        message = (
+            f"{op}(): parameter '{key}' would be ignored ({reason}); "
+            f"remove it or use the non-in-place variant."
+        )
+        if allowed:
+            message += f" Accepted parameters: {', '.join(sorted(allowed))}."
+        super().__init__(message)
 
 
 class BufferResizeError(KampingError):

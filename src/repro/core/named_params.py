@@ -22,9 +22,11 @@ from repro.core.resize import ResizePolicy, no_resize
 from repro.mpi import ops as _ops
 from repro.mpi.ops import Op
 
-# Each factory builds through its own ``constructor(key, direction)``: a probe
-# of that factory's ``type(payload) → token`` table and two slot stores, behind
-# the ``def`` that documents the parameter and checks how it is called.
+# Each factory ``<name>`` builds through its own ``_<name> = constructor(key,
+# direction)``: a probe of that factory's ``type(payload) → token`` table and
+# two slot stores, behind the ``def`` that documents the parameter and checks
+# how it is called.  These lines are the one statement of which parameter each
+# factory builds; ``repro.analysis`` reads its factory table off them.
 _send_buf = constructor("send_buf", IN)
 _send_buf_out = constructor("send_buf", INOUT)
 _recv_buf = constructor("recv_buf", OUT)

@@ -9,8 +9,9 @@ time it sees an ``(operation, parameter-signature)`` pair.  Compilation
 (:func:`compile_plan`) does two things, once:
 
 - it validates the signature against the operation's :class:`OpSpec`
-  (unknown / duplicate / missing / ignored parameters, out-parameter
-  ownership) — every usage error surfaces here and nothing invalid is cached;
+  (:func:`contract_errors`: unknown / duplicate / missing / ignored
+  parameters, out-parameters the operation does not return) — every usage
+  error surfaces here and nothing invalid is cached;
 - it hands the validated :class:`CallPlan` to the operation's *builder*
   (``OpSpec.build``), which returns the closure ``run(comm, params)`` with
   everything the signature decides already decided: the position of each
@@ -194,17 +195,62 @@ class PlanCache:
         self.hits = 0
 
 
+def contract_errors(spec: OpSpec, args: Sequence[Any]) -> list[UsageError]:
+    """The contract errors of calling ``spec`` with these arguments, of
+    which only ``key`` and ``direction`` are read (a :class:`Signature`, or
+    a factory call the linter resolved): :func:`compile_plan` raises the
+    first, reprolint reports them all.  In order: keys not accepted (one per
+    argument), the duplicated keys, required keys absent, keys an in-place
+    variant ignores, out-parameters not returned (one per argument), and
+    required keys passed only as out-parameters (``send_counts_out()``).
+    """
+    op, allowed, out_allowed = spec.name, spec.allowed, spec.out_allowed
+    errors: list[UsageError] = []
+    refused: list[UsageError] = []
+    seen: set[str] = set()
+    duplicated: list[str] = []
+    outs: list[str] = []
+    for position, arg in enumerate(args):
+        key, direction = arg.key, arg.direction
+        if key not in allowed:
+            errors.append(UnsupportedParameterError(op, key, tuple(allowed),
+                                                    position))
+        elif direction == OUT:
+            outs.append(key)
+            if key not in out_allowed:
+                refused.append(UnsupportedParameterError(
+                    op, key, out_allowed, position))
+        if key not in seen:
+            seen.add(key)
+        elif key not in duplicated:
+            duplicated.append(key)
+    if duplicated:
+        errors.append(DuplicateParameterError(op, duplicated))
+    for req in spec.required:
+        if req not in seen:
+            errors.append(MissingParameterError(op, req, spec.required))
+    for present, forbidden, reason in spec.conflicts:
+        if present in seen and forbidden in seen:
+            errors.append(IgnoredParameterError(op, forbidden, reason,
+                                                tuple(allowed)))
+    if outs:  # the last two kinds are both about out-parameters
+        errors += refused
+        for req in spec.required:
+            if req in outs and all(arg.direction == OUT
+                                   for arg in args if arg.key == req):
+                errors.append(MissingParameterError(op, req, spec.required))
+    return errors
+
+
 def compile_plan(spec: OpSpec, params: Sequence[Parameter]) -> CallPlan:
     """Validate a parameter signature against ``spec`` and build its plan.
 
     All usage errors surface here — once per call-site signature — with
-    human-readable messages naming the operation and the offending parameter.
-    The validated plan then goes to ``spec.build``, whose closure becomes
-    ``plan.run``.
+    human-readable messages naming the operation and the offending parameter
+    (:func:`contract_errors`).  The validated plan then goes to
+    ``spec.build``, whose closure becomes ``plan.run``.
     """
-    allowed = spec.allowed
     index: dict[str, int] = {}
-    duplicated: list[str] = []
     for i, p in enumerate(params):
         if not isinstance(p, Parameter):
             raise UsageError(
@@ -214,38 +260,20 @@ def compile_plan(spec: OpSpec, params: Sequence[Parameter]) -> CallPlan:
         key = p.token.key
         if not is_registered(key):
             raise UsageError(f"unknown parameter key {key!r}")
-        if key in index:
-            if key not in duplicated:
-                duplicated.append(key)
-            continue
-        if key not in allowed:
-            raise UnsupportedParameterError(spec.name, key, tuple(allowed))
         index[key] = i
-    if duplicated:
-        # every duplicated key is collected first so one diagnostic lists all
-        raise DuplicateParameterError(spec.name, duplicated)
-
-    for req in spec.required:
-        if req not in index:
-            raise MissingParameterError(spec.name, req, spec.required)
-
-    for present, forbidden, reason in spec.conflicts:
-        if present in index and forbidden in index:
-            raise IgnoredParameterError(spec.name, forbidden, reason,
-                                        tuple(allowed))
+    signatures = tuple(map(_token_of, params))
+    errors = contract_errors(spec, signatures)
+    if errors:
+        raise errors[0]
 
     # out-parameter handling: a requested out key is "owning" (returned by
     # value) when no container was supplied or the container was moved in;
     # otherwise it is "referencing" (written in place, not returned).
-    signatures = tuple(p.token for p in params)
     owning: list[str] = []
     referencing: list[str] = []
     for sig in signatures:
-        if sig.direction == OUT:
-            if sig.key not in spec.out_allowed:
-                raise UnsupportedParameterError(spec.name, sig.key,
-                                                spec.out_allowed)
-        elif sig.direction != INOUT or sig.key not in spec.out_allowed:
+        if sig.direction != OUT and (sig.direction != INOUT
+                                     or sig.key not in spec.out_allowed):
             continue  # pure input (inout data this op only reads included)
         # Only mutable containers passed by reference are written in place;
         # wrappers, scalars, and moved-in containers are returned by value.

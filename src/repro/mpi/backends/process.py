@@ -16,9 +16,9 @@ traces on both backends (``tests/backends/`` enforces this).
 Wire protocol.  One message is one frame, FIFO per pipe; :func:`_encode`
 picks the frame from what the message carries.  An envelope whose payload is
 exactly an ``ndarray``, C-contiguous, of a plain dtype (``_PLAIN_KINDS``: no
-object, structured, void or datetime arrays) takes the *array frame*, which
-pickles nothing; every other message — F-ordered, strided and structured
-arrays, ``bytes``, scalars, the nested lists, tuples and dicts the collective
+object, structured or void arrays) takes the *array frame*, which pickles
+nothing; every other message — F-ordered, strided and structured arrays,
+``bytes``, scalars, the nested lists, tuples and dicts the collective
 schedules ship, and the control messages — takes the *pickled frame*::
 
     <II       header length, 0xFFFFFFFF     |  <II  header length, count n
@@ -44,7 +44,10 @@ arrives is what a snapshot would be: same dtype, shape and memory order,
 private, and writeable even if the sent array was not.  The array frame gives
 that by construction; pickle would carry a buffer's read-only flag across, so
 a *pickled* message holding a read-only buffer is deep-copied first — the
-one case left that pays a third copy.
+one case left that pays a third copy.  A ``datetime64`` / ``timedelta64``
+array keeps its byte order on the array frame (``dtype.str`` carries the
+unit too); one that takes the pickled frame — nested in a container, or not
+C-contiguous — arrives as numpy's pickle hands it back, in native byte order.
 
 The message tuples (what :func:`_read_frame` returns for either frame):
 
@@ -148,8 +151,9 @@ _ARRAY = 0xFFFFFFFF
 #: sync token or -1, ndim, len(dtype.str)
 _ENV = struct.Struct("<qqQdqBB")
 #: dtype kinds whose bytes are the whole value and ``dtype.str`` the whole
-#: type: not object, structured, void, datetime or variable-width string
-_PLAIN_KINDS = "biufcSU"
+#: type (a datetime's unit included): not object, structured, void or
+#: variable-width string
+_PLAIN_KINDS = "biufcmMSU"
 _IOV_MAX = os.sysconf("SC_IOV_MAX")
 
 
@@ -177,6 +181,8 @@ def _encode(msg: tuple) -> list:
             dtype, struct.pack(f"<{len(shape)}Q", *shape), route))
         frame = [_PREFIX.pack(len(header), _ARRAY) + header]
         if nbytes:
+            if payload.dtype.kind in "mM":  # no buffer format: view the bytes
+                payload = payload.view(np.int64)
             frame.append(pickle.PickleBuffer(payload).raw())
         return frame
     header, views = _pickle(msg)

@@ -8,6 +8,7 @@ import pytest
 
 from repro.analysis import lint_paths, lint_source
 from repro.analysis.__main__ import main as cli_main
+from repro.analysis.signatures import FACTORY_PARAMS, METHOD_SPECS
 from repro.analysis.suppress import collect_suppressions
 
 
@@ -101,6 +102,24 @@ class TestConservatism:
                "    sock.send(b'x')\n")
         assert codes(src) == []
 
+    @pytest.mark.parametrize("call", [
+        "ring.neighbor_alltoall([np.full(r + 1, r)])",
+        "ring.neighbor_alltoallv(a, [r + 1], [(r - 1) % p + 1])",
+        "c.alltoallv([1], [1], [1])",
+        "g.gatherv(x, [1])",
+        "s.scatterv(x, [1])",
+    ])
+    def test_raw_layer_method_names_need_comm_evidence(self, call):
+        """The raw layer has these methods too, with positional arguments."""
+        assert codes(f"{call}\n") == []
+
+    @pytest.mark.parametrize("call, expected", [
+        ("comm.alltoallv([1], [1], [1])", ["RPL008"] * 3),
+        ("world.allgatherv(send_buf(v), send_buf(v))", ["RPL003"]),
+    ])
+    def test_shared_names_with_comm_evidence_are_linted(self, call, expected):
+        assert codes(f"{call}\n") == expected
+
     def test_comm_escape_disables_spmd(self):
         src = ("def main(comm):\n"
                "    if comm.rank == 0:\n"
@@ -163,3 +182,52 @@ class TestFixture:
     def test_lint_clean_fixture_raises_with_findings(self, lint_clean):
         with pytest.raises(AssertionError, match="RPL001"):
             lint_clean("def main(comm):\n    comm.gather(root(0))\n")
+
+
+class TestDerivedTables:
+    """The tables the linter reads off the runtime, written out once."""
+
+    def test_factory_params(self):
+        assert FACTORY_PARAMS == {
+            "send_buf": ("send_buf", "in"),
+            "send_buf_out": ("send_buf", "inout"),
+            "recv_buf": ("recv_buf", "out"),
+            "send_recv_buf": ("send_recv_buf", "inout"),
+            "send_counts": ("send_counts", "in"),
+            "send_counts_out": ("send_counts", "out"),
+            "recv_counts": ("recv_counts", "in"),
+            "recv_counts_out": ("recv_counts", "out"),
+            "send_displs": ("send_displs", "in"),
+            "send_displs_out": ("send_displs", "out"),
+            "recv_displs": ("recv_displs", "in"),
+            "recv_displs_out": ("recv_displs", "out"),
+            "send_count": ("send_count", "in"),
+            "recv_count": ("recv_count", "in"),
+            "recv_count_out": ("recv_count", "out"),
+            "send_recv_count": ("send_recv_count", "in"),
+            "op": ("op", "in"),
+            "root": ("root", "in"),
+            "destination": ("destination", "in"),
+            "source": ("source", "in"),
+            "tag": ("tag", "in"),
+            "values_on_rank_0": ("values_on_rank_0", "in"),
+            "status_out": ("status", "out"),
+        }
+
+    def test_method_specs(self):
+        operations = [
+            "send", "ssend", "isend", "issend", "recv", "irecv", "barrier",
+            "bcast", "gather", "gatherv", "scatter", "scatterv", "allgather",
+            "allgatherv", "alltoall", "alltoallv", "neighbor_alltoall",
+            "neighbor_alltoallv", "reduce", "allreduce", "scan", "exscan"]
+        assert METHOD_SPECS == {name: name for name in operations} | {
+            "bcast_single": "bcast",
+            "reduce_single": "reduce",
+            "allreduce_single": "allreduce",
+            "scan_single": "scan",
+            "exscan_single": "exscan",
+            "ibcast": "bcast",
+            "iallreduce": "allreduce",
+            "iallgather": "allgather",
+            "probe": "recv",
+        }

@@ -29,7 +29,7 @@ ROUTE = pickle.dumps((("world",), "split", 3, 1))
 
 #: the zoo payloads that are exactly an ndarray, C-contiguous, of a plain dtype
 ARRAY_FRAME = {"read_only", "c_2d", "zero_length", "zero_d", "big_endian",
-               "bool"}
+               "big_endian_datetime", "bool"}
 
 
 def _env(payload, token=None) -> tuple:
@@ -128,8 +128,8 @@ _DTYPES = st.one_of(
     hnp.floating_dtypes(endianness="?"), hnp.complex_number_dtypes(),
     hnp.boolean_dtypes(), hnp.byte_string_dtypes(max_len=5),
     hnp.unicode_string_dtypes(max_len=3),
-    # native only: numpy's pickle hands a big-endian datetime back swapped
-    hnp.datetime64_dtypes(endianness="="),
+    hnp.datetime64_dtypes(endianness="?"),
+    hnp.timedelta64_dtypes(endianness="?"),
     hnp.array_dtypes(hnp.integer_dtypes(endianness="?"), max_size=2))
 
 
@@ -142,11 +142,14 @@ def test_any_dtype_and_shape_round_trips_on_the_frame_it_qualifies_for(
         data, dtype, shape, order):
     arr = np.array(data.draw(hnp.arrays(dtype, shape)), order=order)
     plain = (arr.flags.c_contiguous and arr.dtype.names is None
-             and arr.dtype.kind not in "OVMm")
+             and arr.dtype.kind not in "OV")
     msg = _env(arr)
     assert _is_array_frame(_wire_bytes(msg)) == plain
     got = _round_trip(msg)[4]
-    assert _describe(got) == _describe(arr, writeable=True)
+    # the pickled frame is numpy's pickle, which hands a datetime or
+    # timedelta back in native byte order; everything else is as sent
+    sent = arr if plain else pickle.loads(pickle.dumps(arr, protocol=5))
+    assert _describe(got) == _describe(sent, writeable=True)
 
 
 # -- the send side of one message, pinned without a wall clock ----------------

@@ -39,6 +39,8 @@ def _zoo() -> dict:
         "zero_d": np.array(7.5),
         "structured": record,
         "big_endian": np.arange(9, dtype=">u4"),
+        "big_endian_datetime": np.array(
+            ["2024-02-29T12:00", "NaT", "1969-07-20T20:17"], dtype=">M8[ns]"),
         "bool": np.arange(10) % 3 == 0,
         "bytes": bytes(range(256)) * 54,
         "bytearray": bytearray(b"mutable bytes"),
