@@ -1,8 +1,13 @@
-"""Everything observable about the raw collectives, as diffable text.
+"""Everything observable about the raw calls, as diffable text.
 
 One program calls all 17 blocking collectives and the three ``i*`` ones; it
 runs traced and under ``ir="record"`` at p ∈ {1, 2, 3, 4, 7} with root ∈
-{0, p−1}, and every per-rank value, virtual clock, PMPI count, trace event
+{0, p−1}.  A second calls every declared point-to-point and management call
+(wildcard receives, ``isend``/``irecv`` waits, ``sendrecv``, ``ssend``/
+``issend``, the probes, ``dup``, ``split`` and a dist-graph communicator) at
+the same p, under ``ir="record"`` and — without the probes, which the IR
+refuses — under ``ir="optimize"``, whose rewritten nodes and replay are
+printed too.  Every per-rank value, virtual clock, PMPI count, trace event
 and journalled IR node is printed one per line.  A refactor of the raw layer
 is behaviour-preserving when the output of two commits is identical::
 
@@ -69,6 +74,42 @@ def program(raw, root):
     return out
 
 
+def p2p_program(raw, probes):
+    """Every declared point-to-point and management call, deterministic at
+    any p: each receive has exactly one message it can match."""
+    p, r = raw.size, raw.rank
+    right, left = (r + 1) % p, (r - 1) % p
+    out = {}
+    raw.send(np.full(2, r), right, tag=3)
+    out["recv"] = raw.recv()  # wildcard source and tag
+    req = raw.irecv(left, 4)
+    raw.isend([r, "x" * r], right, tag=4).wait()
+    out["irecv"] = req.wait()
+    out["sendrecv"] = raw.sendrecv(r * 3, right)  # wildcard receive half
+    out["sendrecv_tagged"] = raw.sendrecv(np.arange(r + 1), right, left,
+                                          sendtag=5, recvtag=5)
+    req = raw.irecv(tag=7)  # wildcard source, matched at the wait
+    raw.ssend(r + 0.5, right, tag=7)
+    out["ssend"] = req.wait()
+    req = raw.irecv(left, 8)
+    sync = raw.issend(np.arange(r + 2), right, tag=8)
+    out["issend"] = req.wait()
+    sync.wait()
+    if probes:
+        raw.send(r, right, tag=9)
+        out["probe"] = raw.probe(left, 9)
+        out["iprobe"] = raw.iprobe(tag=9)
+        out["probed"] = raw.recv(left, 9)
+    twin = raw.dup()
+    out["dup"] = twin.allreduce(r + 1, SUM)
+    half = raw.split(r % 2, -r)
+    out["split"] = half.allgather(r)
+    out["split_none"] = raw.split(None if r == 0 else 1) is None
+    ring = raw.dist_graph_create_adjacent([left], [right])
+    out["graph"] = ring.neighbor_alltoall([r * r])
+    return out
+
+
 def plain(value):
     """A value as text-stable plain data (arrays with dtype, floats exact)."""
     if isinstance(value, np.ndarray):
@@ -88,20 +129,47 @@ def plain(value):
     return value
 
 
+def show(res, p: int, prefix: str = "") -> None:
+    for r in range(p):
+        print(f"{prefix}value[{r}]", plain(res.values[r]))
+        print(f"{prefix}clock[{r}]", res.times[r].hex())
+        print(f"{prefix}counts[{r}]", sorted(res.counts[r].items()))
+        for e in res.trace.events_for(r):
+            print(f"{prefix}event[{r}]", plain(e))
+
+
+def run(fn, p: int, args: tuple, ir: str):
+    return run_mpi(fn, p, args=args, trace=True, ir=ir,
+                   engine=CollectiveEngine(CostModel(), env={}))
+
+
 def main() -> None:
     for p in PS:
         for root in sorted({0, p - 1}):
-            res = run_mpi(program, p, args=(root,), trace=True, ir="record",
-                          engine=CollectiveEngine(CostModel(), env={}))
+            res = run(program, p, (root,), "record")
             print(f"== p={p} root={root}")
+            show(res, p)
             for r in range(p):
-                print(f"value[{r}]", plain(res.values[r]))
-                print(f"clock[{r}]", res.times[r].hex())
-                print(f"counts[{r}]", sorted(res.counts[r].items()))
-                for e in res.trace.events_for(r):
-                    print(f"event[{r}]", plain(e))
                 for n in res.ir.epoch.ops[r]:
                     print(f"node[{r}]", plain(n))
+    for p in PS:
+        for probes, ir in ((True, "record"), (False, "optimize")):
+            res = run(p2p_program, p, (probes,), ir)
+            print(f"== p2p p={p} ir={ir}")
+            show(res, p)
+            report = res.ir
+            print("unsupported", sorted(report.epoch.unsupported))
+            for r in range(p):
+                for n in report.epoch.ops[r]:
+                    print(f"node[{r}]", plain(n))
+            if report.optimized is None:
+                continue
+            print("rewrites", report.pass_rewrites())
+            print("replay", plain(report.replay_stats))
+            show(report.replay, p, "replay.")
+            for r in range(p):
+                for n in report.optimized.ops[r]:
+                    print(f"optimized[{r}]", plain(n))
 
 
 if __name__ == "__main__":

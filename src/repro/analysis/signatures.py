@@ -5,10 +5,11 @@ the call-plan compiler validates against: every
 :class:`~repro.core.communicator.Communicator` method carries the one its
 calls are checked by (``method.spec``).  The factory → parameter map is what
 each factory of :mod:`repro.core.named_params` builds, and the raw layer's
-method names are :class:`~repro.mpi.context.RawComm`'s.  The linter therefore
-cannot know a *different* API than the one that executes.  Written down here
-are only what no runtime table says: the point-to-point send and receive
-methods, and the two operations whose buffer is one of several.
+method names are :class:`~repro.mpi.context.RawComm`'s, and the
+point-to-point sends and receives those :mod:`repro.mpi.collectives`
+declares.  The linter therefore cannot know a *different* API than the one
+that executes.  Written down here is only what no runtime table says: the
+two operations whose buffer is one of several.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Dict, FrozenSet, Mapping, Optional, Tuple
 from repro.core import named_params
 from repro.core.communicator import SPECS, Communicator
 from repro.core.plans import OpSpec
-from repro.mpi.collectives import COLLECTIVES
+from repro.mpi.collectives import COLLECTIVES, RECVS, SENDS
 from repro.mpi.context import RawComm
 
 
@@ -60,9 +61,9 @@ REDUCTION_METHODS: FrozenSet[str] = frozenset(
 ROOTED_METHODS: FrozenSet[str] = frozenset(
     m for m, spec in METHOD_SPECS.items() if "root" in SPECS[spec].optional)
 
-#: point-to-point sends / receives, for RPL104 matching
-SEND_METHODS: FrozenSet[str] = frozenset({"send", "ssend", "isend", "issend"})
-RECV_METHODS: FrozenSet[str] = frozenset({"recv", "irecv"})
+#: point-to-point sends / receives, for RPL104 matching (the raw calls' names)
+SEND_METHODS: FrozenSet[str] = SENDS
+RECV_METHODS: FrozenSet[str] = RECVS
 
 #: variable-size collectives that infer recv counts when none are passed
 COUNT_INFERRING_METHODS: FrozenSet[str] = frozenset(

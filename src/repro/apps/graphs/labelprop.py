@@ -225,7 +225,7 @@ class _ShardLP(LabelPropagationBase):
 
 
 def labelprop_resilient(comm, graph_of, max_cluster_size: int, rounds: int, *,
-                        max_retries: int = 8):
+                        max_attempts: int = 9):
     """Fault-tolerant label propagation over a ULFM-extended communicator.
 
     ``graph_of(orig_rank)`` builds the :class:`DistGraph` block of one
@@ -323,7 +323,7 @@ def labelprop_resilient(comm, graph_of, max_cluster_size: int, rounds: int, *,
                 for orig, lp in insts]
 
     scope = run_resilient(comm, epoch, [(me, init)], epochs=rounds,
-                          label="labelprop", max_retries=max_retries)
+                          label="labelprop", max_attempts=max_attempts)
     return scope.comm, {orig: st["labels"] for orig, st in scope.shards}
 
 

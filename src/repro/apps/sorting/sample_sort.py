@@ -109,7 +109,7 @@ def sample_sort_kamping(comm: Communicator, data: np.ndarray) -> np.ndarray:
     return common.local_sort(comm.raw, recv)
 
 
-def sample_sort_resilient(comm, data: np.ndarray, *, max_retries: int = 8):
+def sample_sort_resilient(comm, data: np.ndarray, *, max_attempts: int = 9):
     """Fault-tolerant sample sort over a ULFM-extended communicator.
 
     Runs :func:`sample_sort_kamping` as one epoch of a
@@ -131,7 +131,7 @@ def sample_sort_resilient(comm, data: np.ndarray, *, max_retries: int = 8):
 
     scope = run_resilient(comm, epoch, [(("input", comm.raw.world_rank),
                                          np.asarray(data))],
-                          label="sample-sort", max_retries=max_retries)
+                          label="sample-sort", max_attempts=max_attempts)
     (_, block), = scope.shards
     return scope.comm, block
 

@@ -50,6 +50,7 @@ from repro.core.resize import (
     check_array_capacity,
 )
 from repro.core.result import pack_result
+from repro.mpi.collectives import CALLS
 from repro.mpi.constants import ANY_SOURCE, ANY_TAG
 from repro.mpi.context import RawComm
 from repro.mpi.errors import (
@@ -210,7 +211,7 @@ def _sending(plan: CallPlan, name: str) -> Run:
     encode, tag = _sender(plan), _arg(plan, "tag", 0)
     buf, dest = plan.index["send_buf"], plan.index["destination"]
 
-    if name in ("isend", "issend"):
+    if CALLS[name].request:
         sig = plan.sig("send_buf")
         re_returned = sig.moved or sig.direction == INOUT  # handed back by wait()
 
@@ -764,13 +765,12 @@ class Communicator:
         displacements omitted ⇒ local exclusive prefix sum.  With counts and
         displacements provided, exactly one raw ``allgatherv`` is issued.
         """
-        encode = _sender(plan)
-        given, placed = plan.in_pos("recv_counts"), plan.in_pos("recv_displs")
-        want_displs = plan.wants("recv_displs")
+        encode, given = _sender(plan), plan.in_pos("recv_counts")
+        place = _recv_displs(plan)
         finish = _packer(plan, "recv_buf", "recv_counts", "recv_displs")
 
         if (plan.sends_array_whole() and plan.returns_bare("recv_buf")
-                and placed < 0):
+                and place is None):
             buf = plan.index["send_buf"]
 
             def run(comm, params):  # straight line: array in, array out
@@ -788,12 +788,7 @@ class Communicator:
             counts = _as_int_list(params[given].data if given >= 0
                                   else raw.allgather(_length_of(payload)))
             out = raw.allgatherv(payload, counts)
-            displs = None
-            if placed >= 0:
-                displs = _as_int_list(params[placed].data)
-                out = _place_at_displs(out, counts, displs)
-            elif want_displs:
-                displs = _exclusive_prefix(counts)
+            out, displs = place(params, out, counts) if place else (out, None)
             return finish(params, decode(out), counts, displs)
         return run
 
@@ -823,13 +818,12 @@ class Communicator:
         vectors, then one raw ``alltoallv``.
         """
         encode, scounts_at = _sender(plan), plan.index["send_counts"]
-        sdispls = plan.in_pos("send_displs")
-        given, placed = plan.in_pos("recv_counts"), plan.in_pos("recv_displs")
-        want_displs = plan.wants("recv_displs")
+        sdispls, given = plan.in_pos("send_displs"), plan.in_pos("recv_counts")
+        place = _recv_displs(plan)
         finish = _packer(plan, "recv_buf", "recv_counts", "recv_displs")
 
         if (plan.sends_array_whole() and plan.returns_bare("recv_buf")
-                and sdispls < 0 and placed < 0):
+                and sdispls < 0 and place is None):
             buf = plan.index["send_buf"]
 
             def run(comm, params):  # straight line: array in, array out
@@ -856,12 +850,8 @@ class Communicator:
             rcounts = _as_int_list(params[given].data if given >= 0
                                    else raw.alltoall(list(scounts)))
             out = raw.alltoallv(payload, scounts, rcounts)
-            rdispls = None
-            if placed >= 0:
-                rdispls = _as_int_list(params[placed].data)
-                out = _place_at_displs(out, rcounts, rdispls)
-            elif want_displs:
-                rdispls = _exclusive_prefix(rcounts)
+            out, rdispls = (place(params, out, rcounts) if place
+                            else (out, None))
             return finish(params, decode(out), rcounts, rdispls)
         return run
 
@@ -1129,21 +1119,30 @@ def _with_send_displs(payload: Any, counts: Sequence[int],
     return np.concatenate(parts) if parts else arr[:0]
 
 
-def _place_at_displs(contiguous: np.ndarray, counts: Sequence[int],
-                     displs: Sequence[int]) -> np.ndarray:
-    """Scatter contiguously received blocks to explicit displacements."""
-    if list(displs) == _exclusive_prefix(counts):
-        return contiguous
-    total = max(
-        (int(d) + int(c) for c, d in zip(counts, displs)), default=0
-    )
-    out = np.zeros(total, dtype=contiguous.dtype if len(contiguous) else np.int64)
-    offset = 0
-    for c, d in zip(counts, displs):
-        c, d = int(c), int(d)
-        out[d: d + c] = contiguous[offset: offset + c]
-        offset += c
-    return out
+def _recv_displs(plan: CallPlan) -> Optional[Callable[..., tuple]]:
+    """The ``recv_displs`` step of a general v-collective closure, chosen at
+    compile time: ``place(params, out, counts) -> (out, displs)`` scatters
+    the contiguously received blocks to the given displacements, or computes
+    them for an out-parameter; ``None`` — no frame — when neither is asked."""
+    placed = plan.in_pos("recv_displs")
+    if placed < 0:
+        if not plan.wants("recv_displs"):
+            return None
+        return lambda params, out, counts: (out, _exclusive_prefix(counts))
+
+    def place(params, contiguous, counts):
+        displs = _as_int_list(params[placed].data)
+        if displs == _exclusive_prefix(counts):
+            return contiguous, displs
+        total = max((d + c for c, d in zip(counts, displs)), default=0)
+        out = np.zeros(total, dtype=contiguous.dtype if len(contiguous)
+                       else np.int64)
+        offset = 0
+        for c, d in zip(counts, displs):
+            out[d: d + c] = contiguous[offset: offset + c]
+            offset += c
+        return out, displs
+    return place
 
 
 def _write_into(container: Any, value: Any, policy: ResizePolicy) -> None:

@@ -128,6 +128,10 @@ class Run(RawRequest):
             self._done = True
             return True
 
+    @property
+    def waits(self):
+        return self._mailbox.waits
+
     def start(self) -> "Run":
         self._advance(lambda pending: None)
         return self

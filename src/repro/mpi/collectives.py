@@ -1,15 +1,21 @@
-"""The raw collectives' calling conventions, declared once.
+"""The raw calls' calling conventions, declared once.
 
 One :class:`Collective` per blocking collective says what the layers above
 the algorithms must know to *call* it: its positional parameters, which
 ranks contribute the payload, which record received bytes, the trace peers,
 how the engine's ``nbytes`` hint is taken, and the tag code of its
-non-blocking twin.  ``RawComm``'s shared call body, :mod:`repro.mpi.nbc`, the
-IR recorder and replayer, the tracer's sample harvest and the op sets of
-:mod:`repro.mpi.faultinject` and :mod:`repro.mpi.autotune` read this table
-and state none of it again; it imports nothing from the runtime so that all
-of them can.  What an algorithm *does* with the arguments — validation,
-schedules, the p = 1 fast paths — stays in :mod:`repro.mpi.algorithms`.
+non-blocking twin.  One :class:`Call` per other raw call — point-to-point,
+communicator management, one-sided, fault tolerance — says the same of it:
+its parameters, its PMPI counter, whether it returns a request or receives,
+and whether the IR can replay it.  ``RawComm``'s shared call body,
+:mod:`repro.mpi.nbc`, the IR recorder and replayer, the tracer's sample
+harvest, the op sets of :mod:`repro.mpi.faultinject` and
+:mod:`repro.mpi.autotune` and the linter's point-to-point methods read these
+tables and state none of it again; this module imports nothing from the
+runtime so that all of them can.  What an algorithm *does* with the
+arguments — validation, schedules, the p = 1 fast paths — stays in
+:mod:`repro.mpi.algorithms`; the point-to-point bodies stay in ``RawComm``,
+where the per-message path is written out once.
 
 **The ``nbytes`` hint convention** (what ``CollectiveEngine.resolve`` and
 every cost formula receive) is the :attr:`Collective.hint` column:
@@ -105,3 +111,80 @@ NONBLOCKING: dict[str, Collective] = {
     "ibarrier": COLLECTIVES["barrier"],
     **{c.nbc[0]: c for c in COLLECTIVES.values() if c.nbc is not None},
 }
+
+
+@dataclass(frozen=True)
+class Call:
+    """The calling convention of one raw call that is not a collective."""
+
+    #: PMPI counter, IR op and fault-selector name (``kill_self``, which is
+    #: not counted: its method's)
+    name: str
+    #: parameters after ``self``: the journal's ``args`` keys
+    params: tuple[str, ...]
+    #: p2p | mgmt (the IR node kinds) | rma | ulfm
+    kind: str
+    #: its method on ``RawComm``, or on ``RawWindow`` if ``window``
+    method: str
+    window: bool
+    request: bool
+    #: a receive's (source, tag) parameters; the journal records what they
+    #: matched, so a replay re-issues it deterministically
+    receives: tuple[str, ...]
+    #: the IR can replay it (not the probes, which answer by timing, nor
+    #: RMA and ULFM, which it does not model)
+    replay: bool
+
+    @property
+    def sends(self) -> bool:
+        """Whether the first parameter is data sent."""
+        return self.params[:1] == ("payload",)
+
+
+def _call(name: str, params: str = "", kind: str = "p2p", *,
+          method: str = "", window: bool = False, request: bool = False,
+          receives: str = "", replay: Optional[bool] = None) -> Call:
+    return Call(name, tuple(params.split()), kind, method or name, window,
+                request, tuple(receives.split()),
+                kind in ("p2p", "mgmt") if replay is None else replay)
+
+
+def _window(method: str, params: str = "") -> Call:
+    return _call("win_" + method, params, "rma", method=method, window=True)
+
+
+#: every raw call that is not a collective, by counter name
+CALLS: dict[str, Call] = {c.name: c for c in (
+    _call("send", "payload dest tag"),
+    _call("ssend", "payload dest tag"),
+    _call("isend", "payload dest tag", request=True),
+    _call("issend", "payload dest tag", request=True),
+    _call("recv", "source tag", receives="source tag"),
+    _call("irecv", "source tag", request=True, receives="source tag"),
+    _call("sendrecv", "payload dest source sendtag recvtag",
+          receives="source recvtag"),
+    _call("probe", "source tag", replay=False),
+    _call("iprobe", "source tag", replay=False),
+    _call("comm_dup", kind="mgmt", method="dup"),
+    _call("comm_split", "color key", "mgmt", method="split"),
+    _call("dist_graph_create_adjacent", "sources destinations", "mgmt"),
+    _call("win_create", "local", "rma"),
+    _window("fence"),
+    _window("lock", "target exclusive"),
+    _window("unlock", "target"),
+    _window("put", "data target offset"),
+    _window("get", "target offset count"),
+    _window("accumulate", "data target offset op"),
+    _window("fetch_and_op", "value target offset op"),
+    _window("compare_and_swap", "value compare target offset"),
+    _window("free"),
+    _call("kill_self", kind="ulfm"),
+    _call("comm_revoke", kind="ulfm", method="revoke"),
+    _call("comm_shrink", "generation", "ulfm", method="shrink"),
+    _call("comm_agree", "flag generation", "ulfm", method="agree"),
+)}
+
+#: the point-to-point calls that only send, and those that only receive
+#: (``sendrecv`` does both; the probes receive nothing)
+SENDS = frozenset(n for n, c in CALLS.items() if c.sends and not c.receives)
+RECVS = frozenset(n for n, c in CALLS.items() if c.receives and not c.sends)

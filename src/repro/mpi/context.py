@@ -519,22 +519,16 @@ class RawComm:
         self._count("comm_split")
         self._check_usable()
         with self._span("comm_split", peers="all"):
-            return self._split(color, key)
-
-    def _split(self, color: Optional[int], key: Optional[int]
-               ) -> Optional["RawComm"]:
-        seq = self._mgmt_seq
-        self._mgmt_seq += 1
-        entry = (color, key if key is not None else self._rank, self._rank)
-        entries = self._coll_algo("allgather", (entry,)).fn(self, entry)
-        if color is None:
-            return None
-        group = sorted(
-            (k, r) for (c, k, r) in entries if c == color
-        )
-        members = [self.state.members[r] for _, r in group]
-        new_id = (self.comm_id, "split", seq, color)
-        state = self.machine.get_or_create_comm(new_id, members)
+            seq = self._mgmt_seq
+            self._mgmt_seq += 1
+            entry = (color, key if key is not None else self._rank, self._rank)
+            entries = self._coll_algo("allgather", (entry,)).fn(self, entry)
+            if color is None:
+                return None
+            group = sorted((k, r) for (c, k, r) in entries if c == color)
+            members = [self.state.members[r] for _, r in group]
+            new_id = (self.comm_id, "split", seq, color)
+            state = self.machine.get_or_create_comm(new_id, members)
         return RawComm(self.machine, state, self.world_rank)
 
     def dist_graph_create_adjacent(

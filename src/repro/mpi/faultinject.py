@@ -45,35 +45,28 @@ import random
 import threading
 import time
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Hashable, Optional, Sequence
 
-from repro.mpi.collectives import COLLECTIVES, NONBLOCKING
+from repro.mpi.collectives import CALLS, COLLECTIVES, NONBLOCKING, SENDS
 from repro.mpi.errors import ProcessKilled, RawUsageError
 from repro.mpi.tracing import TraceEvent
 
 #: op-name categories a :class:`KillOnOp` / :class:`KillRandom` rule can
-#: target instead of one exact raw op name
+#: target instead of one exact raw op name ("recv" includes the probes,
+#: neither point-to-point category ``sendrecv``)
 OP_CATEGORIES: dict[str, frozenset[str]] = {
-    "send": frozenset({"send", "ssend", "isend", "issend"}),
-    "recv": frozenset({"recv", "irecv", "probe", "iprobe"}),
+    "send": SENDS,
+    "recv": frozenset(n for n, c in CALLS.items()
+                      if c.kind == "p2p" and not c.sends),
     "collective": frozenset({*COLLECTIVES, *NONBLOCKING}),
-    "rma": frozenset({
-        "win_create", "win_fence", "win_lock", "win_unlock", "win_put",
-        "win_get", "win_accumulate", "win_fetch_and_op",
-        "win_compare_and_swap", "win_free",
-    }),
+    "rma": frozenset(n for n, c in CALLS.items() if c.kind == "rma"),
 }
 
 
 def _matches(selector: Optional[str], op: str) -> bool:
     """Whether an op-selector (exact name, category, or ``None`` = any) matches."""
-    if selector is None:
-        return True
-    cat = OP_CATEGORIES.get(selector)
-    if cat is not None:
-        return op in cat
-    return op == selector
+    return selector is None or op in OP_CATEGORIES.get(selector, (selector,))
 
 
 @dataclass(frozen=True)
@@ -151,8 +144,7 @@ class Straggler:
     arrival times and shows up in the simulated makespan exactly like a
     genuinely slow process.  ``real_seconds`` additionally sleeps real time,
     perturbing the thread interleaving the way the schedule fuzzer's delays
-    do (the :class:`~repro.mpi.waiting.Backoff` loops of the victim's peers
-    really wait it out).
+    do (the victim's peers really wait it out).
     """
 
     rank: int
@@ -181,12 +173,11 @@ FaultRule = Any  # union of the rule dataclasses above
 class _RankState:
     """Per-rank injection bookkeeping (touched only by that rank's thread)."""
 
-    __slots__ = ("op_counts", "cat_counts", "current_op", "current_call",
+    __slots__ = ("op_counts", "current_op", "current_call",
                  "current_algorithm", "p2p_in_op", "straggled", "rng")
 
     def __init__(self, rng: random.Random):
         self.op_counts: Counter = Counter()
-        self.cat_counts: Counter = Counter()
         self.current_op: Optional[str] = None
         self.current_call = 0
         self.current_algorithm: Optional[str] = None
@@ -250,9 +241,6 @@ class FaultCampaign:
     def on_op(self, comm, op: str) -> None:
         st = self._states[comm.world_rank]
         st.op_counts[op] += 1
-        for cat, members in OP_CATEGORIES.items():
-            if op in members:
-                st.cat_counts[cat] += 1
         st.current_op = op
         st.current_call = st.op_counts[op]
         st.current_algorithm = None
@@ -273,11 +261,10 @@ class FaultCampaign:
         for rule in self._on_op_rules:
             if rule.rank != comm.world_rank or not _matches(rule.op, op):
                 continue
-            seen = (st.op_counts[op] if rule.op == op
-                    else st.cat_counts[rule.op] if rule.op in OP_CATEGORIES
-                    else sum(st.op_counts.values()) if rule.op is None
-                    else 0)
-            if seen == rule.nth:
+            # the rule's count: of every op, of its category's, or of op
+            ops = (st.op_counts if rule.op is None
+                   else OP_CATEGORIES.get(rule.op, (op,)))
+            if sum(st.op_counts[o] for o in ops) == rule.nth:
                 self._kill(comm, "kill_op",
                            f"op #{rule.nth} matching {rule.op!r} ({op})")
 

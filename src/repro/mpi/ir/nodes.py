@@ -1,7 +1,6 @@
 """Shared communication-event node types — the one event model of the repo.
 
-Two layers describe "what a program communicates" and historically each had
-its own node vocabulary:
+Two layers describe "what a program communicates":
 
 - the **static** layer: reprolint's SPMD abstract executor
   (:mod:`repro.analysis.spmd`) extracts per-rank event sequences from the
@@ -12,12 +11,11 @@ its own node vocabulary:
   an :class:`Epoch` graph, rewritten by :mod:`repro.mpi.ir.passes` and
   executed by :mod:`repro.mpi.ir.replayer`.
 
-Both vocabularies live here so they cannot drift: the static nodes are the
-exact dataclasses the SPMD checker always used (``analysis/spmd.py``
-re-exports them), and every dynamic :class:`CommOp` lowers to a static event
-via :meth:`CommOp.static_event` — the bridge the IR tests use to check that
-a recorded epoch is SPMD-consistent in the same sense reprolint checks
-statically.
+Both vocabularies live here so they cannot drift: ``analysis/spmd.py``
+re-exports the static nodes, and every dynamic :class:`CommOp` lowers to a
+static event via :meth:`CommOp.static_event` — the bridge the IR tests use
+to check that a recorded epoch is SPMD-consistent in the same sense
+reprolint checks statically.
 
 This module must stay importable with only NumPy installed (the reprolint CI
 job does not install the full test stack).
@@ -33,7 +31,7 @@ from typing import Any, Dict, Hashable, List, Optional, Sequence, Set, Tuple, Un
 
 import numpy as np
 
-from repro.mpi.collectives import COLLECTIVES
+from repro.mpi.collectives import COLLECTIVES, RECVS, SENDS
 from repro.mpi.datatypes import payload_nbytes
 
 ANY = "*"  # wildcard source/tag on a receive (shared with the SPMD checker)
@@ -123,14 +121,6 @@ def values_equal(a: Any, b: Any) -> bool:
 
 # -- dynamic nodes (the recorded dataflow IR) --------------------------------
 
-#: node kinds: "coll" (blocking collective), "p2p" (point-to-point),
-#: "nbc" (non-blocking start, incl. ibarrier), "wait" (completion of a
-#: non-blocking start), "mgmt" (communicator management), "local" (compute)
-KINDS = ("coll", "p2p", "nbc", "wait", "mgmt", "local")
-
-#: kinds that issue one raw (counted) MPI call when replayed
-RAW_KINDS = ("coll", "p2p", "nbc", "mgmt")
-
 
 @dataclass
 class CommOp:
@@ -146,6 +136,9 @@ class CommOp:
     idx: int
     #: issuing rank, local to ``comm``
     rank: int
+    #: "coll" (blocking collective), "p2p" (point-to-point), "nbc"
+    #: (non-blocking start, incl. ibarrier), "wait" (completion of a
+    #: non-blocking start), "mgmt" (communicator management), "local"
     kind: str
     op: str
     comm: Hashable = "world"
@@ -178,9 +171,9 @@ class CommOp:
 
     def static_event(self) -> Optional[Event]:
         """Lower to the SPMD checker's static event model (the unification
-        bridge): collectives to :class:`Coll`, point-to-point to :class:`P2P`.
-        Nodes with no static analog (waits, compute, management) return
-        ``None``."""
+        bridge): collectives to :class:`Coll`, the one-way point-to-point
+        calls to :class:`P2P`.  Nodes with no static analog (``sendrecv``,
+        waits, compute, management) return ``None``."""
         if self.kind in ("coll", "nbc"):
             red = self.args.get("op")
             return Coll(
@@ -189,16 +182,15 @@ class CommOp:
                 op=getattr(red, "name", None) and red.name.upper() or None,
                 line=0,
             )
-        if self.kind == "p2p":
-            if self.op in ("send", "ssend", "isend", "issend"):
-                return P2P("send", self.rank, self.args.get("dest"),
-                           self.args.get("tag"), 0)
-            if self.op in ("recv", "irecv"):
-                src = self.args.get("source")
-                peer = ANY if src is not None and src < 0 else src
-                tag = self.args.get("tag")
-                tag = ANY if tag is not None and tag < 0 else tag
-                return P2P("recv", self.rank, peer, tag, 0)
+        if self.op in SENDS:
+            return P2P("send", self.rank, self.args.get("dest"),
+                       self.args.get("tag"), 0)
+        if self.op in RECVS:
+            src = self.args.get("source")
+            peer = ANY if src is not None and src < 0 else src
+            tag = self.args.get("tag")
+            tag = ANY if tag is not None and tag < 0 else tag
+            return P2P("recv", self.rank, peer, tag, 0)
         return None
 
 

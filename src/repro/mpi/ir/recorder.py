@@ -2,13 +2,14 @@
 
 :class:`RecordingComm` is substituted for the plain raw communicator when a
 run is started with ``run_mpi(fn, p, ir=...)``.  Every *public* raw call is
-executed normally (``super()``) and journaled as one :class:`CommOp` node —
-inputs snapshotted before the call, outputs after — so the recorded graph is
-simultaneously a faithful transcript and an executable schedule.  All
-collectives go through two overrides, of ``RawComm._collective`` and
-``._start``, which read what to journal from the op's declaration
-(:mod:`repro.mpi.collectives`); only ``ibarrier``, which completes on the
-arrival counter and starts no schedule, keeps a method of its own.  The
+executed normally and journaled as one :class:`CommOp` node — inputs
+snapshotted, outputs after the call — so the recorded graph is
+simultaneously a faithful transcript and an executable schedule.  What to
+journal is read from the call's declaration (:mod:`repro.mpi.collectives`):
+all collectives go through two overrides, of ``RawComm._collective`` and
+``._start``; every other declared call through one generated override whose
+body is :meth:`RecordingComm._call`.  Only ``ibarrier``, which completes on
+the arrival counter and starts no schedule, keeps a method of its own.  The
 *internal* point-to-point rounds of collective algorithms are deliberately
 not recorded: a collective is one node, and its internal schedule is the
 engine's business (the node pins which algorithm ran instead).
@@ -18,19 +19,20 @@ result objects, and later nodes whose payloads are (or contain) a registered
 object get a dependency edge.  Only container objects participate — interned
 scalars would fabricate edges.
 
-Ops the IR cannot replay faithfully (probe/iprobe whose answer depends on
-timing, RMA windows, ULFM fault handling) are journaled as *unsupported*;
-``ir="record"`` reports them, ``ir="optimize"`` refuses the run.
+Calls whose declaration says the IR cannot replay them (the probes, whose
+answer depends on timing; RMA windows; ULFM fault handling) are journaled as
+*unsupported*; ``ir="record"`` reports them, ``ir="optimize"`` refuses the
+run.
 """
 
 from __future__ import annotations
 
-from typing import Any, Hashable, Optional, Sequence
+import inspect
+from typing import Any, Callable, Hashable, Optional, Sequence
 
 import numpy as np
 
-from repro.mpi.collectives import Collective
-from repro.mpi.constants import ANY_SOURCE, ANY_TAG
+from repro.mpi.collectives import CALLS, Call, Collective
 from repro.mpi.context import RawComm
 from repro.mpi.datatypes import snapshot as _snap
 from repro.mpi.ir.nodes import CommOp
@@ -57,9 +59,6 @@ class Recorder:
         #: per-comm instance counter for collectives/nbc/management ops
         self._seq: dict[Hashable, int] = {}
 
-    def register_comm(self, comm: RawComm) -> None:
-        self.members.setdefault(comm.comm_id, tuple(comm.state.members))
-
     def next_seq(self, comm_id: Hashable) -> int:
         seq = self._seq.get(comm_id, 0)
         self._seq[comm_id] = seq + 1
@@ -76,32 +75,21 @@ class Recorder:
                     deps.add(entry[0])
         return tuple(sorted(deps))
 
-    def note_result(self, idx: int, obj: Any) -> None:
-        """Register ``obj`` (and its elements) as produced by node ``idx``."""
-        items = obj if isinstance(obj, (list, tuple)) else ()
-        for produced in (obj, *items):
-            if isinstance(produced, (np.ndarray, list, tuple, dict)):
-                self._producers[id(produced)] = (idx, produced)
-
     def add(self, comm: RawComm, kind: str, op: str, *,
             seq: Optional[int] = None, args: Optional[dict] = None,
             payload: Any = None, result: Any = None,
-            deps: tuple[int, ...] = (), snap_result: bool = True) -> CommOp:
-        node = CommOp(
-            idx=len(self.nodes),
-            rank=comm.rank,
-            kind=kind,
-            op=op,
-            comm=comm.comm_id,
-            seq=seq,
-            args=dict(args) if args else {},
-            payload=_snap(payload),
-            result=_snap(result) if snap_result else result,
-            deps=deps,
-        )
+            deps: tuple[int, ...] = ()) -> CommOp:
+        """Append one node; ``result`` (and its elements) count as produced
+        by it."""
+        idx = len(self.nodes)
+        node = CommOp(idx=idx, rank=comm.rank, kind=kind, op=op,
+                      comm=comm.comm_id, seq=seq, args=dict(args or {}),
+                      payload=_snap(payload), result=_snap(result), deps=deps)
         self.nodes.append(node)
-        if result is not None:
-            self.note_result(node.idx, result)
+        items = result if isinstance(result, (list, tuple)) else ()
+        for produced in (result, *items):
+            if isinstance(produced, (np.ndarray, list, tuple, dict)):
+                self._producers[id(produced)] = (idx, produced)
         return node
 
     def export(self) -> dict:
@@ -135,9 +123,9 @@ class RecordingRequest(RawRequest):
             return
         self._recorded = True
         rec = self._comm.recorder
-        if (self._start.op == "irecv" and isinstance(value, tuple)
-                and len(value) == 2):
-            _, status = value
+        call = CALLS.get(self._start.op)
+        if call is not None and call.receives and value is not None:
+            _, status = value  # (a cancelled receive completes with None)
             self._start.args["matched_source"] = status.source
             self._start.args["matched_tag"] = status.tag
         rec.add(self._comm, "wait", "wait",
@@ -164,6 +152,10 @@ class RecordingRequest(RawRequest):
     def cancelled(self) -> bool:
         return getattr(self._inner, "cancelled", False)
 
+    @property
+    def waits(self):
+        return self._inner.waits
+
     def audit_state(self) -> str:
         return self._inner.audit_state()
 
@@ -178,7 +170,7 @@ class RecordingComm(RawComm):
         super().__init__(machine, state, world_rank)
         self.recorder = recorder
         self._resolved = None  # what _coll_algo answered, for _collective
-        recorder.register_comm(self)
+        recorder.members.setdefault(self.comm_id, tuple(state.members))
 
     # -- helpers -----------------------------------------------------------
 
@@ -208,93 +200,12 @@ class RecordingComm(RawComm):
                                  payload=payload, result=result,
                                  deps=self.recorder.deps_of(*inputs))
 
-    def _adopt(self, comm: Optional[RawComm]) -> Optional["RecordingComm"]:
-        """Re-wrap a communicator returned by a management op."""
-        if comm is None:
-            return None
-        return RecordingComm(comm.machine, comm.state, comm.world_rank,
-                             self.recorder)
-
-    def _unsupported(self, op: str) -> None:
-        self.recorder.unsupported.add(op)
-
     # -- local compute ------------------------------------------------------
 
     def compute(self, seconds: float) -> None:
         super().compute(seconds)
         self.recorder.add(self, "local", "compute",
                           args={"seconds": seconds})
-
-    # -- point-to-point ------------------------------------------------------
-
-    def send(self, payload: Any, dest: int, tag: int = 0) -> None:
-        deps = self.recorder.deps_of(payload)
-        super().send(payload, dest, tag)
-        self.recorder.add(self, "p2p", "send",
-                          args={"dest": dest, "tag": tag},
-                          payload=payload, deps=deps)
-
-    def ssend(self, payload: Any, dest: int, tag: int = 0) -> None:
-        deps = self.recorder.deps_of(payload)
-        super().ssend(payload, dest, tag)
-        self.recorder.add(self, "p2p", "ssend",
-                          args={"dest": dest, "tag": tag},
-                          payload=payload, deps=deps)
-
-    def isend(self, payload: Any, dest: int, tag: int = 0) -> RawRequest:
-        deps = self.recorder.deps_of(payload)
-        req = super().isend(payload, dest, tag)
-        node = self.recorder.add(self, "p2p", "isend",
-                                 args={"dest": dest, "tag": tag},
-                                 payload=payload, deps=deps)
-        return RecordingRequest(req, self, node)
-
-    def issend(self, payload: Any, dest: int, tag: int = 0) -> RawRequest:
-        deps = self.recorder.deps_of(payload)
-        req = super().issend(payload, dest, tag)
-        node = self.recorder.add(self, "p2p", "issend",
-                                 args={"dest": dest, "tag": tag},
-                                 payload=payload, deps=deps)
-        return RecordingRequest(req, self, node)
-
-    def recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG):
-        payload, status = super().recv(source, tag)
-        self.recorder.add(
-            self, "p2p", "recv",
-            args={"source": source, "tag": tag,
-                  "matched_source": status.source,
-                  "matched_tag": status.tag},
-            result=(payload, status),
-        )
-        return payload, status
-
-    def irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG):
-        req = super().irecv(source, tag)
-        node = self.recorder.add(self, "p2p", "irecv",
-                                 args={"source": source, "tag": tag})
-        return RecordingRequest(req, self, node)
-
-    def sendrecv(self, payload: Any, dest: int, source: int = ANY_SOURCE, *,
-                 sendtag: int = 0, recvtag: int = ANY_TAG):
-        deps = self.recorder.deps_of(payload)
-        out, status = super().sendrecv(payload, dest, source,
-                                       sendtag=sendtag, recvtag=recvtag)
-        self.recorder.add(
-            self, "p2p", "sendrecv",
-            args={"dest": dest, "source": source, "sendtag": sendtag,
-                  "recvtag": recvtag, "matched_source": status.source,
-                  "matched_tag": status.tag},
-            payload=payload, result=(out, status), deps=deps,
-        )
-        return out, status
-
-    def probe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG):
-        self._unsupported("probe")
-        return super().probe(source, tag)
-
-    def iprobe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG):
-        self._unsupported("iprobe")
-        return super().iprobe(source, tag)
 
     # -- synchronization -----------------------------------------------------
 
@@ -320,61 +231,54 @@ class RecordingComm(RawComm):
         node = self._journal("nbc", call.nbc[0], call, args, seq)
         return RecordingRequest(req, self, node)
 
-    # -- communicator management ---------------------------------------------
+    # -- every other declared call -------------------------------------------
 
-    def dup(self) -> "RecordingComm":
-        seq = self.recorder.next_seq(self.comm_id)
-        inner = super().dup()
-        wrapped = self._adopt(inner)
-        self.recorder.add(self, "mgmt", "comm_dup", seq=seq,
-                          args={"new_comm": inner.comm_id})
-        return wrapped
+    def _call(self, call: Call, raw: Callable, arguments: dict) -> Any:
+        """The one journalling body of the point-to-point and management
+        calls: the arguments under their declared names, a blocking
+        receive's matched source and tag, a derived communicator's id (the
+        communicator itself re-wrapped to journal too)."""
+        rec = self.recorder
+        seq = rec.next_seq(self.comm_id) if call.kind == "mgmt" else None
+        out = raw(**arguments)
+        payload = arguments.get("payload")
+        args = {k: _snap(arguments[k]) for k in call.params if k != "payload"}
+        result = None if call.request or call.kind == "mgmt" else out
+        if call.receives and result is not None:
+            status = out[1]
+            args["matched_source"], args["matched_tag"] = status.source, status.tag
+        if call.kind == "mgmt":
+            args["new_comm"] = None if out is None else out.comm_id
+            if out is not None:
+                out = RecordingComm(out.machine, out.state, out.world_rank, rec)
+        node = rec.add(self, call.kind, call.name, seq=seq, args=args,
+                       payload=payload, result=result,
+                       deps=rec.deps_of(payload))
+        return RecordingRequest(out, self, node) if call.request else out
 
-    def split(self, color, key=None) -> Optional["RecordingComm"]:
-        seq = self.recorder.next_seq(self.comm_id)
-        inner = super().split(color, key)
-        wrapped = self._adopt(inner)
-        self.recorder.add(
-            self, "mgmt", "comm_split", seq=seq,
-            args={"color": color, "key": key,
-                  "new_comm": inner.comm_id if inner is not None else None},
-        )
-        return wrapped
 
-    def dist_graph_create_adjacent(self, sources, destinations
-                                   ) -> "RecordingComm":
-        seq = self.recorder.next_seq(self.comm_id)
-        inner = super().dist_graph_create_adjacent(sources, destinations)
-        wrapped = self._adopt(inner)
-        self.recorder.add(
-            self, "mgmt", "dist_graph_create_adjacent", seq=seq,
-            args={"sources": tuple(sources),
-                  "destinations": tuple(destinations),
-                  "new_comm": inner.comm_id},
-        )
-        return wrapped
+def _journalled(call: Call) -> Callable:
+    """``RecordingComm``'s override of one declared call: journalled through
+    :meth:`RecordingComm._call`, or noted as unsupported and run as is."""
+    raw = getattr(RawComm, call.method)
+    bind = inspect.signature(raw).bind
 
-    # -- ops the IR does not model --------------------------------------------
+    def method(self, *args, **kwargs):
+        if not call.replay:
+            self.recorder.unsupported.add(call.name)
+            return raw(self, *args, **kwargs)
+        bound = bind(self, *args, **kwargs)
+        bound.apply_defaults()
+        return self._call(call, raw, bound.arguments)
 
-    def win_create(self, local):
-        self._unsupported("win_create")
-        return super().win_create(local)
+    method.__name__ = call.method
+    method.__doc__ = raw.__doc__
+    return method
 
-    def kill_self(self) -> None:
-        self._unsupported("kill_self")
-        super().kill_self()
 
-    def revoke(self) -> None:
-        self._unsupported("comm_revoke")
-        super().revoke()
-
-    def shrink(self, generation=0):
-        self._unsupported("comm_shrink")
-        return super().shrink(generation)
-
-    def agree(self, flag: bool, generation=0) -> bool:
-        self._unsupported("comm_agree")
-        return super().agree(flag, generation)
+for _declared in CALLS.values():
+    if not _declared.window:
+        setattr(RecordingComm, _declared.method, _journalled(_declared))
 
 
 def record_main(raw: RawComm, fn, user_args: Sequence[Any]) -> dict:

@@ -24,7 +24,7 @@ from typing import Any, Callable, Dict, Hashable, List
 import numpy as np
 
 from repro.core.plans import PlanCache
-from repro.mpi.collectives import COLLECTIVES, NONBLOCKING, Collective
+from repro.mpi.collectives import CALLS, COLLECTIVES, NONBLOCKING, Collective
 from repro.mpi.context import RawComm
 from repro.mpi.ir.nodes import CommOp, values_equal
 
@@ -135,59 +135,52 @@ class Replayer:
     def _compile(self, node: CommOp) -> Callable[[RawComm, CommOp], None]:
         kind = node.kind
         if kind == "local":
-            return self._run_local
-        if kind == "p2p":
-            return self._compile_p2p(node)
+            return lambda comm, n: comm.compute(n.args["seconds"])
+        if kind in ("p2p", "mgmt"):
+            return self._compile_call(node)
         if kind == "coll":
             return self._compile_coll(node)
         if kind == "nbc":
             return self._compile_nbc(node)
         if kind == "wait":
             return self._run_wait
-        if kind == "mgmt":
-            return self._compile_mgmt(node)
         raise IRReplayError(f"{_describe(node)}: unknown node kind")
 
-    def _run_local(self, comm: RawComm, node: CommOp) -> None:
-        comm.compute(node.args["seconds"])
+    # -- point-to-point and communicator management ------------------------
 
-    # -- point-to-point ----------------------------------------------------
+    def _compile_call(self, node: CommOp) -> Callable[[RawComm, CommOp], None]:
+        """``comm.<method>(**arguments)`` as ``node.op`` declares them, a
+        receive's source and tag as matched at recording; then the request
+        is kept for its wait node, a receive verified, or a derived
+        communicator checked against the recording and adopted."""
+        call = CALLS.get(node.op)
+        if call is None or call.kind != node.kind or not call.replay:
+            raise IRReplayError(f"{_describe(node)}: unreplayable "
+                                f"{node.kind} op")
+        method = call.method
+        matched = dict(zip(call.receives, ("matched_source", "matched_tag")))
+        names = [k for k in call.params if k != "payload"]
 
-    def _compile_p2p(self, node: CommOp) -> Callable[[RawComm, CommOp], None]:
-        op = node.op
-        if op in ("send", "ssend"):
-            def run_send(comm: RawComm, n: CommOp) -> None:
-                getattr(comm, op)(n.payload, n.args["dest"], n.args["tag"])
-            return run_send
-        if op in ("isend", "issend"):
-            def run_isend(comm: RawComm, n: CommOp) -> None:
-                self.pending[n.idx] = getattr(comm, op)(
-                    n.payload, n.args["dest"], n.args["tag"])
-            return run_isend
-        if op == "recv":
-            def run_recv(comm: RawComm, n: CommOp) -> None:
-                out = comm.recv(_concrete(n.args, "matched_source", "source"),
-                                _concrete(n.args, "matched_tag", "tag"))
+        def run_call(comm: RawComm, n: CommOp) -> None:
+            kwargs = {k: _concrete(n.args, matched[k], k) if k in matched
+                      else n.args[k] for k in names}
+            if call.sends:
+                kwargs["payload"] = n.payload
+            out = getattr(comm, method)(**kwargs)
+            if call.request:
+                self.pending[n.idx] = out
+            elif call.receives:
                 _verify(n, out)
                 self.verified += 1
-            return run_recv
-        if op == "irecv":
-            def run_irecv(comm: RawComm, n: CommOp) -> None:
-                self.pending[n.idx] = comm.irecv(
-                    _concrete(n.args, "matched_source", "source"),
-                    _concrete(n.args, "matched_tag", "tag"))
-            return run_irecv
-        if op == "sendrecv":
-            def run_sendrecv(comm: RawComm, n: CommOp) -> None:
-                out = comm.sendrecv(
-                    n.payload, n.args["dest"],
-                    _concrete(n.args, "matched_source", "source"),
-                    sendtag=n.args["sendtag"],
-                    recvtag=_concrete(n.args, "matched_tag", "recvtag"))
-                _verify(n, out)
-                self.verified += 1
-            return run_sendrecv
-        raise IRReplayError(f"{_describe(node)}: unreplayable p2p op")
+            elif call.kind == "mgmt":
+                derived = out.comm_id if out is not None else None
+                if derived != n.args["new_comm"]:
+                    raise IRReplayError(
+                        f"{_describe(n)} derived communicator {derived!r}, "
+                        f"recording expected {n.args['new_comm']!r}")
+                if out is not None:
+                    self.comms[derived] = out
+        return run_call
 
     # -- collectives -------------------------------------------------------
 
@@ -250,32 +243,6 @@ class Replayer:
         value = req.wait()
         _verify(node, value)
         self.verified += 1
-
-    # -- communicator management -------------------------------------------
-
-    def _compile_mgmt(self, node: CommOp) -> Callable[[RawComm, CommOp], None]:
-        op = node.op
-
-        def run_mgmt(comm: RawComm, n: CommOp) -> None:
-            if op == "comm_dup":
-                derived = comm.dup()
-            elif op == "comm_split":
-                derived = comm.split(n.args["color"], n.args["key"])
-            elif op == "dist_graph_create_adjacent":
-                derived = comm.dist_graph_create_adjacent(
-                    list(n.args["sources"]), list(n.args["destinations"]))
-            else:
-                raise IRReplayError(f"{_describe(n)}: unreplayable mgmt op")
-            recorded = n.args["new_comm"]
-            derived_id = derived.comm_id if derived is not None else None
-            if derived_id != recorded:
-                raise IRReplayError(
-                    f"{_describe(n)} derived communicator {derived_id!r}, "
-                    f"recording expected {recorded!r}"
-                )
-            if derived is not None:
-                self.comms[derived.comm_id] = derived
-        return run_mgmt
 
 
 def replay_main(raw: RawComm, plan: ReplayPlan) -> dict:

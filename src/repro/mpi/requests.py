@@ -7,6 +7,7 @@ them into ownership-tracking non-blocking results.
 
 from __future__ import annotations
 
+import time
 from _thread import allocate_lock
 from typing import Any, Hashable, Optional, Sequence
 
@@ -18,6 +19,11 @@ from repro.mpi.waiting import Backoff, Gate, WaitContext
 
 class RawRequest:
     """Base class for raw requests."""
+
+    #: the wait context of the communicator this request waits on (``None``:
+    #: it completes on its own); :func:`waitany` takes its deadline and
+    #: schedule fuzzer from here
+    waits: Optional[WaitContext] = None
 
     def wait(self) -> Any:
         raise NotImplementedError
@@ -68,14 +74,14 @@ class SyncSendRequest(RawRequest):
         assert env.sync_gate is not None
         self._env = env
         self._clock = clock
-        self._waits = waits
+        self.waits = waits
         self._dest = dest
         self._done = False
 
     def wait(self) -> None:
-        self._waits.park(self._env.sync_gate, (self._dest,),
-                         "synchronous send pending",
-                         "issend never matched a receive")
+        self.waits.park(self._env.sync_gate, (self._dest,),
+                        "synchronous send pending",
+                        "issend never matched a receive")
         self._finish()
 
     def test(self) -> tuple[bool, Any]:
@@ -106,6 +112,10 @@ class RecvRequest(RawRequest):
         self._clock = clock
         self._result: Optional[tuple[Any, Status]] = None
         self._cancelled = False
+
+    @property
+    def waits(self) -> WaitContext:
+        return self._mailbox.waits
 
     def wait(self) -> tuple[Any, Status]:
         if self._result is None:
@@ -171,6 +181,7 @@ class CounterBarrierRequest(RawRequest):
         self._ticket = ticket
         self._clock = clock
         self._done = False
+        self.waits = barrier._waits
 
     def wait(self) -> None:
         self._barrier.wait_complete(self._ticket)
@@ -295,18 +306,18 @@ def testall(requests: Sequence[RawRequest]) -> tuple[bool, Optional[list[Any]]]:
     return True, results
 
 
-def waitany(requests: Sequence[RawRequest], poll_interval: float = 0.001,
-            deadline: float = 120.0, fuzz=None) -> tuple[int, Any]:
+def waitany(requests: Sequence[RawRequest]) -> tuple[int, Any]:
     """Complete one request, returning ``(index, value)`` (``MPI_Waitany``).
 
     ``test()`` drives progress (progress-on-test semantics), so this is a
-    genuine poll loop, with the deadline accounted on real elapsed time.  Its
-    step stays small: the polled requests may be state machines that only
-    advance when tested.
+    genuine poll loop, under the deadline and schedule fuzzer of the
+    requests' wait context, with the deadline accounted on real elapsed
+    time.  Its step stays small: the polled requests may be state machines
+    that only advance when tested.
     """
-    import time
-
-    backoff = Backoff(deadline, step=poll_interval, fuzz=fuzz)
+    waits = next((r.waits for r in requests if r.waits is not None),
+                 None) or WaitContext()
+    backoff = Backoff(waits.deadline, step=0.001, fuzz=waits.fuzz)
     while True:
         for i, r in enumerate(requests):
             done, value = r.test()

@@ -16,8 +16,9 @@ loop the paper's §V-B sketches: a :class:`ResilientScope` runs application
    replicated to its ring successor over point-to-point, so when rank ``w``
    dies its successor still holds ``w``'s last committed shards and adopts
    them (rebalancing the data onto the survivors);
-4. **retries** the epoch on the shrunk communicator under a capped-retry /
-   exponential-backoff policy.
+4. **retries** the epoch on the shrunk communicator, within an attempt
+   budget and an optional real-time deadline.  Nothing sleeps between
+   attempts: shrink and agree are rendezvous points already.
 
 State is a list of ``(key, payload)`` *shards* per rank.  The epoch function
 receives a deep copy of the committed shards (failed attempts can never
@@ -31,7 +32,7 @@ consistent even when a rank dies immediately after the agreement.
 Data-loss limits are those of any buddy scheme: losing a rank *and* its ring
 successor within one epoch (or a rank holding not-yet-recommitted adopted
 shards) is unrecoverable and raises :class:`CheckpointLost` — a
-:class:`RecoveryFailed` subclass, as is the retry-cap exhaustion path.
+:class:`RecoveryFailed` subclass, as is running out of attempts.
 Recovery *disabled* is simply not using this module: the same fault then
 propagates as plain :class:`~repro.plugins.ulfm.MPIFailureDetected`.
 """
@@ -55,7 +56,7 @@ EpochFn = Callable[[Any, Shards, int], Optional[Shards]]
 
 
 class RecoveryFailed(KampingError):
-    """Recovery gave up: the retry cap was exhausted."""
+    """Recovery gave up: the attempt budget or the recovery deadline ran out."""
 
 
 class CheckpointLost(RecoveryFailed):
@@ -78,15 +79,13 @@ class ResilientScope:
     """
 
     def __init__(self, comm, shards: Shards, *, label: str = "resilient",
-                 max_retries: int = 8, max_attempts: Optional[int] = None,
-                 deadline: Optional[float] = None,
-                 backoff_initial: float = 1e-3, backoff_cap: float = 5e-2):
+                 max_attempts: int = 9, deadline: Optional[float] = None):
         if not hasattr(comm, "agree"):
             raise KampingError(
                 "ResilientScope needs a ULFM-extended communicator "
                 "(extend(Communicator, ULFM))"
             )
-        if max_attempts is not None and max_attempts < 1:
+        if max_attempts < 1:
             raise KampingError(
                 f"max_attempts must be >= 1 (the first try counts as an "
                 f"attempt), got {max_attempts}"
@@ -98,16 +97,11 @@ class ResilientScope:
         self.comm = comm
         self.shards: Shards = list(shards)
         self.label = label
-        self.max_retries = max_retries
-        #: total attempt budget per epoch (first try included); ``None``
-        #: derives the budget from the legacy ``max_retries`` (retries after
-        #: the first try), keeping existing callers bit-compatible
+        #: attempt budget per epoch, the first try included
         self.max_attempts = max_attempts
         #: real-seconds budget per :meth:`run` call (``None`` = unbounded);
         #: checked between attempts, so an in-flight attempt is never cut
         self.deadline = deadline
-        self.backoff_initial = backoff_initial
-        self.backoff_cap = backoff_cap
         #: number of committed epochs (the genesis commit is epoch 0, so
         #: application epochs start at 1)
         self.committed = 0
@@ -149,19 +143,15 @@ class ResilientScope:
         propagates unhandled.
 
         The retry policy is what the scope was constructed with: the epoch
-        is retried until it commits, the attempt budget (``max_attempts``,
-        legacy default ``max_retries + 1``) runs out, or the per-``run``
-        real-time ``deadline`` expires — both exhaustion paths raise
-        :class:`RecoveryFailed`.
+        is retried until it commits, the attempt budget ``max_attempts``
+        runs out, or the per-``run`` real-time ``deadline`` expires — both
+        exhaustion paths raise :class:`RecoveryFailed`.
         """
         return self._run(epoch_fn, stateless=False)
 
     def _run(self, epoch_fn: EpochFn, stateless: bool) -> Shards:
         attempts = 0
-        budget = (self.max_attempts if self.max_attempts is not None
-                  else self.max_retries + 1)
         started = time.monotonic()
-        sleep = self.backoff_initial
         while True:
             comm = self.comm
             token = (self.label, self.committed, attempts)
@@ -187,27 +177,17 @@ class ResilientScope:
                 self._commit(comm, result, incoming)
                 return self.shards
             attempts += 1
-            if attempts >= budget:
-                if self.max_attempts is not None:
-                    raise RecoveryFailed(
-                        f"scope {self.label!r}: epoch {self.committed} "
-                        f"exhausted its attempt budget "
-                        f"(max_attempts={self.max_attempts})"
-                    )
-                raise RecoveryFailed(
-                    f"scope {self.label!r}: epoch {self.committed} still "
-                    f"failing after {self.max_retries} recoveries"
-                )
-            if (self.deadline is not None
+            if attempts >= self.max_attempts:
+                why = f"max_attempts={self.max_attempts}"
+            elif (self.deadline is not None
                     and time.monotonic() - started >= self.deadline):
-                raise RecoveryFailed(
-                    f"scope {self.label!r}: epoch {self.committed} still "
-                    f"failing after {attempts} attempt(s) when the "
-                    f"{self.deadline:g}s recovery deadline expired"
-                )
-            self._recover()
-            time.sleep(sleep)
-            sleep = min(sleep * 2, self.backoff_cap)
+                why = f"the {self.deadline:g}s recovery deadline expired"
+            else:
+                self._recover()
+                continue
+            raise RecoveryFailed(
+                f"scope {self.label!r}: epoch {self.committed} still "
+                f"failing after {attempts} attempt(s) ({why})")
 
     # -- buddy checkpoint replication --------------------------------------
 
@@ -313,10 +293,8 @@ class ResilientScope:
 
 def run_resilient(comm, epoch_fn: EpochFn, shards: Shards, *,
                   epochs: int = 1, label: str = "resilient",
-                  max_retries: int = 8, max_attempts: Optional[int] = None,
-                  deadline: Optional[float] = None,
-                  backoff_initial: float = 1e-3,
-                  backoff_cap: float = 5e-2) -> ResilientScope:
+                  max_attempts: int = 9,
+                  deadline: Optional[float] = None) -> ResilientScope:
     """Run ``epochs`` epochs of ``epoch_fn`` under a :class:`ResilientScope`.
 
     Convenience driver for the common shape::
@@ -330,10 +308,8 @@ def run_resilient(comm, epoch_fn: EpochFn, shards: Shards, *,
     bound each epoch's recovery loop (per-epoch attempt budget and
     real-seconds budget; see :class:`ResilientScope`).
     """
-    scope = ResilientScope(comm, shards, label=label, max_retries=max_retries,
-                           max_attempts=max_attempts, deadline=deadline,
-                           backoff_initial=backoff_initial,
-                           backoff_cap=backoff_cap)
+    scope = ResilientScope(comm, shards, label=label,
+                           max_attempts=max_attempts, deadline=deadline)
     for _ in range(epochs):
         scope.run(epoch_fn)
     return scope

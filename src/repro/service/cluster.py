@@ -185,7 +185,7 @@ class Cluster:
                  cost_model: Optional[CostModel] = None,
                  deadline: float = 60.0,
                  job_timeout: Optional[float] = None,
-                 max_attempts: Optional[int] = None,
+                 max_attempts: int = 9,
                  recovery_deadline: Optional[float] = None,
                  trace: bool | TraceRecorder = False,
                  engine: Optional[CollectiveEngine] = None,

@@ -6,6 +6,7 @@ callable documented, the op-spec table consistent with the methods it backs.
 """
 
 import inspect
+import re
 
 import pytest
 
@@ -45,9 +46,10 @@ def test_every_spec_backs_a_method():
 
 def test_every_declared_collective_matches_what_it_describes():
     """The raw-layer twin of the spec check: a declaration in
-    ``repro.mpi.collectives`` names the parameters of the ``RawComm`` method,
-    of every registered schedule and of the p = 1 fast path, and the op sets
-    computed from the table are the ones that used to be written out."""
+    ``repro.mpi.collectives`` names the parameters of the ``RawComm`` (or
+    ``RawWindow``) method, of every registered schedule and of the p = 1 fast
+    path, and the op sets computed from the tables are the ones that used to
+    be written out."""
     from repro.mpi import algorithms, autotune, faultinject
     from repro.mpi.collectives import COLLECTIVES, NONBLOCKING
 
@@ -86,6 +88,50 @@ def test_every_declared_collective_matches_what_it_describes():
         "alltoallw",  # hinted in RawComm all along; one algorithm: inert
     }
     assert set(autotune.SWEEP_WORKLOADS) <= autotune.SIZE_HINTED_OPS
+
+    # every other raw call: the parameters of the method it names, the
+    # counter that method counts under, and its return type
+    from repro.analysis import signatures
+    from repro.mpi.collectives import CALLS
+    from repro.mpi.ir.nodes import CommOp
+    from repro.mpi.ir.recorder import RecordingComm
+    from repro.mpi.rma import RawWindow
+
+    for name, call in CALLS.items():
+        assert call.name == name
+        fn = getattr(RawWindow if call.window else mpi.RawComm, call.method)
+        assert params(fn, 1) == call.params, name
+        counted = re.findall(r'_count\("(\w+)"\)', inspect.getsource(fn))
+        assert counted == [name] or (counted == [] and name == call.method)
+        returns = inspect.signature(fn).return_annotation
+        assert call.request == returns.endswith("Request"), name
+        assert set(call.receives) <= set(call.params)
+        if not call.window:  # journalled by one generated override
+            assert getattr(RecordingComm, call.method).__module__ == (
+                "repro.mpi.ir.recorder")
+    assert {n for n, c in CALLS.items() if not c.replay} == {
+        "probe", "iprobe", "win_create", "win_fence", "win_lock",
+        "win_unlock", "win_put", "win_get", "win_accumulate",
+        "win_fetch_and_op", "win_compare_and_swap", "win_free", "kill_self",
+        "comm_revoke", "comm_shrink", "comm_agree"}
+
+    # the op sets derived from the table are the ones once written out
+    assert faultinject.OP_CATEGORIES["send"] == {"send", "ssend", "isend",
+                                                 "issend"}
+    assert faultinject.OP_CATEGORIES["recv"] == {"recv", "irecv", "probe",
+                                                 "iprobe"}
+    assert faultinject.OP_CATEGORIES["rma"] == {
+        "win_create", "win_fence", "win_lock", "win_unlock", "win_put",
+        "win_get", "win_accumulate", "win_fetch_and_op",
+        "win_compare_and_swap", "win_free"}
+    assert signatures.SEND_METHODS == {"send", "ssend", "isend", "issend"}
+    assert signatures.RECV_METHODS == {"recv", "irecv"}
+    events = {op: CommOp(0, 0, "p2p", op, args={"dest": 1, "source": 1})
+              .static_event() for op in CALLS}
+    assert {op for op, e in events.items() if e and e.kind == "send"} == {
+        "send", "ssend", "isend", "issend"}
+    assert {op for op, e in events.items() if e and e.kind == "recv"} == {
+        "recv", "irecv"}
 
 
 def test_every_wrapped_method_documented():

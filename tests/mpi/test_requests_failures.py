@@ -86,6 +86,19 @@ def test_waitall_testall_waitany():
     assert res.values[0] == [0, 10, 20]
 
 
+def test_waitany_keeps_the_runs_deadline():
+    """``waitany`` polls under the deadline of its requests' wait context,
+    not a fixed one of its own: a receive nobody sends to ends the run."""
+    def main(comm):
+        if comm.rank == 0:
+            raw_waitany([comm.irecv(1, tag=3)])
+
+    start = time.monotonic()
+    with pytest.raises(RuntimeError, match="RawDeadlockError"):
+        runp(main, 2, deadline=0.5, backend="thread")
+    assert time.monotonic() - start < 2.0
+
+
 def test_ibarrier_completes_for_all():
     def main(comm):
         req = comm.ibarrier()

@@ -80,7 +80,7 @@ class TestScopeMechanics:
                 (key, val), = shards
                 return [(key, val)]
 
-            scope = run_resilient(comm, epoch, [("k", 5)], max_retries=2)
+            scope = run_resilient(comm, epoch, [("k", 5)], max_attempts=3)
             return scope.shards, len(attempts)
 
         res = runk(main, 2, comm_class=FTComm)
@@ -94,10 +94,9 @@ class TestScopeMechanics:
                 raise MPIFailureDetected("always failing")
 
             try:
-                run_resilient(comm, epoch, [(comm.rank, 0)], max_retries=2,
-                              backoff_initial=1e-4, backoff_cap=1e-3)
+                run_resilient(comm, epoch, [(comm.rank, 0)], max_attempts=3)
             except RecoveryFailed as e:
-                return "gave up" if "after 2 recoveries" in str(e) else str(e)
+                return "gave up" if "after 3 attempt(s)" in str(e) else str(e)
 
         res = runk(main, 2, comm_class=FTComm)
         assert all(v == "gave up" for v in res.values)
@@ -417,9 +416,7 @@ class TestRetryPolicy:
                 tries.append(None)
                 raise MPIFailureDetected("synthetic blown attempt")
 
-            scope = ResilientScope(comm, [("k", comm.rank)],
-                                   max_attempts=3, backoff_initial=1e-4,
-                                   backoff_cap=1e-3)
+            scope = ResilientScope(comm, [("k", comm.rank)], max_attempts=3)
             try:
                 scope.run(epoch)
             except RecoveryFailed as e:
@@ -441,8 +438,7 @@ class TestRetryPolicy:
                 (key, val), = shards
                 return [(key, val + 100)]
 
-            scope = ResilientScope(comm, [("k", 7)], max_attempts=3,
-                                   backoff_initial=1e-4, backoff_cap=1e-3)
+            scope = ResilientScope(comm, [("k", 7)], max_attempts=3)
             scope.run(epoch)
             return scope.shards, len(tries)
 
@@ -454,8 +450,7 @@ class TestRetryPolicy:
             def epoch(c, shards, _epoch):
                 raise MPIFailureDetected("synthetic blown attempt")
 
-            scope = ResilientScope(comm, [], deadline=1e-6,
-                                   backoff_initial=1e-4, backoff_cap=1e-3)
+            scope = ResilientScope(comm, [], deadline=1e-6)
             try:
                 scope.run(epoch)
             except RecoveryFailed as e:
@@ -464,9 +459,9 @@ class TestRetryPolicy:
         res = runk(main, 2, comm_class=FTComm)
         assert all(res.values)
 
-    def test_legacy_max_retries_budget_unchanged(self):
-        """Default policy (no max_attempts) still allows max_retries + 1
-        total tries with the historical message."""
+    def test_exhausted_budget_names_attempts_and_budget(self):
+        """A budget of four runs the epoch four times, and the one
+        RecoveryFailed message says how many attempts ran of what budget."""
         def main(comm):
             tries = []
 
@@ -475,10 +470,9 @@ class TestRetryPolicy:
                 raise MPIFailureDetected("synthetic blown attempt")
 
             try:
-                run_resilient(comm, epoch, [], max_retries=3,
-                              backoff_initial=1e-4, backoff_cap=1e-3)
+                run_resilient(comm, epoch, [], max_attempts=4)
             except RecoveryFailed as e:
-                return len(tries), "after 3 recoveries" in str(e)
+                return len(tries), "after 4 attempt(s) (max_attempts=4)" in str(e)
 
         res = runk(main, 2, comm_class=FTComm)
         assert all(v == (4, True) for v in res.values)
