@@ -31,7 +31,6 @@ from repro.mpi.errors import (
     RunTimeout,
     UnsupportedOnBackend,
 )
-from repro.mpi.failures import FailureScript, no_failures
 from repro.mpi.faultinject import (
     FaultCampaign,
     KillAtCheckpoint,
@@ -89,7 +88,6 @@ __all__ = [
     "UnsupportedOnBackend",
     "Backend", "ThreadBackend", "ProcessBackend", "BACKENDS",
     "resolve_backend",
-    "FailureScript", "no_failures",
     "FaultCampaign", "KillOnOp", "KillMidCollective", "KillRandom",
     "Straggler", "KillAtCheckpoint", "env_fault_seed_default",
     "expect_calls", "call_delta", "snapshot",

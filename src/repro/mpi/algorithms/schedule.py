@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from collections import defaultdict, deque
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Any, Callable, Dict, Generator, Optional, Tuple
 
 import numpy as np
@@ -55,6 +56,7 @@ class Topology:
 
 
 Schedule = Callable[..., Generator[Any, Any, Any]]
+_envelope = attrgetter("envelope")  # Run.test: None until the receive matched
 
 
 class Run(RawRequest):
@@ -62,8 +64,8 @@ class Run(RawRequest):
 
     One stepping loop, :meth:`_advance`, entered with the function that
     completes a posted receive: ``wait()`` passes ``Mailbox.wait`` and so runs
-    to the end, blocking on one pending receive at a time; ``test()`` passes
-    ``Mailbox.test`` and stops at the first receive that has not arrived;
+    to the end, blocking on one pending receive at a time; ``test()`` reads
+    its envelope and stops at the first receive that has not arrived;
     ``start()`` completes none — it runs up to and including the first posted
     receive (buffered sends before it depart at once) without looking at the
     mailbox, so starting is deterministic.  ``code`` replaces the op code of
@@ -77,6 +79,7 @@ class Run(RawRequest):
         #: tag of the current phase (the non-blocking entry points report it)
         self.tag: Optional[int] = None
         self._mailbox = comm.state.mailboxes[comm._rank]
+        self.waits = self._mailbox.waits
         self._pending: Optional[PendingRecv] = None
         self._done = False
         self._value: Any = None
@@ -128,10 +131,6 @@ class Run(RawRequest):
             self._done = True
             return True
 
-    @property
-    def waits(self):
-        return self._mailbox.waits
-
     def start(self) -> "Run":
         self._advance(lambda pending: None)
         return self
@@ -141,7 +140,10 @@ class Run(RawRequest):
         return self._value
 
     def test(self) -> tuple[bool, Any]:
-        return self._advance(self._mailbox.test), self._value
+        return self._advance(_envelope), self._value
+
+    def blocked_on(self):
+        return self._pending.gate, (self._pending.source,)
 
     def audit_state(self) -> str:
         return "completed" if self._done else "pending"

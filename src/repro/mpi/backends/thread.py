@@ -90,24 +90,34 @@ class ThreadBackend(Backend):
         # and replaces the per-thread deadlock join budget; either way a rank
         # that never terminates becomes a diagnosable error, not a hang
         expiry = (time.monotonic() + timeout) if timeout is not None else None
+        hung = None
         for t in threads:
             if expiry is None:
                 t.join(timeout=deadline + 30.0)
                 if t.is_alive():
-                    raise RawDeadlockError(
+                    hung = RawDeadlockError(
                         f"{t.name} did not terminate (deadlock?)")
             else:
                 t.join(timeout=max(expiry - time.monotonic(), 0.0))
                 if t.is_alive():
                     stacks = thread_stacks(threads)
-                    raise RunTimeout(
+                    hung = RunTimeout(
                         f"run exceeded its {timeout:g}s watchdog; "
                         f"{len(stacks)} rank(s) still running. Per-rank "
                         f"stacks:\n{format_stacks(stacks)}",
                         stacks,
                     )
-
-        return self.finish(
-            [RankReport.of(machine, r, values[r], errors[r])
-             for r in range(num_ranks)],
-            tracer, machine)
+            if hung is not None:
+                break
+        reports = [RankReport.of(machine, r, values[r], errors[r])
+                   for r in range(num_ranks)]
+        if hung is not None:
+            try:
+                raise hung
+            except type(hung):
+                # a rank that raised is the root cause; the hang, with the
+                # stuck ranks' stacks, stays reachable as its __context__
+                if any(errors):
+                    self.finish(reports, tracer, machine)
+                raise
+        return self.finish(reports, tracer, machine)

@@ -142,8 +142,11 @@ class RawComm:
             elif call.hint is not None:
                 counts = args[call.params.index(call.hint)]
                 nbytes = int(np.sum(counts)) * np.asarray(args[0]).itemsize
-        return engine.resolve(op, p=self.state.size, nbytes=nbytes,
+        algo = engine.resolve(op, p=self.state.size, nbytes=nbytes,
                               comm_id=self.comm_id, scoped=scoped)
+        if self.machine.faults is not None:
+            self.machine.faults.on_collective(self, op, algo.name)
+        return algo
 
     def _check_usable(self) -> None:
         if self.state.waits.revoked:

@@ -125,15 +125,6 @@ class CollectiveEngine:
         }
         self._tuning: dict[tuple[Hashable, str], tuple[TuningRule, ...]] = {}
         self._tuning_source: dict[tuple[Hashable, str], str] = {}
-        #: when True, every :meth:`resolve` appends a :class:`Decision` to
-        #: :attr:`decisions` (observation aid; off by default to keep the
-        #: hot path allocation-free)
-        self.record_decisions = False
-        self.decisions: list[Decision] = []
-        #: observer called as ``fault_hook(op, algorithm_name)`` on every
-        #: resolution; a :class:`~repro.mpi.faultinject.FaultCampaign` installs
-        #: itself here so mid-collective kill rules can target one schedule
-        self.fault_hook = None
 
     # -- tuning table --------------------------------------------------------
 
@@ -204,7 +195,7 @@ class CollectiveEngine:
         ``source`` tags where the table entry came from — ``"tuned"`` for
         hand-installed rules (:meth:`tune`), ``"learned"`` for rules fitted
         by :class:`~repro.mpi.autotune.AutoTuner` — and is surfaced by
-        :meth:`explain` / :attr:`decisions`.  Returns the canonical rules."""
+        :meth:`explain`.  Returns the canonical rules."""
         if source not in DECISION_SOURCES:
             raise RawUsageError(
                 f"unknown tuning source {source!r}; expected one of "
@@ -248,36 +239,16 @@ class CollectiveEngine:
     def resolve(self, op: str, *, p: int, nbytes: int = 0,
                 comm_id: Hashable = None,
                 scoped: Optional[Sequence[TuningRule]] = None) -> Algorithm:
-        """Pick the algorithm of one collective call (the counted hot path:
-        records a :class:`Decision`, fires ``fault_hook``).  ``nbytes``
-        follows the hint convention ``op`` declares in
-        :mod:`repro.mpi.collectives`."""
-        algo, source, rule = self._decide(op, p=p, nbytes=nbytes,
-                                          comm_id=comm_id, scoped=scoped)
-        if self.record_decisions:
-            self.decisions.append(Decision(
-                op=op, algorithm=algo.name, source=source, p=p,
-                nbytes=nbytes, comm_id=comm_id, rule=rule))
-        if self.fault_hook is not None:
-            self.fault_hook(op, algo.name)
-        return algo
-
-    def peek(self, op: str, *, p: int, nbytes: int = 0,
-             comm_id: Hashable = None,
-             scoped: Optional[Sequence[TuningRule]] = None) -> Algorithm:
-        """Answer "what would :meth:`resolve` pick?" without side effects.
-
-        Observation-only: no ``fault_hook`` firing or decision recording, so
-        fault campaigns counting mid-collective rounds never see phantom
-        resolutions.  Used by the communication-plan IR to reason about
-        recorded schedules."""
+        """Pick the algorithm of one collective call (the hot path, free of
+        side effects; :meth:`explain` says why).  ``nbytes`` follows the hint
+        convention ``op`` declares in :mod:`repro.mpi.collectives`."""
         return self._decide(op, p=p, nbytes=nbytes, comm_id=comm_id,
                             scoped=scoped)[0]
 
     def explain(self, op: str, *, p: int, nbytes: int = 0,
                 comm_id: Hashable = WORLD_ID,
                 scoped: Optional[Sequence[TuningRule]] = None) -> Decision:
-        """Resolve like :meth:`peek`, but return the full :class:`Decision`
+        """Resolve like :meth:`resolve`, but return the full :class:`Decision`
         — which algorithm won, from which precedence tier (``source``), and
         which tuning rule matched, if any.
 

@@ -1,9 +1,10 @@
 """Fault-injection campaigns: scripted, counted, probabilistic, and slow-rank.
 
-:class:`~repro.mpi.failures.FailureScript` kills ranks at hand-placed named
-checkpoints.  A :class:`FaultCampaign` extends that idea to *hook-driven*
-injection: the campaign rides on the :class:`~repro.mpi.machine.Machine`
-(``run_mpi(..., faults=...)``) and is consulted from three runtime layers —
+A :class:`FaultCampaign` rides on the :class:`~repro.mpi.machine.Machine`
+(``run_mpi(..., faults=...)``).  Ranks may call
+:meth:`FaultCampaign.checkpoint` at hand-placed named program points, where
+:class:`KillAtCheckpoint` rules fire; every other rule is *hook-driven*,
+consulted from three runtime layers —
 
 - :meth:`RawComm._count <repro.mpi.context.RawComm._count>` — the entry of
   every public (counted) operation.  This is where :class:`KillOnOp` rules
@@ -15,10 +16,10 @@ injection: the campaign rides on the :class:`~repro.mpi.machine.Machine`
   :class:`KillMidCollective` rules fire *between the p2p rounds* of a
   registry algorithm schedule, after the victim already contributed partial
   rounds;
-- :meth:`CollectiveEngine.resolve <repro.mpi.engine.CollectiveEngine.
-  resolve>` — the engine's ``fault_hook`` tells the campaign which algorithm
-  schedule the current collective runs, so mid-collective rules can target
-  ``(op, algorithm)`` pairs.
+- :meth:`RawComm._coll_algo <repro.mpi.context.RawComm._coll_algo>` —
+  tells the campaign which algorithm schedule the engine picked for the
+  current collective, so mid-collective rules can target ``(op, algorithm)``
+  pairs.
 
 Kills always fire *at operation entry* or *between* internal p2p rounds,
 never after an operation completed — a victim that reached a machine-level
@@ -154,7 +155,7 @@ class Straggler:
 
 @dataclass(frozen=True)
 class KillAtCheckpoint:
-    """Kill ``ranks`` at the named checkpoint (``FailureScript`` semantics).
+    """Kill ``ranks`` at the named checkpoint.
 
     Program points opt in by calling :meth:`FaultCampaign.checkpoint`; this
     rule keeps scripted campaigns composable with the hook-driven kinds.
@@ -234,7 +235,6 @@ class FaultCampaign:
             self._states[world_rank] = _RankState(
                 random.Random(f"{self.seed}:rank-{world_rank}")
             )
-        machine.engine.fault_hook = self.on_collective
 
     # -- hook: public op entry (RawComm._count) ----------------------------
 
@@ -299,27 +299,15 @@ class FaultCampaign:
                            f"(algorithm {st.current_algorithm}), "
                            f"after {rule.after_p2p - 1} p2p rounds")
 
-    # -- hook: engine resolution (CollectiveEngine.fault_hook) -------------
+    # -- hook: algorithm resolution (RawComm._coll_algo) --------------------
 
-    def on_collective(self, op: str, algorithm: str) -> None:
-        """Note which registry schedule the current collective runs.
-
-        Called from the engine on the issuing rank's own thread; the rank is
-        recovered from the thread name (``rank-<r>``), the same stable naming
-        the schedule fuzzer keys its streams by.
-        """
-        name = threading.current_thread().name
-        if not name.startswith("rank-"):
-            return
-        try:
-            world_rank = int(name[5:])
-        except ValueError:
-            return
-        st = self._states.get(world_rank)
-        if st is not None and st.current_op == op:
+    def on_collective(self, comm, op: str, algorithm: str) -> None:
+        """Note which registry schedule the current collective runs."""
+        st = self._states[comm.world_rank]
+        if st.current_op == op:
             st.current_algorithm = algorithm
 
-    # -- scripted checkpoints (FailureScript superset) ---------------------
+    # -- scripted checkpoints ----------------------------------------------
 
     def checkpoint(self, comm, name: Hashable) -> None:
         """Kill the calling rank if a :class:`KillAtCheckpoint` rule says so."""

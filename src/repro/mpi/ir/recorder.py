@@ -117,6 +117,7 @@ class RecordingRequest(RawRequest):
         self._comm = comm
         self._start = start
         self._recorded = False
+        self.waits = inner.waits
 
     def _record_wait(self, value: Any) -> None:
         if self._recorded:
@@ -152,9 +153,8 @@ class RecordingRequest(RawRequest):
     def cancelled(self) -> bool:
         return getattr(self._inner, "cancelled", False)
 
-    @property
-    def waits(self):
-        return self._inner.waits
+    def blocked_on(self):
+        return self._inner.blocked_on()
 
     def audit_state(self) -> str:
         return self._inner.audit_state()

@@ -197,7 +197,7 @@ class Replayer:
         if algo is None or comm.size == 1:
             return
         scoped = ((None, algo),)
-        picked = comm.machine.engine.peek(
+        picked = comm.machine.engine.resolve(
             node.op, p=comm.size, comm_id=comm.comm_id, scoped=scoped).name
         if picked != algo:
             raise IRReplayError(

@@ -386,7 +386,7 @@ def run_mpi(fn: Callable[..., Any], num_ranks: int, *,
 
     ``fuzz_seed`` (default: the ``REPRO_FUZZ_SEED`` env var) enables the
     seeded schedule fuzzer: deterministic per-rank delivery delays and
-    poll-wakeup jitter that perturb real-time interleaving without touching
+    park-timeout jitter that perturb real-time interleaving without touching
     virtual time (see :class:`~repro.mpi.sanitizer.ScheduleFuzzer`), on
     either backend.
 

@@ -166,14 +166,10 @@ class Mailbox:
              stuck: str = _RECV_STUCK) -> Envelope:
         """Block until the posted receive (or parked probe) has its envelope.
 
-        Raises :class:`RawProcessFailure` if the awaited source dies while the
-        receive is pending, :class:`RawCommRevoked` if the communicator is
-        revoked and :class:`RawDeadlockError` if the deadlock deadline
-        elapses.  On every error path the receive is first cancelled; if an
-        envelope matched it in the meantime the receive has completed
-        (``MPI_Cancel`` cannot undo a match) and the envelope is delivered
-        instead of raising.
-        """
+        The source's failure (any rank's, for a wildcard), revocation and the
+        deadline end it as :meth:`WaitContext.park` says, each first
+        cancelling the receive — or, if an envelope matched it meanwhile
+        (``MPI_Cancel`` cannot undo a match), delivering that instead."""
         env = pr.envelope
         if env is not None:
             return env  # matched by post() or since: nothing to wait for
@@ -188,14 +184,10 @@ class Mailbox:
     def cancel(self, pr: PendingRecv) -> bool:
         """Try to cancel a posted receive (``MPI_Cancel`` semantics).
 
-        Returns ``True`` when the receive was still unmatched: it is removed
-        from the queue it waits in and marked cancelled.  Returns ``False``
-        when an envelope already matched it — a matched receive must complete
-        normally, so the caller has to consume ``pr.envelope`` (via ``wait``/
-        ``test``) instead of treating the operation as cancelled: cancelling
-        regardless would drop the matched message and, for a synchronous
-        send, leave the sender convinced its message had been received.
-        """
+        ``True``: it was still unmatched, and is now out of its queue and
+        marked cancelled.  ``False``: an envelope already matched it, which the
+        caller must consume — dropping it would lose the message and, for a
+        synchronous send, leave the sender believing it was received."""
         with self._lock:
             if pr.envelope is not None:
                 return False
@@ -205,10 +197,6 @@ class Mailbox:
                     queue.remove(pr)
             pr.gate.open()  # wake any waiter; it observes the cancellation
             return True
-
-    def test(self, pr: PendingRecv) -> Optional[Envelope]:
-        """Non-blocking completion check for a posted receive."""
-        return pr.envelope  # stays ``None`` on a cancelled receive
 
     # -- probing ----------------------------------------------------------
 

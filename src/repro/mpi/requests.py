@@ -7,22 +7,20 @@ them into ownership-tracking non-blocking results.
 
 from __future__ import annotations
 
-import time
 from _thread import allocate_lock
-from typing import Any, Hashable, Optional, Sequence
+from typing import Any, Collection, Hashable, Optional, Sequence
 
 from repro.mpi.costmodel import Clock
-from repro.mpi.errors import RawDeadlockError, RawUsageError
+from repro.mpi.errors import RawUsageError
 from repro.mpi.p2p import Envelope, Mailbox, PendingRecv, Status
-from repro.mpi.waiting import Backoff, Gate, WaitContext
+from repro.mpi.waiting import AnyGate, Gate, WaitContext
 
 
 class RawRequest:
     """Base class for raw requests."""
 
     #: the wait context of the communicator this request waits on (``None``:
-    #: it completes on its own); :func:`waitany` takes its deadline and
-    #: schedule fuzzer from here
+    #: it completes on its own); :func:`waitany` parks in it
     waits: Optional[WaitContext] = None
 
     def wait(self) -> Any:
@@ -32,10 +30,11 @@ class RawRequest:
         """Return ``(done, value)``; ``value`` is only meaningful when done."""
         raise NotImplementedError
 
-    @property
-    def completed(self) -> bool:
-        done, _ = self.test()
-        return done
+    def blocked_on(self) -> tuple[Gate, Optional[Collection[int]]]:
+        """Once ``test()`` found it not done: the gate whose opening lets it
+        progress, and the ranks whose failure means it never will (``None``:
+        any rank, as for a wildcard receive)."""
+        raise NotImplementedError  # a request that completes at once
 
     # -- MPIsan hooks (side-effect free; see repro.mpi.sanitizer) ----------
 
@@ -79,8 +78,7 @@ class SyncSendRequest(RawRequest):
         self._done = False
 
     def wait(self) -> None:
-        self.waits.park(self._env.sync_gate, (self._dest,),
-                        "synchronous send pending",
+        self.waits.park(*self.blocked_on(), "synchronous send pending",
                         "issend never matched a receive")
         self._finish()
 
@@ -94,6 +92,9 @@ class SyncSendRequest(RawRequest):
         if not self._done:
             self._clock.wait_until(self._env.match_clock)
             self._done = True
+
+    def blocked_on(self) -> tuple[Gate, Collection[int]]:
+        return self._env.sync_gate, (self._dest,)
 
     def audit_state(self) -> str:
         if self._done:
@@ -112,15 +113,10 @@ class RecvRequest(RawRequest):
         self._clock = clock
         self._result: Optional[tuple[Any, Status]] = None
         self._cancelled = False
-
-    @property
-    def waits(self) -> WaitContext:
-        return self._mailbox.waits
+        self.waits = mailbox.waits
 
     def wait(self) -> tuple[Any, Status]:
-        if self._result is None:
-            if self._cancelled:
-                raise RawUsageError("wait() on a cancelled receive")
+        if self._result is None:  # Mailbox.wait refuses a cancelled one
             env = self._mailbox.wait(self._pr)
             self._result = self._consume(env)
         return self._result
@@ -131,21 +127,16 @@ class RecvRequest(RawRequest):
         if self._cancelled:
             # a successfully cancelled request is complete with no value
             return True, None
-        env = self._mailbox.test(self._pr)
+        env = self._pr.envelope  # stays ``None`` on a cancelled receive
         if env is None:
             return False, None
         self._result = self._consume(env)
         return True, self._result
 
     def cancel(self) -> bool:
-        """Cancel the posted receive (analog of ``MPI_Cancel``).
-
-        Returns ``True`` when the cancellation took effect.  Returns
-        ``False`` when the receive already matched an envelope — per MPI
-        semantics a matched receive must complete, so the caller still has
-        to ``wait()``/``test()`` to consume the message (which would
-        otherwise be silently dropped).
-        """
+        """Cancel the posted receive (analog of ``MPI_Cancel``): ``True``
+        if that took effect, ``False`` if it had matched already — a matched
+        receive must complete, so ``wait()``/``test()`` still consume it."""
         if self._result is not None or self._cancelled:
             return self._cancelled
         if not self._mailbox.cancel(self._pr):
@@ -156,6 +147,10 @@ class RecvRequest(RawRequest):
     @property
     def cancelled(self) -> bool:
         return self._cancelled
+
+    def blocked_on(self) -> tuple[Gate, Optional[Collection[int]]]:
+        source = self._pr.source
+        return self._pr.gate, None if source < 0 else (source,)
 
     def _consume(self, env: Envelope) -> tuple[Any, Status]:
         self._clock.wait_until(env.arrival_time)
@@ -182,31 +177,32 @@ class CounterBarrierRequest(RawRequest):
         self._clock = clock
         self._done = False
         self.waits = barrier._waits
+        self._gate = barrier.gate(ticket)
 
     def wait(self) -> None:
-        self._barrier.wait_complete(self._ticket)
+        self.waits.park(*self.blocked_on(), "ibarrier pending",
+                        "ibarrier never completed")
         self._finish()
 
     def test(self) -> tuple[bool, Any]:
-        if self._done:
-            return True, None
-        if self._barrier.completion_time(self._ticket) is not None:
+        if self._gate.opened:
             self._finish()
             return True, None
         return False, None
 
     def _finish(self) -> None:
         if not self._done:
-            self._clock.wait_until(self._barrier.completion_time(self._ticket))
+            self._clock.wait_until(self._barrier.complete_time[self._ticket])
             self._clock.charge_overhead()
             self._done = True
+
+    def blocked_on(self) -> tuple[Gate, Collection[int]]:
+        return self._gate, range(len(self.waits.members))
 
     def audit_state(self) -> str:
         # a fully-arrived barrier holds no per-rank resources even if this
         # rank never waited; only a still-incomplete epoch is a leak
-        if self._done or self._barrier.completion_time(self._ticket) is not None:
-            return "completed"
-        return "pending"
+        return "completed" if self._gate.opened else "pending"
 
 
 class ArrivalBarrier:
@@ -236,8 +232,10 @@ class ArrivalBarrier:
         self._lock = allocate_lock()
         self._arrivals: dict[int, int] = {}
         self._max_clock: dict[int, float] = {}
-        self._complete_time: dict[int, float] = {}
-        #: per incomplete epoch, the gates of the waits parked for it
+        #: when each completed epoch did, in virtual time (set before the
+        #: epoch's gates open, so read without the lock once one has)
+        self.complete_time: dict[int, float] = {}
+        #: per incomplete epoch, the gates of the requests waiting for it
         self._parked: dict[int, list[Gate]] = {}
 
     def arrive(self, epoch: int, clock_now: float) -> int:
@@ -271,23 +269,19 @@ class ArrivalBarrier:
         """``epoch`` completed at ``t`` (counted here, or the counting side
         said so): let the waits parked for it through."""
         with self._lock:
-            self._complete_time[epoch] = t
+            self.complete_time[epoch] = t
             for gate in self._parked.pop(epoch, ()):
                 gate.open()
 
-    def completion_time(self, epoch: int) -> Optional[float]:
-        """When ``epoch`` completed, in virtual time; ``None`` until it has."""
+    def gate(self, epoch: int) -> Gate:
+        """A gate the completion of ``epoch`` opens (open if it has)."""
+        gate = Gate()
         with self._lock:
-            return self._complete_time.get(epoch)
-
-    def wait_complete(self, epoch: int) -> None:
-        with self._lock:
-            if epoch in self._complete_time:
-                return
-            gate = Gate()
-            self._parked.setdefault(epoch, []).append(gate)
-        self._waits.park(gate, range(len(self._members)), "ibarrier pending",
-                         "ibarrier never completed")
+            if epoch in self.complete_time:
+                gate.open()
+            else:
+                self._parked.setdefault(epoch, []).append(gate)
+        return gate
 
 
 def waitall(requests: Sequence[RawRequest]) -> list[Any]:
@@ -309,20 +303,21 @@ def testall(requests: Sequence[RawRequest]) -> tuple[bool, Optional[list[Any]]]:
 def waitany(requests: Sequence[RawRequest]) -> tuple[int, Any]:
     """Complete one request, returning ``(index, value)`` (``MPI_Waitany``).
 
-    ``test()`` drives progress (progress-on-test semantics), so this is a
-    genuine poll loop, under the deadline and schedule fuzzer of the
-    requests' wait context, with the deadline accounted on real elapsed
-    time.  Its step stays small: the polled requests may be state machines
-    that only advance when tested.
-    """
-    waits = next((r.waits for r in requests if r.waits is not None),
-                 None) or WaitContext()
-    backoff = Backoff(waits.deadline, step=0.001, fuzz=waits.fuzz)
+    Tests each (``test()`` drives progress); if none is done, parks once on
+    all their gates, with the union of their peers.  The requests must wait
+    on one communicator."""
     while True:
+        gates, peers = [], set()
         for i, r in enumerate(requests):
             done, value = r.test()
             if done:
                 return i, value
-        if backoff.expired:
-            raise RawDeadlockError("waitany exceeded the deadlock deadline")
-        time.sleep(backoff.next_timeout())
+            gate, on = r.blocked_on()
+            gates.append(gate)
+            peers = None if on is None or peers is None else peers.union(on)
+        waits = {r.waits for r in requests}
+        if len(waits) != 1:
+            raise RawUsageError("waitany needs requests of one communicator")
+        waits.pop().park(AnyGate(gates), peers, "waitany pending",
+                         "waitany exceeded the {deadline:.0f}s deadlock "
+                         "deadline")

@@ -385,7 +385,7 @@ class ScheduleFuzzer:
       start (spawn ordering); sleeps a small random real-time amount with
       probability one half.
     - :meth:`jitter` — called by :class:`~repro.mpi.waiting.Backoff` to
-      perturb poll-wakeup timeouts, reordering which waiter wakes first.
+      perturb park timeouts, reordering which waiter wakes first.
 
     Virtual clocks and results are unaffected: only *real-time* interleaving
     changes, which is exactly the nondeterminism a matching race depends on.
@@ -412,7 +412,7 @@ class ScheduleFuzzer:
             time.sleep(rng.random() * self.max_delay)
 
     def jitter(self, timeout: float) -> float:
-        """Perturb a poll-wakeup timeout (0.25×–1.75×, floored at 0.1 ms)."""
+        """Perturb a park timeout (0.25×–1.75×, floored at 0.1 ms)."""
         return max(timeout * (0.25 + 1.5 * self._rng().random()), 1e-4)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

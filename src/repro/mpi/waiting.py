@@ -1,8 +1,8 @@
-"""Real-time wait discipline: one park loop for every blocking operation.
+"""Real-time wait discipline: one park loop for every wait.
 
-A blocking wait — a receive, a probe, a synchronous send, an ``ibarrier``
-wait, a shrink/agree rendezvous, an RMA lock — is one call of
-:meth:`WaitContext.park` on a one-shot :class:`Gate`:
+A wait — a receive, a probe, a synchronous send, an ``ibarrier`` wait, a
+shrink/agree rendezvous, an RMA lock — is one call of :meth:`WaitContext.park`
+on a one-shot :class:`Gate`; a ``waitany``, on an :class:`AnyGate` of several:
 
 - **Completion is opening the gate**, decided by whoever changes the state,
   under that state's lock: a delivery matches a posted receive or a parked
@@ -90,6 +90,25 @@ class Gate:
         return self.opened
 
 
+class AnyGate(Gate):
+    """Open while any of ``gates`` is: one waiter, several wakers, each gate
+    rebound onto this lock (a waker that read the old one had set ``opened``
+    first; a later park on one of the gates may wake once early)."""
+
+    __slots__ = ("gates",)
+
+    def __init__(self, gates: Collection[Gate]) -> None:
+        self._lock = lock = allocate_lock()
+        lock.acquire()
+        self.gates = gates
+        for gate in gates:
+            gate._lock = lock
+
+    @property
+    def opened(self) -> bool:
+        return any(gate.opened for gate in self.gates)
+
+
 class Backoff:
     """Deadline-tracked pacing of the parks of one blocking wait.
 
@@ -98,34 +117,25 @@ class Backoff:
     many (possibly early-returning) parks happened in between.
     """
 
-    __slots__ = ("_deadline", "_start", "_step", "_fuzz")
+    __slots__ = ("_deadline", "_start", "_fuzz")
 
-    def __init__(self, deadline: float, *, step: float = MAX_STEP,
-                 fuzz: Optional[WakeupFuzz] = None):
+    def __init__(self, deadline: float, *, fuzz: Optional[WakeupFuzz] = None):
         self._deadline = deadline
         self._start = time.monotonic()
-        self._step = step
         self._fuzz = fuzz
 
     def next_timeout(self) -> float:
-        """The timeout for the next park: ``step``, or what is left of the
-        deadline if that is nearer, so an expiring wait wakes close to the
+        """The timeout for the next park: ``MAX_STEP``, or what is left of
+        the deadline if that is nearer, so an expiring wait wakes close to the
         deadline instead of oversleeping a whole step."""
-        step = self._step
-        if self._fuzz is not None:
-            step = self._fuzz.jitter(step)
+        step = MAX_STEP if self._fuzz is None else self._fuzz.jitter(MAX_STEP)
         left = self._deadline - (time.monotonic() - self._start)
         return step if left > step else max(left, MIN_STEP)
 
     @property
-    def elapsed(self) -> float:
-        """Real seconds since this wait began."""
-        return time.monotonic() - self._start
-
-    @property
     def expired(self) -> bool:
         """True once the deadline's worth of real time has elapsed."""
-        return self.elapsed >= self._deadline
+        return time.monotonic() - self._start >= self._deadline
 
 
 class WaitContext:

@@ -7,21 +7,22 @@ graph topology every exchange does not scale.
 
 The NBX algorithm (Hoefler, Siebert, Lumsdaine, PPoPP'10) needs neither
 counts nor topology: senders use *synchronous* sends (completion ⇒ the
-receiver matched), probe-receive until their own sends complete, then enter a
+receiver matched), receive until their own sends complete, then enter a
 non-blocking barrier; when the barrier completes, every message in the system
-has been received.  Total cost Θ(k + log p) for k local messages.
+has been received.  Total cost Θ(k + log p) for k local messages.  Each rank
+runs it as one ``waitany`` loop.
 """
 
 from __future__ import annotations
 
-import time
-from typing import Any, Mapping, Optional
+from typing import Any, Mapping
 
 import numpy as np
 
 from repro.core.errors import UsageError
 from repro.core.plugins import CommunicatorPlugin, plugin_method
 from repro.mpi.constants import ANY_SOURCE
+from repro.mpi.requests import waitany
 
 #: user-tag region reserved for NBX rounds (kept below TAG_UB)
 _NBX_TAG_BASE = 900_000
@@ -46,40 +47,44 @@ class SparseAlltoall(CommunicatorPlugin):
         tag = _NBX_TAG_BASE + (self._nbx_round % _NBX_TAG_SLOTS)
         self._nbx_round += 1
 
-        send_reqs = []
+        sends = []
         for dest, payload in messages.items():
             dest = int(dest)
             if not 0 <= dest < p:
-                raise UsageError(
-                    f"destination {dest} out of range for communicator of size {p}"
-                )
-            send_reqs.append(raw.issend(payload, dest, tag))
+                raise UsageError(f"destination {dest} out of range for "
+                                 f"communicator of size {p}")
+            sends.append(raw.issend(payload, dest, tag))
 
+        # a wildcard receive stays posted beside the pending sends; once they
+        # are matched the barrier joins, and its completion ends the round
         received: dict[int, Any] = {}
-        barrier_req = None
+        waiting, barrier = [raw.irecv(ANY_SOURCE, tag), *sends], None
         while True:
-            flag, status = raw.iprobe(ANY_SOURCE, tag)
-            if flag:
-                payload, st = raw.recv(status.source, tag)
-                if st.source in received:
-                    received[st.source] = _append(received[st.source], payload)
-                else:
-                    received[st.source] = payload
-                continue
-            if barrier_req is not None:
-                done, _ = barrier_req.test()
-                if done:
-                    break
-            elif all(req.test()[0] for req in send_reqs):
-                barrier_req = raw.ibarrier()
-            time.sleep(0)  # yield so peer rank threads can progress
+            if len(waiting) == 1:
+                barrier = raw.ibarrier()
+                waiting.append(barrier)
+            i, value = waitany(waiting)
+            if waiting[i] is barrier:
+                break
+            if i == 0:
+                _keep(received, *value)
+                waiting[0] = raw.irecv(ANY_SOURCE, tag)
+            else:
+                del waiting[i]
+        if not waiting[0].cancel():  # matched since its last test: still ours
+            _keep(received, *waiting[0].wait())
         return received
 
 
-def _append(existing: Any, more: Any) -> Any:
-    """Concatenate two payloads from the same source (multi-message rounds)."""
-    if isinstance(existing, np.ndarray) and isinstance(more, np.ndarray):
-        return np.concatenate([existing, more])
-    if isinstance(existing, list):
-        return existing + list(more)
-    return [existing, more]
+def _keep(received: dict[int, Any], payload: Any, status) -> None:
+    """File one message under its source, after any earlier ones from it."""
+    source = status.source
+    if source not in received:
+        received[source] = payload
+    elif isinstance(received[source], np.ndarray) and isinstance(
+            payload, np.ndarray):
+        received[source] = np.concatenate([received[source], payload])
+    elif isinstance(received[source], list):
+        received[source] = received[source] + list(payload)
+    else:
+        received[source] = [received[source], payload]

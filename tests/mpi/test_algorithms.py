@@ -393,21 +393,19 @@ class TestEngineSelection:
         eng.untune("c")
         assert eng.describe()["tuning_sources"] == {}
 
-    def test_decision_recording_is_opt_in(self):
+    def test_explain_names_what_resolve_picks(self):
         eng = _engine()
-        eng.resolve("bcast", p=8)
-        assert eng.decisions == []
-        eng.record_decisions = True
         eng.install_tuning("c", "bcast", "linear", source="learned")
-        eng.resolve("bcast", p=8, comm_id="c")
-        eng.resolve("allgather", p=4)
-        assert [(d.op, d.algorithm, d.source) for d in eng.decisions] == [
+        calls = [("bcast", "c"), ("allgather", None)]
+        decisions = [eng.explain(op, p=8, comm_id=comm_id)
+                     for op, comm_id in calls]
+        assert [(d.op, d.algorithm, d.source) for d in decisions] == [
             ("bcast", "linear", "learned"),
             ("allgather", "bruck", "default"),
         ]
-        # peek stays side-effect-free
-        eng.peek("bcast", p=8, comm_id="c")
-        assert len(eng.decisions) == 2
+        assert [d.algorithm for d in decisions] == [
+            eng.resolve(op, p=8, comm_id=comm_id).name
+            for op, comm_id in calls]
 
     def test_size_sensitivity_gates_payload_sizing(self):
         # zero-overhead principle: the pure-default hot path never sizes

@@ -2,17 +2,18 @@
 
 Covers the corners of :mod:`repro.mpi.profiling` the main suites skip over:
 zero-expected ops, overlapping nested ``expect_calls`` blocks, empty
-``call_delta`` snapshots, and the counters of a rank killed mid-run by a
-:class:`~repro.mpi.failures.FailureScript` (dead ranks keep the calls they
-made before dying).
+``call_delta`` snapshots, and the counters of a rank killed mid-run at a
+:class:`~repro.mpi.faultinject.KillAtCheckpoint` (dead ranks keep the calls
+they made before dying).
 """
 
 from collections import Counter
 
 import pytest
 
-from repro.mpi import SUM, call_delta, expect_calls, run_mpi, snapshot
-from repro.mpi.failures import FailureScript
+from repro.mpi import (
+    SUM, FaultCampaign, KillAtCheckpoint, call_delta, expect_calls, run_mpi,
+    snapshot)
 from tests.conftest import runp
 
 
@@ -116,24 +117,27 @@ class TestCallDelta:
         assert res.values == [{}] * 2
 
 
+def _kill_rank_1_at_mid():
+    return FaultCampaign([KillAtCheckpoint("mid", {1})])
+
+
 class TestDeadRankCounters:
     def test_killed_rank_keeps_its_pre_death_counts(self):
         """A rank dying at a checkpoint leaves its PMPI counters frozen at
         the calls it made while alive; the survivor's profile is unaffected.
         """
-        script = FailureScript({"mid": {1}})
-
-        def main(comm, fs):
+        def main(comm):
             if comm.rank == 1:
                 comm.send((b"x" * 16), 0, tag=3)
-                fs.checkpoint(comm, "mid")
+                comm.machine.faults.checkpoint(comm, "mid")
                 comm.send(b"never", 0, tag=4)  # unreachable
             elif comm.rank == 0:
                 payload, status = comm.recv(1, 3)
                 return len(payload)
             return None
 
-        res = run_mpi(main, 2, args=(script,), deadline=5.0)
+        res = run_mpi(main, 2, deadline=5.0, backend="thread",
+                      faults=_kill_rank_1_at_mid())
         assert res.failed == frozenset({1})
         assert res.values[1] is None
         assert res.values[0] == 16
@@ -144,19 +148,19 @@ class TestDeadRankCounters:
     def test_killed_rank_trace_matches_its_counters(self):
         """With tracing on, a dead rank's event log ends where it died and
         agrees with its frozen counters."""
-        script = FailureScript({"mid": {1}})
-
-        def main(comm, fs):
+        def main(comm):
             if comm.rank == 1:
                 comm.send(b"payload", 0, tag=1)
-                fs.checkpoint(comm, "mid")
+                comm.machine.faults.checkpoint(comm, "mid")
             elif comm.rank == 0:
                 comm.recv(1, 1)
             return comm.rank
 
-        res = run_mpi(main, 2, args=(script,), deadline=5.0, trace=True)
+        res = run_mpi(main, 2, deadline=5.0, backend="thread", trace=True,
+                      faults=_kill_rank_1_at_mid())
         assert res.failed == frozenset({1})
         dead_events = res.trace.events_for(1)
-        assert [e.op for e in dead_events] == ["send"]
+        # ... and ends with the campaign's record of the kill
+        assert [e.op for e in dead_events] == ["send", "fault:kill_checkpoint"]
         assert dead_events[0].sent == len(b"payload")
         assert res.counts[1] == Counter({"send": 1})

@@ -1,16 +1,18 @@
 """Raw non-blocking requests, ibarrier, failure injection, and ULFM substrate."""
 
 import contextlib
+import gc
 import time
 
 import numpy as np
 import pytest
 
-from repro.core import Communicator, source
+from repro.core import Communicator, extend, source
 from repro.mpi import (
     ANY_SOURCE,
     SUM,
-    FailureScript,
+    FaultCampaign,
+    KillAtCheckpoint,
     RawCommRevoked,
     RawProcessFailure,
     run_mpi,
@@ -18,6 +20,7 @@ from repro.mpi import (
 from repro.mpi import testall as raw_testall
 from repro.mpi import waitall as raw_waitall
 from repro.mpi import waitany as raw_waitany
+from repro.plugins import SparseAlltoall
 from tests.conftest import runp
 from tests.mpi.test_waiting import _RACE_SEEDS
 
@@ -87,7 +90,7 @@ def test_waitall_testall_waitany():
 
 
 def test_waitany_keeps_the_runs_deadline():
-    """``waitany`` polls under the deadline of its requests' wait context,
+    """``waitany`` parks under the deadline of its requests' wait context,
     not a fixed one of its own: a receive nobody sends to ends the run."""
     def main(comm):
         if comm.rank == 0:
@@ -127,10 +130,10 @@ def test_irecv_cancel():
 # ---------------------------------------------------------------------------
 
 def test_recv_from_dead_rank_raises():
-    script = FailureScript({"start": {1}})
+    faults = FaultCampaign([KillAtCheckpoint("start", {1})])
 
     def main(comm):
-        script.checkpoint(comm, "start")
+        faults.checkpoint(comm, "start")
         if comm.rank == 0:
             try:
                 comm.recv(1)
@@ -138,17 +141,17 @@ def test_recv_from_dead_rank_raises():
                 return ("failed", exc.failed_ranks)
         return "alive"
 
-    res = run_mpi(main, 3, deadline=5.0, backend="thread")
+    res = run_mpi(main, 3, deadline=5.0, backend="thread", faults=faults)
     assert res.values[0] == ("failed", [1])
     assert res.values[1] is None
     assert res.failed == frozenset({1})
 
 
 def test_send_to_dead_rank_raises():
-    script = FailureScript({"start": {2}})
+    faults = FaultCampaign([KillAtCheckpoint("start", {2})])
 
     def main(comm):
-        script.checkpoint(comm, "start")
+        faults.checkpoint(comm, "start")
         if comm.rank == 0:
             import time
 
@@ -160,47 +163,47 @@ def test_send_to_dead_rank_raises():
                 return "detected"
         return "ok"
 
-    res = run_mpi(main, 3, deadline=5.0, backend="thread")
+    res = run_mpi(main, 3, deadline=5.0, backend="thread", faults=faults)
     assert res.values[0] == "detected"
 
 
 def test_collective_with_dead_rank_raises_for_participants():
-    script = FailureScript({"mid": {0}})
+    faults = FaultCampaign([KillAtCheckpoint("mid", {0})])
 
     def main(comm):
         total = comm.allreduce(1, SUM)
-        script.checkpoint(comm, "mid")
+        faults.checkpoint(comm, "mid")
         try:
             comm.allreduce(1, SUM)
             return (total, "second-ok")
         except RawProcessFailure:
             return (total, "second-failed")
 
-    res = run_mpi(main, 2, deadline=5.0, backend="thread")
+    res = run_mpi(main, 2, deadline=5.0, backend="thread", faults=faults)
     assert res.values[1] == (2, "second-failed")
 
 
 def test_shrink_and_continue():
-    script = FailureScript({"mid": {1, 2}})
+    faults = FaultCampaign([KillAtCheckpoint("mid", {1, 2})])
 
     def main(comm):
-        script.checkpoint(comm, "mid")
+        faults.checkpoint(comm, "mid")
         shrunk = comm.shrink(generation=0)
         return shrunk.size, shrunk.allreduce(1, SUM)
 
-    res = run_mpi(main, 5, deadline=10.0, backend="thread")
+    res = run_mpi(main, 5, deadline=10.0, backend="thread", faults=faults)
     for r in (0, 3, 4):
         assert res.values[r] == (3, 3)
 
 
 def test_agree_is_logical_and():
-    script = FailureScript({"mid": {3}})
+    faults = FaultCampaign([KillAtCheckpoint("mid", {3})])
 
     def main(comm):
-        script.checkpoint(comm, "mid")
+        faults.checkpoint(comm, "mid")
         return comm.agree(comm.rank != 0, generation=0)
 
-    res = run_mpi(main, 4, deadline=10.0, backend="thread")
+    res = run_mpi(main, 4, deadline=10.0, backend="thread", faults=faults)
     assert res.values[0] is False and res.values[1] is False
 
 
@@ -271,6 +274,15 @@ def test_revoke_wakes_a_parked_probe():
     assert max(latencies) < 0.025
 
 
+SparseComm = extend(Communicator, SparseAlltoall)
+
+
+def _waitany_of_four(comm):
+    """One ``waitany`` over four kinds of request rank 1 never answers."""
+    raw_waitany([comm.irecv(1), comm.issend("never received", 1),
+                 comm.ibarrier(), comm.iallreduce(1, SUM)])
+
+
 #: what rank 0 is parked in when rank 1 raises
 _PARKED_IN = {
     # not receives: each relies on the failure check of its own wait
@@ -282,6 +294,10 @@ _PARKED_IN = {
     "wrapped_recv": lambda comm: Communicator(comm).recv(source(1)),
     # the holder of a passive-target lock dies with it
     "win_lock": lambda win: win.lock(1),
+    "waitany": _waitany_of_four,
+    # NBX: a wildcard receive, a send rank 1 never matches, in one waitany
+    "alltoallv_sparse": lambda comm: SparseComm(comm).alltoallv_sparse(
+        {1: np.arange(3)}),
 }
 
 
@@ -343,6 +359,8 @@ _WAITS = {
     "win_lock": (_PARKED_IN["win_lock"], "win_lock pending"),
     # rank 1 never enters: rank 0 is parked on a receive of the schedule
     "collective": (lambda comm: comm.allreduce(1, SUM), "receive pending"),
+    "waitany": (_PARKED_IN["waitany"], "waitany pending"),
+    "alltoallv_sparse": (_PARKED_IN["alltoallv_sparse"], "waitany pending"),
 }
 
 
@@ -372,11 +390,56 @@ def test_every_parked_wait_ends_at_once_whatever_the_cause(
     assert latency < 0.05
 
 
-def test_failed_ranks_listing():
-    script = FailureScript({"go": {2}})
+@pytest.mark.parametrize("parked_in", ["waitany", "alltoallv_sparse"])
+def test_a_wait_for_any_of_several_requests_does_not_spin(parked_in):
+    """Parked while its peer sleeps 200 ms, a rank burns no CPU: it is woken
+    by the message, not by a timer it polls on."""
+    used = {}
 
     def main(comm):
-        script.checkpoint(comm, "go")
+        if comm.rank == 1:
+            time.sleep(0.2)
+            if parked_in == "waitany":
+                comm.send("late", 0)
+            else:
+                SparseComm(comm).alltoallv_sparse({0: np.arange(3)})
+            return
+        t0 = time.thread_time()
+        if parked_in == "waitany":
+            raw_waitany([comm.irecv(1)])
+        else:
+            SparseComm(comm).alltoallv_sparse({})
+        used["cpu"] = time.thread_time() - t0
+
+    gc.disable()  # a collection would bill the suite's heap to this thread
+    try:
+        run_mpi(main, 2, deadline=15.0, backend="thread")
+    finally:
+        gc.enable()
+    assert used["cpu"] <= 0.001
+
+
+def test_a_rank_that_never_returns_does_not_hide_the_root_cause():
+    """Rank 0 is stuck outside any wait, so nothing ends it; the watchdog's
+    error still names rank 1's exception, with the stuck stacks behind it."""
+    def main(comm):
+        if comm.rank == 1:
+            raise ValueError("rank 1 gives up")
+        stuck_until = time.monotonic() + 2.0  # well past the watchdog
+        while time.monotonic() < stuck_until:
+            time.sleep(0.01)
+
+    with pytest.raises(RuntimeError,
+                       match="rank 1 raised ValueError") as info:
+        run_mpi(main, 2, timeout=0.5, backend="thread")
+    assert "rank-0" in info.value.__context__.stacks
+
+
+def test_failed_ranks_listing():
+    faults = FaultCampaign([KillAtCheckpoint("go", {2})])
+
+    def main(comm):
+        faults.checkpoint(comm, "go")
         import time
 
         deadline = time.time() + 3.0
@@ -384,5 +447,5 @@ def test_failed_ranks_listing():
             time.sleep(0.01)
         return comm.failed_ranks()
 
-    res = run_mpi(main, 3, deadline=6.0, backend="thread")
+    res = run_mpi(main, 3, deadline=6.0, backend="thread", faults=faults)
     assert res.values[0] == (2,)

@@ -1,5 +1,6 @@
-"""The wait discipline: `Backoff` deadline accounting, `Gate` hand-offs, and
-the two guards that keep short timers and `threading.Event` off the wait path.
+"""The wait discipline: `Backoff` deadline accounting, `Gate` and `AnyGate`
+hand-offs, and the two guards that keep short timers and `threading.Event`
+off the wait path.
 """
 
 import ast
@@ -19,7 +20,7 @@ import repro.mpi.waiting as waiting
 from repro.mpi import SUM, run_mpi
 from repro.mpi.p2p import Envelope, Mailbox
 from repro.mpi.sanitizer import ScheduleFuzzer
-from repro.mpi.waiting import MAX_STEP, MIN_STEP, Backoff, Gate
+from repro.mpi.waiting import MAX_STEP, MIN_STEP, AnyGate, Backoff, Gate
 
 
 class _FakeTime:
@@ -90,7 +91,7 @@ class TestDeadlineHitExactlyAtWakeup:
         while not b.expired:
             clock.now += b.next_timeout()
             parks += 1
-        assert b.elapsed == 1.0  # the last timeout was the exact remainder
+        assert clock.now == 1.0  # the last timeout was the exact remainder
         assert parks == 20
 
     def test_one_nanosecond_short_is_not_expired(self, clock):
@@ -126,7 +127,6 @@ class TestPacing:
         b = Backoff(10.0)
         for _ in range(100):
             b.next_timeout()  # "slept" 0 real seconds each time
-        assert b.elapsed == 0.0
         assert not b.expired
         clock.now += 10.0
         assert b.expired
@@ -140,9 +140,6 @@ class TestPacing:
         assert b.next_timeout() == pytest.approx(MAX_STEP / 4)
         clock.now += 1.0  # and the floor still holds
         assert b.next_timeout() == MIN_STEP
-
-    def test_explicit_step_for_genuine_polls(self, clock):
-        assert Backoff(1.0, step=0.001).next_timeout() == 0.001
 
 
 # ---------------------------------------------------------------------------
@@ -242,6 +239,31 @@ class TestGate:
         g.interrupt()
         g.open()
         assert g.opened
+
+    def test_any_gate_wakes_on_whichever_gate_opens(self):
+        gates, out = [Gate(), Gate(), Gate()], []
+        t = _parker(AnyGate(gates), 10.0, out)
+        time.sleep(0.05)
+        gates[1].open()
+        _joined(t)
+        (opened, parked), = out
+        assert opened and 0.03 < parked < 5.0
+
+    def test_any_gate_sees_a_gate_opened_before_it_was_built(self):
+        opened = Gate()
+        opened.open()
+        t0 = time.monotonic()
+        assert AnyGate([Gate(), opened]).park(10.0) is True
+        assert time.monotonic() - t0 < 1.0
+
+    def test_any_gate_is_interrupted_through_any_of_its_gates(self):
+        gates, out = [Gate(), Gate()], []
+        t = _parker(AnyGate(gates), 10.0, out)
+        time.sleep(0.05)
+        gates[0].interrupt()
+        _joined(t)
+        (opened, parked), = out
+        assert not opened and parked < 5.0
 
 
 #: the fuzz lane pins one seed per matrix cell; tier 1 runs the issue's three
@@ -385,11 +407,10 @@ def _functions(path):
 
 
 def test_one_park_loop_and_nobody_else_paces_a_wait():
-    """``Backoff`` is constructed by the park loop and by the two genuine
-    polls (``waitany``, whose requests may only advance when tested, and the
-    process launcher's parent, which watches OS processes) — nowhere else
-    under ``src/repro`` — and none of the blocking waits has a loop of its
-    own around its one call of the park loop."""
+    """``Backoff`` is constructed by the park loop and by the one genuine
+    poll (the process launcher's parent, which watches OS processes) —
+    nowhere else under ``src/repro`` — and none of the blocking waits has a
+    loop of its own around its one call of the park loop."""
     src = pathlib.Path(repro.__file__).parent
     paced = set()
     for path in src.rglob("*.py"):
@@ -399,12 +420,11 @@ def test_one_park_loop_and_nobody_else_paces_a_wait():
                    for n in ast.walk(fn)):
                 paced.add((str(path.relative_to(src)), name))
     assert paced == {("mpi/waiting.py", "WaitContext.park"),
-                     ("mpi/requests.py", "waitany"),
                      ("mpi/backends/process.py", "ProcessBackend.run")}
     for file, name in [
             ("mpi/p2p.py", "Mailbox.wait"), ("mpi/p2p.py", "Mailbox.probe"),
             ("mpi/requests.py", "SyncSendRequest.wait"),
-            ("mpi/requests.py", "ArrivalBarrier.wait_complete"),
+            ("mpi/requests.py", "CounterBarrierRequest.wait"),
             ("mpi/machine.py", "Machine.rendezvous"),
             ("mpi/rma.py", "RawWindow.lock")]:
         fn = _functions(src / file)[name]
