@@ -5,7 +5,8 @@ Everything else in this repo is one-shot — ``run_mpi(fn)`` spins ranks up,
 runs one program, tears them down.  The cluster service keeps the ranks
 *alive*: a :class:`~repro.service.Cluster` owns a machine for its whole
 lifetime and feeds it a stream of jobs through an admission-controlled
-queue, leasing each job a dup'd sub-communicator from a pool.
+queue; every job of a membership generation runs on one duplicate of the
+generation's communicator.
 
 Three acts:
 

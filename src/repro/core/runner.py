@@ -24,7 +24,6 @@ def run(fn: Callable[..., Any], num_ranks: int, *,
         faults=None,
         backend=None,
         ir: Optional[str] = None,
-        ir_passes: Optional[Sequence[str]] = None,
         autotune: Any = None) -> RunResult:
     """Execute ``fn(comm, *args)`` on ``num_ranks`` ranks.
 
@@ -45,10 +44,9 @@ def run(fn: Callable[..., Any], num_ranks: int, *,
     ``REPRO_BACKEND`` environment variable — see :mod:`repro.mpi.backends`);
     ``ir`` activates the communication-plan IR (``"record"``/``"optimize"``,
     default: the ``REPRO_IR`` environment variable — see
-    :mod:`repro.mpi.ir`), with ``ir_passes`` restricting the rewrite
-    pipeline; ``autotune`` installs/updates a learned tuning table around
-    the run (default: the ``REPRO_AUTOTUNE`` environment variable — see
-    :mod:`repro.mpi.autotune`).  Recording wraps the raw handle beneath the
+    :mod:`repro.mpi.ir`); ``autotune`` installs/updates a learned tuning
+    table around the run (default: the ``REPRO_AUTOTUNE`` environment
+    variable — see :mod:`repro.mpi.autotune`).  Recording wraps the raw handle beneath the
     named-parameter layer, so wrapped calls journal exactly the raw ops they
     issue.
     """
@@ -60,4 +58,4 @@ def run(fn: Callable[..., Any], num_ranks: int, *,
                    deadline=deadline, timeout=timeout, trace=trace,
                    engine=engine, sanitize=sanitize, fuzz_seed=fuzz_seed,
                    faults=faults, backend=backend, ir=ir,
-                   ir_passes=ir_passes, autotune=autotune)
+                   autotune=autotune)

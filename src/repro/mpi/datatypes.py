@@ -96,19 +96,3 @@ def ensure_1d_array(obj: Any, dtype=None) -> np.ndarray:
         arr = np.ascontiguousarray(arr).reshape(-1)
     return arr
 
-
-def concat_payloads(parts: list) -> Any:
-    """Concatenate received payload parts, preserving array-ness."""
-    if not parts:
-        return []
-    if all(isinstance(p, np.ndarray) for p in parts):
-        return np.concatenate([ensure_1d_array(p) for p in parts])
-    out: list = []
-    for p in parts:
-        if isinstance(p, np.ndarray):
-            out.extend(p.tolist())
-        elif isinstance(p, (list, tuple)):
-            out.extend(p)
-        else:
-            out.append(p)
-    return out

@@ -23,12 +23,7 @@ from repro.mpi.ir.nodes import (
     values_equal,
 )
 from repro.mpi.ir.recorder import Recorder, RecordingComm, UnsupportedForIR
-from repro.mpi.ir.passes import (
-    DEFAULT_PASSES,
-    PassManager,
-    PassResult,
-    available_passes,
-)
+from repro.mpi.ir.passes import DEFAULT_PASSES, PassManager, PassResult
 from repro.mpi.ir.replayer import IRReplayError, ReplayPlan, Replayer
 from repro.mpi.ir.driver import IRReport, run_with_ir
 from repro.mpi.ir.fragments import fragment, has_fragment
@@ -51,7 +46,6 @@ __all__ = [
     "ReplayPlan",
     "Replayer",
     "UnsupportedForIR",
-    "available_passes",
     "canonical",
     "fragment",
     "has_fragment",

@@ -77,7 +77,6 @@ def _assemble(num_ranks: int, exports: Sequence[dict]) -> Epoch:
 
 
 def run_with_ir(fn: Callable[..., Any], num_ranks: int, *, mode: str,
-                ir_passes: Optional[Sequence[str]] = None,
                 args: Sequence[Any] = (), **kwargs) -> Any:
     """Record ``fn`` as an epoch and (optionally) optimize + replay it."""
     from repro.mpi.machine import run_mpi
@@ -112,7 +111,7 @@ def run_with_ir(fn: Callable[..., Any], num_ranks: int, *, mode: str,
         )
     optimized = copy.deepcopy(epoch)
     report.optimized = optimized
-    report.passes = PassManager(ir_passes).run(optimized)
+    report.passes = PassManager().run(optimized)
 
     plan = ReplayPlan(schedule=optimized.ops, members=dict(optimized.members))
     replay = run_mpi(replay_main, num_ranks, args=(plan,), ir="off", **kwargs)

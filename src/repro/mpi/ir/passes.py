@@ -21,17 +21,14 @@ Provenance: every node a pass creates carries ``ir_pass=<pass name>``, which
 the replayer stamps onto the trace spans so Chrome traces show which op came
 from which rewrite.
 
-Pass order matters and the default order is deliberate: collective fusions
-first (they need the raw recorded shapes), then message coalescing, then
-ring recognition, then wait reordering (pure scheduling, never changes
-shapes).  Select or disable passes per run with ``run_mpi(..., ir_passes=
-[...])``, ``REPRO_IR_PASSES=<exact comma list>``, or
-``REPRO_IR_DISABLE=<comma list>``.
+Pass order matters and the one pipeline's order is deliberate: collective
+fusions first (they need the raw recorded shapes), then message coalescing,
+then ring recognition, then wait reordering (pure scheduling, never changes
+shapes).
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from itertools import groupby
 from typing import (Callable, Dict, Hashable, Iterator, List, Optional,
@@ -39,12 +36,8 @@ from typing import (Callable, Dict, Hashable, Iterator, List, Optional,
 
 import numpy as np
 
-from repro.mpi.errors import RawUsageError
 from repro.mpi.ir.nodes import CommOp, Epoch, values_equal
 from repro.mpi.p2p import Status
-
-ENV_PASSES = "REPRO_IR_PASSES"
-ENV_DISABLE = "REPRO_IR_DISABLE"
 
 
 @dataclass
@@ -488,41 +481,10 @@ PASSES: Dict[str, Callable[[Epoch], PassResult]] = {
 DEFAULT_PASSES: Tuple[str, ...] = tuple(PASSES)
 
 
-def available_passes() -> Tuple[str, ...]:
-    return DEFAULT_PASSES
-
-
 class PassManager:
-    """Runs an ordered pass pipeline over an epoch.
-
-    Selection precedence: an explicit ``passes`` list wins, then
-    ``REPRO_IR_PASSES`` (exact ordered list), then the default pipeline
-    minus ``REPRO_IR_DISABLE``.
-    """
-
-    def __init__(self, passes: Optional[Sequence[str]] = None, *,
-                 disable: Sequence[str] = (), env=None):
-        if env is None:
-            env = os.environ
-        if passes is None and env.get(ENV_PASSES):
-            passes = [p for p in env[ENV_PASSES].split(",") if p.strip()]
-        disabled = set(disable)
-        if env.get(ENV_DISABLE):
-            disabled |= {p.strip() for p in env[ENV_DISABLE].split(",")
-                         if p.strip()}
-        selected = list(passes) if passes is not None else [
-            p for p in DEFAULT_PASSES if p not in disabled
-        ]
-        for name in list(selected) + sorted(disabled):
-            if name not in PASSES:
-                raise RawUsageError(
-                    f"unknown IR pass {name!r}; available: "
-                    f"{', '.join(DEFAULT_PASSES)}"
-                )
-        self.pass_names: Tuple[str, ...] = tuple(
-            p for p in selected if p not in disabled
-        )
+    """Runs the pass pipeline, :data:`DEFAULT_PASSES` in order, over an
+    epoch.  Each pass is looked up in :data:`PASSES` when it runs."""
 
     def run(self, epoch: Epoch) -> List[PassResult]:
         """Apply the pipeline in order, mutating ``epoch`` in place."""
-        return [PASSES[name](epoch) for name in self.pass_names]
+        return [PASSES[name](epoch) for name in DEFAULT_PASSES]

@@ -340,7 +340,6 @@ def run_mpi(fn: Callable[..., Any], num_ranks: int, *,
             faults=None,
             backend: Optional[str | "Backend"] = None,
             ir: Optional[str] = None,
-            ir_passes: Optional[Sequence[str]] = None,
             autotune: Any = None) -> RunResult:
     """Execute ``fn(comm, *args)`` on ``num_ranks`` ranks and collect results.
 
@@ -399,10 +398,9 @@ def run_mpi(fn: Callable[..., Any], num_ranks: int, *,
     ``ir`` activates the communication-plan IR (default: the ``REPRO_IR``
     env var; ``"off"``/unset disables).  ``ir="record"`` journals every raw
     op into an :class:`~repro.mpi.ir.nodes.Epoch` attached as ``result.ir``;
-    ``ir="optimize"`` additionally rewrites the epoch
-    (:mod:`repro.mpi.ir.passes`; restrict with ``ir_passes`` or the
-    ``REPRO_IR_PASSES``/``REPRO_IR_DISABLE`` env vars) and replays the
-    optimized graph, verifying it bit-identical against the recording.
+    ``ir="optimize"`` additionally runs the rewrite pipeline
+    (:mod:`repro.mpi.ir.passes`) over the epoch and replays the optimized
+    graph, verifying it bit-identical against the recording.
 
     ``autotune`` closes the measure→fit→install loop
     (:mod:`repro.mpi.autotune`; default: the ``REPRO_AUTOTUNE`` env var):
@@ -431,7 +429,7 @@ def run_mpi(fn: Callable[..., Any], num_ranks: int, *,
         from repro.mpi.ir.driver import run_with_ir
 
         result = run_with_ir(
-            fn, num_ranks, mode=mode, ir_passes=ir_passes, args=args,
+            fn, num_ranks, mode=mode, args=args,
             cost_model=cost_model, deadline=deadline, timeout=timeout,
             trace=trace, engine=engine, sanitize=sanitize,
             fuzz_seed=fuzz_seed, faults=faults, backend=backend,

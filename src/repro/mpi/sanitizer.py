@@ -259,8 +259,8 @@ class ResourceAuditor:
 
         The release is observed passively through ``lease.returned`` (the
         same discipline as buffer poisons), so returning a lease costs the
-        service nothing on behalf of the auditor.  ``comm`` is the leased
-        communicator's id; ``world_rank`` attributes the leak to a rank for
+        service nothing on behalf of the auditor.  ``comm`` names the
+        lease's slot; ``world_rank`` attributes the leak to a rank for
         the report/trace (leases are cluster-level, so the service passes
         the pool's coordinating rank).
         """

@@ -301,7 +301,7 @@ class TraceRecorder:
         """Every event issued on behalf of one cluster-service job.
 
         Per-job trace scoping: service ranks stamp the job label on ops they
-        run inside a leased communicator, so one shared recorder can be
+        run inside the job communicator, so one shared recorder can be
         sliced back into per-job traces (ordered like :meth:`all_events`).
         """
         return [e for e in self.all_events() if e.job == job]

@@ -17,8 +17,9 @@ loop the paper's §V-B sketches: a :class:`ResilientScope` runs application
    dies its successor still holds ``w``'s last committed shards and adopts
    them (rebalancing the data onto the survivors);
 4. **retries** the epoch on the shrunk communicator, within an attempt
-   budget and an optional real-time deadline.  Nothing sleeps between
-   attempts: shrink and agree are rendezvous points already.
+   budget.  Nothing sleeps between attempts: shrink and agree are
+   rendezvous points already, and each wait is bounded by the machine's
+   deadline.
 
 State is a list of ``(key, payload)`` *shards* per rank.  The epoch function
 receives a deep copy of the committed shards (failed attempts can never
@@ -40,7 +41,6 @@ propagates as plain :class:`~repro.plugins.ulfm.MPIFailureDetected`.
 from __future__ import annotations
 
 import copy
-import time
 from typing import Any, Callable, Hashable, Optional
 
 from repro.core.errors import KampingError
@@ -56,7 +56,7 @@ EpochFn = Callable[[Any, Shards, int], Optional[Shards]]
 
 
 class RecoveryFailed(KampingError):
-    """Recovery gave up: the attempt budget or the recovery deadline ran out."""
+    """Recovery gave up: the attempt budget ran out."""
 
 
 class CheckpointLost(RecoveryFailed):
@@ -79,7 +79,7 @@ class ResilientScope:
     """
 
     def __init__(self, comm, shards: Shards, *, label: str = "resilient",
-                 max_attempts: int = 9, deadline: Optional[float] = None):
+                 max_attempts: int = 9):
         if not hasattr(comm, "agree"):
             raise KampingError(
                 "ResilientScope needs a ULFM-extended communicator "
@@ -90,18 +90,11 @@ class ResilientScope:
                 f"max_attempts must be >= 1 (the first try counts as an "
                 f"attempt), got {max_attempts}"
             )
-        if deadline is not None and deadline <= 0:
-            raise KampingError(
-                f"deadline must be > 0 seconds, got {deadline}"
-            )
         self.comm = comm
         self.shards: Shards = list(shards)
         self.label = label
         #: attempt budget per epoch, the first try included
         self.max_attempts = max_attempts
-        #: real-seconds budget per :meth:`run` call (``None`` = unbounded);
-        #: checked between attempts, so an in-flight attempt is never cut
-        self.deadline = deadline
         #: number of committed epochs (the genesis commit is epoch 0, so
         #: application epochs start at 1)
         self.committed = 0
@@ -142,16 +135,13 @@ class ResilientScope:
         :class:`MPIFailureDetected` at any point; any other exception
         propagates unhandled.
 
-        The retry policy is what the scope was constructed with: the epoch
-        is retried until it commits, the attempt budget ``max_attempts``
-        runs out, or the per-``run`` real-time ``deadline`` expires — both
-        exhaustion paths raise :class:`RecoveryFailed`.
+        The epoch is retried until it commits or the attempt budget
+        ``max_attempts`` runs out, which raises :class:`RecoveryFailed`.
         """
         return self._run(epoch_fn, stateless=False)
 
     def _run(self, epoch_fn: EpochFn, stateless: bool) -> Shards:
         attempts = 0
-        started = time.monotonic()
         while True:
             comm = self.comm
             token = (self.label, self.committed, attempts)
@@ -178,16 +168,11 @@ class ResilientScope:
                 return self.shards
             attempts += 1
             if attempts >= self.max_attempts:
-                why = f"max_attempts={self.max_attempts}"
-            elif (self.deadline is not None
-                    and time.monotonic() - started >= self.deadline):
-                why = f"the {self.deadline:g}s recovery deadline expired"
-            else:
-                self._recover()
-                continue
-            raise RecoveryFailed(
-                f"scope {self.label!r}: epoch {self.committed} still "
-                f"failing after {attempts} attempt(s) ({why})")
+                raise RecoveryFailed(
+                    f"scope {self.label!r}: epoch {self.committed} still "
+                    f"failing after {attempts} attempt(s) "
+                    f"(max_attempts={self.max_attempts})")
+            self._recover()
 
     # -- buddy checkpoint replication --------------------------------------
 
@@ -293,8 +278,7 @@ class ResilientScope:
 
 def run_resilient(comm, epoch_fn: EpochFn, shards: Shards, *,
                   epochs: int = 1, label: str = "resilient",
-                  max_attempts: int = 9,
-                  deadline: Optional[float] = None) -> ResilientScope:
+                  max_attempts: int = 9) -> ResilientScope:
     """Run ``epochs`` epochs of ``epoch_fn`` under a :class:`ResilientScope`.
 
     Convenience driver for the common shape::
@@ -304,12 +288,11 @@ def run_resilient(comm, epoch_fn: EpochFn, shards: Shards, *,
         survivors_result = scope.shards   # on scope.comm
 
     Returns the scope; the committed shards, the surviving communicator, and
-    the recovery history are its attributes.  ``max_attempts``/``deadline``
-    bound each epoch's recovery loop (per-epoch attempt budget and
-    real-seconds budget; see :class:`ResilientScope`).
+    the recovery history are its attributes.  ``max_attempts`` is each
+    epoch's attempt budget (see :class:`ResilientScope`).
     """
     scope = ResilientScope(comm, shards, label=label,
-                           max_attempts=max_attempts, deadline=deadline)
+                           max_attempts=max_attempts)
     for _ in range(epochs):
         scope.run(epoch_fn)
     return scope

@@ -58,7 +58,7 @@ def _merge_one(op, mine: Any, theirs: Any) -> Any:
 
 
 def run_batch(comm, jobs: list[Job]) -> list[tuple[str, Any]]:
-    """Execute one coalesced group on the leased communicator.
+    """Execute one coalesced group on the job communicator.
 
     Runs on every service rank (SPMD); returns one ``("ok", value)`` /
     ``("err", exc)`` outcome per job, aligned with ``jobs``.  MPI-level

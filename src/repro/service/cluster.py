@@ -7,10 +7,12 @@ service shape (parameter servers, simulation farms) that one-shot
 
 1. **Admission control** — submissions land in a bounded priority queue
    (:class:`~repro.service.jobs.JobQueue`) and are rejected with
-   :class:`~repro.service.jobs.ClusterSaturated` beyond the high-water mark.
-2. **Communicator leasing** — jobs never touch the cluster's base
-   communicator; each directive runs on a dup'd sub-communicator slot from a
-   :class:`~repro.service.leases.LeasePool`, audited by the MPIsan ``lease``
+   :class:`~repro.service.jobs.ClusterSaturated` once ``queue_depth`` jobs
+   wait.
+2. **One job communicator, leased slots** — jobs never touch the cluster's
+   base communicator; every job of a membership generation runs on one dup
+   of it.  Each directive holds a :class:`~repro.service.leases.CommLease`,
+   a slot of the dispatcher's pipeline, audited by the MPIsan ``lease``
    resource kind and reported (with creation backtraces) at
    :meth:`Cluster.shutdown`.
 3. **Request batching** — compatible small collective jobs are coalesced
@@ -57,7 +59,6 @@ from repro.mpi.errors import (
     RawDeadlockError,
     RawProcessFailure,
     RunTimeout,
-    UnsupportedOnBackend,
 )
 from repro.mpi.machine import Machine, _emit_leak_events
 from repro.mpi.ops import Op
@@ -148,14 +149,6 @@ class _DirectiveLog:
         return None
 
 
-def _unsupported_backend(name: str) -> str:
-    return (
-        f"the cluster service is not supported on the {name!r} backend: "
-        f"elastic membership, fault injection, and communicator leasing "
-        f"rely on shared-process state; run with backend='thread'"
-    )
-
-
 class Cluster:
     """A persistent pool of ranks executing a stream of jobs.
 
@@ -168,35 +161,28 @@ class Cluster:
             cluster.drain()
 
     Constructor knobs (beyond the obvious): ``spares`` ranks are parked and
-    admitted by :meth:`add_rank`; ``queue_depth``/``high_water`` bound
-    admission; ``lease_slots`` sizes the communicator lease pool;
+    admitted by :meth:`add_rank`; ``queue_depth`` bounds admission;
+    ``lease_slots`` bounds the dispatcher's pipeline of leased directives;
     ``batch_limit`` caps coalesced groups; ``job_timeout`` arms the per-
-    directive watchdog; ``max_attempts``/``recovery_deadline`` bound each
-    epoch's recovery loop; ``hold_jobs=True`` parks the dispatcher until
-    :meth:`release_jobs` (lets tests enqueue a full stream first, making
-    batching and chaos runs deterministic).  Only the thread backend supports
-    the service; ``backend="process"`` is refused with
-    :class:`~repro.mpi.errors.UnsupportedOnBackend`.
+    directive watchdog; ``max_attempts`` bounds each epoch's recovery loop;
+    ``hold_jobs=True`` parks the dispatcher until :meth:`release_jobs` (lets
+    tests enqueue a full stream first, making batching and chaos runs
+    deterministic).  The ranks are threads of this process.
     """
 
     def __init__(self, num_ranks: int, *, spares: int = 0,
-                 queue_depth: int = 64, high_water: Optional[int] = None,
+                 queue_depth: int = 64,
                  lease_slots: int = 2, batch_limit: int = 8,
                  cost_model: Optional[CostModel] = None,
                  deadline: float = 60.0,
                  job_timeout: Optional[float] = None,
                  max_attempts: int = 9,
-                 recovery_deadline: Optional[float] = None,
                  trace: bool | TraceRecorder = False,
                  engine: Optional[CollectiveEngine] = None,
                  sanitize: Optional[bool] = None,
                  fuzz_seed: Optional[int] = None,
                  faults: Any = None,
-                 backend: Optional[str] = None,
                  hold_jobs: bool = False):
-        backend_name = "thread" if backend is None else str(backend)
-        if backend_name != "thread":
-            raise UnsupportedOnBackend(_unsupported_backend(backend_name))
         if num_ranks < 1:
             raise ClusterError(f"num_ranks must be >= 1, got {num_ranks}")
         if spares < 0:
@@ -226,13 +212,11 @@ class Cluster:
         )
         self.num_ranks = num_ranks
         self.capacity = capacity
-        self.lease_slots = lease_slots
         self.batch_limit = batch_limit
         self.job_timeout = job_timeout
         self.max_attempts = max_attempts
-        self.recovery_deadline = recovery_deadline
 
-        self.queue = JobQueue(queue_depth, high_water)
+        self.queue = JobQueue(queue_depth)
         self.pool = LeasePool(lease_slots, auditor=self.machine.auditor)
         self._directives = _DirectiveLog()
         self._fuzzer = fuzzer
@@ -256,10 +240,10 @@ class Cluster:
         self._admission: dict[int, tuple[int, tuple[int, ...], int]] = {}
         self._admission_cv = threading.Condition()
 
-        # per-rank leased-communicator cache; pre-created so rank threads
-        # never mutate shared dict shape concurrently
-        self._rank_pools: dict[int, dict[str, Any]] = {
-            w: {"base": None, "comms": []} for w in range(capacity)
+        # per-rank job communicator: world rank -> (scope raw comm, its
+        # dup); pre-created so rank threads never change the dict's shape
+        self._job_comms: dict[int, tuple[Optional[RawComm], Any]] = {
+            w: (None, None) for w in range(capacity)
         }
 
         #: cumulative counters, updated under self._lock
@@ -291,7 +275,7 @@ class Cluster:
 
     def submit(self, fn: Callable, *args: Any, priority: int = 0,
                label: Optional[str] = None) -> JobHandle:
-        """Queue ``fn(comm, *args)`` to run once on a leased communicator.
+        """Queue ``fn(comm, *args)`` to run once on the job communicator.
 
         ``fn`` executes SPMD on every service rank; the job's result is the
         return value of the rank at local rank 0.  For bit-identical results
@@ -372,10 +356,12 @@ class Cluster:
 
     def acquire_lease(self, label: str = "client",
                       timeout: Optional[float] = None) -> CommLease:
-        """Lease a communicator slot outside the job queue (audited).
+        """Reserve a slot of the dispatcher's pipeline outside the job queue
+        (audited).
 
-        The returned lease only reserves the slot; release it with
-        ``lease.release()`` or MPIsan reports it at shutdown.
+        The lease carries no communicator: while held, the dispatcher has
+        one slot fewer for directives.  Release it with ``lease.release()``
+        or MPIsan reports it at shutdown.
         """
         with self._lock:
             self._check_alive()
@@ -434,6 +420,8 @@ class Cluster:
             self._shutting_down = True
             self._held = False       # a held queue would never drain
             self._dispatch_cv.notify_all()
+        with self._admission_cv:     # spares nobody admitted stop waiting
+            self._admission_cv.notify_all()
         self.queue.close("the cluster is shutting down; submission refused")
         join_budget = timeout if timeout is not None else self.machine.deadline
         self._dispatcher.join(join_budget)
@@ -607,11 +595,15 @@ class Cluster:
 
     def _await_admission(self, world_rank: int
                          ) -> Optional[tuple[int, tuple[int, ...], int]]:
+        """Park until a join directive admits this spare; ``None`` once the
+        cluster wedges, or shuts down before :meth:`add_rank` claimed it (a
+        claimed spare's join precedes the shutdown directive in the log)."""
         with self._admission_cv:
             while world_rank not in self._admission:
-                if self._wedged.is_set() or self._shutting_down:
+                if self._wedged.is_set() or (
+                        self._shutting_down and world_rank in self._spares):
                     return None
-                self._admission_cv.wait(0.05)
+                self._admission_cv.wait()
             return self._admission[world_rank]
 
     def _build_scope(self, world_rank: int, generation: int,
@@ -624,7 +616,6 @@ class Cluster:
         return ResilientScope(
             comm, shards, label=f"cluster-gen{generation}",
             max_attempts=self.max_attempts,
-            deadline=self.recovery_deadline,
         )
 
     def _serve(self, world_rank: int, scope: ResilientScope, cursor: int
@@ -665,12 +656,12 @@ class Cluster:
         outcomes: dict[int, tuple[str, Any]] = {}
         job = jobs[0]
         if len(jobs) == 1 and job.kind == "call":
-            scope.run_stateless(self._call_epoch(job, directive, outcomes))
+            scope.run_stateless(self._call_epoch(job, outcomes))
         elif len(jobs) == 1 and job.kind == "epochs":
             for epoch in range(job.epochs):
-                scope.run(self._epochs_epoch(job, directive, outcomes, epoch))
+                scope.run(self._epochs_epoch(job, outcomes, epoch))
         else:
-            scope.run_stateless(self._batch_epoch(jobs, directive, outcomes))
+            scope.run_stateless(self._batch_epoch(jobs, outcomes))
         # the commit is agreement-gated, so every survivor reaches here with
         # the same committed membership; its local rank 0 settles the group
         # (no MPI op sits between the commit and this point, and faults fire
@@ -689,65 +680,64 @@ class Cluster:
                     self.stats["recoveries"].extend(
                         w for w in scope.recovered_from if w not in known)
 
-    def _leased_comm(self, comm, slot: int):
-        """The leased sub-communicator for ``slot`` on this rank.
+    def _job_comm(self, comm):
+        """This rank's job communicator: one dup of the scope communicator.
 
-        Rebuilt lazily (k collective dups) whenever the scope communicator
+        Rebuilt lazily (one collective dup) whenever the scope communicator
         changed — epoch functions all enter before any job op, so the
         rebuild is collectively aligned; a failure mid-rebuild is recovered
-        like any epoch failure and retried on the shrunk communicator.
+        like any epoch failure and retried on the shrunk communicator.  One
+        is enough: every directive ends in the scope's ``agree``, a
+        rendezvous of all alive members, so no rank starts a directive
+        before every rank has finished the one before.
         """
-        pool = self._rank_pools[comm.raw.world_rank]
-        if pool["base"] is not comm.raw:
-            pool["comms"] = [comm.dup() for _ in range(self.lease_slots)]
-            pool["base"] = comm.raw
-        return pool["comms"][slot]
+        base, job_comm = self._job_comms[comm.raw.world_rank]
+        if base is not comm.raw:
+            job_comm = comm.dup()
+            self._job_comms[comm.raw.world_rank] = (comm.raw, job_comm)
+        return job_comm
 
-    def _revoke_leases(self, comm) -> None:
-        """Poison every leased dup of the scope communicator, machine-wide.
+    def _revoke_job_comm(self, comm) -> None:
+        """Poison the scope communicator's job dup, machine-wide.
 
         The scope only revokes its *own* communicator on failure; a peer
-        blocked inside a collective on a leased dup would never see that.
-        Dup ids are deterministic (``(comm_id, "dup", seq)``), so the
-        detecting rank can mark all sibling dups revoked directly — peers
-        stuck in them error out with ``MPIRevokedError`` and rejoin the
-        recovery, exactly like the scope-communicator path.
+        blocked inside a collective on the dup would never see that.  The
+        dup's id is deterministic (``(comm_id, "dup", 0)``: it is the scope
+        communicator's only dup), so the detecting rank can mark it revoked
+        directly — peers stuck in it error out with ``MPIRevokedError`` and
+        rejoin the recovery, exactly like the scope-communicator path.
         """
         raw = comm.raw
-        for seq in range(self.lease_slots):
-            state = self.machine.get_or_create_comm(
-                (raw.comm_id, "dup", seq), raw.state.members)
-            state.revoke()
+        self.machine.get_or_create_comm(
+            (raw.comm_id, "dup", 0), raw.state.members).revoke()
 
-    def _with_lease(self, comm, slot: int, label: str,
-                    body: Callable) -> Any:
-        """Run ``body(leased_comm)`` with the job label stamped on its ops.
+    def _on_job_comm(self, comm, label: str, body: Callable) -> Any:
+        """Run ``body(job_comm)`` with the job label stamped on its ops.
 
         Any process-failure signal — bindings-level ``MPIFailureDetected``
         from wrapped ops, or raw ``RawProcessFailure``/``RawCommRevoked``
-        from jobs using ``comm.raw`` directly — revokes the leased dups
-        (unblocking peers still inside them) and re-raises as
+        from jobs using ``comm.raw`` directly — revokes the job dup
+        (unblocking peers still inside it) and re-raises as
         ``MPIFailureDetected`` so the resilient scope recovers.
         """
         try:
-            leased = self._leased_comm(comm, slot)
-            leased.raw._job_label = label
+            job_comm = self._job_comm(comm)
+            job_comm.raw._job_label = label
             try:
-                return body(leased)
+                return body(job_comm)
             finally:
-                leased.raw._job_label = None
+                job_comm.raw._job_label = None
         except (MPIFailureDetected, RawProcessFailure, RawCommRevoked) as exc:
-            self._revoke_leases(comm)
+            self._revoke_job_comm(comm)
             if isinstance(exc, MPIFailureDetected):
                 raise
             raise MPIFailureDetected(
                 getattr(exc, "failed_ranks", ()), str(exc)) from exc
 
-    def _call_epoch(self, job: Job, directive: _JobsDirective,
-                    outcomes: dict) -> Callable:
-        def body(leased):
+    def _call_epoch(self, job: Job, outcomes: dict) -> Callable:
+        def body(job_comm):
             try:
-                value = job.fn(leased, *job.args)
+                value = job.fn(job_comm, *job.args)
             except (MPIFailureDetected, RawProcessFailure, RawCommRevoked,
                     RawDeadlockError):
                 raise            # runtime signals, never per-job outcomes
@@ -756,13 +746,12 @@ class Cluster:
             else:
                 outcomes[job.job_id] = ("ok", value)
 
-        return lambda comm: self._with_lease(
-            comm, directive.lease.slot, job.label, body)
+        return lambda comm: self._on_job_comm(comm, job.label, body)
 
-    def _epochs_epoch(self, job: Job, directive: _JobsDirective,
-                      outcomes: dict, epoch_index: int) -> Callable:
+    def _epochs_epoch(self, job: Job, outcomes: dict,
+                      epoch_index: int) -> Callable:
         def epoch(comm, shards, _epoch):
-            def body(leased):
+            def body(job_comm):
                 tag = ("job", job.job_id)
                 mine = sorted(
                     (key[2], state) for key, state in shards
@@ -772,16 +761,16 @@ class Cluster:
                 if epoch_index == 0 and not mine:
                     # first attempt seeds from the submission; vkeys are
                     # strided over whatever membership survived to here
-                    size = leased.raw.size
+                    size = job_comm.raw.size
                     mine = [(vkey, state) for vkey, state
                             in enumerate(job.initial_states)
-                            if vkey % size == leased.raw.rank]
-                updated = job.epoch_fn(leased, mine, epoch_index)
+                            if vkey % size == job_comm.raw.rank]
+                updated = job.epoch_fn(job_comm, mine, epoch_index)
                 if updated is None:
                     updated = mine
                 if epoch_index == job.epochs - 1:
-                    rows = leased._guard(
-                        lambda: leased.raw.gather(updated, 0))
+                    rows = job_comm._guard(
+                        lambda: job_comm.raw.gather(updated, 0))
                     if rows is not None:
                         final = sorted(pair for row in rows for pair in row)
                         outcomes[job.job_id] = (
@@ -789,15 +778,14 @@ class Cluster:
                     return others
                 return others + [(tag + (vkey,), state)
                                  for vkey, state in updated]
-            return self._with_lease(comm, directive.lease.slot, job.label,
-                                    body)
+            return self._on_job_comm(comm, job.label, body)
         return epoch
 
-    def _batch_epoch(self, jobs: tuple[Job, ...],
-                     directive: _JobsDirective, outcomes: dict) -> Callable:
-        def body(leased):
-            for job, outcome in zip(jobs, run_batch(leased, list(jobs))):
+    def _batch_epoch(self, jobs: tuple[Job, ...], outcomes: dict
+                     ) -> Callable:
+        def body(job_comm):
+            for job, outcome in zip(jobs, run_batch(job_comm, list(jobs))):
                 outcomes[job.job_id] = outcome
 
-        return lambda comm: self._with_lease(
-            comm, directive.lease.slot, batch_label(list(jobs)), body)
+        return lambda comm: self._on_job_comm(
+            comm, batch_label(list(jobs)), body)

@@ -4,13 +4,13 @@ The service side of the paper's "millions of users" story is a *stream* of
 small jobs, not one big run.  A submitted job becomes a :class:`JobHandle`
 (a thread-safe future the client blocks on) plus an internal :class:`Job`
 record queued in a :class:`JobQueue`: a bounded priority queue whose
-admission control rejects submissions beyond a high-water mark with
+admission control rejects a submission to a full queue with
 :class:`ClusterSaturated` — backpressure by refusal, the only kind that
 cannot deadlock a full service.
 
 Job kinds (see :class:`repro.service.cluster.Cluster` for the submit API):
 
-- ``"call"`` — run ``fn(comm, *args)`` once on the leased communicator;
+- ``"call"`` — run ``fn(comm, *args)`` once on the job communicator;
 - ``"epochs"`` — an epoch-structured job whose per-virtual-rank states live
   in the cluster's resilient shards, so a mid-job failure restarts from the
   last committed epoch;
@@ -34,7 +34,7 @@ class ClusterError(KampingError):
 
 
 class ClusterSaturated(ClusterError):
-    """The job queue is beyond its high-water mark; the submission was rejected.
+    """The job queue holds ``queue_depth`` jobs; the submission was rejected.
 
     Admission control never blocks the submitting thread: a saturated
     service answers immediately so the caller can shed load or retry later.
@@ -108,7 +108,7 @@ class JobHandle:
         """This job's slice of the cluster trace (``[]`` unless traced).
 
         Per-job trace scoping: service ranks stamp the job label on every op
-        issued inside the leased communicator, so one shared recorder can be
+        issued inside the job communicator, so one shared recorder can be
         sliced per job.  Batched jobs share one collective stamped with the
         batch label and therefore return ``[]`` here.
         """
@@ -141,27 +141,17 @@ class Job:
 
 
 class JobQueue:
-    """Thread-safe bounded priority queue with high-water admission control.
+    """Thread-safe bounded priority queue with admission control.
 
     Ordering is ``(priority, submission order)`` — smaller priority values
-    run earlier, ties in submission order.  ``high_water`` (default: the
-    full ``depth``) is the admission threshold: a submission that would push
-    the queued count past it raises :class:`ClusterSaturated`.  A
-    ``high_water`` below ``depth`` leaves headroom the service itself may
-    use (the dispatcher never re-queues today; the headroom is API room).
+    run earlier, ties in submission order.  A submission to a queue already
+    holding ``depth`` jobs raises :class:`ClusterSaturated`.
     """
 
-    def __init__(self, depth: int, high_water: Optional[int] = None):
+    def __init__(self, depth: int):
         if depth < 1:
             raise ClusterError(f"queue depth must be >= 1, got {depth}")
-        if high_water is None:
-            high_water = depth
-        if not 1 <= high_water <= depth:
-            raise ClusterError(
-                f"high_water must be in [1, depth={depth}], got {high_water}"
-            )
         self.depth = depth
-        self.high_water = high_water
         self._lock = threading.Lock()
         self._heap: list[tuple[int, int, Job]] = []
         self._seq = 0
@@ -180,11 +170,11 @@ class JobQueue:
         with self._lock:
             if self._closed is not None:
                 raise ClusterError(self._closed)
-            if len(self._heap) >= self.high_water:
+            if len(self._heap) >= self.depth:
                 raise ClusterSaturated(
                     f"job queue is saturated ({len(self._heap)} queued, "
-                    f"high-water mark {self.high_water}); retry later or "
-                    f"raise queue_depth/high_water"
+                    f"queue_depth={self.depth}); retry later or raise "
+                    f"queue_depth"
                 )
             heapq.heappush(self._heap, (job.priority, self._seq, job))
             self._seq += 1

@@ -1,14 +1,15 @@
-"""Communicator leasing: jobs never run on the cluster's base communicator.
+"""Communicator leases: the dispatcher's audited pipeline of directives.
 
-Every job directive carries a :class:`CommLease` naming one of a fixed set
-of *slots*.  Service ranks keep one dup'd sub-communicator per slot (rebuilt
-collectively whenever the membership generation changes), so concurrent-ish
-directives are isolated from each other and from the resilience machinery's
-control traffic — the same reason production codes ``MPI_Comm_dup`` per
-library.
+Every job directive carries a :class:`CommLease`, one of a fixed set of
+*slots*; the dispatcher issues a directive only while a slot is free, so
+``lease_slots`` bounds how many directives are in the log unfinished.  The
+jobs themselves run on the generation's one job communicator (a dup of the
+scope communicator, see :class:`repro.service.cluster.Cluster`), isolated
+from the resilience machinery's control traffic — the same reason
+production codes ``MPI_Comm_dup`` per library.
 
-The pool is dispatcher-side bookkeeping: it decides *which* slot a directive
-runs on and audits every lease with the MPIsan ``lease`` resource kind
+The pool is dispatcher-side bookkeeping: it audits every lease with the
+MPIsan ``lease`` resource kind
 (:meth:`repro.mpi.sanitizer.ResourceAuditor.track_lease`), so a lease that is
 never returned surfaces at ``Cluster.shutdown()`` with the backtrace of the
 submission that created it.
@@ -23,7 +24,7 @@ from repro.service.jobs import ClusterError
 
 
 class CommLease:
-    """One leased communicator slot, audited by MPIsan.
+    """One leased pipeline slot, audited by MPIsan.
 
     ``returned`` is observed passively by the auditor sweep — releasing a
     lease is one attribute write, in keeping with the sanitizer's
@@ -49,12 +50,13 @@ class CommLease:
 
 
 class LeasePool:
-    """Fixed pool of communicator slots with blocking acquisition.
+    """Fixed pool of pipeline slots with blocking acquisition.
 
     The dispatcher waits for a free slot (``wait_free``), forms its job
-    group, and acquires internally (``_acquire``); the public :meth:`acquire` — for clients that want a
-    leased communicator outside the job queue — refuses to take the *last*
-    free slot so the dispatcher can always make progress.
+    group, and acquires internally (``_acquire``); the public
+    :meth:`acquire` — for clients that reserve a slot outside the job queue
+    — refuses to take the *last* free slot so the dispatcher can always make
+    progress.
     """
 
     def __init__(self, slots: int, auditor=None):

@@ -134,6 +134,25 @@ def test_every_declared_collective_matches_what_it_describes():
         "recv", "irecv"}
 
 
+def test_run_keywords_match_run_mpi_and_the_backends():
+    """One keyword surface: ``repro.core.run`` is ``run_mpi`` plus
+    ``comm_class``, and every backend's ``run`` is ``run_mpi`` minus the
+    three settings ``run_mpi`` resolves itself, so a setting retired in one
+    place is retired in all of them."""
+    from repro.core.runner import run
+    from repro.mpi.backends import Backend, ProcessBackend, ThreadBackend
+
+    def keywords(fn):
+        return {name for name, p in inspect.signature(fn).parameters.items()
+                if p.kind is inspect.Parameter.KEYWORD_ONLY}
+
+    raw = keywords(mpi.run_mpi)
+    assert keywords(run) == raw | {"comm_class"}
+    for backend in (Backend, ThreadBackend, ProcessBackend):
+        assert keywords(backend.run) == raw - {"backend", "ir", "autotune"}, (
+            backend.__name__)
+
+
 def test_every_wrapped_method_documented():
     for name in SPECS:
         method = getattr(Communicator, name, None)

@@ -8,8 +8,7 @@ import numpy as np
 import pytest
 
 from repro.mpi import run_mpi
-from repro.mpi.errors import RawUsageError
-from repro.mpi.ir import DEFAULT_PASSES, PassManager, available_passes
+from repro.mpi.ir import DEFAULT_PASSES, PassManager
 from repro.mpi.ir.passes import PASSES
 from repro.mpi.ops import MAX, SUM
 
@@ -382,27 +381,7 @@ def test_overlap_respects_dependent_compute(clean_engine):
 # -- PassManager -------------------------------------------------------------
 
 
-def test_default_pipeline_is_all_passes():
-    assert tuple(PassManager().pass_names) == DEFAULT_PASSES
-    assert available_passes() == DEFAULT_PASSES
-
-
-def test_explicit_pass_list_wins_over_env():
-    pm = PassManager(["batch_bcasts"],
-                     env={"REPRO_IR_PASSES": "fuse_reduce_bcast"})
-    assert list(pm.pass_names) == ["batch_bcasts"]
-
-
-def test_env_pass_list_and_disable():
-    pm = PassManager(env={"REPRO_IR_PASSES": "ring_to_sendrecv,batch_bcasts"})
-    assert list(pm.pass_names) == ["ring_to_sendrecv", "batch_bcasts"]
-    pm = PassManager(env={"REPRO_IR_DISABLE": "overlap_waits"})
-    assert "overlap_waits" not in pm.pass_names
-    assert len(pm.pass_names) == len(DEFAULT_PASSES) - 1
-
-
-def test_unknown_pass_name_raises():
-    with pytest.raises(RawUsageError, match="unknown IR pass"):
-        PassManager(["not_a_pass"])
-    with pytest.raises(RawUsageError, match="unknown IR pass"):
-        PassManager(env={"REPRO_IR_DISABLE": "nope"})
+def test_default_pipeline_is_all_passes(clean_engine):
+    epoch = _record(_reduce_then_bcast, 4, clean_engine)
+    results = PassManager().run(copy.deepcopy(epoch))
+    assert tuple(r.name for r in results) == DEFAULT_PASSES == tuple(PASSES)

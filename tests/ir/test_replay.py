@@ -195,10 +195,3 @@ def test_ir_incompatible_with_record_replay_fuzzing():
     with pytest.raises(RawUsageError, match="fuzz_seed"):
         run_mpi(_fusable, 2, ir="record", fuzz_seed=7)
 
-
-def test_ir_passes_param_restricts_pipeline(clean_engine):
-    res = run_mpi(_fusable, 4, ir="optimize", ir_passes=("overlap_waits",),
-                  engine=clean_engine)
-    assert [p.name for p in res.ir.passes] == ["overlap_waits"]
-    # nothing to overlap here: the graph replays unchanged
-    assert res.ir.optimized.op_counts() == res.ir.epoch.op_counts()

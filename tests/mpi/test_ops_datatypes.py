@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.mpi import BAND, BOR, BXOR, LAND, LOR, LXOR, MAX, MIN, PROD, SUM, user_op
-from repro.mpi.datatypes import concat_payloads, ensure_1d_array, payload_nbytes, snapshot
+from repro.mpi.datatypes import ensure_1d_array, payload_nbytes, snapshot
 
 
 class TestOps:
@@ -83,17 +83,6 @@ class TestArrayHelpers:
     def test_ensure_1d_scalars_and_nd(self):
         assert ensure_1d_array(5).tolist() == [5]
         assert ensure_1d_array(np.ones((2, 3))).shape == (6,)
-
-    def test_concat_arrays(self):
-        out = concat_payloads([np.array([1]), np.array([2, 3])])
-        assert out.tolist() == [1, 2, 3]
-
-    def test_concat_mixed(self):
-        out = concat_payloads([[1, 2], np.array([3]), 4])
-        assert out == [1, 2, 3, 4]
-
-    def test_concat_empty(self):
-        assert concat_payloads([]) == []
 
 
 @settings(max_examples=50, deadline=None)

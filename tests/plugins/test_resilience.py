@@ -379,12 +379,12 @@ class TestResilientLabelProp:
 
 
 # ---------------------------------------------------------------------------
-# retry-policy knobs: max_attempts / deadline
+# retry policy: the max_attempts budget
 # ---------------------------------------------------------------------------
 
 
 class TestRetryPolicy:
-    """``max_attempts=`` / ``deadline=`` bound each epoch's recovery loop."""
+    """``max_attempts=`` bounds each epoch's recovery loop."""
 
     def test_max_attempts_validated(self):
         def main(comm):
@@ -392,16 +392,6 @@ class TestRetryPolicy:
                 ResilientScope(comm, [], max_attempts=0)
             except KampingError as e:
                 return "first try counts as an attempt" in str(e)
-
-        res = runk(main, 2, comm_class=FTComm)
-        assert all(res.values)
-
-    def test_deadline_validated(self):
-        def main(comm):
-            try:
-                run_resilient(comm, lambda c, w, e: w, [], deadline=0.0)
-            except KampingError as e:
-                return "deadline must be > 0" in str(e)
 
         res = runk(main, 2, comm_class=FTComm)
         assert all(res.values)
@@ -444,20 +434,6 @@ class TestRetryPolicy:
 
         res = runk(main, 2, comm_class=FTComm)
         assert all(v == ([("k", 107)], 3) for v in res.values)
-
-    def test_deadline_expiry_raises_between_attempts(self):
-        def main(comm):
-            def epoch(c, shards, _epoch):
-                raise MPIFailureDetected("synthetic blown attempt")
-
-            scope = ResilientScope(comm, [], deadline=1e-6)
-            try:
-                scope.run(epoch)
-            except RecoveryFailed as e:
-                return "recovery deadline expired" in str(e)
-
-        res = runk(main, 2, comm_class=FTComm)
-        assert all(res.values)
 
     def test_exhausted_budget_names_attempts_and_budget(self):
         """A budget of four runs the epoch four times, and the one

@@ -1,13 +1,16 @@
 """Cluster service mechanics: jobs, admission, leasing, batching, elasticity.
 
 The chaos/recovery side lives in ``test_chaos.py``; this file covers the
-failure-free service contract — including the pinned process-backend
-refusal wording and the MPIsan lease audit at shutdown.
+failure-free service contract — including the one job communicator per
+membership generation and the MPIsan lease audit at shutdown.
 """
+
+import threading
+import time
 
 import pytest
 
-from repro.mpi import MIN, SUM, UnsupportedOnBackend
+from repro.mpi import MIN, SUM
 from repro.mpi.sanitizer import ResourceLeakError
 from repro.service import (
     Cluster,
@@ -88,10 +91,10 @@ class TestJobKinds:
 
 class TestAdmission:
     def test_saturation_rejects_not_blocks(self):
-        with Cluster(2, queue_depth=8, high_water=2, hold_jobs=True) as c:
+        with Cluster(2, queue_depth=2, hold_jobs=True) as c:
             c.submit_bcast(0)
             c.submit_bcast(1)
-            with pytest.raises(ClusterSaturated, match="high-water mark 2"):
+            with pytest.raises(ClusterSaturated, match="queue_depth=2"):
                 c.submit_bcast(2)
             c.release_jobs()
             c.drain(20)
@@ -122,8 +125,6 @@ class TestAdmission:
             Cluster(2, job_timeout=0)
         with pytest.raises(ClusterError, match="queue depth"):
             Cluster(2, queue_depth=0)
-        with pytest.raises(ClusterError, match="high_water"):
-            Cluster(2, queue_depth=4, high_water=9)
         with pytest.raises(ClusterError, match="lease_slots"):
             Cluster(2, lease_slots=0)
 
@@ -195,6 +196,59 @@ class TestLeases:
         assert not report
 
 
+class TestJobCommunicator:
+    def test_one_job_communicator_per_generation(self):
+        """Every job of a membership generation runs on the same dup of the
+        generation's communicator, built once per rank: a rank pays one
+        ``comm_dup`` per generation it serves."""
+        def total(comm):
+            return comm.raw.allreduce(1, SUM)
+
+        with Cluster(3, spares=1, trace=True) as c:
+            first = [c.submit(total, label=f"gen0-{i}") for i in range(6)]
+            assert [h.result(20) for h in first] == [3] * 6
+            c.add_rank()
+            second = [c.submit(total, label=f"gen1-{i}") for i in range(3)]
+            assert [h.result(20) for h in second] == [4] * 3
+            comms = {}
+            for e in c.tracer.all_events():
+                if e.job is not None:
+                    comms.setdefault(e.job.split("-")[0], set()).add(e.comm)
+            assert len(comms["gen0"]) == len(comms["gen1"]) == 1
+            assert comms["gen0"] != comms["gen1"]
+            assert [c.machine.profile[w]["comm_dup"] for w in range(4)] == [
+                2, 2, 2, 1]
+
+
+class TestSpares:
+    def test_idle_spares_park_without_a_timeout(self, monkeypatch):
+        """A spare nobody admits waits on the admission condition with no
+        timeout, and ``shutdown()`` wakes it."""
+        class Recording(threading.Condition):
+            def wait(self, timeout=None):
+                self.__dict__.setdefault("timeouts", []).append(timeout)
+                return super().wait(timeout)
+
+        monkeypatch.setattr(threading, "Condition", Recording)
+        c = Cluster(2, spares=2)
+        cv = c._admission_cv
+        give_up = time.monotonic() + 10
+        while len(cv.__dict__.get("timeouts", ())) < 2:
+            assert time.monotonic() < give_up, "the spares never parked"
+            time.sleep(0.01)
+        time.sleep(0.2)              # a 50 ms poll would wake here
+        c.shutdown()
+        assert not any(t.is_alive() for t in c._threads)
+        assert cv.timeouts == [None, None]
+
+    def test_spare_claimed_just_before_shutdown_still_joins(self):
+        c = Cluster(2, spares=1)
+        assert c.add_rank() == 2
+        c.shutdown()
+        assert not any(t.is_alive() for t in c._threads)
+        assert c.stats["joins"] == [2]
+
+
 class TestElasticMembership:
     def test_add_rank_grows_next_jobs(self):
         with Cluster(3, spares=2) as c:
@@ -221,21 +275,6 @@ class TestElasticMembership:
         with Cluster(2, spares=0) as c:
             with pytest.raises(ClusterError, match="no spare ranks"):
                 c.add_rank()
-
-
-class TestBackendRefusal:
-    def test_process_backend_refused_with_pinned_wording(self):
-        with pytest.raises(UnsupportedOnBackend) as excinfo:
-            Cluster(2, backend="process")
-        assert str(excinfo.value) == (
-            "the cluster service is not supported on the 'process' backend: "
-            "elastic membership, fault injection, and communicator leasing "
-            "rely on shared-process state; run with backend='thread'"
-        )
-
-    def test_thread_backend_accepted_explicitly(self):
-        with Cluster(2, backend="thread") as c:
-            assert c.submit_bcast(1).result(20) == 1
 
 
 class TestTraceScoping:
