@@ -33,6 +33,9 @@ VICTIM = 2
 def detect_and_shrink(comm):
     # phase 1: everyone contributes
     total = comm.allreduce_single(send_buf(comm.rank + 1), op(SUM))
+    # every rank leaves phase 1 before anyone can detect the failure below
+    # and revoke the communicator under a peer still receiving in phase 1
+    comm.agree(True)
 
     # ...then one rank dies
     if comm.rank == VICTIM:

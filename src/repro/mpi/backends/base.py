@@ -32,8 +32,7 @@ from typing import Any, Callable, Optional, Sequence
 from repro.mpi.costmodel import Clock, CostModel
 from repro.mpi.engine import CollectiveEngine
 from repro.mpi.errors import RawDeadlockError, RawProcessFailure
-from repro.mpi.machine import Machine, RunResult, _emit_leak_events
-from repro.mpi.sanitizer import ResourceLeakError
+from repro.mpi.machine import Machine, RunResult, audit_leaks
 from repro.mpi.tracing import TraceEvent, TraceRecorder
 
 
@@ -126,14 +125,7 @@ class Backend:
         failed: frozenset[int] = frozenset()
         if machine is not None:
             failed = machine.failed
-            if machine.auditor.enabled:
-                leaks = machine.auditor.collect(machine)
-                if leaks and tracer is not None:
-                    _emit_leak_events(tracer, leaks)
-                # failed ranks tear down mid-operation: report, but don't
-                # fail the run
-                if leaks and not failed:
-                    raise ResourceLeakError(leaks)
+            leaks = audit_leaks(machine, failed=bool(failed))
         return RunResult(
             values=[rep.value for rep in reports],
             times=[rep.clock.now for rep in reports],

@@ -112,6 +112,7 @@ import os
 import pickle
 import struct
 import threading
+import time
 import traceback
 from collections import deque
 from multiprocessing import connection as mp_connection
@@ -132,7 +133,6 @@ from repro.mpi.machine import CommState, Machine, RunResult
 from repro.mpi.p2p import Envelope
 from repro.mpi.sanitizer import ScheduleFuzzer
 from repro.mpi.tracing import TraceRecorder
-from repro.mpi.waiting import Backoff
 
 #: extra real-time budget the parent allows beyond the machine deadline
 #: before declaring the run hung and terminating the children
@@ -594,12 +594,12 @@ class ProcessBackend(Backend):
         for child_end in child_ends:
             child_end.close()
 
-        budget = Backoff(deadline + _COLLECT_GRACE)
+        expiry = time.monotonic() + deadline + _COLLECT_GRACE
         try:
-            self._gather(ctl, procs, budget, "up")
+            self._gather(ctl, procs, expiry, "up")
             for conn in ctl.values():
                 conn.send(("start",))
-            reports = self._gather(ctl, procs, budget, "done")
+            reports = self._gather(ctl, procs, expiry, "done")
             for conn in ctl.values():
                 conn.send(("exit",))
         except BaseException:
@@ -617,20 +617,22 @@ class ProcessBackend(Backend):
     # -- parent-side collection --------------------------------------------
 
     def _gather(self, ctl: dict[int, Any], procs: dict[int, Any],
-                budget: Backoff, kind: str) -> dict[int, Any]:
-        """Collect one ``kind`` message per rank, watching for crashes."""
+                expiry: float, kind: str) -> dict[int, Any]:
+        """Collect one ``kind`` message per rank, watching for crashes, until
+        the ``time.monotonic()`` deadline ``expiry``."""
         pending = set(ctl)
         out: dict[int, Any] = {}
         sentinel_to_rank = {procs[r].sentinel: r for r in procs}
         while pending:
-            if budget.expired:
+            left = expiry - time.monotonic()
+            if left <= 0:
                 raise RawDeadlockError(
                     f"process backend: ranks {sorted(pending)} did not "
                     f"report '{kind}' within the deadline; terminating"
                 )
             conns = [ctl[r] for r in pending]
             sentinels = [procs[r].sentinel for r in pending]
-            ready = mp_connection.wait(conns + sentinels, timeout=0.2)
+            ready = mp_connection.wait(conns + sentinels, timeout=left)
             # drain data first: a child may have reported and *then* died
             for obj in ready:
                 if obj in sentinels:

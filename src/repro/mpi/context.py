@@ -71,7 +71,7 @@ class RawComm:
         #: around ops that a rewrite pass produced; ``None`` everywhere else)
         self._ir_pass: Optional[str] = None
         #: cluster-service job label stamped on trace spans (set by a service
-        #: rank around the ops of a leased job; ``None`` everywhere else)
+        #: rank around the ops of a job; ``None`` everywhere else)
         self._job_label: Optional[str] = None
 
     # -- introspection -----------------------------------------------------

@@ -30,6 +30,7 @@ from repro.mpi.sanitizer import (
     LeakReport,
     NullAuditor,
     ResourceAuditor,
+    ResourceLeakError,
     ScheduleFuzzer,
     env_fuzz_seed_default,
 )
@@ -299,6 +300,24 @@ class Machine:
                 tuple(alive), all(arrived[w][0] for w in alive))
             for _, gate in self._shrink_arrivals.pop(key).values():
                 gate.open()
+
+
+def audit_leaks(machine: Machine, *, failed: bool) -> Optional[LeakReport]:
+    """The leak audit every run and every cluster ends in.
+
+    ``None`` on an unsanitized machine, else the report, with a trace event
+    per leak on a traced one.  Raised as :class:`ResourceLeakError` iff the
+    run saw no failure: a failed rank tears down mid-operation, so its
+    leftovers are reported, not fatal.
+    """
+    if not machine.auditor.enabled:
+        return None
+    leaks = machine.auditor.collect(machine)
+    if leaks and machine.tracer is not NULL_TRACER:
+        _emit_leak_events(machine.tracer, leaks)
+    if leaks and not failed:
+        raise ResourceLeakError(leaks)
+    return leaks
 
 
 def _emit_leak_events(tracer: TraceRecorder, leaks: LeakReport) -> None:

@@ -9,9 +9,8 @@ buffer poisons.  This module closes that gap with two tools:
 **Resource auditor.**  When a run is sanitized (``run_mpi(...,
 sanitize=True)`` or ``REPRO_SANITIZE=1``), the machine carries a
 :class:`ResourceAuditor` that tracks every raw request, posted receive,
-unexpected-queue envelope, buffer poison, synchronous-send envelope,
-passive-target RMA lock, and cluster-service communicator lease
-(:mod:`repro.service`), each with a creation backtrace.  At run teardown the
+unexpected-queue envelope, buffer poison, synchronous-send envelope and
+passive-target RMA lock, each with a creation backtrace.  At run teardown the
 auditor sweeps the machine and produces a :class:`LeakReport`; a clean run
 with leftover resources raises :class:`ResourceLeakError` (the report rides
 on the exception), and when tracing is enabled each leak also becomes a
@@ -52,7 +51,6 @@ LEAK_KINDS = (
     "unexpected",       # an envelope left in a mailbox's unexpected queue
     "poison",           # a send-buffer poison (read-only flag) never released
     "rma_lock",         # a passive-target window lock never unlocked
-    "lease",            # a cluster-service communicator lease never returned
 )
 
 
@@ -173,10 +171,6 @@ class NullAuditor:
     def release_rma_lock(self, state, target: int, comm) -> None:
         pass
 
-    def track_lease(self, lease, *, comm: Hashable, world_rank: int = 0,
-                    rank: int = 0, detail: str = "") -> None:
-        pass
-
     def collect(self, machine) -> LeakReport:
         return LeakReport()
 
@@ -207,8 +201,6 @@ class ResourceAuditor:
         self._poisons: list[tuple[Any, dict]] = []
         #: held passive-target locks: (id(window state), target, world_rank) -> info
         self._rma_locks: dict[tuple[int, int, int], dict] = {}
-        #: tracked communicator leases: (lease object, attribution dict)
-        self._leases: list[tuple[Any, dict]] = []
 
     # -- registration hooks (called from the runtime's creation sites) -----
 
@@ -253,31 +245,6 @@ class ResourceAuditor:
         with self._lock:
             self._rma_locks.pop((id(state), target, comm.world_rank), None)
 
-    def track_lease(self, lease, *, comm: Hashable, world_rank: int = 0,
-                    rank: int = 0, detail: str = "") -> None:
-        """Register a cluster-service communicator lease.
-
-        The release is observed passively through ``lease.returned`` (the
-        same discipline as buffer poisons), so returning a lease costs the
-        service nothing on behalf of the auditor.  ``comm`` names the
-        lease's slot; ``world_rank`` attributes the leak to a rank for
-        the report/trace (leases are cluster-level, so the service passes
-        the pool's coordinating rank).
-        """
-        info = {
-            "op": getattr(lease, "op", "lease"),
-            "world_rank": world_rank,
-            "rank": rank,
-            "comm": comm,
-            "peer": None,
-            "tag": None,
-            "nbytes": 0,
-            "origin": _capture_origin(skip=2),
-            "detail": detail,
-        }
-        with self._lock:
-            self._leases.append((lease, info))
-
     # -- finalize-time sweep ------------------------------------------------
 
     def collect(self, machine) -> LeakReport:
@@ -286,7 +253,6 @@ class ResourceAuditor:
             requests = list(self._requests)
             poisons = list(self._poisons)
             rma_locks = list(self._rma_locks.values())
-            leases = list(self._leases)
         records: list[LeakRecord] = []
 
         # Posted receives owned by tracked requests are reported under the
@@ -318,10 +284,6 @@ class ResourceAuditor:
             records.append(LeakRecord(
                 kind="rma_lock", detail="passive-target lock never unlocked",
                 **info))
-
-        for lease, info in leases:
-            if not getattr(lease, "returned", True):
-                records.append(LeakRecord(kind="lease", **info))
 
         records.extend(self._sweep_mailboxes(machine, claimed_prs))
         return LeakReport(records)

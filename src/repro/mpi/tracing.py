@@ -67,7 +67,7 @@ class TraceEvent:
     #: IR replay of an optimized epoch (``None``: op as the program wrote it)
     ir_pass: Optional[str] = None
     #: cluster-service job label the op was issued on behalf of, when the
-    #: run is a service rank executing a leased job (``None``: not job work)
+    #: run is a service rank executing a job (``None``: not job work)
     job: Optional[str] = None
 
     @property

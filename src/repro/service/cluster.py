@@ -9,12 +9,9 @@ service shape (parameter servers, simulation farms) that one-shot
    (:class:`~repro.service.jobs.JobQueue`) and are rejected with
    :class:`~repro.service.jobs.ClusterSaturated` once ``queue_depth`` jobs
    wait.
-2. **One job communicator, leased slots** — jobs never touch the cluster's
-   base communicator; every job of a membership generation runs on one dup
-   of it.  Each directive holds a :class:`~repro.service.leases.CommLease`,
-   a slot of the dispatcher's pipeline, audited by the MPIsan ``lease``
-   resource kind and reported (with creation backtraces) at
-   :meth:`Cluster.shutdown`.
+2. **One job communicator** — jobs never touch the cluster's base
+   communicator; every job of a membership generation runs on one dup of
+   it.
 3. **Request batching** — compatible small collective jobs are coalesced
    into one shared collective (:mod:`repro.service.batching`), the IR
    layer's ``batch_bcasts`` idea applied across jobs.
@@ -26,11 +23,11 @@ service shape (parameter servers, simulation farms) that one-shot
    through the new generation's genesis commit.
 
 Coordination happens through a grow-only *directive log*: the client-side
-dispatcher appends directives (job groups with a lease, joins, shutdown) and
-every service rank consumes the log in order through its own cursor — so all
-ranks observe the identical sequence of collectives regardless of thread
+dispatcher appends directives (job groups, joins, shutdown) and every
+service rank consumes the log in order through its own cursor — so all ranks
+observe the identical sequence of collectives regardless of thread
 scheduling, which is what makes chaos runs bit-comparable to failure-free
-runs.
+runs.  Its unfinished job directives bound the dispatcher's pipeline.
 
 SPMD contract for job functions: a ``submit()``'d ``fn(comm, *args)`` runs
 on *every* service rank.  Deterministic (SPMD-replicated) exceptions are
@@ -60,7 +57,7 @@ from repro.mpi.errors import (
     RawProcessFailure,
     RunTimeout,
 )
-from repro.mpi.machine import Machine, _emit_leak_events
+from repro.mpi.machine import Machine, audit_leaks
 from repro.mpi.ops import Op
 from repro.mpi.sanitizer import (
     LeakReport,
@@ -76,10 +73,14 @@ from repro.plugins.resilience import ResilientScope
 from repro.plugins.ulfm import ULFM, MPIFailureDetected
 from repro.service.batching import batch_label, run_batch, shape_of
 from repro.service.jobs import ClusterError, Job, JobHandle, JobQueue
-from repro.service.leases import CommLease, LeasePool
 
 #: the service's communicator class: full bindings + ULFM fault tolerance
 ClusterComm = extend(Communicator, ULFM)
+
+#: job directives the log may hold unfinished.  At the bound the dispatcher
+#: forms the next group only once one finishes, so same-shape jobs pile up
+#: into it: 3 200 closed-loop jobs ran as 656 groups instead of 802
+PIPELINE_DEPTH = 2
 
 
 # -- the directive log -------------------------------------------------------
@@ -88,7 +89,6 @@ ClusterComm = extend(Communicator, ULFM)
 class _JobsDirective:
     index: int
     jobs: tuple[Job, ...]
-    lease: CommLease
 
 
 @dataclass
@@ -103,18 +103,25 @@ class _ShutdownDirective:
 
 
 class _DirectiveLog:
-    """Grow-only log + per-directive start/finish times for the watchdog."""
+    """Grow-only log, and the one record of the job directives in flight:
+    ``unfinished`` maps each to its start time (``None`` until a rank starts
+    it).  Each waiter has its own condition over the log's lock, so a finish
+    does not wake the ranks waiting for the next directive."""
 
     def __init__(self) -> None:
-        self.cv = threading.Condition()
+        lock = threading.Lock()
+        self.cv = threading.Condition(lock)        # ranks: the next directive
+        self.slot_cv = threading.Condition(lock)   # dispatcher: a free slot
+        self.watch_cv = threading.Condition(lock)  # watchdog: start / finish
         self.log: list[Any] = []
-        self.started: dict[int, float] = {}
-        self.finished: set[int] = set()
+        self.unfinished: dict[int, Optional[float]] = {}
 
     def append(self, make: Callable[[int], Any]) -> Any:
         with self.cv:
             directive = make(len(self.log))
             self.log.append(directive)
+            if isinstance(directive, _JobsDirective):
+                self.unfinished[directive.index] = None
             self.cv.notify_all()
             return directive
 
@@ -130,22 +137,43 @@ class _DirectiveLog:
     def wake(self) -> None:
         with self.cv:
             self.cv.notify_all()
+            self.slot_cv.notify_all()
+            self.watch_cv.notify_all()
 
     def mark_started(self, index: int) -> None:
         with self.cv:
-            self.started.setdefault(index, time.monotonic())
+            if index in self.unfinished and self.unfinished[index] is None:
+                self.unfinished[index] = time.monotonic()
+                self.watch_cv.notify()
 
     def mark_finished(self, index: int) -> None:
         with self.cv:
-            self.finished.add(index)
+            self.unfinished.pop(index, None)
+            self.slot_cv.notify()
+            self.watch_cv.notify()
 
-    def overdue(self, budget: float) -> Optional[int]:
-        """Index of a directive running past ``budget`` seconds, if any."""
-        now = time.monotonic()
+    def wait_slot(self, give_up: threading.Event) -> bool:
+        """Block until fewer than :data:`PIPELINE_DEPTH` job directives are
+        unfinished; ``False`` once ``give_up`` is set."""
         with self.cv:
-            for index, t0 in self.started.items():
-                if index not in self.finished and now - t0 > budget:
-                    return index
+            self.slot_cv.wait_for(
+                lambda: len(self.unfinished) < PIPELINE_DEPTH
+                or give_up.is_set())
+        return not give_up.is_set()
+
+    def overdue(self, budget: float, give_up: threading.Event
+                ) -> Optional[_JobsDirective]:
+        """Block until a started job directive has run ``budget`` seconds
+        and return it; ``None`` once ``give_up`` is set."""
+        with self.cv:
+            while not give_up.is_set():
+                running = [(t0, i) for i, t0 in self.unfinished.items()
+                           if t0 is not None]
+                t0, index = min(running, default=(None, None))
+                left = None if t0 is None else t0 + budget - time.monotonic()
+                if left is not None and left <= 0:
+                    return self.log[index]
+                self.watch_cv.wait(left)   # no timer while nothing runs
         return None
 
 
@@ -162,7 +190,6 @@ class Cluster:
 
     Constructor knobs (beyond the obvious): ``spares`` ranks are parked and
     admitted by :meth:`add_rank`; ``queue_depth`` bounds admission;
-    ``lease_slots`` bounds the dispatcher's pipeline of leased directives;
     ``batch_limit`` caps coalesced groups; ``job_timeout`` arms the per-
     directive watchdog; ``max_attempts`` bounds each epoch's recovery loop;
     ``hold_jobs=True`` parks the dispatcher until :meth:`release_jobs` (lets
@@ -171,8 +198,7 @@ class Cluster:
     """
 
     def __init__(self, num_ranks: int, *, spares: int = 0,
-                 queue_depth: int = 64,
-                 lease_slots: int = 2, batch_limit: int = 8,
+                 queue_depth: int = 64, batch_limit: int = 8,
                  cost_model: Optional[CostModel] = None,
                  deadline: float = 60.0,
                  job_timeout: Optional[float] = None,
@@ -217,7 +243,6 @@ class Cluster:
         self.max_attempts = max_attempts
 
         self.queue = JobQueue(queue_depth)
-        self.pool = LeasePool(lease_slots, auditor=self.machine.auditor)
         self._directives = _DirectiveLog()
         self._fuzzer = fuzzer
 
@@ -260,16 +285,12 @@ class Cluster:
         ]
         self._dispatcher = threading.Thread(
             target=self._dispatch_main, name="cluster-dispatch", daemon=True)
-        self._monitor: Optional[threading.Thread] = None
-        if job_timeout is not None:
-            self._monitor = threading.Thread(
-                target=self._monitor_main, name="cluster-watchdog",
-                daemon=True)
         for t in self._threads:
             t.start()
         self._dispatcher.start()
-        if self._monitor is not None:
-            self._monitor.start()
+        if job_timeout is not None:
+            threading.Thread(target=self._monitor_main,
+                             name="cluster-watchdog", daemon=True).start()
 
     # -- client API: submission --------------------------------------------
 
@@ -354,19 +375,6 @@ class Cluster:
 
     # -- client API: lifecycle ---------------------------------------------
 
-    def acquire_lease(self, label: str = "client",
-                      timeout: Optional[float] = None) -> CommLease:
-        """Reserve a slot of the dispatcher's pipeline outside the job queue
-        (audited).
-
-        The lease carries no communicator: while held, the dispatcher has
-        one slot fewer for directives.  Release it with ``lease.release()``
-        or MPIsan reports it at shutdown.
-        """
-        with self._lock:
-            self._check_alive()
-        return self.pool.acquire(label, timeout=timeout)
-
     def add_rank(self) -> int:
         """Admit one parked spare at the next directive boundary.
 
@@ -408,10 +416,8 @@ class Cluster:
 
         Further submissions are refused immediately; already-queued jobs
         still run.  The audit raises :class:`~repro.mpi.sanitizer.
-        ResourceLeakError` on any leak in a failure-free life, and on
-        *lease* leaks always (a leaked lease is client-side bookkeeping,
-        meaningful regardless of rank failures; its report carries the
-        acquisition backtrace).  Returns the leak report otherwise.
+        ResourceLeakError` on any leak in a life that saw no rank failure
+        and no wedge, and returns the leak report otherwise.
         """
         with self._lock:
             if self._did_shutdown:
@@ -427,28 +433,17 @@ class Cluster:
         self._dispatcher.join(join_budget)
         for t in self._threads:
             t.join(join_budget if not self._wedged.is_set() else 1.0)
-        if self._monitor is not None:
-            self._wedged.set()       # idles the monitor; threads are gone
+        self._wedged.set()           # stops the monitor; threads are gone
+        self._directives.wake()
         self._reject_unsettled(ClusterError(
             "the cluster shut down before this job settled"))
-        return self._audit()
-
-    def _audit(self) -> Optional[LeakReport]:
-        auditor = self.machine.auditor
-        if not auditor.enabled:
-            return None
-        leaks = auditor.collect(self.machine)
-        if leaks and self.tracer is not NULL_TRACER:
-            _emit_leak_events(self.tracer, leaks)
-        self._shutdown_report = leaks
-        had_failures = bool(self.machine.failed) or \
-            self._wedge_error is not None
-        lease_leaks = [r for r in leaks if r.kind == "lease"]
-        if lease_leaks and had_failures:
-            raise ResourceLeakError(LeakReport(lease_leaks))
-        if leaks and not had_failures:
-            raise ResourceLeakError(leaks)
-        return leaks
+        try:
+            self._shutdown_report = audit_leaks(
+                self.machine, failed=bool(self.machine.failed) or self.wedged)
+        except ResourceLeakError as exc:
+            self._shutdown_report = exc.report
+            raise
+        return self._shutdown_report
 
     def __enter__(self) -> "Cluster":
         return self
@@ -496,19 +491,16 @@ class Cluster:
                     lambda i: _JoinDirective(index=i, world_rank=join))
                 continue
             if len(self.queue):
-                # blocks when every slot is leased: natural pipelining limit.
-                # The group is formed once a slot is free, not before, so
-                # same-shape jobs submitted meanwhile join it (and a higher-
-                # priority one overtakes) instead of queueing behind a group
-                # frozen early; only this thread pops, so it is never empty
-                while not self.pool.wait_free(timeout=0.25):
-                    if self._wedged.is_set():
-                        return
+                # the group is formed once a pipeline slot is free, not
+                # before, so same-shape jobs submitted meanwhile join it (and
+                # a higher-priority one overtakes) instead of queueing behind
+                # a group frozen early; only this thread pops, so the queue
+                # is never empty here
+                if not self._directives.wait_slot(self._wedged):
+                    return
                 group = self.queue.pop_group(shape_of, self.batch_limit)
-                lease = self.pool._acquire(batch_label(group))
                 self._directives.append(
-                    lambda i: _JobsDirective(index=i, jobs=tuple(group),
-                                             lease=lease))
+                    lambda i: _JobsDirective(index=i, jobs=tuple(group)))
                 with self._lock:
                     self.stats["groups"] += 1
                     if len(group) > 1:
@@ -526,20 +518,17 @@ class Cluster:
     # -- watchdog -----------------------------------------------------------
 
     def _monitor_main(self) -> None:
-        while not self._wedged.wait(0.05):
-            if self._shutting_down and not self._unsettled:
-                return
-            index = self._directives.overdue(self.job_timeout)
-            if index is None:
-                continue
-            stacks = thread_stacks(self._threads)
-            self._wedge(RunTimeout(
-                f"cluster directive #{index} exceeded its "
-                f"{self.job_timeout:g}s job watchdog; {len(stacks)} rank(s) "
-                f"still running. Per-rank stacks:\n{format_stacks(stacks)}",
-                stacks,
-            ))
+        directive = self._directives.overdue(self.job_timeout, self._wedged)
+        if directive is None:
             return
+        stacks = thread_stacks(self._threads)
+        jobs = ", ".join(job.label for job in directive.jobs)
+        self._wedge(RunTimeout(
+            f"cluster directive #{directive.index} ({jobs}) exceeded its "
+            f"{self.job_timeout:g}s job watchdog; {len(stacks)} rank(s) "
+            f"still running. Per-rank stacks:\n{format_stacks(stacks)}",
+            stacks,
+        ))
 
     def _wedge(self, error: BaseException) -> None:
         """Fail the stream: reject outstanding handles, stop accepting work."""
@@ -672,7 +661,6 @@ class Cluster:
                     j.job_id,
                     ("err", ClusterError(
                         f"job {j.label!r} produced no outcome"))))
-            directive.lease.release()
             self._directives.mark_finished(directive.index)
             if scope.recovered_from:
                 with self._lock:

@@ -86,14 +86,10 @@ class JobHandle:
 
     def result(self, timeout: Optional[float] = None) -> Any:
         """Block for the job's result; re-raises the job's failure."""
-        if not self._event.wait(timeout):
-            raise TimeoutError(
-                f"job {self.label!r} not settled after {timeout}s"
-            )
-        status, value = self._outcome
-        if status == "err":
-            raise value
-        return value
+        error = self.exception(timeout)
+        if error is not None:
+            raise error
+        return self._outcome[1]
 
     def exception(self, timeout: Optional[float] = None) -> Optional[BaseException]:
         """Block for settlement; the failure exception, or ``None`` on success."""

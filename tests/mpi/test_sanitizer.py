@@ -155,27 +155,6 @@ class TestDeliberateLeaks:
         assert rec.kind == "posted_recv" and rec.peer == 1 and rec.tag == 11
         assert "never matched" in rec.detail
 
-    def test_unreturned_lease_is_reported(self):
-        """A communicator lease never returned (the Cluster.shutdown path;
-        the full service-level round trip lives in tests/service/)."""
-        class _Lease:
-            op = "comm_lease"
-            returned = False
-
-        auditor = ResourceAuditor()
-        machine = Machine(2, auditor=auditor)
-        lease = _Lease()
-        auditor.track_lease(lease, comm=("cluster-lease", 0),
-                            detail="lease 'job-7' never returned at shutdown")
-        report = auditor.collect(machine)
-        (rec,) = report.by_kind()["lease"]
-        assert rec.kind == "lease" and rec.op == "comm_lease"
-        assert "never returned" in rec.detail
-        assert rec.origin  # creation backtrace rides along, like every kind
-        # the release is observed passively through the lease's own state
-        lease.returned = True
-        assert not auditor.collect(machine).by_kind().get("lease")
-
     def test_every_leak_kind_has_a_true_positive(self):
         """Meta-check: the tests above cover the full LEAK_KINDS catalogue."""
         import inspect

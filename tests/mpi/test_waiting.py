@@ -407,10 +407,9 @@ def _functions(path):
 
 
 def test_one_park_loop_and_nobody_else_paces_a_wait():
-    """``Backoff`` is constructed by the park loop and by the one genuine
-    poll (the process launcher's parent, which watches OS processes) —
-    nowhere else under ``src/repro`` — and none of the blocking waits has a
-    loop of its own around its one call of the park loop."""
+    """``Backoff`` is constructed by the park loop and nowhere else under
+    ``src/repro``, and none of the blocking waits has a loop of its own
+    around its one call of the park loop."""
     src = pathlib.Path(repro.__file__).parent
     paced = set()
     for path in src.rglob("*.py"):
@@ -419,8 +418,7 @@ def test_one_park_loop_and_nobody_else_paces_a_wait():
                    and getattr(n.func, "id", None) == "Backoff"
                    for n in ast.walk(fn)):
                 paced.add((str(path.relative_to(src)), name))
-    assert paced == {("mpi/waiting.py", "WaitContext.park"),
-                     ("mpi/backends/process.py", "ProcessBackend.run")}
+    assert paced == {("mpi/waiting.py", "WaitContext.park")}
     for file, name in [
             ("mpi/p2p.py", "Mailbox.wait"), ("mpi/p2p.py", "Mailbox.probe"),
             ("mpi/requests.py", "SyncSendRequest.wait"),

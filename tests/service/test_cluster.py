@@ -1,8 +1,9 @@
-"""Cluster service mechanics: jobs, admission, leasing, batching, elasticity.
+"""Cluster service mechanics: jobs, admission, pipeline, batching, elasticity.
 
 The chaos/recovery side lives in ``test_chaos.py``; this file covers the
 failure-free service contract — including the one job communicator per
-membership generation and the MPIsan lease audit at shutdown.
+membership generation, the directive log's bound on the dispatcher's
+pipeline, and waits that park without a timer.
 """
 
 import threading
@@ -11,12 +12,33 @@ import time
 import pytest
 
 from repro.mpi import MIN, SUM
-from repro.mpi.sanitizer import ResourceLeakError
 from repro.service import (
     Cluster,
     ClusterError,
     ClusterSaturated,
 )
+
+
+@pytest.fixture
+def recorded_waits(monkeypatch):
+    """``(thread name, timeout)`` of every wait on a ``Condition`` (so on an
+    ``Event`` too) built during the test."""
+    waits = []
+
+    class Recording(threading.Condition):
+        def wait(self, timeout=None):
+            waits.append((threading.current_thread().name, timeout))
+            return super().wait(timeout)
+
+    monkeypatch.setattr(threading, "Condition", Recording)
+    return waits
+
+
+def _wait_until(predicate, what):
+    give_up = time.monotonic() + 10
+    while not predicate():
+        assert time.monotonic() < give_up, what
+        time.sleep(0.01)
 
 
 class TestJobKinds:
@@ -125,8 +147,6 @@ class TestAdmission:
             Cluster(2, job_timeout=0)
         with pytest.raises(ClusterError, match="queue depth"):
             Cluster(2, queue_depth=0)
-        with pytest.raises(ClusterError, match="lease_slots"):
-            Cluster(2, lease_slots=0)
 
 
 class TestBatching:
@@ -167,33 +187,66 @@ class TestBatching:
             assert c.stats["groups"] == 3  # 3 + 3 + 1
 
 
-class TestLeases:
-    def test_public_acquire_reserves_dispatcher_slot(self):
-        with Cluster(2, lease_slots=2) as c:
-            lease = c.acquire_lease("mine")
-            assert c.pool.free_slots() == 1
-            with pytest.raises(ClusterError, match="reserved for the "
-                                                   "dispatcher"):
-                c.acquire_lease("greedy", timeout=0.05)
-            lease.release()
-            assert lease.returned
+class TestPipeline:
+    """The directive log holds at most two unfinished job directives; the
+    dispatcher forms the next group only once one of them finishes."""
 
-    def test_unreturned_lease_reported_at_shutdown(self):
-        c = Cluster(2, sanitize=True)
-        c.acquire_lease("forgotten-by-client")
-        with pytest.raises(ResourceLeakError) as excinfo:
-            c.shutdown()
-        (rec,) = excinfo.value.report.by_kind()["lease"]
-        assert rec.op == "comm_lease"
-        assert "forgotten-by-client" in rec.detail
-        assert rec.origin  # the acquisition backtrace rides along
+    @staticmethod
+    def _fill(c):
+        """Two job directives blocked on events, five bcasts queued behind
+        them; returns once both blocked jobs are dispatched."""
+        gates = [threading.Event(), threading.Event()]
+        held = [c.submit(lambda comm, g=g: g.wait(), label=f"held-{i}")
+                for i, g in enumerate(gates)]
+        bcasts = [c.submit_bcast(i) for i in range(5)]
+        _wait_until(lambda: all(h.state == "running" for h in held),
+                    "the blocked jobs were never dispatched")
+        return gates, held, bcasts
 
-    def test_returned_leases_leave_shutdown_clean(self):
+    def test_a_full_pipeline_holds_the_backlog_then_runs_it_as_one_group(
+            self):
+        with Cluster(2) as c:
+            gates, held, bcasts = self._fill(c)
+            try:
+                time.sleep(0.2)
+                assert len(c.queue) == 5
+                assert c.stats["groups"] == 2
+                gates[0].set()
+                assert held[0].result(20) is True
+            finally:
+                for gate in gates:
+                    gate.set()
+            assert [h.result(20) for h in bcasts] == list(range(5))
+            assert c.stats["groups"] == 3
+            assert c.stats["batched_groups"] == 1
+
+    def test_the_dispatcher_held_at_the_bound_parks_without_a_timer(
+            self, recorded_waits):
+        with Cluster(2) as c:
+            gates, _, _ = self._fill(c)
+            try:
+                time.sleep(0.5)
+                timed = [t for name, t in recorded_waits
+                         if name == "cluster-dispatch" and t is not None]
+            finally:
+                for gate in gates:
+                    gate.set()
+            c.drain(20)
+        assert timed == []
+
+    def test_an_idle_watchdog_parks_without_a_timer(self, recorded_waits):
+        with Cluster(2, job_timeout=5):
+            time.sleep(0.5)
+            waits = [t for name, t in recorded_waits
+                     if name == "cluster-watchdog"]
+        assert len(waits) <= 2
+
+    def test_a_drained_cluster_shuts_down_leak_clean(self):
         c = Cluster(2, sanitize=True)
-        c.acquire_lease("tidy").release()
         c.submit_bcast(1).result(20)
         report = c.shutdown()
         assert not report
+        assert not c._directives.unfinished
 
 
 class TestJobCommunicator:
@@ -221,25 +274,19 @@ class TestJobCommunicator:
 
 
 class TestSpares:
-    def test_idle_spares_park_without_a_timeout(self, monkeypatch):
+    def test_idle_spares_park_without_a_timeout(self, recorded_waits):
         """A spare nobody admits waits on the admission condition with no
         timeout, and ``shutdown()`` wakes it."""
-        class Recording(threading.Condition):
-            def wait(self, timeout=None):
-                self.__dict__.setdefault("timeouts", []).append(timeout)
-                return super().wait(timeout)
+        def spare_waits():
+            return [t for name, t in recorded_waits
+                    if name in ("rank-2", "rank-3")]
 
-        monkeypatch.setattr(threading, "Condition", Recording)
         c = Cluster(2, spares=2)
-        cv = c._admission_cv
-        give_up = time.monotonic() + 10
-        while len(cv.__dict__.get("timeouts", ())) < 2:
-            assert time.monotonic() < give_up, "the spares never parked"
-            time.sleep(0.01)
+        _wait_until(lambda: len(spare_waits()) >= 2, "the spares never parked")
         time.sleep(0.2)              # a 50 ms poll would wake here
         c.shutdown()
         assert not any(t.is_alive() for t in c._threads)
-        assert cv.timeouts == [None, None]
+        assert spare_waits() == [None, None]
 
     def test_spare_claimed_just_before_shutdown_still_joins(self):
         c = Cluster(2, spares=1)
