@@ -12,12 +12,15 @@ Shapes
 ------
 - ``("bcast", root)`` — payloads are tupled at the root; every job's result
   is its element of the received tuple.
-- ``("allreduce", op)`` — each job contributes a vector slot; per-rank
-  partial reductions are merged elementwise by a derived commutative op
-  whose identity is the all-``None`` vector.  Exact (bit-identical across
-  membership sizes) for closed discrete domains like ints; floating-point
-  jobs see the usual reassociation caveat and should not be batched when
-  bitwise reproducibility across shrinks matters.
+- ``("allreduce", op)`` — each job contributes a vector slot.  If ``op``
+  is a NumPy ufunc, every job has a value per rank and all make arrays of
+  one integer or bool dtype, each rank folds its slices with one call of
+  the ufunc's ``reduceat`` and the partials travel as one array reduced
+  by ``op`` itself.  Otherwise a derived op merges the per-rank partials,
+  skipping ``None`` slots.  Exact (bit-identical across membership sizes) for
+  closed discrete domains like ints; floating-point jobs see the usual
+  reassociation caveat and should not be batched when bitwise
+  reproducibility across shrinks matters.
 
 ``"call"`` and ``"epochs"`` jobs have shape ``None`` and never coalesce.
 """
@@ -25,7 +28,10 @@ Shapes
 from __future__ import annotations
 
 import functools
+import itertools
 from typing import Any, Optional
+
+import numpy as np
 
 from repro.mpi.ops import user_op
 from repro.service.jobs import ClusterError, Job
@@ -49,12 +55,34 @@ def batch_label(jobs: list[Job]) -> str:
     return "batch:" + "+".join(job.label for job in jobs)
 
 
-def _merge_one(op, mine: Any, theirs: Any) -> Any:
-    if mine is None:
-        return theirs
-    if theirs is None:
-        return mine
-    return op(mine, theirs)
+def int_dtype(values: tuple) -> Optional[np.dtype]:
+    """The one integer or bool dtype of an allreduce job's values, or
+    ``None``; taken at submission from all of them, so every rank agrees.
+    One scalar type keeps mixed folds (``np.int32(1) + 5``) out, and the
+    dtype check ints beyond int64."""
+    types = set(map(type, values))
+    if len(types) != 1:
+        return None
+    (scalar,) = types
+    scalar = {int: np.int_, bool: np.bool_}.get(scalar, scalar)
+    if not issubclass(scalar, (np.integer, np.bool_)):
+        return None
+    dtype = np.asarray(values).dtype
+    return dtype if dtype.type is scalar else None
+
+
+def _group_dtype(jobs: list[Job], op, size: int) -> Optional[np.dtype]:
+    """The jobs' dtype if the group reduces with ``op``'s ufunc: one dtype,
+    which the ufunc maps to itself (not ``LAND`` on ints, which folds to
+    bools), and a value for every rank in every job — two at p = 1, where
+    a lone value is its own result, not a NumPy scalar."""
+    dtype = jobs[0].dtype
+    if (dtype is None or not isinstance(op.fn, np.ufunc)
+            or {job.dtype for job in jobs} != {dtype}
+            or min(len(job.values) for job in jobs) < max(size, 2)):
+        return None
+    char = dtype.char
+    return dtype if f"{char}{char}->{char}" in op.fn.types else None
 
 
 def run_batch(comm, jobs: list[Job]) -> list[tuple[str, Any]]:
@@ -84,18 +112,25 @@ def run_batch(comm, jobs: list[Job]) -> list[tuple[str, Any]]:
     if kind == "allreduce":
         op = jobs[0].op
         size = raw.size
-        # each rank reduces its strided slice of every job's values; a rank
-        # with an empty slice contributes None, absorbed by the merge op
-        contribs = []
-        for job in jobs:
-            mine = list(job.values[raw.rank::size])
-            contribs.append(functools.reduce(op, mine) if mine else None)
-        merge = user_op(
-            lambda a, b: [_merge_one(op, x, y) for x, y in zip(a, b)],
-            commutative=op.commutative,
-            name=f"batch<{op.name}>",
-            identity=[None] * len(jobs),
-        )
+        # each rank reduces its strided slice of every job's values
+        mine = [job.values[raw.rank::size] for job in jobs]
+        dtype = _group_dtype(jobs, op, size)
+        if dtype is not None:
+            # one kernel call folds every slice, and the job's own op merges
+            # the partials; dtype= keeps the fold's type: bools stay bools
+            starts = list(itertools.accumulate(map(len, mine[:-1]), initial=0))
+            contribs = op.fn.reduceat(
+                np.fromiter(itertools.chain.from_iterable(mine), dtype),
+                starts, dtype=dtype)
+            merge = op
+        else:
+            # an empty slice contributes None, absorbed by the merge op
+            contribs = [functools.reduce(op, m) if m else None for m in mine]
+            merge = user_op(
+                lambda a, b: [y if x is None else x if y is None else op(x, y)
+                              for x, y in zip(a, b)],
+                commutative=op.commutative, name=f"batch<{op.name}>",
+                identity=[None] * len(jobs))
         merged = comm._guard(lambda: raw.allreduce(contribs, merge))
         return [("ok", value) for value in merged]
 

@@ -2,32 +2,28 @@
 
 A :class:`Cluster` owns a thread-backend machine's worth of ranks for its
 whole lifetime and runs a *stream* of jobs over them — the long-running
-service shape (parameter servers, simulation farms) that one-shot
-``run_mpi`` cannot express.  Four mechanisms compose:
+service shape that one-shot ``run_mpi`` cannot express.  Four mechanisms
+compose:
 
-1. **Admission control** — submissions land in a bounded priority queue
-   (:class:`~repro.service.jobs.JobQueue`) and are rejected with
-   :class:`~repro.service.jobs.ClusterSaturated` once ``queue_depth`` jobs
-   wait.
-2. **One job communicator** — jobs never touch the cluster's base
-   communicator; every job of a membership generation runs on one dup of
-   it.
+1. **Admission control** — a bounded priority queue
+   (:class:`~repro.service.jobs.JobQueue`) rejects a submission with
+   :class:`~repro.service.jobs.ClusterSaturated` once it is full.
+2. **One job communicator** — every job of a membership generation runs
+   on one dup of the cluster's communicator.
 3. **Request batching** — compatible small collective jobs are coalesced
-   into one shared collective (:mod:`repro.service.batching`), the IR
-   layer's ``batch_bcasts`` idea applied across jobs.
-4. **Elastic membership** — every membership generation runs under a
+   into one shared collective (:mod:`repro.service.batching`).
+4. **Elastic membership** — every generation runs under a
    :class:`~repro.plugins.resilience.ResilientScope`: a failed rank is
-   revoked/shrunk/agreed away mid-stream and in-flight epochal jobs restart
-   from the last committed epoch off ring-buddy checkpoints; a joining spare
-   is admitted at the next directive boundary and receives replicated state
-   through the new generation's genesis commit.
+   revoked/shrunk/agreed away mid-stream and epochal jobs restart from the
+   last committed epoch; a joining spare is admitted at the next directive
+   boundary and receives replicated state through the genesis commit.
 
-Coordination happens through a grow-only *directive log*: the client-side
-dispatcher appends directives (job groups, joins, shutdown) and every
-service rank consumes the log in order through its own cursor — so all ranks
-observe the identical sequence of collectives regardless of thread
-scheduling, which is what makes chaos runs bit-comparable to failure-free
-runs.  Its unfinished job directives bound the dispatcher's pipeline.
+Coordination happens through a grow-only *directive log*: the dispatcher
+appends directives (job groups, joins, shutdown) and every service rank
+consumes the log in order through its own cursor, so all ranks observe the
+identical sequence of collectives whatever the thread schedule — which
+makes chaos runs bit-comparable to failure-free runs.  Its unfinished job
+directives bound the dispatcher's pipeline.
 
 SPMD contract for job functions: a ``submit()``'d ``fn(comm, *args)`` runs
 on *every* service rank.  Deterministic (SPMD-replicated) exceptions are
@@ -47,6 +43,7 @@ from typing import Any, Callable, Optional, Sequence
 
 from repro.core.communicator import Communicator
 from repro.core.plugins import extend
+from repro.mpi.backends.base import resolve_tracer
 from repro.mpi.context import RawComm
 from repro.mpi.costmodel import CostModel
 from repro.mpi.engine import CollectiveEngine
@@ -71,7 +68,7 @@ from repro.mpi.tracing import NULL_TRACER, TraceRecorder
 from repro.mpi.watchdog import format_stacks, thread_stacks
 from repro.plugins.resilience import ResilientScope
 from repro.plugins.ulfm import ULFM, MPIFailureDetected
-from repro.service.batching import batch_label, run_batch, shape_of
+from repro.service.batching import batch_label, int_dtype, run_batch, shape_of
 from repro.service.jobs import ClusterError, Job, JobHandle, JobQueue
 
 #: the service's communicator class: full bindings + ULFM fault tolerance
@@ -215,14 +212,10 @@ class Cluster:
             raise ClusterError(f"spares must be >= 0, got {spares}")
         if job_timeout is not None and job_timeout <= 0:
             raise ClusterError(
-                f"job_timeout must be > 0 seconds, got {job_timeout}"
-            )
+                f"job_timeout must be > 0 seconds, got {job_timeout}")
 
-        if isinstance(trace, TraceRecorder):
-            self.tracer = trace
-        else:
-            self.tracer = (TraceRecorder(num_ranks + spares) if trace
-                           else NULL_TRACER)
+        recorder = resolve_tracer(trace, num_ranks + spares)
+        self.tracer = NULL_TRACER if recorder is None else recorder
         if sanitize is None:
             sanitize = env_sanitize_default()
         if fuzz_seed is None:
@@ -233,8 +226,8 @@ class Cluster:
         capacity = num_ranks + spares
         self.machine = Machine(
             capacity, cost_model=cost_model, deadline=deadline,
-            tracer=self.tracer if self.tracer is not NULL_TRACER else None,
-            engine=engine, auditor=auditor, fuzzer=fuzzer, faults=faults,
+            tracer=recorder, engine=engine, auditor=auditor, fuzzer=fuzzer,
+            faults=faults,
         )
         self.num_ranks = num_ranks
         self.capacity = capacity
@@ -355,7 +348,8 @@ class Cluster:
                 f"got {type(op).__name__}"
             )
         return self._enqueue(kind="allreduce", values=values, op=op,
-                             priority=priority, label=label)
+                             dtype=int_dtype(values), priority=priority,
+                             label=label)
 
     def _enqueue(self, *, kind: str, priority: int,
                  label: Optional[str], **fields: Any) -> JobHandle:
@@ -405,10 +399,8 @@ class Cluster:
         with self._drain_cv:
             if not self._drain_cv.wait_for(lambda: not self._unsettled,
                                            timeout=timeout):
-                raise TimeoutError(
-                    f"{len(self._unsettled)} job(s) still unsettled after "
-                    f"{timeout}s"
-                )
+                raise TimeoutError(f"{len(self._unsettled)} job(s) still "
+                                   f"unsettled after {timeout}s")
 
     def shutdown(self, timeout: Optional[float] = None
                  ) -> Optional[LeakReport]:
@@ -466,10 +458,7 @@ class Cluster:
     def _on_settled(self, handle: JobHandle) -> None:
         with self._lock:
             self._unsettled.discard(handle)
-            if handle.state == "done":
-                self.stats["jobs_done"] += 1
-            else:
-                self.stats["jobs_failed"] += 1
+            self.stats[f"jobs_{handle.state}"] += 1    # done | failed
             self._drain_cv.notify_all()
 
     # -- dispatcher ---------------------------------------------------------
@@ -556,16 +545,15 @@ class Cluster:
         if self._fuzzer is not None:
             self._fuzzer.pause("spawn")
         try:
+            shards: list = []
             if world_rank < self.num_ranks:
                 cursor, members, generation = 0, tuple(
                     range(self.num_ranks)), 0
-                shards: list = []
             else:
                 admitted = self._await_admission(world_rank)
                 if admitted is None:
                     return
                 cursor, members, generation = admitted
-                shards = []
             while True:
                 scope = self._build_scope(world_rank, generation, members,
                                           shards)
@@ -657,10 +645,8 @@ class Cluster:
         # only at op entries, so the fulfiller cannot die in the window)
         if scope.comm.raw.rank == 0:
             for j in jobs:
-                j.handle._settle(outcomes.get(
-                    j.job_id,
-                    ("err", ClusterError(
-                        f"job {j.label!r} produced no outcome"))))
+                j.handle._settle(outcomes.get(j.job_id, ("err", ClusterError(
+                    f"job {j.label!r} produced no outcome"))))
             self._directives.mark_finished(directive.index)
             if scope.recovered_from:
                 with self._lock:
@@ -669,15 +655,11 @@ class Cluster:
                         w for w in scope.recovered_from if w not in known)
 
     def _job_comm(self, comm):
-        """This rank's job communicator: one dup of the scope communicator.
-
-        Rebuilt lazily (one collective dup) whenever the scope communicator
-        changed — epoch functions all enter before any job op, so the
-        rebuild is collectively aligned; a failure mid-rebuild is recovered
-        like any epoch failure and retried on the shrunk communicator.  One
-        is enough: every directive ends in the scope's ``agree``, a
-        rendezvous of all alive members, so no rank starts a directive
-        before every rank has finished the one before.
+        """This rank's job communicator: one dup of the scope communicator,
+        rebuilt (one collective dup, recovered like any epoch failure)
+        whenever the scope communicator changed.  One is enough: every
+        directive ends in the scope's ``agree``, a rendezvous of all alive
+        members, so no rank starts a directive before all finished the last.
         """
         base, job_comm = self._job_comms[comm.raw.world_rank]
         if base is not comm.raw:
@@ -685,28 +667,17 @@ class Cluster:
             self._job_comms[comm.raw.world_rank] = (comm.raw, job_comm)
         return job_comm
 
-    def _revoke_job_comm(self, comm) -> None:
-        """Poison the scope communicator's job dup, machine-wide.
-
-        The scope only revokes its *own* communicator on failure; a peer
-        blocked inside a collective on the dup would never see that.  The
-        dup's id is deterministic (``(comm_id, "dup", 0)``: it is the scope
-        communicator's only dup), so the detecting rank can mark it revoked
-        directly — peers stuck in it error out with ``MPIRevokedError`` and
-        rejoin the recovery, exactly like the scope-communicator path.
-        """
-        raw = comm.raw
-        self.machine.get_or_create_comm(
-            (raw.comm_id, "dup", 0), raw.state.members).revoke()
-
     def _on_job_comm(self, comm, label: str, body: Callable) -> Any:
         """Run ``body(job_comm)`` with the job label stamped on its ops.
 
         Any process-failure signal — bindings-level ``MPIFailureDetected``
         from wrapped ops, or raw ``RawProcessFailure``/``RawCommRevoked``
         from jobs using ``comm.raw`` directly — revokes the job dup
-        (unblocking peers still inside it) and re-raises as
-        ``MPIFailureDetected`` so the resilient scope recovers.
+        machine-wide and re-raises as ``MPIFailureDetected`` so the
+        resilient scope recovers.  The scope revokes only its own
+        communicator, which a peer blocked on the dup would never see; the
+        dup's id is deterministic (``(comm_id, "dup", 0)``: the scope
+        communicator's only dup), so the detecting rank revokes it directly.
         """
         try:
             job_comm = self._job_comm(comm)
@@ -716,7 +687,9 @@ class Cluster:
             finally:
                 job_comm.raw._job_label = None
         except (MPIFailureDetected, RawProcessFailure, RawCommRevoked) as exc:
-            self._revoke_job_comm(comm)
+            raw = comm.raw
+            self.machine.get_or_create_comm(
+                (raw.comm_id, "dup", 0), raw.state.members).revoke()
             if isinstance(exc, MPIFailureDetected):
                 raise
             raise MPIFailureDetected(

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import heapq
 import threading
+from _thread import allocate_lock
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
@@ -46,14 +47,17 @@ class JobHandle:
 
     Settlement is idempotent and first-write-wins: a job that times out
     (:class:`~repro.mpi.errors.RunTimeout` via the cluster watchdog) stays
-    failed even if a straggling rank later commits it.
+    failed even if a straggling rank later commits it.  Waiters block on a
+    *latch*, one raw lock created held: settling releases it, and each
+    waiter acquires it and releases it again for the next.
     """
 
     def __init__(self, job_id: int, label: str, cluster=None):
         self.job_id = job_id
         self.label = label
         self._cluster = cluster
-        self._event = threading.Event()
+        self._latch = allocate_lock()
+        self._latch.acquire()
         self._lock = threading.Lock()
         self._outcome: Optional[tuple[str, Any]] = None
         self._running = False
@@ -66,7 +70,7 @@ class JobHandle:
             if self._outcome is not None:
                 return False
             self._outcome = outcome
-        self._event.set()
+        self._latch.release()
         if self._cluster is not None:
             self._cluster._on_settled(self)
         return True
@@ -93,21 +97,22 @@ class JobHandle:
 
     def exception(self, timeout: Optional[float] = None) -> Optional[BaseException]:
         """Block for settlement; the failure exception, or ``None`` on success."""
-        if not self._event.wait(timeout):
+        latch = self._latch
+        passed = (latch.acquire() if timeout is None
+                  else timeout > 0 and latch.acquire(True, timeout))
+        if passed:
+            latch.release()          # the next waiter passes too
+        elif self._outcome is None:  # a timeout <= 0 does not wait
             raise TimeoutError(
-                f"job {self.label!r} not settled after {timeout}s"
-            )
+                f"job {self.label!r} not settled after {timeout}s")
         status, value = self._outcome
         return value if status == "err" else None
 
     def trace(self) -> list:
-        """This job's slice of the cluster trace (``[]`` unless traced).
-
-        Per-job trace scoping: service ranks stamp the job label on every op
-        issued inside the job communicator, so one shared recorder can be
-        sliced per job.  Batched jobs share one collective stamped with the
-        batch label and therefore return ``[]`` here.
-        """
+        """This job's slice of the cluster trace (``[]`` unless traced):
+        service ranks stamp the job label on every op of the job
+        communicator.  Batched jobs share one collective stamped with the
+        batch label and therefore return ``[]`` here."""
         if self._cluster is None:
             return []
         return self._cluster.tracer.events_for_job(self.label)
@@ -133,6 +138,7 @@ class Job:
     payload: Any = None
     root: int = 0
     values: tuple = ()
+    dtype: Any = None        # the values' one integer or bool dtype, if any
     op: Any = None
 
 

@@ -6,16 +6,29 @@ membership generation, the directive log's bound on the dispatcher's
 pipeline, and waits that park without a timer.
 """
 
+import functools
+import sys
 import threading
 import time
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from repro.mpi import MIN, SUM
+from repro.mpi import (
+    BUILTIN_OPS,
+    MIN,
+    SUM,
+    CollectiveEngine,
+    Op,
+    RunTimeout,
+    user_op,
+)
 from repro.service import (
     Cluster,
     ClusterError,
     ClusterSaturated,
+    JobHandle,
 )
 
 
@@ -185,6 +198,159 @@ class TestBatching:
             c.release_jobs()
             c.drain(20)
             assert c.stats["groups"] == 3  # 3 + 3 + 1
+
+    @staticmethod
+    def _drain(stream, batch_limit=8, engine=None):
+        """Each ``(values, op, priority)`` job's result, submitted while
+        held: jobs of one op and priority form one group."""
+        with Cluster(4, hold_jobs=True, batch_limit=batch_limit,
+                     engine=engine) as c:
+            handles = [c.submit_allreduce(values, op=op, priority=priority)
+                       for values, op, priority in stream]
+            c.release_jobs()
+            return [h.result(20) for h in handles], dict(c.stats)
+
+    @pytest.mark.parametrize("dtype", ["int64", "int32", "bool"])
+    @pytest.mark.parametrize("name", sorted(BUILTIN_OPS))
+    def test_every_builtin_op_batches_exactly(self, name, dtype):
+        """Each job's result equals the left fold of its values, in value
+        and in type: bools stay bools, int32 and int64 wrap around."""
+        op = BUILTIN_OPS[name]
+        rng = np.random.default_rng(sorted(BUILTIN_OPS).index(name))
+        if dtype == "bool":
+            jobs = [rng.integers(0, 2, n).astype(bool).tolist()
+                    for n in (4, 5, 9, 16)]
+        else:
+            info = np.iinfo(dtype)
+            jobs = [list(rng.integers(info.min, info.max, n, dtype=dtype))
+                    for n in (4, 5, 9, 16)]
+            jobs.append([info.max, 1, 0, 0, info.max])  # wraps under SUM
+            if dtype == "int64":
+                jobs = [[int(v) for v in job] for job in jobs]
+        results, stats = self._drain([(values, op, 0) for values in jobs])
+        assert stats["groups"] == 1
+        for values, got in zip(jobs, results):
+            want = functools.reduce(op, values)
+            assert got == want and type(got) is type(want), (values, got)
+
+    def test_groups_off_the_array_path_match_unbatched_runs(self):
+        """Short jobs, floats, user ops, ints beyond int64, objects, mixed
+        scalar types, ``LAND`` on ints — and uint64 beyond int64 on the
+        array path — give what each job gives alone."""
+        add = user_op(lambda a, b: a + b, name="add")
+        groups = [
+            [(range(2), SUM), (range(10), SUM)],          # a job below p
+            [([0.1, 0.2, 0.3, 0.4, 0.5], SUM), ([1e16, 1.0, -1e16, 3.0], SUM)],
+            [([2**64, 3, 5, 7], add), ([2**70, -1, 4, 4, 4], add)],
+            [([np.uint64(2**63 + 5)] * 6, SUM), ([np.uint64(7)] * 4, SUM)],
+            [([Fraction(1, 3), Fraction(1, 6), 1, 2], SUM), (range(5), SUM)],
+            [([np.int32(1), 5, 7, 9], SUM), ([True, True, 2, 3], SUM)],
+            [([3, 5, 6, 9], BUILTIN_OPS["land"]),
+             ([0, 5, 0, 9], BUILTIN_OPS["land"])],
+        ]
+        stream = [(values, op, priority)
+                  for priority, group in enumerate(groups)
+                  for values, op in group]
+        batched, stats = self._drain(stream)
+        assert stats["batched_groups"] == len(groups)
+        unbatched, _ = self._drain(stream, batch_limit=1)
+        assert batched == unbatched
+        assert [type(v) for v in batched] == [type(v) for v in unbatched]
+
+    def test_a_lone_value_at_p1_stays_its_own_result(self):
+        with Cluster(1, hold_jobs=True) as c:
+            lone = c.submit_allreduce([5], op=SUM)
+            pair = c.submit_allreduce([5, 6], op=SUM)
+            c.release_jobs()
+            assert type(lone.result(20)) is int and lone.result(20) == 5
+            assert type(pair.result(20)) is np.int64 and pair.result(20) == 11
+            assert c.stats["batched_groups"] == 1
+
+    def test_a_batched_integer_group_reduces_with_the_ops_own_kernel(
+            self, monkeypatch):
+        """8 jobs x 64 values at p = 4 make only the schedule's combines
+        (recursive doubling: 2 per rank), not one call per value."""
+        calls = []
+        real = Op.__call__
+
+        def counted(self, a, b):
+            calls.append(self.name)
+            return real(self, a, b)
+
+        monkeypatch.setattr(Op, "__call__", counted)
+        stream = [(range(i, i + 64), SUM, 0) for i in range(8)]
+        results, stats = self._drain(
+            stream, engine=CollectiveEngine(env={}))
+        assert results == [sum(range(i, i + 64)) for i in range(8)]
+        assert stats["groups"] == 1
+        assert len(calls) <= 2 * 4, calls
+
+
+class TestHandleLatch:
+    def test_every_blocked_waiter_returns_the_value(self):
+        handle = JobHandle(0, "latched")
+        got = []
+        waiters = [threading.Thread(target=lambda: got.append(
+            handle.result(60))) for _ in range(3)]
+        for t in waiters:
+            t.start()
+        time.sleep(0.05)
+        assert got == []
+        handle._settle(("ok", 42))
+        for t in waiters:      # each passes the latch on: no waiter times out
+            t.join(5)
+        assert not any(t.is_alive() for t in waiters)
+        assert got == [42, 42, 42]
+        assert handle.result(0) == 42 and handle.exception(-1) is None
+
+    @pytest.mark.parametrize("timeout", [0, -1, -0.5])
+    def test_a_non_positive_timeout_on_an_unsettled_handle_returns_at_once(
+            self, timeout):
+        handle = JobHandle(0, "latched")
+        t0 = time.monotonic()
+        with pytest.raises(TimeoutError, match="not settled"):
+            handle.result(timeout)
+        assert time.monotonic() - t0 < 0.05
+
+    def test_a_rejection_racing_a_settle_keeps_the_first_outcome(self):
+        """Two ranks' commits race two watchdog rejections (more threads
+        than cores, a short switch interval): one outcome wins, and the
+        cluster hears of the settlement once."""
+        class Counting:
+            settled = 0
+
+            def _on_settled(self, handle):
+                Counting.settled += 1
+
+        outcomes = [("ok", 7), ("ok", 8), ("err", RunTimeout("watchdog 1")),
+                    ("err", RunTimeout("watchdog 2"))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(200):
+                Counting.settled = 0
+                handle = JobHandle(0, "raced", cluster=Counting())
+                start = threading.Barrier(len(outcomes))
+                won = [None] * len(outcomes)
+
+                def settle(i):
+                    start.wait()
+                    won[i] = handle._settle(outcomes[i])
+
+                racers = [threading.Thread(target=settle, args=(i,))
+                          for i in range(len(outcomes))]
+                for t in racers:
+                    t.start()
+                for t in racers:
+                    t.join(20)
+                assert not any(t.is_alive() for t in racers)
+                assert won.count(True) == 1 and Counting.settled == 1
+                first = outcomes[won.index(True)]
+                assert handle._outcome is first
+                assert handle.exception(0) is (
+                    first[1] if first[0] == "err" else None)
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestPipeline:
