@@ -5,7 +5,9 @@ Drains the same stream of small compatible jobs through a
 (``batch_limit=1``) and once enabled — and compares the number of job-level
 collective calls the machine actually executed.  The acceptance bar mirrors
 the IR's ``batch_bcasts`` rewrite at the service layer: identical drained
-results with *strictly fewer* collective calls and dispatch groups.
+results with *strictly fewer* collective calls and dispatch groups, and a
+batched drain whose directives (one ``agree`` each) are fewer than its
+groups.
 
 Emits one machine-readable ``BENCH {...}`` JSON line with the full table.
 """
@@ -46,13 +48,16 @@ def _drain(batch_limit):
 
 def _emit_summary():
     print("BENCH " + json.dumps({"bench": "service_batching", "rows": _ROWS}))
-    lines = ["jobs  p   mode       groups   job-level collective calls"]
+    lines = ["jobs  p   mode       directives  groups   "
+             "job-level collective calls"]
     for row in _ROWS:
         lines.append(f"{row['jobs']:<5} {row['p']:<3} {row['mode']:<10} "
-                     f"{row['groups']:<8} {row['calls']}")
+                     f"{row['directives']:<11} {row['groups']:<8} "
+                     f"{row['calls']}")
     lines.append("")
     lines.append("(both drains bit-identical; batching strictly reduces "
-                 "groups and collective calls)")
+                 "groups and collective calls; a directive carries every "
+                 "queued group of its priority)")
     report("cluster service — request batching", "\n".join(lines))
 
 
@@ -67,6 +72,8 @@ def test_batching_strictly_reduces_collective_calls(benchmark):
     assert values == plain_values, "batched drain must be bit-identical"
     assert stats["batched_groups"] >= 1
     assert stats["groups"] < plain_stats["groups"]
+    assert stats["directives"] < stats["groups"], (
+        "one directive must carry the held stream's groups")
     assert calls < plain_calls, (
         f"batching must strictly cut collective calls "
         f"({plain_calls} -> {calls})"
@@ -77,5 +84,6 @@ def test_batching_strictly_reduces_collective_calls(benchmark):
     for mode, c, s in (("unbatched", plain_calls, plain_stats),
                        ("batched", calls, stats)):
         _ROWS.append({"jobs": JOBS, "p": P, "mode": mode,
-                      "groups": s["groups"], "calls": c})
+                      "directives": s["directives"], "groups": s["groups"],
+                      "calls": c})
     _emit_summary()

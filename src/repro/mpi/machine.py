@@ -189,9 +189,9 @@ class Machine:
         #: failed world ranks; replaced whole, never mutated: read without a lock
         self.failed: frozenset[int] = frozenset()
         self._shrink_lock = threading.Lock()
-        #: per unsettled rendezvous key: ``(flag, gate)`` of each arrived rank
-        self._shrink_arrivals: dict[Hashable, dict[int, tuple[bool, Gate]]] = {}
-        self._shrink_results: dict[Hashable, tuple[tuple[int, ...], bool]] = {}
+        #: per unsettled rendezvous key: ``[flag, gate, result]`` of each
+        #: arrived rank; a settled key leaves nothing behind
+        self._shrink_arrivals: dict[Hashable, dict[int, list]] = {}
         self.world = self.get_or_create_comm(WORLD_ID, range(num_ranks))
         #: active fault-injection campaign (``None`` outside injected runs);
         #: attach last — it wires itself into the engine's fault hook
@@ -276,30 +276,29 @@ class Machine:
         machine-level coordination — exactly the role the network-level ULFM
         agreement protocol plays on a real system.  Every arrival records its
         flag; the one that completes the alive set — or ``mark_failed``
-        shrinking that set — stores the result and lets the others through.
-        It runs *on* a revoked communicator, so revocation does not end it.
+        shrinking that set — hands each arrival the result and lets it
+        through.  The machine keeps nothing of a settled rendezvous, so a
+        key used again is a fresh agreement.  It runs *on* a revoked
+        communicator, so revocation does not end it.
         """
         key = (state.comm_id, key)
-        gate = Gate()
+        slot = [flag, Gate(), None]
         with self._shrink_lock:
-            if key not in self._shrink_results:
-                self._shrink_arrivals.setdefault(key, {})[world_rank] = (
-                    flag, gate)
-                self._settle(key)
-        if key not in self._shrink_results:
-            state.waits.park(gate, (), None, f"{what} never completed")
-        return self._shrink_results[key]
+            self._shrink_arrivals.setdefault(key, {})[world_rank] = slot
+            self._settle(key)
+        state.waits.park(slot[1], (), None, f"{what} never completed")
+        return slot[2]
 
     def _settle(self, key: Hashable) -> None:
         """Under the lock: once every alive member has arrived at rendezvous
-        ``key``, store its result and let the arrived through."""
+        ``key``, hand the arrived its result and let them through."""
         arrived = self._shrink_arrivals[key]
         alive = sorted(set(self._comms[key[0]].members) - self.failed)
         if all(w in arrived for w in alive):
-            self._shrink_results[key] = (
-                tuple(alive), all(arrived[w][0] for w in alive))
-            for _, gate in self._shrink_arrivals.pop(key).values():
-                gate.open()
+            result = (tuple(alive), all(arrived[w][0] for w in alive))
+            for slot in self._shrink_arrivals.pop(key).values():
+                slot[2] = result
+                slot[1].open()
 
 
 def audit_leaks(machine: Machine, *, failed: bool) -> Optional[LeakReport]:

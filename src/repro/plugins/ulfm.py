@@ -76,11 +76,11 @@ class ULFM(CommunicatorPlugin):
         ``generation`` distinguishes successive shrinks of the same
         communicator.  By default each call uses an internal auto-
         incrementing epoch, so repeated shrinks of one communicator object
-        never collide with a cached earlier agreement (the machine caches
-        rendezvous results per ``(comm, generation)``).  Pass an explicit
-        value to override — e.g. to coordinate the generation across ranks
-        holding *distinct* wrapper objects of the same communicator, where
-        each wrapper's private epoch counter would not be shared.
+        build distinct communicators (the new id is ``(comm, "shrink",
+        generation, survivors)``).  Pass an explicit value to override —
+        e.g. to coordinate the generation across ranks holding *distinct*
+        wrapper objects of the same communicator, where each wrapper's
+        private epoch counter would not be shared.
         """
         if generation is None:
             epoch = getattr(self, "_ulfm_shrink_epoch", 0)

@@ -1,22 +1,20 @@
 """Request batching: coalesce compatible small jobs into shared collectives.
 
-The IR layer's ``batch_bcasts`` pass showed that streams of tiny collectives
-are latency-bound: :math:`k` scalar broadcasts cost :math:`k\\cdot\\alpha
-\\log p`, one broadcast of a :math:`k`-tuple costs :math:`\\alpha\\log p` plus
-negligible extra bandwidth.  The cluster service applies the same idea
-*across jobs*: queued jobs with the same collective *shape* (same op kind
-and parameters — world size is shared cluster-wide, so "same p" is implied)
-are popped as one group and executed as a single shared collective.
+Streams of tiny collectives are latency-bound: :math:`k` scalar broadcasts
+cost :math:`k\\cdot\\alpha\\log p`, one broadcast of a :math:`k`-tuple
+:math:`\\alpha\\log p` (the IR's ``batch_bcasts`` pass).  The service applies
+this *across jobs*: queued jobs of the same collective *shape* are popped as
+one group and executed as a single shared collective.
 
 Shapes
 ------
 - ``("bcast", root)`` — payloads are tupled at the root; every job's result
   is its element of the received tuple.
 - ``("allreduce", op)`` — each job contributes a vector slot.  If ``op``
-  is a NumPy ufunc, every job has a value per rank and all make arrays of
-  one integer or bool dtype, each rank folds its slices with one call of
-  the ufunc's ``reduceat`` and the partials travel as one array reduced
-  by ``op`` itself.  Otherwise a derived op merges the per-rank partials,
+  is a NumPy ufunc and every job has two values or more, all of one
+  integer or bool dtype, each rank folds its slices (an empty one padded)
+  with one call of the ufunc's ``reduceat`` and the partials travel as one
+  array reduced by ``op`` itself.  Otherwise a derived op merges the partials,
   skipping ``None`` slots.  Exact (bit-identical across membership sizes) for
   closed discrete domains like ints; floating-point jobs see the usual
   reassociation caveat and should not be batched when bitwise
@@ -29,7 +27,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from typing import Any, Optional
+from typing import Any, Optional, Sequence
 
 import numpy as np
 
@@ -48,7 +46,7 @@ def shape_of(job: Job) -> Optional[tuple]:
     return None
 
 
-def batch_label(jobs: list[Job]) -> str:
+def batch_label(jobs: Sequence[Job]) -> str:
     """Trace label for the shared collective of a coalesced group."""
     if len(jobs) == 1:
         return jobs[0].label
@@ -71,21 +69,33 @@ def int_dtype(values: tuple) -> Optional[np.dtype]:
     return dtype if dtype.type is scalar else None
 
 
-def _group_dtype(jobs: list[Job], op, size: int) -> Optional[np.dtype]:
-    """The jobs' dtype if the group reduces with ``op``'s ufunc: one dtype,
-    which the ufunc maps to itself (not ``LAND`` on ints, which folds to
-    bools), and a value for every rank in every job — two at p = 1, where
-    a lone value is its own result, not a NumPy scalar."""
+def _array_plan(jobs: Sequence[Job], fn, size: int) -> Optional[tuple]:
+    """``(dtype, pads)`` if the group reduces with the ufunc ``fn``: every
+    job has two values or more (a lone value is its own result, not a NumPy
+    scalar) of one dtype that ``fn`` maps to itself (not ``LAND`` on ints).
+    ``pads[i]`` is what a rank holding none of job i's values contributes:
+    a value of the job that ``fn`` folds to itself (any, for ``MAX``,
+    ``MIN``, the ands and ors), else ``fn``'s identity (``SUM``, ``PROD``,
+    the xors).  Taken from the whole values: every rank decides alike."""
     dtype = jobs[0].dtype
-    if (dtype is None or not isinstance(op.fn, np.ufunc)
+    if (dtype is None or not isinstance(fn, np.ufunc)
             or {job.dtype for job in jobs} != {dtype}
-            or min(len(job.values) for job in jobs) < max(size, 2)):
+            or min(len(job.values) for job in jobs) < 2
+            or f"{dtype.char}{dtype.char}->{dtype.char}" not in fn.types):
         return None
-    char = dtype.char
-    return dtype if f"{char}{char}->{char}" in op.fn.types else None
+    pads = [() if len(job.values) >= size else _pad(job.values[:1], fn, dtype)
+            for job in jobs]
+    return None if None in pads else (dtype, pads)
 
 
-def run_batch(comm, jobs: list[Job]) -> list[tuple[str, Any]]:
+def _pad(first: tuple, fn, dtype) -> Optional[tuple]:
+    v = np.array(first, dtype)
+    if fn(v, v, dtype=dtype)[0] == v[0]:
+        return first
+    return None if fn.identity is None else (fn.identity,)
+
+
+def run_batch(comm, jobs: Sequence[Job]) -> list[tuple[str, Any]]:
     """Execute one coalesced group on the job communicator.
 
     Runs on every service rank (SPMD); returns one ``("ok", value)`` /
@@ -114,10 +124,13 @@ def run_batch(comm, jobs: list[Job]) -> list[tuple[str, Any]]:
         size = raw.size
         # each rank reduces its strided slice of every job's values
         mine = [job.values[raw.rank::size] for job in jobs]
-        dtype = _group_dtype(jobs, op, size)
-        if dtype is not None:
-            # one kernel call folds every slice, and the job's own op merges
-            # the partials; dtype= keeps the fold's type: bools stay bools
+        plan = _array_plan(jobs, op.fn, size)
+        if plan is not None:
+            # one kernel call folds every slice, empty ones padded, and the
+            # job's own op merges the partials; dtype= keeps the fold's
+            # type: bools stay bools
+            dtype, pads = plan
+            mine = [m or pad for m, pad in zip(mine, pads)]
             starts = list(itertools.accumulate(map(len, mine[:-1]), initial=0))
             contribs = op.fn.reduceat(
                 np.fromiter(itertools.chain.from_iterable(mine), dtype),

@@ -75,8 +75,7 @@ from repro.service.jobs import ClusterError, Job, JobHandle, JobQueue
 ClusterComm = extend(Communicator, ULFM)
 
 #: job directives the log may hold unfinished.  At the bound the dispatcher
-#: forms the next group only once one finishes, so same-shape jobs pile up
-#: into it: 3 200 closed-loop jobs ran as 656 groups instead of 802
+#: forms the next directive only once one finishes, so queued jobs pile up
 PIPELINE_DEPTH = 2
 
 
@@ -85,7 +84,7 @@ PIPELINE_DEPTH = 2
 @dataclass
 class _JobsDirective:
     index: int
-    jobs: tuple[Job, ...]
+    groups: tuple[tuple[Job, ...], ...]
 
 
 @dataclass
@@ -227,8 +226,7 @@ class Cluster:
         self.machine = Machine(
             capacity, cost_model=cost_model, deadline=deadline,
             tracer=recorder, engine=engine, auditor=auditor, fuzzer=fuzzer,
-            faults=faults,
-        )
+            faults=faults)
         self.num_ranks = num_ranks
         self.capacity = capacity
         self.batch_limit = batch_limit
@@ -247,7 +245,6 @@ class Cluster:
         self._held = bool(hold_jobs)
         self._shutting_down = False
         self._shutdown_report: Optional[LeakReport] = None
-        self._did_shutdown = False
         self._join_requests: list[int] = []
         self._spares = list(range(num_ranks, capacity))
         self._wedged = threading.Event()
@@ -261,14 +258,13 @@ class Cluster:
         # per-rank job communicator: world rank -> (scope raw comm, its
         # dup); pre-created so rank threads never change the dict's shape
         self._job_comms: dict[int, tuple[Optional[RawComm], Any]] = {
-            w: (None, None) for w in range(capacity)
-        }
+            w: (None, None) for w in range(capacity)}
 
         #: cumulative counters, updated under self._lock
         self.stats: dict[str, Any] = {
             "jobs_submitted": 0, "jobs_done": 0, "jobs_failed": 0,
-            "groups": 0, "batched_groups": 0, "recoveries": [],
-            "joins": [],
+            "directives": 0, "groups": 0, "batched_groups": 0,
+            "recoveries": [], "joins": [],
         }
 
         self._threads = [
@@ -412,9 +408,8 @@ class Cluster:
         and no wedge, and returns the leak report otherwise.
         """
         with self._lock:
-            if self._did_shutdown:
+            if self._shutting_down:
                 return self._shutdown_report
-            self._did_shutdown = True
             self._shutting_down = True
             self._held = False       # a held queue would never drain
             self._dispatch_cv.notify_all()
@@ -452,8 +447,7 @@ class Cluster:
             raise ClusterError(
                 "the cluster is shutting down; submission refused")
         if self._wedge_error is not None:
-            raise ClusterError(
-                f"the cluster is wedged: {self._wedge_error}")
+            raise ClusterError(f"the cluster is wedged: {self._wedge_error}")
 
     def _on_settled(self, handle: JobHandle) -> None:
         with self._lock:
@@ -480,22 +474,22 @@ class Cluster:
                     lambda i: _JoinDirective(index=i, world_rank=join))
                 continue
             if len(self.queue):
-                # the group is formed once a pipeline slot is free, not
-                # before, so same-shape jobs submitted meanwhile join it (and
-                # a higher-priority one overtakes) instead of queueing behind
-                # a group frozen early; only this thread pops, so the queue
-                # is never empty here
+                # groups form once a pipeline slot is free, so jobs submitted
+                # meanwhile join them (and a higher-priority one overtakes);
+                # only this thread pops, so the queue is not empty here
                 if not self._directives.wait_slot(self._wedged):
                     return
-                group = self.queue.pop_group(shape_of, self.batch_limit)
+                groups = self.queue.pop_groups(shape_of, self.batch_limit)
                 self._directives.append(
-                    lambda i: _JobsDirective(index=i, jobs=tuple(group)))
+                    lambda i: _JobsDirective(index=i, groups=groups))
                 with self._lock:
-                    self.stats["groups"] += 1
-                    if len(group) > 1:
-                        self.stats["batched_groups"] += 1
-                    for job in group:
-                        job.handle._running = True
+                    self.stats["directives"] += 1
+                    self.stats["groups"] += len(groups)
+                    self.stats["batched_groups"] += sum(
+                        len(group) > 1 for group in groups)
+                    for group in groups:
+                        for job in group:
+                            job.handle._running = True
                 continue
             with self._lock:
                 if not (self._shutting_down and not self._join_requests
@@ -511,7 +505,8 @@ class Cluster:
         if directive is None:
             return
         stacks = thread_stacks(self._threads)
-        jobs = ", ".join(job.label for job in directive.jobs)
+        jobs = ", ".join(job.label for group in directive.groups
+                         for job in group)
         self._wedge(RunTimeout(
             f"cluster directive #{directive.index} ({jobs}) exceeded its "
             f"{self.job_timeout:g}s job watchdog; {len(stacks)} rank(s) "
@@ -628,23 +623,27 @@ class Cluster:
 
     def _execute(self, scope: ResilientScope, directive: _JobsDirective
                  ) -> None:
-        """Run one directive's job group under the resilient scope."""
-        jobs = directive.jobs
+        """Run one directive under the resilient scope: an epochs job epoch
+        by epoch, any other groups in order as one stateless epoch — one
+        ``agree`` for all of them, and a failure replays them all."""
+        groups = directive.groups
         outcomes: dict[int, tuple[str, Any]] = {}
-        job = jobs[0]
-        if len(jobs) == 1 and job.kind == "call":
-            scope.run_stateless(self._call_epoch(job, outcomes))
-        elif len(jobs) == 1 and job.kind == "epochs":
+        job = groups[0][0]
+        if job.kind == "epochs":
             for epoch in range(job.epochs):
                 scope.run(self._epochs_epoch(job, outcomes, epoch))
         else:
-            scope.run_stateless(self._batch_epoch(jobs, outcomes))
+            def run_groups(comm):
+                for group in groups:
+                    self._on_job_comm(comm, batch_label(group), lambda jc: (
+                        self._run_group(jc, group, outcomes)))
+            scope.run_stateless(run_groups)
         # the commit is agreement-gated, so every survivor reaches here with
-        # the same committed membership; its local rank 0 settles the group
+        # the same committed membership; its local rank 0 settles the jobs
         # (no MPI op sits between the commit and this point, and faults fire
         # only at op entries, so the fulfiller cannot die in the window)
         if scope.comm.raw.rank == 0:
-            for j in jobs:
+            for j in (j for group in groups for j in group):
                 j.handle._settle(outcomes.get(j.job_id, ("err", ClusterError(
                     f"job {j.label!r} produced no outcome"))))
             self._directives.mark_finished(directive.index)
@@ -656,11 +655,8 @@ class Cluster:
 
     def _job_comm(self, comm):
         """This rank's job communicator: one dup of the scope communicator,
-        rebuilt (one collective dup, recovered like any epoch failure)
-        whenever the scope communicator changed.  One is enough: every
-        directive ends in the scope's ``agree``, a rendezvous of all alive
-        members, so no rank starts a directive before all finished the last.
-        """
+        rebuilt whenever that changed.  One is enough: every directive ends
+        in the scope's ``agree``, a rendezvous of all alive members."""
         base, job_comm = self._job_comms[comm.raw.world_rank]
         if base is not comm.raw:
             job_comm = comm.dup()
@@ -668,17 +664,13 @@ class Cluster:
         return job_comm
 
     def _on_job_comm(self, comm, label: str, body: Callable) -> Any:
-        """Run ``body(job_comm)`` with the job label stamped on its ops.
+        """Run ``body(job_comm)`` with ``label`` stamped on its ops.
 
-        Any process-failure signal — bindings-level ``MPIFailureDetected``
-        from wrapped ops, or raw ``RawProcessFailure``/``RawCommRevoked``
-        from jobs using ``comm.raw`` directly — revokes the job dup
-        machine-wide and re-raises as ``MPIFailureDetected`` so the
-        resilient scope recovers.  The scope revokes only its own
-        communicator, which a peer blocked on the dup would never see; the
-        dup's id is deterministic (``(comm_id, "dup", 0)``: the scope
-        communicator's only dup), so the detecting rank revokes it directly.
-        """
+        A process-failure signal, wrapped or raw, revokes the job dup
+        machine-wide and re-raises as ``MPIFailureDetected`` so the scope
+        recovers: the scope revokes only its own communicator, which a peer
+        blocked on the dup would never see.  The dup's id is deterministic
+        (``(comm_id, "dup", 0)``), so the detecting rank revokes it."""
         try:
             job_comm = self._job_comm(comm)
             job_comm.raw._job_label = label
@@ -695,19 +687,23 @@ class Cluster:
             raise MPIFailureDetected(
                 getattr(exc, "failed_ranks", ()), str(exc)) from exc
 
-    def _call_epoch(self, job: Job, outcomes: dict) -> Callable:
-        def body(job_comm):
-            try:
-                value = job.fn(job_comm, *job.args)
-            except (MPIFailureDetected, RawProcessFailure, RawCommRevoked,
-                    RawDeadlockError):
-                raise            # runtime signals, never per-job outcomes
-            except Exception as exc:  # noqa: BLE001 - captured per job
-                outcomes[job.job_id] = ("err", exc)
-            else:
-                outcomes[job.job_id] = ("ok", value)
-
-        return lambda comm: self._on_job_comm(comm, job.label, body)
+    @staticmethod
+    def _run_group(job_comm, group: tuple[Job, ...], outcomes: dict) -> None:
+        """Run a ``call`` job or a batch, recording each job's outcome."""
+        job = group[0]
+        if job.kind != "call":
+            for j, outcome in zip(group, run_batch(job_comm, group)):
+                outcomes[j.job_id] = outcome
+            return
+        try:
+            value = job.fn(job_comm, *job.args)
+        except (MPIFailureDetected, RawProcessFailure, RawCommRevoked,
+                RawDeadlockError):
+            raise            # runtime signals, never per-job outcomes
+        except Exception as exc:  # noqa: BLE001 - captured per job
+            outcomes[job.job_id] = ("err", exc)
+        else:
+            outcomes[job.job_id] = ("ok", value)
 
     def _epochs_epoch(self, job: Job, outcomes: dict,
                       epoch_index: int) -> Callable:
@@ -741,12 +737,3 @@ class Cluster:
                                  for vkey, state in updated]
             return self._on_job_comm(comm, job.label, body)
         return epoch
-
-    def _batch_epoch(self, jobs: tuple[Job, ...], outcomes: dict
-                     ) -> Callable:
-        def body(job_comm):
-            for job, outcome in zip(jobs, run_batch(job_comm, list(jobs))):
-                outcomes[job.job_id] = outcome
-
-        return lambda comm: self._on_job_comm(
-            comm, batch_label(list(jobs)), body)

@@ -8,15 +8,11 @@ admission control rejects a submission to a full queue with
 :class:`ClusterSaturated` — backpressure by refusal, the only kind that
 cannot deadlock a full service.
 
-Job kinds (see :class:`repro.service.cluster.Cluster` for the submit API):
-
-- ``"call"`` — run ``fn(comm, *args)`` once on the job communicator;
-- ``"epochs"`` — an epoch-structured job whose per-virtual-rank states live
-  in the cluster's resilient shards, so a mid-job failure restarts from the
-  last committed epoch;
-- ``"bcast"`` / ``"allreduce"`` — small collective jobs with a *shape*
-  (:func:`repro.service.batching.shape_of`); compatible shapes are coalesced
-  into one shared collective by the dispatcher.
+Job kinds (submitted through :class:`repro.service.cluster.Cluster`):
+``"call"`` runs ``fn(comm, *args)`` once; ``"epochs"`` keeps its states in
+the cluster's resilient shards and restarts from the last committed epoch;
+``"bcast"`` / ``"allreduce"`` have a *shape*, by which the dispatcher
+coalesces them (:mod:`repro.service.batching`).
 """
 
 from __future__ import annotations
@@ -111,8 +107,8 @@ class JobHandle:
     def trace(self) -> list:
         """This job's slice of the cluster trace (``[]`` unless traced):
         service ranks stamp the job label on every op of the job
-        communicator.  Batched jobs share one collective stamped with the
-        batch label and therefore return ``[]`` here."""
+        communicator.  Jobs batched into one group share one collective
+        stamped with the group's label and therefore return ``[]`` here."""
         if self._cluster is None:
             return []
         return self._cluster.tracer.events_for_job(self.label)
@@ -181,29 +177,33 @@ class JobQueue:
             heapq.heappush(self._heap, (job.priority, self._seq, job))
             self._seq += 1
 
-    def pop_group(self, shape_of: Callable[[Job], Any], limit: int
-                  ) -> list[Job]:
-        """Pop the head job plus every coalescible companion (batching).
+    def pop_groups(self, shape_of: Callable[[Job], Any], limit: int
+                   ) -> tuple[tuple[Job, ...], ...]:
+        """Pop the groups of one directive (batching).
 
-        Companions share the head's exact ``(priority, shape)`` — only
-        same-shape, same-priority jobs coalesce, so batching can never
-        reorder across priorities — and join in submission order, up to
-        ``limit`` jobs total.  Returns ``[]`` when the queue is empty.
+        A group is the head job plus the queued jobs of its exact
+        ``(priority, shape)``, in submission order, up to ``limit`` jobs.
+        While the head is batchable at the first group's priority, its group
+        joins: batching never reorders across priorities, and an unbatchable
+        head (shape ``None``) is a group, and a directive, alone.
         """
+        groups: list[tuple[Job, ...]] = []
         with self._lock:
-            if not self._heap:
-                return []
-            priority, _, head = heapq.heappop(self._heap)
-            shape = shape_of(head)
-            if shape is None or limit <= 1:
-                return [head]
-            companions = sorted(
-                (entry for entry in self._heap
-                 if entry[0] == priority and shape_of(entry[2]) == shape),
-                key=lambda entry: entry[1],
-            )[:limit - 1]
-            if companions:
-                taken = {id(entry) for entry in companions}
-                self._heap = [e for e in self._heap if id(e) not in taken]
+            priority = self._heap[0][0] if self._heap else None
+            while self._heap and self._heap[0][0] == priority:
+                head = self._heap[0][2]
+                shape = shape_of(head)
+                if groups and shape is None:
+                    break
+                taken = sorted(
+                    (e for e in self._heap if e[2] is head or (
+                        shape is not None and e[0] == priority
+                        and shape_of(e[2]) == shape)),
+                    key=lambda e: e[1])[:max(limit, 1)]
+                ids = {id(e) for e in taken}
+                self._heap = [e for e in self._heap if id(e) not in ids]
                 heapq.heapify(self._heap)
-            return [head] + [job for _, _, job in companions]
+                groups.append(tuple(job for _, _, job in taken))
+                if shape is None:
+                    break
+        return tuple(groups)

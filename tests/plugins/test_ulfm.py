@@ -97,7 +97,7 @@ def test_double_shrink_default_generation_does_not_collide():
 
 
 def test_explicit_generation_still_overrides():
-    """Same explicit generation → the cached agreement is reused by design."""
+    """Same explicit generation and survivors → the same communicator."""
     def main(comm):
         a = comm.shrink(generation="pinned")
         b = comm.shrink(generation="pinned")
@@ -105,3 +105,19 @@ def test_explicit_generation_still_overrides():
 
     res = runk(main, 3, comm_class=FTComm)
     assert all(res.values)
+
+
+def test_settled_agreements_leave_nothing_on_the_machine():
+    """The machine's rendezvous state does not grow with the number of
+    agreements: 500 sequential ``agree``s leave no record behind."""
+    def main(comm):
+        for i in range(500):
+            assert comm.agree(True, generation=("g", i))
+        comm.barrier()
+        machine = comm.raw.machine
+        assert not machine._shrink_arrivals
+        return max(len(v) for v in vars(machine).values()
+                   if isinstance(v, dict))
+
+    res = runk(main, 3, comm_class=FTComm)
+    assert all(size < 10 for size in res.values), res.values

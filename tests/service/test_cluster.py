@@ -210,36 +210,60 @@ class TestBatching:
             c.release_jobs()
             return [h.result(20) for h in handles], dict(c.stats)
 
-    @pytest.mark.parametrize("dtype", ["int64", "int32", "bool"])
+    @staticmethod
+    def _count_op_calls(monkeypatch) -> list:
+        calls = []
+        real = Op.__call__
+
+        def counted(self, a, b):
+            calls.append(self.name)
+            return real(self, a, b)
+
+        monkeypatch.setattr(Op, "__call__", counted)
+        return calls
+
+    @pytest.mark.parametrize("dtype", ["int64", "int32", "uint64", "bool"])
     @pytest.mark.parametrize("name", sorted(BUILTIN_OPS))
-    def test_every_builtin_op_batches_exactly(self, name, dtype):
+    def test_every_builtin_op_batches_exactly(self, name, dtype,
+                                              monkeypatch):
         """Each job's result equals the left fold of its values, in value
-        and in type: bools stay bools, int32 and int64 wrap around."""
+        and in type: bools stay bools, fixed-width ints wrap around.  Jobs
+        of two and three values leave ranks without a value at p = 4, and
+        still the group reduces with the op's own kernel — only the
+        schedule's combines (recursive doubling: 2 per rank) call the op —
+        unless the op leaves the dtype (the logical ops on ints)."""
         op = BUILTIN_OPS[name]
         rng = np.random.default_rng(sorted(BUILTIN_OPS).index(name))
+        sizes = (2, 3, 2, 4, 5, 3, 9, 16)
         if dtype == "bool":
             jobs = [rng.integers(0, 2, n).astype(bool).tolist()
-                    for n in (4, 5, 9, 16)]
+                    for n in sizes]
         else:
             info = np.iinfo(dtype)
-            jobs = [list(rng.integers(info.min, info.max, n, dtype=dtype))
-                    for n in (4, 5, 9, 16)]
-            jobs.append([info.max, 1, 0, 0, info.max])  # wraps under SUM
-            if dtype == "int64":
-                jobs = [[int(v) for v in job] for job in jobs]
-        results, stats = self._drain([(values, op, 0) for values in jobs])
+            jobs = [rng.integers(info.min, info.max, n, dtype=dtype).tolist()
+                    for n in sizes]
+            jobs[-1] = [info.max, 1, 0, 0, info.max]  # wraps under SUM
+            scalar = int if dtype == "int64" else np.dtype(dtype).type
+            jobs = [[scalar(v) for v in job] for job in jobs]
+        calls = self._count_op_calls(monkeypatch)
+        results, stats = self._drain([(values, op, 0) for values in jobs],
+                                     engine=CollectiveEngine(env={}))
+        kernel_calls = len(calls)
         assert stats["groups"] == 1
-        for values, got in zip(jobs, results):
-            want = functools.reduce(op, values)
-            assert got == want and type(got) is type(want), (values, got)
+        if dtype == "bool" or name not in ("land", "lor", "lxor"):
+            assert kernel_calls <= 2 * 4, calls
+        with np.errstate(over="ignore"):
+            for values, got in zip(jobs, results):
+                want = functools.reduce(op, values)
+                assert got == want and type(got) is type(want), (values, got)
 
     def test_groups_off_the_array_path_match_unbatched_runs(self):
-        """Short jobs, floats, user ops, ints beyond int64, objects, mixed
+        """A lone value, floats, user ops, ints beyond int64, objects, mixed
         scalar types, ``LAND`` on ints — and uint64 beyond int64 on the
         array path — give what each job gives alone."""
         add = user_op(lambda a, b: a + b, name="add")
         groups = [
-            [(range(2), SUM), (range(10), SUM)],          # a job below p
+            [([7], SUM), (range(10), SUM)],               # a lone value
             [([0.1, 0.2, 0.3, 0.4, 0.5], SUM), ([1e16, 1.0, -1e16, 3.0], SUM)],
             [([2**64, 3, 5, 7], add), ([2**70, -1, 4, 4, 4], add)],
             [([np.uint64(2**63 + 5)] * 6, SUM), ([np.uint64(7)] * 4, SUM)],
@@ -258,32 +282,67 @@ class TestBatching:
         assert [type(v) for v in batched] == [type(v) for v in unbatched]
 
     def test_a_lone_value_at_p1_stays_its_own_result(self):
-        with Cluster(1, hold_jobs=True) as c:
-            lone = c.submit_allreduce([5], op=SUM)
-            pair = c.submit_allreduce([5, 6], op=SUM)
-            c.release_jobs()
-            assert type(lone.result(20)) is int and lone.result(20) == 5
-            assert type(pair.result(20)) is np.int64 and pair.result(20) == 11
-            assert c.stats["batched_groups"] == 1
+        """And at p = 4: a group holding a one-value job keeps the list
+        path, whose merge of the pair's partials is a NumPy scalar too."""
+        for p in (1, 4):
+            with Cluster(p, hold_jobs=True) as c:
+                lone = c.submit_allreduce([5], op=SUM)
+                pair = c.submit_allreduce([5, 6], op=SUM)
+                c.release_jobs()
+                assert type(lone.result(20)) is int and lone.result(20) == 5
+                assert type(pair.result(20)) is np.int64
+                assert pair.result(20) == 11
+                assert c.stats["batched_groups"] == 1
 
     def test_a_batched_integer_group_reduces_with_the_ops_own_kernel(
             self, monkeypatch):
         """8 jobs x 64 values at p = 4 make only the schedule's combines
         (recursive doubling: 2 per rank), not one call per value."""
-        calls = []
-        real = Op.__call__
-
-        def counted(self, a, b):
-            calls.append(self.name)
-            return real(self, a, b)
-
-        monkeypatch.setattr(Op, "__call__", counted)
+        calls = self._count_op_calls(monkeypatch)
         stream = [(range(i, i + 64), SUM, 0) for i in range(8)]
         results, stats = self._drain(
             stream, engine=CollectiveEngine(env={}))
         assert results == [sum(range(i, i + 64)) for i in range(8)]
         assert stats["groups"] == 1
         assert len(calls) <= 2 * 4, calls
+
+
+class TestDirectives:
+    """A directive carries every queued group of its head's priority while
+    the head is batchable, and ends in one ``agree``."""
+
+    def test_a_held_batchable_stream_runs_as_one_directive(self):
+        with Cluster(4, hold_jobs=True) as c:
+            handles = [c.submit_bcast("cfg"),
+                       c.submit_allreduce([3, 4, 5], op=SUM),
+                       c.submit_allreduce([3, 9], op=BUILTIN_OPS["max"])]
+            c.release_jobs()
+            assert [h.result(20) for h in handles] == ["cfg", 12, 9]
+            assert (c.stats["directives"], c.stats["groups"]) == (1, 3)
+            # the scope's genesis commit, then one per directive
+            assert [c.machine.profile[w]["comm_agree"]
+                    for w in range(4)] == [2] * 4
+
+    def test_an_unbatchable_job_is_a_directive_alone(self):
+        with Cluster(2, hold_jobs=True) as c:
+            c.submit(lambda comm: "head")
+            c.submit_bcast(1)
+            c.submit_allreduce([1, 2], op=SUM)
+            c.submit(lambda comm: "middle")
+            c.submit_bcast(2, root=1)
+            c.release_jobs()
+            c.drain(20)
+            # [call] [bcast, SUM] [call] [bcast root 1]
+            assert (c.stats["directives"], c.stats["groups"]) == (4, 5)
+
+    def test_jobs_of_two_priorities_never_share_a_directive(self):
+        with Cluster(2, hold_jobs=True) as c:
+            for priority in (0, 1):
+                c.submit_bcast(priority, priority=priority)
+                c.submit_allreduce([1, 2], op=SUM, priority=priority)
+            c.release_jobs()
+            c.drain(20)
+            assert (c.stats["directives"], c.stats["groups"]) == (2, 4)
 
 
 class TestHandleLatch:
@@ -383,7 +442,7 @@ class TestPipeline:
                 for gate in gates:
                     gate.set()
             assert [h.result(20) for h in bcasts] == list(range(5))
-            assert c.stats["groups"] == 3
+            assert c.stats["groups"] == c.stats["directives"] == 3
             assert c.stats["batched_groups"] == 1
 
     def test_the_dispatcher_held_at_the_bound_parks_without_a_timer(
@@ -505,3 +564,18 @@ class TestTraceScoping:
             # service-internal traffic (checkpoints, dups) is not attributed
             internal = [e for e in c.tracer.all_events() if e.job is None]
             assert internal
+
+    def test_groups_sharing_a_directive_keep_their_own_labels(self):
+        with Cluster(4, hold_jobs=True, trace=True) as c:
+            handles = {
+                "bcast": c.submit_bcast(1, label="own-b"),
+                "allreduce": c.submit_allreduce([1, 2, 3], op=SUM,
+                                                label="own-s"),
+            }
+            c.release_jobs()
+            c.drain(20)
+            assert (c.stats["directives"], c.stats["groups"]) == (1, 2)
+            for op, h in handles.items():
+                evs = h.trace()
+                assert len(evs) == 4 and {e.op for e in evs} == {op}
+                assert {e.job for e in evs} == {h.label}
