@@ -26,9 +26,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.apps.graphs.graph import DistGraph, block_bounds, from_edge_list
+from repro.apps.graphs.graph import (
+    DistGraph, block_bounds, block_owners, from_edge_list,
+)
 from repro.core import Communicator, send_buf, send_counts
 from repro.plugins.grid_alltoall import grid_dims
+from repro.plugins.sorter import partition
 
 
 # ---------------------------------------------------------------------------
@@ -204,13 +207,11 @@ def symmetrize(comm: Communicator, graph: DistGraph) -> DistGraph:
         np.arange(graph.first, graph.last, dtype=np.int64),
         np.diff(graph.xadj),
     )
-    owners = np.array([graph.owner(int(t)) for t in rev_src], dtype=np.int64)
-    order = np.argsort(owners, kind="stable")
+    order, counts = partition(block_owners(rev_src, graph.n_global, graph.p), p)
     pairs = np.empty(2 * len(rev_src), dtype=np.int64)
     pairs[0::2] = rev_src[order]
     pairs[1::2] = local_v[order]
-    counts = (2 * np.bincount(owners, minlength=p)).tolist()
-    flat = comm.alltoallv(send_buf(pairs), send_counts(counts))
+    flat = comm.alltoallv(send_buf(pairs), send_counts((2 * counts).tolist()))
     incoming = np.asarray(flat).reshape(-1, 2)
 
     all_src = np.concatenate([local_v, incoming[:, 0]])

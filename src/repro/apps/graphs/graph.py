@@ -30,6 +30,15 @@ def block_owner(v: int, n_global: int, p: int) -> int:
     return extra + (v - threshold) // base if base else extra
 
 
+def block_owners(vs: np.ndarray, n_global: int, p: int) -> np.ndarray:
+    """:func:`block_owner` of every vertex in ``vs``, as an int64 array."""
+    vs = np.asarray(vs, dtype=np.int64)
+    base, extra = divmod(n_global, p)
+    threshold = (base + 1) * extra
+    tail = extra + (vs - threshold) // base if base else extra
+    return np.where(vs < threshold, vs // (base + 1), tail)
+
+
 @dataclass
 class DistGraph:
     """One rank's share of a distributed graph (CSR over global ids)."""

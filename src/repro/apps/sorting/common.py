@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.mpi.context import RawComm
+from repro.plugins.sorter import partition, sort_keys
 
 #: calibrated comparison-sort cost (seconds per element per log2-level),
 #: roughly matching std::sort on the paper's Skylake nodes
@@ -58,17 +59,16 @@ def build_buckets(raw: RawComm, data: np.ndarray,
 
     Returns the bucket-ordered data and the per-destination counts.
     """
-    p = len(splitters) + 1
-    bucket_of = np.searchsorted(splitters, data, side="right")
-    order = np.argsort(bucket_of, kind="stable")
+    order, counts = partition(np.searchsorted(splitters, data, side="right"),
+                              len(splitters) + 1)
     charge_pass(raw, len(data))
-    return data[order], np.bincount(bucket_of, minlength=p).tolist()
+    return data[order], counts.tolist()
 
 
 def local_sort(raw: RawComm, data: np.ndarray) -> np.ndarray:
     """Sort a local block, charging the virtual clock."""
     charge_sort(raw, len(data))
-    return np.sort(data, kind="stable")
+    return sort_keys(data)
 
 
 def is_globally_sorted(blocks: list[np.ndarray]) -> bool:

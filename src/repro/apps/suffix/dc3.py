@@ -23,10 +23,11 @@ from typing import Callable
 
 import numpy as np
 
-from repro.apps.graphs.graph import block_bounds, block_owner
+from repro.apps.graphs.graph import block_bounds, block_owners
 from repro.apps.suffix.common import suffix_array_sequential
 from repro.apps.suffix.prefix_doubling import _dense_ranks_from_sorted
 from repro.core import Communicator, send_buf, send_counts
+from repro.plugins.sorter import partition
 
 #: below this reduced-problem size, gather and solve sequentially
 SEQ_THRESHOLD = 96
@@ -73,9 +74,9 @@ def sample_sort_records(comm: Communicator, records: np.ndarray,
 
     buckets = np.array([bucket_of(rec) for rec in records], dtype=np.int64) \
         if len(records) else np.empty(0, dtype=np.int64)
-    order = np.argsort(buckets, kind="stable")
-    counts = np.bincount(buckets, minlength=p).tolist()
-    received = comm.alltoallv(send_buf(records[order]), send_counts(counts))
+    order, counts = partition(buckets, p)
+    received = comm.alltoallv(send_buf(records[order]),
+                              send_counts(counts.tolist()))
     received = np.asarray(received, dtype=records.dtype)
     return np.array(sorted(received, key=keyfn), dtype=records.dtype)
 
@@ -85,14 +86,11 @@ def _exchange_indexed(comm: Communicator, dest_idx: np.ndarray,
                       first: int) -> np.ndarray:
     """Deliver (index, value) pairs to the block owners of ``dest_idx``."""
     p = comm.size
-    owners = np.array([block_owner(int(v), n, p) for v in dest_idx],
-                      dtype=np.int64)
-    order = np.argsort(owners, kind="stable")
+    order, counts = partition(block_owners(dest_idx, n, p), p)
     payload = np.empty(2 * len(dest_idx), dtype=np.int64)
     payload[0::2] = dest_idx[order]
     payload[1::2] = values[order]
-    counts = (2 * np.bincount(owners, minlength=p)).tolist()
-    flat = comm.alltoallv(send_buf(payload), send_counts(counts))
+    flat = comm.alltoallv(send_buf(payload), send_counts((2 * counts).tolist()))
     incoming = np.asarray(flat, dtype=np.int64).reshape(-1, 2)
     out = np.zeros(local_n, dtype=np.int64)
     if len(incoming):

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.apps.graphs.graph import block_bounds, block_owner
+from repro.apps.graphs.graph import block_bounds, block_owners
 from repro.core import (
     Communicator,
     op,
@@ -34,6 +34,7 @@ from repro.core import (
 )
 from repro.mpi.context import RawComm
 from repro.mpi.ops import LAND, SUM
+from repro.plugins.sorter import partition
 
 _BITS = 21
 _MASK = (1 << _BITS) - 1
@@ -132,13 +133,11 @@ def _fetch_shifted_kamping(comm: Communicator, rank_arr: np.ndarray,
     """r2[i] = rank[i+h]: owners of j ship rank[j] to the owner of j−h."""
     p = comm.size
     j = idx[idx >= h]
-    owners = np.array([block_owner(int(v - h), n, p) for v in j], dtype=np.int64)
-    order = np.argsort(owners, kind="stable")
+    order, counts = partition(block_owners(j - h, n, p), p)
     payload = np.empty(2 * len(j), dtype=np.int64)
     payload[0::2] = (j - h)[order]
     payload[1::2] = rank_arr[idx >= h][order]
-    counts = (2 * np.bincount(owners, minlength=p)).tolist()
-    flat = comm.alltoallv(send_buf(payload), send_counts(counts))
+    flat = comm.alltoallv(send_buf(payload), send_counts((2 * counts).tolist()))
     incoming = np.asarray(flat, dtype=np.int64).reshape(-1, 2)
     out = np.zeros(len(idx), dtype=np.int64)
     if len(incoming):
@@ -151,14 +150,11 @@ def _send_back_kamping(comm: Communicator, dest_idx: np.ndarray,
                        first: int) -> np.ndarray:
     """Deliver (index, value) pairs to the index owners; returns the local array."""
     p = comm.size
-    owners = np.array([block_owner(int(v), n, p) for v in dest_idx],
-                      dtype=np.int64)
-    order = np.argsort(owners, kind="stable")
+    order, counts = partition(block_owners(dest_idx, n, p), p)
     payload = np.empty(2 * len(dest_idx), dtype=np.int64)
     payload[0::2] = dest_idx[order]
     payload[1::2] = values[order]
-    counts = (2 * np.bincount(owners, minlength=p)).tolist()
-    flat = comm.alltoallv(send_buf(payload), send_counts(counts))
+    flat = comm.alltoallv(send_buf(payload), send_counts((2 * counts).tolist()))
     incoming = np.asarray(flat, dtype=np.int64).reshape(-1, 2)
     out = np.zeros(local_n, dtype=np.int64)
     if len(incoming):
@@ -199,13 +195,11 @@ def _exchange_pairs_mpi(raw: RawComm, dest_idx: np.ndarray, values: np.ndarray,
                         n: int, local_n: int, first: int) -> np.ndarray:
     """(index, value) delivery with hand-rolled counts and displacements."""
     p = raw.size
-    owners = np.array([block_owner(int(v), n, p) for v in dest_idx],
-                      dtype=np.int64)
-    order = np.argsort(owners, kind="stable")
+    order, counts = partition(block_owners(dest_idx, n, p), p)
     payload = np.empty(2 * len(dest_idx), dtype=np.int64)
     payload[0::2] = dest_idx[order]
     payload[1::2] = values[order]
-    scounts = (2 * np.bincount(owners, minlength=p)).tolist()
+    scounts = (2 * counts).tolist()
     rcounts = raw.alltoall(scounts)
     total = 0
     for c in rcounts:

@@ -133,18 +133,16 @@ class DistributedArray:
 
     def rebalance(self) -> "DistributedArray":
         """Redistribute into balanced blocks, preserving global order."""
-        from repro.apps.graphs.graph import block_bounds, block_owner
+        from repro.apps.graphs.graph import block_owners
+        from repro.plugins.sorter import partition
 
         n = self.size()
         offset = self.global_offset()
         p = self.comm.size
         positions = offset + np.arange(self.local_size)
-        owners = np.array([block_owner(int(q), n, p) for q in positions],
-                          dtype=np.int64)
-        order = np.argsort(owners, kind="stable")
-        counts = np.bincount(owners, minlength=p).tolist()
+        order, counts = partition(block_owners(positions, n, p), p)
         block = self.comm.alltoallv(send_buf(self.local[order]),
-                                    send_counts(counts))
+                                    send_counts(counts.tolist()))
         return DistributedArray(self.comm, np.asarray(block))
 
     # -- materialization -----------------------------------------------------------

@@ -28,6 +28,7 @@ from repro.core.named_params import send_buf, send_counts
 from repro.core.parameters import Parameter
 from repro.core.plans import CallPlan, OpSpec
 from repro.core.plugins import CommunicatorPlugin, plugin_method
+from repro.plugins.sorter import partition
 
 
 def _build_hypergrid(plan: CallPlan):
@@ -156,16 +157,11 @@ class HierarchicalAlltoall(CommunicatorPlugin):
             # aggregate: bucket by the destination's coordinate along `axis`
             axis_coord = (current["dest"] // int(np.prod(dims[:axis], dtype=np.int64))
                           ) % dims[axis]
-            order = np.argsort(axis_coord, kind="stable")
-            current = current[order]
-            hop_counts = np.bincount(axis_coord[order],
-                                     minlength=dims[axis]).tolist()
+            order, hop_counts = partition(axis_coord, dims[axis])
             received = axis_comms[axis].alltoallv(
-                send_buf(current), send_counts(hop_counts)
+                send_buf(current[order]), send_counts(hop_counts.tolist())
             )
             current = np.asarray(received, dtype=routed)
 
-        order = np.argsort(current["src"], kind="stable")
-        current = current[order]
-        return (current["val"].copy(),
-                np.bincount(current["src"], minlength=p).tolist())
+        order, counts = partition(current["src"], p)
+        return current["val"][order], counts.tolist()

@@ -30,7 +30,7 @@ class DistributedSorter(CommunicatorPlugin):
         data = np.asarray(data)
         p = self.size
         if p == 1:
-            out = np.sort(data, kind="stable")
+            out = sort_keys(data)
             if charge_compute:
                 _charge_sort(self, len(out))
             return out
@@ -50,17 +50,43 @@ class DistributedSorter(CommunicatorPlugin):
             step = max(len(all_samples) // p, 1)
             splitters = all_samples[step::step][: p - 1]
 
-        buckets = np.searchsorted(splitters, data, side="right")
-        order = np.argsort(buckets, kind="stable")
-        send_data = data[order]
-        counts = np.bincount(buckets, minlength=p).tolist()
+        order, counts = partition(
+            np.searchsorted(splitters, data, side="right"), p)
         if charge_compute:
             _charge_sort(self, len(data))
-        received = self.alltoallv(send_buf(send_data), send_counts(counts))
-        out = np.sort(received, kind="stable")
+        received = self.alltoallv(send_buf(data[order]),
+                                  send_counts(counts.tolist()))
+        out = sort_keys(received)
         if charge_compute:
             _charge_sort(self, len(out))
         return out
+
+
+def sort_keys(a: Any) -> np.ndarray:
+    """``a`` sorted ascending, bit for bit what a stable sort returns.
+
+    Equal integers and booleans have identical bits, so numpy's default
+    sort, far faster on them, gives the stable result.  Every other dtype
+    sorts stably: floats hold ±0.0 and NaN payloads an unstable sort may
+    reorder.
+    """
+    a = np.asarray(a)
+    return np.sort(a) if a.dtype.kind in "biu" else np.sort(a, kind="stable")
+
+
+def partition(owners: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Group elements by owner rank: ``(order, counts)``.
+
+    ``order`` is the stable argsort of ``owners``, taken on the owners
+    narrowed to the smallest type holding ``p − 1``: the same permutation,
+    on numpy's radix path up to p = 2¹⁶.  ``counts[r]`` is the number of
+    elements rank ``r`` owns.  An owner outside ``[0, p)`` raises.
+    """
+    counts = np.bincount(owners, minlength=p)
+    if len(counts) > p:
+        raise ValueError(f"owner {len(counts) - 1} is not a rank of {p}")
+    narrow = owners.astype(np.min_scalar_type(p - 1), copy=False)
+    return np.argsort(narrow, kind="stable"), counts
 
 
 def _charge_sort(comm, n: int, per_item: float = 4.0e-9) -> None:

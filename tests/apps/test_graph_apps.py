@@ -16,7 +16,7 @@ from repro.apps.graphs.bfs import sequential_bfs_reference
 from repro.apps.graphs.bfs_impls import BFS_IMPLS
 from repro.apps.graphs.generators import symmetrize
 from repro.apps.graphs.ghost_layer import GraphCommLayer
-from repro.apps.graphs.graph import block_bounds, from_edge_list
+from repro.apps.graphs.graph import block_bounds, block_owners, from_edge_list
 from repro.apps.graphs.labelprop import (
     LabelPropagationKamping,
     LabelPropagationMPI,
@@ -39,6 +39,13 @@ class TestGraphSubstrate:
             assert block_owner(first, 23, 5) == r
             assert block_owner(last - 1, 23, 5) == r
         assert covered == list(range(23))
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 7, 64])
+    def test_block_owners_matches_block_owner(self, p):
+        for n in (0, 1, p - 1, p, p + 1, 10_003):
+            got = block_owners(np.arange(n), n, p)
+            assert got.dtype == np.int64
+            assert got.tolist() == [block_owner(v, n, p) for v in range(n)]
 
     def test_from_edge_list_csr(self):
         g = from_edge_list(8, 2, 0, np.array([0, 0, 3]), np.array([5, 1, 7]))

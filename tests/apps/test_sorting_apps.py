@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from repro.apps.sorting import SAMPLE_SORT_IMPLS, VECTOR_ALLGATHER_IMPLS, sort_checked
 from repro.apps.sorting.common import is_globally_sorted
 from repro.loc import loc_table, logical_loc
+from repro.perf.sweep import samplesort_sweep
 from tests.conftest import runp
 
 BINDINGS = list(VECTOR_ALLGATHER_IMPLS)
@@ -90,6 +91,27 @@ class TestTable1Loc:
                                  VECTOR_ALLGATHER_IMPLS.items()},
         })
         assert set(table["vector allgather"]) == set(BINDINGS)
+
+
+#: Fig. 8's executing-simulator seconds at p = 2, 4, 8 (20 000 keys per rank):
+#: how fast numpy sorts on the wall clock must not move the virtual clock
+FIG8_SIMULATED = {
+    "MPI": (0.0014499513584925491, 0.0014069314713147205, 0.001406283156302939),
+    "Boost.MPI": (0.001447550718492549, 0.0013997295513147206,
+                  0.001389478676302939),
+    "RWTH-MPI": (0.0014499513584925491, 0.0014069314713147205,
+                 0.001406283156302939),
+    "MPL": (0.0016455673584925491, 0.0016449794713147207, 0.001699467156302939),
+    "KaMPIng": (0.0014499513584925491, 0.0014069314713147205,
+                0.001406283156302939),
+}
+
+
+@pytest.mark.parametrize("binding", BINDINGS)
+def test_fig8_simulated_seconds_pinned(binding):
+    points = samplesort_sweep(binding, [2, 4, 8], n_per_rank=20_000)
+    assert all(pt.source == "simulated" for pt in points)
+    assert tuple(pt.seconds for pt in points) == FIG8_SIMULATED[binding]
 
 
 def test_kamping_no_overhead_vs_mpi_virtual_time():

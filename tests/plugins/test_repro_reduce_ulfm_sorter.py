@@ -15,6 +15,7 @@ from repro.plugins import (
     local_segments,
     merge_segments,
 )
+from repro.plugins.sorter import partition, sort_keys
 from tests.conftest import runk
 
 RRComm = extend(Communicator, ReproducibleReduce)
@@ -156,6 +157,65 @@ def test_sorter_with_duplicates_and_empty_blocks():
     res = runk(main, 4, comm_class=SortComm)
     merged = np.concatenate(res.values)
     assert np.array_equal(merged, np.full(400, 42))
+
+
+def test_sorter_virtual_clock_pinned():
+    """Sorting faster on the wall clock leaves the charged clocks alone."""
+    def main(comm):
+        rng = np.random.default_rng(comm.rank + 100)
+        return comm.sort(rng.integers(0, 10**6, size=5000), charge_compute=True)
+
+    res = runk(main, 4, comm_class=SortComm)
+    assert res.times == [0.0004988967903433923, 0.00043351271916444083,
+                         0.0005566253476906901, 0.0005659586026833473]
+
+
+class TestKernels:
+    """``sort_keys`` and ``partition`` against numpy's stable sorts, bitwise."""
+
+    INT_DTYPES = [np.int8, np.int16, np.int32, np.int64,
+                  np.uint8, np.uint16, np.uint32, np.uint64, np.bool_]
+
+    @pytest.mark.parametrize("dtype", INT_DTYPES)
+    @pytest.mark.parametrize("n", [0, 1, 3000])
+    def test_sort_keys_integers(self, dtype, n):
+        rng = np.random.default_rng(n)
+        if dtype is np.bool_:
+            a = rng.integers(0, 2, size=n).astype(bool)
+        else:  # every bit pattern, and repeats at every width
+            a = np.frombuffer(rng.bytes(n * np.dtype(dtype).itemsize), dtype)
+            a = np.concatenate([a, a[: n // 2]])
+        got, want = sort_keys(a), np.sort(a, kind="stable")
+        assert got.dtype == want.dtype
+        assert got.view(np.uint8).tobytes() == want.view(np.uint8).tobytes()
+
+    def test_sort_keys_floats_keep_the_stable_order(self):
+        nans = np.array([0x7FF8000000000001, 0x7FF8000000000002],
+                        dtype=np.uint64).view(np.float64)
+        rng = np.random.default_rng(3)
+        a = rng.choice(np.concatenate([[0.0, -0.0, 1.5, -1.5], nans]), 4000)
+        got = sort_keys(a).view(np.uint64)
+        assert np.array_equal(got, np.sort(a, kind="stable").view(np.uint64))
+        assert sort_keys(a[:0]).dtype == np.float64
+
+    @pytest.mark.parametrize("p", [1, 2, 256, 257, 2**16, 2**16 + 1])
+    @pytest.mark.parametrize("n", [0, 5000])
+    def test_partition_is_the_stable_argsort(self, p, n):
+        rng = np.random.default_rng(p)
+        owners = rng.integers(0, p, size=n)
+        if n:
+            owners[-1] = p - 1
+        order, counts = partition(owners, p)
+        want = np.argsort(owners, kind="stable")
+        assert order.dtype == want.dtype
+        assert order.tobytes() == want.tobytes()
+        assert np.array_equal(counts, np.bincount(owners, minlength=p))
+        assert len(counts) == p
+
+    @pytest.mark.parametrize("bad", [4, 9, -1])
+    def test_partition_rejects_owners_outside_the_ranks(self, bad):
+        with pytest.raises(ValueError):
+            partition(np.array([0, 3, bad, 1]), 4)
 
 
 @settings(max_examples=10, deadline=None)
