@@ -120,7 +120,7 @@ def test_selector_matches_best_fixed_algorithm(benchmark, op, p, width):
         _emit_summary()
 
 
-# -- autotuned policy (learned per-machine table) -----------------------------
+# -- autotuned policy (learned table) -----------------------------------------
 
 
 def test_autotuned_policy_matches_best_fixed_on_grid(tmp_path):

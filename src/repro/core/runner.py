@@ -23,8 +23,7 @@ def run(fn: Callable[..., Any], num_ranks: int, *,
         fuzz_seed: Optional[int] = None,
         faults=None,
         backend=None,
-        ir: Optional[str] = None,
-        autotune: Any = None) -> RunResult:
+        ir: Optional[str] = None) -> RunResult:
     """Execute ``fn(comm, *args)`` on ``num_ranks`` ranks.
 
     Like :func:`repro.mpi.run_mpi`, but each rank receives a wrapped
@@ -43,10 +42,7 @@ def run(fn: Callable[..., Any], num_ranks: int, *,
     execution backend (``"thread"``/``"process"``, default: the
     ``REPRO_BACKEND`` environment variable — see :mod:`repro.mpi.backends`);
     ``ir`` activates the communication-plan IR (``"record"``/``"optimize"``,
-    default: the ``REPRO_IR`` environment variable — see
-    :mod:`repro.mpi.ir`); ``autotune`` installs/updates a learned tuning
-    table around the run (default: the ``REPRO_AUTOTUNE`` environment
-    variable — see :mod:`repro.mpi.autotune`).  Recording wraps the raw handle beneath the
+    see :mod:`repro.mpi.ir`).  Recording wraps the raw handle beneath the
     named-parameter layer, so wrapped calls journal exactly the raw ops they
     issue.
     """
@@ -57,5 +53,4 @@ def run(fn: Callable[..., Any], num_ranks: int, *,
     return run_mpi(entry, num_ranks, args=args, cost_model=cost_model,
                    deadline=deadline, timeout=timeout, trace=trace,
                    engine=engine, sanitize=sanitize, fuzz_seed=fuzz_seed,
-                   faults=faults, backend=backend, ir=ir,
-                   autotune=autotune)
+                   faults=faults, backend=backend, ir=ir)

@@ -94,7 +94,7 @@ __all__ = [
     "TraceRecorder", "TraceEvent", "CallSpec", "calls", "NULL_TRACER",
     "size_bucket",
     "algorithms", "Algorithm", "CollectiveEngine", "Decision", "TuningRule",
-    "AutoTuner", "resolve_autotune",
+    "AutoTuner",
     "ResourceAuditor", "ResourceLeakError", "LeakReport", "LeakRecord",
     "ScheduleFuzzer", "minimize_failing_seeds",
 ]
@@ -103,8 +103,8 @@ __all__ = [
 def __getattr__(name):
     # Lazy so ``python -m repro.mpi.autotune`` doesn't import the module
     # twice (package init + runpy) and warn about it.
-    if name in ("AutoTuner", "resolve_autotune"):
-        from repro.mpi import autotune
+    if name == "AutoTuner":
+        from repro.mpi.autotune import AutoTuner
 
-        return getattr(autotune, name)
+        return AutoTuner
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -25,8 +25,7 @@ Defaults approximate the paper's testbed: ~2 µs MPI latency and 100 Gbit/s
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Callable, Optional, Sequence, Tuple
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -73,92 +72,6 @@ class CostModel:
 FREE = CostModel(
     alpha=0.0, beta=0.0, overhead=0.0, pack_beta=0.0, dtype_alpha=0.0, ser_beta=0.0
 )
-
-
-# -- α-β parameter fitting ----------------------------------------------------
-#
-# Registered collective cost formulas (repro.mpi.algorithms) are homogeneous
-# (piecewise-)linear functions of (alpha, beta, overhead) once the
-# derived-datatype knobs are zeroed: formulas sum and scale the model's
-# fields, never offset or multiply them together.  That makes online fitting
-# a plain linear least-squares problem — evaluate each formula at three
-# basis models to extract its coefficient row, then solve
-# ``A @ (alpha, beta, overhead) ≈ t`` over the measured samples.  The few
-# formulas with a max() saturation branch (alltoall's overlap bound) are
-# only piecewise linear; basis extraction over-approximates them and least
-# squares absorbs the gap as modeling error, reported in the residual.
-
-#: unit models used to read a formula's (alpha, beta, overhead) coefficients
-_BASIS = (
-    replace(FREE, alpha=1.0),
-    replace(FREE, beta=1.0),
-    replace(FREE, overhead=1.0),
-)
-
-
-def linear_coefficients(cost_fn: Callable[[int, int, CostModel], float],
-                        p: int, nbytes: int) -> Tuple[float, float, float]:
-    """(alpha, beta, overhead) coefficients of a cost formula at ``(p, nbytes)``.
-
-    Exact for the homogeneous-linear formulas and an upper bound for the
-    piecewise-linear ones (see above); pack/dtype/serialization terms are
-    zeroed, so formulas that also charge them are fitted on their α-β
-    portion only."""
-    return tuple(float(cost_fn(p, nbytes, m)) for m in _BASIS)
-
-
-@dataclass(frozen=True)
-class AlphaBetaFit:
-    """Least-squares α-β parameters fitted from measured timings.
-
-    ``residual`` is the relative RMS error of the fit — RMS of
-    ``predicted - measured`` divided by the mean measured time — so 0.0 is a
-    perfect fit and values ≳ 1 mean the linear model explains nothing (e.g.
-    wall-clock samples dominated by process startup)."""
-
-    alpha: float
-    beta: float
-    overhead: float
-    residual: float
-    samples: int
-
-    def model(self, base: Optional[CostModel] = None) -> CostModel:
-        """A :class:`CostModel` carrying the fitted α-β parameters.
-
-        Non-fitted fields (pack/dtype/serialization) are taken from ``base``
-        (default: the stock :class:`CostModel`)."""
-        if base is None:
-            base = CostModel()
-        return replace(base, alpha=self.alpha, beta=self.beta,
-                       overhead=self.overhead)
-
-
-def fit_alpha_beta(
-    rows: Sequence[Tuple[Tuple[float, float, float], float]],
-) -> AlphaBetaFit:
-    """Fit (alpha, beta, overhead) to measured timings by least squares.
-
-    ``rows`` pairs a coefficient triple (from :func:`linear_coefficients`)
-    with the measured seconds for that call.  Negative parameters are
-    physically meaningless (they would let the argmin "pay itself" per byte),
-    so the solution is clamped at zero and the reported residual is that of
-    the clamped parameters."""
-    import numpy as np
-
-    if len(rows) < 3:
-        raise ValueError(
-            f"need at least 3 samples to fit 3 parameters, got {len(rows)}")
-    a = np.array([coef for coef, _ in rows], dtype=float)
-    y = np.array([t for _, t in rows], dtype=float)
-    sol, *_ = np.linalg.lstsq(a, y, rcond=None)
-    sol = np.clip(sol, 0.0, None)
-    pred = a @ sol
-    scale = float(np.mean(y))
-    rms = float(np.sqrt(np.mean((pred - y) ** 2)))
-    residual = rms / scale if scale > 0 else float("inf") if rms > 0 else 0.0
-    return AlphaBetaFit(alpha=float(sol[0]), beta=float(sol[1]),
-                        overhead=float(sol[2]), residual=residual,
-                        samples=len(rows))
 
 
 class Clock:

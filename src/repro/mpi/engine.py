@@ -10,7 +10,7 @@ Machine` and consulted once per collective call.  Selection precedence:
 2. **Per-communicator tuning table**: size-bucketed rules installed with
    :meth:`tune` (what ``Communicator.use_algorithms`` writes), or with
    :meth:`install_tuning` which also records *provenance* — ``"tuned"`` for
-   hand-installed rules, ``"learned"`` for tables fitted by
+   hand-installed rules, ``"learned"`` for tables swept by
    :mod:`repro.mpi.autotune`.  :meth:`explain` returns the winning algorithm
    together with its source tier as a :class:`Decision`.
 3. **Policy**: ``"costmodel"`` picks the argmin of the registered α-β cost
@@ -193,7 +193,7 @@ class CollectiveEngine:
         """Validate, canonicalize, and install tuning rules with provenance.
 
         ``source`` tags where the table entry came from — ``"tuned"`` for
-        hand-installed rules (:meth:`tune`), ``"learned"`` for rules fitted
+        hand-installed rules (:meth:`tune`), ``"learned"`` for rules swept
         by :class:`~repro.mpi.autotune.AutoTuner` — and is surfaced by
         :meth:`explain`.  Returns the canonical rules."""
         if source not in DECISION_SOURCES:

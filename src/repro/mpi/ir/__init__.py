@@ -6,8 +6,8 @@ captured as a per-rank dataflow graph of :class:`CommOp` nodes
 passes (:mod:`repro.mpi.ir.passes`), and re-executed bit-identically through
 cached per-signature dispatch plans (:mod:`repro.mpi.ir.replayer`).
 
-Entry point: ``run_mpi(fn, p, ir="record" | "optimize")`` or ``REPRO_IR=...``
-(see :func:`repro.mpi.ir.driver.run_with_ir`); the report lands on
+Entry point: ``run_mpi(fn, p, ir="record" | "optimize")`` (see
+:func:`repro.mpi.ir.driver.run_with_ir`); the report lands on
 ``RunResult.ir``.
 """
 

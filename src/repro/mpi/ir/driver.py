@@ -83,7 +83,7 @@ def run_with_ir(fn: Callable[..., Any], num_ranks: int, *, mode: str,
 
     if mode not in MODES:
         raise RawUsageError(
-            f"ir={mode!r} is not a mode; expected one of {MODES} (or 'off')"
+            f"ir={mode!r} is not a mode; expected one of {MODES}"
         )
     for incompatible in ("faults", "fuzz_seed"):
         if kwargs.get(incompatible) is not None:
@@ -93,7 +93,7 @@ def run_with_ir(fn: Callable[..., Any], num_ranks: int, *, mode: str,
             )
 
     record = run_mpi(record_main, num_ranks, args=(fn, tuple(args)),
-                     ir="off", **kwargs)
+                     **kwargs)
     epoch = _assemble(num_ranks, record.values)
     program_values = [export["value"] for export in record.values]
     report = IRReport(mode=mode, epoch=epoch)
@@ -114,7 +114,7 @@ def run_with_ir(fn: Callable[..., Any], num_ranks: int, *, mode: str,
     report.passes = PassManager().run(optimized)
 
     plan = ReplayPlan(schedule=optimized.ops, members=dict(optimized.members))
-    replay = run_mpi(replay_main, num_ranks, args=(plan,), ir="off", **kwargs)
+    replay = run_mpi(replay_main, num_ranks, args=(plan,), **kwargs)
     report.replay = replay
     report.replay_stats = list(replay.values)
     return result

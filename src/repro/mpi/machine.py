@@ -13,7 +13,6 @@ lives with the transport's rank (see :mod:`repro.mpi.backends.process`).
 
 from __future__ import annotations
 
-import os
 import threading
 from collections import Counter
 from dataclasses import dataclass, field
@@ -101,9 +100,6 @@ class RunResult:
     #: an :class:`~repro.mpi.ir.driver.IRReport` with the recorded epoch,
     #: pass results, and — under ``ir="optimize"`` — the verified replay
     ir: Optional[Any] = None
-    #: the :class:`~repro.mpi.autotune.AutoTuner` that observed this run
-    #: (``None`` unless the run enabled autotuning)
-    autotune: Optional[Any] = None
 
     @property
     def max_time(self) -> float:
@@ -357,8 +353,7 @@ def run_mpi(fn: Callable[..., Any], num_ranks: int, *,
             fuzz_seed: Optional[int] = None,
             faults=None,
             backend: Optional[str | "Backend"] = None,
-            ir: Optional[str] = None,
-            autotune: Any = None) -> RunResult:
+            ir: Optional[str] = None) -> RunResult:
     """Execute ``fn(comm, *args)`` on ``num_ranks`` ranks and collect results.
 
     ``fn`` receives the rank's raw world communicator
@@ -413,58 +408,27 @@ def run_mpi(fn: Callable[..., Any], num_ranks: int, *,
     random draws (seed default: ``REPRO_FAULT_SEED``); injected faults show
     up as ``fault:<kind>`` events on traced runs.
 
-    ``ir`` activates the communication-plan IR (default: the ``REPRO_IR``
-    env var; ``"off"``/unset disables).  ``ir="record"`` journals every raw
-    op into an :class:`~repro.mpi.ir.nodes.Epoch` attached as ``result.ir``;
-    ``ir="optimize"`` additionally runs the rewrite pipeline
+    ``ir`` activates the communication-plan IR.  ``ir="record"`` journals
+    every raw op into an :class:`~repro.mpi.ir.nodes.Epoch` attached as
+    ``result.ir``; ``ir="optimize"`` additionally runs the rewrite pipeline
     (:mod:`repro.mpi.ir.passes`) over the epoch and replays the optimized
     graph, verifying it bit-identical against the recording.
-
-    ``autotune`` closes the measure→fit→install loop
-    (:mod:`repro.mpi.autotune`; default: the ``REPRO_AUTOTUNE`` env var):
-    pass ``True``, a store path, or an
-    :class:`~repro.mpi.autotune.AutoTuner`.  Learned tuning rules for this
-    run's communicator size are installed before the run (warm start — the
-    engine is created if needed), the run is traced, its collective timings
-    are folded back into the tuner, and the store is re-persisted; the tuner
-    rides along as ``result.autotune``.  ``autotune=False`` disables even
-    when the env var is set.
     """
-    tuner = None
-    if autotune is not None or os.environ.get("REPRO_AUTOTUNE"):
-        from repro.mpi.autotune import resolve_autotune
-
-        tuner = resolve_autotune(autotune)
-    if tuner is not None:
-        if engine is None:
-            engine = CollectiveEngine(
-                cost_model if cost_model is not None else CostModel())
-        tuner.install(engine, p=num_ranks)
-        if trace is False:
-            trace = True
-    mode = ir if ir is not None else os.environ.get("REPRO_IR")
-    if mode and mode != "off":
+    if ir is not None:
         from repro.mpi.ir.driver import run_with_ir
 
-        result = run_with_ir(
-            fn, num_ranks, mode=mode, args=args,
+        return run_with_ir(
+            fn, num_ranks, mode=ir, args=args,
             cost_model=cost_model, deadline=deadline, timeout=timeout,
             trace=trace, engine=engine, sanitize=sanitize,
             fuzz_seed=fuzz_seed, faults=faults, backend=backend,
         )
-    else:
-        from repro.mpi.backends import resolve_backend
+    from repro.mpi.backends import resolve_backend
 
-        if fuzz_seed is None:
-            fuzz_seed = env_fuzz_seed_default()
-        result = resolve_backend(backend).run(
-            fn, num_ranks, args=args, cost_model=cost_model,
-            deadline=deadline, timeout=timeout, trace=trace, engine=engine,
-            sanitize=sanitize, fuzz_seed=fuzz_seed, faults=faults,
-        )
-    if tuner is not None:
-        tuner.observe(result)
-        if tuner.path is not None:
-            tuner.save()
-        result.autotune = tuner
-    return result
+    if fuzz_seed is None:
+        fuzz_seed = env_fuzz_seed_default()
+    return resolve_backend(backend).run(
+        fn, num_ranks, args=args, cost_model=cost_model,
+        deadline=deadline, timeout=timeout, trace=trace, engine=engine,
+        sanitize=sanitize, fuzz_seed=fuzz_seed, faults=faults,
+    )

@@ -32,7 +32,6 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Hashable, Iterable, Optional, Sequence
 
-from repro.mpi.collectives import COLLECTIVES
 from repro.mpi.datatypes import payload_nbytes
 
 
@@ -339,48 +338,6 @@ class TraceRecorder:
                 if e.algorithm is not None:
                     seen.setdefault(e.op, set()).add(e.algorithm)
         return {op: tuple(sorted(names)) for op, names in sorted(seen.items())}
-
-    def collective_samples(self) -> list[tuple[str, str, int, int, float]]:
-        """Per-instance collective timings: ``(op, algorithm, p, nbytes, s)``.
-
-        This is the autotuner's harvesting query (:mod:`repro.mpi.autotune`).
-        Ranks of one communicator issue the same sequence of collectives
-        (SPMD — reprolint's RPL10x rules exist to enforce exactly this), so
-        the *k*-th ``(comm, op)`` event on each member rank belongs to the
-        same collective instance.  Per instance:
-
-        - ``p`` is the communicator size (``len(peers)`` — collective spans
-          resolve ``peers="all"`` to every member's world rank);
-        - ``nbytes`` is the engine's size hint reconstructed from the event:
-          the max over ranks of ``sent`` (``recvd`` where the op declares a
-          ``"recvcounts"`` hint — allgatherv's total gathered bytes);
-        - seconds is the max event duration over ranks — the virtual time
-          the slowest rank spent inside the call, matching how
-          ``RunResult.max_time`` scores a run.
-        """
-        instances: dict[tuple[Hashable, str, int], list[TraceEvent]] = {}
-        for per_rank in self._events:
-            counters: dict[tuple[Hashable, str], int] = {}
-            for e in per_rank:
-                if e.algorithm is None:
-                    continue
-                key = (e.comm, e.op)
-                idx = counters.get(key, 0)
-                counters[key] = idx + 1
-                instances.setdefault((e.comm, e.op, idx), []).append(e)
-        rows = []
-        for (_, op, _), events in instances.items():
-            hint_field = ("recvd" if COLLECTIVES[op].hint == "recvcounts"
-                          else "sent")
-            rows.append((
-                op,
-                events[0].algorithm,
-                max(len(e.peers) for e in events),
-                max(getattr(e, hint_field) for e in events),
-                max(e.duration for e in events),
-            ))
-        rows.sort()
-        return rows
 
     def per_rank_bytes(self) -> list[dict[str, int]]:
         """Per-rank ``{"sent": ..., "recvd": ...}`` payload totals."""

@@ -82,12 +82,13 @@ def test_every_declared_collective_matches_what_it_describes():
         "iallreduce", "scan", "exscan", "neighbor_alltoall",
         "neighbor_alltoallv",
     }
-    assert autotune.SIZE_HINTED_OPS == {
+    size_hinted = {c.name for c in COLLECTIVES.values() if c.hint is not None}
+    assert size_hinted == {
         "allgather", "allgatherv", "allreduce", "alltoall", "alltoallv",
         "gather", "gatherv", "reduce", "scan", "exscan",
         "alltoallw",  # hinted in RawComm all along; one algorithm: inert
     }
-    assert set(autotune.SWEEP_WORKLOADS) <= autotune.SIZE_HINTED_OPS
+    assert set(autotune.SWEEP_WORKLOADS) <= size_hinted
 
     # every other raw call: the parameters of the method it names, the
     # counter that method counts under, and its return type
@@ -137,7 +138,7 @@ def test_every_declared_collective_matches_what_it_describes():
 def test_run_keywords_match_run_mpi_and_the_backends():
     """One keyword surface: ``repro.core.run`` is ``run_mpi`` plus
     ``comm_class``, and every backend's ``run`` is ``run_mpi`` minus the
-    three settings ``run_mpi`` resolves itself, so a setting retired in one
+    two settings ``run_mpi`` resolves itself, so a setting retired in one
     place is retired in all of them."""
     from repro.core.runner import run
     from repro.mpi.backends import Backend, ProcessBackend, ThreadBackend
@@ -149,7 +150,7 @@ def test_run_keywords_match_run_mpi_and_the_backends():
     raw = keywords(mpi.run_mpi)
     assert keywords(run) == raw | {"comm_class"}
     for backend in (Backend, ThreadBackend, ProcessBackend):
-        assert keywords(backend.run) == raw - {"backend", "ir", "autotune"}, (
+        assert keywords(backend.run) == raw - {"backend", "ir"}, (
             backend.__name__)
 
 

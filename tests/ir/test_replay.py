@@ -13,6 +13,7 @@ from __future__ import annotations
 import copy
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from repro.apps.ir_demo import bfs_epoch, sample_sort_epoch
@@ -66,6 +67,33 @@ def test_optimized_replay_is_bit_identical(app, p, backend, clean_engine):
     assert res.ir.optimized.total_bytes() < res.ir.epoch.total_bytes()
     # the replay verified every node it had a recorded value for
     assert all(s["verified"] > 0 for s in res.ir.replay_stats)
+
+
+def _nonblocking(raw):
+    """The three started collectives plus an ibarrier completed by test()."""
+    reqs = [raw.iallreduce(np.arange(4) + raw.rank, SUM),
+            raw.ibcast(np.arange(3) * 7 if raw.rank == 0 else None, 0),
+            raw.iallgather(raw.rank * 11)]
+    barrier = raw.ibarrier()
+    while not barrier.test()[0]:
+        pass
+    return [req.wait() for req in reqs]
+
+
+def test_nonblocking_collectives_record_and_replay(backend, clean_engine):
+    """Values and clocks are the plain run's under ``record`` and
+    ``optimize``, and the replay verifies each non-blocking node's wait —
+    the ibarrier's too, recorded by the ``test()`` that completed it."""
+    base = run_mpi(_nonblocking, 4, engine=clean_engine, backend=backend)
+    for mode in ("record", "optimize"):
+        res = run_mpi(_nonblocking, 4, ir=mode, engine=clean_engine,
+                      backend=backend)
+        assert repr(res.values) == repr(base.values)
+        assert res.times == base.times
+    for nodes in res.ir.epoch.ops:
+        assert Counter(n.kind for n in nodes) == {"nbc": 4, "wait": 4}
+    assert res.ir.replay_stats == [
+        {"verified": 4, "compilations": 5, "hits": 3}] * 4
 
 
 def test_replay_issues_exactly_the_optimized_ops(clean_engine):
@@ -174,21 +202,10 @@ def test_replay_refuses_an_undeclared_collective(clean_engine):
 
 # -- activation surface ----------------------------------------------------
 
-def test_env_var_activates_recording(monkeypatch):
-    monkeypatch.setenv("REPRO_IR", "record")
-    res = run_mpi(_fusable, 2)
-    assert res.ir is not None and res.ir.mode == "record"
-
-
-def test_explicit_off_beats_env(monkeypatch):
-    monkeypatch.setenv("REPRO_IR", "optimize")
-    res = run_mpi(_fusable, 2, ir="off")
-    assert res.ir is None
-
-
 def test_invalid_ir_mode_rejected():
-    with pytest.raises(RawUsageError, match="not a mode"):
-        run_mpi(_fusable, 2, ir="banana")
+    for mode in ("banana", "off"):
+        with pytest.raises(RawUsageError, match="not a mode"):
+            run_mpi(_fusable, 2, ir=mode)
 
 
 def test_ir_incompatible_with_record_replay_fuzzing():

@@ -1,155 +1,57 @@
-"""Online autotuning: harvest → fit → synthesize → install → persist.
+"""Learned tuning tables: sweep → synthesize → install → persist.
 
 Engines are always constructed with ``env={}`` where selections are
 asserted: the CI algorithm matrix forces ``REPRO_COLL_*`` schedules, and a
 learned table must be compared against the real seed defaults, not the
-forced lane.  The process-backend lane of the round-trip test rides the
-slow marker (fork-per-rank runs are wall-clock expensive).
+forced lane.
 """
 
 from __future__ import annotations
 
 import json
 
-import numpy as np
 import pytest
 
 from repro.mpi import (
-    SUM,
     AutoTuner,
     CollectiveEngine,
     CostModel,
     RawUsageError,
-    resolve_autotune,
     run_mpi,
 )
-from repro.mpi.autotune import default_path, machine_key
-from repro.mpi.costmodel import fit_alpha_beta, linear_coefficients
+from repro.mpi.collectives import COLLECTIVES
 from repro.mpi.machine import WORLD_ID
 
 CM = CostModel()
 
 
-@pytest.fixture(params=[
-    "thread",
-    pytest.param("process", marks=pytest.mark.slow),
-])
-def backend(request) -> str:
-    return request.param
-
-
-def _allreduce_workload(comm):
-    comm.allreduce(np.arange(512, dtype=np.int64) + comm.rank, SUM)
-
-
-# -- harvesting ---------------------------------------------------------------
-
-
-def test_observe_harvests_traced_collectives():
-    def main(comm):
-        comm.allreduce(np.arange(64, dtype=np.int64), SUM)
-        comm.allgather(np.arange(16, dtype=np.int64))
-        comm.bcast(np.arange(8, dtype=np.int64) if comm.rank == 0 else None,
-                   0)  # rooted: size-blind, never harvested
-
-    res = run_mpi(main, 4, cost_model=CM, trace=True,
-                  engine=CollectiveEngine(CM, env={}))
-    tuner = AutoTuner(cost_model=CM)
-    assert tuner.observe(res) == 2
-    by_op = {s.op: s for s in tuner.samples}
-    assert set(by_op) == {"allreduce", "allgather"}
-    assert by_op["allreduce"].nbytes == 64 * 8  # the engine's size hint
-    assert by_op["allreduce"].p == 4
-    assert by_op["allreduce"].seconds > 0
-    # untraced runs contribute nothing
-    res2 = run_mpi(main, 4, cost_model=CM, engine=CollectiveEngine(CM, env={}))
-    assert tuner.observe(res2) == 0
+# -- sweeping -----------------------------------------------------------------
 
 
 def test_sweep_hint_is_what_a_traced_sweep_call_reports():
     """``_hint_bytes`` follows the declared hint convention: each sweep
-    workload's harvested sample carries it, and an op that declares no hint
-    (only the root knows a bcast's payload) selects with 0."""
+    workload's trace event carries it (``recvd`` for a ``"recvcounts"``
+    hint, else ``sent``), and an op that declares no hint (only the root
+    knows a bcast's payload) selects with 0."""
     from repro.mpi.autotune import SWEEP_WORKLOADS, _hint_bytes
 
     for op, workload in SWEEP_WORKLOADS.items():
-        res = run_mpi(workload, 4, args=(16, 0), cost_model=CM, trace=True,
+        res = run_mpi(workload, 4, args=(16,), cost_model=CM, trace=True,
                       engine=CollectiveEngine(CM, env={}))
-        (sample,) = res.trace.collective_samples()
-        assert sample[0] == op and sample[3] == _hint_bytes(op, 4, 16)
+        events = [e for e in res.trace.all_events() if e.algorithm is not None]
+        assert {e.op for e in events} == {op}
+        field = "recvd" if COLLECTIVES[op].hint == "recvcounts" else "sent"
+        assert max(getattr(e, field) for e in events) == _hint_bytes(op, 4, 16)
     assert _hint_bytes("alltoallv", 4, 16) == 4 * _hint_bytes("allgather", 4, 16)
     assert _hint_bytes("bcast", 4, 16) == 0
-
-
-def test_wall_clock_tuner_ignores_virtual_traces():
-    res = run_mpi(_allreduce_workload, 4, cost_model=CM, trace=True,
-                  engine=CollectiveEngine(CM, env={}))
-    tuner = AutoTuner(cost_model=CM, clock="wall")
-    assert tuner.observe(res) == 0
 
 
 def test_harvest_validates_algorithm_names():
     tuner = AutoTuner()
     with pytest.raises(RawUsageError, match="unknown algorithm"):
         tuner.add_sample("allreduce", "nope", 4, 128, 1e-6)
-
-
-# -- fitting ------------------------------------------------------------------
-
-
-def test_sweep_fit_recovers_the_generating_model():
-    """Virtual timings are generated by the α-β simulator, so regressing
-    them onto the α-β formulas must recover the model's own parameters —
-    the closed-loop sanity check behind trusting wall-clock fits later."""
-    tuner = AutoTuner(cost_model=CM)
-    # all three sweep ops: with fewer, alpha and overhead are nearly
-    # collinear (both scale with the round count at fixed p) and the
-    # least-squares split between them is arbitrary
-    added = tuner.sweep(ops=("allreduce", "allgather", "alltoallv"),
-                        ps=(4, 8), widths=(16, 1024, 65536))
-    assert added == len(tuner.samples) > 0
-    fit = tuner.fit()
-    assert fit.beta == pytest.approx(CM.beta, rel=0.10)
-    assert fit.alpha == pytest.approx(CM.alpha, rel=0.25)
-    assert fit.residual < 0.05
-    model = tuner.fitted_model()
-    assert model.beta == fit.beta and model.ser_beta == CM.ser_beta
-    report = tuner.residual_report()
-    assert report["samples"] == fit.samples
-    assert all(r["rel_error"] >= 0 for r in report["worst"])
-
-
-def test_fit_needs_enough_samples():
-    tuner = AutoTuner(cost_model=CM)
-    tuner.add_sample("allreduce", "ring", 4, 1024, 1e-6)
-    with pytest.raises(ValueError, match="at least 3"):
-        tuner.fit()
-    with pytest.raises(ValueError):
-        fit_alpha_beta([])
-
-
-def test_linear_coefficients_reconstruct_cost():
-    from repro.mpi import algorithms
-
-    # allreduce/allgather formulas are exactly linear in (α, β, overhead);
-    # alltoall(v)'s have a max() branch (overlap saturation), so for those
-    # the basis-extracted coefficients only over-approximate — the fit
-    # treats them as any other modeling error
-    for op in ("allreduce", "allgather"):
-        for algo in algorithms.algorithms(op):
-            if algo.cost is None:
-                continue
-            ca, cb, co = linear_coefficients(algo.cost, 8, 4096)
-            rebuilt = ca * CM.alpha + cb * CM.beta + co * CM.overhead
-            direct = algo.cost(8, 4096, CostModel(
-                pack_beta=0.0, dtype_alpha=0.0, ser_beta=0.0))
-            assert rebuilt == pytest.approx(direct, rel=1e-12), (op, algo.name)
-    pairwise = algorithms.get("alltoall", "pairwise")
-    ca, cb, co = linear_coefficients(pairwise.cost, 8, 4096)
-    rebuilt = ca * CM.alpha + cb * CM.beta + co * CM.overhead
-    direct = pairwise.cost(8, 4096, CostModel(
-        pack_beta=0.0, dtype_alpha=0.0, ser_beta=0.0))
-    assert rebuilt >= direct
+    with pytest.raises(RawUsageError, match="no sweep workload"):
+        tuner.sweep(ops=("bcast",))
 
 
 # -- table synthesis ----------------------------------------------------------
@@ -158,16 +60,16 @@ def test_linear_coefficients_reconstruct_cost():
 def test_table_buckets_the_measured_crossover():
     tuner = AutoTuner(cost_model=CM)
     tuner.sweep(ops=("allreduce",), ps=(4,), widths=(16, 1024, 65536))
-    rules = tuner.rules_for("allreduce", 4)
-    assert rules is not None
+    table = tuner.table()
+    rules = table["allreduce"][4]
     # seed crossover on the default model: recursive_doubling for small
     # payloads, ring for huge ones; the boundary falls at the geometric
     # midpoint of the largest two swept sizes
     assert rules[0][1] == "recursive_doubling"
     assert rules[-1] == (None, "ring")
     assert rules[0][0] == int((1024 * 8 * 65536 * 8) ** 0.5)
-    assert tuner.rules_for("allreduce", 16) is None  # never measured
-    assert tuner.rules_for("bcast", 4) is None
+    assert 16 not in table["allreduce"]  # never measured
+    assert "bcast" not in table
 
 
 def test_install_and_explain_learned():
@@ -187,112 +89,46 @@ def test_install_and_explain_learned():
     assert tuner.install(CollectiveEngine(CM, env={}), p=16) == 0
 
 
-# -- persistence round-trip (the satellite acceptance) ------------------------
+# -- persistence round-trip ---------------------------------------------------
 
 
-def test_learned_table_round_trip(backend, tmp_path):
-    """fit → persist → reload in a fresh engine → explain() shows
-    source="learned" and the decision matches, on both backends."""
+def test_learned_table_round_trip(tmp_path):
+    """sweep → persist → reload in a fresh engine → explain() shows
+    source="learned" and the decision matches."""
     path = tmp_path / "learned.json"
-    if backend == "process":
-        # per-event wall times don't exist; the wall tuner times whole runs
-        tuner = AutoTuner(path=path, cost_model=CM, clock="wall")
-        tuner.sweep(ops=("allreduce",), ps=(2,), widths=(4, 256),
-                    backend="process")
-        p = 2
-    else:
-        tuner = AutoTuner(path=path, cost_model=CM)
-        tuner.sweep(ops=("allreduce",), ps=(4,), widths=(16, 1024, 65536),
-                    backend="thread")
-        p = 4
+    tuner = AutoTuner(path=path, cost_model=CM)
+    tuner.sweep(ops=("allreduce",), ps=(4,), widths=(16, 1024, 65536))
     assert tuner.save() == path
 
     reloaded = AutoTuner.load(path)
-    assert reloaded.clock == tuner.clock
-    assert reloaded.machine == tuner.machine == machine_key()
     # bit-identical: same samples → same synthesized rules, exactly
     assert reloaded.table() == tuner.table()
     assert [s.key() for s in sorted(reloaded.samples, key=lambda s: s.key())] \
         == [s.key() for s in sorted(tuner.samples, key=lambda s: s.key())]
 
     fresh = CollectiveEngine(CM, env={})
-    assert reloaded.install(fresh, p=p) == 1
+    assert reloaded.install(fresh, p=4) == 1
     original = CollectiveEngine(CM, env={})
-    tuner.install(original, p=p)
+    tuner.install(original, p=4)
     for nbytes in (0, 128, 8192, 1 << 19, 1 << 24):
-        want = original.explain("allreduce", p=p, nbytes=nbytes,
+        want = original.explain("allreduce", p=4, nbytes=nbytes,
                                 comm_id=WORLD_ID)
-        got = fresh.explain("allreduce", p=p, nbytes=nbytes,
+        got = fresh.explain("allreduce", p=4, nbytes=nbytes,
                             comm_id=WORLD_ID)
         assert got == want
         assert got.source == "learned"
     # the persisted table in the file equals what both engines installed
     stored = json.loads(path.read_text())
-    assert stored["clock"] == tuner.clock
-    stored_rules = [tuple(r) for r in stored["table"]["allreduce"][str(p)]]
+    assert set(stored) == {"version", "samples", "table"}
+    stored_rules = [tuple(r) for r in stored["table"]["allreduce"]["4"]]
     assert tuple(stored_rules) == fresh.rules(WORLD_ID, "allreduce")
-
-
-# -- run_mpi integration ------------------------------------------------------
-
-
-def test_run_mpi_autotune_cold_then_warm(tmp_path):
-    path = tmp_path / "store.json"
-    engine1 = CollectiveEngine(CM, env={})
-    cold = run_mpi(_allreduce_workload, 4, cost_model=CM, engine=engine1,
-                   autotune=path)
-    assert cold.autotune is not None and path.exists()
-    assert len(cold.autotune.samples) == 1
-    assert cold.trace is not None  # autotuning forces tracing
-    # first run was cold: nothing was installed before it
-    assert engine1.rules(WORLD_ID, "allreduce") is None
-
-    engine2 = CollectiveEngine(CM, env={})
-    warm = run_mpi(_allreduce_workload, 4, cost_model=CM, engine=engine2,
-                   autotune=path)
-    assert engine2.rules(WORLD_ID, "allreduce") is not None
-    d = engine2.explain("allreduce", p=4, nbytes=512 * 8, comm_id=WORLD_ID)
-    assert d.source == "learned"
-    # the store kept accumulating
-    assert len(warm.autotune.samples) == 2
-
-
-def test_run_mpi_creates_engine_when_needed(tmp_path):
-    res = run_mpi(_allreduce_workload, 4, cost_model=CM,
-                  autotune=AutoTuner(cost_model=CM))
-    assert res.autotune is not None
-    assert len(res.autotune.samples) == 1
-
-
-def test_env_var_activation(tmp_path, monkeypatch):
-    path = tmp_path / "env-store.json"
-    monkeypatch.setenv("REPRO_AUTOTUNE", str(path))
-    res = run_mpi(_allreduce_workload, 4, cost_model=CM,
-                  engine=CollectiveEngine(CM, env={}))
-    assert res.autotune is not None and path.exists()
-    # explicit False beats the environment
-    off = run_mpi(_allreduce_workload, 4, cost_model=CM,
-                  engine=CollectiveEngine(CM, env={}), autotune=False)
-    assert off.autotune is None
-    monkeypatch.setenv("REPRO_AUTOTUNE", "off")
-    assert resolve_autotune() is None
-    monkeypatch.setenv("REPRO_AUTOTUNE", "0")
-    assert resolve_autotune() is None
-    monkeypatch.delenv("REPRO_AUTOTUNE")
-    assert resolve_autotune() is None
-    monkeypatch.setenv("REPRO_AUTOTUNE_DIR", str(tmp_path))
-    monkeypatch.setenv("REPRO_AUTOTUNE", "1")
-    tuner = resolve_autotune()
-    assert tuner is not None
-    assert tuner.path == default_path() == tmp_path / f"{machine_key()}-virtual.json"
 
 
 def test_bad_store_versions_are_rejected(tmp_path):
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps({"version": 999, "samples": []}))
-    with pytest.raises(RawUsageError, match="unsupported autotune store"):
-        AutoTuner.load(path)
-    with pytest.raises(RawUsageError, match="unknown autotune clock"):
-        AutoTuner(clock="sundial")
+    for version in (999, 1):  # 1: the store that carried an α-β fit
+        path.write_text(json.dumps({"version": version, "samples": []}))
+        with pytest.raises(RawUsageError, match="unsupported autotune store"):
+            AutoTuner.load(path)
     with pytest.raises(RawUsageError, match="needs a path"):
         AutoTuner().save()
