@@ -69,6 +69,9 @@ class OpSpec:
     #: ``build(plan) -> run(comm, params)``: specialises the operation for one
     #: validated parameter signature (called by :func:`compile_plan`)
     build: Callable[["CallPlan"], Callable[..., Any]] = field(kw_only=True)
+    #: the ``((key, direction), ...)`` tuples :func:`compile_plan` found
+    #: free of contract errors; only successes, so every error is raised anew
+    passed: set = field(default_factory=set, init=False, repr=False)
 
     @cached_property
     def allowed(self) -> frozenset[str]:
@@ -143,6 +146,8 @@ class CallPlan:
 
 
 _token_of = attrgetter("token")
+#: all of a signature that :func:`contract_errors` reads
+_shape_of = attrgetter("key", "direction")
 
 
 class PlanCache:
@@ -262,9 +267,12 @@ def compile_plan(spec: OpSpec, params: Sequence[Parameter]) -> CallPlan:
             raise UsageError(f"unknown parameter key {key!r}")
         index[key] = i
     signatures = tuple(map(_token_of, params))
-    errors = contract_errors(spec, signatures)
-    if errors:
-        raise errors[0]
+    shape = tuple(map(_shape_of, signatures))
+    if shape not in spec.passed:
+        errors = contract_errors(spec, signatures)
+        if errors:
+            raise errors[0]
+        spec.passed.add(shape)
 
     # out-parameter handling: a requested out key is "owning" (returned by
     # value) when no container was supplied or the container was moved in;

@@ -1,10 +1,11 @@
 """One-OS-process-per-rank execution backend.
 
 Ranks are ``multiprocessing`` processes; every ordered rank pair owns one
-simplex pipe, and envelopes cross it as self-framed messages.  This module
-is a *transport* and a launcher, not a second runtime: each rank builds the
-shared :class:`~repro.mpi.machine.Machine` over its :class:`_Transport`, so
-its own endpoint of every communicator is a real
+simplex pipe and one shared-memory ring (:class:`_Ring`), and envelopes
+cross them as self-framed messages.  This module is a *transport* and a
+launcher, not a second runtime: each rank builds the shared
+:class:`~repro.mpi.machine.Machine` over its :class:`_Transport`, so its
+own endpoint of every communicator is a real
 :class:`~repro.mpi.p2p.Mailbox` and every other rank's is a
 :class:`_RemoteMailbox` that writes the envelope down the pipe to the peer,
 whose pump thread for that pipe delivers it into the mailbox over there.
@@ -29,10 +30,15 @@ schedules ship, and the control messages — takes the *pickled frame*::
     the nbytes of the array, raw            |      it is left out of band
                                             |  the n buffers, raw
 
-The sender gather-writes a frame with ``os.writev`` straight from the
-payload's own memory, under a per-destination lock; the receiver reads each
-buffer straight into the ``bytearray`` the array then keeps as its storage.
-Those are the only two copies a buffer pays (into the pipe, out of it).
+A buffer of ``_EAGER`` bytes or more (32 KiB, half a pipe) crosses the
+ring instead: the sender sets ``_RING``, the top bit of the header length,
+and copies each such buffer into the ring in chunks of at most one half
+(``_HALF``, 256 KiB), the first two before the header goes down the pipe;
+the rest of the frame takes the pipe.  The sender gather-writes with
+``os.writev`` straight from the payload's own memory, under a
+per-destination lock; the receiver reads each buffer straight into the
+``np.empty`` array the payload then keeps as its storage, never zero-filled.
+Those are the only two copies a buffer pays (into the pipe or ring, out).
 Encoding finishes before the first byte is written, so an unpicklable
 payload raises without leaving half a frame behind.  No send-time
 :func:`~repro.mpi.datatypes.snapshot` is taken — that is :meth:`Mailbox.deposit
@@ -115,7 +121,7 @@ import threading
 import time
 import traceback
 from collections import deque
-from multiprocessing import connection as mp_connection
+from multiprocessing import connection as mp_connection, heap
 from typing import Any, Callable, Hashable, Optional, Sequence
 
 import numpy as np
@@ -155,6 +161,17 @@ _ENV = struct.Struct("<qqQdqBB")
 #: variable-width string
 _PLAIN_KINDS = "biufcmMSU"
 _IOV_MAX = os.sysconf("SC_IOV_MAX")
+#: a receive buffer's dtype, made once: ``np.empty(n, np.uint8)`` converts
+#: the type on every call, which costs an 8-byte message 0.2 µs
+_BYTE = np.dtype(np.uint8)
+#: a frame buffer this large or larger crosses the rank pair's ring, not the
+#: pipe: half a pipe's capacity
+_EAGER = 32 << 10
+#: bytes in each half of a ring: the most one chunk, one credit, carries
+_HALF = 256 << 10
+#: set in a ring frame's header length: each of its buffers of ``_EAGER``
+#: bytes or more is in the ring, cut into chunks of at most ``_HALF``
+_RING = 1 << 31
 
 
 def _pickle(msg: tuple) -> tuple[bytes, list[memoryview]]:
@@ -216,17 +233,22 @@ def _read_exact(frames, size: int) -> bytes:
     return data
 
 
-def _read_into(frames, size: int) -> bytearray:
-    buf = bytearray(size)
+def _read_into(frames, size: int, ring: Optional["_Ring"]) -> np.ndarray:
+    if ring is not None and size >= _EAGER:
+        return ring.read(size)
+    buf = np.empty(size, _BYTE)
     if size and frames.readinto(buf) < size:
         raise EOFError
     return buf
 
 
-def _read_frame(frames) -> tuple:
+def _read_frame(frames, ring: Optional["_Ring"] = None) -> tuple:
     """Read one frame back into its message tuple; each buffer lands in the
-    ``bytearray`` the array keeps as its (writeable, private) storage."""
+    ``np.empty`` array the payload keeps as its (writeable, private) storage,
+    copied out of ``ring`` if the frame says it is there."""
     header_len, nbuf = _PREFIX.unpack(_read_exact(frames, _PREFIX.size))
+    ring = ring if header_len & _RING else None
+    header_len &= ~_RING
     if nbuf == _ARRAY:
         header = _read_exact(frames, header_len)
         source, tag, nbytes, arrival_time, token, ndim, dtype_len = (
@@ -235,12 +257,74 @@ def _read_frame(frames) -> tuple:
         route_at = shape_at + 8 * ndim
         payload = np.ndarray(
             struct.unpack_from(f"<{ndim}Q", header, shape_at),
-            header[_ENV.size:shape_at].decode(), _read_into(frames, nbytes))
+            header[_ENV.size:shape_at].decode(),
+            _read_into(frames, nbytes, ring))
         return ("env", header[route_at:], source, tag, payload, nbytes,
                 arrival_time, None if token < 0 else token)
     sizes = struct.unpack(f"<{nbuf}Q", _read_exact(frames, 8 * nbuf))
     header = _read_exact(frames, header_len)
-    return pickle.loads(header, buffers=[_read_into(frames, n) for n in sizes])
+    return pickle.loads(
+        header, buffers=[_read_into(frames, n, ring) for n in sizes])
+
+
+class _Ring:
+    """The bulk channel of one ordered rank pair: two halves of shared memory
+    and two semaphores that count the halves free and full.  Its writer is
+    whoever holds the pair's send lock in the sending rank, its reader the
+    pair's pump in the receiving one; each side counts the chunks it has
+    moved, and chunk ``k`` sits in half ``k & 1``.
+    """
+
+    def __init__(self, arena, free, full):
+        self._mem = memoryview(arena.buffer)
+        self._free, self._full = free, full
+        self._chunks = 0
+
+    def _put(self, chunk: memoryview) -> None:
+        self._free.acquire()
+        at = (self._chunks & 1) * _HALF
+        self._chunks += 1
+        self._mem[at:at + len(chunk)] = chunk
+        self._full.release()
+
+    def read(self, size: int) -> np.ndarray:
+        """Copy the next ``size`` bytes out of the ring, chunk by chunk."""
+        buf = np.empty(size, _BYTE)
+        out = memoryview(buf)
+        for start in range(0, size, _HALF):
+            end = min(start + _HALF, size)
+            self._full.acquire()
+            at = (self._chunks & 1) * _HALF
+            self._chunks += 1
+            out[start:end] = self._mem[at:at + end - start]
+            self._free.release()
+        return buf
+
+    def write(self, fd: int, frame: list) -> None:
+        """Write ``frame`` as a ring frame: each buffer of ``_EAGER`` bytes or
+        more goes into the ring, the rest of the frame down the pipe ``fd``.
+        Two chunks may go in ahead of the pipe parts before them, the ring's
+        capacity: so the first two precede the header, and the pump that the
+        header wakes finds them waiting.
+        """
+        header_len, nbuf = _PREFIX.unpack_from(frame[0])
+        first = 1 if nbuf == _ARRAY else 2  # the buffers follow the header
+        pipe = [_PREFIX.pack(header_len | _RING, nbuf)
+                + frame[0][_PREFIX.size:], *frame[1:first]]
+        early = 2
+        for part in frame[first:]:
+            if len(part) < _EAGER:
+                pipe.append(part)
+                continue
+            for at in range(0, len(part), _HALF):
+                if early:
+                    early -= 1
+                elif pipe:
+                    _write_frame(fd, pipe)
+                    pipe = []
+                self._put(part[at:at + _HALF])
+        if pipe:
+            _write_frame(fd, pipe)
 
 
 class _AckGate:
@@ -302,12 +386,14 @@ class _RemoteMailbox:
 
 
 class _Transport:
-    """One rank's pipe ends plus the pump threads that drain them: what the
-    rank's :class:`~repro.mpi.machine.Machine` reaches the other ranks by
-    (``rank``, ``outbox``, ``send``, ``stash``, ``drain``, ``abort``).
+    """One rank's pipe ends and rings plus the pump threads that drain them:
+    what the rank's :class:`~repro.mpi.machine.Machine` reaches the other
+    ranks by (``rank``, ``outbox``, ``send``, ``stash``, ``drain``,
+    ``abort``).
 
     ``pipes`` maps each peer to ``(from_peer, to_peer)``, the read end of
-    one simplex pipe and the write end of the other.  Frames to one peer are
+    one simplex pipe and the write end of the other; ``rings`` maps it to
+    the ``(arena, free, full)`` of the ring each way.  Frames to one peer are
     written under a per-destination lock (the rank's main thread and its
     pump threads — acks, barrier broadcasts — both send), so they never
     interleave; a control frame (:meth:`send`) never waits for that lock.
@@ -316,10 +402,14 @@ class _Transport:
     under the registry lock, in per-pair FIFO order.
     """
 
-    def __init__(self, rank: int, pipes: dict[int, tuple[Any, Any]]):
+    def __init__(self, rank: int, pipes: dict[int, tuple[Any, Any]],
+                 rings: dict[int, tuple[tuple, tuple]]):
         #: the one world rank that lives on this side of the pipes
         self.rank = rank
         self._pipes = pipes
+        #: per peer, the ring read from it and the one written to it
+        self._rings = {w: (_Ring(*inbound), _Ring(*outbound))
+                       for w, (inbound, outbound) in rings.items()}
         self._send_locks = {w: threading.Lock() for w in pipes}
         #: per destination, encoded control frames not written yet
         self._control: dict[int, deque] = {w: deque() for w in pipes}
@@ -337,9 +427,15 @@ class _Transport:
         return _RemoteMailbox(self, comm_id, world)
 
     def write(self, world: int, frame: list) -> None:
-        """Write an envelope's frame, blocking while the pipe is full."""
+        """Write an envelope's frame, blocking while the pipe (or the ring)
+        is full; a frame with a part of ``_EAGER`` bytes or more is a ring
+        frame."""
         with self._send_locks[world]:
-            _write_frame(self._pipes[world][1].fileno(), frame)
+            fd = self._pipes[world][1].fileno()
+            if max(map(len, frame)) < _EAGER:
+                _write_frame(fd, frame)
+            else:
+                self._rings[world][1].write(fd, frame)
         if self._control[world]:  # queued while the pipe was ours
             self._flush(world)
 
@@ -384,15 +480,15 @@ class _Transport:
         self._machine = machine
         for world, (from_peer, _) in self._pipes.items():
             threading.Thread(
-                target=self._pump, args=(from_peer,),
+                target=self._pump, args=(from_peer, self._rings[world][0]),
                 name=f"pump-{self.rank}<{world}", daemon=True,
             ).start()
 
-    def _pump(self, from_peer) -> None:
+    def _pump(self, from_peer, ring: _Ring) -> None:
         with open(from_peer.fileno(), "rb", closefd=False) as frames:
             while True:
                 try:
-                    msg = _read_frame(frames)
+                    msg = _read_frame(frames, ring)
                 except (EOFError, OSError):
                     return
                 self._dispatch(msg)
@@ -459,14 +555,14 @@ class _Transport:
 
 def _child_main(rank: int, num_ranks: int, fn: Callable[..., Any],
                 args: tuple, cfg: dict, pipes: dict[int, tuple[Any, Any]],
-                parent_conn) -> None:
+                rings: dict[int, tuple[tuple, tuple]], parent_conn) -> None:
     from repro.mpi.context import RawComm
 
     # the schedule fuzzer keys its streams by thread name
     threading.current_thread().name = f"rank-{rank}"
     tracer = TraceRecorder(num_ranks) if cfg["trace"] else None
     seed = cfg["fuzz_seed"]
-    transport = _Transport(rank, pipes)
+    transport = _Transport(rank, pipes, rings)
     machine = Machine(
         num_ranks, cost_model=cfg["cost_model"], deadline=cfg["deadline"],
         tracer=tracer, engine=cfg["engine"],
@@ -556,10 +652,15 @@ class ProcessBackend(Backend):
         tracer = resolve_tracer(trace, num_ranks)
         ctx = self._context()
 
-        # a simplex pipe per ordered rank pair + a control pipe per rank
+        # a simplex pipe and a ring per ordered rank pair + a control pipe
+        # per rank.  A ring's memory is an unlinked /dev/shm file, inherited
+        # under fork and passed by descriptor under spawn; only the pair's
+        # two ranks touch its pages, never the parent.
         ends = {(src, dst): ctx.Pipe(duplex=False)
                 for src in range(num_ranks) for dst in range(num_ranks)
                 if src != dst}
+        rings = {pair: (heap.Arena(2 * _HALF), ctx.Semaphore(2),
+                        ctx.Semaphore(0)) for pair in ends}
         pipes: dict[int, dict[int, tuple[Any, Any]]] = {
             r: {w: (ends[w, r][0], ends[r, w][1])
                 for w in range(num_ranks) if w != r}
@@ -578,6 +679,7 @@ class ProcessBackend(Backend):
             procs[r] = ctx.Process(
                 target=_child_main,
                 args=(r, num_ranks, fn, tuple(args), cfg, pipes[r],
+                      {w: (rings[w, r], rings[r, w]) for w in pipes[r]},
                       child_end),
                 name=f"repro-rank-{r}", daemon=True,
             )
@@ -611,6 +713,7 @@ class ProcessBackend(Backend):
             self._terminate(procs)
             for conn in ctl.values():
                 conn.close()
+            rings.clear()  # under spawn, unlinks the semaphores' names
 
         return self.finish([reports[r][0] for r in range(num_ranks)], tracer)
 

@@ -12,8 +12,11 @@ Rank functions are module-level: CI reruns this file under ``spawn``.
 from __future__ import annotations
 
 import io
+import os
 import pickle
 import sys
+import threading
+from multiprocessing import heap
 
 import numpy as np
 import pytest
@@ -150,6 +153,96 @@ def test_any_dtype_and_shape_round_trips_on_the_frame_it_qualifies_for(
     # timedelta back in native byte order; everything else is as sent
     sent = arr if plain else pickle.loads(pickle.dumps(arr, protocol=5))
     assert _describe(got) == _describe(sent, writeable=True)
+
+
+# -- the shared-memory ring, one writer thread and one reader thread ----------
+
+
+class _Counted(threading.Semaphore):
+    """A semaphore that logs each release by name into ``log``."""
+
+    def __init__(self, value, name, log):
+        super().__init__(value)
+        self._name, self._log = name, log
+
+    def release(self, n=1):
+        self._log.append(self._name)
+        super().release(n)
+
+
+def _ring_pair(log=None):
+    """A writer's and a reader's end of one ring, as two ranks would hold
+    them, and the pipe beside it."""
+    log = [] if log is None else log
+    parts = (heap.Arena(2 * wire._HALF), _Counted(2, "free", log),
+             _Counted(0, "chunk", log))
+    read_fd, write_fd = os.pipe()
+    return wire._Ring(*parts), wire._Ring(*parts), read_fd, write_fd, parts
+
+
+#: buffer sizes around the ring's edges: below, at and above the eager limit,
+#: and one chunk, two and three with odd remainders
+_RING_SIZES = (1, wire._EAGER - 1, wire._EAGER, wire._HALF - 1, wire._HALF,
+               wire._HALF + 1, 2 * wire._HALF + 1, 3 * wire._HALF + 7)
+
+
+def _ring_messages(count=120, seed=5):
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        sizes = rng.choice(_RING_SIZES, size=int(rng.integers(1, 4)))
+        arrays = [np.full(n, (i + k) % 251, dtype=np.uint8)
+                  for k, n in enumerate(sizes)]
+        # one array alone takes the array frame, several a pickled one
+        yield _env(arrays[0] if len(arrays) == 1 else arrays, token=i)
+
+
+def test_the_ring_carries_many_odd_sized_frames_in_order():
+    writer, reader, read_fd, write_fd, (_, free, full) = _ring_pair()
+    sent = list(_ring_messages())
+
+    def write_all():
+        for msg in sent:
+            writer.write(write_fd, wire._encode(msg))
+
+    thread = threading.Thread(target=write_all)
+    thread.start()
+    with open(read_fd, "rb") as frames:
+        got = [wire._read_frame(frames, reader) for _ in sent]
+    thread.join(timeout=30)
+    os.close(write_fd)
+    assert not thread.is_alive()
+    for msg, back in zip(sent, got):
+        assert back[7] == msg[7]
+        assert _describe(back[4]) == _describe(msg[4], writeable=True)
+    chunks = sum(-(-a.nbytes // wire._HALF) for msg in sent
+                 for a in (msg[4] if isinstance(msg[4], list) else [msg[4]])
+                 if a.nbytes >= wire._EAGER)
+    # both ends counted every chunk, and every credit is back
+    assert writer._chunks == reader._chunks == chunks > 2 * len(sent)
+    assert free.acquire(blocking=False) and free.acquire(blocking=False)
+    assert not free.acquire(blocking=False)
+    assert not full.acquire(blocking=False)
+
+
+def test_two_chunks_are_in_the_ring_before_the_header_is_on_the_pipe(
+        monkeypatch):
+    log = []
+    real = wire._write_frame
+    monkeypatch.setattr(
+        wire, "_write_frame",
+        lambda fd, parts: log.append("pipe") or real(fd, parts))
+    writer, reader, read_fd, write_fd, _ = _ring_pair(log)
+    payload = np.arange(3 * wire._HALF // 8, dtype=np.int64)  # three chunks
+    thread = threading.Thread(
+        target=writer.write, args=(write_fd, wire._encode(_env(payload))))
+    thread.start()
+    with open(read_fd, "rb") as frames:
+        got = wire._read_frame(frames, reader)[4]
+    thread.join(timeout=30)
+    os.close(write_fd)
+    assert (got == payload).all()
+    writes = [entry for entry in log if entry != "free"]
+    assert writes == ["chunk", "chunk", "pipe", "chunk"]
 
 
 # -- the send side of one message, pinned without a wall clock ----------------

@@ -115,6 +115,50 @@ class TestRemoteErrors:
         assert third.tolist() == [10, 11, 12, 13]
 
 
+def _shm_entries() -> set:
+    """What the transport could leave in ``/dev/shm``: ring files and
+    semaphore names."""
+    if not os.path.isdir("/dev/shm"):
+        return set()
+    return {name for name in os.listdir("/dev/shm")
+            if name.startswith(("pym-", "sem.mp-"))}
+
+
+def _send_three_big_arrays(comm, receiver_exit):
+    if comm.rank == 1:
+        if receiver_exit:
+            os._exit(3)  # the writer is left waiting for ring credit
+        raise ValueError("rank 1 never receives")
+    for tag in range(3):
+        comm.send(np.full(1 << 20, tag, dtype=np.int64), 1, tag)  # 8 MiB
+    return comm.rank
+
+
+class TestRingFailures:
+    """A rank that stops reading its ring: raising, or killed mid-transfer."""
+
+    def test_receiver_raises_before_any_of_three_8_mib_sends(self):
+        before = _shm_entries()
+        t0 = time.monotonic()
+        with pytest.raises(RuntimeError) as excinfo:
+            run_mpi(_send_three_big_arrays, 2, args=(False,),
+                    backend="process", deadline=15.0)
+        assert time.monotonic() - t0 < 3.0
+        assert "rank 1 raised ValueError: rank 1 never receives" in str(
+            excinfo.value)
+        assert _shm_entries() <= before
+
+    def test_receiver_killed_while_the_writer_waits_for_credit(self):
+        before = _shm_entries()
+        t0 = time.monotonic()
+        with pytest.raises(RuntimeError,
+                           match=r"rank 1 process died \(exit code 3\)"):
+            run_mpi(_send_three_big_arrays, 2, args=(True,),
+                    backend="process", deadline=15.0)
+        assert time.monotonic() - t0 < 3.0
+        assert _shm_entries() <= before
+
+
 class TestUnsupportedFeatures:
     def test_sanitize_refused(self):
         with pytest.raises(UnsupportedOnBackend, match=REFUSAL):

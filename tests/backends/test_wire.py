@@ -3,9 +3,11 @@
 The process backend frames every message itself (a plain C-contiguous array
 behind a fixed header; anything else as a protocol-5 pickle with array
 storage out of band; both gather-written from the sender's memory and read
-into the receiver's); the thread backend hands over a send-time snapshot.
-Both must deliver the same thing: equal values, dtype (byte order included),
-shape and memory order, always writeable and never aliasing the send buffer.
+into the receiver's, a buffer of 32 KiB or more through a shared-memory
+ring); the thread backend hands over a send-time snapshot.  Both must
+deliver the same thing: equal values, dtype (byte order included), shape and
+memory order, always writeable and never aliasing the send buffer (nor, on
+processes, the ring).
 
 Rank functions are module-level so the CI ``process`` cell can rerun this
 file with ``REPRO_PROCESS_START=spawn``.
@@ -17,6 +19,8 @@ import time
 
 import numpy as np
 import pytest
+
+from repro.mpi.backends.process import _EAGER, _HALF
 
 BIG = 1 << 21  # int64 elements: 16 MiB, larger than any pipe buffer
 
@@ -170,3 +174,59 @@ def test_an_ack_never_waits_behind_its_own_ranks_blocked_write(differential):
             assert (small_nbytes, big_sum, big_nbytes) == (
                 32, other << 18, 1 << 21)
     assert elapsed < 5.0, f"{elapsed:.1f} s: frames waited on each other"
+
+
+# -- payloads that cross the process backend's shared-memory ring -------------
+
+
+def _ring_zoo() -> dict:
+    """Buffers at the ring's edges, built identically on every rank."""
+    read_only = np.arange(_EAGER, dtype=np.int32)
+    read_only.flags.writeable = False
+    return {
+        "below_eager": np.arange(_EAGER // 8 - 1, dtype=np.int64),
+        "at_eager": np.arange(_EAGER // 8, dtype=np.int64),
+        # three chunks, the last one byte long: both halves, then the first
+        "two_halves_and_a_byte": np.arange(2 * _HALF + 1).astype(np.uint8),
+        # in one pickled frame: one buffer on the pipe, one in the ring
+        "small_and_big": [np.arange(5, dtype=np.int16),
+                          np.arange(3 * _EAGER, dtype=np.float32)],
+        "big_endian_datetime": (np.arange(_EAGER, dtype=">i8") * 60_000
+                                ).astype(">M8[ms]"),
+        "read_only": read_only,
+    }
+
+
+def _send_ring_zoo(comm):
+    zoo = _ring_zoo()
+    if comm.rank == 0:
+        for tag, payload in enumerate(zoo.values()):
+            comm.send(payload, 1, tag)
+        return None
+    return {name: _describe(comm.recv(0, tag)[0])
+            for tag, name in enumerate(zoo)}
+
+
+def test_ring_sized_payloads_arrive_as_sent(differential):
+    got = differential(_send_ring_zoo, 2).values[1]
+    for name, payload in _ring_zoo().items():
+        assert got[name] == _describe(payload, writeable=True), name
+
+
+def _keep_the_first_of_two(comm):
+    """A message of one chunk, then one of three that rewrites both halves
+    of the ring: a first array that aliased the ring would change."""
+    first = np.full(_HALF, 1, dtype=np.uint8)
+    second = np.full(2 * _HALF + 1, 2, dtype=np.uint8)
+    if comm.rank == 0:
+        comm.send(first, 1, 0)
+        comm.send(second, 1, 1)
+        return None
+    kept = comm.recv(0, 0)[0]
+    later = comm.recv(0, 1)[0]
+    later[:] = 3  # and writing the second leaves the first alone
+    return kept.tobytes() == first.tobytes()
+
+
+def test_a_received_array_never_aliases_the_ring(differential):
+    assert differential(_keep_the_first_of_two, 2).values[1] is True

@@ -1,5 +1,7 @@
 """Call-plan compilation: validation errors, caching, and the result protocol."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,7 @@ from repro.core import (
     send_recv_buf,
     tag,
 )
+from repro.core import plans
 from repro.core.communicator import SPECS
 from repro.core.plans import compile_plan
 from repro.mpi import SUM, CollectiveEngine, call_delta, snapshot
@@ -86,6 +89,26 @@ class TestValidation:
             compile_plan(spec, (send_buf([1]), send_buf([1])))
         with pytest.raises(UnsupportedParameterError):
             compile_plan(spec, (send_buf([1]), tag(3)))
+
+    def test_a_passed_contract_is_checked_once_and_an_error_every_time(
+            self, monkeypatch):
+        checked = []
+        real = plans.contract_errors
+        monkeypatch.setattr(plans, "contract_errors",
+                            lambda spec, args: checked.append(1) or real(
+                                spec, args))
+        spec = dataclasses.replace(SPECS["allgatherv"])  # nothing passed yet
+        # the same keys and directions with other payload kinds: one check
+        for payload in ([1], np.arange(3), 7):
+            compile_plan(spec, (send_buf(payload), recv_counts_out()))
+        assert checked == [1]
+        raised = []
+        for _ in range(2):
+            with pytest.raises(UnsupportedParameterError) as excinfo:
+                compile_plan(spec, (send_buf([1]), tag(3)))
+            raised.append(excinfo.value)
+        assert len(checked) == 3 and raised[0] is not raised[1]
+        assert str(raised[0]) == str(raised[1])
 
 
 class TestRawUsageErrorsAreTranslated:
