@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.mpi.context import RawComm
-from repro.plugins.sorter import partition, sort_keys
+from repro.plugins.sorter import bucket, sort_keys
 
 #: calibrated comparison-sort cost (seconds per element per log2-level),
 #: roughly matching std::sort on the paper's Skylake nodes
@@ -55,14 +55,14 @@ def select_splitters(sorted_samples: np.ndarray, p: int) -> np.ndarray:
 
 def build_buckets(raw: RawComm, data: np.ndarray,
                   splitters: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """Partition ``data`` into per-destination buckets.
+    """Partition ``data`` into per-destination buckets: ``(data, counts)``.
 
-    Returns the bucket-ordered data and the per-destination counts.
+    Integer and boolean keys come back sorted within each bucket, every
+    other dtype in input order (:func:`~repro.plugins.sorter.bucket`).
     """
-    order, counts = partition(np.searchsorted(splitters, data, side="right"),
-                              len(splitters) + 1)
+    send_data, counts = bucket(data, splitters)
     charge_pass(raw, len(data))
-    return data[order], counts.tolist()
+    return send_data, counts.tolist()
 
 
 def local_sort(raw: RawComm, data: np.ndarray) -> np.ndarray:

@@ -26,6 +26,8 @@ class DistributedSorter(CommunicatorPlugin):
 
         ``charge_compute`` also bills the local sorting work to the virtual
         clock so simulated times include computation, not just messages.
+        Integer and boolean blocks are bucketed by one local sort, every
+        other dtype by a stable partition in input order (:func:`bucket`).
         """
         data = np.asarray(data)
         p = self.size
@@ -44,18 +46,14 @@ class DistributedSorter(CommunicatorPlugin):
         else:
             local_samples = data[:0]
         all_samples = np.sort(self.allgather(send_buf(local_samples)))
-        if len(all_samples) == 0:
-            splitters = all_samples
-        else:
-            step = max(len(all_samples) // p, 1)
-            splitters = all_samples[step::step][: p - 1]
+        step = max(len(all_samples) // p, 1)
+        splitters = all_samples[step::step][: p - 1]
 
-        order, counts = partition(
-            np.searchsorted(splitters, data, side="right"), p)
+        send_data, counts = bucket(data, splitters)
         if charge_compute:
             _charge_sort(self, len(data))
-        received = self.alltoallv(send_buf(data[order]),
-                                  send_counts(counts.tolist()))
+        received = self.alltoallv(send_buf(send_data), send_counts(
+            counts.tolist() + [0] * (p - len(counts))))
         out = sort_keys(received)
         if charge_compute:
             _charge_sort(self, len(out))
@@ -87,6 +85,23 @@ def partition(owners: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"owner {len(counts) - 1} is not a rank of {p}")
     narrow = owners.astype(np.min_scalar_type(p - 1), copy=False)
     return np.argsort(narrow, kind="stable"), counts
+
+
+def bucket(keys: np.ndarray, splitters: Any) -> tuple[np.ndarray, np.ndarray]:
+    """``keys`` by ``upper_bound`` bucket of ``splitters``: ``(data, counts)``.
+
+    Integer and boolean keys are sorted once and cut at one binary search
+    per splitter.  Other dtypes keep ``searchsorted``, :func:`partition`
+    and a gather: sorted buckets would give the same bits, but a float
+    block sorts stably, at about three times that path's cost at p = 4.
+    """
+    if keys.dtype.kind in "biu":
+        ordered = sort_keys(keys)
+        cuts = np.searchsorted(ordered, splitters, side="left")
+        return ordered, np.diff(cuts, prepend=0, append=len(ordered))
+    order, counts = partition(np.searchsorted(splitters, keys, side="right"),
+                              len(splitters) + 1)
+    return keys[order], counts
 
 
 def _charge_sort(comm, n: int, per_item: float = 4.0e-9) -> None:

@@ -95,6 +95,15 @@ def runk(fn, p, *, args=(), cost_model=None, comm_class=Communicator,
                        comm_class=comm_class, deadline=deadline, **kwargs)
 
 
+def argsort_bucket(keys, splitters):
+    """The bucket step as a stable argsort of the ``upper_bound`` owners:
+    the reference ``repro.plugins.sorter.bucket`` is checked against."""
+    from repro.plugins.sorter import partition
+    owners = np.searchsorted(splitters, keys, side="right")
+    order, counts = partition(owners, len(splitters) + 1)
+    return keys[order], counts
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(0xBEEF)

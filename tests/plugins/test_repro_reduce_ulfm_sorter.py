@@ -15,8 +15,8 @@ from repro.plugins import (
     local_segments,
     merge_segments,
 )
-from repro.plugins.sorter import partition, sort_keys
-from tests.conftest import runk
+from repro.plugins.sorter import bucket, partition, sort_keys
+from tests.conftest import argsort_bucket, runk
 
 RRComm = extend(Communicator, ReproducibleReduce)
 SortComm = extend(Communicator, DistributedSorter)
@@ -171,7 +171,8 @@ def test_sorter_virtual_clock_pinned():
 
 
 class TestKernels:
-    """``sort_keys`` and ``partition`` against numpy's stable sorts, bitwise."""
+    """``sort_keys``, ``partition`` and ``bucket`` against numpy's stable
+    sorts, bitwise."""
 
     INT_DTYPES = [np.int8, np.int16, np.int32, np.int64,
                   np.uint8, np.uint16, np.uint32, np.uint64, np.bool_]
@@ -216,6 +217,61 @@ class TestKernels:
     def test_partition_rejects_owners_outside_the_ranks(self, bad):
         with pytest.raises(ValueError):
             partition(np.array([0, 3, bad, 1]), 4)
+
+    @staticmethod
+    def bucket_case(dtype, case):
+        rng = np.random.default_rng(7)
+        if dtype is np.bool_:
+            values = rng.integers(0, 2, size=2000).astype(bool)
+        else:  # every bit pattern of the width
+            values = np.frombuffer(rng.bytes(2000 * np.dtype(dtype).itemsize),
+                                   dtype)
+        keys = values
+        splitters = np.sort(rng.choice(values, 3))
+        if case == "duplicates":
+            keys = rng.choice(values[:5], 2000)
+            splitters = np.sort(rng.choice(keys, 3))
+        elif case == "keys_on_splitters":
+            keys = np.concatenate([values, splitters, splitters])
+        elif case == "duplicated_splitters":
+            splitters = np.sort(np.repeat(rng.choice(values, 2), 2))
+        elif case == "empty_block":
+            keys = values[:0]
+        elif case == "no_splitters":
+            splitters = values[:0]
+        return keys, splitters
+
+    BUCKET_DTYPES = [np.int8, np.int16, np.int32, np.int64,
+                     np.uint8, np.uint64, np.bool_]
+
+    @pytest.mark.parametrize("dtype", BUCKET_DTYPES)
+    @pytest.mark.parametrize("case", [
+        "random", "duplicates", "keys_on_splitters", "duplicated_splitters",
+        "empty_block", "no_splitters"])
+    def test_bucket_integers_sort_each_run(self, dtype, case):
+        keys, splitters = self.bucket_case(dtype, case)
+        send_data, counts = bucket(keys, splitters)
+        owners = np.searchsorted(splitters, keys, side="right")
+        assert np.array_equal(
+            counts, np.bincount(owners, minlength=len(splitters) + 1))
+        want, _ = argsort_bucket(keys, splitters)
+        assert send_data.dtype == keys.dtype
+        cuts = np.cumsum(counts)[:-1]
+        for run, want_run in zip(np.split(send_data, cuts),
+                                 np.split(want, cuts)):
+            assert run.tobytes() == np.sort(want_run, kind="stable").tobytes()
+
+    def test_bucket_floats_keep_the_input_order(self):
+        nans = np.array([0x7FF8000000000001, 0x7FF8000000000002],
+                        dtype=np.uint64).view(np.float64)
+        rng = np.random.default_rng(5)
+        keys = rng.choice(np.concatenate([[0.0, -0.0, 1.5, -1.5], nans]), 4000)
+        splitters = np.array([-1.5, 0.0, 0.0, 1.5])
+        send_data, counts = bucket(keys, splitters)
+        want, want_counts = argsort_bucket(keys, splitters)
+        assert send_data.view(np.uint64).tobytes() == \
+            want.view(np.uint64).tobytes()
+        assert np.array_equal(counts, want_counts)
 
 
 @settings(max_examples=10, deadline=None)
