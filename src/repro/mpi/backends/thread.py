@@ -16,7 +16,12 @@ import threading
 import time
 from typing import Any, Callable, Optional, Sequence
 
-from repro.mpi.backends.base import Backend, RankReport, resolve_tracer
+from repro.mpi.backends.base import (
+    Backend,
+    RankReport,
+    resolve_tracer,
+    schedule_rank_thread,
+)
 from repro.mpi.costmodel import CostModel
 from repro.mpi.engine import CollectiveEngine
 from repro.mpi.errors import (
@@ -68,6 +73,7 @@ class ThreadBackend(Backend):
         errors: list[Optional[BaseException]] = [None] * num_ranks
 
         def worker(world_rank: int) -> None:
+            schedule_rank_thread()
             if fuzzer is not None:
                 fuzzer.pause("spawn")
             comm = RawComm(machine, machine.world, world_rank)

@@ -397,10 +397,9 @@ def run_mpi(fn: Callable[..., Any], num_ranks: int, *,
     report, never raise — their teardown is legitimately dirty.
 
     ``fuzz_seed`` (default: the ``REPRO_FUZZ_SEED`` env var) enables the
-    seeded schedule fuzzer: deterministic per-rank delivery delays and
-    park-timeout jitter that perturb real-time interleaving without touching
-    virtual time (see :class:`~repro.mpi.sanitizer.ScheduleFuzzer`), on
-    either backend.
+    seeded schedule fuzzer: deterministic per-rank delivery delays that
+    perturb real-time interleaving without touching virtual time (see
+    :class:`~repro.mpi.sanitizer.ScheduleFuzzer`), on either backend.
 
     ``faults`` attaches a :class:`~repro.mpi.faultinject.FaultCampaign`
     that kills or slows ranks at counted-operation entries, between the p2p

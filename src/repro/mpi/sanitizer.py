@@ -19,12 +19,12 @@ Chrome-trace export next to the byte accounting.
 
 **Schedule fuzzer.**  :class:`ScheduleFuzzer` is a seeded perturbation layer
 over the real-time schedule: mailbox deliveries are delayed by small
-randomized-but-deterministic amounts and poll wakeups are jittered.  The
-random streams are keyed by *thread name* (rank threads are named
-``rank-<r>``), so the same seed draws the same per-rank delay sequence on
-every run — virtual time and results are unaffected; only the interleaving
-of the underlying real-time schedule changes.  This is what shakes out
-matching races such as the ``Mailbox.cancel`` message-loss bug.
+randomized-but-deterministic amounts.  The random streams are keyed by *thread
+name* (rank threads are named ``rank-<r>``), so the same seed draws the same
+per-rank delay sequence on every run — virtual time and results are
+unaffected; only the interleaving of the underlying real-time schedule
+changes.  This is what shakes out matching races such as the
+``Mailbox.cancel`` message-loss bug.
 :func:`minimize_failing_seeds` is the companion workflow helper: scan a seed
 range, return the failing seeds (smallest first) for a deterministic repro.
 
@@ -337,17 +337,14 @@ class ScheduleFuzzer:
     Each thread draws from its own :class:`random.Random` stream seeded by
     ``(seed, thread name)``.  Rank threads have stable names (``rank-<r>``, on
     the process backend each child's main thread; its pumps are
-    ``pump-<r><<peer>``), so a given seed replays the same per-rank delay/jitter sequence run after
-    run — the determinism contract the seed-minimization workflow relies on.
+    ``pump-<r><<peer>``), so a given seed replays the same per-rank delay
+    sequence run after run — the determinism contract the seed-minimization
+    workflow relies on.
 
-    Two perturbation points:
-
-    - :meth:`pause` — called by :meth:`Mailbox.deposit
-      <repro.mpi.p2p.Mailbox.deposit>` (delivery delays) and at rank-thread
-      start (spawn ordering); sleeps a small random real-time amount with
-      probability one half.
-    - :meth:`jitter` — called by :class:`~repro.mpi.waiting.Backoff` to
-      perturb park timeouts, reordering which waiter wakes first.
+    One perturbation point, :meth:`pause`: called by :meth:`Mailbox.deposit
+    <repro.mpi.p2p.Mailbox.deposit>` (delivery delays) and at rank-thread
+    start (spawn ordering), it sleeps a small random real-time amount with
+    probability one half.
 
     Virtual clocks and results are unaffected: only *real-time* interleaving
     changes, which is exactly the nondeterminism a matching race depends on.
@@ -372,10 +369,6 @@ class ScheduleFuzzer:
         rng = self._rng()
         if rng.random() < 0.5:
             time.sleep(rng.random() * self.max_delay)
-
-    def jitter(self, timeout: float) -> float:
-        """Perturb a park timeout (0.25×–1.75×, floored at 0.1 ms)."""
-        return max(timeout * (0.25 + 1.5 * self._rng().random()), 1e-4)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"ScheduleFuzzer(seed={self.seed})"

@@ -13,38 +13,30 @@ on a one-shot :class:`Gate`; a ``waitany``, on an :class:`AnyGate` of several:
   :class:`WaitContext`, built by its ``CommState``, where every gate is
   registered while its waiter is parked.  ``Machine.mark_failed`` (so
   ``abort`` too) interrupts the context of every communicator,
-  ``CommState.revoke`` its own.  A woken waiter runs the loop's checks —
-  revoked → failed peers → deadline — and parks again if none applies; one
-  that does first withdraws what the waiter had queued, and if that completed
-  in the meantime so does the wait, because a match cannot be undone.
+  ``CommState.revoke`` its own.  The waiter runs the loop's checks —
+  revoked → failed peers → deadline — before it parks and after every
+  wake-up, and parks again if none applies; one that does first withdraws
+  what the waiter had queued, and if that completed in the meantime so does
+  the wait, because a match cannot be undone.
 - **The deadline is real elapsed time** (``time.monotonic``), not a count of
   wake-ups: a park that returns early must not stall the deadline clock.
 
-Nothing is discovered by polling, so no park needs a short timer:
-:class:`Backoff` paces every park with one long timed wait — ``MAX_STEP``, or
-what is left of the deadline if that is nearer — whose expiry merely re-runs
-the checks as belt and braces (an interrupt can fall between a waiter's last
-look and its registration).  The context's ``fuzz`` lets the schedule fuzzer
-(:mod:`repro.mpi.sanitizer`) jitter those timeouts deterministically.
+No park has a timer of its own, because nothing is discovered by polling and
+no interrupt can be lost: the waiter registers its gate in ``parked`` before
+its first look at ``revoked`` and ``failed``, and every writer changes that
+state before it interrupts.  A change made before the registration is seen
+by the look; an interrupt made after it releases the lock.  So a park is one
+acquire of the gate's lock for what is left of the deadline, counted from
+one ``time.monotonic()`` stamp.
 """
 
 from __future__ import annotations
 
 import time
 from _thread import allocate_lock
-from typing import Any, Callable, Collection, Optional, Protocol
+from typing import Any, Callable, Collection, Optional
 
 from repro.mpi.errors import RawCommRevoked, RawDeadlockError, RawProcessFailure
-
-
-class WakeupFuzz(Protocol):  # pragma: no cover - typing only
-    def jitter(self, timeout: float) -> float: ...
-
-
-#: the timeout of every park whose deadline is further away (seconds)
-MAX_STEP = 0.05
-#: smallest timeout ever handed out (keeps fuzzed timeouts positive)
-MIN_STEP = 1e-4
 
 
 class Gate:
@@ -109,38 +101,9 @@ class AnyGate(Gate):
         return any(gate.opened for gate in self.gates)
 
 
-class Backoff:
-    """Deadline-tracked pacing of the parks of one blocking wait.
-
-    ``deadline`` is the wall-clock budget in seconds; :attr:`expired` flips
-    once that much *real* time has elapsed since construction, no matter how
-    many (possibly early-returning) parks happened in between.
-    """
-
-    __slots__ = ("_deadline", "_start", "_fuzz")
-
-    def __init__(self, deadline: float, *, fuzz: Optional[WakeupFuzz] = None):
-        self._deadline = deadline
-        self._start = time.monotonic()
-        self._fuzz = fuzz
-
-    def next_timeout(self) -> float:
-        """The timeout for the next park: ``MAX_STEP``, or what is left of
-        the deadline if that is nearer, so an expiring wait wakes close to the
-        deadline instead of oversleeping a whole step."""
-        step = MAX_STEP if self._fuzz is None else self._fuzz.jitter(MAX_STEP)
-        left = self._deadline - (time.monotonic() - self._start)
-        return step if left > step else max(left, MIN_STEP)
-
-    @property
-    def expired(self) -> bool:
-        """True once the deadline's worth of real time has elapsed."""
-        return time.monotonic() - self._start >= self._deadline
-
-
 class WaitContext:
-    """What the blocking waits on one communicator look at when they wake,
-    and who is parked.  A bare ``WaitContext()`` belongs to no machine: its
+    """What the blocking waits on one communicator look at before they park
+    and when they wake, and who is parked.  A bare ``WaitContext()`` belongs to no machine: its
     waits have a deadline and nothing else."""
 
     __slots__ = ("deadline", "members", "fuzz", "revoked", "parked",
@@ -153,7 +116,8 @@ class WaitContext:
         self._machine = machine
         #: world ranks of the communicator's members; local rank == index
         self.members = members
-        self.fuzz: Optional[WakeupFuzz] = machine and machine.fuzzer
+        #: the schedule fuzzer, whose ``pause`` delays each delivery
+        self.fuzz = machine and machine.fuzzer
         #: set by ``CommState.revoke``; ends every wait that names a ``doing``
         self.revoked = False
         #: the gates with a waiter parked on them right now (as keys: set,
@@ -173,7 +137,7 @@ class WaitContext:
         """Block until ``gate`` opens — the one wait loop of the runtime.
 
         The failure of one of the communicator's ranks ``peers`` (``None``: of
-        any rank of the machine) ends it with :class:`RawProcessFailure`;
+        any of its members) ends it with :class:`RawProcessFailure`;
         revocation with :class:`RawCommRevoked` "... revoked while ``doing``"
         unless ``doing`` is ``None`` (shrink and agree run *on* a revoked
         communicator); the deadline with :class:`RawDeadlockError` ``stuck``,
@@ -183,28 +147,32 @@ class WaitContext:
         if gate.opened:
             return
         lock = gate._lock
+        # registered before the first look: a writer changes what the look
+        # reads before it interrupts, so a change is either seen or a wake-up
         self.parked[gate] = None
         try:
-            backoff = Backoff(self.deadline, fuzz=self.fuzz)
+            left = self.deadline
+            end = time.monotonic() + left
             while True:
-                # Gate.park, without its frame per park
-                lock.acquire(True, backoff.next_timeout())
-                if gate.opened:
-                    return
-                # interrupted or timed out: the same checks either way
-                failed = self._machine.failed if self._machine else frozenset()
-                if peers is not None:
+                failed = self._machine.failed if self._machine else ()
+                if failed:  # of the communicator's ranks ``peers`` only
                     members = self.members
-                    failed = failed.intersection(
-                        members[r] for r in peers if r < len(members))
+                    failed = failed.intersection(members if peers is None else (
+                        members[r] for r in peers if r < len(members)))
                 if doing is not None and self.revoked:
                     error = RawCommRevoked(f"communicator revoked while {doing}")
                 elif failed:
                     error = RawProcessFailure(failed)
-                elif backoff.expired:
+                elif left <= 0:
                     error = RawDeadlockError(
                         stuck.format(entry, deadline=self.deadline))
                 else:
+                    # Gate.park, without its frame per park
+                    lock.acquire(True, left)
+                    if gate.opened:
+                        return
+                    # interrupted or timed out: look again either way
+                    left = end - time.monotonic()
                     continue
                 if withdraw is None or withdraw(entry):
                     raise error

@@ -43,7 +43,7 @@ from typing import Any, Callable, Optional, Sequence
 
 from repro.core.communicator import Communicator
 from repro.core.plugins import extend
-from repro.mpi.backends.base import resolve_tracer
+from repro.mpi.backends.base import resolve_tracer, schedule_rank_thread
 from repro.mpi.context import RawComm
 from repro.mpi.costmodel import CostModel
 from repro.mpi.engine import CollectiveEngine
@@ -537,6 +537,7 @@ class Cluster:
     # -- service ranks ------------------------------------------------------
 
     def _rank_main(self, world_rank: int) -> None:
+        schedule_rank_thread()
         if self._fuzzer is not None:
             self._fuzzer.pause("spawn")
         try:

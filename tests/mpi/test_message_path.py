@@ -35,7 +35,7 @@ FRAMES = {
 #: ... per step of a schedule, and for a blocking ``recv`` that has to park,
 #: at p = 2
 STEP_FRAMES = {"Send": 7, "Recv": 6}
-PARKED_RECV = 15
+PARKED_RECV = 13
 
 
 def _mpi_frames(call) -> int:

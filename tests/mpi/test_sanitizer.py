@@ -6,9 +6,12 @@ operation, rank, and tag — plus matching true-negative tests showing the
 identical pattern, completed properly, audits clean.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+import repro.mpi.sanitizer as sanitizer_module
 from repro.core import Communicator, destination, send_buf_out, source
 from repro.mpi import (
     SUM,
@@ -377,33 +380,42 @@ class TestSoftModeOnFailedRuns:
 # ---------------------------------------------------------------------------
 
 
+def _delays(fuzzer, n, monkeypatch):
+    """What ``n`` calls of ``fuzzer.pause`` sleep, in order (``None``: a
+    pause that did not sleep), without sleeping."""
+    slept = []
+    monkeypatch.setattr(sanitizer_module, "time",
+                        SimpleNamespace(sleep=slept.append))
+    out = []
+    for _ in range(n):
+        fuzzer.pause("deposit")
+        out.append(slept.pop() if slept else None)
+    return out
+
+
 class TestScheduleFuzzer:
-    def test_jitter_streams_are_seed_deterministic(self):
-        a = [ScheduleFuzzer(3).jitter(0.01) for _ in range(1)]
-        seq = lambda seed: [ScheduleFuzzer(seed).jitter(0.01) for _ in range(1)]
+    def test_delay_streams_are_seed_deterministic(self, monkeypatch):
         # a fresh fuzzer with the same seed replays the identical stream
-        f1, f2 = ScheduleFuzzer(3), ScheduleFuzzer(3)
-        assert [f1.jitter(0.01) for _ in range(32)] == [
-            f2.jitter(0.01) for _ in range(32)
-        ]
-        assert seq(3) != seq(4)
-        assert a == seq(3)[:1]
+        assert _delays(ScheduleFuzzer(3), 32, monkeypatch) == _delays(
+            ScheduleFuzzer(3), 32, monkeypatch)
+        assert _delays(ScheduleFuzzer(3), 32, monkeypatch) != _delays(
+            ScheduleFuzzer(4), 32, monkeypatch)
 
-    def test_jitter_stays_in_bounds(self):
-        fz = ScheduleFuzzer(0)
-        for _ in range(200):
-            j = fz.jitter(0.01)
-            assert 0.0025 <= j <= 0.0175
-        assert fz.jitter(0.0) == pytest.approx(1e-4)  # floored
+    def test_delays_stay_in_bounds(self, monkeypatch):
+        """About every other pause sleeps, each less than ``max_delay``."""
+        delays = _delays(ScheduleFuzzer(0, max_delay=0.01), 200, monkeypatch)
+        slept = [d for d in delays if d is not None]
+        assert 50 < len(slept) < 150
+        assert all(0.0 <= d < 0.01 for d in slept)
 
-    def test_streams_are_keyed_by_thread_name(self):
+    def test_streams_are_keyed_by_thread_name(self, monkeypatch):
         import threading
 
         def draws(fz, name):
             out = {}
 
             def body():
-                out[name] = [fz.jitter(0.01) for _ in range(8)]
+                out[name] = _delays(fz, 8, monkeypatch)
 
             t = threading.Thread(target=body, name=name)
             t.start()

@@ -1,6 +1,6 @@
-"""The wait discipline: `Backoff` deadline accounting, `Gate` and `AnyGate`
-hand-offs, and the two guards that keep short timers and `threading.Event`
-off the wait path.
+"""The wait discipline: `WaitContext.park`'s deadline accounting and its
+race with an interrupt, `Gate` and `AnyGate` hand-offs, and the two guards
+that keep short timers and `threading.Event` off the wait path.
 """
 
 import ast
@@ -11,16 +11,18 @@ import sys
 import threading
 import time
 from _thread import allocate_lock
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import repro
 import repro.mpi.waiting as waiting
-from repro.mpi import SUM, run_mpi
+from repro.mpi import ANY_SOURCE, SUM, run_mpi
+from repro.mpi.errors import RawCommRevoked, RawDeadlockError, RawProcessFailure
 from repro.mpi.p2p import Envelope, Mailbox
 from repro.mpi.sanitizer import ScheduleFuzzer
-from repro.mpi.waiting import MAX_STEP, MIN_STEP, AnyGate, Backoff, Gate
+from repro.mpi.waiting import AnyGate, Gate, WaitContext
 
 
 class _FakeTime:
@@ -40,106 +42,219 @@ def clock(monkeypatch):
     return fake
 
 
+class _SleepingLock:
+    """A gate's lock under the fake clock: every acquire is recorded and
+    "sleeps" ``slept(timeout)`` fake seconds, then returns as a wake-up that
+    opened nothing would (an interrupt, or the timeout)."""
+
+    def __init__(self, clock, slept):
+        self.clock, self.slept, self.handed = clock, slept, []
+
+    def acquire(self, blocking=True, timeout=-1):
+        assert timeout > 0, f"a park was handed a timeout of {timeout}"
+        self.handed.append(timeout)
+        self.clock.now += self.slept(timeout)
+        return False
+
+    def locked(self):
+        return False  # nothing for a waker to release: acquire never blocks
+
+
+def _park_to_deadline(clock, deadline, slept=lambda timeout: timeout,
+                      machine=None):
+    """Park a bare waiter until its deadline ends the wait; the timeouts its
+    acquires were handed, in order."""
+    gate, waits = Gate(), WaitContext(deadline, machine)
+    gate._lock = lock = _SleepingLock(clock, slept)
+    with pytest.raises(RawDeadlockError, match="stuck"):
+        waits.park(gate, None, "waiting", "stuck for {deadline}s")
+    assert not waits.parked
+    return lock.handed
+
+
 class TestZeroDeadline:
     def test_expired_immediately(self, clock):
-        b = Backoff(0.0)
-        assert b.expired
+        assert _park_to_deadline(clock, 0.0) == []
 
     def test_timeout_still_positive(self, clock):
-        """Wait loops pass next_timeout() to a lock or Condition wait — it
-        must never be zero or negative even when the budget is already gone,
-        or the wait degenerates into a hot spin."""
-        b = Backoff(0.0)
-        assert b.next_timeout() == MIN_STEP
-        clock.now += 5.0
-        assert b.next_timeout() == MIN_STEP
+        """A waiter that overslept its budget raises on that wake-up: no
+        acquire is ever handed a timeout of zero or less, which would be a
+        hot spin or a ``ValueError``."""
+        assert _park_to_deadline(clock, 1.0, lambda t: t + 5.0) == [1.0]
 
     def test_negative_deadline_behaves_like_zero(self, clock):
-        b = Backoff(-1.0)
-        assert b.expired
-        assert b.next_timeout() == MIN_STEP
+        assert _park_to_deadline(clock, -1.0) == []
 
 
 class TestDeadlineShorterThanFirstSleep:
     def test_first_timeout_clamped_to_remaining(self, clock):
-        """A 15 ms budget must not hand out the 50 ms step — the waiter
-        would oversleep the deadline more than threefold."""
-        deadline = MAX_STEP * 0.3
-        b = Backoff(deadline)
-        assert b.next_timeout() == pytest.approx(deadline)
+        """A 15 ms budget is one park of 15 ms, not of some longer step."""
+        assert _park_to_deadline(clock, 0.015) == [0.015]
 
-    def test_clamped_but_never_below_min_step(self, clock):
-        b = Backoff(MIN_STEP / 10)
-        assert b.next_timeout() == MIN_STEP
+    def test_a_tiny_deadline_is_handed_whole(self, clock):
+        assert _park_to_deadline(clock, 1e-5) == [1e-5]
 
     def test_expires_after_budget_despite_short_sleeps(self, clock):
-        deadline = 2.0 ** -11  # binary-exact, ~0.49 ms < MAX_STEP
-        b = Backoff(deadline)
-        assert not b.expired
-        clock.now += deadline
-        assert b.expired
+        """Woken early every time, a waiter parks again on what is left."""
+        deadline = 2.0 ** -11  # binary-exact, ~0.49 ms
+        assert _park_to_deadline(clock, deadline, lambda t: deadline / 4) == [
+            deadline, deadline * 3 / 4, deadline / 2, deadline / 4]
 
 
 class TestDeadlineHitExactlyAtWakeup:
     def test_exact_boundary_is_expired(self, clock):
-        """``elapsed == deadline`` counts as expired (>=, not >): a waiter
-        that slept precisely its remaining budget must see expiry on the
-        wakeup it just paid for, not after one more sleep."""
-        clock.now = 0.0  # so that elapsed is the plain sum of the timeouts
-        b = Backoff(1.0)
-        parks = 0
-        while not b.expired:
-            clock.now += b.next_timeout()
-            parks += 1
-        assert clock.now == 1.0  # the last timeout was the exact remainder
-        assert parks == 20
+        """``elapsed == deadline`` counts as expired: a waiter that slept
+        precisely its remaining budget raises on the wake-up it just paid
+        for, not after one more park."""
+        clock.now = 0.0
+        assert _park_to_deadline(clock, 1.0) == [1.0]
+        assert clock.now == 1.0
 
     def test_one_nanosecond_short_is_not_expired(self, clock):
-        b = Backoff(1.0)
-        clock.now += 1.0 - 1e-9
-        assert not b.expired
-        clock.now += 1e-9
-        assert b.expired
-
-
-class _HalvingFuzz:
-    def __init__(self):
-        self.seen = []
-
-    def jitter(self, timeout):
-        self.seen.append(timeout)
-        return timeout / 2
+        clock.now = 0.0
+        short = 2.0 ** -30  # binary-exact, ~1 ns
+        slept = iter([1.0 - short, short])
+        assert _park_to_deadline(clock, 1.0, lambda t: next(slept)) == [
+            1.0, short]
 
 
 class TestPacing:
     def test_one_long_step_never_a_short_timer(self, clock):
-        """Every park is MAX_STEP until the deadline is nearer than that:
-        no initial short step, no growth."""
-        b = Backoff(1.0)
-        assert [b.next_timeout() for _ in range(12)] == [MAX_STEP] * 12
-        clock.now += 1.0 - MAX_STEP / 2
-        assert b.next_timeout() == pytest.approx(MAX_STEP / 2)
+        """A wait nothing wakes is one park of its whole deadline."""
+        assert _park_to_deadline(clock, 30.0) == [30.0]
 
     def test_elapsed_counts_real_time_not_steps(self, clock):
-        """Early wakeups (an interrupt, a notify for someone else's message)
-        must not stall the deadline: elapsed tracks the clock, not the sum
-        of timeouts."""
-        b = Backoff(10.0)
-        for _ in range(100):
-            b.next_timeout()  # "slept" 0 real seconds each time
-        assert not b.expired
-        clock.now += 10.0
-        assert b.expired
+        """Early wake-ups (an interrupt, a notify for someone else's
+        message) must not stall the deadline: it tracks the clock, not the
+        number of parks."""
+        slept = iter([0.0] * 100 + [10.0])
+        assert _park_to_deadline(clock, 10.0, lambda t: next(slept)) == [
+            10.0] * 101
 
-    def test_fuzz_jitters_the_step_within_the_deadline(self, clock):
-        fuzz = _HalvingFuzz()
-        b = Backoff(1.0, fuzz=fuzz)
-        assert b.next_timeout() == MAX_STEP / 2
-        assert fuzz.seen == [MAX_STEP]
-        clock.now += 1.0 - MAX_STEP / 4  # the deadline still clamps
-        assert b.next_timeout() == pytest.approx(MAX_STEP / 4)
-        clock.now += 1.0  # and the floor still holds
-        assert b.next_timeout() == MIN_STEP
+    def test_a_fuzzed_park_is_handed_the_same_timeout(self, clock):
+        """The schedule fuzzer delays deliveries; it has no say in a park."""
+        machine = SimpleNamespace(failed=frozenset(),
+                                  fuzzer=ScheduleFuzzer(0))
+        assert _park_to_deadline(clock, 1.0, machine=machine) == [1.0]
+
+
+class _Revocable(WaitContext):
+    """A context whose first read of ``revoked`` runs ``hook`` first."""
+
+    __slots__ = ("_revoked", "hook")
+
+    @property
+    def revoked(self):
+        seen, hook = self._revoked, getattr(self, "hook", None)
+        self.hook = None
+        if hook is not None:
+            hook()
+        return seen
+
+    @revoked.setter
+    def revoked(self, value):
+        self._revoked = value
+
+
+class _Machine:
+    """A machine whose first read of ``failed`` runs ``hook`` first."""
+
+    fuzzer = None
+
+    def __init__(self):
+        self._failed, self.hook = frozenset(), None
+
+    @property
+    def failed(self):
+        seen, hook = self._failed, self.hook
+        self.hook = None
+        if hook is not None:
+            hook()
+        return seen
+
+
+_CAUSES = {"failure": RawProcessFailure, "revoke": RawCommRevoked}
+
+
+class TestTheLookBeforeAPark:
+    @pytest.mark.parametrize("cause", sorted(_CAUSES))
+    def test_an_interrupt_between_registration_and_the_look_is_not_lost(
+            self, cause):
+        """The hardest interleaving, staged: the cause lands — state first,
+        then ``interrupt()``, as every writer does it — just after the look
+        read that state, so the look misses it and only the interrupt can end
+        the wait.  The gate was registered before the look, so the interrupt
+        releases its lock and the first acquire returns at once."""
+        machine = _Machine()
+        waits = _Revocable(5.0, machine, members=(0, 1))
+        gate, registered = Gate(), []
+
+        def land():
+            registered.append(gate in waits.parked)
+            if cause == "failure":
+                machine._failed = frozenset({1})
+            else:
+                waits.revoked = True
+            waits.interrupt()
+
+        if cause == "failure":
+            machine.hook = land
+        else:
+            waits.hook = land
+        t0 = time.monotonic()
+        with pytest.raises(_CAUSES[cause]):
+            waits.park(gate, (1,), "receiving", "stuck")
+        assert time.monotonic() - t0 < 0.05
+        assert registered == [True]
+        assert not waits.parked
+
+    @pytest.mark.parametrize("cause", sorted(_CAUSES))
+    def test_a_cause_recorded_before_the_park_is_raised_by_the_first_look(
+            self, clock, cause):
+        """No interrupt reaches a waiter that is not registered yet; the look
+        sees the state instead, and the wait ends without a park."""
+        machine = SimpleNamespace(fuzzer=None, failed=frozenset(
+            {1} if cause == "failure" else ()))
+        waits = WaitContext(5.0, machine, members=(0, 1))
+        waits.revoked = cause == "revoke"
+        gate = Gate()
+        gate._lock = lock = _SleepingLock(clock, lambda t: t)
+        withdrawn = []
+        with pytest.raises(_CAUSES[cause]):
+            waits.park(gate, (1,), "receiving", "stuck",
+                       lambda entry: withdrawn.append(entry) or True, "mine")
+        assert lock.handed == []
+        assert withdrawn == ["mine"]
+
+    def test_a_wildcard_wait_sees_only_its_members_failures(self, clock):
+        """A rank that failed outside the communicator (one a shrink left
+        behind) ends no wait on it, not even one from ``ANY_SOURCE``."""
+        machine = SimpleNamespace(fuzzer=None, failed=frozenset({2}))
+        waits = WaitContext(5.0, machine, members=(0, 1))
+        gate = Gate()
+        gate._lock = lock = _SleepingLock(clock, lambda t: gate.open() or 0.0)
+        waits.park(gate, None, "receiving", "stuck")
+        assert lock.handed == [5.0]
+        machine.failed = frozenset({1, 2})
+        with pytest.raises(RawProcessFailure, match=r"ranks \[1\]$"):
+            waits.park(Gate(), None, "receiving", "stuck")
+
+    def test_a_late_wildcard_message_on_a_shrunk_communicator_arrives(self):
+        def main(comm):
+            if comm.rank == 2:
+                comm.kill_self()
+            while not comm.failed_ranks():
+                time.sleep(0.001)
+            comm.revoke()
+            survivors = comm.shrink()
+            if survivors.rank == 1:
+                time.sleep(0.02)  # rank 0 parks first
+                survivors.send("late", 0)
+                return None
+            return survivors.recv(ANY_SOURCE)[0]
+
+        assert run_mpi(main, 3, deadline=5.0, backend="thread").values[0] == (
+            "late")
 
 
 # ---------------------------------------------------------------------------
@@ -359,22 +474,38 @@ def test_complete_vs_interrupt_race(seed):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.skipif(bool(os.environ.get("REPRO_FUZZ_SEED", "").strip()),
-                    reason="the ambient fuzzer jitters every park's timeout")
+def record_parks(monkeypatch):
+    """From now on, ``(thread, timeout)`` of every timed acquire of a gate's
+    lock — every park — lands in the returned list."""
+    parks = []
+
+    class Recorded:
+        __slots__ = ("_lock",)
+
+        def __init__(self):
+            self._lock = allocate_lock()
+
+        def acquire(self, blocking=True, timeout=-1):
+            if timeout != -1:
+                parks.append((threading.current_thread(), timeout))
+            return self._lock.acquire(blocking, timeout)
+
+        def release(self):
+            self._lock.release()
+
+        def locked(self):
+            return self._lock.locked()
+
+    monkeypatch.setattr(waiting, "allocate_lock", Recorded)
+    return parks
+
+
 def test_no_park_is_handed_a_short_timer(monkeypatch):
-    """Nothing is discovered by polling any more, so no blocking wait of a
-    collective mix may arm a timer shorter than MAX_STEP (its deadline is
-    30 s away): a short timer is the earliest on its CPU, and arming and
-    cancelling it was most of what a wake-up cost."""
-    handed = []
-    real = Backoff.next_timeout
-
-    def spy(self):
-        timeout = real(self)
-        handed.append(timeout)
-        return timeout
-
-    monkeypatch.setattr(Backoff, "next_timeout", spy)
+    """Nothing is discovered by polling and no interrupt is lost, so every
+    park of a collective mix is handed what is left of its 30 s deadline:
+    no short timer, which would be the earliest on its CPU and whose wake-ups
+    cost CPU for nothing."""
+    parks = record_parks(monkeypatch)
 
     def main(comm):
         data = np.arange(16, dtype=np.int64) + comm.rank
@@ -387,8 +518,9 @@ def test_no_park_is_handed_a_short_timer(monkeypatch):
         return True
 
     assert run_mpi(main, 4, deadline=30.0).values == [True] * 4
-    assert handed, "four ranks ran 100 collectives and none of them parked?"
-    assert min(handed) == MAX_STEP
+    assert parks, "four ranks ran 100 collectives and none of them parked?"
+    handed = [timeout for _, timeout in parks]
+    assert 29.0 < min(handed) and max(handed) <= 30.0
 
 
 def _functions(path):
@@ -407,18 +539,24 @@ def _functions(path):
 
 
 def test_one_park_loop_and_nobody_else_paces_a_wait():
-    """``Backoff`` is constructed by the park loop and nowhere else under
-    ``src/repro``, and none of the blocking waits has a loop of its own
-    around its one call of the park loop."""
+    """``WaitContext.park`` is the only timed lock acquire of the runtime
+    under ``src/repro`` — beside ``Gate.park``, the same acquire for one
+    park, and the job handle's wait for a caller-given timeout — and none of
+    the blocking waits has a loop of its own around its one call of the park
+    loop."""
     src = pathlib.Path(repro.__file__).parent
-    paced = set()
+    timed = set()
     for path in src.rglob("*.py"):
         for name, fn in _functions(path).items():
             if any(isinstance(n, ast.Call)
-                   and getattr(n.func, "id", None) == "Backoff"
+                   and getattr(n.func, "attr", None) == "acquire"
+                   and (len(n.args) > 1
+                        or any(k.arg == "timeout" for k in n.keywords))
                    for n in ast.walk(fn)):
-                paced.add((str(path.relative_to(src)), name))
-    assert paced == {("mpi/waiting.py", "WaitContext.park")}
+                timed.add((str(path.relative_to(src)), name))
+    assert timed == {("mpi/waiting.py", "WaitContext.park"),
+                     ("mpi/waiting.py", "Gate.park"),
+                     ("service/jobs.py", "JobHandle.exception")}
     for file, name in [
             ("mpi/p2p.py", "Mailbox.wait"), ("mpi/p2p.py", "Mailbox.probe"),
             ("mpi/requests.py", "SyncSendRequest.wait"),
