@@ -16,7 +16,7 @@ Three acts:
 2. **Chaos** — a :class:`~repro.mpi.FaultCampaign` kills a rank mid-stream;
    the service revokes, shrinks, restores from ring-buddy checkpoints, and
    the drained results are bit-identical to the failure-free run.
-3. **Elastic membership** — a spare rank joins at an epoch boundary and the
+3. **Elastic membership** — a spare rank joins at a directive boundary and the
    very next job sees the larger world.
 
 Run:  python examples/cluster_service.py
@@ -84,7 +84,7 @@ print(f"act 2: rank 2 killed mid-stream ({campaign.kills()[0]['op']}); "
 
 
 # ---------------------------------------------------------------------------
-# Act 3: a spare rank joins at an epoch boundary
+# Act 3: a spare rank joins at a directive boundary
 # ---------------------------------------------------------------------------
 
 with Cluster(3, spares=1) as elastic:
@@ -93,6 +93,6 @@ with Cluster(3, spares=1) as elastic:
     after = elastic.submit(lambda comm: comm.size).result(30)
 
 assert (before, after) == (3, 4)
-print(f"act 3: world grew {before} -> {after} at the epoch boundary")
+print(f"act 3: world grew {before} -> {after} at the directive boundary")
 
 print("OK: cluster service drained, recovered, and grew")

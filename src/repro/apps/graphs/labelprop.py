@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.apps.graphs.ghost_layer import GraphCommLayer
 from repro.apps.graphs.graph import DistGraph
-from repro.core import Communicator, send_buf, send_counts, send_recv_buf
+from repro.core import Communicator, send_buf
 from repro.mpi.context import RawComm
 from repro.mpi.ops import SUM
 
@@ -204,127 +204,6 @@ class LabelPropagationKamping(LabelPropagationBase):
 
         summed = self.comm.allreduce(send_buf(deltas), op(SUM))
         self.cluster_sizes += summed
-
-
-class _ShardLP(LabelPropagationBase):
-    """One virtual rank's LP state, driven externally (no own communication).
-
-    The resilient driver below runs several of these per physical rank (one
-    per adopted partition block) and performs the exchanges itself, combined
-    across instances; the inherited sweep/bucket/apply logic is untouched, so
-    the per-block computation is bit-identical to the failure-free variants.
-    """
-
-    def __init__(self, graph: DistGraph, max_cluster_size: int,
-                 comm: Communicator):
-        super().__init__(graph, max_cluster_size)
-        self.comm = comm
-
-    def _charge(self, edges: int) -> None:
-        self.comm.compute(_EDGE_COST * edges)
-
-
-def labelprop_resilient(comm, graph_of, max_cluster_size: int, rounds: int, *,
-                        max_attempts: int = 9):
-    """Fault-tolerant label propagation over a ULFM-extended communicator.
-
-    ``graph_of(orig_rank)`` builds the :class:`DistGraph` block of one
-    *original* rank — the partition is frozen at the initial communicator
-    size, and blocks are carried as virtual ranks from then on.  Each round
-    is one :class:`~repro.plugins.resilience.ResilientScope` epoch whose
-    checkpointed shards are the per-block LP states ``{labels, ghost_labels,
-    cluster_sizes}``; when a rank dies (mid-round, even mid-collective), its
-    blocks are adopted by the checkpoint buddy and the round is retried on
-    the shrunk communicator.  Because the sweep runs per original block and
-    the exchanges are merged losslessly, the final labels are identical to a
-    failure-free run — LP's intra-block label freshness makes the result
-    partition-dependent, which is exactly why blocks must never be re-split.
-
-    Returns ``(comm, {orig_rank: labels})`` — the surviving communicator and
-    the final labels of every block this rank ended up owning.
-    """
-    from repro.core import op as op_param, recv_counts_out
-    from repro.plugins.resilience import run_resilient
-
-    graphs: dict[int, DistGraph] = {}
-
-    def block(orig: int) -> DistGraph:
-        if orig not in graphs:
-            graphs[orig] = graph_of(orig)
-        return graphs[orig]
-
-    me = comm.raw.world_rank
-    g0 = block(me)
-    lp0 = _ShardLP(g0, max_cluster_size, comm)
-    init = {"labels": lp0.labels, "ghost_labels": lp0.ghost_labels,
-            "cluster_sizes": lp0.cluster_sizes}
-
-    def epoch(c, shards, _epoch):
-        insts = []
-        for orig, st in shards:
-            lp = _ShardLP(block(orig), max_cluster_size, c)
-            lp.labels = st["labels"]
-            lp.ghost_labels = st["ghost_labels"]
-            lp.cluster_sizes = st["cluster_sizes"]
-            insts.append((orig, lp))
-
-        # phase A: sweep every local block; collect update buckets (keyed by
-        # original rank) and the summed size deltas
-        n_global = insts[0][1].g.n_global
-        deltas_total = np.zeros(n_global, dtype=np.int64)
-        buckets: dict[int, list[int]] = {}
-        for orig, lp in insts:
-            changed, deltas = lp.sweep()
-            lp.cluster_sizes -= deltas
-            deltas_total += deltas
-            for dest_orig, items in lp._bucket_changes(changed).items():
-                buckets.setdefault(dest_orig, []).extend(items)
-
-        # phase B: one merged exchange.  Map original ranks to their current
-        # owners (allgatherv of owned-block lists), route every block's
-        # updates to the owner, apply to each instance that ghosts the vertex
-        owned = np.asarray([orig for orig, _ in insts], dtype=np.int64)
-        flat_owned, owned_counts = c.allgatherv(send_buf(owned),
-                                               recv_counts_out())
-        owner_of: dict[int, int] = {}
-        pos = 0
-        for owner_rank, count in enumerate(owned_counts):
-            for orig in flat_owned[pos: pos + count]:
-                owner_of[int(orig)] = owner_rank
-            pos += count
-        p = c.size
-        counts = [0] * p
-        parts: list[np.ndarray] = []
-        for dest in range(p):
-            items: list[int] = []
-            for dest_orig, payload in sorted(buckets.items()):
-                if owner_of[dest_orig] == dest:
-                    items.extend(payload)
-            counts[dest] = len(items)
-            if items:
-                parts.append(np.asarray(items, dtype=np.int64))
-        sendbuf = (np.concatenate(parts) if parts
-                   else np.empty(0, dtype=np.int64))
-        recvbuf = c.alltoallv(send_buf(sendbuf), send_counts(counts))
-        pairs = np.asarray(recvbuf, dtype=np.int64).reshape(-1, 2)
-        for _, lp in insts:
-            mine = [(int(v), int(label)) for v, label in pairs
-                    if int(v) in lp.ghost_labels]
-            for v, label in mine:
-                lp.ghost_labels[v] = label
-
-        # phase C: global cluster-size sync, applied to every instance
-        summed = c.allreduce(send_buf(deltas_total), op_param(SUM))
-        for _, lp in insts:
-            lp.cluster_sizes += summed
-
-        return [(orig, {"labels": lp.labels, "ghost_labels": lp.ghost_labels,
-                        "cluster_sizes": lp.cluster_sizes})
-                for orig, lp in insts]
-
-    scope = run_resilient(comm, epoch, [(me, init)], epochs=rounds,
-                          label="labelprop", max_attempts=max_attempts)
-    return scope.comm, {orig: st["labels"] for orig, st in scope.shards}
 
 
 class LabelPropagationSpecialized(LabelPropagationBase):

@@ -209,16 +209,6 @@ class CollectiveEngine:
         """Currently installed tuning rules for ``(comm_id, op)``, or None."""
         return self._tuning.get((comm_id, op))
 
-    def untune(self, comm_id: Hashable, op: Optional[str] = None) -> None:
-        """Remove tuning rules for one op (or all ops) of a communicator."""
-        if op is not None:
-            self._tuning.pop((comm_id, op), None)
-            self._tuning_source.pop((comm_id, op), None)
-            return
-        for key in [k for k in self._tuning if k[0] == comm_id]:
-            del self._tuning[key]
-            self._tuning_source.pop(key, None)
-
     # -- selection -----------------------------------------------------------
 
     def size_sensitive(self, op: str, comm_id: Hashable = None, *,
@@ -294,18 +284,3 @@ class CollectiveEngine:
             if cost < best_cost:
                 best, best_cost = algo, cost
         return best if best is not None else _registry.default(op)
-
-    def describe(self) -> dict:
-        """Snapshot of the engine's configuration (for debugging/docs)."""
-        return {
-            "policy": self.policy,
-            "forced": {op: a.name for op, a in self._forced.items()},
-            "tuning": {
-                f"{comm_id}/{op}": list(rules)
-                for (comm_id, op), rules in self._tuning.items()
-            },
-            "tuning_sources": {
-                f"{comm_id}/{op}": source
-                for (comm_id, op), source in self._tuning_source.items()
-            },
-        }

@@ -3,8 +3,8 @@
 One :class:`Cluster` owns a thread-backend machine's worth of ranks across
 many jobs: admission-controlled queueing, one job communicator per
 membership generation, cross-job request batching, and elastic membership
-(ULFM shrink on failure, spare admission on :meth:`Cluster.add_rank`) with
-buddy-checkpointed recovery.  See :mod:`repro.service.cluster` for the
+(ULFM shrink on failure, spare admission on :meth:`Cluster.add_rank`) that
+replays an interrupted directive on the survivors.  See :mod:`repro.service.cluster` for the
 architecture overview and DESIGN.md §15 for the design rationale.
 """
 

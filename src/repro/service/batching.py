@@ -20,7 +20,7 @@ Shapes
   reassociation caveat and should not be batched when bitwise
   reproducibility across shrinks matters.
 
-``"call"`` and ``"epochs"`` jobs have shape ``None`` and never coalesce.
+``"call"`` jobs have shape ``None`` and never coalesce.
 """
 
 from __future__ import annotations

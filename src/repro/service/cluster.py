@@ -14,9 +14,9 @@ compose:
    into one shared collective (:mod:`repro.service.batching`).
 4. **Elastic membership** — every generation runs under a
    :class:`~repro.plugins.resilience.ResilientScope`: a failed rank is
-   revoked/shrunk/agreed away mid-stream and epochal jobs restart from the
-   last committed epoch; a joining spare is admitted at the next directive
-   boundary and receives replicated state through the genesis commit.
+   revoked/shrunk/agreed away mid-stream and the interrupted directive
+   replays on the survivors; a joining spare is admitted at the next
+   directive boundary.
 
 Coordination happens through a grow-only *directive log*: the dispatcher
 appends directives (job groups, joins, shutdown) and every service rank
@@ -45,7 +45,6 @@ from repro.core.communicator import Communicator
 from repro.core.plugins import extend
 from repro.mpi.backends.base import resolve_tracer, schedule_rank_thread
 from repro.mpi.context import RawComm
-from repro.mpi.costmodel import CostModel
 from repro.mpi.engine import CollectiveEngine
 from repro.mpi.errors import (
     ProcessKilled,
@@ -187,22 +186,21 @@ class Cluster:
     Constructor knobs (beyond the obvious): ``spares`` ranks are parked and
     admitted by :meth:`add_rank`; ``queue_depth`` bounds admission;
     ``batch_limit`` caps coalesced groups; ``job_timeout`` arms the per-
-    directive watchdog; ``max_attempts`` bounds each epoch's recovery loop;
-    ``hold_jobs=True`` parks the dispatcher until :meth:`release_jobs` (lets
-    tests enqueue a full stream first, making batching and chaos runs
-    deterministic).  The ranks are threads of this process.
+    directive watchdog; ``hold_jobs=True`` parks the dispatcher until
+    :meth:`release_jobs` (lets tests enqueue a full stream first, making
+    batching and chaos runs deterministic).  The machine takes the default
+    :class:`~repro.mpi.costmodel.CostModel`, each scope the default retry
+    budget, and ``REPRO_FUZZ_SEED`` seeds the schedule fuzzer.  The ranks
+    are threads of this process.
     """
 
     def __init__(self, num_ranks: int, *, spares: int = 0,
                  queue_depth: int = 64, batch_limit: int = 8,
-                 cost_model: Optional[CostModel] = None,
                  deadline: float = 60.0,
                  job_timeout: Optional[float] = None,
-                 max_attempts: int = 9,
                  trace: bool | TraceRecorder = False,
                  engine: Optional[CollectiveEngine] = None,
                  sanitize: Optional[bool] = None,
-                 fuzz_seed: Optional[int] = None,
                  faults: Any = None,
                  hold_jobs: bool = False):
         if num_ranks < 1:
@@ -217,21 +215,19 @@ class Cluster:
         self.tracer = NULL_TRACER if recorder is None else recorder
         if sanitize is None:
             sanitize = env_sanitize_default()
-        if fuzz_seed is None:
-            fuzz_seed = env_fuzz_seed_default()
+        fuzz_seed = env_fuzz_seed_default()
         auditor = ResourceAuditor() if sanitize else None
         fuzzer = ScheduleFuzzer(fuzz_seed) if fuzz_seed is not None else None
 
         capacity = num_ranks + spares
         self.machine = Machine(
-            capacity, cost_model=cost_model, deadline=deadline,
+            capacity, deadline=deadline,
             tracer=recorder, engine=engine, auditor=auditor, fuzzer=fuzzer,
             faults=faults)
         self.num_ranks = num_ranks
         self.capacity = capacity
         self.batch_limit = batch_limit
         self.job_timeout = job_timeout
-        self.max_attempts = max_attempts
 
         self.queue = JobQueue(queue_depth)
         self._directives = _DirectiveLog()
@@ -296,24 +292,6 @@ class Cluster:
         return self._enqueue(kind="call", fn=fn, args=tuple(args),
                              priority=priority, label=label)
 
-    def submit_epochs(self, epoch_fn: Callable, initial_states: Sequence, *,
-                      epochs: int = 1, priority: int = 0,
-                      label: Optional[str] = None) -> JobHandle:
-        """Queue an epoch-structured job with buddy-checkpointed state.
-
-        ``initial_states`` is a sequence of per-virtual-rank states,
-        distributed over the service ranks; ``epoch_fn(comm, mine, epoch)``
-        receives this rank's share as ``[(vkey, state), ...]`` and returns
-        the updated pairs.  Each epoch commits through the cluster's
-        resilient scope, so a mid-job failure replays only the current
-        epoch.  The result is the final states ordered by virtual key.
-        """
-        if epochs < 1:
-            raise ClusterError(f"epochs must be >= 1, got {epochs}")
-        return self._enqueue(kind="epochs", epoch_fn=epoch_fn,
-                             initial_states=tuple(initial_states),
-                             epochs=epochs, priority=priority, label=label)
-
     def submit_bcast(self, payload: Any, *, root: int = 0, priority: int = 0,
                      label: Optional[str] = None) -> JobHandle:
         """Queue a broadcast job (batchable: shape ``("bcast", root)``)."""
@@ -368,9 +346,8 @@ class Cluster:
     def add_rank(self) -> int:
         """Admit one parked spare at the next directive boundary.
 
-        Returns the admitted world rank.  The joiner enters a fresh
-        membership generation whose genesis commit replicates the cluster's
-        committed state onto it via its ring buddy.
+        Returns the admitted world rank.  The joiner and the serving ranks
+        enter a fresh membership generation together.
         """
         with self._lock:
             self._check_alive()
@@ -541,7 +518,6 @@ class Cluster:
         if self._fuzzer is not None:
             self._fuzzer.pause("spawn")
         try:
-            shards: list = []
             if world_rank < self.num_ranks:
                 cursor, members, generation = 0, tuple(
                     range(self.num_ranks)), 0
@@ -551,13 +527,11 @@ class Cluster:
                     return
                 cursor, members, generation = admitted
             while True:
-                scope = self._build_scope(world_rank, generation, members,
-                                          shards)
+                scope = self._build_scope(world_rank, generation, members)
                 outcome = self._serve(world_rank, scope, cursor)
                 if outcome is None:
                     return
                 cursor, members, generation = outcome
-                shards = scope.shards
         except ProcessKilled:
             pass                     # the campaign already marked us failed
         except BaseException as exc:  # noqa: BLE001 - wedge, don't vanish
@@ -580,16 +554,12 @@ class Cluster:
             return self._admission[world_rank]
 
     def _build_scope(self, world_rank: int, generation: int,
-                     members: tuple[int, ...], shards: list
-                     ) -> ResilientScope:
+                     members: tuple[int, ...]) -> ResilientScope:
         state = self.machine.get_or_create_comm(
             ("cluster", generation, members), members)
         raw = RawComm(self.machine, state, world_rank)
         comm = ClusterComm(raw)
-        return ResilientScope(
-            comm, shards, label=f"cluster-gen{generation}",
-            max_attempts=self.max_attempts,
-        )
+        return ResilientScope(comm, [], label=f"cluster-gen{generation}")
 
     def _serve(self, world_rank: int, scope: ResilientScope, cursor: int
                ) -> Optional[tuple[int, tuple[int, ...], int]]:
@@ -624,21 +594,17 @@ class Cluster:
 
     def _execute(self, scope: ResilientScope, directive: _JobsDirective
                  ) -> None:
-        """Run one directive under the resilient scope: an epochs job epoch
-        by epoch, any other groups in order as one stateless epoch — one
-        ``agree`` for all of them, and a failure replays them all."""
+        """Run one directive's groups in order as one stateless epoch of the
+        resilient scope: one ``agree`` for all of them, and a failure replays
+        them all."""
         groups = directive.groups
         outcomes: dict[int, tuple[str, Any]] = {}
-        job = groups[0][0]
-        if job.kind == "epochs":
-            for epoch in range(job.epochs):
-                scope.run(self._epochs_epoch(job, outcomes, epoch))
-        else:
-            def run_groups(comm):
-                for group in groups:
-                    self._on_job_comm(comm, batch_label(group), lambda jc: (
-                        self._run_group(jc, group, outcomes)))
-            scope.run_stateless(run_groups)
+
+        def run_groups(comm):
+            for group in groups:
+                self._on_job_comm(comm, batch_label(group), lambda jc: (
+                    self._run_group(jc, group, outcomes)))
+        scope.run_stateless(run_groups)
         # the commit is agreement-gated, so every survivor reaches here with
         # the same committed membership; its local rank 0 settles the jobs
         # (no MPI op sits between the commit and this point, and faults fire
@@ -664,7 +630,7 @@ class Cluster:
             self._job_comms[comm.raw.world_rank] = (comm.raw, job_comm)
         return job_comm
 
-    def _on_job_comm(self, comm, label: str, body: Callable) -> Any:
+    def _on_job_comm(self, comm, label: str, body: Callable) -> None:
         """Run ``body(job_comm)`` with ``label`` stamped on its ops.
 
         A process-failure signal, wrapped or raw, revokes the job dup
@@ -676,7 +642,7 @@ class Cluster:
             job_comm = self._job_comm(comm)
             job_comm.raw._job_label = label
             try:
-                return body(job_comm)
+                body(job_comm)
             finally:
                 job_comm.raw._job_label = None
         except (MPIFailureDetected, RawProcessFailure, RawCommRevoked) as exc:
@@ -705,36 +671,3 @@ class Cluster:
             outcomes[job.job_id] = ("err", exc)
         else:
             outcomes[job.job_id] = ("ok", value)
-
-    def _epochs_epoch(self, job: Job, outcomes: dict,
-                      epoch_index: int) -> Callable:
-        def epoch(comm, shards, _epoch):
-            def body(job_comm):
-                tag = ("job", job.job_id)
-                mine = sorted(
-                    (key[2], state) for key, state in shards
-                    if isinstance(key, tuple) and key[:2] == tag)
-                others = [(key, state) for key, state in shards
-                          if not (isinstance(key, tuple) and key[:2] == tag)]
-                if epoch_index == 0 and not mine:
-                    # first attempt seeds from the submission; vkeys are
-                    # strided over whatever membership survived to here
-                    size = job_comm.raw.size
-                    mine = [(vkey, state) for vkey, state
-                            in enumerate(job.initial_states)
-                            if vkey % size == job_comm.raw.rank]
-                updated = job.epoch_fn(job_comm, mine, epoch_index)
-                if updated is None:
-                    updated = mine
-                if epoch_index == job.epochs - 1:
-                    rows = job_comm._guard(
-                        lambda: job_comm.raw.gather(updated, 0))
-                    if rows is not None:
-                        final = sorted(pair for row in rows for pair in row)
-                        outcomes[job.job_id] = (
-                            "ok", [state for _, state in final])
-                    return others
-                return others + [(tag + (vkey,), state)
-                                 for vkey, state in updated]
-            return self._on_job_comm(comm, job.label, body)
-        return epoch

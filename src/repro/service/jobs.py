@@ -9,10 +9,9 @@ admission control rejects a submission to a full queue with
 cannot deadlock a full service.
 
 Job kinds (submitted through :class:`repro.service.cluster.Cluster`):
-``"call"`` runs ``fn(comm, *args)`` once; ``"epochs"`` keeps its states in
-the cluster's resilient shards and restarts from the last committed epoch;
-``"bcast"`` / ``"allreduce"`` have a *shape*, by which the dispatcher
-coalesces them (:mod:`repro.service.batching`).
+``"call"`` runs ``fn(comm, *args)`` once; ``"bcast"`` / ``"allreduce"``
+have a *shape*, by which the dispatcher coalesces them
+(:mod:`repro.service.batching`).
 """
 
 from __future__ import annotations
@@ -122,15 +121,12 @@ class Job:
     """Internal job record (clients hold the :class:`JobHandle`)."""
 
     job_id: int
-    kind: str                # "call" | "epochs" | "bcast" | "allreduce"
+    kind: str                # "call" | "bcast" | "allreduce"
     priority: int
     label: str
     handle: JobHandle
     fn: Optional[Callable] = None
     args: tuple = ()
-    epoch_fn: Optional[Callable] = None
-    initial_states: tuple = ()
-    epochs: int = 1
     payload: Any = None
     root: int = 0
     values: tuple = ()

@@ -57,3 +57,9 @@ def test_findings_carry_real_locations_and_registered_codes(path):
         assert f.code in CODES
         assert f.path == str(path)
         assert f.line > 0
+
+
+def test_a_loop_that_lines_up_leaves_the_trailing_call_flagged():
+    path = CORPUS / "bad" / "rpl101_after_while.py"
+    (finding,) = lint_file(path)
+    assert finding.line == len(path.read_text(encoding="utf-8").splitlines())

@@ -53,8 +53,10 @@ def test_recorded_epochs_speak_the_checker_vocabulary():
 # -- regression pin: the extraction left the SPMD checker untouched --------
 
 EXPECTED = {
+    "rpl101_after_while.py": ["RPL101"],
     "rpl101_collective_order.py": ["RPL101"],
     "rpl101_straggler.py": ["RPL101"],
+    "rpl101_while_else.py": ["RPL101"],
     "rpl102_root_mismatch.py": ["RPL102"],
     "rpl103_op_mismatch.py": ["RPL103"],
     "rpl104_unmatched_p2p.py": ["RPL104", "RPL104"],

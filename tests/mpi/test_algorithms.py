@@ -313,9 +313,6 @@ class TestEngineSelection:
         # other communicators are untouched
         assert eng.resolve("bcast", p=8, nbytes=4096, comm_id="d").name == "binomial"
         assert eng.rules("c", "bcast") == ((1024, "binomial"), (None, "linear"))
-        eng.untune("c")
-        assert eng.rules("c", "bcast") is None
-        assert eng.resolve("bcast", p=8, nbytes=4096, comm_id="c").name == "binomial"
 
     def test_tune_validates_eagerly(self):
         eng = _engine()
@@ -389,9 +386,6 @@ class TestEngineSelection:
         scoped = eng.explain("bcast", p=8, comm_id="c",
                              scoped=((None, "binomial"),))
         assert scoped.source == "scoped" and scoped.algorithm == "binomial"
-        # untune clears the provenance with the rules
-        eng.untune("c")
-        assert eng.describe()["tuning_sources"] == {}
 
     def test_explain_names_what_resolve_picks(self):
         eng = _engine()
@@ -441,14 +435,6 @@ class TestEngineSelection:
         assert eng.cost_model is FREE
         for op in HEADLINE:
             assert eng.resolve(op, p=8, nbytes=4096).name == SEED_DEFAULTS[op]
-
-    def test_describe_snapshot(self):
-        eng = _engine(policy="costmodel", overrides={"bcast": "linear"})
-        eng.tune("c", "allgather", algorithm="ring")
-        desc = eng.describe()
-        assert desc["policy"] == "costmodel"
-        assert desc["forced"] == {"bcast": "linear"}
-        assert desc["tuning"] == {"c/allgather": [(None, "ring")]}
 
 
 def test_costmodel_policy_runs_end_to_end():

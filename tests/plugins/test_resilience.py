@@ -2,20 +2,15 @@
 
 The acceptance suite for the fault-tolerance stack: seed-pinned campaigns
 kill ranks at op entries and *between the p2p rounds inside collectives*,
-and the resilient sample sort / label propagation drivers must produce
-results identical to a failure-free run (on the survivors).  The
-recovery-disabled control shows the same faults surface as plain
-:class:`MPIFailureDetected` when nobody recovers.
+and the resilient sample sort must produce results identical to a
+failure-free run (on the survivors).  The recovery-disabled control shows
+the same faults surface as plain :class:`MPIFailureDetected` when nobody
+recovers.
 """
 
 import numpy as np
 import pytest
 
-from repro.apps.graphs.generators import generate_rgg2d
-from repro.apps.graphs.labelprop import (
-    LabelPropagationKamping,
-    labelprop_resilient,
-)
 from repro.apps.sorting.sample_sort import (
     sample_sort_kamping,
     sample_sort_resilient,
@@ -310,72 +305,6 @@ class TestResilientSampleSort:
         fault_ops = [e.op for e in res.trace.events_for(1)
                      if e.op.startswith("fault:")]
         assert fault_ops == ["fault:kill_mid_collective"]
-
-
-# ---------------------------------------------------------------------------
-# resilient label propagation under seed-pinned campaigns
-# ---------------------------------------------------------------------------
-
-LP_P = 4
-LP_ROUNDS = 3
-LP_MAX_CLUSTER = 16
-
-LP_CAMPAIGNS = {
-    "kill-at-allreduce": (
-        [KillOnOp(rank=1, op="allreduce", nth=2)], 0, {1}),
-    "kill-mid-alltoallv": (
-        [KillMidCollective(rank=2, op="alltoallv", call=2, after_p2p=1)],
-        0, {2}),
-    "seeded-random": (
-        [KillRandom(rate=0.4, ranks={0}, op="allreduce")], 1234, {0}),
-}
-
-
-def _lp_graph(orig):
-    return generate_rgg2d(12, 4.0, LP_P, orig, seed=11)
-
-
-@pytest.fixture(scope="module")
-def lp_baseline():
-    """Failure-free labels from the plain (non-resilient) implementation."""
-    def main(comm):
-        lp = LabelPropagationKamping(_lp_graph(comm.rank), LP_MAX_CLUSTER,
-                                     comm)
-        return lp.run(LP_ROUNDS)
-
-    res = runk(main, LP_P)
-    return np.concatenate(res.values)
-
-
-class TestResilientLabelProp:
-    def _run(self, campaign_rules, seed):
-        def main(comm):
-            _, labels_of = labelprop_resilient(
-                comm, _lp_graph, LP_MAX_CLUSTER, LP_ROUNDS)
-            return labels_of
-
-        camp = FaultCampaign(campaign_rules, seed=seed)
-        res = runk(main, LP_P, comm_class=FTComm, faults=camp)
-        merged = {}
-        for v in res.values:
-            if v is not None:
-                merged.update(v)
-        assert sorted(merged) == list(range(LP_P))  # every block survived
-        return res, camp, np.concatenate([merged[o] for o in range(LP_P)])
-
-    @pytest.mark.parametrize("name", list(LP_CAMPAIGNS))
-    def test_campaign_labels_identical_to_failure_free(self, name,
-                                                       lp_baseline):
-        rules, seed, expect_dead = LP_CAMPAIGNS[name]
-        res, camp, labels = self._run(rules, seed)
-        assert res.failed == frozenset(expect_dead)
-        assert camp.kills(), "campaign was supposed to strike"
-        assert np.array_equal(labels, lp_baseline)
-
-    def test_failure_free_resilient_matches_plain(self, lp_baseline):
-        res, camp, labels = self._run([], 0)
-        assert not res.failed and not camp.injected
-        assert np.array_equal(labels, lp_baseline)
 
 
 # ---------------------------------------------------------------------------

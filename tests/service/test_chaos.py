@@ -116,34 +116,6 @@ class TestChaosSoak:
         assert not cluster._directives.unfinished
 
 
-class TestEpochalRestart:
-    @pytest.mark.timeout(120)
-    def test_in_flight_job_restarts_from_last_committed_epoch(self):
-        """A rank killed mid-epochs-job: the stream replays only the epoch
-        in flight, off the ring-buddy checkpoints."""
-        _seed_pinned(0)
-
-        def step(comm, mine, _epoch):
-            total = comm.raw.allreduce(
-                sum(state for _, state in mine), SUM)
-            return [(key, state + int(total)) for key, state in mine]
-
-        def run(faults=None):
-            with Cluster(4, faults=faults, sanitize=True) as cluster:
-                handle = cluster.submit_epochs(
-                    step, [1, 2, 3, 4, 5, 6], epochs=3)
-                result = handle.result(90)
-                return result, list(cluster.stats["recoveries"])
-
-        clean, _ = run()
-        campaign = FaultCampaign(
-            [KillOnOp(rank=1, op="allreduce", nth=2)], seed=0)
-        chaotic, recoveries = run(campaign)
-        assert campaign.kills()
-        assert recoveries == [1]
-        assert chaotic == clean
-
-
 class TestJobTimeoutWedge:
     @pytest.mark.timeout(120)
     def test_hung_job_fails_stream_with_stacks_naming_the_job(self):

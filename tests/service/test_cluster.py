@@ -76,15 +76,6 @@ class TestJobKinds:
             assert c.submit_allreduce(range(100), op=SUM).result(20) == 4950
             assert c.submit_allreduce([5, -3, 8], op=MIN).result(20) == -3
 
-    def test_epochs_job_commits_per_epoch(self):
-        def step(comm, mine, epoch):
-            return [(key, state + epoch) for key, state in mine]
-
-        with Cluster(3) as c:
-            h = c.submit_epochs(step, [10, 20, 30, 40], epochs=3)
-            # +0, +1, +2 over three epochs, order restored by virtual key
-            assert h.result(20) == [13, 23, 33, 43]
-
     def test_semantic_job_error_rethrown_from_handle(self):
         def boom(comm):
             raise ValueError("deterministic app bug")
@@ -141,7 +132,6 @@ class TestAdmission:
             c.submit_bcast(1)
 
     @pytest.mark.parametrize("bad", [
-        lambda c: c.submit_epochs(lambda *_: [], [1], epochs=0),
         lambda c: c.submit_allreduce([], op=SUM),
         lambda c: c.submit_allreduce([1], op=sum),
         lambda c: c.submit_bcast(1, root=7),
@@ -160,6 +150,14 @@ class TestAdmission:
             Cluster(2, job_timeout=0)
         with pytest.raises(ClusterError, match="queue depth"):
             Cluster(2, queue_depth=0)
+
+    def test_fuzz_seed_comes_from_the_environment(self, monkeypatch):
+        monkeypatch.setenv("REPRO_FUZZ_SEED", "7")
+        with Cluster(2) as c:
+            assert c.machine.fuzzer.seed == 7
+        monkeypatch.delenv("REPRO_FUZZ_SEED")
+        with Cluster(2) as c:
+            assert c.machine.fuzzer is None
 
 
 class TestBatching:
@@ -530,18 +528,6 @@ class TestElasticMembership:
             c.add_rank()
             assert c.submit(lambda comm: comm.size).result(20) == 5
             assert c.stats["joins"] == [3, 4]
-
-    def test_join_replicates_state_to_new_buddy_ring(self):
-        """Epochal state submitted before the join survives jobs after it."""
-        def step(comm, mine, _epoch):
-            return [(key, state * 2) for key, state in mine]
-
-        with Cluster(2, spares=1) as c:
-            first = c.submit_epochs(step, [1, 2, 3], epochs=2)
-            assert first.result(20) == [4, 8, 12]
-            c.add_rank()
-            again = c.submit_epochs(step, [5, 6], epochs=1)
-            assert again.result(20) == [10, 12]
 
     def test_no_spares_left(self):
         with Cluster(2, spares=0) as c:
