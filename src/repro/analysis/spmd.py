@@ -24,6 +24,7 @@ than guess.  No finding is ever reported on code it did not fully model.
 from __future__ import annotations
 
 import ast
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.analysis.findings import Finding
@@ -53,10 +54,48 @@ _OP_CANON = {name.upper(): name.upper() for name in BUILTIN_OPS} | {
     functor.__name__: builtin.name.upper()
     for functor, builtin in _FUNCTOR_MAP.items()}
 
-# The event node types are shared with the dynamic communication-plan IR
-# (one vocabulary for "what a program communicates", static and recorded);
-# re-exported here so existing importers keep working.
-from repro.mpi.ir.nodes import ANY, Coll, Event, Loop, P2P  # noqa: E402
+ANY = "*"  # wildcard source/tag on a receive
+
+
+# -- events: one rank's collective and point-to-point calls ------------------
+
+
+@dataclass(frozen=True)
+class Coll:
+    name: str
+    root: Optional[int]
+    op: Optional[str]
+    line: int
+
+    def key(self) -> Tuple[object, ...]:
+        return ("coll", self.name, self.root, self.op)
+
+
+@dataclass(frozen=True)
+class P2P:
+    kind: str  # "send" | "recv"
+    rank: int
+    peer: Optional[Union[int, str]]  # int, ANY, or None (=unknown)
+    tag: Optional[Union[int, str]]
+    line: int
+
+    def key(self) -> Tuple[object, ...]:
+        return (self.kind, self.peer, self.tag)
+
+
+@dataclass(frozen=True)
+class Loop:
+    """Communication inside a loop whose trip count is not statically known
+    (assumed uniform across ranks — a documented modelling limit)."""
+
+    body: Tuple["Event", ...]
+    line: int
+
+    def key(self) -> Tuple[object, ...]:
+        return ("loop",) + tuple(e.key() for e in self.body)
+
+
+Event = Union[Coll, P2P, Loop]
 
 Value = Optional[object]  # int | bool | tuple | range | None (=unknown)
 

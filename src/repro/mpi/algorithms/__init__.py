@@ -15,9 +15,11 @@ Everything else is derived from it:
   collective tags, mailbox traffic, clock charges and fault hooks, so PMPI
   counters still see one call per collective;
 - **progress-on-test** — :mod:`repro.mpi.nbc` hands the same ``Run`` to the
-  caller as the request of ``ibcast``/``iallreduce``/``iallgather``;
-- **static fragment** — :meth:`Algorithm.fragment` co-runs the p generators
-  on one thread and records each rank's send/receive sequence.
+  caller as the request of ``ibcast``/``iallreduce``/``iallgather``.
+
+The tests check every schedule by running it:
+:func:`~repro.mpi.algorithms.schedule.corun` drives the p generators on one
+thread and records each rank's send/receive sequence and result.
 
 Each registration (:func:`collective_algorithm`) also carries a **closed-form
 α-β cost formula** of what the schedule does on the simulator (cross-validated
@@ -38,14 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from repro.mpi.algorithms.schedule import (
-    UNSOUND,
-    FragmentUnsound,
-    Run,
-    Schedule,
-    _witness,
-    corun,
-)
+from repro.mpi.algorithms.schedule import Run, Schedule
 from repro.mpi.errors import RawUsageError
 
 #: cost formula signature: ``(p, nbytes, cost_model) -> seconds``, where
@@ -77,23 +72,6 @@ class Algorithm:
                 f"algorithm {self.collective}/{self.name} has no cost formula"
             )
         return self.cost(p, nbytes, cost_model)
-
-    def fragment(self, p: int, rank: int, root: int = 0) -> tuple:
-        """This rank's ``("send" | "recv", peer)`` sequence at ``(p, root)``,
-        recorded from a co-run of the schedule under witness arguments;
-        :class:`FragmentUnsound` for the algorithms in :data:`UNSOUND`."""
-        if not 0 <= rank < p:
-            raise RawUsageError(f"rank {rank} out of range for p={p}")
-        if not 0 <= root < p:
-            raise RawUsageError(f"root {root} out of range for p={p}")
-        reason = UNSOUND.get((self.collective, self.name))
-        if reason is not None:
-            raise FragmentUnsound(
-                f"{self.collective}/{self.name} has no static fragment: "
-                f"{reason}")
-        steps, _ = corun(self.schedule, p,
-                         lambda r: _witness(self.collective, p, r, root))
-        return tuple(steps[rank])
 
 
 _REGISTRY: dict[str, dict[str, Algorithm]] = {}

@@ -1,4 +1,4 @@
-"""Schedule steps, the one driver that executes them, and the static co-run.
+"""Schedule steps, the one driver that executes them, and the co-run.
 
 A collective algorithm is a generator of ``(p, rank, *collective args)`` that
 yields the steps below and returns the collective's result; it never sees a
@@ -6,8 +6,9 @@ communicator.  :class:`Run` is the only code that turns steps into tags,
 mailbox traffic, clock charges and fault hooks — for the blocking collectives
 (``Run(...).wait()``) and the non-blocking ones (the same object, started and
 handed to the caller as its request).  :func:`corun` executes the p
-generators of one schedule on one thread over in-memory channels, which is
-where static fragments come from.
+generators of one schedule on one thread over in-memory channels: the oracle
+the tests check every schedule against (matched sends, no deadlock, each
+rank's result).
 """
 
 from __future__ import annotations
@@ -17,10 +18,7 @@ from dataclasses import dataclass
 from operator import attrgetter
 from typing import Any, Callable, Dict, Generator, Optional, Tuple
 
-import numpy as np
-
 from repro.mpi.errors import RawUsageError
-from repro.mpi.ops import SUM
 from repro.mpi.p2p import Envelope, PendingRecv
 from repro.mpi.requests import RawRequest
 
@@ -151,46 +149,6 @@ class Run(RawRequest):
     def audit_pending_recvs(self) -> tuple[PendingRecv, ...]:
         """The posted receive of the in-flight schedule (auditor dedup)."""
         return () if self._pending is None else (self._pending,)
-
-
-class FragmentUnsound(KeyError):
-    """No static fragment can exist for this algorithm (see :data:`UNSOUND`).
-
-    Subclasses :class:`KeyError` so existing "opaque algorithm" handling
-    (``except KeyError``) keeps working unchanged."""
-
-
-#: algorithms whose wire schedule depends on something the static
-#: ``(p, rank, root)`` signature cannot see, mapped to the reason.  Listing an
-#: algorithm here is a *permanent* marking, not a TODO: a static fragment for
-#: one of these would hand the rewrite passes a schedule that is wrong for
-#: part of the input space.
-UNSOUND: Dict[Tuple[str, str], str] = {
-    ("allreduce", "ring"): (
-        "payload-dependent eligibility: runs the ring schedule only for a "
-        "commutative-op 1-D ndarray with >= p elements, silently falling "
-        "back to reduce_bcast otherwise"
-    ),
-    ("neighbor_alltoall", "direct"): "topology-dependent: one message per "
-                                     "edge of the communicator's dist graph",
-    ("neighbor_alltoallv", "direct"): "topology-dependent: one message per "
-                                      "edge of the communicator's dist graph",
-}
-
-
-def _witness(collective: str, p: int, r: int, root: int) -> tuple:
-    """What rank ``r`` passes in a co-run: its rank as payload, ``SUM`` as
-    operator, unit counts."""
-    ones, block, row = [1] * p, np.array([r]), np.arange(p)
-    return {
-        "barrier": (), "bcast": (r, root), "gather": (r, root),
-        "gatherv": (block, ones, root), "scatter": (list(row), root),
-        "scatterv": (row, ones, root), "allgather": (r,),
-        "allgatherv": (block, ones), "alltoall": (list(row),),
-        "alltoallv": (row, ones, ones), "alltoallw": (list(row),),
-        "reduce": (r, SUM, root), "allreduce": (r, SUM),
-        "scan": (r, SUM), "exscan": (r, SUM),
-    }[collective]
 
 
 def corun(schedule: Schedule, p: int, args: Callable[[int], tuple]

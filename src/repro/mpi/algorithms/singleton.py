@@ -138,13 +138,8 @@ def _exscan(comm, value: Any, op: Op) -> Any:
     return type(value)(op.identity) if not isinstance(value, bool) else op.identity
 
 
-def _zero_cost(p, nbytes, cm):
-    return 0.0
-
-
 def _make(collective: str, fn) -> Algorithm:
     return Algorithm(collective=collective, name="singleton", fn=fn,
-                     cost=_zero_cost,
                      description="pure-local p=1 fast path")
 
 

@@ -11,34 +11,18 @@ Entry point: ``run_mpi(fn, p, ir="record" | "optimize")`` (see
 ``RunResult.ir``.
 """
 
-from repro.mpi.ir.nodes import (
-    ANY,
-    Coll,
-    CommOp,
-    Epoch,
-    Event,
-    Loop,
-    P2P,
-    canonical,
-    values_equal,
-)
+from repro.mpi.ir.nodes import CommOp, Epoch, canonical, values_equal
 from repro.mpi.ir.recorder import Recorder, RecordingComm, UnsupportedForIR
 from repro.mpi.ir.passes import DEFAULT_PASSES, PassManager, PassResult
 from repro.mpi.ir.replayer import IRReplayError, ReplayPlan, Replayer
 from repro.mpi.ir.driver import IRReport, run_with_ir
-from repro.mpi.ir.fragments import fragment, has_fragment
 
 __all__ = [
-    "ANY",
-    "Coll",
     "CommOp",
     "DEFAULT_PASSES",
     "Epoch",
-    "Event",
     "IRReplayError",
     "IRReport",
-    "Loop",
-    "P2P",
     "PassManager",
     "PassResult",
     "Recorder",
@@ -47,8 +31,6 @@ __all__ = [
     "Replayer",
     "UnsupportedForIR",
     "canonical",
-    "fragment",
-    "has_fragment",
     "run_with_ir",
     "values_equal",
 ]

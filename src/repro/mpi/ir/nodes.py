@@ -1,24 +1,10 @@
-"""Shared communication-event node types — the one event model of the repo.
+"""The recorded dataflow IR's node types and its value equality.
 
-Two layers describe "what a program communicates":
-
-- the **static** layer: reprolint's SPMD abstract executor
-  (:mod:`repro.analysis.spmd`) extracts per-rank event sequences from the
-  AST — :class:`Coll` / :class:`P2P` / :class:`Loop`, compared across
-  simulated ranks;
-- the **dynamic** layer: the communication-plan IR records the ops a rank
-  *actually issued* during an epoch — :class:`CommOp` nodes collected into
-  an :class:`Epoch` graph, rewritten by :mod:`repro.mpi.ir.passes` and
-  executed by :mod:`repro.mpi.ir.replayer`.
-
-Both vocabularies live here so they cannot drift: ``analysis/spmd.py``
-re-exports the static nodes, and every dynamic :class:`CommOp` lowers to a
-static event via :meth:`CommOp.static_event` — the bridge the IR tests use
-to check that a recorded epoch is SPMD-consistent in the same sense
-reprolint checks statically.
-
-This module must stay importable with only NumPy installed (the reprolint CI
-job does not install the full test stack).
+The communication-plan IR records the ops a rank *actually issued* during an
+epoch as :class:`CommOp` nodes collected into an :class:`Epoch` graph,
+rewritten by :mod:`repro.mpi.ir.passes` and executed by
+:mod:`repro.mpi.ir.replayer`.  :func:`canonical` is the bit-identity the
+replayer's guarantee is defined over.
 """
 
 from __future__ import annotations
@@ -27,55 +13,12 @@ import pickle
 import struct
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any, Dict, Hashable, List, Optional, Sequence, Set, Tuple, Union
+from typing import Any, Dict, Hashable, List, Optional, Set, Tuple
 
 import numpy as np
 
-from repro.mpi.collectives import COLLECTIVES, RECVS, SENDS
+from repro.mpi.collectives import COLLECTIVES
 from repro.mpi.datatypes import payload_nbytes
-
-ANY = "*"  # wildcard source/tag on a receive (shared with the SPMD checker)
-
-
-# -- static events (the SPMD checker's per-rank sequences) -------------------
-
-
-@dataclass(frozen=True)
-class Coll:
-    name: str
-    root: Optional[int]
-    op: Optional[str]
-    line: int
-
-    def key(self) -> Tuple[object, ...]:
-        return ("coll", self.name, self.root, self.op)
-
-
-@dataclass(frozen=True)
-class P2P:
-    kind: str  # "send" | "recv"
-    rank: int
-    peer: Optional[Union[int, str]]  # int, ANY, or None (=unknown)
-    tag: Optional[Union[int, str]]
-    line: int
-
-    def key(self) -> Tuple[object, ...]:
-        return (self.kind, self.peer, self.tag)
-
-
-@dataclass(frozen=True)
-class Loop:
-    """Communication inside a loop whose trip count is not statically known
-    (assumed uniform across ranks — a documented modelling limit)."""
-
-    body: Tuple["Event", ...]
-    line: int
-
-    def key(self) -> Tuple[object, ...]:
-        return ("loop",) + tuple(e.key() for e in self.body)
-
-
-Event = Union[Coll, P2P, Loop]
 
 
 # -- canonical value forms (bit-identity comparison) -------------------------
@@ -169,30 +112,6 @@ class CommOp:
             return sum(payload_nbytes(x) for x in self.payload)
         return payload_nbytes(self.payload)
 
-    def static_event(self) -> Optional[Event]:
-        """Lower to the SPMD checker's static event model (the unification
-        bridge): collectives to :class:`Coll`, the one-way point-to-point
-        calls to :class:`P2P`.  Nodes with no static analog (``sendrecv``,
-        waits, compute, management) return ``None``."""
-        if self.kind in ("coll", "nbc"):
-            red = self.args.get("op")
-            return Coll(
-                name=self.op,
-                root=self.args.get("root"),
-                op=getattr(red, "name", None) and red.name.upper() or None,
-                line=0,
-            )
-        if self.op in SENDS:
-            return P2P("send", self.rank, self.args.get("dest"),
-                       self.args.get("tag"), 0)
-        if self.op in RECVS:
-            src = self.args.get("source")
-            peer = ANY if src is not None and src < 0 else src
-            tag = self.args.get("tag")
-            tag = ANY if tag is not None and tag < 0 else tag
-            return P2P("recv", self.rank, peer, tag, 0)
-        return None
-
 
 @dataclass
 class Epoch:
@@ -236,15 +155,6 @@ class Epoch:
                 if node.seq is not None:
                     inst.setdefault((node.comm, node.seq), {})[w] = (pos, node)
         return inst
-
-    def static_events(self, world_rank: int) -> Tuple[Event, ...]:
-        """This rank's recorded sequence in the SPMD checker's event model."""
-        out = []
-        for node in self.ops[world_rank]:
-            ev = node.static_event()
-            if ev is not None:
-                out.append(ev)
-        return tuple(out)
 
     def alloc_idx(self, world_rank: int) -> int:
         """A fresh SSA index for a rewritten node on one rank."""

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.mpi import run_mpi
-from repro.mpi.ir import Coll, P2P, UnsupportedForIR, values_equal
+from repro.mpi.ir import UnsupportedForIR, values_equal
 from repro.mpi.ops import SUM
 
 
@@ -141,17 +141,18 @@ def test_nonblocking_ops_record_start_and_wait_nodes():
     assert wait.args["start"] == 0 and wait.deps == (0,)
 
 
-def test_static_event_bridge_is_spmd_consistent():
-    """Recorded epochs lower to the SPMD checker's event model, and a
-    symmetric program yields key-identical sequences on every rank — the
-    dynamic analog of reprolint's RPL101 check."""
+def test_recorded_epoch_is_spmd_consistent():
+    """A symmetric program records the same collective sequence — op, root,
+    reduction — on every rank: the dynamic analog of reprolint's RPL101-103
+    checks."""
     res = run_mpi(_mixed_program, 4, ir="record")
     epoch = res.ir.epoch
-    seqs = [tuple(e.key() for e in epoch.static_events(w)
-                  if isinstance(e, Coll)) for w in range(4)]
-    assert len(set(seqs)) == 1
-    send = next(e for e in epoch.static_events(0) if isinstance(e, P2P))
-    assert send.key() == ("send", 1, 3)
+    seqs = {tuple((n.op, n.args.get("root"), n.args.get("op"))
+                  for n in epoch.ops[w] if n.kind == "coll")
+            for w in range(4)}
+    assert seqs == {(("allreduce", None, SUM), ("gather", 0, None))}
+    send = next(n for n in epoch.ops[0] if n.op == "send")
+    assert (send.args["dest"], send.args["tag"]) == (1, 3)
 
 
 def test_probe_marks_epoch_unsupported():
