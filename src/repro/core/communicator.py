@@ -186,7 +186,7 @@ def _in_flight(comm: "Communicator", request: Any, data: Any, op_name: str,
     write-protected until completion (and known to the MPIsan auditor)."""
     poison = poison_if_array(data)
     auditor = comm.raw.machine.auditor
-    if poison is not None and auditor.enabled:
+    if poison is not None and auditor is not None:
         auditor.track_poison(poison, comm.raw, op=op_name)
     return NonBlockingResult(
         request, poisons=[] if poison is None else [poison], **owned)

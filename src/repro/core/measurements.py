@@ -69,7 +69,7 @@ class Timer:
         self._counts[key] = self._counts.get(key, 0) + 1
         raw = self.comm.raw
         tracer = raw.machine.tracer
-        if tracer.enabled:
+        if tracer is not None:
             tracer.record(raw, f"timer:{key}", t_start=began, t_end=now)
         return elapsed
 

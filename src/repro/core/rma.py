@@ -3,7 +3,6 @@
 KaMPIng-flavoured conveniences on top of :mod:`repro.mpi.rma`:
 
 - ``get`` always returns a fresh copy (no aliasing of remote memory);
-- passive-target epochs as context managers (exception-safe unlock);
 - window memory is validated and coerced once at creation;
 - a scoped fence epoch (``with win.epoch(): ...``).
 """
@@ -44,15 +43,6 @@ class Window:
             yield self
         finally:
             self.fence()
-
-    @contextmanager
-    def locked(self, target: int, exclusive: bool = True) -> Iterator["Window"]:
-        """Scoped passive-target lock (exception-safe unlock)."""
-        self._raw.lock(target, exclusive=exclusive)
-        try:
-            yield self
-        finally:
-            self._raw.unlock(target)
 
     # -- data movement -------------------------------------------------------------
 

@@ -68,7 +68,6 @@ from repro.mpi.sanitizer import (
 )
 from repro.mpi.requests import RawRequest, testall, waitall, waitany
 from repro.mpi.tracing import (
-    NULL_TRACER,
     CallSpec,
     TraceEvent,
     TraceRecorder,
@@ -91,7 +90,7 @@ __all__ = [
     "FaultCampaign", "KillOnOp", "KillMidCollective", "KillRandom",
     "Straggler", "KillAtCheckpoint", "env_fault_seed_default",
     "expect_calls", "call_delta", "snapshot",
-    "TraceRecorder", "TraceEvent", "CallSpec", "calls", "NULL_TRACER",
+    "TraceRecorder", "TraceEvent", "CallSpec", "calls",
     "size_bucket",
     "algorithms", "Algorithm", "CollectiveEngine", "Decision", "TuningRule",
     "AutoTuner",

@@ -170,8 +170,6 @@ CALLS: dict[str, Call] = {c.name: c for c in (
     _call("dist_graph_create_adjacent", "sources destinations", "mgmt"),
     _call("win_create", "local", "rma"),
     _window("fence"),
-    _window("lock", "target exclusive"),
-    _window("unlock", "target"),
     _window("put", "data target offset"),
     _window("get", "target offset count"),
     _window("accumulate", "data target offset op"),

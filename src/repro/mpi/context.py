@@ -111,7 +111,7 @@ class RawComm:
         for symmetric collectives (resolved lazily to all members).
         """
         tracer = self.machine.tracer
-        if not tracer.enabled:
+        if tracer is None:
             return _NULL_SPAN
         if payload is not None:
             sent = _sum_payload_bytes(payload)
@@ -187,7 +187,7 @@ class RawComm:
         auditor = machine.auditor
         env = Envelope(self._rank, tag, payload, nbytes, arrival,
                        Gate() if sync else None, 0.0,
-                       auditor.origin() if auditor.enabled else ())
+                       auditor.origin() if auditor is not None else ())
         self.state.mailboxes[dest].deposit(env)
         return env
 
@@ -212,7 +212,7 @@ class RawComm:
         self._check_usable()
         if dest == PROC_NULL:
             return
-        if not self.machine.tracer.enabled:
+        if self.machine.tracer is None:
             self._deposit(payload, dest, validate_user_tag(tag))
             return
         with self._span("send", peers=(dest,), tag=tag, payload=payload):
@@ -234,7 +234,7 @@ class RawComm:
         self._check_usable()
         if dest == PROC_NULL:
             return CompletedRequest()
-        if not self.machine.tracer.enabled:
+        if self.machine.tracer is None:
             self._deposit(payload, dest, validate_user_tag(tag))
             return CompletedRequest()
         with self._span("isend", peers=(dest,), tag=tag, payload=payload):
@@ -251,7 +251,7 @@ class RawComm:
             env = self._deposit(payload, dest, validate_user_tag(tag), sync=True)
         req = SyncSendRequest(env, self.clock, self.state.waits, dest)
         auditor = self.machine.auditor
-        if auditor.enabled:
+        if auditor is not None:
             auditor.track_request(req, self, op="issend", peer=dest, tag=tag,
                                   nbytes=env.nbytes)
         return req
@@ -264,7 +264,7 @@ class RawComm:
             return None, Status(PROC_NULL, tag, 0)
         if source != ANY_SOURCE:
             self._check_peer(source)
-        if not self.machine.tracer.enabled:
+        if self.machine.tracer is None:
             return self._recv(source, validate_user_tag(tag))
         with self._span("recv", peers=_peer(source), tag=tag) as sp:
             payload, status = self._recv(source, validate_user_tag(tag))
@@ -278,14 +278,14 @@ class RawComm:
         if source != ANY_SOURCE:
             self._check_peer(source)
         mb = self.state.mailboxes[self._rank]
-        if not self.machine.tracer.enabled:
+        if self.machine.tracer is None:
             pr = mb.post(source, validate_user_tag(tag), self.clock.now)
         else:
             with self._span("irecv", peers=_peer(source), tag=tag):
                 pr = mb.post(source, validate_user_tag(tag), self.clock.now)
         req = RecvRequest(mb, pr, self.clock)
         auditor = self.machine.auditor
-        if auditor.enabled:
+        if auditor is not None:
             pr.origin = auditor.origin()
             auditor.track_request(req, self, op="irecv", peer=source, tag=tag)
         return req
@@ -303,7 +303,7 @@ class RawComm:
         self._check_usable()
         if source not in (ANY_SOURCE, PROC_NULL):
             self._check_peer(source)
-        traced = self.machine.tracer.enabled
+        traced = self.machine.tracer is not None
         span = self._span("sendrecv", peers=_peer(dest) + _peer(source),
                           tag=sendtag, payload=payload) if traced else _NULL_SPAN
         with span as sp:
@@ -355,7 +355,7 @@ class RawComm:
             ticket = self.state.barrier.arrive(epoch, self.clock.now)
         req = CounterBarrierRequest(self.state.barrier, ticket, self.clock)
         auditor = self.machine.auditor
-        if auditor.enabled:
+        if auditor is not None:
             auditor.track_request(req, self, op="ibarrier")
         return req
 
@@ -374,7 +374,7 @@ class RawComm:
         self._count(op)
         self._check_usable()
         algo = self._coll_algo(op, args)
-        if self.machine.tracer.enabled:
+        if self.machine.tracer is not None:
             span = self._span(op, peers=call.span_peers(args),
                               payload=call.payload(self._rank, args),
                               algorithm=algo.name)

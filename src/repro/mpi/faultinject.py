@@ -325,7 +325,7 @@ class FaultCampaign:
                 "detail": detail,
             })
         tracer = comm.machine.tracer
-        if tracer.enabled:
+        if tracer is not None:
             t = comm.clock.now
             tracer._append(TraceEvent(
                 op=f"fault:{kind}", world_rank=comm.world_rank,

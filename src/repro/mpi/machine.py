@@ -9,6 +9,8 @@ defined here is the one runtime core of every backend: built with no
 transport, all its ranks live in this address space (the thread backend, the
 cluster service); built over a transport, it is the part of the machine that
 lives with the transport's rank (see :mod:`repro.mpi.backends.process`).
+Its optional hooks — ``tracer``, ``auditor``, ``fuzzer``, ``faults`` — are
+``None`` when off, and each site that calls one tests for that first.
 """
 
 from __future__ import annotations
@@ -25,15 +27,13 @@ from repro.mpi.errors import RawUsageError, UnsupportedOnBackend, unsupported
 from repro.mpi.p2p import Mailbox
 from repro.mpi.requests import ArrivalBarrier
 from repro.mpi.sanitizer import (
-    NULL_AUDITOR,
     LeakReport,
-    NullAuditor,
     ResourceAuditor,
     ResourceLeakError,
     ScheduleFuzzer,
     env_fuzz_seed_default,
 )
-from repro.mpi.tracing import NULL_TRACER, NullTraceRecorder, TraceEvent, TraceRecorder
+from repro.mpi.tracing import TraceEvent, TraceRecorder
 from repro.mpi.waiting import Gate, WaitContext
 
 
@@ -161,10 +161,8 @@ class Machine:
         self.transport = transport
         self.cost_model = cost_model if cost_model is not None else CostModel()
         self.deadline = deadline
-        #: MPIsan resource auditor; the no-op singleton unless sanitizing
-        self.auditor: ResourceAuditor | NullAuditor = (
-            auditor if auditor is not None else NULL_AUDITOR
-        )
+        #: MPIsan resource auditor (``None`` outside sanitized runs)
+        self.auditor: Optional[ResourceAuditor] = auditor
         #: seeded schedule fuzzer (``None`` outside fuzzed runs); must be set
         #: before any CommState builds its wait context
         self.fuzzer = fuzzer
@@ -175,10 +173,8 @@ class Machine:
         )
         self.clocks = [Clock(self.cost_model) for _ in range(num_ranks)]
         self.profile: list[Counter] = [Counter() for _ in range(num_ranks)]
-        #: structured event recorder; the no-op singleton unless tracing is on
-        self.tracer: TraceRecorder | NullTraceRecorder = (
-            tracer if tracer is not None else NULL_TRACER
-        )
+        #: structured event recorder (``None`` outside traced runs)
+        self.tracer: Optional[TraceRecorder] = tracer
         self._registry_lock = threading.Lock()
         self._comms: dict[Hashable, CommState] = {}
         self._failed_lock = threading.Lock()
@@ -305,10 +301,10 @@ def audit_leaks(machine: Machine, *, failed: bool) -> Optional[LeakReport]:
     run saw no failure: a failed rank tears down mid-operation, so its
     leftovers are reported, not fatal.
     """
-    if not machine.auditor.enabled:
+    if machine.auditor is None:
         return None
     leaks = machine.auditor.collect(machine)
-    if leaks and machine.tracer is not NULL_TRACER:
+    if leaks and machine.tracer is not None:
         _emit_leak_events(machine.tracer, leaks)
     if leaks and not failed:
         raise ResourceLeakError(leaks)

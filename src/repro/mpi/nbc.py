@@ -32,6 +32,6 @@ def start(comm, call: Collective, args: tuple) -> Run:
         req = Run(comm, schedule(comm.size, comm.rank, *args), code).start()
         sp.set(tag=req.tag)
     auditor = comm.machine.auditor
-    if auditor.enabled:
+    if auditor is not None:
         auditor.track_request(req, comm, op=op, tag=req.tag)
     return req

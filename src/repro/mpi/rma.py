@@ -5,16 +5,16 @@ communication is the largest MPI chapter the core bindings do not cover yet
 (boost-mpi3 supports it, §II).  This module is the raw substrate:
 
 - :class:`RawWindow` — collective creation over one local array per rank;
-- ``put`` / ``get`` / ``accumulate`` — direct access to a target rank's
-  window memory *without involving the target's CPU* (the target's virtual
-  clock does not advance; only the origin pays α + n·β);
+- ``put`` / ``get`` / ``accumulate`` / ``fetch_and_op`` /
+  ``compare_and_swap`` — direct access to a target rank's window memory
+  *without involving the target's CPU* (the target's virtual clock does not
+  advance; only the origin pays α + n·β);
 - **fence** epochs (``MPI_Win_fence``): operations issued between two fences
-  are globally visible after the closing fence;
-- **passive target** locks (``MPI_Win_lock``/``unlock``) with shared or
-  exclusive mode, serializing access per target.
+  are globally visible after the closing fence.
 
-Atomicity: ``accumulate`` is elementwise-atomic per target (as the standard
-requires), implemented with one mutex per (window, target) pair.
+Atomicity: every access is elementwise-atomic per target (as the standard
+requires of ``accumulate``), implemented with one mutex per (window, target)
+pair.  Passive-target locks (``MPI_Win_lock``) are not provided.
 """
 
 from __future__ import annotations
@@ -26,10 +26,6 @@ import numpy as np
 
 from repro.mpi.errors import RawUsageError
 from repro.mpi.ops import Op, SUM
-from repro.mpi.waiting import Gate
-
-_LOCK_STUCK = ("win_lock(target={0[1]}) exceeded the {deadline:.0f}s "
-               "deadlock deadline")
 
 
 class _WindowState:
@@ -40,36 +36,6 @@ class _WindowState:
         self.locks: dict[int, threading.RLock] = {
             r: threading.RLock() for r in range(comm_size)
         }
-        #: passive-target locks, under ``mutex``: per target the ``(rank,
-        #: exclusive)`` of its holders and, oldest first, the ``(gate, target,
-        #: rank, exclusive)`` requests it has not been handed to yet
-        self.mutex = threading.Lock()
-        self.holders: dict[int, list[tuple]] = {r: [] for r in range(comm_size)}
-        self.queue: dict[int, list[tuple]] = {r: [] for r in range(comm_size)}
-
-    def grant(self, target: int) -> None:
-        """Under ``mutex``: hand ``target``'s lock to the requests queued for
-        it, oldest first, while it is free for the next one — nobody holds
-        it, or the request and the holders are all shared."""
-        held, queue = self.holders[target], self.queue[target]
-        while queue:
-            gate, _, rank, exclusive = queue[0]
-            if held and (exclusive or held[0][1]):
-                return
-            held.append((rank, exclusive))
-            del queue[0]
-            gate.open()
-
-    def withdraw(self, request: tuple) -> bool:
-        """Take a request back out of its queue; ``False`` if the lock was
-        handed to it in the meantime."""
-        gate, target = request[:2]
-        with self.mutex:
-            if gate.opened:
-                return False
-            self.queue[target].remove(request)
-            self.grant(target)  # it may have been what held the next up
-            return True
 
 
 class RawWindow:
@@ -105,42 +71,6 @@ class RawWindow:
         self.comm._count("win_fence")
         with self.comm._span("win_fence", peers="all"):
             self.comm._coll_algo("barrier").fn(self.comm)
-
-    # -- passive target locks ----------------------------------------------------
-
-    def lock(self, target: int, exclusive: bool = True) -> None:
-        """``MPI_Win_lock``: begin a passive-target access epoch."""
-        self.comm._count("win_lock")
-        st = self._state
-        comm = self.comm
-        request = (Gate(), target, comm.rank, exclusive)
-        with comm._span("win_lock", peers=(target,)):
-            with st.mutex:
-                st.queue[target].append(request)
-                st.grant(target)
-            # any member's failure ends it: the holder may never unlock
-            comm.state.waits.park(request[0], range(comm.size),
-                                  "win_lock pending", _LOCK_STUCK,
-                                  st.withdraw, request)
-        auditor = comm.machine.auditor
-        if auditor.enabled:
-            auditor.track_rma_lock(st, target, comm)
-
-    def unlock(self, target: int) -> None:
-        """``MPI_Win_unlock``: end the passive-target epoch."""
-        self.comm._count("win_unlock")
-        me = self.comm.rank
-        st = self._state
-        with self.comm._span("win_unlock", peers=(target,)), st.mutex:
-            held = st.holders[target]
-            mine = [h for h in held if h[0] == me]
-            if not mine:
-                raise RawUsageError(f"unlock({target}) without a matching lock")
-            held.remove(mine[0])
-            st.grant(target)
-        auditor = self.comm.machine.auditor
-        if auditor.enabled:
-            auditor.release_rma_lock(st, target, self.comm)
 
     # -- one-sided data movement ------------------------------------------------
 

@@ -9,8 +9,8 @@ buffer poisons.  This module closes that gap with two tools:
 **Resource auditor.**  When a run is sanitized (``run_mpi(...,
 sanitize=True)`` or ``REPRO_SANITIZE=1``), the machine carries a
 :class:`ResourceAuditor` that tracks every raw request, posted receive,
-unexpected-queue envelope, buffer poison, synchronous-send envelope and
-passive-target RMA lock, each with a creation backtrace.  At run teardown the
+unexpected-queue envelope, buffer poison and synchronous-send envelope, each
+with a creation backtrace.  At run teardown the
 auditor sweeps the machine and produces a :class:`LeakReport`; a clean run
 with leftover resources raises :class:`ResourceLeakError` (the report rides
 on the exception), and when tracing is enabled each leak also becomes a
@@ -28,8 +28,9 @@ changes.  This is what shakes out matching races such as the
 :func:`minimize_failing_seeds` is the companion workflow helper: scan a seed
 range, return the failing seeds (smallest first) for a deterministic repro.
 
-Neither tool costs anything when disabled: the machine holds the
-:data:`NULL_AUDITOR` singleton (every hook a no-op) and no fuzzer.
+Neither tool costs anything when disabled: an unsanitized machine's
+``auditor`` and an unfuzzed one's ``fuzzer`` are ``None``, and each hook
+site tests for that.
 """
 
 from __future__ import annotations
@@ -50,7 +51,6 @@ LEAK_KINDS = (
     "posted_recv",      # a posted receive left in a mailbox's matching queue
     "unexpected",       # an envelope left in a mailbox's unexpected queue
     "poison",           # a send-buffer poison (read-only flag) never released
-    "rma_lock",         # a passive-target window lock never unlocked
 )
 
 
@@ -150,40 +150,11 @@ def _capture_origin(skip: int = 2, limit: int = 8) -> tuple[str, ...]:
     return tuple(parts)
 
 
-class NullAuditor:
-    """Disabled auditor: every tracking hook is a no-op (the default)."""
-
-    enabled = False
-
-    def origin(self) -> tuple[str, ...]:
-        return ()
-
-    def track_request(self, req, comm, *, op: str, peer: Optional[int] = None,
-                      tag: Optional[int] = None, nbytes: int = 0) -> None:
-        pass
-
-    def track_poison(self, poison, comm, *, op: str) -> None:
-        pass
-
-    def track_rma_lock(self, state, target: int, comm, *, op: str = "win_lock") -> None:
-        pass
-
-    def release_rma_lock(self, state, target: int, comm) -> None:
-        pass
-
-    def collect(self, machine) -> LeakReport:
-        return LeakReport()
-
-
-#: Singleton disabled auditor shared by all unsanitized machines.
-NULL_AUDITOR = NullAuditor()
-
-
 class ResourceAuditor:
     """Tracks the lifecycle of every leak-prone communication resource.
 
     Registration happens at creation sites (``RawComm.irecv``, the
-    non-blocking collectives, the bindings' poison sites, RMA locks); the
+    non-blocking collectives, the bindings' poison sites); the
     matching *release* is observed passively through each resource's own
     state (``audit_state()`` on requests, ``released`` on poisons, the
     mailbox queues themselves), so the hot completion paths pay nothing.
@@ -191,16 +162,12 @@ class ResourceAuditor:
     tracked registries and every mailbox of every communicator.
     """
 
-    enabled = True
-
     def __init__(self) -> None:
         self._lock = threading.Lock()
         #: tracked raw requests: (request, attribution dict)
         self._requests: list[tuple[Any, dict]] = []
         #: tracked buffer poisons: (Poison, attribution dict)
         self._poisons: list[tuple[Any, dict]] = []
-        #: held passive-target locks: (id(window state), target, world_rank) -> info
-        self._rma_locks: dict[tuple[int, int, int], dict] = {}
 
     # -- registration hooks (called from the runtime's creation sites) -----
 
@@ -235,16 +202,6 @@ class ResourceAuditor:
         with self._lock:
             self._poisons.append((poison, info))
 
-    def track_rma_lock(self, state, target: int, comm, *, op: str = "win_lock") -> None:
-        """Register an acquired passive-target lock epoch."""
-        info = self._attribution(comm, op=op, peer=target, tag=None, nbytes=0)
-        with self._lock:
-            self._rma_locks[(id(state), target, comm.world_rank)] = info
-
-    def release_rma_lock(self, state, target: int, comm) -> None:
-        with self._lock:
-            self._rma_locks.pop((id(state), target, comm.world_rank), None)
-
     # -- finalize-time sweep ------------------------------------------------
 
     def collect(self, machine) -> LeakReport:
@@ -252,7 +209,6 @@ class ResourceAuditor:
         with self._lock:
             requests = list(self._requests)
             poisons = list(self._poisons)
-            rma_locks = list(self._rma_locks.values())
         records: list[LeakRecord] = []
 
         # Posted receives owned by tracked requests are reported under the
@@ -279,11 +235,6 @@ class ResourceAuditor:
                     kind="poison",
                     detail="send buffer still read-only (poison never released)",
                     **info))
-
-        for info in rma_locks:
-            records.append(LeakRecord(
-                kind="rma_lock", detail="passive-target lock never unlocked",
-                **info))
 
         records.extend(self._sweep_mailboxes(machine, claimed_prs))
         return LeakReport(records)

@@ -9,11 +9,11 @@ per raw MPI operation: op kind, world/local rank, peer set, tag, payload
 bytes (split into a sent and a received contribution), and virtual start/end
 timestamps taken from the per-rank :class:`~repro.mpi.costmodel.Clock`.
 
-Tracing is **off by default** and costs nothing when disabled: the machine
-then holds the :data:`NULL_TRACER` singleton whose ``span()`` returns a
-shared no-op handle, so the hot path pays one attribute check per call and
-the virtual clocks and PMPI counters are bit-identical to an untraced run
-(the existing counter tests verify this).
+Tracing is **off by default** and costs nothing when disabled: the
+machine's ``tracer`` is then ``None`` and ``RawComm._span`` returns a shared
+no-op handle, so the hot path pays one ``is None`` check per call and the
+virtual clocks and PMPI counters are bit-identical to an untraced run (the
+existing counter tests verify this).
 
 On top of the recorder:
 
@@ -187,7 +187,7 @@ class _Span:
 
 
 class _NullSpan:
-    """Shared do-nothing span handed out by the disabled tracer."""
+    """Shared do-nothing span handed out when the machine has no tracer."""
 
     __slots__ = ()
 
@@ -204,54 +204,12 @@ class _NullSpan:
 _NULL_SPAN = _NullSpan()
 
 
-class NullTraceRecorder:
-    """Disabled recorder: every operation is a no-op.
-
-    This is the machine's default.  ``enabled`` is the fast-path flag
-    :meth:`RawComm._span <repro.mpi.context.RawComm._span>` checks before
-    sizing payloads, so an untraced run never serializes or copies anything
-    on behalf of the tracer.
-    """
-
-    enabled = False
-
-    def span(self, comm, op: str, *, peers: Sequence[int] = (),
-             tag: Optional[int] = None, sent: int = 0,
-             algorithm: Optional[str] = None,
-             ir_pass: Optional[str] = None,
-             job: Optional[str] = None) -> _NullSpan:
-        return _NULL_SPAN
-
-    def record(self, comm, op: str, *, t_start: float, t_end: float,
-               peers: Sequence[int] = (), tag: Optional[int] = None,
-               sent: int = 0, recvd: int = 0) -> None:
-        pass
-
-    def events_for(self, world_rank: int) -> tuple:
-        return ()
-
-    def all_events(self) -> list:
-        return []
-
-    def events_for_job(self, job: str) -> list:
-        return []
-
-    def per_op_totals(self) -> dict:
-        return {}
-
-
-#: Singleton disabled recorder shared by all untraced machines.
-NULL_TRACER = NullTraceRecorder()
-
-
 class TraceRecorder:
     """Per-rank event log of every raw MPI operation in a run.
 
     Each rank thread appends only to its own list, so recording needs no
     locking (the same discipline :class:`~repro.mpi.costmodel.Clock` uses).
     """
-
-    enabled = True
 
     def __init__(self, num_ranks: int):
         self.num_ranks = num_ranks

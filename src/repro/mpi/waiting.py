@@ -1,14 +1,14 @@
 """Real-time wait discipline: one park loop for every wait.
 
 A wait — a receive, a probe, a synchronous send, an ``ibarrier`` wait, a
-shrink/agree rendezvous, an RMA lock — is one call of :meth:`WaitContext.park`
-on a one-shot :class:`Gate`; a ``waitany``, on an :class:`AnyGate` of several:
+shrink/agree rendezvous — is one call of :meth:`WaitContext.park` on a
+one-shot :class:`Gate`; a ``waitany``, on an :class:`AnyGate` of several:
 
 - **Completion is opening the gate**, decided by whoever changes the state,
   under that state's lock: a delivery matches a posted receive or a parked
   probe, a match tells the synchronous sender, the last arrival completes the
   barrier epoch or the rendezvous (as does a failure that shrinks the alive
-  set), an unlock hands the RMA lock on.  The waiter evaluates no predicate.
+  set).  The waiter evaluates no predicate.
 - **Everything else is an interrupt.**  Each communicator has one
   :class:`WaitContext`, built by its ``CommState``, where every gate is
   registered while its waiter is parked.  ``Machine.mark_failed`` (so

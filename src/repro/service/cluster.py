@@ -63,7 +63,7 @@ from repro.mpi.sanitizer import (
     env_fuzz_seed_default,
     env_sanitize_default,
 )
-from repro.mpi.tracing import NULL_TRACER, TraceRecorder
+from repro.mpi.tracing import TraceRecorder
 from repro.mpi.watchdog import format_stacks, thread_stacks
 from repro.plugins.resilience import ResilientScope
 from repro.plugins.ulfm import ULFM, MPIFailureDetected
@@ -211,8 +211,8 @@ class Cluster:
             raise ClusterError(
                 f"job_timeout must be > 0 seconds, got {job_timeout}")
 
-        recorder = resolve_tracer(trace, num_ranks + spares)
-        self.tracer = NULL_TRACER if recorder is None else recorder
+        #: the cluster's event recorder (``None`` unless traced)
+        self.tracer = resolve_tracer(trace, num_ranks + spares)
         if sanitize is None:
             sanitize = env_sanitize_default()
         fuzz_seed = env_fuzz_seed_default()
@@ -222,7 +222,7 @@ class Cluster:
         capacity = num_ranks + spares
         self.machine = Machine(
             capacity, deadline=deadline,
-            tracer=recorder, engine=engine, auditor=auditor, fuzzer=fuzzer,
+            tracer=self.tracer, engine=engine, auditor=auditor, fuzzer=fuzzer,
             faults=faults)
         self.num_ranks = num_ranks
         self.capacity = capacity

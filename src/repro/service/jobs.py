@@ -108,9 +108,8 @@ class JobHandle:
         service ranks stamp the job label on every op of the job
         communicator.  Jobs batched into one group share one collective
         stamped with the group's label and therefore return ``[]`` here."""
-        if self._cluster is None:
-            return []
-        return self._cluster.tracer.events_for_job(self.label)
+        tracer = None if self._cluster is None else self._cluster.tracer
+        return [] if tracer is None else tracer.events_for_job(self.label)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"JobHandle({self.label!r}, {self.state})"

@@ -1,55 +1,60 @@
-"""Suffix-array algorithms on realistic corpora (Markov / repetitive / DNA)."""
+"""Suffix-array algorithms on skewed, repetitive and motif-rich texts.
+
+The inputs are built here: a Markov text (few successors per character), a
+Fibonacci word (maximal common prefixes: the most doubling rounds) and a
+DNA-like text with repeated motifs.  Character 0 stays free for sentinels.
+"""
 
 import numpy as np
 import pytest
 
 from repro.apps.suffix import pdc3, prefix_doubling_kamping, suffix_array_sequential
 from repro.apps.suffix.common import is_suffix_array, local_block
-from repro.apps.suffix.corpora import CORPORA, dna_text, markov_text, repetitive_text
 from tests.conftest import runk
 
 
-class TestGenerators:
-    def test_markov_alphabet_and_determinism(self):
-        t1 = markov_text(300, sigma=6, seed=4)
-        t2 = markov_text(300, sigma=6, seed=4)
-        assert np.array_equal(t1, t2)
-        assert t1.min() >= 1 and t1.max() <= 6
+def markov_text(n, sigma=8, skew=4.0, seed=1):
+    rng = np.random.default_rng((seed, 0x3A2))
+    transition = rng.random((sigma, sigma)) ** skew
+    transition /= transition.sum(axis=1, keepdims=True)
+    out = np.empty(n, dtype=np.int64)
+    state = int(rng.integers(0, sigma))
+    for i in range(n):
+        out[i] = state + 1
+        state = int(rng.choice(sigma, p=transition[state]))
+    return out
 
-    def test_markov_is_skewed(self):
-        """Bigram skew: the most frequent successor dominates."""
-        t = markov_text(3000, sigma=6, skew=6.0, seed=4)
-        pairs = {}
-        for a, b in zip(t[:-1], t[1:]):
-            pairs.setdefault(int(a), []).append(int(b))
-        top_share = np.mean([
-            max(np.bincount(succ)) / len(succ) for succ in pairs.values()
-        ])
-        assert top_share > 0.4
 
-    def test_repetitive_is_fibonacci_like(self):
-        t = repetitive_text(13)
-        assert t.tolist() == [1, 2, 1, 1, 2, 1, 2, 1, 1, 2, 1, 1, 2]
+def repetitive_text(n, seed=1):
+    a, b = [1], [1, 2]
+    while len(b) < n:
+        a, b = b, b + a
+    return np.array(b[:n], dtype=np.int64)
 
-    def test_dna_contains_motifs(self):
-        t = dna_text(500, motif_len=10, motif_rate=0.5, seed=2)
-        assert t.min() >= 1 and t.max() <= 4
-        # the motif appears more than chance would allow
-        text = "".join(map(str, t.tolist()))
-        motif = None
-        for i in range(0, len(text) - 10):
-            cand = text[i: i + 10]
-            if text.count(cand) >= 3:
-                motif = cand
-                break
-        assert motif is not None
+
+def dna_text(n, motif_len=12, motif_rate=0.3, seed=1):
+    rng = np.random.default_rng((seed, 0xD4A))
+    motif = rng.integers(1, 5, size=motif_len)
+    out = np.empty(n, dtype=np.int64)
+    i = 0
+    while i < n:
+        if rng.random() < motif_rate and i + motif_len <= n:
+            out[i: i + motif_len] = motif
+            i += motif_len
+        else:
+            out[i] = int(rng.integers(1, 5))
+            i += 1
+    return out
+
+
+CORPORA = {"markov": markov_text, "repetitive": repetitive_text,
+           "dna": dna_text}
 
 
 @pytest.mark.parametrize("corpus", list(CORPORA))
 @pytest.mark.parametrize("algo", ["prefix_doubling", "dc3"])
 def test_suffix_arrays_on_corpora(corpus, algo):
-    text = CORPORA[corpus](220, seed=9) if corpus != "repetitive" \
-        else repetitive_text(220)
+    text = CORPORA[corpus](220, seed=9)
     ref = suffix_array_sequential(text)
     assert is_suffix_array(text, ref)
 
@@ -65,8 +70,8 @@ def test_suffix_arrays_on_corpora(corpus, algo):
 
 
 def test_repetitive_needs_more_doubling_rounds():
-    """The adversarial corpus takes more rounds than random text."""
-    from repro.mpi import snapshot
+    """The adversarial text takes more rounds than random text."""
+    from repro.apps.suffix import random_text
 
     def rounds_for(text):
         def main(comm):
@@ -77,8 +82,6 @@ def test_repetitive_needs_more_doubling_rounds():
             return after["alltoallv"] - before.get("alltoallv", 0)
 
         return runk(main, 2).values[0]
-
-    from repro.apps.suffix import random_text
 
     random_rounds = rounds_for(random_text(200, sigma=4, seed=1))
     repetitive_rounds = rounds_for(repetitive_text(200))

@@ -1,4 +1,4 @@
-"""One-sided communication: windows, epochs, atomics, and locks."""
+"""One-sided communication: windows, epochs and atomics."""
 
 import numpy as np
 import pytest
@@ -87,34 +87,6 @@ def test_compare_and_swap_single_winner():
     assert res.values[0][1] == winners[0]
 
 
-def test_locked_exclusive_read_modify_write():
-    """Non-atomic get+put under an exclusive lock must not lose updates."""
-    def main(comm):
-        win = comm.win_create(np.zeros(1, dtype=np.int64))
-        win.fence()
-        for _ in range(20):
-            with win.locked(0, exclusive=True):
-                value = int(win.get(0, 0, 1)[0])
-                win.put([value + 1], target=0)
-        win.fence()
-        return int(win.local[0])
-
-    res = runk(main, 4)
-    assert res.values[0] == 80
-
-
-def test_shared_locks_allow_concurrent_readers():
-    def main(comm):
-        win = comm.win_create(np.arange(3, dtype=np.int64))
-        win.fence()
-        with win.locked(0, exclusive=False):
-            out = win.get(0).tolist()
-        win.fence()
-        return out
-
-    assert all(v == [0, 1, 2] for v in runk(main, 4).values)
-
-
 def test_bounds_checked():
     def main(comm):
         win = comm.win_create(np.zeros(2, dtype=np.int64))
@@ -156,16 +128,6 @@ def test_window_counted_in_pmpi():
         return True
 
     assert all(runk(main, 2).values)
-
-
-def test_unlock_without_lock_rejected():
-    def main(comm):
-        win = comm.win_create(np.zeros(1, dtype=np.int64))
-        win.fence()
-        win._raw.unlock(0)
-
-    with pytest.raises(RuntimeError, match="matching lock"):
-        runk(main, 1)
 
 
 def test_non_1d_window_rejected():

@@ -110,10 +110,9 @@ def test_every_declared_collective_matches_what_it_describes():
             assert getattr(RecordingComm, call.method).__module__ == (
                 "repro.mpi.ir.recorder")
     assert {n for n, c in CALLS.items() if not c.replay} == {
-        "probe", "iprobe", "win_create", "win_fence", "win_lock",
-        "win_unlock", "win_put", "win_get", "win_accumulate",
-        "win_fetch_and_op", "win_compare_and_swap", "win_free", "kill_self",
-        "comm_revoke", "comm_shrink", "comm_agree"}
+        "probe", "iprobe", "win_create", "win_fence", "win_put", "win_get",
+        "win_accumulate", "win_fetch_and_op", "win_compare_and_swap",
+        "win_free", "kill_self", "comm_revoke", "comm_shrink", "comm_agree"}
 
     # the op sets derived from the table are the ones once written out
     assert faultinject.OP_CATEGORIES["send"] == {"send", "ssend", "isend",
@@ -121,9 +120,8 @@ def test_every_declared_collective_matches_what_it_describes():
     assert faultinject.OP_CATEGORIES["recv"] == {"recv", "irecv", "probe",
                                                  "iprobe"}
     assert faultinject.OP_CATEGORIES["rma"] == {
-        "win_create", "win_fence", "win_lock", "win_unlock", "win_put",
-        "win_get", "win_accumulate", "win_fetch_and_op",
-        "win_compare_and_swap", "win_free"}
+        "win_create", "win_fence", "win_put", "win_get", "win_accumulate",
+        "win_fetch_and_op", "win_compare_and_swap", "win_free"}
     assert signatures.SEND_METHODS == {"send", "ssend", "isend", "issend"}
     assert signatures.RECV_METHODS == {"recv", "irecv"}
 

@@ -227,20 +227,19 @@ _PARKED_FOR = (0.100, 0.117, 0.133)
 
 
 def _wake_latency(block, wake, parked_for, expect, *, match=None,
-                  set_up=lambda comm: comm, run_raises=None, **run_kwargs):
-    """Seconds from rank 1's ``wake(comm)`` to rank 0 leaving ``block(on)``
-    with ``expect``, rank 0 having been parked for ``parked_for`` seconds;
-    ``on`` is what the collective ``set_up(comm)`` returned.  ``run_raises``:
-    what the run as a whole reports when ``wake`` is an exception."""
+                  run_raises=None, **run_kwargs):
+    """Seconds from rank 1's ``wake(comm)`` to rank 0 leaving ``block(comm)``
+    with ``expect``, rank 0 having been parked for ``parked_for`` seconds.
+    ``run_raises``: what the run as a whole reports when ``wake`` is an
+    exception."""
     shared = {}
 
     def main(comm):
-        on = set_up(comm)
         if comm.rank == 0:
             shared["parked"] = time.monotonic()
             try:
                 with pytest.raises(expect, match=match):
-                    block(on)
+                    block(comm)
             finally:
                 shared["left"] = time.monotonic()
             return
@@ -292,25 +291,11 @@ _PARKED_IN = {
     # the bindings re-raise rank 0's failure as their own type, chained: it
     # is still the consequence, not the cause
     "wrapped_recv": lambda comm: Communicator(comm).recv(source(1)),
-    # the holder of a passive-target lock dies with it
-    "win_lock": lambda win: win.lock(1),
     "waitany": _waitany_of_four,
     # NBX: a wildcard receive, a send rank 1 never matches, in one waitany
     "alltoallv_sparse": lambda comm: SparseComm(comm).alltoallv_sparse(
         {1: np.arange(3)}),
 }
-
-
-def _window_locked_by_rank_1(comm):
-    win = comm.win_create(np.zeros(1))
-    if comm.rank == 1:
-        win.lock(1)
-    comm.barrier()  # rank 0 asks for the lock only once rank 1 holds it
-    return win
-
-
-#: collective set-up both ranks run first; rank 0 parks on what it returns
-_SET_UP = {"win_lock": _window_locked_by_rank_1}
 
 
 @pytest.mark.parametrize("backend", [
@@ -320,15 +305,11 @@ def test_a_raising_peer_ends_the_wait_and_is_the_reported_root_cause(
         parked_in, backend):
     """Same behaviour on both backends: rank 0 does not ride the 2 s
     deadline, and the run reports rank 1's exception, not rank 0's."""
-    if parked_in == "win_lock" and backend == "process":
-        pytest.skip("RMA windows exist in one address space only")
-
     def main(comm):
-        on = _SET_UP.get(parked_in, lambda comm: comm)(comm)
         if comm.rank == 1:
             time.sleep(0.05)
             raise ValueError("rank 1 gives up")
-        _PARKED_IN[parked_in](on)
+        _PARKED_IN[parked_in](comm)
 
     t0 = time.monotonic()
     with pytest.raises(RuntimeError,
@@ -356,7 +337,6 @@ _WAITS = {
     "ssend": (_PARKED_IN["ssend"], "synchronous send pending"),
     "issend_wait": (_PARKED_IN["issend"], "synchronous send pending"),
     "ibarrier_wait": (_PARKED_IN["ibarrier"], "ibarrier pending"),
-    "win_lock": (_PARKED_IN["win_lock"], "win_lock pending"),
     # rank 1 never enters: rank 0 is parked on a receive of the schedule
     "collective": (lambda comm: comm.allreduce(1, SUM), "receive pending"),
     "waitany": (_PARKED_IN["waitany"], "waitany pending"),
@@ -382,8 +362,8 @@ def test_every_parked_wait_ends_at_once_whatever_the_cause(
 
     latency = _wake_latency(
         block, _CAUSES[cause], 0.03, expect, match=match,
-        set_up=_SET_UP.get(parked_in, lambda comm: comm), fuzz_seed=seed,
-        # a wait ended by revocation leaves its message or lock behind
+        fuzz_seed=seed,
+        # a wait ended by revocation leaves its message behind
         sanitize=False,
         # the run reports the cause, not its effect on rank 0
         run_raises="rank 1 raised ValueError" if cause == "raises" else None)

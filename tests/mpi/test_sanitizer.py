@@ -136,18 +136,6 @@ class TestDeliberateLeaks:
         assert rec.nbytes == 64
         assert "read-only" in rec.detail
 
-    def test_leaked_rma_lock_is_reported(self):
-        def main(comm):
-            win = comm.win_create(np.zeros(2, dtype=np.int64))
-            win.fence()
-            if comm.rank == 0:
-                win.lock(1)  # never unlocked
-
-        with pytest.raises(ResourceLeakError) as exc:
-            runp(main, 2, sanitize=True)
-        (rec,) = _leak_of(exc, "rma_lock")
-        assert rec.op == "win_lock" and rec.rank == 0 and rec.peer == 1
-
     def test_orphan_posted_recv_is_reported(self):
         """A mailbox-level posted receive with no owning tracked request."""
         auditor = ResourceAuditor()
@@ -223,19 +211,6 @@ class TestCleanRuns:
             comm.recv(source(0))
 
         assert not runk(main, 2, sanitize=True).leaks
-
-    def test_locked_then_unlocked_window_audits_clean(self):
-        def main(comm):
-            win = comm.win_create(np.zeros(2, dtype=np.int64))
-            win.fence()
-            if comm.rank == 0:
-                with win.locked(1):
-                    win.put([7], target=1)
-            win.fence()
-            return int(win.local[0])
-
-        res = runk(main, 2, sanitize=True)
-        assert not res.leaks and res.values[1] == 7
 
     def test_unsanitized_run_reports_nothing(self):
         def main(comm):
@@ -459,3 +434,31 @@ class TestScheduleFuzzer:
         assert minimize_failing_seeds(run, range(10)) == [0, 3, 6, 9]
         assert minimize_failing_seeds(run, range(10), stop_after=1) == [0]
         assert minimize_failing_seeds(run, [1, 2, 4]) == []
+
+
+def test_an_absent_hook_is_none(monkeypatch):
+    """An untraced, unsanitized run's machine holds ``None`` for its tracer
+    and auditor (no null objects), an untraced cluster's job trace is
+    ``[]``, and ``REPRO_SANITIZE=1`` still puts an auditor in that slot."""
+    from repro.service import Cluster
+
+    monkeypatch.delenv("REPRO_SANITIZE", raising=False)
+
+    def hooks(comm):
+        return comm.machine.tracer, comm.machine.auditor
+
+    assert runp(hooks, 2).values == [(None, None)] * 2
+    with Cluster(2) as cluster:
+        assert cluster.tracer is None and cluster.machine.auditor is None
+        job = cluster.submit_bcast(1)
+        assert job.result(20) == 1 and job.trace() == []
+
+    def leaky(comm):
+        if comm.rank == 0:
+            comm.irecv(source=1, tag=7)
+
+    monkeypatch.setenv("REPRO_SANITIZE", "1")  # audited on threads only
+    with pytest.raises(ResourceLeakError) as exc:
+        runp(leaky, 2, backend="thread")
+    (rec,) = _leak_of(exc, "request")
+    assert rec.op == "irecv" and rec.rank == 0 and rec.tag == 7

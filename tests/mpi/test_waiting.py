@@ -561,8 +561,7 @@ def test_one_park_loop_and_nobody_else_paces_a_wait():
             ("mpi/p2p.py", "Mailbox.wait"), ("mpi/p2p.py", "Mailbox.probe"),
             ("mpi/requests.py", "SyncSendRequest.wait"),
             ("mpi/requests.py", "CounterBarrierRequest.wait"),
-            ("mpi/machine.py", "Machine.rendezvous"),
-            ("mpi/rma.py", "RawWindow.lock")]:
+            ("mpi/machine.py", "Machine.rendezvous")]:
         fn = _functions(src / file)[name]
         assert not any(isinstance(n, ast.While) for n in ast.walk(fn)), name
         assert sum(isinstance(n, ast.Call)
