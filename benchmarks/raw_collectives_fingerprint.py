@@ -7,8 +7,10 @@ runs traced and under ``ir="record"`` at p ∈ {1, 2, 3, 4, 7} with root ∈
 ``issend``, the probes, ``dup``, ``split`` and a dist-graph communicator) at
 the same p, under ``ir="record"`` and — without the probes, which the IR
 refuses — under ``ir="optimize"``, whose rewritten nodes and replay are
-printed too.  Every per-rank value, virtual clock, PMPI count, trace event
-and journalled IR node is printed one per line.  A refactor of the raw layer
+printed too.  Both programs also run plain — untraced, no IR — so that a
+shortcut taken only when nothing observes the run is covered as well.
+Every per-rank value, virtual clock (and, plain, communication seconds),
+PMPI count, trace event and journalled IR node is printed one per line.  A refactor of the raw layer
 is behaviour-preserving when the output of two commits is identical::
 
     PYTHONPATH=src python benchmarks/raw_collectives_fingerprint.py > change.txt
@@ -133,17 +135,27 @@ def show(res, p: int, prefix: str = "") -> None:
     for r in range(p):
         print(f"{prefix}value[{r}]", plain(res.values[r]))
         print(f"{prefix}clock[{r}]", res.times[r].hex())
+        if res.trace is None:
+            print(f"{prefix}comm_seconds[{r}]", res.comm_seconds[r].hex())
         print(f"{prefix}counts[{r}]", sorted(res.counts[r].items()))
-        for e in res.trace.events_for(r):
-            print(f"{prefix}event[{r}]", plain(e))
+        if res.trace is not None:
+            for e in res.trace.events_for(r):
+                print(f"{prefix}event[{r}]", plain(e))
 
 
-def run(fn, p: int, args: tuple, ir: str):
-    return run_mpi(fn, p, args=args, trace=True, ir=ir,
+def run(fn, p: int, args: tuple, ir: str | None):
+    """``ir=None``: the plain run, untraced."""
+    return run_mpi(fn, p, args=args, trace=ir is not None, ir=ir,
                    engine=CollectiveEngine(CostModel(), env={}))
 
 
 def main() -> None:
+    for p in PS:
+        for root in sorted({0, p - 1}):
+            print(f"== plain p={p} root={root}")
+            show(run(program, p, (root,), None), p, "plain.")
+        print(f"== plain p2p p={p}")
+        show(run(p2p_program, p, (True,), None), p, "plain.")
     for p in PS:
         for root in sorted({0, p - 1}):
             res = run(program, p, (root,), "record")

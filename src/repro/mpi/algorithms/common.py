@@ -1,7 +1,7 @@
 """Shared helpers for the collective schedules.
 
 The op codes are folded into the reserved negative tag space by
-:func:`repro.mpi.constants.collective_tag`; tag *uniqueness* comes from the
+``RawComm._next_coll_tag``; tag *uniqueness* comes from the
 per-communicator sequence number, so multi-phase schedules simply yield one
 ``Tag`` step per phase — every rank yields them in the same order.
 """
@@ -59,6 +59,8 @@ def _fits(block: Any, src: int, limit: int, what: str) -> np.ndarray:
 
 def _combine(op: Op, a: Any, b: Any) -> Any:
     """Apply ``op`` elementwise, preserving array-ness of the inputs."""
+    if type(a) is np.ndarray and type(b) is np.ndarray:
+        return op.fn(a, b)  # Op.__call__, without its frame
     if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
         return op(np.asarray(a), np.asarray(b))
     return op(a, b)

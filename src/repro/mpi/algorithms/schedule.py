@@ -15,11 +15,10 @@ from __future__ import annotations
 
 from collections import defaultdict, deque
 from dataclasses import dataclass
-from operator import attrgetter
 from typing import Any, Callable, Dict, Generator, Optional, Tuple
 
 from repro.mpi.errors import RawUsageError
-from repro.mpi.p2p import Envelope, PendingRecv
+from repro.mpi.p2p import PendingRecv
 from repro.mpi.requests import RawRequest
 
 
@@ -54,20 +53,20 @@ class Topology:
 
 
 Schedule = Callable[..., Generator[Any, Any, Any]]
-_envelope = attrgetter("envelope")  # Run.test: None until the receive matched
 
 
 class Run(RawRequest):
     """One collective call in flight on one rank.
 
-    One stepping loop, :meth:`_advance`, entered with the function that
-    completes a posted receive: ``wait()`` passes ``Mailbox.wait`` and so runs
-    to the end, blocking on one pending receive at a time; ``test()`` reads
-    its envelope and stops at the first receive that has not arrived;
-    ``start()`` completes none — it runs up to and including the first posted
-    receive (buffered sends before it depart at once) without looking at the
-    mailbox, so starting is deterministic.  ``code`` replaces the op code of
-    the schedule's tags (the non-blocking collectives draw under their own).
+    One stepping loop, :meth:`_advance`, entered with how far it may go past
+    a posted receive that has not matched: ``wait()`` parks on it
+    (``Mailbox.wait``) and so runs to the end, blocking on one pending
+    receive at a time; ``test()`` stops at the first receive that has not
+    arrived; ``start()`` completes none — it runs up to and including the
+    first posted receive (buffered sends before it depart at once) without
+    looking at what it matched, so starting is deterministic.  ``code``
+    replaces the op code of the schedule's tags (the non-blocking
+    collectives draw under their own).
     """
 
     def __init__(self, comm, steps: Generator, code: Optional[int] = None):
@@ -82,12 +81,15 @@ class Run(RawRequest):
         self._done = False
         self._value: Any = None
 
-    def _advance(self, complete: Callable[[PendingRecv], Optional[Envelope]]
-                 ) -> bool:
+    def _advance(self, block: Optional[bool]) -> bool:
+        """Step until done, or until a pending receive stops it: at once
+        (``block`` ``None``), if it has not matched (``False``), never
+        (``True``: park until it has)."""
         if self._done:
             return True
         comm = self._comm
         clock = comm.clock
+        overhead = clock.model.overhead
         faults = comm.machine.faults
         send = self._steps.send
         pending = self._pending
@@ -95,13 +97,21 @@ class Run(RawRequest):
         try:
             while True:
                 if pending is not None:
+                    if block is None:
+                        return False
+                    env = pending.envelope
+                    if env is None:
+                        if not block:
+                            return False
+                        env = self._mailbox.wait(pending)
                     # what RawComm._recv charges: posted at clock.now,
                     # wait_until(arrival), one overhead
-                    env = complete(pending)
-                    if env is None:
-                        return False
-                    clock.wait_until(env.arrival_time)
-                    clock.charge_overhead()
+                    t = env.arrival_time
+                    if t > clock.now:
+                        clock.comm_seconds += t - clock.now
+                        clock.now = t
+                    clock.now += overhead
+                    clock.comm_seconds += overhead
                     answer = env.payload
                     pending = None
                 step = send(answer)
@@ -130,18 +140,18 @@ class Run(RawRequest):
             return True
 
     def start(self) -> "Run":
-        self._advance(lambda pending: None)
+        self._advance(None)
         return self
 
     def wait(self) -> Any:
-        self._advance(self._mailbox.wait)
+        self._advance(True)
         return self._value
 
     def test(self) -> tuple[bool, Any]:
-        return self._advance(_envelope), self._value
+        return self._advance(False), self._value
 
     def blocked_on(self):
-        return self._pending.gate, (self._pending.source,)
+        return self._pending, (self._pending.source,)
 
     def audit_state(self) -> str:
         return "completed" if self._done else "pending"

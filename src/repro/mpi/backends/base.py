@@ -11,7 +11,7 @@ decides where the ranks live and supplies:
 - the **machine**: one ``Machine`` for all ranks where they share an address
   space, or one per rank built over a **transport** where they do not (the
   five names ``Machine`` documents; the transport calls back with what
-  arrives: ``Mailbox.deliver``, ``ArrivalBarrier.record`` / ``complete``,
+  arrives: ``Mailbox.deposit``, ``ArrivalBarrier.record`` / ``complete``,
   ``Machine.mark_failed``);
 - one :class:`RankReport` per rank, handed to :meth:`Backend.finish`, the
   epilogue every ``run()`` ends in.

@@ -44,8 +44,8 @@ payload raises without leaving half a frame behind.  No send-time
 :func:`~repro.mpi.datatypes.snapshot` is taken — that is :meth:`Mailbox.deposit
 <repro.mpi.p2p.Mailbox.deposit>`'s job, where sender and receiver share
 memory; here the blocking write has copied the bytes out of the caller's
-buffer before the send returns, and the pump hands what it read to
-:meth:`~repro.mpi.p2p.Mailbox.deliver` without copying it again.  What
+buffer before the send returns, and the pump deposits what it read as
+``fresh``, which :meth:`~repro.mpi.p2p.Mailbox.deposit` does not copy again.  What
 arrives is what a snapshot would be: same dtype, shape and memory order,
 private, and writeable even if the sent array was not.  The array frame gives
 that by construction; pickle would carry a buffer's read-only flag across, so
@@ -330,8 +330,8 @@ class _Ring:
 class _AckGate:
     """Receiver-side stand-in for a synchronous send's match gate.
 
-    :meth:`~repro.mpi.p2p.PendingRecv.complete` stamps ``env.match_clock``
-    and calls ``sync_gate.open()``; here ``open()`` ships the ack back to the
+    The match (:meth:`~repro.mpi.p2p.Mailbox.deposit` or ``post``) stamps
+    ``env.match_clock`` and calls ``sync_gate.open()``; here ``open()`` ships the ack back to the
     sender, whose transport opens the *sender's* local envelope's (real)
     :class:`~repro.mpi.waiting.Gate`, unblocking its ``SyncSendRequest``.
     """
@@ -541,7 +541,7 @@ class _Transport:
                 env.sync_gate = _AckGate(
                     self, state.members[source], token, env)
             # freshly read off the pipe, referenced by nobody else: no snapshot
-            state.mailboxes[state.local_of_world[self.rank]].deliver(env)
+            state.mailboxes[state.local_of_world[self.rank]].deposit(env, True)
         elif kind == "bar":
             state.barrier.record(msg[2], msg[3])
         elif kind == "bardone":

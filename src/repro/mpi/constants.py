@@ -23,19 +23,13 @@ WORLD_ID = "world"
 #: runtime's internal collective protocols.
 TAG_UB: int = 2**20
 
-#: Base offset for internal collective tags.  A collective call with sequence
-#: number ``seq`` and operation code ``code`` uses tag
-#: ``-(_COLL_TAG_BASE + seq * _COLL_TAG_STRIDE + code)``, which can never
-#: collide with user tags (user tags must be non-negative).
+#: Base offset for internal collective tags.  A collective phase with
+#: sequence number ``seq`` and operation code ``code`` uses tag
+#: ``-(_COLL_TAG_BASE + seq * _COLL_TAG_STRIDE + code)``
+#: (``RawComm._next_coll_tag``), which can never collide with user tags (user
+#: tags must be non-negative).
 _COLL_TAG_BASE: int = 1_000_000
 _COLL_TAG_STRIDE: int = 64
-
-
-def collective_tag(seq: int, code: int) -> int:
-    """Return the reserved internal tag for collective ``code`` at epoch ``seq``."""
-    if not 0 <= code < _COLL_TAG_STRIDE:
-        raise ValueError(f"collective op code out of range: {code}")
-    return -(_COLL_TAG_BASE + seq * _COLL_TAG_STRIDE + code)
 
 
 def validate_user_tag(tag: int) -> int:

@@ -16,11 +16,14 @@ from types import SimpleNamespace
 from typing import Any, Hashable, Optional, Sequence
 
 import numpy as np
+from numpy import ndarray
 
 from repro.mpi import nbc
 from repro.mpi.algorithms import SINGLETON, Algorithm
 from repro.mpi.collectives import COLLECTIVES, Collective
-from repro.mpi.constants import ANY_SOURCE, ANY_TAG, PROC_NULL, collective_tag, validate_user_tag
+from repro.mpi.constants import (
+    _COLL_TAG_BASE, _COLL_TAG_STRIDE, ANY_SOURCE, ANY_TAG, PROC_NULL,
+    validate_user_tag)
 from repro.mpi.costmodel import Clock
 from repro.mpi.datatypes import payload_nbytes
 from repro.mpi.errors import (
@@ -123,29 +126,39 @@ class RawComm:
         """Resolve which algorithm runs one collective call.
 
         Singleton communicators always take the pure-local fast path (even
-        under forced selection).  Otherwise the machine's engine decides; the
+        under forced selection).  Otherwise the machine's engine decides —
+        once per ``(op, communicator)`` where nothing but those decides
+        (``CollectiveEngine.decided``); scoped rules always ask.  The
         ``nbytes`` hint — taken from ``args`` as the op's declaration says
         (:mod:`repro.mpi.collectives`) — is only computed when some configured
         policy will look at it, so the pure-default hot path sizes no payload.
         """
-        if self.state.size == 1:
+        state = self.state
+        if state.size == 1:
             algo = SINGLETON.get(op)
             if algo is not None:
                 return algo
-        engine = self.machine.engine
+        machine = self.machine
+        engine = machine.engine
         scoped = self._coll_tuning.get(op)
-        nbytes = 0
-        if args and engine.size_sensitive(op, self.comm_id, scoped=scoped):
-            call = COLLECTIVES[op]
-            if call.hint == "payload":
-                nbytes = _sum_payload_bytes(args[0])
-            elif call.hint is not None:
-                counts = args[call.params.index(call.hint)]
-                nbytes = int(np.sum(counts)) * np.asarray(args[0]).itemsize
-        algo = engine.resolve(op, p=self.state.size, nbytes=nbytes,
-                              comm_id=self.comm_id, scoped=scoped)
-        if self.machine.faults is not None:
-            self.machine.faults.on_collective(self, op, algo.name)
+        key = (op, state.comm_id)
+        algo = engine.decided.get(key) if scoped is None else None
+        if algo is None:
+            sized = engine.size_sensitive(op, state.comm_id, scoped=scoped)
+            nbytes = 0
+            if args and sized:
+                call = COLLECTIVES[op]
+                if call.hint == "payload":
+                    nbytes = _sum_payload_bytes(args[0])
+                elif call.hint is not None:
+                    counts = args[call.params.index(call.hint)]
+                    nbytes = int(np.sum(counts)) * np.asarray(args[0]).itemsize
+            algo = engine.resolve(op, p=state.size, nbytes=nbytes,
+                                  comm_id=state.comm_id, scoped=scoped)
+            if not sized and scoped is None:
+                engine.decided[key] = algo
+        if machine.faults is not None:
+            machine.faults.on_collective(self, op, algo.name)
         return algo
 
     def _check_usable(self) -> None:
@@ -163,9 +176,14 @@ class RawComm:
             raise RawProcessFailure([members[rank]])
 
     def _next_coll_tag(self, code: int) -> int:
-        tag = collective_tag(self._coll_seq, code)
-        self._coll_seq += 1
-        return tag
+        """The reserved tag of this rank's next collective phase under op
+        ``code``: ``-(base + seq * stride + code)``, never a user tag (those
+        are non-negative), unique per phase by the sequence number."""
+        if not 0 <= code < _COLL_TAG_STRIDE:
+            raise ValueError(f"collective op code out of range: {code}")
+        seq = self._coll_seq
+        self._coll_seq = seq + 1
+        return -(_COLL_TAG_BASE + seq * _COLL_TAG_STRIDE + code)
 
     # -- internal point-to-point (uncounted; also the schedule driver's steps) --
 
@@ -178,12 +196,17 @@ class RawComm:
             self._check_peer(dest)  # the full check, only where it can raise
         clock = self.clock
         model = machine.cost_model
-        nbytes = payload_nbytes(payload)
-        clock.charge_overhead()
+        # payload_nbytes, charge_overhead and transfer_time, without their
+        # frames per message: the same float operations in the same order
+        nbytes = (payload.nbytes if type(payload) is ndarray
+                  else payload_nbytes(payload))
+        overhead = clock.model.overhead
+        clock.now += overhead
+        clock.comm_seconds += overhead
         if packed:
             arrival = clock.now + model.packed_transfer_time(nbytes)
         else:
-            arrival = clock.now + model.transfer_time(nbytes)
+            arrival = clock.now + (model.alpha + nbytes * model.beta)
         auditor = machine.auditor
         env = Envelope(self._rank, tag, payload, nbytes, arrival,
                        Gate() if sync else None, 0.0,
@@ -200,8 +223,14 @@ class RawComm:
         env = pr.envelope
         if env is None:  # not queued already: park until it arrives
             env = mb.wait(pr)
-        clock.wait_until(env.arrival_time)
-        clock.charge_overhead()
+        # wait_until(arrival) and charge_overhead, inline
+        t = env.arrival_time
+        if t > clock.now:
+            clock.comm_seconds += t - clock.now
+            clock.now = t
+        overhead = clock.model.overhead
+        clock.now += overhead
+        clock.comm_seconds += overhead
         return env.payload, Status(env.source, env.tag, env.nbytes)
 
     # -- point-to-point (public, counted) -----------------------------------
@@ -224,7 +253,8 @@ class RawComm:
         self._check_usable()
         if dest == PROC_NULL:
             return
-        with self._span("ssend", peers=(dest,), tag=tag, payload=payload):
+        with (_NULL_SPAN if self.machine.tracer is None else
+              self._span("ssend", peers=(dest,), tag=tag, payload=payload)):
             env = self._deposit(payload, dest, validate_user_tag(tag), sync=True)
             SyncSendRequest(env, self.clock, self.state.waits, dest).wait()
 
@@ -247,7 +277,8 @@ class RawComm:
         self._check_usable()
         if dest == PROC_NULL:
             return CompletedRequest()
-        with self._span("issend", peers=(dest,), tag=tag, payload=payload):
+        with (_NULL_SPAN if self.machine.tracer is None else
+              self._span("issend", peers=(dest,), tag=tag, payload=payload)):
             env = self._deposit(payload, dest, validate_user_tag(tag), sync=True)
         req = SyncSendRequest(env, self.clock, self.state.waits, dest)
         auditor = self.machine.auditor
@@ -320,7 +351,8 @@ class RawComm:
         """Blocking probe: wait for a matching message without receiving it."""
         self._count("probe")
         self._check_usable()
-        with self._span("probe", peers=_peer(source), tag=tag) as sp:
+        with (_NULL_SPAN if self.machine.tracer is None else
+              self._span("probe", peers=_peer(source), tag=tag)) as sp:
             env = self.state.mailboxes[self._rank].probe(source, validate_user_tag(tag))
             sp.set(peers=(env.source,), tag=env.tag)
         return Status(env.source, env.tag, env.nbytes)
@@ -330,7 +362,8 @@ class RawComm:
         """Non-blocking probe."""
         self._count("iprobe")
         self._check_usable()
-        with self._span("iprobe", peers=_peer(source), tag=tag) as sp:
+        with (_NULL_SPAN if self.machine.tracer is None else
+              self._span("iprobe", peers=_peer(source), tag=tag)) as sp:
             env = self.state.mailboxes[self._rank].iprobe(source, validate_user_tag(tag))
             if env is not None:
                 sp.set(peers=(env.source,), tag=env.tag)
@@ -348,7 +381,8 @@ class RawComm:
         """Non-blocking barrier."""
         self._count("ibarrier")
         self._check_usable()
-        with self._span("ibarrier", peers="all"):
+        with (_NULL_SPAN if self.machine.tracer is None else
+              self._span("ibarrier", peers="all")):
             epoch = self._ibarrier_epoch
             self._ibarrier_epoch += 1
             self.clock.charge_overhead()
@@ -504,7 +538,8 @@ class RawComm:
         """Duplicate the communicator (collective)."""
         self._count("comm_dup")
         self._check_usable()
-        with self._span("comm_dup", peers="all"):
+        with (_NULL_SPAN if self.machine.tracer is None else
+              self._span("comm_dup", peers="all")):
             seq = self._mgmt_seq
             self._mgmt_seq += 1
             new_id = (self.comm_id, "dup", seq)
@@ -521,7 +556,8 @@ class RawComm:
         """
         self._count("comm_split")
         self._check_usable()
-        with self._span("comm_split", peers="all"):
+        with (_NULL_SPAN if self.machine.tracer is None else
+              self._span("comm_split", peers="all")):
             seq = self._mgmt_seq
             self._mgmt_seq += 1
             entry = (color, key if key is not None else self._rank, self._rank)
@@ -540,7 +576,8 @@ class RawComm:
         """Create a neighborhood-topology communicator (``MPI_Dist_graph_create_adjacent``)."""
         self._count("dist_graph_create_adjacent")
         self._check_usable()
-        with self._span("dist_graph_create_adjacent", peers="all"):
+        with (_NULL_SPAN if self.machine.tracer is None else
+              self._span("dist_graph_create_adjacent", peers="all")):
             seq = self._mgmt_seq
             self._mgmt_seq += 1
             new_id = (self.comm_id, "graph", seq)
@@ -563,7 +600,8 @@ class RawComm:
         self._check_usable()
         seq = self._mgmt_seq
         self._mgmt_seq += 1
-        with self._span("win_create", peers="all"):
+        with (_NULL_SPAN if self.machine.tracer is None else
+              self._span("win_create", peers="all")):
             return RawWindow(self, local, (self.comm_id, "win", seq))
 
     # -- failure handling (substrate for the ULFM plugin) -------------------------
@@ -579,7 +617,8 @@ class RawComm:
         """ULFM ``MPI_Comm_revoke``: mark the communicator unusable everywhere."""
         self.machine.require("ulfm", "ULFM revocation (comm_revoke)")
         self._count("comm_revoke")
-        with self._span("comm_revoke", peers="all"):
+        with (_NULL_SPAN if self.machine.tracer is None else
+              self._span("comm_revoke", peers="all")):
             self.state.revoke()
 
     @property
@@ -597,7 +636,8 @@ class RawComm:
         """ULFM ``MPI_Comm_shrink``: agree on survivors, build a new communicator."""
         self.machine.require("ulfm", "ULFM shrink (comm_shrink)")
         self._count("comm_shrink")
-        with self._span("comm_shrink", peers="all"):
+        with (_NULL_SPAN if self.machine.tracer is None else
+              self._span("comm_shrink", peers="all")):
             alive, _ = self.machine.rendezvous(self.state, generation,
                                                self.world_rank)
             new_id = (self.comm_id, "shrink", generation, alive)
@@ -608,7 +648,8 @@ class RawComm:
         """ULFM ``MPI_Comm_agree`` (restricted to alive members): logical AND."""
         self.machine.require("ulfm", "ULFM agreement (comm_agree)")
         self._count("comm_agree")
-        with self._span("comm_agree", peers="all"):
+        with (_NULL_SPAN if self.machine.tracer is None else
+              self._span("comm_agree", peers="all")):
             return self.machine.rendezvous(
                 self.state, ("agree", generation), self.world_rank, flag,
                 "agree")[1]

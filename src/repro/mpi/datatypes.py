@@ -45,6 +45,7 @@ def payload_nbytes(obj: Any) -> int:
 
     Exact for arrays and byte strings; for general Python objects the pickled
     size is used (this is also what the serialization layer would transmit).
+    ``RawComm._deposit`` reads an exact ``ndarray``'s ``nbytes`` itself.
     """
     if isinstance(obj, np.ndarray):
         return obj.nbytes
@@ -74,7 +75,8 @@ def snapshot(obj: Any) -> Any:
     payloads.  Immutable objects are passed through unchanged.  An array
     keeps its memory order (``"A"``: Fortran if only Fortran-contiguous,
     else C), which is also what a pickle round trip through the process
-    backend's pipes delivers.
+    backend's pipes delivers.  ``Mailbox.deposit`` copies an exact
+    ``ndarray`` so itself.
     """
     if isinstance(obj, np.ndarray):
         return obj.copy(order="A")

@@ -2,7 +2,9 @@
 Open MPI ``coll_tuned`` decision tables).
 
 A :class:`CollectiveEngine` is attached to a :class:`~repro.mpi.machine.
-Machine` and consulted once per collective call.  Selection precedence:
+Machine` and consulted per collective call — once per ``(op, comm_id)``
+where nothing else decides (:attr:`CollectiveEngine.decided`).  Selection
+precedence:
 
 1. **Forced** algorithm: constructor ``overrides={'bcast': 'linear'}``, then
    ``REPRO_COLL_<OP>=<algo>`` environment variables (e.g.
@@ -125,6 +127,11 @@ class CollectiveEngine:
         }
         self._tuning: dict[tuple[Hashable, str], tuple[TuningRule, ...]] = {}
         self._tuning_source: dict[tuple[Hashable, str], str] = {}
+        #: ``(op, comm_id)`` -> the algorithm a call resolved to where nothing
+        #: else decides it: no scoped rules, no size-bucketed rule, not the
+        #: ``costmodel`` policy.  ``RawComm._coll_algo`` reads it first and
+        #: fills it; :meth:`install_tuning` clears it
+        self.decided: dict[tuple[str, Hashable], Algorithm] = {}
 
     # -- tuning table --------------------------------------------------------
 
@@ -203,6 +210,7 @@ class CollectiveEngine:
         rules = self.check_rules(op, selection)
         self._tuning[(comm_id, op)] = rules
         self._tuning_source[(comm_id, op)] = source
+        self.decided.clear()
         return rules
 
     def rules(self, comm_id: Hashable, op: str) -> Optional[tuple[TuningRule, ...]]:

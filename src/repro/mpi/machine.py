@@ -47,6 +47,7 @@ class CommState:
         self.comm_id = comm_id
         #: world ranks of the members; local rank == index
         self.members: tuple[int, ...] = tuple(members)
+        self.size = len(self.members)
         self.local_of_world = {w: i for i, w in enumerate(self.members)}
         #: what every blocking wait on this communicator looks at when woken
         self.waits = WaitContext(machine.deadline, machine, self.members)
@@ -66,10 +67,6 @@ class CommState:
         """Mark the communicator unusable and wake its parked members."""
         self.waits.revoked = True
         self.waits.interrupt()
-
-    @property
-    def size(self) -> int:
-        return len(self.members)
 
 
 @dataclass

@@ -27,10 +27,14 @@ def start(comm, call: Collective, args: tuple) -> Run:
     comm._count(op)
     comm._check_usable()
     schedule = algorithms.default(call.name).schedule
-    with comm._span(op, peers=call.span_peers(args),
-                    payload=call.payload(comm.rank, args)) as sp:
-        req = Run(comm, schedule(comm.size, comm.rank, *args), code).start()
-        sp.set(tag=req.tag)
+    steps = schedule(comm.state.size, comm._rank, *args)
+    if comm.machine.tracer is None:
+        req = Run(comm, steps, code).start()
+    else:
+        with comm._span(op, peers=call.span_peers(args),
+                        payload=call.payload(comm._rank, args)) as sp:
+            req = Run(comm, steps, code).start()
+            sp.set(tag=req.tag)
     auditor = comm.machine.auditor
     if auditor is not None:
         auditor.track_request(req, comm, op=op, tag=req.tag)

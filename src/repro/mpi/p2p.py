@@ -12,9 +12,9 @@ completes once the receiver has matched the message, which is what the NBX
 sparse all-to-all algorithm (plugins) relies on for its termination protocol.
 
 Both queues and the parked probes live under one raw ``_thread`` lock.  The
-mailbox only matches: a receive or a probe that finds nothing gets a gate,
-which the matching delivery opens; *waiting* on it — deadline, failed source,
-revocation — is :meth:`~repro.mpi.waiting.WaitContext.park`.
+mailbox only matches: a receive or a probe that finds nothing is queued as
+its own gate, which the matching delivery opens; *waiting* on it — deadline,
+failed source, revocation — is :meth:`~repro.mpi.waiting.WaitContext.park`.
 """
 
 from __future__ import annotations
@@ -22,6 +22,8 @@ from __future__ import annotations
 from _thread import allocate_lock
 from dataclasses import dataclass
 from typing import Any, Optional
+
+from numpy import ndarray
 
 from repro.mpi.constants import ANY_SOURCE, ANY_TAG
 from repro.mpi.datatypes import snapshot
@@ -65,36 +67,42 @@ class Envelope:
     origin: tuple = ()
 
     def matches(self, source: int, tag: int) -> bool:
-        """The matching rule (``Mailbox.deliver`` / ``post`` inline it)."""
+        """The matching rule (``Mailbox.deposit`` / ``post`` inline it)."""
         return (source == ANY_SOURCE or source == self.source) and (
             tag == ANY_TAG or tag == self.tag
         )
 
 
-class PendingRecv:
-    """A posted receive — or a parked probe — waiting for a matching envelope."""
+class PendingRecv(Gate):
+    """A posted receive — or a parked probe — and the gate its waiter parks on.
 
-    __slots__ = ("source", "tag", "post_clock", "envelope", "gate",
-                 "cancelled", "origin")
+    Built matched (``envelope`` given: open, with no lock, never parked on) or
+    queued (closed, with its own lock); a queued one is completed by the
+    delivery that matches it, under the mailbox's lock, or opened cancelled.
+    """
 
-    def __init__(self, source: int, tag: int, post_clock: float):
+    __slots__ = ("source", "tag", "post_clock", "envelope", "cancelled",
+                 "origin")
+
+    def __init__(self, source: int, tag: int, post_clock: float,
+                 envelope: Optional[Envelope] = None):
         self.source = source
         self.tag = tag
         self.post_clock = post_clock
-        self.envelope: Optional[Envelope] = None
-        #: what a queued receive parks on (``None`` if an envelope was there
-        #: when it was posted); opened under the mailbox's lock
-        self.gate: Optional[Gate] = None
+        self.envelope = envelope
         self.cancelled = False
         #: creation backtrace (sanitized runs only; see MPIsan)
         self.origin: tuple = ()
+        if envelope is None:
+            Gate.__init__(self)
+        else:
+            self.opened = True
 
-    def complete(self, env: Envelope) -> None:
-        """The match, under the mailbox's lock; tells a synchronous sender."""
-        self.envelope = env
-        if env.sync_gate is not None:
-            env.match_clock = max(env.arrival_time, self.post_clock)
-            env.sync_gate.open()
+
+def _tell_sender(env: Envelope, post_clock: float) -> None:
+    """A synchronous send was matched by a receive posted at ``post_clock``."""
+    env.match_clock = max(env.arrival_time, post_clock)
+    env.sync_gate.open()
 
 
 class Mailbox:
@@ -112,53 +120,66 @@ class Mailbox:
 
     # -- sending ----------------------------------------------------------
 
-    def deposit(self, env: Envelope) -> None:
-        """The sender's entry, one call per message: this mailbox shares the
-        sender's memory, so buffered-send semantics need a private copy of
-        the payload (the caller may mutate its buffer once the send returns).
-        """
-        env.payload = snapshot(env.payload)
-        self.deliver(env)
-
-    def deliver(self, env: Envelope) -> None:
+    def deposit(self, env: Envelope, fresh: bool = False) -> None:
         """Match the oldest compatible posted receive, else queue the envelope.
 
-        Entered directly only with a payload nobody else references (the
-        process backend's pump, holding a freshly unpickled one).
+        One call per message.  This mailbox shares the sender's memory, so
+        buffered-send semantics need a private copy of the payload (the caller
+        may mutate its buffer once the send returns) — unless it is ``fresh``:
+        referenced by nobody else, as the process backend's pump holds a
+        freshly unpickled one.
         """
+        if not fresh:
+            payload = env.payload
+            env.payload = (payload.copy(order="A") if type(payload) is ndarray
+                           else snapshot(payload))
         fuzz = self.waits.fuzz
         if fuzz is not None:  # perturbs delivery timing, never virtual time
             fuzz.pause("deposit")
         source, tag = env.source, env.tag
         with self._lock:
-            for i, pr in enumerate(self._posted):
-                if (pr.source == source or pr.source == ANY_SOURCE) and (
-                        pr.tag == tag or pr.tag == ANY_TAG):
-                    del self._posted[i]
-                    pr.complete(env)
-                    pr.gate.open()
-                    return
+            posted = self._posted
+            if posted:
+                for i, pr in enumerate(posted):
+                    if (pr.source == source or pr.source == ANY_SOURCE) and (
+                            pr.tag == tag or pr.tag == ANY_TAG):
+                        del posted[i]
+                        if env.sync_gate is not None:
+                            _tell_sender(env, pr.post_clock)
+                        pr.envelope = env
+                        # Gate.open, without its frame per message
+                        pr.opened = True
+                        lock = pr._lock
+                        if lock.locked():
+                            try:
+                                lock.release()
+                            except RuntimeError:
+                                pass
+                        return
             self._unexpected.append(env)
             if self._probes:  # parked probes only ever look at this queue
                 for probe in [p for p in self._probes
                               if env.matches(p.source, p.tag)]:
                     self._probes.remove(probe)
                     probe.envelope = env
-                    probe.gate.open()
+                    probe.open()
 
     # -- receiving --------------------------------------------------------
 
     def post(self, source: int, tag: int, post_clock: float) -> PendingRecv:
-        """Post a receive; matches an unexpected envelope immediately if present."""
-        pr = PendingRecv(source, tag, post_clock)
+        """Post a receive: matched at once by the oldest compatible unexpected
+        envelope if there is one, else queued with a gate to park on."""
         with self._lock:
-            for i, env in enumerate(self._unexpected):
-                if (source == env.source or source == ANY_SOURCE) and (
-                        tag == env.tag or tag == ANY_TAG):
-                    del self._unexpected[i]
-                    pr.complete(env)
-                    return pr
-            pr.gate = Gate()
+            unexpected = self._unexpected
+            if unexpected:
+                for i, env in enumerate(unexpected):
+                    if (source == env.source or source == ANY_SOURCE) and (
+                            tag == env.tag or tag == ANY_TAG):
+                        del unexpected[i]
+                        if env.sync_gate is not None:
+                            _tell_sender(env, post_clock)
+                        return PendingRecv(source, tag, post_clock, env)
+            pr = PendingRecv(source, tag, post_clock)
             self._posted.append(pr)
         return pr
 
@@ -170,12 +191,9 @@ class Mailbox:
         deadline end it as :meth:`WaitContext.park` says, each first
         cancelling the receive — or, if an envelope matched it meanwhile
         (``MPI_Cancel`` cannot undo a match), delivering that instead."""
-        env = pr.envelope
-        if env is not None:
-            return env  # matched by post() or since: nothing to wait for
         source = pr.source  # any failure may leave a wildcard recv stuck
-        self.waits.park(pr.gate, None if source < 0 else (source,), doing,
-                        stuck, self.cancel, pr)
+        self.waits.park(pr, None if source < 0 else (source,), doing, stuck,
+                        self.cancel, pr)
         if pr.envelope is None:
             # only reachable by waiting on a receive cancelled elsewhere
             raise RawUsageError("wait() on a cancelled receive")
@@ -195,7 +213,7 @@ class Mailbox:
             for queue in (self._posted, self._probes):
                 if pr in queue:
                     queue.remove(pr)
-            pr.gate.open()  # wake any waiter; it observes the cancellation
+            pr.open()  # wake any waiter; it observes the cancellation
             return True
 
     # -- probing ----------------------------------------------------------
@@ -213,12 +231,11 @@ class Mailbox:
 
         A probe that finds nothing parks an entry which the first matching
         envelope to be *queued* completes, and waits on it like a receive."""
-        probe = PendingRecv(source, tag, 0.0)
         with self._lock:
             for env in self._unexpected:
                 if env.matches(source, tag):
                     return env
-            probe.gate = Gate()
+            probe = PendingRecv(source, tag, 0.0)
             self._probes.append(probe)
         return self.wait(probe, "probing", _PROBE_STUCK)
 

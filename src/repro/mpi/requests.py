@@ -117,7 +117,9 @@ class RecvRequest(RawRequest):
 
     def wait(self) -> tuple[Any, Status]:
         if self._result is None:  # Mailbox.wait refuses a cancelled one
-            env = self._mailbox.wait(self._pr)
+            env = self._pr.envelope
+            if env is None:
+                env = self._mailbox.wait(self._pr)
             self._result = self._consume(env)
         return self._result
 
@@ -150,7 +152,7 @@ class RecvRequest(RawRequest):
 
     def blocked_on(self) -> tuple[Gate, Optional[Collection[int]]]:
         source = self._pr.source
-        return self._pr.gate, None if source < 0 else (source,)
+        return self._pr, None if source < 0 else (source,)
 
     def _consume(self, env: Envelope) -> tuple[Any, Status]:
         self._clock.wait_until(env.arrival_time)

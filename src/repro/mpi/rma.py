@@ -26,6 +26,7 @@ import numpy as np
 
 from repro.mpi.errors import RawUsageError
 from repro.mpi.ops import Op, SUM
+from repro.mpi.tracing import _NULL_SPAN
 
 
 class _WindowState:
@@ -69,7 +70,8 @@ class RawWindow:
         standard gives.
         """
         self.comm._count("win_fence")
-        with self.comm._span("win_fence", peers="all"):
+        with (_NULL_SPAN if self.comm.machine.tracer is None else
+              self.comm._span("win_fence", peers="all")):
             self.comm._coll_algo("barrier").fn(self.comm)
 
     # -- one-sided data movement ------------------------------------------------
@@ -96,7 +98,9 @@ class RawWindow:
                 f"put of {len(data)} elements at offset {offset} exceeds the "
                 f"target window of size {len(arr)}"
             )
-        with self.comm._span("win_put", peers=(target,), sent=int(data.nbytes)):
+        with (_NULL_SPAN if self.comm.machine.tracer is None else
+              self.comm._span("win_put", peers=(target,),
+                              sent=int(data.nbytes))):
             with self._state.locks[target]:
                 arr[offset: offset + len(data)] = data
             self._charge(data.nbytes)
@@ -112,7 +116,8 @@ class RawWindow:
                 f"get of {count} elements at offset {offset} exceeds the "
                 f"target window of size {len(arr)}"
             )
-        with self.comm._span("win_get", peers=(target,)) as sp:
+        with (_NULL_SPAN if self.comm.machine.tracer is None else
+              self.comm._span("win_get", peers=(target,))) as sp:
             with self._state.locks[target]:
                 out = arr[offset: offset + count].copy()
             self._charge(out.nbytes)
@@ -130,8 +135,9 @@ class RawWindow:
                 f"accumulate of {len(data)} elements at offset {offset} "
                 f"exceeds the target window of size {len(arr)}"
             )
-        with self.comm._span("win_accumulate", peers=(target,),
-                             sent=int(data.nbytes)):
+        with (_NULL_SPAN if self.comm.machine.tracer is None else
+              self.comm._span("win_accumulate", peers=(target,),
+                              sent=int(data.nbytes))):
             with self._state.locks[target]:
                 arr[offset: offset + len(data)] = op(
                     arr[offset: offset + len(data)], data
@@ -143,8 +149,9 @@ class RawWindow:
         """Atomic read-modify-write of one element (``MPI_Fetch_and_op``)."""
         self.comm._count("win_fetch_and_op")
         arr = self._target_array(target)
-        with self.comm._span("win_fetch_and_op", peers=(target,),
-                             sent=int(arr.itemsize)) as sp:
+        with (_NULL_SPAN if self.comm.machine.tracer is None else
+              self.comm._span("win_fetch_and_op", peers=(target,),
+                              sent=int(arr.itemsize))) as sp:
             with self._state.locks[target]:
                 old = arr[offset].item()
                 arr[offset] = op(arr[offset], value)
@@ -157,8 +164,9 @@ class RawWindow:
         """Atomic CAS of one element (``MPI_Compare_and_swap``)."""
         self.comm._count("win_compare_and_swap")
         arr = self._target_array(target)
-        with self.comm._span("win_compare_and_swap", peers=(target,),
-                             sent=int(arr.itemsize)) as sp:
+        with (_NULL_SPAN if self.comm.machine.tracer is None else
+              self.comm._span("win_compare_and_swap", peers=(target,),
+                              sent=int(arr.itemsize))) as sp:
             with self._state.locks[target]:
                 old = arr[offset].item()
                 if old == compare:
@@ -170,5 +178,6 @@ class RawWindow:
     def free(self) -> None:
         """Collectively release the window (``MPI_Win_free``)."""
         self.comm._count("win_free")
-        with self.comm._span("win_free", peers="all"):
+        with (_NULL_SPAN if self.comm.machine.tracer is None else
+              self.comm._span("win_free", peers="all")):
             self.comm._coll_algo("barrier").fn(self.comm)

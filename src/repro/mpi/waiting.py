@@ -2,7 +2,9 @@
 
 A wait — a receive, a probe, a synchronous send, an ``ibarrier`` wait, a
 shrink/agree rendezvous — is one call of :meth:`WaitContext.park` on a
-one-shot :class:`Gate`; a ``waitany``, on an :class:`AnyGate` of several:
+one-shot :class:`Gate` (a queued receive or probe is its own:
+:class:`~repro.mpi.p2p.PendingRecv`); a ``waitany``, on an :class:`AnyGate`
+of several:
 
 - **Completion is opening the gate**, decided by whoever changes the state,
   under that state's lock: a delivery matches a posted receive or a parked

@@ -79,13 +79,22 @@ def _array_plan(jobs: Sequence[Job], fn, size: int) -> Optional[tuple]:
     the xors).  Taken from the whole values: every rank decides alike."""
     dtype = jobs[0].dtype
     if (dtype is None or not isinstance(fn, np.ufunc)
-            or {job.dtype for job in jobs} != {dtype}
-            or min(len(job.values) for job in jobs) < 2
-            or f"{dtype.char}{dtype.char}->{dtype.char}" not in fn.types):
+            or not _maps_to_itself(fn, dtype.char)):
         return None
-    pads = [() if len(job.values) >= size else _pad(job.values[:1], fn, dtype)
-            for job in jobs]
+    pads = []
+    for job in jobs:
+        if job.dtype != dtype or len(job.values) < 2:
+            return None
+        pads.append(() if len(job.values) >= size
+                    else _pad(job.values[:1], fn, dtype))
     return None if None in pads else (dtype, pads)
+
+
+@functools.lru_cache(maxsize=None)
+def _maps_to_itself(fn: np.ufunc, char: str) -> bool:
+    """Whether ``fn`` has a loop from two ``char`` operands to ``char``
+    (``fn.types`` builds its list anew on every read)."""
+    return f"{char}{char}->{char}" in fn.types
 
 
 def _pad(first: tuple, fn, dtype) -> Optional[tuple]:

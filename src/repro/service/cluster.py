@@ -600,9 +600,12 @@ class Cluster:
         groups = directive.groups
         outcomes: dict[int, tuple[str, Any]] = {}
 
+        traced = self.tracer is not None  # only a span reads the label
+
         def run_groups(comm):
             for group in groups:
-                self._on_job_comm(comm, batch_label(group), lambda jc: (
+                label = batch_label(group) if traced else None
+                self._on_job_comm(comm, label, lambda jc: (
                     self._run_group(jc, group, outcomes)))
         scope.run_stateless(run_groups)
         # the commit is agreement-gated, so every survivor reaches here with
@@ -630,8 +633,10 @@ class Cluster:
             self._job_comms[comm.raw.world_rank] = (comm.raw, job_comm)
         return job_comm
 
-    def _on_job_comm(self, comm, label: str, body: Callable) -> None:
-        """Run ``body(job_comm)`` with ``label`` stamped on its ops.
+    def _on_job_comm(self, comm, label: Optional[str], body: Callable
+                     ) -> None:
+        """Run ``body(job_comm)`` with ``label`` stamped on its ops
+        (``None`` when untraced).
 
         A process-failure signal, wrapped or raw, revokes the job dup
         machine-wide and re-raises as ``MPIFailureDetected`` so the scope

@@ -250,7 +250,7 @@ def test_two_chunks_are_in_the_ring_before_the_header_is_on_the_pipe(
 #: for one steady-state ``raw.send`` from a process rank's main thread:
 #: Python frames inside repro/mpi/, C calls of ``_pickle.dumps``.  With every
 #: envelope pickled (before the array frame) the ndarray row read (20, 1).
-SEND_COST = {"ndarray": (12, 0), "list": (21, 1)}
+SEND_COST = {"ndarray": (9, 0), "list": (19, 1)}
 
 
 def _count_send(raw) -> dict:

@@ -11,7 +11,7 @@ from repro.core import (
     send_displs,
 )
 from repro.mpi import SUM, Machine, RawUsageError, run_mpi
-from repro.mpi.constants import collective_tag
+from repro.mpi.context import RawComm
 from tests.conftest import runk, runp
 
 
@@ -71,10 +71,13 @@ class TestSendDispls:
 
 class TestMachineInternals:
     def test_collective_tag_code_bounds(self):
+        m = Machine(1)
+        raw = RawComm(m, m.world, 0)
         with pytest.raises(ValueError):
-            collective_tag(0, 64)
-        assert collective_tag(1, 2) != collective_tag(2, 2)
-        assert collective_tag(0, 0) < 0
+            raw._next_coll_tag(64)
+        first, second = raw._next_coll_tag(2), raw._next_coll_tag(2)
+        assert first != second
+        assert raw._next_coll_tag(0) < 0
 
     def test_comm_recreation_with_other_members_rejected(self):
         m = Machine(4)

@@ -27,12 +27,12 @@ from tests.core.test_plans_and_errors import _bind_mix
 
 #: call -> (most frames inside repro/core/, exact frames inside repro/mpi/)
 FRAMES = {
-    "allgatherv": (8, 11),
-    "allreduce": (7, 10),
-    "bcast": (7, 14),
-    "alltoallv_inferred": (10, 23),
-    "send": (7, 11),
-    "recv": (6, 11),
+    "allgatherv": (8, 10),
+    "allreduce": (7, 9),
+    "bcast": (7, 12),
+    "alltoallv_inferred": (10, 20),
+    "send": (7, 6),
+    "recv": (6, 8),
 }
 
 

@@ -29,6 +29,7 @@ from repro.mpi import (
     FREE,
     CollectiveEngine,
     CostModel,
+    FaultCampaign,
     RawUsageError,
     SUM,
     algorithms,
@@ -445,6 +446,112 @@ def test_costmodel_policy_runs_end_to_end():
     assert res.values == baseline.values
     # on a contention-free α-β model the argmin picks the spread schedule
     assert res.algorithms_used()["alltoallv"] == ("spread",)
+
+
+# ---------------------------------------------------------------------------
+# the decision memo: one engine decision per (op, communicator)
+# ---------------------------------------------------------------------------
+
+
+def _allgathers(comm, calls=3):
+    return [list(comm.allgather(comm.rank)) for _ in range(calls)]
+
+
+class TestDecisionMemo:
+    """``RawComm._coll_algo`` asks the engine once per ``(op, comm_id)``
+    where nothing else decides, and keeps the answer in
+    ``CollectiveEngine.decided``."""
+
+    def test_a_default_decision_is_asked_once_and_kept(self, monkeypatch):
+        eng = _engine()
+        asked = []
+        resolve = eng.resolve
+        monkeypatch.setattr(eng, "resolve",
+                            lambda op, **kw: asked.append(op) or resolve(op, **kw))
+        run_mpi(_allgathers, 4, engine=eng)
+        # 12 calls; at most each rank's first asks (ranks race to fill it)
+        assert 1 <= len(asked) <= 4 and set(asked) == {"allgather"}
+        assert eng.decided == {("allgather", "world"): algorithms.get(
+            "allgather", "bruck")}
+
+    @pytest.mark.parametrize("install", ["tune", "install_tuning"])
+    def test_installing_rules_drops_the_memo(self, install):
+        eng = _engine()
+        first = run_mpi(_allgathers, 4, engine=eng, trace=True)
+        assert first.algorithms_used()["allgather"] == ("bruck",)
+        if install == "tune":
+            eng.tune("world", "allgather", "ring")
+        else:
+            eng.install_tuning("world", "allgather", "ring", source="learned")
+        assert eng.decided == {}
+        second = run_mpi(_allgathers, 4, engine=eng, trace=True)
+        assert second.algorithms_used()["allgather"] == ("ring",)
+        assert second.values == first.values
+
+    def test_scoped_rules_bypass_the_memo(self):
+        eng = _engine()
+
+        def main(comm):
+            before = comm.allgather(send_buf(np.int64(comm.rank)))
+            with comm.use_algorithms(allgather="ring"):
+                inside = comm.allgather(send_buf(np.int64(comm.rank)))
+            after = comm.allgather(send_buf(np.int64(comm.rank)))
+            return [np.asarray(x).tolist() for x in (before, inside, after)]
+
+        res = run_kamping(main, 4, cost_model=FREE, trace=True, engine=eng)
+        assert all(v == [list(range(4))] * 3 for v in res.values)
+        events = [e.algorithm for e in res.trace.events_for(0)
+                  if e.op == "allgather"]
+        assert events == ["bruck", "ring", "bruck"]
+        # the scoped call neither read nor wrote the memo
+        assert eng.decided[("allgather", "world")].name == "bruck"
+
+    def test_the_costmodel_policy_decides_every_call(self):
+        eng = CollectiveEngine(CostModel(),
+                               env={"REPRO_COLL_POLICY": "costmodel"})
+
+        def main(comm):
+            small = comm.allreduce(np.ones(1, np.int64), SUM)
+            big = comm.allreduce(np.ones(1 << 17, np.int64), SUM)
+            again = comm.allreduce(np.ones(1, np.int64), SUM)
+            return int(small[0] + big[0] + again[0])
+
+        res = run_mpi(main, 4, engine=eng, trace=True)
+        assert res.values == [12] * 4
+        events = [e.algorithm for e in res.trace.events_for(0)
+                  if e.op == "allreduce"]
+        assert events == ["recursive_doubling", "ring", "recursive_doubling"]
+        assert eng.decided == {}
+
+    def test_the_memo_never_changes_a_forced_algorithm(self):
+        eng = _engine(overrides={"allgather": "ring"})
+        res = run_mpi(_allgathers, 4, engine=eng, trace=True)
+        assert eng.decided[("allgather", "world")].name == "ring"
+        eng.tune("world", "allgather", "bruck")  # forced still wins
+        again = run_mpi(_allgathers, 4, engine=eng, trace=True)
+        for run in (res, again):
+            assert run.algorithms_used()["allgather"] == ("ring",)
+
+        def scoped(comm):
+            with comm.use_algorithms(allgather="bruck"):
+                return list(comm.allgather(send_buf(np.int64(comm.rank))))
+
+        with_scope = run_kamping(scoped, 4, engine=eng, trace=True)
+        assert with_scope.algorithms_used()["allgather"] == ("ring",)
+
+    def test_the_fault_hook_sees_every_collective_call(self):
+        seen = []
+
+        class Spy(FaultCampaign):
+            def on_collective(self, comm, op, algorithm):
+                seen.append((comm.rank, op, algorithm))
+                super().on_collective(comm, op, algorithm)
+
+        eng = _engine()
+        run_mpi(_allgathers, 4, engine=eng, faults=Spy())
+        run_mpi(_allgathers, 4, engine=eng, faults=Spy())  # memo warm
+        assert sorted(seen) == sorted(
+            [(r, "allgather", "bruck") for r in range(4)] * 6)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
-"""`Mailbox` on its own: parked probes and the inlined matcher.
+"""`Mailbox` on its own: parked probes, the inlined matcher, receive gates.
 
 A probe that finds nothing parks an entry that only the delivery of a
-matching *unexpected* envelope completes, and ``deliver`` / ``post`` spell the
-matching rule out inline.  Both are shortcuts past something simpler — every
+matching *unexpected* envelope completes, ``deposit`` / ``post`` spell the
+matching rule out inline, and a posted receive is its own gate, with a lock
+only if it queued.  Both are shortcuts past something simpler — every
 delivery waking every probe, ``Envelope.matches`` per candidate — so both are
 checked against it here, from outside: what a parked call returns, who is
 parked on the mailbox's :class:`WaitContext` and what is left in its queues.
@@ -17,8 +18,10 @@ from hypothesis import given, settings, strategies as st
 
 from repro.mpi import (
     ANY_SOURCE, ANY_TAG, RawCommRevoked, RawDeadlockError, RawProcessFailure)
+from repro.mpi.costmodel import FREE, Clock
 from repro.mpi.p2p import Envelope, Mailbox
-from repro.mpi.waiting import WaitContext
+from repro.mpi.requests import RecvRequest, waitany
+from repro.mpi.waiting import AnyGate, Gate, WaitContext
 from tests.mpi.test_waiting import _joined, record_parks
 
 
@@ -119,6 +122,8 @@ _ops = st.lists(st.one_of(
     st.tuples(st.just("deposit"), st.integers(0, 2), st.integers(0, 2)),
     st.tuples(st.just("post"), st.sampled_from([ANY_SOURCE, 0, 1, 2]),
               st.sampled_from([ANY_TAG, 0, 1, 2])),
+    st.tuples(st.just("cancel"), st.integers(0, 39), st.none()),
+    st.tuples(st.just("waitany"), st.none(), st.none()),
 ), max_size=40)
 
 
@@ -127,13 +132,33 @@ def _same(queue, model):
         a is b for a, b in zip(queue, model))
 
 
-@settings(max_examples=200, deadline=None)
+def _check_gate(pr, matched_at_post, rebound):
+    """A posted receive is its own gate: open with no lock if it matched at
+    post, else closed on a lock of its own until matched or cancelled (a
+    waitany's ``AnyGate`` shares one lock among its receives: ``rebound``)."""
+    assert isinstance(pr, Gate)
+    if matched_at_post:
+        assert pr.opened and pr.envelope is not None
+        assert not hasattr(pr, "_lock")  # never allocated
+    elif pr.envelope is None and not pr.cancelled:
+        assert not pr.opened and (rebound or pr._lock.locked())
+    else:
+        assert pr.opened
+
+
+@settings(max_examples=300, deadline=None)
 @given(_ops)
 def test_the_inlined_matcher_is_the_reference_predicate_oldest_first(ops):
-    """Any interleaving of deposits and (wildcard) posts matches exactly what
-    ``Envelope.matches`` over two oldest-first queues says: non-overtaking."""
+    """Any interleaving of deposits, (wildcard) posts, cancels and waitany
+    groups matches exactly what ``Envelope.matches`` over two oldest-first
+    queues says — non-overtaking — and leaves every receive the gate it
+    should be: lock-free when matched at post, its own gate when queued,
+    opened by the match or the cancel, through an ``AnyGate``'s lock too."""
     box = Mailbox()
     posted, unexpected = [], []  # the model
+    receives = []  # (pr, matched at post) of every post so far
+    group = None  # the latest waitany's AnyGate and its receives
+    rebound = set()  # ids of the receives some AnyGate rebound
     for kind, source, tag in ops:
         if kind == "deposit":
             env = _envelope(source, tag)
@@ -144,7 +169,7 @@ def test_the_inlined_matcher_is_the_reference_predicate_oldest_first(ops):
                 unexpected.append(env)
             else:
                 assert posted.pop(i).envelope is env
-        else:
+        elif kind == "post":
             pr = box.post(source, tag, 0.0)
             i = next((i for i, env in enumerate(unexpected)
                       if env.matches(source, tag)), None)
@@ -153,5 +178,53 @@ def test_the_inlined_matcher_is_the_reference_predicate_oldest_first(ops):
                 assert pr.envelope is None
             else:
                 assert pr.envelope is unexpected.pop(i)
+            receives.append((pr, i is not None))
+        elif kind == "cancel" and receives:
+            pr, _ = receives[source % len(receives)]
+            # MPI_Cancel cannot undo a match; an unmatched one leaves its queue
+            assert box.cancel(pr) is (pr.envelope is None)
+            if pr in posted:
+                posted.remove(pr)
+        elif kind == "waitany" and posted:
+            # what waitany parks on once every test() said "not done"
+            group = AnyGate(list(posted)), list(posted)
+            rebound.update(map(id, posted))
         now_posted, now_unexpected = box.audit_snapshot()
         assert _same(now_posted, posted) and _same(now_unexpected, unexpected)
+        for pr, matched_at_post in receives:
+            _check_gate(pr, matched_at_post, id(pr) in rebound)
+        if group is not None:
+            any_gate, members = group
+            done = any(pr.opened for pr in members)
+            assert any_gate.opened is done
+            assert any_gate._lock.locked() is not done
+
+
+def test_an_empty_mailbox_queues_without_scanning():
+    """The empty-queue fast paths: a deposit with nothing posted queues the
+    envelope, a post with nothing queued queues a closed receive."""
+    box = Mailbox()
+    pr = box.post(0, 5, 0.0)
+    assert box.audit_snapshot() == ((pr,), ()) and not pr.opened
+    box.cancel(pr)
+    env = _envelope()
+    box.deposit(env)
+    assert box.audit_snapshot() == ((), (env,))
+    matched = box.post(0, 5, 0.0)
+    assert matched.envelope is env and box.audit_snapshot() == ((), ())
+
+
+def test_waitany_wakes_on_a_queued_receive_through_its_rebound_lock():
+    """``waitany`` over queued receives parks once on an ``AnyGate``; the
+    delivery that matches one of them wakes it through the rebound lock."""
+    box = Mailbox()
+    requests = [RecvRequest(box, box.post(0, tag, 0.0), Clock(FREE))
+                for tag in (1, 2, 3)]
+    thread, outcome = _parked(box, waitany, requests)
+    box.deposit(_envelope(tag=2))
+    _joined(thread)
+    index, (payload, status) = outcome["value"]
+    assert (index, status.tag) == (1, 2)
+    for request in (requests[0], requests[2]):
+        assert request.cancel()
+    assert box.audit_snapshot() == ((), ())

@@ -16,26 +16,28 @@ import numpy as np
 import pytest
 
 from repro.mpi import (
-    ANY_SOURCE, ANY_TAG, CollectiveEngine, FaultCampaign, ResourceLeakError,
-    run_mpi)
+    ANY_SOURCE, ANY_TAG, SUM, CollectiveEngine, FaultCampaign,
+    ResourceLeakError, run_mpi)
+from repro.mpi import context
+from repro.mpi.collectives import Collective
 from repro.mpi.algorithms.schedule import Recv, Run, Send, Tag
 from tests.core.test_hit_path import _frames_by_layer
 
 #: Python frames inside repro/mpi/ per call, at p = 1 (a message to self)
 FRAMES = {
-    "send": 11,
-    "recv_message_waiting": 11,
-    "sendrecv": 21,
-    "isend": 12,
-    "irecv_message_waiting": 9,
+    "send": 6,
+    "recv_message_waiting": 8,
+    "sendrecv": 13,
+    "isend": 7,
+    "irecv_message_waiting": 8,
     "irecv_first": 9,
-    "wait_message_waiting": 5,
-    "wait_after_deposit": 5,
+    "wait_message_waiting": 4,
+    "wait_after_deposit": 4,
 }
 #: ... per step of a schedule, and for a blocking ``recv`` that has to park,
 #: at p = 2
-STEP_FRAMES = {"Send": 7, "Recv": 6}
-PARKED_RECV = 13
+STEP_FRAMES = {"Send": 4, "Recv": 2}
+PARKED_RECV = 11
 
 
 def _mpi_frames(call) -> int:
@@ -201,3 +203,53 @@ def test_fault_hooks_still_see_every_op_and_every_internal_message():
         "isend", "internal", "irecv",  # posting an irecv is not a round
         "internal", "internal",  # one per Send step, one per Recv step
     ]
+
+
+def _every_kind_of_call(raw):
+    """Each raw call that opens a span when traced, once, at p = 2."""
+    r, peer = raw.rank, 1 - raw.rank
+    v = np.arange(4, dtype=np.int64)
+    raw.send(v, peer, 1), raw.recv(peer, 1)
+    raw.isend(v, peer, 2).wait(), raw.irecv(peer, 2).wait()
+    raw.sendrecv(v, peer, peer, sendtag=3, recvtag=3)
+    if r == 0:
+        raw.ssend(v, 1, 4)
+        raw.issend(v, 1, 5).wait()
+    else:
+        raw.probe(0, 4), raw.iprobe(0, 4), raw.recv(0, 4), raw.recv(0, 5)
+    raw.ibarrier().wait()
+    raw.barrier(), raw.bcast(v, 0), raw.allreduce(v, SUM)
+    raw.allgatherv(v, [4, 4]), raw.alltoall([r, r])
+    raw.ibcast(v, 0).wait(), raw.iallreduce(v, SUM).wait()
+    raw.iallgather(r).wait()
+    dup = raw.dup()
+    raw.split(r % 2)
+    raw.dist_graph_create_adjacent([peer], [peer]).neighbor_alltoall([r])
+    win = dup.win_create(np.zeros(2, dtype=np.int64))
+    win.put(v[:1], peer), win.fence(), win.get(peer, 0, 1)
+    win.accumulate(v[:1], peer), win.fetch_and_op(1, peer, 0, SUM)
+    win.compare_and_swap(0, 0, peer, 1), win.fence(), win.free()
+    dup.agree(True), dup.shrink(), dup.revoke()
+    return True
+
+
+def test_an_untraced_call_builds_no_span_arguments(monkeypatch):
+    """Nothing that names, sizes or opens a span runs while untraced."""
+    built = []
+
+    def spy(owner, name):
+        real = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            built.append(name)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+
+    spy(context.RawComm, "_span")
+    spy(context, "_peer")
+    spy(Collective, "span_peers")
+    spy(Collective, "payload")
+    assert _plain(_every_kind_of_call, 2).values == [True, True]
+    assert built == []
+    assert _plain(_every_kind_of_call, 2, trace=True).values == [True, True]
+    assert {"_span", "_peer", "span_peers", "payload"} <= set(built)
