@@ -4,7 +4,7 @@ Runs every user-facing entry point, then tier 1, each as its own Python
 process with a call profiler installed at interpreter start, and prints one
 line per top-level function or method of ``src/repro``::
 
-    src/repro/mpi/autotune.py:AutoTuner.sweep entry
+    src/repro/mpi/engine.py:CollectiveEngine.explain entry
 
 ``entry`` means a non-test entry point called it, ``tests`` that only
 tier 1 did, ``none`` that nothing did.  Lines are keyed by qualified name,
@@ -13,12 +13,11 @@ not line number, so the output diffs cleanly across refactors:
 of the parent commit, then ``diff``.
 
 The entry points: every example on both backends, the three fingerprint
-scripts, ``pytest benchmarks/``, reprolint over the linted trees, the
-autotune CLI as CI runs it and ``bench_layers/run.py --quick``.  A closure
-or a comprehension counts for the top-level function that defines it.
-Code that only a message race reaches (the process transport's
-``_Transport.stash``) can read ``entry`` in one run and ``tests`` in the
-next.
+scripts, ``pytest benchmarks/``, reprolint over the linted trees and
+``bench_layers/run.py --quick``.  A closure or a comprehension counts for
+the top-level function that defines it.  Code that only a message race
+reaches (the process transport's ``_Transport.stash``) can read ``entry``
+in one run and ``tests`` in the next.
 
 How the profiler reaches every process: a generated ``sitecustomize`` on
 ``PYTHONPATH`` installs it in each interpreter, so subprocesses (the
@@ -117,7 +116,7 @@ def functions(path: Path) -> list[str]:
     return list(dict.fromkeys(out))
 
 
-def entry_points(scratch: Path) -> list[tuple[str, list[str], dict]]:
+def entry_points() -> list[tuple[str, list[str], dict]]:
     """``(label, argv, extra environment)`` of every non-test entry point."""
     py = sys.executable
     runs = []
@@ -133,15 +132,6 @@ def entry_points(scratch: Path) -> list[tuple[str, list[str], dict]]:
                   "-p", "no:cacheprovider"], {}))
     runs.append(("reprolint", [py, "-m", "repro.analysis", "examples/",
                                "src/repro/", "benchmarks/"], {}))
-    store = str(scratch / "learned.json")
-    cli = [py, "-m", "repro.mpi.autotune"]
-    runs.append(("autotune sweep",
-                 cli + ["sweep", "--ops", "allgather,allreduce,alltoallv",
-                        "--p", "4,8", "--widths", "16,1024,65536",
-                        "--out", store], {}))
-    runs.append(("autotune inspect", cli + ["inspect", store], {}))
-    runs.append(("autotune check", cli + ["check", store, "--baseline",
-                                          "BENCH_coll_algorithms.json"], {}))
     runs.append(("bench_layers/run.py --quick",
                  [py, "bench_layers/run.py", "--quick"], {}))
     return runs
@@ -180,7 +170,7 @@ def _run(label: str, argv: list[str], extra: dict, scratch: Path,
 def main() -> int:
     with tempfile.TemporaryDirectory(prefix="reach-") as tmp:
         scratch = Path(tmp)
-        runs = entry_points(scratch)
+        runs = entry_points()
         runs.append(("tier 1", [sys.executable, "-m", "pytest", "tests/",
                                 "-q", "-p", "no:cacheprovider"], {}))
         entry: set = set()

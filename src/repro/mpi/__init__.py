@@ -93,17 +93,7 @@ __all__ = [
     "TraceRecorder", "TraceEvent", "CallSpec", "calls",
     "size_bucket",
     "algorithms", "Algorithm", "CollectiveEngine", "Decision", "TuningRule",
-    "AutoTuner",
     "ResourceAuditor", "ResourceLeakError", "LeakReport", "LeakRecord",
     "ScheduleFuzzer", "minimize_failing_seeds",
 ]
 
-
-def __getattr__(name):
-    # Lazy so ``python -m repro.mpi.autotune`` doesn't import the module
-    # twice (package init + runpy) and warn about it.
-    if name == "AutoTuner":
-        from repro.mpi.autotune import AutoTuner
-
-        return AutoTuner
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -9,10 +9,9 @@ communicator management, one-sided, fault tolerance — says the same of it:
 its parameters, its PMPI counter, whether it returns a request or receives,
 and whether the IR can replay it.  ``RawComm``'s shared call body,
 :mod:`repro.mpi.nbc`, the IR recorder and replayer, the op sets of
-:mod:`repro.mpi.faultinject`, the sweep hints of :mod:`repro.mpi.autotune`
-and the linter's point-to-point methods read these tables and state none of
-it again; this module imports nothing from the runtime so that all of them
-can.  What an algorithm *does* with the
+:mod:`repro.mpi.faultinject` and the linter's point-to-point methods read
+these tables and state none of it again; this module imports nothing from
+the runtime so that all of them can.  What an algorithm *does* with the
 arguments — validation, schedules, the p = 1 fast paths — stays in
 :mod:`repro.mpi.algorithms`; the point-to-point bodies stay in ``RawComm``,
 where the per-message path is written out once.

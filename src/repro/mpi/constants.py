@@ -15,8 +15,8 @@ IN_PLACE = object()
 PROC_NULL: int = -2
 
 #: Communicator id of the world communicator (analog of ``MPI_COMM_WORLD``).
-#: Tuning tables installed for runs (``engine.tune``, ``AutoTuner.install``)
-#: key on this id, and ``CollectiveEngine.explain`` defaults to it.
+#: Tuning tables installed for runs (``engine.tune``) key on this id, and
+#: ``CollectiveEngine.explain`` defaults to it.
 WORLD_ID = "world"
 
 #: Upper bound (exclusive) for user tags; larger values are reserved for the

@@ -9,15 +9,15 @@ precedence:
 1. **Forced** algorithm: constructor ``overrides={'bcast': 'linear'}``, then
    ``REPRO_COLL_<OP>=<algo>`` environment variables (e.g.
    ``REPRO_COLL_ALLGATHER=ring``).
-2. **Per-communicator tuning table**: size-bucketed rules installed with
-   :meth:`tune` (what ``Communicator.use_algorithms`` writes), or with
-   :meth:`install_tuning` which also records *provenance* — ``"tuned"`` for
-   hand-installed rules, ``"learned"`` for tables swept by
-   :mod:`repro.mpi.autotune`.  :meth:`explain` returns the winning algorithm
-   together with its source tier as a :class:`Decision`.
+2. **Rules**: a rank-local ``scoped`` list (what
+   ``Communicator.use_algorithms`` passes), else the per-communicator
+   size-bucketed table installed with :meth:`tune`.
 3. **Policy**: ``"costmodel"`` picks the argmin of the registered α-β cost
    formulas at the call's ``(p, nbytes)``; ``"default"`` (the default) uses
    the static seed algorithms.  ``REPRO_COLL_POLICY`` overrides the default.
+
+:meth:`explain` returns the winning algorithm together with its source tier
+as a :class:`Decision`.
 
 The default policy is deliberately *not* the live argmin: the seed's
 defaults are the frozen decision table this repo's golden traces and perf
@@ -63,18 +63,16 @@ _POLICIES = ("default", "costmodel")
 #: half-open bucket ``(previous max_bytes, max_bytes]``.
 TuningRule = tuple[Optional[int], str]
 
-#: where a resolution came from, in precedence order
-DECISION_SOURCES = ("forced", "scoped", "learned", "tuned", "costmodel", "default")
-
 
 @dataclass(frozen=True)
 class Decision:
     """Provenance of one algorithm resolution (see :meth:`CollectiveEngine.
     explain`).
 
-    ``source`` is one of :data:`DECISION_SOURCES`; ``rule`` is the matched
-    :data:`TuningRule` when the decision came from a scoped or installed
-    rule list, else ``None``."""
+    ``source`` is the precedence tier that decided — ``"forced"``,
+    ``"scoped"``, ``"tuned"``, ``"costmodel"`` or ``"default"``; ``rule`` is
+    the matched :data:`TuningRule` when the decision came from a scoped or
+    installed rule list, else ``None``."""
 
     op: str
     algorithm: str
@@ -126,11 +124,10 @@ class CollectiveEngine:
             op: _registry.get(op, name) for op, name in forced.items()
         }
         self._tuning: dict[tuple[Hashable, str], tuple[TuningRule, ...]] = {}
-        self._tuning_source: dict[tuple[Hashable, str], str] = {}
         #: ``(op, comm_id)`` -> the algorithm a call resolved to where nothing
         #: else decides it: no scoped rules, no size-bucketed rule, not the
         #: ``costmodel`` policy.  ``RawComm._coll_algo`` reads it first and
-        #: fills it; :meth:`install_tuning` clears it
+        #: fills it; :meth:`tune` clears it
         self.decided: dict[tuple[str, Hashable], Algorithm] = {}
 
     # -- tuning table --------------------------------------------------------
@@ -193,25 +190,8 @@ class CollectiveEngine:
         if (algorithm is None) == (rules is None):
             raise RawUsageError("tune() takes exactly one of algorithm/rules")
         selection = algorithm if algorithm is not None else rules
-        self.install_tuning(comm_id, op, selection)
-
-    def install_tuning(self, comm_id: Hashable, op: str, selection, *,
-                       source: str = "tuned") -> tuple[TuningRule, ...]:
-        """Validate, canonicalize, and install tuning rules with provenance.
-
-        ``source`` tags where the table entry came from — ``"tuned"`` for
-        hand-installed rules (:meth:`tune`), ``"learned"`` for rules swept
-        by :class:`~repro.mpi.autotune.AutoTuner` — and is surfaced by
-        :meth:`explain`.  Returns the canonical rules."""
-        if source not in DECISION_SOURCES:
-            raise RawUsageError(
-                f"unknown tuning source {source!r}; expected one of "
-                f"{DECISION_SOURCES}")
-        rules = self.check_rules(op, selection)
-        self._tuning[(comm_id, op)] = rules
-        self._tuning_source[(comm_id, op)] = source
+        self._tuning[(comm_id, op)] = self.check_rules(op, selection)
         self.decided.clear()
-        return rules
 
     def rules(self, comm_id: Hashable, op: str) -> Optional[tuple[TuningRule, ...]]:
         """Currently installed tuning rules for ``(comm_id, op)``, or None."""
@@ -270,8 +250,7 @@ class CollectiveEngine:
         if scoped is not None:
             rules, source = scoped, "scoped"
         else:
-            rules = self._tuning.get((comm_id, op))
-            source = self._tuning_source.get((comm_id, op), "tuned")
+            rules, source = self._tuning.get((comm_id, op)), "tuned"
         if rules is not None:
             for max_bytes, name in rules:
                 if max_bytes is None or nbytes <= max_bytes:

@@ -5,7 +5,7 @@ many jobs: admission-controlled queueing, one job communicator per
 membership generation, cross-job request batching, and elastic membership
 (ULFM shrink on failure, spare admission on :meth:`Cluster.add_rank`) that
 replays an interrupted directive on the survivors.  See :mod:`repro.service.cluster` for the
-architecture overview and DESIGN.md §15 for the design rationale.
+architecture overview and DESIGN.md §14 for the design rationale.
 """
 
 from repro.service.batching import batch_label, run_batch, shape_of

@@ -50,7 +50,7 @@ def test_every_declared_collective_matches_what_it_describes():
     ``RawWindow``) method, of every registered schedule and of the p = 1 fast
     path, and the op sets computed from the tables are the ones that used to
     be written out."""
-    from repro.mpi import algorithms, autotune, faultinject
+    from repro.mpi import algorithms, faultinject
     from repro.mpi.collectives import COLLECTIVES, NONBLOCKING
 
     def params(fn, skip):
@@ -88,7 +88,6 @@ def test_every_declared_collective_matches_what_it_describes():
         "gather", "gatherv", "reduce", "scan", "exscan",
         "alltoallw",  # hinted in RawComm all along; one algorithm: inert
     }
-    assert set(autotune.SWEEP_WORKLOADS) <= size_hinted
 
     # every other raw call: the parameters of the method it names, the
     # counter that method counts under, and its return type

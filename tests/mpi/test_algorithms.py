@@ -324,8 +324,8 @@ class TestEngineSelection:
 
     def test_rule_boundary_is_inclusive(self):
         # nbytes == max_bytes takes the rule: thresholds are inclusive upper
-        # bounds, pinned here so learned tables and hand-tuned tables agree
-        # on who owns the boundary byte
+        # bounds, pinned here so installed tables and scoped rules agree on
+        # who owns the boundary byte
         eng = _engine()
         eng.tune("c", "bcast", rules=[(1024, "binomial"), (None, "linear")])
         assert eng.resolve("bcast", p=8, nbytes=1024, comm_id="c").name == \
@@ -372,12 +372,10 @@ class TestEngineSelection:
     def test_install_tuning_records_provenance(self):
         eng = _engine()
         eng.tune("c", "bcast", algorithm="linear")
-        eng.install_tuning("c", "reduce", "linear", source="learned")
-        with pytest.raises(RawUsageError, match="unknown tuning source"):
-            eng.install_tuning("c", "scan", "linear", source="psychic")
+        eng.tune("c", "reduce", "linear")
         assert eng.explain("bcast", p=8, comm_id="c").source == "tuned"
         d = eng.explain("reduce", p=8, comm_id="c")
-        assert d.source == "learned" and d.algorithm == "linear"
+        assert d.source == "tuned" and d.algorithm == "linear"
         assert d.rule == (None, "linear")
         assert eng.explain("bcast", p=8, comm_id="other").source == "default"
         forced = _engine(overrides={"bcast": "linear"})
@@ -390,12 +388,12 @@ class TestEngineSelection:
 
     def test_explain_names_what_resolve_picks(self):
         eng = _engine()
-        eng.install_tuning("c", "bcast", "linear", source="learned")
+        eng.tune("c", "bcast", "linear")
         calls = [("bcast", "c"), ("allgather", None)]
         decisions = [eng.explain(op, p=8, comm_id=comm_id)
                      for op, comm_id in calls]
         assert [(d.op, d.algorithm, d.source) for d in decisions] == [
-            ("bcast", "linear", "learned"),
+            ("bcast", "linear", "tuned"),
             ("allgather", "bruck", "default"),
         ]
         assert [d.algorithm for d in decisions] == [
@@ -448,6 +446,42 @@ def test_costmodel_policy_runs_end_to_end():
     assert res.algorithms_used()["alltoallv"] == ("spread",)
 
 
+def _hinted_calls(comm):
+    """One call per size-hinted collective, on int32 payloads (so an item
+    size taken as 8 shows) of a different length on each rank where the
+    call allows it, then a bcast (no hint)."""
+    r, p = comm.rank, comm.size
+    comm.allgather(np.arange(5, dtype=np.int32))
+    comm.allreduce(np.ones(7, np.int32), SUM)
+    comm.allgatherv(np.full(r + 1, r, np.int32), list(range(1, p + 1)))
+    counts = [r + 2 * d + 1 for d in range(p)]  # receives sum to another total
+    comm.alltoallv(np.zeros(sum(counts), np.int32), counts,
+                   [s + 2 * r + 1 for s in range(p)])
+    comm.bcast(np.ones(9, np.int32) if r == 0 else None)
+
+
+def test_costmodel_resolves_with_the_declared_hint(monkeypatch):
+    """The ``nbytes`` ``RawComm._coll_algo`` hands the engine is what the
+    call's trace event reports: ``recvd`` for a ``"recvcounts"`` hint, else
+    ``sent``; a bcast (only the root knows its payload) resolves with 0."""
+    from repro.mpi.collectives import COLLECTIVES
+
+    eng = CollectiveEngine(CostModel(), policy="costmodel", env={})
+    asked = []
+    resolve = eng.resolve
+    monkeypatch.setattr(
+        eng, "resolve",
+        lambda op, **kw: asked.append((op, kw["nbytes"])) or resolve(op, **kw))
+    res = run_mpi(_hinted_calls, 4, engine=eng, trace=True)
+    for op in ("allgather", "allreduce", "allgatherv", "alltoallv"):
+        field = "recvd" if COLLECTIVES[op].hint == "recvcounts" else "sent"
+        traced = sorted(getattr(e, field) for e in res.trace.all_events()
+                        if e.op == op and e.algorithm is not None)
+        assert len(traced) == 4 and min(traced) > 0
+        assert sorted(n for o, n in asked if o == op) == traced, op
+    assert [n for o, n in asked if o == "bcast"] == [0] * 4
+
+
 # ---------------------------------------------------------------------------
 # the decision memo: one engine decision per (op, communicator)
 # ---------------------------------------------------------------------------
@@ -474,15 +508,11 @@ class TestDecisionMemo:
         assert eng.decided == {("allgather", "world"): algorithms.get(
             "allgather", "bruck")}
 
-    @pytest.mark.parametrize("install", ["tune", "install_tuning"])
-    def test_installing_rules_drops_the_memo(self, install):
+    def test_installing_rules_drops_the_memo(self):
         eng = _engine()
         first = run_mpi(_allgathers, 4, engine=eng, trace=True)
         assert first.algorithms_used()["allgather"] == ("bruck",)
-        if install == "tune":
-            eng.tune("world", "allgather", "ring")
-        else:
-            eng.install_tuning("world", "allgather", "ring", source="learned")
+        eng.tune("world", "allgather", "ring")
         assert eng.decided == {}
         second = run_mpi(_allgathers, 4, engine=eng, trace=True)
         assert second.algorithms_used()["allgather"] == ("ring",)
@@ -587,7 +617,7 @@ class TestUseAlgorithms:
         assert res.algorithms_used()["allgather"] == ("gather_bcast", "ring")
 
     def test_scoped_rules_are_canonicalized_too(self):
-        # the same canonicalization install_tuning applies: an unsorted
+        # the same canonicalization tune applies: an unsorted
         # scope (catch-all written first) must not shadow the small bucket
         def main(comm):
             with comm.use_algorithms(
