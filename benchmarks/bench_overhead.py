@@ -12,8 +12,14 @@ Measures, on identical workloads:
   "template instantiation" removes (DESIGN.md ablation #1).
 """
 
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+if __package__ in (None, ""):  # run as a script: make the package importable
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
 from repro.core import (
     Communicator,

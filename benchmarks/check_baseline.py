@@ -29,6 +29,9 @@ import json
 import sys
 from pathlib import Path
 
+if __package__ in (None, ""):  # run as a script: make the package importable
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+
 from benchmarks.bench_coll_algorithms import collect_counts
 from benchmarks.bench_overhead import backend_wall_ratio
 

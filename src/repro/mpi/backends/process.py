@@ -8,7 +8,7 @@ launcher, not a second runtime: each rank builds the shared
 own endpoint of every communicator is a real
 :class:`~repro.mpi.p2p.Mailbox` and every other rank's is a
 :class:`_RemoteMailbox` that writes the envelope down the pipe to the peer,
-whose pump thread for that pipe delivers it into the mailbox over there.
+whose pump thread for that pipe deposits it into the mailbox over there.
 Matching, clocks, algorithms, the arrival barrier, failure checks and the
 run's epilogue are the very code the thread backend runs, so a wildcard-free
 program produces bit-identical results, virtual times, PMPI counters, and
@@ -40,30 +40,29 @@ per-destination lock; the receiver reads each buffer straight into the
 ``np.empty`` array the payload then keeps as its storage, never zero-filled.
 Those are the only two copies a buffer pays (into the pipe or ring, out).
 Encoding finishes before the first byte is written, so an unpicklable
-payload raises without leaving half a frame behind.  No send-time
-:func:`~repro.mpi.datatypes.snapshot` is taken — that is :meth:`Mailbox.deposit
-<repro.mpi.p2p.Mailbox.deposit>`'s job, where sender and receiver share
-memory; here the blocking write has copied the bytes out of the caller's
-buffer before the send returns, and the pump deposits what it read as
-``fresh``, which :meth:`~repro.mpi.p2p.Mailbox.deposit` does not copy again.  What
-arrives is what a snapshot would be: same dtype, shape and memory order,
-private, and writeable even if the sent array was not.  The array frame gives
-that by construction; pickle would carry a buffer's read-only flag across, so
-a *pickled* message holding a read-only buffer is deep-copied first — the
-one case left that pays a third copy.  A ``datetime64`` / ``timedelta64``
-array keeps its byte order on the array frame (``dtype.str`` carries the
-unit too); one that takes the pickled frame — nested in a container, or not
-C-contiguous — arrives as numpy's pickle hands it back, in native byte order.
+payload raises without leaving half a frame behind.  No send-time snapshot
+is taken: the blocking write has copied the bytes out of the caller's buffer
+before the send returns, and the pump deposits what it read as ``fresh``.
+What arrives is what a snapshot would be: same dtype, shape and memory
+order, private, and writeable even if the sent array was not (a *pickled*
+message holding a read-only buffer is deep-copied first, the one case that
+pays a third copy).  A ``datetime64`` / ``timedelta64`` array keeps its byte
+order on the array frame and arrives in native byte order on the pickled one.
 
-The message tuples (what :func:`_read_frame` returns for either frame):
+Both ends of the array frame work from caches keyed only by what is fixed
+per communicator.  A :class:`_RemoteMailbox` keeps per dtype and ndim a
+``Struct`` of the whole header and its constant bytes (prefix, ndim with
+``dtype.str``, route): a header is one ``pack``, a frame one locked
+``os.writev``.  A pipe's pump keeps per ndim, ``dtype.str`` and route the
+dtype, the shape's ``Struct`` and the mailbox (the registry's answer, once),
+and deposits an ``Envelope`` built straight from the unpacked fields.
 
-- ``("env", route, source, tag, payload, nbytes, arrival_time, token)`` — a
-  message envelope.  ``route`` is ``pickle.dumps(comm_id)``, made once per
-  :class:`_RemoteMailbox`; the receiver caches ``route -> CommState`` the
-  first time the registry answers for it (a communicator is never dropped),
-  so a steady-state message takes neither the registry lock nor an unpickle.
-  ``token`` is the sender's counter for a synchronous send, else ``None``,
-  echoed back as ``("ack", token, match_clock)`` when the receiver matches.
+The messages (what :func:`_read_frame` returns for either frame):
+
+- ``("env", route, source, tag, payload, nbytes, arrival_time, token)`` —
+  ``route`` is ``pickle.dumps(comm_id)``; ``token`` is the sender's counter
+  for a synchronous send, else ``None``, echoed back as ``("ack", token,
+  match_clock)`` when the receiver matches.
 - ``("bar", comm_id, epoch, clock)`` / ``("bardone", comm_id, epoch, t)`` —
   an arrival sent to, and the completion time sent back by, the member with
   the lowest world rank, which counts the non-blocking barrier's arrivals
@@ -180,28 +179,43 @@ def _pickle(msg: tuple) -> tuple[bytes, list[memoryview]]:
     return header, [b.raw() for b in buffers]
 
 
+def _array_header(heads: dict, route: bytes, source: int, tag: int,
+                  payload: np.ndarray, nbytes: int, arrival_time: float,
+                  token: int) -> Optional[bytes]:
+    """The array frame's header for ``payload``, or ``None`` for the pickled
+    frame; ``heads`` caches per dtype and ndim a packer of the whole header
+    and its constant bytes (prefix; ndim, ``len(dtype.str)``, dtype.str)."""
+    if not payload.flags.c_contiguous:
+        return None
+    head = heads.get((payload.dtype, payload.ndim))
+    if head is None:
+        name, ndim = payload.dtype.str.encode(), payload.ndim
+        packer = struct.Struct(f"<8sqqQdq{2 + len(name)}s{ndim}Q{len(route)}s")
+        head = heads[payload.dtype, ndim] = (
+            packer.pack, _PREFIX.pack(packer.size - _PREFIX.size, _ARRAY),
+            bytes((ndim, len(name))) + name,
+        ) if payload.dtype.kind in _PLAIN_KINDS else ()
+    if not head:
+        return None
+    pack, prefix, name = head
+    return pack(prefix, source, tag, nbytes, arrival_time, token, name,
+                *payload.shape, route)
+
+
 def _encode(msg: tuple) -> list:
     """Serialise ``msg`` into the gather list of one frame: the array frame
     for an envelope holding a plain C-contiguous ``ndarray``, else the pickled
     one.  Everything that can fail on the payload's account happens here,
     before a byte is written.  The buffers in the list alias the sender's.
     """
-    payload = msg[4] if msg[0] == "env" else None
-    if (type(payload) is np.ndarray and payload.flags.c_contiguous
-            and payload.dtype.kind in _PLAIN_KINDS):
-        _, route, source, tag, _, nbytes, arrival_time, token = msg
-        shape = payload.shape
-        dtype = payload.dtype.str.encode()
-        header = b"".join((
-            _ENV.pack(source, tag, nbytes, arrival_time,
-                      -1 if token is None else token, len(shape), len(dtype)),
-            dtype, struct.pack(f"<{len(shape)}Q", *shape), route))
-        frame = [_PREFIX.pack(len(header), _ARRAY) + header]
-        if nbytes:
-            if payload.dtype.kind in "mM":  # no buffer format: view the bytes
+    if msg[0] == "env" and type(msg[4]) is np.ndarray:
+        payload, token = msg[4], -1 if msg[7] is None else msg[7]
+        header = _array_header({}, *msg[1:7], token)
+        if header is not None:  # then its bytes (a datetime has no format)
+            if payload.dtype.kind in "mM":
                 payload = payload.view(np.int64)
-            frame.append(pickle.PickleBuffer(payload).raw())
-        return frame
+            frame = [header, pickle.PickleBuffer(payload).raw()]
+            return frame if msg[5] else frame[:1]
     header, views = _pickle(msg)
     if any(v.readonly for v in views):
         # pickle would mark the receiver's buffer read-only too, but a
@@ -226,13 +240,6 @@ def _write_frame(fd: int, parts: list) -> None:
             i += 1
 
 
-def _read_exact(frames, size: int) -> bytes:
-    data = frames.read(size)
-    if len(data) < size:
-        raise EOFError
-    return data
-
-
 def _read_into(frames, size: int, ring: Optional["_Ring"]) -> np.ndarray:
     if ring is not None and size >= _EAGER:
         return ring.read(size)
@@ -242,29 +249,59 @@ def _read_into(frames, size: int, ring: Optional["_Ring"]) -> np.ndarray:
     return buf
 
 
+def _read_array(frames, size: int, ring: Optional["_Ring"],
+                parsed: dict) -> tuple:
+    """Read the rest of an array frame into ``(entry, envelope, sync token or
+    -1)``; ``parsed`` caches per ndim, dtype string and route ``entry``:
+    ``[dtype, shape unpacker, route, mailbox or None]`` (the pump fills it)."""
+    header = frames.read(size)
+    if len(header) < size:
+        raise EOFError
+    source, tag, nbytes, arrival_time, token, ndim, name_len = (
+        _ENV.unpack_from(header))
+    shape_at = _ENV.size + name_len
+    key = header[_ENV.size - 2:shape_at], header[shape_at + 8 * ndim:]
+    entry = parsed.get(key)
+    if entry is None:
+        entry = parsed[key] = [np.dtype(key[0][2:].decode()),
+                               struct.Struct(f"<{ndim}Q").unpack_from,
+                               key[1], None]
+    shape = entry[1](header, shape_at)
+    if ring is not None and nbytes >= _EAGER:
+        payload = np.ndarray(shape, entry[0], ring.read(nbytes))
+    else:  # the payload's own (np.empty) storage is what the bytes land in
+        payload = np.empty(shape, entry[0])
+        if nbytes and frames.readinto(payload) < nbytes:
+            raise EOFError
+    return entry, Envelope(source, tag, payload, nbytes, arrival_time), token
+
+
+def _read_pickled(frames, size: int, nbuf: int,
+                  ring: Optional["_Ring"]) -> tuple:
+    """Read the rest of a pickled frame (``nbuf`` buffers) into its message."""
+    data = frames.read(8 * nbuf + size)
+    if len(data) < 8 * nbuf + size:
+        raise EOFError
+    return pickle.loads(memoryview(data)[8 * nbuf:], buffers=[
+        _read_into(frames, n, ring)
+        for n in struct.unpack_from(f"<{nbuf}Q", data)])
+
+
 def _read_frame(frames, ring: Optional["_Ring"] = None) -> tuple:
     """Read one frame back into its message tuple; each buffer lands in the
     ``np.empty`` array the payload keeps as its (writeable, private) storage,
     copied out of ``ring`` if the frame says it is there."""
-    header_len, nbuf = _PREFIX.unpack(_read_exact(frames, _PREFIX.size))
+    prefix = frames.read(_PREFIX.size)
+    if len(prefix) < _PREFIX.size:
+        raise EOFError
+    header_len, nbuf = _PREFIX.unpack(prefix)
     ring = ring if header_len & _RING else None
     header_len &= ~_RING
-    if nbuf == _ARRAY:
-        header = _read_exact(frames, header_len)
-        source, tag, nbytes, arrival_time, token, ndim, dtype_len = (
-            _ENV.unpack_from(header))
-        shape_at = _ENV.size + dtype_len
-        route_at = shape_at + 8 * ndim
-        payload = np.ndarray(
-            struct.unpack_from(f"<{ndim}Q", header, shape_at),
-            header[_ENV.size:shape_at].decode(),
-            _read_into(frames, nbytes, ring))
-        return ("env", header[route_at:], source, tag, payload, nbytes,
-                arrival_time, None if token < 0 else token)
-    sizes = struct.unpack(f"<{nbuf}Q", _read_exact(frames, 8 * nbuf))
-    header = _read_exact(frames, header_len)
-    return pickle.loads(
-        header, buffers=[_read_into(frames, n, ring) for n in sizes])
+    if nbuf != _ARRAY:
+        return _read_pickled(frames, header_len, nbuf, ring)
+    entry, env, token = _read_array(frames, header_len, ring, {})
+    return ("env", entry[2], env.source, env.tag, env.payload, env.nbytes,
+            env.arrival_time, None if token < 0 else token)
 
 
 class _Ring:
@@ -327,37 +364,25 @@ class _Ring:
             _write_frame(fd, pipe)
 
 
-class _AckGate:
-    """Receiver-side stand-in for a synchronous send's match gate.
-
-    The match (:meth:`~repro.mpi.p2p.Mailbox.deposit` or ``post``) stamps
-    ``env.match_clock`` and calls ``sync_gate.open()``; here ``open()`` ships the ack back to the
-    sender, whose transport opens the *sender's* local envelope's (real)
-    :class:`~repro.mpi.waiting.Gate`, unblocking its ``SyncSendRequest``.
-    """
-
-    __slots__ = ("_transport", "_peer_world", "_token", "_env")
-
-    def __init__(self, transport: "_Transport", peer_world: int, token: int,
-                 env: Envelope):
-        self._transport = transport
-        self._peer_world = peer_world
-        self._token = token
-        self._env = env
+class _AckGate(tuple):
+    """Receiver-side stand-in for a synchronous send's match gate, built as
+    ``(transport, peer_world, token, env)``: the match stamps ``match_clock``
+    and opens it, which ships it back to open the sender's envelope's gate."""
 
     def open(self) -> None:
-        self._transport.send(
-            self._peer_world, ("ack", self._token, self._env.match_clock))
+        transport, peer_world, token, env = self
+        transport.send(peer_world, ("ack", token, env.match_clock))
 
 
 class _RemoteMailbox:
     """Send-side proxy for a peer rank's mailbox: ``deposit`` writes the
-    envelope down the pipe; the peer's pump thread delivers it into the real
+    envelope down the pipe; the peer's pump thread deposits it into the real
     :class:`~repro.mpi.p2p.Mailbox` over there.  Only ``deposit`` exists —
     probing and receiving always target the rank's own (local) mailbox.
     """
 
-    __slots__ = ("_transport", "_route", "_dest_world")
+    __slots__ = ("_transport", "_route", "_dest_world", "_heads", "_fd",
+                 "_lock")
 
     def __init__(self, transport: "_Transport", comm_id: Hashable,
                  dest_world: int):
@@ -365,24 +390,43 @@ class _RemoteMailbox:
         #: the id as every envelope carries it, and the receiver's cache key
         self._route = pickle.dumps(comm_id)
         self._dest_world = dest_world
+        #: per dtype and ndim, the array frame's header parts
+        self._heads: dict[tuple, tuple] = {}
+        self._fd = transport._pipes[dest_world][1].fileno()
+        self._lock = transport._send_locks[dest_world]
 
     def deposit(self, env: Envelope) -> None:
-        transport = self._transport
-        token = transport.new_token() if env.sync_gate is not None else None
-        try:
-            frame = _encode((
-                "env", self._route, env.source, env.tag, env.payload,
-                env.nbytes, env.arrival_time, token,
-            ))
-        except (pickle.PicklingError, TypeError, AttributeError,
-                ValueError) as exc:
-            raise RawUsageError(
-                f"payload of type {type(env.payload).__name__} could not be "
-                f"pickled for the process-backend transport: {exc}"
-            ) from exc
-        if token is not None:
-            transport.register_sync(token, env)
-        transport.write(self._dest_world, frame)
+        transport, payload, nbytes = self._transport, env.payload, env.nbytes
+        token = -1 if env.sync_gate is None else next(transport._sync_counter)
+        header = _array_header(self._heads, self._route, env.source, env.tag,
+                               payload, nbytes, env.arrival_time, token) if (
+            type(payload) is np.ndarray and nbytes < _EAGER) else None
+        if header is None:
+            try:
+                frame = _encode((
+                    "env", self._route, env.source, env.tag, payload, nbytes,
+                    env.arrival_time, None if token < 0 else token))
+            except (pickle.PicklingError, TypeError, AttributeError,
+                    ValueError) as exc:
+                raise RawUsageError(
+                    f"payload of type {type(payload).__name__} could not be "
+                    f"pickled for the process-backend transport: {exc}"
+                ) from exc
+        if token >= 0:
+            with transport._sync_lock:
+                transport._sync[token] = env
+        with self._lock:  # blocks while the pipe (or the ring) is full
+            if header is not None:
+                written = os.writev(self._fd, (header, payload))
+                if written < len(header) + nbytes:  # resume a partial write
+                    _write_frame(self._fd, [
+                        (header + payload.tobytes())[written:]])
+            elif max(map(len, frame)) < _EAGER:
+                _write_frame(self._fd, frame)
+            else:
+                transport._rings[self._dest_world][1].write(self._fd, frame)
+        if transport._control[self._dest_world]:  # queued while ours
+            transport._flush(self._dest_world)
 
 
 class _Transport:
@@ -397,7 +441,7 @@ class _Transport:
     written under a per-destination lock (the rank's main thread and its
     pump threads — acks, barrier broadcasts — both send), so they never
     interleave; a control frame (:meth:`send`) never waits for that lock.
-    Messages for communicators this rank has not locally created yet are
+    Envelopes for communicators this rank has not locally created yet are
     stashed (``Machine.comm_or_stash``) and drained (``get_or_create_comm``)
     under the registry lock, in per-pair FIFO order.
     """
@@ -414,9 +458,9 @@ class _Transport:
         #: per destination, encoded control frames not written yet
         self._control: dict[int, deque] = {w: deque() for w in pipes}
         self._machine: Optional[Machine] = None
-        self._stash: dict[Hashable, list[tuple]] = {}
-        #: an envelope's ``route`` -> its communicator, once the registry knew
-        self._routes: dict[bytes, CommState] = {}
+        self._stash: dict[Hashable, list] = {}
+        #: per peer, its pipe's parse entries (a pickled envelope's: by route)
+        self._parsed: dict[int, dict] = {w: {} for w in pipes}
         self._sync: dict[int, Envelope] = {}
         self._sync_lock = threading.Lock()
         self._sync_counter = itertools.count()
@@ -425,19 +469,6 @@ class _Transport:
 
     def outbox(self, comm_id: Hashable, world: int) -> _RemoteMailbox:
         return _RemoteMailbox(self, comm_id, world)
-
-    def write(self, world: int, frame: list) -> None:
-        """Write an envelope's frame, blocking while the pipe (or the ring)
-        is full; a frame with a part of ``_EAGER`` bytes or more is a ring
-        frame."""
-        with self._send_locks[world]:
-            fd = self._pipes[world][1].fileno()
-            if max(map(len, frame)) < _EAGER:
-                _write_frame(fd, frame)
-            else:
-                self._rings[world][1].write(fd, frame)
-        if self._control[world]:  # queued while the pipe was ours
-            self._flush(world)
 
     def send(self, world: int, msg: tuple) -> None:
         """Queue a control frame and write it unless the pipe is taken:
@@ -466,13 +497,6 @@ class _Transport:
             except OSError:  # that peer is already gone
                 pass
 
-    def new_token(self) -> int:
-        return next(self._sync_counter)
-
-    def register_sync(self, token: int, env: Envelope) -> None:
-        with self._sync_lock:
-            self._sync[token] = env
-
     # -- receiving ---------------------------------------------------------
 
     def start(self, machine: Machine) -> None:
@@ -480,30 +504,52 @@ class _Transport:
         self._machine = machine
         for world, (from_peer, _) in self._pipes.items():
             threading.Thread(
-                target=self._pump, args=(from_peer, self._rings[world][0]),
+                target=self._pump,
+                args=(world, from_peer, self._rings[world][0]),
                 name=f"pump-{self.rank}<{world}", daemon=True,
             ).start()
 
-    def _pump(self, from_peer, ring: _Ring) -> None:
+    def _pump(self, peer: int, from_peer, ring: _Ring) -> None:
+        """Read ``peer``'s pipe: an envelope goes straight into the mailbox its
+        parse entry holds, any other message through :meth:`_dispatch`."""
+        parsed = self._parsed[peer]
         with open(from_peer.fileno(), "rb", closefd=False) as frames:
             while True:
                 try:
-                    msg = _read_frame(frames, ring)
-                except (EOFError, OSError):
+                    header_len, nbuf = _PREFIX.unpack(
+                        frames.read(_PREFIX.size))  # short: struct.error
+                    here = ring if header_len & _RING else None
+                    header_len &= ~_RING
+                    if nbuf == _ARRAY:
+                        entry, env, token = _read_array(
+                            frames, header_len, here, parsed)
+                    else:
+                        msg = _read_pickled(frames, header_len, nbuf, here)
+                except (EOFError, OSError, struct.error):
                     return
-                self._dispatch(msg)
+                if nbuf != _ARRAY:
+                    if msg[0] != "env":
+                        self._dispatch(msg)
+                        continue
+                    route, token = msg[1], -1 if msg[7] is None else msg[7]
+                    entry = parsed.setdefault(route, [None, None, route, None])
+                    # no local may keep a payload alive past its frame
+                    env, msg = Envelope(*msg[2:7]), None
+                if token >= 0:
+                    env.sync_gate = _AckGate((self, peer, token, env))
+                mailbox = entry[3]
+                if mailbox is None:
+                    state = self._machine.comm_or_stash(
+                        pickle.loads(entry[2]), env)
+                    if state is None:  # held until the communicator exists
+                        continue
+                    mailbox = entry[3] = (
+                        state.mailboxes[state.local_of_world[self.rank]])
+                mailbox.deposit(env, True)  # fresh: nobody else holds it
 
     def _dispatch(self, msg: tuple) -> None:
         kind = msg[0]
-        if kind == "env":
-            state = self._routes.get(msg[1])
-            if state is None:
-                state = self._machine.comm_or_stash(pickle.loads(msg[1]), msg)
-                if state is None:
-                    return
-                self._routes[msg[1]] = state
-            self._deliver(state, msg)
-        elif kind == "ack":
+        if kind == "ack":
             _, token, match_clock = msg
             with self._sync_lock:
                 env = self._sync.pop(token, None)
@@ -517,35 +563,28 @@ class _Transport:
             # ahead through a split): the message is held until it is
             state = self._machine.comm_or_stash(msg[1], msg)
             if state is not None:
-                self._deliver(state, msg)
+                barrier = state.barrier
+                (barrier.record if kind == "bar" else barrier.complete)(
+                    msg[2], msg[3])
 
-    def stash(self, comm_id: Hashable, msg: tuple) -> None:
-        """Hold ``msg`` for :meth:`drain` (called under the registry lock)."""
-        self._stash.setdefault(comm_id, []).append(msg)
+    def stash(self, comm_id: Hashable, item: Any) -> None:
+        """Hold ``item`` for :meth:`drain` (called under the registry lock)."""
+        self._stash.setdefault(comm_id, []).append(item)
 
     def drain(self, state: CommState) -> None:
-        """Deliver stashed messages for a just-created communicator.
+        """Deliver what was stashed for a just-created communicator.
 
         Called by ``get_or_create_comm`` while holding the registry lock, so
         stashed messages land before anything the pump routes afterwards.
         """
-        for msg in self._stash.pop(state.comm_id, ()):
-            self._deliver(state, msg)
-
-    def _deliver(self, state: CommState, msg: tuple) -> None:
-        kind = msg[0]
-        if kind == "env":
-            _, _, source, tag, payload, nbytes, arrival_time, token = msg
-            env = Envelope(source, tag, payload, nbytes, arrival_time)
-            if token is not None:
-                env.sync_gate = _AckGate(
-                    self, state.members[source], token, env)
-            # freshly read off the pipe, referenced by nobody else: no snapshot
-            state.mailboxes[state.local_of_world[self.rank]].deposit(env, True)
-        elif kind == "bar":
-            state.barrier.record(msg[2], msg[3])
-        elif kind == "bardone":
-            state.barrier.complete(msg[2], msg[3])
+        for item in self._stash.pop(state.comm_id, ()):
+            if type(item) is Envelope:
+                state.mailboxes[state.local_of_world[self.rank]].deposit(
+                    item, True)
+            else:  # a barrier arrival or completion
+                barrier = state.barrier
+                (barrier.record if item[0] == "bar" else barrier.complete)(
+                    item[2], item[3])
 
 
 # ---------------------------------------------------------------------------

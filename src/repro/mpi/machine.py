@@ -221,10 +221,10 @@ class Machine:
                 )
             return state
 
-    def comm_or_stash(self, comm_id: Hashable, msg: tuple) -> Optional[CommState]:
-        """For the transport's pump: the communicator ``msg`` is addressed
-        to — or ``None``, with ``msg`` handed to ``transport.stash`` under
-        the lock ``get_or_create_comm`` drains under, so it cannot be missed."""
+    def comm_or_stash(self, comm_id: Hashable, msg: Any) -> Optional[CommState]:
+        """For the transport's pump: the communicator ``msg`` (an envelope or
+        a barrier message) is for — or ``None``, with ``msg`` handed to
+        ``transport.stash`` under the lock ``get_or_create_comm`` drains under."""
         with self._registry_lock:
             state = self._comms.get(comm_id)
             if state is None:

@@ -67,9 +67,10 @@ class Envelope:
     origin: tuple = ()
 
     def matches(self, source: int, tag: int) -> bool:
-        """The matching rule (``Mailbox.deposit`` / ``post`` inline it)."""
+        """The matching rule (inlined by ``deposit`` / ``post``): ANY_TAG
+        never matches a collective schedule's (negative) tag."""
         return (source == ANY_SOURCE or source == self.source) and (
-            tag == ANY_TAG or tag == self.tag
+            tag == self.tag or tag == ANY_TAG and self.tag >= 0
         )
 
 
@@ -126,8 +127,8 @@ class Mailbox:
         One call per message.  This mailbox shares the sender's memory, so
         buffered-send semantics need a private copy of the payload (the caller
         may mutate its buffer once the send returns) — unless it is ``fresh``:
-        referenced by nobody else, as the process backend's pump holds a
-        freshly unpickled one.
+        referenced by nobody else, as what the process backend's pump has
+        just read off its pipe.
         """
         if not fresh:
             payload = env.payload
@@ -142,7 +143,7 @@ class Mailbox:
             if posted:
                 for i, pr in enumerate(posted):
                     if (pr.source == source or pr.source == ANY_SOURCE) and (
-                            pr.tag == tag or pr.tag == ANY_TAG):
+                            pr.tag == tag or pr.tag == ANY_TAG and tag >= 0):
                         del posted[i]
                         if env.sync_gate is not None:
                             _tell_sender(env, pr.post_clock)
@@ -174,7 +175,7 @@ class Mailbox:
             if unexpected:
                 for i, env in enumerate(unexpected):
                     if (source == env.source or source == ANY_SOURCE) and (
-                            tag == env.tag or tag == ANY_TAG):
+                            tag == env.tag or tag == ANY_TAG and env.tag >= 0):
                         del unexpected[i]
                         if env.sync_gate is not None:
                             _tell_sender(env, post_clock)

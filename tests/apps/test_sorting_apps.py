@@ -107,6 +107,7 @@ FIG8_SIMULATED = {
 }
 
 
+@pytest.mark.usefixtures("default_algorithms")
 @pytest.mark.parametrize("binding", BINDINGS)
 def test_fig8_simulated_seconds_pinned(binding):
     points = samplesort_sweep(binding, [2, 4, 8], n_per_rank=20_000)

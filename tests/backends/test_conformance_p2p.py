@@ -146,3 +146,40 @@ def test_p2p_statuses_traced(differential, backend):
     for p in ps_for(backend, minimum=2)[:1]:
         differential(_ssend_ring, p, trace=True,
                      compare=("values", "times", "counts", "trace"))
+
+
+def _wildcard_beside_an_ibcast(comm, kind):
+    """Rank 1 starts an ``ibcast`` rooted at itself, whose message to rank 0
+    is queued there first, then sends a user message: rank 0's wildcard
+    call must see only the user message (collective traffic is never
+    matched by ``ANY_TAG``), and the ``ibcast`` still completes."""
+    if comm.rank == 1:
+        comm.recv(0, 1)  # rank 0 is ready
+        req = comm.ibcast(np.array([5]), 1)
+        comm.send("user", 0, tag=7)
+        req.wait()
+        return None
+    if kind == "irecv_posted":  # posted before either message is sent
+        posted = comm.irecv(ANY_SOURCE, ANY_TAG)
+        comm.send(None, 1, tag=1)
+        payload, st = posted.wait()
+    else:
+        comm.send(None, 1, tag=1)
+        comm.probe(1, 7)  # both messages are queued now, the ibcast's first
+        if kind == "recv":
+            payload, st = comm.recv(ANY_SOURCE, ANY_TAG)
+        elif kind == "irecv":
+            payload, st = comm.irecv(ANY_SOURCE, ANY_TAG).wait()
+        else:
+            st = (comm.probe(ANY_SOURCE, ANY_TAG) if kind == "probe"
+                  else comm.iprobe(ANY_SOURCE, ANY_TAG)[1])
+            payload = comm.recv(st.source, st.tag)[0]
+    return payload, st.source, st.tag, comm.ibcast(None, 1).wait().tolist()
+
+
+@pytest.mark.parametrize(
+    "kind", ["recv", "irecv", "probe", "iprobe", "irecv_posted"])
+def test_wildcards_never_match_collective_traffic(differential, kind):
+    res = differential(_wildcard_beside_an_ibcast, 2, args=(kind,),
+                       compare=("values",))
+    assert res.values[0] == ("user", 1, 7, [5])

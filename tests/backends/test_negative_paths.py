@@ -35,6 +35,56 @@ def _raise_on_rank_one(comm):
     return comm.rank
 
 
+# rank functions are module-level, so the file also runs under spawn
+
+
+def _hard_exit(comm):
+    if comm.rank == 1:
+        os._exit(3)  # simulates a segfault: no exception, no report
+    return comm.rank
+
+
+def _return_a_lambda(comm):
+    return lambda: comm.rank
+
+
+def _send_lambda(comm):
+    if comm.size > 1 and comm.rank == 0:
+        comm.send(lambda: 1, 1, tag=0)
+    elif comm.rank == 1:
+        comm.recv(0, 0)
+
+
+def _join_allreduce(comm):
+    return comm.allreduce(comm.rank, SUM)
+
+
+def _join_ibarrier(comm):
+    return comm.ibarrier().wait()
+
+
+def _raise_before_joining(comm, join):
+    if comm.rank == 0:
+        raise ValueError("rank 0 never joins")
+    return join(comm)
+
+
+def _fail_then_send(comm):
+    if comm.rank == 1:
+        return [comm.recv(0)[0] for _ in range(3)]
+    raised = []
+    for post in (comm.send, comm.ssend):
+        try:
+            post(lambda: 1, 1)
+        except RawUsageError as exc:
+            raised.append("could not be pickled" in str(exc))
+    comm.send(np.arange(4), 1)
+    comm.ssend("second", 1)
+    comm.send(np.arange(4) + 10, 1)
+    # the failed ssend left no match token behind
+    return raised, len(comm.machine.transport._sync)
+
+
 class TestRemoteErrors:
     def test_remote_exception_propagates_with_traceback(self):
         with pytest.raises(RuntimeError) as excinfo:
@@ -47,68 +97,35 @@ class TestRemoteErrors:
         assert "raise ValueError" in msg
 
     def test_process_crash_is_reported(self):
-        def hard_exit(comm):
-            if comm.rank == 1:
-                os._exit(3)  # simulates a segfault: no exception, no report
-            return comm.rank
-
         with pytest.raises(RuntimeError,
                            match=r"rank 1 process died \(exit code 3\)"):
-            run_mpi(hard_exit, 2, backend="process")
+            run_mpi(_hard_exit, 2, backend="process")
 
     def test_unpicklable_return_value_is_reported(self):
         with pytest.raises(RuntimeError, match="could not be pickled"):
-            run_mpi(lambda comm: (lambda: comm.rank), 2, backend="process")
+            run_mpi(_return_a_lambda, 2, backend="process")
 
     def test_unpicklable_payload_is_reported(self):
-        def send_lambda(comm):
-            if comm.size > 1 and comm.rank == 0:
-                comm.send(lambda: 1, 1, tag=0)
-            elif comm.rank == 1:
-                comm.recv(0, 0)
-
         t0 = time.monotonic()
         with pytest.raises(RuntimeError, match="could not be pickled"):
-            run_mpi(send_lambda, 2, backend="process", deadline=15.0)
+            run_mpi(_send_lambda, 2, backend="process", deadline=15.0)
         # rank 0's abort frame fails rank 1's recv; nobody rides the deadline
         assert time.monotonic() - t0 < 3.0
 
-    @pytest.mark.parametrize("join", [
-        lambda comm: comm.allreduce(comm.rank, SUM),
-        lambda comm: comm.ibarrier().wait(),
-    ], ids=["allreduce", "ibarrier"])
+    @pytest.mark.parametrize("join", [_join_allreduce, _join_ibarrier],
+                             ids=["allreduce", "ibarrier"])
     def test_peers_in_a_collective_fail_fast(self, join):
-        def raise_before_joining(comm):
-            if comm.rank == 0:
-                raise ValueError("rank 0 never joins")
-            return join(comm)
-
         t0 = time.monotonic()
         with pytest.raises(RuntimeError) as excinfo:
-            run_mpi(raise_before_joining, 3, backend="process",
-                    deadline=15.0)
+            run_mpi(_raise_before_joining, 3, args=(join,),
+                    backend="process", deadline=15.0)
         assert time.monotonic() - t0 < 3.0
         # the root cause, not a peer's RawProcessFailure
         assert "rank 0 raised ValueError: rank 0 never joins" in str(
             excinfo.value)
 
     def test_pipe_is_usable_after_a_failed_send(self):
-        def fail_then_send(comm):
-            if comm.rank == 1:
-                return [comm.recv(0)[0] for _ in range(3)]
-            raised = []
-            for post in (comm.send, comm.ssend):
-                try:
-                    post(lambda: 1, 1)
-                except RawUsageError as exc:
-                    raised.append("could not be pickled" in str(exc))
-            comm.send(np.arange(4), 1)
-            comm.ssend("second", 1)
-            comm.send(np.arange(4) + 10, 1)
-            # the failed ssend left no match token behind
-            return raised, len(comm.machine.transport._sync)
-
-        res = run_mpi(fail_then_send, 2, backend="process", deadline=15.0)
+        res = run_mpi(_fail_then_send, 2, backend="process", deadline=15.0)
         assert res.values[0] == ([True, True], 0)
         first, second, third = res.values[1]
         assert first.tolist() == [0, 1, 2, 3] and second == "second"
@@ -159,6 +176,26 @@ class TestRingFailures:
         assert _shm_entries() <= before
 
 
+def _win_create(comm):
+    comm.win_create(np.zeros(4))
+
+
+def _revoke(comm):
+    comm.revoke()
+
+
+def _shrink(comm):
+    comm.shrink()
+
+
+def _agree(comm):
+    comm.agree(True)
+
+
+def _kill_self(comm):
+    comm.kill_self()
+
+
 class TestUnsupportedFeatures:
     def test_sanitize_refused(self):
         with pytest.raises(UnsupportedOnBackend, match=REFUSAL):
@@ -184,18 +221,15 @@ class TestUnsupportedFeatures:
             run_mpi(_idle, 2, backend="process", sanitize=True)
 
     def test_rma_guard(self):
-        def rma(comm):
-            comm.win_create(np.zeros(4))
-
         with pytest.raises(RuntimeError, match="RMA windows"):
-            run_mpi(rma, 2, backend="process")
+            run_mpi(_win_create, 2, backend="process")
 
     def test_ulfm_guards(self):
         for fn, feature in (
-            (lambda comm: comm.revoke(), "ULFM revocation"),
-            (lambda comm: comm.shrink(), "ULFM shrink"),
-            (lambda comm: comm.agree(True), "ULFM agreement"),
-            (lambda comm: comm.kill_self(), "failure injection"),
+            (_revoke, "ULFM revocation"),
+            (_shrink, "ULFM shrink"),
+            (_agree, "ULFM agreement"),
+            (_kill_self, "failure injection"),
         ):
             with pytest.raises(RuntimeError) as excinfo:
                 run_mpi(fn, 2, backend="process")

@@ -8,6 +8,9 @@ bit-identical to the thread backend.
 from __future__ import annotations
 
 import os
+import pickle
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -109,8 +112,16 @@ def test_ibarrier_right_after_split_takes_the_early_arrivals():
     assert got.values == ref.values and got.times == ref.times
 
 
+def _rank(comm):
+    return comm.rank
+
+
+def _pid(comm):
+    return os.getpid()
+
+
 def test_runresult_shape():
-    res = run_mpi(lambda comm: comm.rank, 3, backend="process")
+    res = run_mpi(_rank, 3, backend="process")
     assert res.values == [0, 1, 2]
     assert res.machine is None  # no shared machine exists to hand back
     assert res.failed == frozenset()
@@ -120,11 +131,11 @@ def test_runresult_shape():
 
 def test_env_variable_selects_backend(monkeypatch):
     monkeypatch.setenv("REPRO_BACKEND", "process")
-    res = run_mpi(lambda comm: os.getpid(), 2)
+    res = run_mpi(_pid, 2)
     assert res.backend == "process"
     assert os.getpid() not in res.values
     # an explicit argument beats the environment
-    res = run_mpi(lambda comm: os.getpid(), 2, backend="thread")
+    res = run_mpi(_pid, 2, backend="thread")
     assert res.backend == "thread"
     assert res.values == [os.getpid()] * 2
 
@@ -156,3 +167,133 @@ def test_backend_instance_with_start_method():
     # identically (spawn would require a module-level fn)
     res = run_mpi(_pid_and_result, 2, backend=ProcessBackend("fork"))
     assert len({v[0] for v in res.values}) == 2
+
+
+# -- the array frame's caches and the pump that deposits straight ------------
+
+#: Python frames (any file) a pump thread runs per delivered 8 B array
+#: envelope in steady state: ``_read_array``, the envelope's ``__init__`` and
+#: ``Mailbox.deposit``.  Reading the frame into a message tuple and handing
+#: it on through ``_dispatch`` and ``_deliver`` took 8.
+PUMP_COST = 3
+
+
+def test_a_pump_delivers_an_array_envelope_in_three_frames():
+    """Rank 1's transport over real pipes, its pump in this process, fed
+    array frames as rank 0 would write them; no processes."""
+    from multiprocessing import Pipe, heap
+
+    from repro.mpi import ANY_TAG, WORLD_ID
+    from repro.mpi.backends import process as wire
+
+    calls, counting = [], []
+
+    def profile(frame, event, arg):
+        if event == "call" and counting:
+            calls.append(frame.f_code.co_name)
+
+    inbound, outbound = Pipe(duplex=False), Pipe(duplex=False)
+    rings = {0: tuple((heap.Arena(2 * wire._HALF), threading.Semaphore(2),
+                       threading.Semaphore(0)) for _ in range(2))}
+    transport = wire._Transport(1, {0: (inbound[0], outbound[1])}, rings)
+    machine = Machine(2, transport=transport)
+    box = machine.world.mailboxes[1]
+    route = pickle.dumps(WORLD_ID)
+
+    def deliver(count):
+        for i in range(count):
+            frame = wire._encode(("env", route, 0, 7, np.array([i]), 8,
+                                  1e-6, None))
+            wire._write_frame(inbound[1].fileno(), frame)
+        return [box.wait(box.post(0, ANY_TAG, 0.0)).payload[0]
+                for _ in range(count)]
+
+    previous = threading.getprofile()
+    threading.setprofile(profile)  # the pump thread starts under it
+    try:
+        transport.start(machine)
+        assert deliver(1) == [0]  # the parse entry and its mailbox: cached
+        counting.append(True)
+        assert deliver(50) == list(range(50))
+        counting.clear()
+    finally:
+        threading.setprofile(previous)
+        inbound[1].close()  # the pump sees EOF and ends
+    for pump in [t for t in threading.enumerate() if t.name == "pump-1<0"]:
+        pump.join(timeout=10)
+        assert not pump.is_alive()
+    for end in (inbound[0], *outbound):
+        end.close()
+    assert len(calls) == 50 * PUMP_COST, sorted(set(calls))
+
+
+_CACHE_DTYPES = (np.dtype(np.int8), np.dtype(">f4"), np.dtype(np.complex128),
+                 np.dtype("M8[s]"))
+
+
+def _distinct_array(i: int) -> np.ndarray:
+    """The ``i``-th array of the bounded-cache run: dtype and ndim cycle, the
+    shape is mostly new; every 1000th crosses the ring."""
+    ndim = 1 + (i // 4) % 3
+    shape = (5000,) if i % 1000 == 999 else (
+        i % 97 + 1, i % 13 + 1, i % 2)[:ndim]
+    return np.arange(np.prod(shape)).astype(
+        _CACHE_DTYPES[i % 4]).reshape(shape)
+
+
+def _many_shapes(comm):
+    count = 10_000
+    if comm.rank == 0:
+        for i in range(count):
+            comm.send(_distinct_array(i), 1, tag=3)
+        return len(comm.state.mailboxes[1]._heads)
+    wrong = 0
+    for i in range(count):
+        got, want = comm.recv(0, 3)[0], _distinct_array(i)
+        wrong += not (got.dtype == want.dtype and got.shape == want.shape
+                      and np.array_equal(got, want))
+    return wrong, len(comm.machine.transport._parsed[0])
+
+
+@pytest.mark.parametrize("start", ["fork", "spawn"])
+def test_array_caches_stay_bounded_by_dtype_and_ndim(start):
+    sent_heads, (wrong, parsed) = run_mpi(
+        _many_shapes, 2, backend=ProcessBackend(start)).values
+    assert wrong == 0
+    bound = len(_CACHE_DTYPES) * 3  # dtypes x ndims, whatever the shapes
+    assert sent_heads <= bound and parsed <= bound
+
+
+def _race_ahead_through_split(comm):
+    """Rank 0 leaves ``split`` and sends five 8 B arrays and an ``ssend`` on
+    the new communicator before rank 1 creates it: rank 1's pump stashes
+    them, and they are drained in send order when the communicator is made."""
+    count, machine = 6, comm.machine
+    if comm.rank == 0:
+        sub = comm.split(0)
+        for i in range(count - 1):
+            sub.send(np.array([i]), 1, tag=2)
+        sub.ssend(np.array([count - 1]), 1, tag=2)
+        return None
+    create, stashed = machine.get_or_create_comm, []
+
+    def late(comm_id, members, topology=None):
+        if comm_id[1] == "split":  # wait until rank 0 sent all of it
+            stash = machine.transport._stash
+            deadline = time.monotonic() + 30
+            while (len(stash.get(comm_id, ())) < count
+                   and time.monotonic() < deadline):
+                time.sleep(0.001)
+            stashed.append(len(stash.get(comm_id, ())))
+        return create(comm_id, members, topology)
+
+    machine.get_or_create_comm = late
+    sub = comm.split(0)
+    return stashed, [int(sub.recv(0, 2)[0][0]) for _ in range(count)]
+
+
+@pytest.mark.parametrize("start", ["fork", "spawn"])
+def test_what_arrives_before_its_communicator_keeps_send_order(start):
+    stashed, got = run_mpi(_race_ahead_through_split, 2,
+                           backend=ProcessBackend(start)).values[1]
+    assert stashed == [6] and got == list(range(6))

@@ -110,6 +110,15 @@ def rng():
 
 
 @pytest.fixture
+def default_algorithms(monkeypatch):
+    """Clear ``REPRO_COLL_*`` for a test that pins the default schedules'
+    virtual times but lets the default engine choose (CI's algorithm matrix
+    sets them for the whole lane)."""
+    for name in [name for name in os.environ if name.startswith("REPRO_COLL_")]:
+        monkeypatch.delenv(name)
+
+
+@pytest.fixture
 def lint_clean():
     """Assert a file, directory, or source string is reprolint-clean."""
     from repro.analysis.testing import lint_clean as _lint_clean

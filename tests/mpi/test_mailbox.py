@@ -118,10 +118,14 @@ def test_the_parked_probe_count_returns_to_zero_after_a_time_out():
 
 # -- the inlined matcher against the reference predicate ------------------------
 
+#: a collective schedule's reserved (negative) tag: ``ANY_TAG`` skips it
+_COLL_TAG = -1_000_017
+
 _ops = st.lists(st.one_of(
-    st.tuples(st.just("deposit"), st.integers(0, 2), st.integers(0, 2)),
+    st.tuples(st.just("deposit"), st.integers(0, 2),
+              st.sampled_from([0, 1, 2, _COLL_TAG])),
     st.tuples(st.just("post"), st.sampled_from([ANY_SOURCE, 0, 1, 2]),
-              st.sampled_from([ANY_TAG, 0, 1, 2])),
+              st.sampled_from([ANY_TAG, 0, 1, 2, _COLL_TAG])),
     st.tuples(st.just("cancel"), st.integers(0, 39), st.none()),
     st.tuples(st.just("waitany"), st.none(), st.none()),
 ), max_size=40)
@@ -198,6 +202,14 @@ def test_the_inlined_matcher_is_the_reference_predicate_oldest_first(ops):
             done = any(pr.opened for pr in members)
             assert any_gate.opened is done
             assert any_gate._lock.locked() is not done
+
+
+def test_any_tag_skips_collective_traffic():
+    """The reference predicate itself: a wildcard tag matches every user tag
+    and no collective one, which only its own exact tag matches."""
+    assert _envelope(tag=0).matches(ANY_SOURCE, ANY_TAG)
+    assert not _envelope(tag=_COLL_TAG).matches(0, ANY_TAG)
+    assert _envelope(tag=_COLL_TAG).matches(ANY_SOURCE, _COLL_TAG)
 
 
 def test_an_empty_mailbox_queues_without_scanning():

@@ -159,6 +159,7 @@ def test_sorter_with_duplicates_and_empty_blocks():
     assert np.array_equal(merged, np.full(400, 42))
 
 
+@pytest.mark.usefixtures("default_algorithms")
 def test_sorter_virtual_clock_pinned():
     """Sorting faster on the wall clock leaves the charged clocks alone."""
     def main(comm):
