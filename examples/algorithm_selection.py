@@ -6,10 +6,15 @@ formula.  A call takes the first of: a forced algorithm, the calling rank's
 scoped rules (``Communicator.use_algorithms``), the communicator's tuning
 table (``CollectiveEngine.tune``), the policy (``costmodel``: the argmin of
 the formulas at the call's size; ``default``: the seed's table).
-``CollectiveEngine.explain`` names the winner and the tier that chose it.
+``CollectiveEngine.explain`` names the winner and the tier that chose it,
+and the Chrome trace of a run shows each call's schedule on its rank's lane.
 
 Run:  python examples/algorithm_selection.py
 """
+
+import json
+import os
+import tempfile
 
 import numpy as np
 
@@ -71,4 +76,23 @@ if __name__ == "__main__":
     print(f"  {decision}")
     assert decision.source == "tuned"
     assert decision.rule == (None, "reduce_bcast")
+
+    # the run as a Chrome trace (chrome://tracing, Perfetto): one lane per
+    # rank on the virtual clock, each collective's algorithm in its args
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "trace.json")
+        res.trace.write_chrome_trace(path)
+        with open(path, encoding="utf-8") as fh:
+            written = json.load(fh)
+    assert written == res.chrome_trace()  # the file holds the same events
+    events = [e for e in written["traceEvents"] if e["ph"] == "X"]
+    lanes = {e["tid"] for e in events}
+    schedules = sorted({e["args"]["algorithm"] for e in events
+                        if e["name"] == "allreduce"})
+    received = [r["recvd"] for r in res.trace.per_rank_bytes()]
+    print(f"chrome trace: {len(events)} events on {len(lanes)} lanes, "
+          f"allreduce schedules {schedules}; bytes received per rank "
+          f"{received}")
+    assert lanes == set(range(p)) and min(received) > 0
+    assert schedules == ["recursive_doubling", "reduce_bcast", "ring"]
     print("every call took the schedule its tier names ✓")

@@ -16,8 +16,9 @@ Three acts:
 2. **Chaos** — a :class:`~repro.mpi.FaultCampaign` kills a rank mid-stream;
    the service revokes, shrinks, restores from ring-buddy checkpoints, and
    the drained results are bit-identical to the failure-free run.
-3. **Elastic membership** — a spare rank joins at a directive boundary and the
-   very next job sees the larger world.
+3. **Elastic membership** — on a traced cluster, one job drains and keeps
+   its own slice of the trace; a spare rank joins at a directive boundary
+   and the very next job sees the larger world.
 
 Run:  python examples/cluster_service.py
 """
@@ -87,12 +88,17 @@ print(f"act 2: rank 2 killed mid-stream ({campaign.kills()[0]['op']}); "
 # Act 3: a spare rank joins at a directive boundary
 # ---------------------------------------------------------------------------
 
-with Cluster(3, spares=1) as elastic:
-    before = elastic.submit(lambda comm: comm.size).result(30)
+with Cluster(3, spares=1, trace=True) as elastic:
+    first = elastic.submit(lambda comm: comm.raw.allreduce(1, SUM),
+                           label="count")
+    elastic.drain()                   # every submitted job has settled
+    assert first.done()
+    before, first_ops = first.result(), [e.op for e in first.trace()]
     elastic.add_rank()
     after = elastic.submit(lambda comm: comm.size).result(30)
 
 assert (before, after) == (3, 4)
+assert first_ops.count("allreduce") == 3, first_ops  # the job's trace slice
 print(f"act 3: world grew {before} -> {after} at the directive boundary")
 
 print("OK: cluster service drained, recovered, and grew")

@@ -4,7 +4,10 @@
 Extends the bindings beyond the paper's current feature set toward full
 standard coverage (its stated roadmap): every rank classifies local samples
 and accumulates counts directly into the owner rank's window — no receives,
-no collectives in the hot loop, elementwise-atomic updates.
+no collectives in the hot loop, elementwise-atomic updates.  Then a
+scoreboard on rank 0 takes every rank's total by ``put`` and hands the board
+back by ``get``, and a ``compare_and_swap`` elects a leader, each inside a
+scoped fence epoch; the windows are freed collectively.
 
 Run:  python examples/one_sided.py
 """
@@ -38,7 +41,25 @@ def main(comm):
 
     # every rank also grabs a remote ticket, RMW-atomically
     ticket = window.fetch_and_op(0, target=0, offset=0)  # read-only probe
-    return window.local.copy(), ticket
+
+    # a scoreboard on rank 0: each rank puts its total into its own slot,
+    # then reads the whole board back (a fence closes each epoch)
+    board = comm.win_create(np.zeros(p, dtype=np.int64))
+    with board.epoch():
+        board.put([int(counts.sum())], target=0, offset=r)
+    with board.epoch():
+        totals = board.get(target=0)
+
+    # a leader election: the first compare-and-swap of 0 → rank + 1 wins
+    vote = comm.win_create(np.zeros(1, dtype=np.int64))
+    with vote.epoch():
+        vote.compare_and_swap(r + 1, 0, target=0, offset=0)
+    with vote.epoch():
+        leader = int(vote.get(target=0, offset=0, count=1)[0]) - 1
+    histogram = window.local.copy()
+    for win in (window, board, vote):
+        win.free()
+    return histogram, ticket, totals.tolist(), leader
 
 
 if __name__ == "__main__":
@@ -53,3 +74,10 @@ if __name__ == "__main__":
     print(f"total samples: {total:,} "
           f"(expected {4 * SAMPLES_PER_RANK:,}) "
           f"{'✓' if total == 4 * SAMPLES_PER_RANK else '✗'}")
+    boards = [v[2] for v in result.values]
+    leaders = {v[3] for v in result.values}
+    assert total == 4 * SAMPLES_PER_RANK
+    assert boards == [[SAMPLES_PER_RANK] * 4] * 4, boards
+    assert len(leaders) == 1 and 0 <= min(leaders) < 4, leaders
+    print(f"scoreboard (put/get): {boards[0]}; leader by CAS: rank "
+          f"{leaders.pop()}")

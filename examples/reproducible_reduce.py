@@ -4,7 +4,9 @@
 IEEE-754 addition is not associative: a naive allreduce gives different
 results for different rank counts.  The ``ReproducibleReduce`` plugin fixes
 the combine order to a binary tree over *global element indices* — the
-result is bit-identical for every distribution of the data.
+result is bit-identical for every distribution of the data, and for every
+real-time schedule: each tree run is fuzzed (``fuzz_seed``: seeded random
+delivery delays), which must not move a bit.
 
 Run:  python examples/reproducible_reduce.py
 """
@@ -43,7 +45,8 @@ if __name__ == "__main__":
     naive_results, tree_results = set(), set()
     for p in (1, 2, 3, 4, 6, 8):
         naive = float(run(naive_main, p).values[0])
-        tree = float(run(tree_main, p, comm_class=RRComm).values[0])
+        tree = float(run(tree_main, p, comm_class=RRComm,
+                         fuzz_seed=p).values[0])
         naive_results.add(naive)
         tree_results.add(tree)
         print(f"{p:>3} {naive:>24.6f} {tree:>24.6f}")

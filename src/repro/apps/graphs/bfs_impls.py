@@ -2,8 +2,9 @@
 
 The paper's BFS row counts only the code that *differs* between bindings:
 the frontier exchange and the completion check (§IV-B, Footnote 8).  These
-are those functions, implemented comparably; the level-synchronous BFS loop
-itself is shared (:mod:`repro.apps.graphs.bfs`).
+are those functions, implemented comparably; :func:`bfs_with_binding` is the
+level-synchronous loop they plug into, shared by every binding and not
+counted.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ from typing import Mapping
 
 import numpy as np
 
+from repro.apps.graphs.bfs import UNDEFINED
+from repro.apps.graphs.graph import DistGraph
 from repro.bindings import boost_mpi, mpl, rwth_mpi
 from repro.core import Communicator, op, send_buf, with_flattened
 from repro.mpi.context import RawComm
@@ -151,3 +154,30 @@ BFS_IMPLS = {
     "MPL": (bfs_exchange_mpl, bfs_is_empty_mpl, mpl.communicator),
     "KaMPIng": (bfs_exchange_kamping, bfs_is_empty_kamping, Communicator),
 }
+
+
+def bfs_with_binding(raw: RawComm, g: DistGraph, source: int,
+                     binding: str) -> np.ndarray:
+    """Level-synchronous BFS from ``source`` whose frontier exchange and
+    termination check are ``binding``'s; this rank's distance array."""
+    exchange, is_empty, wrap = BFS_IMPLS[binding]
+    comm = wrap(raw)
+    dist = np.full(g.local_size, UNDEFINED, dtype=np.int64)
+    frontier = [source] if g.is_local(source) else []
+    level = 0
+    while not is_empty(comm, frontier):
+        buckets = {}
+        for v in frontier:
+            lv = g.to_local(int(v))
+            if dist[lv] != UNDEFINED:
+                continue
+            dist[lv] = level
+            for t in g.neighbors(int(v)):
+                t = int(t)
+                buckets.setdefault(g.owner(t), []).append(t)
+        local_next = [v for v in buckets.pop(g.rank, [])
+                      if dist[g.to_local(v)] == UNDEFINED]
+        arrived = exchange(comm, buckets)
+        frontier = local_next + [int(v) for v in np.asarray(arrived)]
+        level += 1
+    return dist

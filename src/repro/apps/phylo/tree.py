@@ -45,21 +45,6 @@ class PhyloTree:
     def _swapped(x: int, a: int, b: int) -> int:
         return b if x == a else (a if x == b else x)
 
-    def validate(self) -> None:
-        """Structural sanity: every node referenced once, children precede parents."""
-        seen: set[int] = set()
-        for k, (l, r) in enumerate(self.children):
-            parent = self.num_taxa + k
-            for c in (l, r):
-                if c >= parent:
-                    raise ValueError("children must precede their parent")
-                if c in seen:
-                    raise ValueError(f"node {c} has two parents")
-                seen.add(c)
-        expected = set(range(self.root)) - {self.root}
-        if seen != expected:
-            raise ValueError("tree is not a spanning binary tree")
-
     def to_dict(self) -> dict:
         """Plain-dict form (what the hand-rolled layer serializes)."""
         return {"num_taxa": self.num_taxa, "children": list(self.children)}

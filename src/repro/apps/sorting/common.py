@@ -69,9 +69,3 @@ def local_sort(raw: RawComm, data: np.ndarray) -> np.ndarray:
     """Sort a local block, charging the virtual clock."""
     charge_sort(raw, len(data))
     return sort_keys(data)
-
-
-def is_globally_sorted(blocks: list[np.ndarray]) -> bool:
-    """Verification helper: blocks sorted locally and ordered across ranks."""
-    merged = np.concatenate([b for b in blocks])
-    return bool((np.diff(merged) >= 0).all())

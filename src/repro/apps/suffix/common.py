@@ -55,14 +55,3 @@ def suffix_array_sequential(text: np.ndarray) -> np.ndarray:
     sa = np.empty(n, dtype=np.int64)
     sa[inv] = np.arange(n)
     return sa
-
-
-def is_suffix_array(text: np.ndarray, sa: np.ndarray) -> bool:
-    """Verify that ``sa`` sorts all suffixes of ``text``."""
-    n = len(text)
-    if sorted(sa.tolist()) != list(range(n)):
-        return False
-    for a, b in zip(sa[:-1], sa[1:]):
-        if not tuple(text[a:]) < tuple(text[b:]):
-            return False
-    return True

@@ -9,23 +9,24 @@ Faithful to the documented design *and its pitfalls*:
   without any trace in the calling code);
 - functor → built-in reduction mapping (``std::plus`` style) and lambdas;
 - **no ``alltoallv`` binding** — Boost.MPI never provided one, so algorithms
-  needing it (sample sort, BFS) must hand-roll the exchange over
-  ``isend``/``recv`` as real Boost.MPI users do;
+  needing it (sample sort, BFS) ``all_to_all`` one (implicitly serialized)
+  vector per destination instead;
 - MPI errors surface as exceptions (``boost::mpi::exception``).
 
-The API mirrors Boost.MPI's free-function style: ``broadcast(comm, value,
-root)``, ``all_gather(comm, value)``, …
+The API mirrors Boost.MPI's free-function style (``all_gather(comm, value)``,
+``all_reduce(comm, value, op)``, …) and holds what Table I, Fig. 8 and the
+BFS variants call.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
 from repro.mpi.context import RawComm
 from repro.mpi.errors import RawMpiError
-from repro.mpi.ops import SUM, Op, user_op
+from repro.mpi.ops import Op, user_op
 
 
 class BoostMpiException(Exception):
@@ -44,38 +45,12 @@ class communicator:
     def size(self) -> int:
         return self.raw.size
 
-    def barrier(self) -> None:
-        _guard(self.raw.barrier)
-
-    # Boost.MPI point-to-point: implicit serialization for non-array payloads.
-    def send(self, dest: int, tag: int, value: Any = None) -> None:
-        _guard(lambda: self.raw.send(_maybe_serialize(self.raw, value), dest, tag))
-
-    def recv(self, source: int, tag: int) -> Any:
-        def do():
-            payload, _ = self.raw.recv(source, tag)
-            return _maybe_deserialize(self.raw, payload)
-
-        return _guard(do)
-
-    def isend(self, dest: int, tag: int, value: Any = None):
-        return _guard(
-            lambda: self.raw.isend(_maybe_serialize(self.raw, value), dest, tag)
-        )
-
-    def irecv(self, source: int, tag: int):
-        raw_req = _guard(lambda: self.raw.irecv(source, tag))
-        return _DeserializingRequest(raw_req, self.raw)
-
 
 def _guard(thunk: Callable[[], Any]) -> Any:
     try:
         return thunk()
     except RawMpiError as exc:  # Boost.MPI converts every MPI error
         raise BoostMpiException(str(exc)) from exc
-
-
-_SERIAL_RATE_KEY = "ser_beta"
 
 
 def _maybe_serialize(raw: RawComm, value: Any) -> Any:
@@ -110,43 +85,9 @@ class _Archived:
         self.blob = blob
 
 
-class _DeserializingRequest:
-    """Boost.MPI's irecv request: deserializes transparently on completion."""
-
-    def __init__(self, raw_req, raw_comm):
-        self._req = raw_req
-        self._raw = raw_comm
-
-    def wait(self):
-        payload, status = self._req.wait()
-        return _maybe_deserialize(self._raw, payload), status
-
-    def test(self):
-        done, value = self._req.test()
-        if not done:
-            return False, None
-        payload, status = value
-        return True, (_maybe_deserialize(self._raw, payload), status)
-
-
 # ---------------------------------------------------------------------------
 # collectives (free functions, like Boost.MPI)
 # ---------------------------------------------------------------------------
-
-def broadcast(comm: communicator, value: Any, root: int) -> Any:
-    """``boost::mpi::broadcast``; returns the broadcast value."""
-    payload = _maybe_serialize(comm.raw, value) if comm.rank() == root else None
-    out = _guard(lambda: comm.raw.bcast(payload, root))
-    return _maybe_deserialize(comm.raw, out)
-
-
-def gather(comm: communicator, value: Any, root: int) -> Optional[list]:
-    """Gather one value per rank; the root's vector is resized to fit."""
-    out = _guard(lambda: comm.raw.gather(_maybe_serialize(comm.raw, value), root))
-    if out is None:
-        return None
-    return [_maybe_deserialize(comm.raw, v) for v in out]
-
 
 def all_gather(comm: communicator, value: Any) -> list:
     """Allgather one value per rank; result vector resized to fit."""
@@ -154,25 +95,10 @@ def all_gather(comm: communicator, value: Any) -> list:
     return [_maybe_deserialize(comm.raw, v) for v in out]
 
 
-def gatherv(comm: communicator, values: np.ndarray,
-            sizes: Optional[Sequence[int]], root: int) -> Optional[np.ndarray]:
-    """``boost::mpi::gatherv``: the *sizes* must be supplied by the caller —
-    Boost offers an overload omitting displacements, but never the counts."""
-    out = _guard(lambda: comm.raw.gatherv(np.asarray(values), sizes, root))
-    return out
-
-
 def all_gatherv(comm: communicator, values: np.ndarray,
                 sizes: Sequence[int]) -> np.ndarray:
     """Allgatherv with caller-provided sizes (counts must be pre-exchanged)."""
     return _guard(lambda: comm.raw.allgatherv(np.asarray(values), list(sizes)))
-
-
-def scatter(comm: communicator, values: Optional[Sequence[Any]], root: int) -> Any:
-    out = _guard(lambda: comm.raw.scatter(
-        [_maybe_serialize(comm.raw, v) for v in values] if values is not None
-        else None, root))
-    return _maybe_deserialize(comm.raw, out)
 
 
 def all_to_all(comm: communicator, values: Sequence[Any]) -> list:
@@ -186,17 +112,9 @@ def all_to_all(comm: communicator, values: Sequence[Any]) -> list:
     return [_maybe_deserialize(comm.raw, v) for v in out]
 
 
-def reduce(comm: communicator, value: Any, operation: Any, root: int) -> Any:
-    return _guard(lambda: comm.raw.reduce(value, _resolve_op(operation), root))
-
-
 def all_reduce(comm: communicator, value: Any, operation: Any) -> Any:
     """Reduction with functor mapping (``std::plus`` → ``MPI_SUM``) or lambda."""
     return _guard(lambda: comm.raw.allreduce(value, _resolve_op(operation)))
-
-
-def scan(comm: communicator, value: Any, operation: Any) -> Any:
-    return _guard(lambda: comm.raw.scan(value, _resolve_op(operation)))
 
 
 def _resolve_op(operation: Any) -> Op:
@@ -218,12 +136,3 @@ def _hashable(x: Any) -> bool:
         return True
     except TypeError:
         return False
-
-
-# Boost.MPI deliberately has no alltoallv; this stub documents the gap the
-# paper's Table I measures (users hand-roll the exchange over point-to-point).
-def all_to_allv(*_args: Any, **_kwargs: Any):  # pragma: no cover - documented gap
-    raise NotImplementedError(
-        "Boost.MPI provides no bindings for MPI_Alltoallv (paper §II); "
-        "hand-roll the exchange over isend/recv"
-    )

@@ -4,7 +4,7 @@ MPL's signature feature is its **layout** system: datatypes are built
 programmatically as views over contiguous memory and every call takes
 explicit layouts.  Faithful to the documented behaviour:
 
-- variable-size collectives (``gatherv``/``allgatherv``/``alltoallv``) do
+- variable-size collectives (``allgatherv``/``alltoallv``) do
   **not** pass counts/displacements to the corresponding MPI collective;
   they build per-peer derived datatypes and route through ``MPI_Alltoallw``
   internally — the documented cause of MPL's overhead and poor scalability
@@ -16,7 +16,7 @@ explicit layouts.  Faithful to the documented behaviour:
 
 from __future__ import annotations
 
-from typing import Any, Optional, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -26,16 +26,6 @@ from repro.mpi.ops import Op
 
 class layout:
     """Base class for MPL layouts: a typed view description."""
-
-    def extent(self) -> int:
-        raise NotImplementedError
-
-
-class empty_layout(layout):
-    """Zero-element layout."""
-
-    def extent(self) -> int:
-        return 0
 
 
 class contiguous_layout(layout):
@@ -48,36 +38,14 @@ class contiguous_layout(layout):
         return self.count
 
 
-class indexed_layout(layout):
-    """``mpl::indexed_layout<T>``: blocks of (count, displacement) pairs."""
-
-    def __init__(self, blocks: Sequence[tuple[int, int]]):
-        self.blocks = [(int(c), int(d)) for c, d in blocks]
-
-    def extent(self) -> int:
-        return sum(c for c, _ in self.blocks)
-
-    def slice_of(self, buf: np.ndarray) -> np.ndarray:
-        parts = [buf[d: d + c] for c, d in self.blocks]
-        return np.concatenate(parts) if parts else buf[:0]
-
-
 class layouts:
     """``mpl::layouts<T>``: one layout per peer (for v-collectives)."""
 
     def __init__(self, per_peer: Sequence[layout]):
         self.per_peer = list(per_peer)
 
-    def __len__(self) -> int:
-        return len(self.per_peer)
-
     def __getitem__(self, i: int) -> layout:
         return self.per_peer[i]
-
-
-def contiguous_layouts_from_counts(counts: Sequence[int]) -> layouts:
-    """Helper MPL users write constantly: one contiguous layout per count."""
-    return layouts([contiguous_layout(c) for c in counts])
 
 
 class communicator:
@@ -92,44 +60,13 @@ class communicator:
     def size(self) -> int:
         return self._raw.size
 
-    def barrier(self) -> None:
-        self._raw.barrier()
-
-    # -- point-to-point ----------------------------------------------------
-
-    def send(self, data: np.ndarray, dest: int, tag: int = 0,
-             l: Optional[layout] = None) -> None:
-        data = np.asarray(data)
-        if l is not None:
-            data = data[: l.extent()]
-        self._raw.send(data, dest, tag)
-
-    def recv(self, source: int, tag: int = 0) -> np.ndarray:
-        payload, _ = self._raw.recv(source, tag)
-        return payload
-
     # -- collectives ---------------------------------------------------------
-
-    def bcast(self, root: int, data: Any) -> Any:
-        return self._raw.bcast(data if self.rank() == root else None, root)
 
     def allreduce(self, op: Op, data: Any) -> Any:
         return self._raw.allreduce(data, op)
 
-    def reduce(self, op: Op, root: int, data: Any) -> Any:
-        return self._raw.reduce(data, op, root)
-
-    def scan(self, op: Op, data: Any) -> Any:
-        return self._raw.scan(data, op)
-
-    def exscan(self, op: Op, data: Any) -> Any:
-        return self._raw.exscan(data, op)
-
     def allgather(self, senddata: Any) -> list:
         return self._raw.allgather(senddata)
-
-    def gather(self, root: int, senddata: Any) -> Optional[list]:
-        return self._raw.gather(senddata, root)
 
     def alltoall(self, senddata: Sequence[Any]) -> list:
         return self._raw.alltoall(senddata)
@@ -150,20 +87,6 @@ class communicator:
         parts = [np.asarray(received[i])[: recvls[i].extent()] for i in range(p)]
         return np.concatenate(parts) if parts else block[:0]
 
-    def gatherv(self, root: int, senddata: np.ndarray, sendl: layout,
-                recvls: Optional[layouts] = None) -> Optional[np.ndarray]:
-        """Variable gather through the same derived-datatype path."""
-        p, r = self.size(), self.rank()
-        block = np.asarray(senddata)[: sendl.extent()]
-        blocks: list[Any] = [np.empty(0, dtype=block.dtype)] * p
-        blocks[root] = block
-        received = self._raw.alltoallw(blocks)
-        if r != root:
-            return None
-        assert recvls is not None, "MPL requires receive layouts at the root"
-        parts = [np.asarray(received[i])[: recvls[i].extent()] for i in range(p)]
-        return np.concatenate(parts) if parts else block[:0]
-
     def alltoallv(self, senddata: np.ndarray, sendls: layouts,
                   recvls: layouts) -> np.ndarray:
         """Variable all-to-all; send layouts select per-peer blocks."""
@@ -172,13 +95,9 @@ class communicator:
         blocks = []
         offset = 0
         for i in range(p):
-            l = sendls[i]
-            if isinstance(l, indexed_layout):
-                blocks.append(l.slice_of(sendbuf))
-            else:
-                n = l.extent()
-                blocks.append(sendbuf[offset: offset + n])
-                offset += n
+            n = sendls[i].extent()
+            blocks.append(sendbuf[offset: offset + n])
+            offset += n
         received = self._raw.alltoallw(blocks)
         parts = [np.asarray(received[i])[: recvls[i].extent()] for i in range(p)]
         return np.concatenate(parts) if parts else sendbuf[:0]

@@ -39,41 +39,14 @@ class Communicator:
     def size(self) -> int:
         return self.raw.size
 
-    def barrier(self) -> None:
-        self.raw.barrier()
-
-    # -- point-to-point (mirrors the C interface) -----------------------------
-
-    def send(self, data: Any, destination: int, tag: int = 0) -> None:
-        self.raw.send(data, destination, tag)
-
-    def receive(self, source: int, tag: int = 0) -> Any:
-        payload, _ = self.raw.recv(source, tag)
-        return payload
-
     # -- collectives with overload-style defaults --------------------------------
-
-    def broadcast(self, data: Any, root: int = 0) -> Any:
-        return self.raw.bcast(data if self.rank == root else None, root)
 
     def all_reduce(self, data: Any, op: Op) -> Any:
         return self.raw.allreduce(data, op)
 
-    def reduce(self, data: Any, op: Op, root: int = 0) -> Any:
-        return self.raw.reduce(data, op, root)
-
-    def scan(self, data: Any, op: Op) -> Any:
-        return self.raw.scan(data, op)
-
     def all_gather(self, data: Any) -> list:
         """Fixed-size allgather; the result container is resized automatically."""
         return self.raw.allgather(data)
-
-    def gather(self, data: Any, root: int = 0) -> Optional[list]:
-        return self.raw.gather(data, root)
-
-    def all_to_all(self, data: Sequence[Any]) -> list:
-        return self.raw.alltoall(data)
 
     def all_gather_varying(self, data: np.ndarray,
                            counts: Optional[Sequence[int]] = None,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Callable, Optional, Sequence, Type
 
 from repro.core.communicator import Communicator
@@ -9,6 +10,13 @@ from repro.mpi.costmodel import CostModel
 from repro.mpi.engine import CollectiveEngine
 from repro.mpi.machine import RunResult, run_mpi
 from repro.mpi.tracing import TraceRecorder
+
+
+def _entry(comm_class: Type[Communicator], fn: Callable[..., Any], raw,
+           *fn_args) -> Any:
+    """A rank's entry: ``fn`` on its wrapped communicator (module-level, so
+    that a spawned process rank can import it)."""
+    return fn(comm_class(raw), *fn_args)
 
 
 def run(fn: Callable[..., Any], num_ranks: int, *,
@@ -46,11 +54,7 @@ def run(fn: Callable[..., Any], num_ranks: int, *,
     named-parameter layer, so wrapped calls journal exactly the raw ops they
     issue.
     """
-
-    def entry(raw, *fn_args):
-        return fn(comm_class(raw), *fn_args)
-
-    return run_mpi(entry, num_ranks, args=args, cost_model=cost_model,
-                   deadline=deadline, timeout=timeout, trace=trace,
-                   engine=engine, sanitize=sanitize, fuzz_seed=fuzz_seed,
-                   faults=faults, backend=backend, ir=ir)
+    return run_mpi(partial(_entry, comm_class, fn), num_ranks, args=args,
+                   cost_model=cost_model, deadline=deadline, timeout=timeout,
+                   trace=trace, engine=engine, sanitize=sanitize,
+                   fuzz_seed=fuzz_seed, faults=faults, backend=backend, ir=ir)

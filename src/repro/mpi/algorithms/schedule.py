@@ -5,19 +5,17 @@ yields the steps below and returns the collective's result; it never sees a
 communicator.  :class:`Run` is the only code that turns steps into tags,
 mailbox traffic, clock charges and fault hooks — for the blocking collectives
 (``Run(...).wait()``) and the non-blocking ones (the same object, started and
-handed to the caller as its request).  :func:`corun` executes the p
-generators of one schedule on one thread over in-memory channels: the oracle
-the tests check every schedule against (matched sends, no deadlock, each
-rank's result).
+handed to the caller as its request).  The tests' co-run (``tests/oracles.py``)
+executes the p generators of one schedule on one thread over in-memory
+channels: the oracle every schedule is checked against (matched sends, no
+deadlock, each rank's result).
 """
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Generator, Optional, Tuple
+from typing import Any, Callable, Generator, Optional
 
-from repro.mpi.errors import RawUsageError
 from repro.mpi.p2p import PendingRecv
 from repro.mpi.requests import RawRequest
 
@@ -159,45 +157,3 @@ class Run(RawRequest):
     def audit_pending_recvs(self) -> tuple[PendingRecv, ...]:
         """The posted receive of the in-flight schedule (auditor dedup)."""
         return () if self._pending is None else (self._pending,)
-
-
-def corun(schedule: Schedule, p: int, args: Callable[[int], tuple]
-          ) -> tuple[list, list]:
-    """Run ``schedule`` on all p ranks, one thread, in-memory FIFO channels.
-
-    Rank ``r`` is called as ``schedule(p, r, *args(r))``.  Returns
-    ``(steps, values)``: each rank's ``("send" | "recv", peer)`` sequence in
-    issue order, and each rank's result.
-    """
-    gens = [schedule(p, r, *args(r)) for r in range(p)]
-    channels: Dict[Tuple[int, int], deque] = defaultdict(deque)
-    steps: list = [[] for _ in range(p)]
-    values: list = [None] * p
-    stuck: dict = dict.fromkeys(range(p))  # rank -> peer it waits for
-    progress = True
-    while stuck and progress:
-        progress = False
-        for r, peer in list(stuck.items()):
-            if peer is not None and not channels[peer, r]:
-                continue
-            progress = True
-            answer = None if peer is None else channels[peer, r].popleft()
-            try:
-                while True:
-                    step = gens[r].send(answer)
-                    answer = None
-                    if type(step) is Send:
-                        steps[r].append(("send", step.peer))
-                        channels[r, step.peer].append(step.payload)
-                    elif type(step) is Recv:
-                        steps[r].append(("recv", step.peer))
-                        if not channels[step.peer, r]:
-                            stuck[r] = step.peer
-                            break
-                        answer = channels[step.peer, r].popleft()
-            except StopIteration as stop:
-                values[r] = stop.value
-                del stuck[r]
-    if stuck:
-        raise RawUsageError(f"schedule deadlocks at p={p}: {stuck}")
-    return steps, values

@@ -57,7 +57,8 @@ per communicator.  A :class:`_RemoteMailbox` keeps per dtype and ndim a
 dtype, the shape's ``Struct`` and the mailbox (the registry's answer, once),
 and deposits an ``Envelope`` built straight from the unpacked fields.
 
-The messages (what :func:`_read_frame` returns for either frame):
+The messages (what a frame carries; the pump deposits an envelope without
+building its tuple):
 
 - ``("env", route, source, tag, payload, nbytes, arrival_time, token)`` —
   ``route`` is ``pickle.dumps(comm_id)``; ``token`` is the sender's counter
@@ -285,23 +286,6 @@ def _read_pickled(frames, size: int, nbuf: int,
     return pickle.loads(memoryview(data)[8 * nbuf:], buffers=[
         _read_into(frames, n, ring)
         for n in struct.unpack_from(f"<{nbuf}Q", data)])
-
-
-def _read_frame(frames, ring: Optional["_Ring"] = None) -> tuple:
-    """Read one frame back into its message tuple; each buffer lands in the
-    ``np.empty`` array the payload keeps as its (writeable, private) storage,
-    copied out of ``ring`` if the frame says it is there."""
-    prefix = frames.read(_PREFIX.size)
-    if len(prefix) < _PREFIX.size:
-        raise EOFError
-    header_len, nbuf = _PREFIX.unpack(prefix)
-    ring = ring if header_len & _RING else None
-    header_len &= ~_RING
-    if nbuf != _ARRAY:
-        return _read_pickled(frames, header_len, nbuf, ring)
-    entry, env, token = _read_array(frames, header_len, ring, {})
-    return ("env", entry[2], env.source, env.tag, env.payload, env.nbytes,
-            env.arrival_time, None if token < 0 else token)
 
 
 class _Ring:

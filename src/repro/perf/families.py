@@ -59,10 +59,6 @@ class BfsWorkload:
     avg_degree: float
     levels: tuple[LevelStats, ...]
 
-    @property
-    def num_levels(self) -> int:
-        return len(self.levels)
-
 
 def _gnm_levels(p: int, n_per: int, deg: float) -> tuple[LevelStats, ...]:
     n = n_per * p

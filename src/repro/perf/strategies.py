@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.mpi import algorithms as _coll_algorithms
 from repro.mpi.costmodel import CostModel
 from repro.perf.families import BfsWorkload, LevelStats
 
@@ -24,19 +23,6 @@ COMM_CREATE_PER_RANK = 2.0e-8
 
 def _log2(p: int) -> float:
     return float(max(p - 1, 1).bit_length())
-
-
-def collective_cost(op: str, algorithm: str, p: int, nbytes: int,
-                    cm: CostModel) -> float:
-    """Closed-form α-β cost of one registered collective algorithm.
-
-    Delegates to the registry's per-algorithm formulas — the same ones the
-    ``costmodel`` selection policy minimizes — so the analytic layer and the
-    engine can never disagree about an algorithm's predicted cost.
-    Cross-validated against virtual-time measurements of the executing
-    simulator in ``tests/perf/test_algorithm_costs.py``.
-    """
-    return _coll_algorithms.get(op, algorithm).predict(p, nbytes, cm)
 
 
 def exchange_cost(strategy: str, stats: LevelStats, p: int,

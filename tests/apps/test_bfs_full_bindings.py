@@ -1,41 +1,17 @@
 """End-to-end BFS driven through each binding's exchange/termination code.
 
-The Table-I BFS implementations are not just counted — here each binding's
-exchange + termination pair drives a full level-synchronous BFS and must
-produce the reference distances.
+Each binding's Table-I exchange + termination pair drives the shared
+level-synchronous loop (``bfs_with_binding``) and must produce the reference
+distances; ``benchmarks/bench_table1_loc.py`` runs the same driver.
 """
 
 import numpy as np
 import pytest
 
-from repro.apps.graphs import UNDEFINED, generate_rgg2d
+from repro.apps.graphs import generate_rgg2d
 from repro.apps.graphs.bfs import sequential_bfs_reference
-from repro.apps.graphs.bfs_impls import BFS_IMPLS
+from repro.apps.graphs.bfs_impls import BFS_IMPLS, bfs_with_binding
 from tests.conftest import runp
-
-
-def _bfs_with_binding(raw, g, source, binding):
-    exchange, is_empty, wrap = BFS_IMPLS[binding]
-    comm = wrap(raw)
-    dist = np.full(g.local_size, UNDEFINED, dtype=np.int64)
-    frontier = [source] if g.is_local(source) else []
-    level = 0
-    while not is_empty(comm, frontier):
-        buckets = {}
-        for v in frontier:
-            lv = g.to_local(int(v))
-            if dist[lv] != UNDEFINED:
-                continue
-            dist[lv] = level
-            for t in g.neighbors(int(v)):
-                t = int(t)
-                buckets.setdefault(g.owner(t), []).append(t)
-        local_next = [v for v in buckets.pop(g.rank, [])
-                      if dist[g.to_local(v)] == UNDEFINED]
-        arrived = exchange(comm, buckets)
-        frontier = local_next + [int(v) for v in np.asarray(arrived)]
-        level += 1
-    return dist
 
 
 @pytest.mark.parametrize("binding", list(BFS_IMPLS))
@@ -44,7 +20,7 @@ def test_full_bfs_through_binding(binding):
 
     def main(raw):
         g = generate_rgg2d(48, 8.0, p, raw.rank, seed=23)
-        return g, _bfs_with_binding(raw, g, 0, binding)
+        return g, bfs_with_binding(raw, g, 0, binding)
 
     res = runp(main, p)
     graphs = [v[0] for v in res.values]
@@ -65,7 +41,7 @@ def test_all_bindings_equal_virtual_time_except_mpl():
     for binding in ("MPI", "KaMPIng", "RWTH-MPI", "MPL"):
         def main(raw, b=binding):
             g = generate_rgg2d(48, 8.0, p, raw.rank, seed=23)
-            _bfs_with_binding(raw, g, 0, b)
+            bfs_with_binding(raw, g, 0, b)
             return raw.clock.now
 
         times[binding] = max(runp(main, p).values)

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from repro.apps.phylo import fitch_score, random_alignment, random_tree
 from repro.apps.phylo.comm_layers import BinaryStream
 from repro.apps.phylo.tree import PhyloTree
+from tests.oracles import validate_tree
 
 
 class TestTreeInvariants:
@@ -17,7 +18,7 @@ class TestTreeInvariants:
     )
     def test_random_trees_always_valid(self, num_taxa, seed):
         tree = random_tree(num_taxa, seed=seed)
-        tree.validate()
+        validate_tree(tree)
         assert len(tree.children) == num_taxa - 1
         assert tree.root == 2 * num_taxa - 2
 
@@ -32,7 +33,7 @@ class TestTreeInvariants:
         tree = random_tree(num_taxa, seed=seed)
         a, b = a % num_taxa, b % num_taxa
         swapped = tree.swap_leaves(a, b)
-        swapped.validate()
+        validate_tree(swapped)
         # double swap is the identity
         assert swapped.swap_leaves(a, b).children == tree.children
 
@@ -43,9 +44,9 @@ class TestTreeInvariants:
 
     def test_invalid_trees_rejected(self):
         with pytest.raises(ValueError):
-            PhyloTree(3, [(0, 1), (0, 2)]).validate()  # node 0 twice
+            validate_tree(PhyloTree(3, [(0, 1), (0, 2)]))  # node 0 twice
         with pytest.raises(ValueError):
-            PhyloTree(2, [(0, 2)]).validate()  # child after parent
+            validate_tree(PhyloTree(2, [(0, 2)]))  # child after parent
 
 
 class TestFitchProperties:

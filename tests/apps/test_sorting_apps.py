@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.apps.sorting import SAMPLE_SORT_IMPLS, VECTOR_ALLGATHER_IMPLS, sort_checked
-from repro.apps.sorting.common import is_globally_sorted
 from repro.loc import loc_table, logical_loc
 from repro.perf.sweep import samplesort_sweep
 from tests.conftest import runp
+from tests.oracles import is_globally_sorted
 
 BINDINGS = list(VECTOR_ALLGATHER_IMPLS)
 

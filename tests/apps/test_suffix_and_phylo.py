@@ -21,9 +21,10 @@ from repro.apps.suffix import (
     random_text,
     suffix_array_sequential,
 )
-from repro.apps.suffix.common import is_suffix_array, local_block
+from repro.apps.suffix.common import local_block
 from repro.loc import logical_loc
 from tests.conftest import runk
+from tests.oracles import is_suffix_array, validate_tree
 
 
 # ---------------------------------------------------------------------------
@@ -115,12 +116,12 @@ def test_kamping_variant_shorter_than_mpi_variant():
 class TestPhyloSubstrate:
     def test_random_tree_valid(self):
         for seed in range(5):
-            random_tree(8, seed=seed).validate()
+            validate_tree(random_tree(8, seed=seed))
 
     def test_swap_leaves(self):
         tree = random_tree(6, seed=1)
         swapped = tree.swap_leaves(0, 3)
-        swapped.validate()
+        validate_tree(swapped)
         assert swapped.children != tree.children or True
 
     def test_tree_dict_roundtrip(self):

@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 from repro.apps.suffix import pdc3, prefix_doubling_kamping, suffix_array_sequential
-from repro.apps.suffix.common import is_suffix_array, local_block
+from repro.apps.suffix.common import local_block
 from tests.conftest import runk
+from tests.oracles import is_suffix_array
 
 
 def markov_text(n, sigma=8, skew=4.0, seed=1):

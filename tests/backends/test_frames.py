@@ -1,10 +1,12 @@
 """The process transport's codec, without processes.
 
-``_encode`` picks one of two frames from what a message carries and
-``_read_frame`` turns either back into the message tuple; here the pair is
-driven through a ``BytesIO`` so that every payload of ``test_wire``'s zoo,
-every truncation point and the sync token are checked on the bytes
-themselves.  The last test crosses real processes once, for the token's ack.
+``_encode`` picks one of two frames from what a message carries, and the
+pump's two readers (``_read_array``, ``_read_pickled``) turn either back
+into the message; here they are driven through a ``BytesIO`` exactly as
+``_Transport._pump`` drives them (the 8-byte prefix parsed here, a parse
+cache per pipe), so that every payload of ``test_wire``'s zoo, every
+truncation point and the sync token are checked on the bytes themselves.
+The last test crosses real processes once, for the token's ack.
 
 Rank functions are module-level: CI reruns this file under ``spawn``.
 """
@@ -14,6 +16,7 @@ from __future__ import annotations
 import io
 import os
 import pickle
+import struct
 import sys
 import threading
 from multiprocessing import heap
@@ -48,8 +51,22 @@ def _is_array_frame(blob: bytes) -> bool:
     return wire._PREFIX.unpack_from(blob)[1] == wire._ARRAY
 
 
+def _read_message(frames, ring=None, parsed=None) -> tuple:
+    """One frame back into its message tuple, read as the pump reads it: a
+    short prefix is a ``struct.error``, a short rest an ``EOFError``."""
+    header_len, nbuf = wire._PREFIX.unpack(frames.read(wire._PREFIX.size))
+    ring = ring if header_len & wire._RING else None
+    header_len &= ~wire._RING
+    if nbuf != wire._ARRAY:
+        return wire._read_pickled(frames, header_len, nbuf, ring)
+    entry, env, token = wire._read_array(
+        frames, header_len, ring, {} if parsed is None else parsed)
+    return ("env", entry[2], env.source, env.tag, env.payload, env.nbytes,
+            env.arrival_time, None if token < 0 else token)
+
+
 def _round_trip(msg) -> tuple:
-    return wire._read_frame(io.BytesIO(_wire_bytes(msg)))
+    return _read_message(io.BytesIO(_wire_bytes(msg)))
 
 
 @pytest.mark.parametrize("name", _zoo())
@@ -85,10 +102,12 @@ def test_a_frame_cut_short_anywhere_is_an_eof(name):
     blob = _wire_bytes(_env(payload, token=5))
     assert _is_array_frame(blob) == (name == "c_2d")
     for cut in range(len(blob)):
-        with pytest.raises(EOFError):
-            wire._read_frame(io.BytesIO(blob[:cut]))
-    stream = io.BytesIO(blob + blob)  # whole frames leave the next one whole
-    assert wire._read_frame(stream)[7] == wire._read_frame(stream)[7] == 5
+        with pytest.raises((EOFError, struct.error)):
+            _read_message(io.BytesIO(blob[:cut]))
+    # whole frames leave the next one whole, through one parse cache
+    stream, parsed = io.BytesIO(blob + blob), {}
+    assert (_read_message(stream, parsed=parsed)[7]
+            == _read_message(stream, parsed=parsed)[7] == 5)
 
 
 def test_control_messages_take_the_pickled_frame():
@@ -207,7 +226,8 @@ def test_the_ring_carries_many_odd_sized_frames_in_order():
     thread = threading.Thread(target=write_all)
     thread.start()
     with open(read_fd, "rb") as frames:
-        got = [wire._read_frame(frames, reader) for _ in sent]
+        parsed = {}
+        got = [_read_message(frames, reader, parsed) for _ in sent]
     thread.join(timeout=30)
     os.close(write_fd)
     assert not thread.is_alive()
@@ -237,7 +257,7 @@ def test_two_chunks_are_in_the_ring_before_the_header_is_on_the_pipe(
         target=writer.write, args=(write_fd, wire._encode(_env(payload))))
     thread.start()
     with open(read_fd, "rb") as frames:
-        got = wire._read_frame(frames, reader)[4]
+        got = _read_message(frames, reader)[4]
     thread.join(timeout=30)
     os.close(write_fd)
     assert (got == payload).all()

@@ -151,13 +151,14 @@ def test_resolve_backend_registry(monkeypatch):
         resolve_backend("mpi4py")
 
 
-def test_kamping_layer_over_process_backend():
+def _kamping_sum(comm):
     from repro.core import op, send_buf
 
-    def prog(comm):
-        return int(comm.allreduce_single(send_buf(comm.rank + 1), op(SUM)))
+    return int(comm.allreduce_single(send_buf(comm.rank + 1), op(SUM)))
 
-    got = runk(prog, 4, backend="process")
+
+def test_kamping_layer_over_process_backend():
+    got = runk(_kamping_sum, 4, backend="process")
     assert got.backend == "process"
     assert got.values == [10, 10, 10, 10]
 

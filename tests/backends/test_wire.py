@@ -20,7 +20,8 @@ import time
 import numpy as np
 import pytest
 
-from repro.mpi.backends.process import _EAGER, _HALF
+from repro.core import run, send_buf
+from repro.mpi.backends.process import _EAGER, _HALF, ProcessBackend
 
 BIG = 1 << 21  # int64 elements: 16 MiB, larger than any pipe buffer
 
@@ -230,3 +231,16 @@ def _keep_the_first_of_two(comm):
 
 def test_a_received_array_never_aliases_the_ring(differential):
     assert differential(_keep_the_first_of_two, 2).values[1] is True
+
+
+def _wrapped_allgatherv(comm, width):
+    return comm.allgatherv(send_buf(np.arange(comm.rank + width))).tolist()
+
+
+def test_core_run_starts_spawned_process_ranks():
+    """``repro.core.run``'s rank entry is module-level, so a spawned process
+    rank can import it: a module-level program runs through the wrapped
+    communicator and returns its values."""
+    res = run(_wrapped_allgatherv, 3, args=(1,),
+              backend=ProcessBackend("spawn"))
+    assert res.values == [[0, 0, 1, 0, 1, 2]] * 3

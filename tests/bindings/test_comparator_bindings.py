@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.bindings import boost_mpi, mpl, rwth_mpi
-from repro.mpi import SUM, CostModel, expect_calls, run_mpi
+from repro.mpi import CostModel, expect_calls, run_mpi
 from tests.conftest import runp
 
 
@@ -15,17 +15,6 @@ from tests.conftest import runp
 # ---------------------------------------------------------------------------
 
 class TestBoost:
-    def test_broadcast_and_gather(self):
-        def main(raw):
-            comm = boost_mpi.communicator(raw)
-            value = boost_mpi.broadcast(comm, {"a": 1} if raw.rank == 0 else None, 0)
-            gathered = boost_mpi.gather(comm, raw.rank, 0)
-            return value, gathered
-
-        res = runp(main, 3)
-        assert res.values[0] == ({"a": 1}, [0, 1, 2])
-        assert res.values[1] == ({"a": 1}, None)
-
     def test_functor_mapping_like_std_plus(self):
         def main(raw):
             comm = boost_mpi.communicator(raw)
@@ -41,8 +30,9 @@ class TestBoost:
         assert runp(main, 3).values[0] == 6
 
     def test_no_alltoallv_binding(self):
-        with pytest.raises(NotImplementedError, match="Alltoallv"):
-            boost_mpi.all_to_allv()
+        """Boost.MPI never bound ``MPI_Alltoallv`` (§II): nor does this."""
+        assert not any("alltoallv" in name.replace("_", "").lower()
+                       for name in dir(boost_mpi))
 
     def test_implicit_serialization_charges_hidden_cost(self):
         """The Boost pitfall: objects serialize silently — and pay for it."""
@@ -50,35 +40,30 @@ class TestBoost:
 
         def main(raw):
             comm = boost_mpi.communicator(raw)
-            if raw.rank == 0:
-                comm.send(1, 0, {"blob": "x" * 50_000})
-                return raw.clock.compute_seconds
-            comm.recv(0, 0)
-            return raw.clock.compute_seconds
+            got = boost_mpi.all_to_all(comm, [{"blob": "x" * 50_000}] * 2)
+            return raw.clock.compute_seconds, got[1 - raw.rank]
 
         res = run_mpi(main, 2, cost_model=cm)
-        assert res.values[0] > 0.01  # hidden serialization cost on the sender
+        # hidden serialization cost: two blobs pickled, two unpickled
+        assert res.values[0][0] > 0.1
+        assert res.values[0][1] == {"blob": "x" * 50_000}
 
     def test_arrays_skip_serialization(self):
         cm = CostModel(alpha=0.0, beta=0.0, overhead=0.0, ser_beta=1e-6)
 
         def main(raw):
             comm = boost_mpi.communicator(raw)
-            if raw.rank == 0:
-                comm.send(1, 0, np.zeros(50_000))
-                return raw.clock.compute_seconds
-            got = comm.recv(0, 0)
-            return len(got)
+            got = boost_mpi.all_to_all(comm, [np.zeros(50_000)] * 2)
+            return raw.clock.compute_seconds, len(got[1 - raw.rank])
 
         res = run_mpi(main, 2, cost_model=cm)
-        assert res.values[0] == 0.0
-        assert res.values[1] == 50_000
+        assert res.values[0] == (0.0, 50_000)
 
     def test_errors_become_boost_exception(self):
         def main(raw):
             comm = boost_mpi.communicator(raw)
             try:
-                comm.send(99, 1, "x")
+                boost_mpi.all_gatherv(comm, np.arange(3), [2, 1])
             except boost_mpi.BoostMpiException:
                 return "caught"
 
@@ -98,13 +83,15 @@ class TestBoost:
 # MPL
 # ---------------------------------------------------------------------------
 
+def _contiguous(counts):
+    return mpl.layouts([mpl.contiguous_layout(c) for c in counts])
+
+
 class TestMpl:
     def test_layouts_extents(self):
         assert mpl.contiguous_layout(5).extent() == 5
-        assert mpl.empty_layout().extent() == 0
-        il = mpl.indexed_layout([(2, 0), (1, 5)])
-        assert il.extent() == 3
-        assert il.slice_of(np.arange(10)).tolist() == [0, 1, 5]
+        ls = mpl.layouts([mpl.contiguous_layout(c) for c in (1, 0, 3)])
+        assert [ls[i].extent() for i in range(3)] == [1, 0, 3]
 
     def test_allgatherv_uses_alltoallw_internally(self):
         """The documented MPL behaviour Ghosh et al. measured (§II)."""
@@ -112,37 +99,13 @@ class TestMpl:
             comm = mpl.communicator(raw)
             v = np.arange(raw.rank + 1, dtype=np.int64)
             counts = [i + 1 for i in range(raw.size)]
-            recvls = mpl.contiguous_layouts_from_counts(counts)
+            recvls = _contiguous(counts)
             with expect_calls(raw, alltoallw=1):
                 out = comm.allgatherv(v, mpl.contiguous_layout(len(v)), recvls)
             return out.tolist()
 
         res = runp(main, 3)
         assert res.values[0] == [0, 0, 1, 0, 1, 2]
-
-    def test_gatherv_requires_layouts_at_root(self):
-        def main(raw):
-            comm = mpl.communicator(raw)
-            v = np.full(2, raw.rank, dtype=np.int64)
-            recvls = mpl.contiguous_layouts_from_counts([2] * raw.size) \
-                if raw.rank == 0 else None
-            out = comm.gatherv(0, v, mpl.contiguous_layout(2), recvls)
-            return out.tolist() if out is not None else None
-
-        res = runp(main, 3)
-        assert res.values[0] == [0, 0, 1, 1, 2, 2]
-
-    def test_alltoallv_with_indexed_layouts(self):
-        def main(raw):
-            comm = mpl.communicator(raw)
-            p = raw.size
-            data = np.arange(p, dtype=np.int64) + 10 * raw.rank
-            sendls = mpl.layouts([mpl.indexed_layout([(1, d)]) for d in range(p)])
-            recvls = mpl.contiguous_layouts_from_counts([1] * p)
-            return comm.alltoallv(data, sendls, recvls).tolist()
-
-        res = runp(main, 3)
-        assert res.values[1] == [1, 11, 21]
 
     def test_native_handle_not_exposed(self):
         def main(raw):
@@ -162,8 +125,7 @@ class TestMpl:
             t0 = raw.clock.now
             raw.alltoallv(data, counts, counts)
             t_direct = raw.clock.now - t0
-            sendls = mpl.contiguous_layouts_from_counts(counts)
-            recvls = mpl.contiguous_layouts_from_counts(counts)
+            sendls = recvls = _contiguous(counts)
             t0 = raw.clock.now
             comm.alltoallv(data, sendls, recvls)
             t_mpl = raw.clock.now - t0
@@ -227,13 +189,3 @@ class TestRwth:
             return comm.raw is raw
 
         assert runp(main, 1).values[0] is True
-
-    def test_broadcast_and_reduce(self):
-        def main(raw):
-            comm = rwth_mpi.Communicator(raw)
-            value = comm.broadcast([1, 2] if raw.rank == 0 else None)
-            total = comm.all_reduce(raw.rank, SUM)
-            return value, total
-
-        res = runp(main, 4)
-        assert res.values[3] == ([1, 2], 6)

@@ -17,10 +17,10 @@ import numpy as np
 import pytest
 
 from repro.mpi import CollectiveEngine, CostModel, SUM, algorithms, run_mpi
-from repro.mpi.algorithms.schedule import corun
 from repro.mpi.collectives import COLLECTIVES
 from repro.mpi.ir import canonical
 from repro.mpi.p2p import Mailbox
+from tests.oracles import corun
 
 SIZES = (1, 2, 3, 4, 7, 8)
 

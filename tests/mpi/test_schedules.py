@@ -7,9 +7,9 @@ import pytest
 
 from repro.mpi import SUM, algorithms, user_op
 from repro.mpi.algorithms import SINGLETON
-from repro.mpi.algorithms.schedule import corun
 from repro.mpi.ir import values_equal
 from tests.conftest import runp
+from tests.oracles import corun
 
 _NO_IDENTITY = user_op(lambda a, b: a + b, commutative=True, name="plus")
 _A = np.arange(4)

@@ -27,7 +27,6 @@ import numpy as np
 import pytest
 
 from repro.mpi import CollectiveEngine, CostModel, SUM, algorithms, run_mpi
-from repro.perf.strategies import collective_cost
 
 ITEM = 8  # np.int64 wire width
 
@@ -169,13 +168,6 @@ def test_singleton_predictions_are_zero():
     for op, algo in _costed():
         assert algo.predict(1, 4096, cm) == 0.0, \
             f"{op}/{algo.name} must predict a free singleton"
-
-
-def test_collective_cost_matches_registry_predict():
-    cm = COST_MODELS["beta_heavy"]
-    for op, algo in _costed():
-        assert collective_cost(op, algo.name, 8, 4096, cm) \
-            == algo.predict(8, 4096, cm)
 
 
 def test_costs_monotone_in_payload():

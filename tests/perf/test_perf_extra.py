@@ -22,7 +22,7 @@ class TestWorkloadInternals:
         for family in ("gnm", "rgg", "rhg"):
             for p in (4, 64, 4096):
                 w = workload(family, p)
-                assert w.num_levels >= 1
+                assert len(w.levels) >= 1
                 for s in w.levels:
                     assert s.frontier_per_rank >= 0
                     assert s.cross_elems_per_rank >= 0
@@ -31,11 +31,11 @@ class TestWorkloadInternals:
 
     def test_rgg_levels_grow_with_p(self):
         """Weak scaling grows the area, hence the diameter, hence the levels."""
-        assert workload("rgg", 1024).num_levels > workload("rgg", 64).num_levels
+        assert len(workload("rgg", 1024).levels) > len(workload("rgg", 64).levels)
 
     def test_gnm_levels_logarithmic(self):
-        l64 = workload("gnm", 64).num_levels
-        l16384 = workload("gnm", 16384).num_levels
+        l64 = len(workload("gnm", 64).levels)
+        l16384 = len(workload("gnm", 16384).levels)
         assert l16384 <= l64 + 4
 
     def test_partners_max_defaults_to_partners(self):
