@@ -9,12 +9,18 @@ results with *strictly fewer* collective calls and dispatch groups, and a
 batched drain whose directives (one ``agree`` each) are fewer than its
 groups.
 
+A long-stream row drains 5 000 jobs through a closed loop that keeps 16
+outstanding and reports the memory the cluster still holds afterwards
+(``tracemalloc``, after ``gc.collect()``), per 1 000 jobs: the directive log
+keeps only what a live rank may still read, so that stays near zero.
+
 Emits one machine-readable ``BENCH {...}`` JSON line with the full table.
 """
 
+import gc
 import json
-
-import pytest
+import tracemalloc
+from collections import deque
 
 from repro.mpi import SUM
 from repro.service import Cluster
@@ -25,7 +31,15 @@ P = 4
 JOBS = 24
 JOB_OPS = ("bcast", "allreduce", "gather")
 
+#: the long stream: jobs measured, jobs run first to warm the caches, jobs
+#: kept outstanding, and the bound on what the measured ones may leave behind
+STREAM_JOBS = 5000
+WARM_JOBS = 1000
+WINDOW = 16
+RETAINED_KIB_PER_1000_JOBS = 64
+
 _ROWS: list[dict] = []
+_STREAM: dict = {}
 
 
 def _drain(batch_limit):
@@ -46,8 +60,28 @@ def _drain(batch_limit):
         return values, calls, dict(cluster.stats)
 
 
+def _closed_loop(cluster, jobs):
+    """Alternate bcasts and 40-value allreduces, ``WINDOW`` outstanding."""
+    window = deque()
+
+    def settle():
+        i, handle = window.popleft()
+        assert handle.result(60) == (i if i % 2 == 0 else 780)
+
+    for i in range(jobs):
+        if len(window) == WINDOW:
+            settle()
+        window.append((i, cluster.submit_bcast(i) if i % 2 == 0
+                       else cluster.submit_allreduce(range(40), op=SUM)))
+    while window:
+        settle()
+
+
 def _emit_summary():
-    print("BENCH " + json.dumps({"bench": "service_batching", "rows": _ROWS}))
+    if len(_ROWS) < 2 or not _STREAM:
+        return                 # once, by whichever test finishes last
+    print("BENCH " + json.dumps({"bench": "service_batching", "rows": _ROWS,
+                                 "long_stream": _STREAM}))
     lines = ["jobs  p   mode       directives  groups   "
              "job-level collective calls"]
     for row in _ROWS:
@@ -58,6 +92,11 @@ def _emit_summary():
     lines.append("(both drains bit-identical; batching strictly reduces "
                  "groups and collective calls; a directive carries every "
                  "queued group of its priority)")
+    lines.append("")
+    lines.append(f"long stream: {_STREAM['jobs']} jobs at p = {P}, "
+                 f"{_STREAM['window']} outstanding: "
+                 f"{_STREAM['retained_kib_per_1000_jobs']:.1f} KiB retained "
+                 f"per 1 000 jobs (bound {RETAINED_KIB_PER_1000_JOBS})")
     report("cluster service — request batching", "\n".join(lines))
 
 
@@ -87,3 +126,28 @@ def test_batching_strictly_reduces_collective_calls(benchmark):
                       "directives": s["directives"], "groups": s["groups"],
                       "calls": c})
     _emit_summary()
+
+
+def test_a_long_stream_retains_bounded_memory(benchmark):
+    def stream():
+        tracemalloc.start()
+        try:
+            with Cluster(P) as cluster:
+                _closed_loop(cluster, WARM_JOBS)
+                gc.collect()
+                before = tracemalloc.get_traced_memory()[0]
+                _closed_loop(cluster, STREAM_JOBS)
+                gc.collect()
+                after = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        return (after - before) / 1024 / (STREAM_JOBS / 1000)
+
+    retained = benchmark.pedantic(stream, rounds=1, iterations=1)
+    benchmark.extra_info["retained_kib_per_1000_jobs"] = retained
+    _STREAM.update(jobs=STREAM_JOBS, p=P, window=WINDOW,
+                   retained_kib_per_1000_jobs=round(retained, 2))
+    _emit_summary()
+    assert retained <= RETAINED_KIB_PER_1000_JOBS, (
+        f"a drained stream left {retained:.0f} KiB per 1 000 jobs behind "
+        f"(bound {RETAINED_KIB_PER_1000_JOBS} KiB)")

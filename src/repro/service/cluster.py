@@ -18,12 +18,15 @@ compose:
    replays on the survivors; a joining spare is admitted at the next
    directive boundary.
 
-Coordination happens through a grow-only *directive log*: the dispatcher
-appends directives (job groups, joins, shutdown) and every service rank
-consumes the log in order through its own cursor, so all ranks observe the
+Coordination happens through a *directive log*: the dispatcher appends
+directives (job groups, joins, shutdown) and every service rank consumes
+the log in order through its own cursor, so all ranks observe the
 identical sequence of collectives whatever the thread schedule — which
 makes chaos runs bit-comparable to failure-free runs.  Its unfinished job
-directives bound the dispatcher's pipeline.
+directives bound the dispatcher's pipeline, and a finished one leaves the
+log with every directive before it, so the log holds only what a live
+rank may still read and a cluster's memory does not grow with the jobs it
+has run.
 
 SPMD contract for job functions: a ``submit()``'d ``fn(comm, *args)`` runs
 on *every* service rank.  Deterministic (SPMD-replicated) exceptions are
@@ -98,10 +101,12 @@ class _ShutdownDirective:
 
 
 class _DirectiveLog:
-    """Grow-only log, and the one record of the job directives in flight:
-    ``unfinished`` maps each to its start time (``None`` until a rank starts
-    it).  Each waiter has its own condition over the log's lock, so a finish
-    does not wake the ranks waiting for the next directive."""
+    """The directives some live member may still read, and the one record
+    of the job directives in flight: ``unfinished`` maps each to its start
+    time (``None`` until a rank starts it).  Indexes are global and never
+    reused; ``log[0]`` is directive ``first``.  Each waiter has its own
+    condition over the log's lock, so a finish does not wake the ranks
+    waiting for the next directive."""
 
     def __init__(self) -> None:
         lock = threading.Lock()
@@ -109,11 +114,12 @@ class _DirectiveLog:
         self.slot_cv = threading.Condition(lock)   # dispatcher: a free slot
         self.watch_cv = threading.Condition(lock)  # watchdog: start / finish
         self.log: list[Any] = []
+        self.first = 0                             # index of log[0]
         self.unfinished: dict[int, Optional[float]] = {}
 
     def append(self, make: Callable[[int], Any]) -> Any:
         with self.cv:
-            directive = make(len(self.log))
+            directive = make(self.first + len(self.log))
             self.log.append(directive)
             if isinstance(directive, _JobsDirective):
                 self.unfinished[directive.index] = None
@@ -123,11 +129,14 @@ class _DirectiveLog:
     def get(self, index: int, give_up: threading.Event) -> Optional[Any]:
         """Block until directive ``index`` exists; ``None`` once wedged."""
         with self.cv:
-            while len(self.log) <= index:
+            while self.first + len(self.log) <= index:
                 if give_up.is_set():
                     return None
                 self.cv.wait()
-            return self.log[index]
+            if index < self.first:   # only a rank that missed an agree
+                raise ClusterError(f"directive #{index} left the log, which "
+                                   f"starts at #{self.first}")
+            return self.log[index - self.first]
 
     def wake(self) -> None:
         with self.cv:
@@ -142,8 +151,14 @@ class _DirectiveLog:
                 self.watch_cv.notify()
 
     def mark_finished(self, index: int) -> None:
+        """Directive ``index`` finished: it and every one before it leave
+        the log.  Every alive member met in its ``agree``, so each cursor is
+        past it, and a spare admitted later enters after its join."""
         with self.cv:
             self.unfinished.pop(index, None)
+            if index >= self.first:
+                del self.log[:index + 1 - self.first]
+                self.first = index + 1
             self.slot_cv.notify()
             self.watch_cv.notify()
 
@@ -167,7 +182,7 @@ class _DirectiveLog:
                 t0, index = min(running, default=(None, None))
                 left = None if t0 is None else t0 + budget - time.monotonic()
                 if left is not None and left <= 0:
-                    return self.log[index]
+                    return self.log[index - self.first]
                 self.watch_cv.wait(left)   # no timer while nothing runs
         return None
 

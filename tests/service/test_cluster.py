@@ -3,7 +3,7 @@
 The chaos/recovery side lives in ``test_chaos.py``; this file covers the
 failure-free service contract — including the one job communicator per
 membership generation, the directive log's bound on the dispatcher's
-pipeline, and waits that park without a timer.
+pipeline and on its own length, and waits that park without a timer.
 """
 
 import functools
@@ -20,6 +20,8 @@ from repro.mpi import (
     MIN,
     SUM,
     CollectiveEngine,
+    FaultCampaign,
+    KillOnOp,
     Op,
     RunTimeout,
     user_op,
@@ -470,6 +472,106 @@ class TestPipeline:
         report = c.shutdown()
         assert not report
         assert not c._directives.unfinished
+
+
+def _log_bounded(c):
+    """The log holds the unfinished job directives and at most one trailing
+    join or shutdown directive."""
+    log = c._directives
+    with log.cv:
+        return len(log.log) <= len(log.unfinished) + 1
+
+
+def _closed_loop(c, jobs, window=16):
+    """Submit ``(kind, x)`` jobs keeping ``window`` outstanding; returns the
+    results in submission order and asserts the log's bound at every
+    submission."""
+    def submit(kind, x):
+        if kind == "bcast":
+            return c.submit_bcast(x)
+        if kind == "allreduce":
+            return c.submit_allreduce(range(x), op=SUM)
+        return c.submit(x)
+
+    pending, results = [], []
+    for kind, x in jobs:
+        if len(pending) == window:
+            results.append(pending.pop(0).result(60))
+        pending.append(submit(kind, x))
+        assert _log_bounded(c)
+    results.extend(h.result(60) for h in pending)
+    return results
+
+
+def _stream(n, start=0):
+    jobs = [("bcast" if i % 2 == 0 else "allreduce", i % 40 + 1)
+            for i in range(start, start + n)]
+    expected = [x if kind == "bcast" else x * (x - 1) // 2
+                for kind, x in jobs]
+    return jobs, expected
+
+
+class TestBoundedLog:
+    """A finished directive leaves the log with every one before it, so a
+    cluster's memory does not grow with the jobs it has run."""
+
+    def test_a_long_stream_keeps_only_the_unfinished_directives(self):
+        jobs, expected = _stream(2000)
+        with Cluster(4) as c:
+            assert _closed_loop(c, jobs) == expected
+            c.drain(20)
+            assert _log_bounded(c)
+            assert c._directives.first > c.stats["directives"] - 2
+        assert not c._directives.unfinished
+        assert [type(d).__name__ for d in c._directives.log] == [
+            "_ShutdownDirective"]
+        assert c._directives.log[0].index == c._directives.first
+
+    def test_a_spare_joins_after_trimmed_directives(self):
+        """Under a short switch interval (more threads than cores), so a
+        trim that outran a rank's or the spare's read would show."""
+        jobs, expected = _stream(200)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with Cluster(3, spares=1) as c:
+                assert _closed_loop(c, jobs) == expected
+                trimmed = c._directives.first
+                assert trimmed > 10
+                assert c.add_rank() == 3
+                assert c.submit(lambda comm: comm.size).result(20) == 4
+                cursor, members, generation = c._admission[3]
+                assert cursor == generation > trimmed
+                assert members == (0, 1, 2, 3)
+                more, want = _stream(200, start=200)
+                assert _closed_loop(c, more) == want
+                assert c.stats["joins"] == [3]
+        finally:
+            sys.setswitchinterval(interval)
+        assert not c.wedged and _log_bounded(c)
+
+    def test_a_kill_after_trims_drains_bit_identically(self):
+        """Rank 2 dies in the barrier of a fence job run once the first 600
+        jobs' directives have left the log; the survivors replay it and
+        drain the rest."""
+        def fence(comm):
+            comm.raw.barrier()
+            return "fenced"
+
+        first, want_first = _stream(600)
+        rest, want_rest = _stream(600, start=600)
+        campaign = FaultCampaign([KillOnOp(rank=2, op="barrier")], seed=0)
+        with Cluster(4, faults=campaign, sanitize=True) as c:
+            assert _closed_loop(c, first) == want_first
+            trimmed = c._directives.first
+            assert trimmed > 20 and c.stats["recoveries"] == []
+            assert _closed_loop(c, [("call", fence)] + rest) == (
+                ["fenced"] + want_rest)
+            assert [k["rank"] for k in campaign.kills()] == [2]
+            assert c.stats["recoveries"] == [2]
+            assert c._directives.first > trimmed + 20
+        assert not c._directives.unfinished
+        assert _log_bounded(c)
 
 
 class TestJobCommunicator:
