@@ -24,6 +24,13 @@ their raw side is the same exchange on the same rank threads over bare
 one payload copy per message (a buffered send's snapshot) and one
 ``np.add`` per round.  So their ``wrapped_raw_ratio`` is how many times the
 floor a thread message costs.
+
+**The mixed launch.**  ``launch_mixed_p4`` times whole ``run_mpi`` launches
+of ``bench_overhead``'s mixed program (20 rounds of a ring send/recv and an
+allreduce at p = 4): its wrapped side on the process backend, its raw side
+on threads, so its ``wrapped_raw_ratio`` is what a process launch costs in
+thread launches.  ``benchmarks/check_baseline.py`` gates it against the
+committed ``BENCH_annex.json``.
 """
 
 from __future__ import annotations
@@ -51,10 +58,11 @@ import bench_layers  # noqa: E402
 bench_layers.use_checkout_sources()  # before anything imports repro
 
 from bench_layers import compare  # noqa: E402
-from bench_layers.harness import Side, path_metrics, scalar, summary  # noqa: E402
+from bench_layers.harness import (  # noqa: E402
+    Side, measure_rounds, path_metrics, scalar, summary)
 from bench_layers.run import (  # noqa: E402
     QUICK_SECONDS, SETUP_SAMPLES, SPEC, pin_to_one_cpu, print_metrics, stamp)
-from bench_layers.workloads import Workload  # noqa: E402
+from bench_layers.workloads import Outcome, Workload  # noqa: E402
 
 import numpy as np  # noqa: E402
 
@@ -199,13 +207,42 @@ class FloorThreadP4(_Floor):
         return Side(runtime, check, n), Side(floor, check, n)
 
 
+class LaunchMixedP4(Workload):
+    name = "launch_mixed_p4"
+    why = ("one whole launch of a mixed p2p + collective program at p = 4 on "
+           "the process backend against the same launch on threads")
+    p = 4
+
+    def inputs(self, seed):
+        return {}
+
+    def launch(self, inputs, seconds, traced=False):
+        """Rounds of one launch per backend, timed from this process."""
+        # imported here, so that the floors' processes load neither pytest
+        # nor the bindings that bench_overhead brings in
+        from benchmarks.bench_overhead import _backend_workload
+        from repro.mpi import run_mpi
+
+        def side(backend):
+            def once():
+                t0 = perf_counter()
+                res = run_mpi(_backend_workload, self.p, backend=backend)
+                return perf_counter() - t0, res.values
+
+            return Side(once, lambda values: int(len(set(values)) != 1), 1)
+
+        return Outcome(measure_rounds(side("process"), side("thread"),
+                                      seconds))
+
+
 def _mismatches(out: list, expected: np.ndarray) -> int:
     """How many of the batch's results differ from ``expected``."""
     return int((np.asarray(out) != expected).reshape(len(out), -1)
                .any(axis=1).sum())
 
 
-WORKLOADS = {w.name: w for w in (FloorThreadP2(), FloorThreadP4())}
+WORKLOADS = {w.name: w for w in (FloorThreadP2(), FloorThreadP4(),
+                                 LaunchMixedP4())}
 
 
 # -- one workload, in this process --------------------------------------------

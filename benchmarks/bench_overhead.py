@@ -121,7 +121,8 @@ def test_wrapper_wall_overhead_and_plan_cache_ablation(benchmark):
 
 
 def _backend_workload(comm):
-    # a mixed p2p + collective workload, heavy enough to amortize startup
+    # a mixed p2p + collective workload, heavy enough to amortize startup:
+    # the program the annex's launch_mixed_p4 launches on both backends
     v = np.arange(256, dtype=np.int64) + comm.rank
     right = (comm.rank + 1) % comm.size
     left = (comm.rank - 1) % comm.size
@@ -132,46 +133,6 @@ def _backend_workload(comm):
         payload, _ = comm.recv(left, 1)  # reprolint: disable=RPL008
         acc += int(comm.allreduce(int(payload[0]), SUM))
     return acc
-
-
-def backend_wall_ratio(p=4):
-    """Time the same workload on both execution backends.
-
-    Returns ``{"thread": s, "process": s, "ratio": process/thread}``.  Used
-    by :func:`test_backend_wall_clock` below and recomputed by
-    ``benchmarks/check_baseline.py``, which gates the ratio against the
-    committed ``BENCH_baseline.json`` (generously — wall clock is noisy)."""
-    import time
-
-    rows = {}
-    for name in ("thread", "process"):
-        t0 = time.perf_counter()
-        res = run_mpi(_backend_workload, p, backend=name)
-        rows[name] = time.perf_counter() - t0
-        assert len(set(res.values)) == 1  # same reduction on both
-    rows["ratio"] = rows["process"] / rows["thread"]
-    return rows
-
-
-def test_backend_wall_clock(benchmark):
-    """Thread vs. process execution backend, same workload: measured wall
-    clock, reported side by side.  The process backend pays real OS cost
-    (fork, pipes, pickling) for real isolation; the process/thread ratio is
-    recorded in the baseline and loosely gated by check_baseline.py so a
-    pickling or teardown regression can't hide behind virtual time."""
-    p = 4
-    rows = benchmark.pedantic(backend_wall_ratio, args=(p,), rounds=1,
-                              iterations=1)
-    benchmark.extra_info["thread_wall_s"] = rows["thread"]
-    benchmark.extra_info["process_wall_s"] = rows["process"]
-    benchmark.extra_info["process_thread_ratio"] = rows["ratio"]
-    report(
-        "Execution backends — wall clock",
-        f"20× (ring sendrecv + allreduce), p={p}, identical results:\n"
-        f"  backend='thread'  : {rows['thread'] * 1e3:8.1f} ms wall\n"
-        f"  backend='process' : {rows['process'] * 1e3:8.1f} ms wall\n"
-        f"  process/thread    : {rows['ratio']:8.2f}×",
-    )
 
 
 def test_pmpi_no_hidden_calls(benchmark):

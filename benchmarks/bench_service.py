@@ -5,7 +5,7 @@ Drains the same stream of small compatible jobs through a
 (``batch_limit=1``) and once enabled — and compares the number of job-level
 collective calls the machine actually executed.  The acceptance bar mirrors
 the IR's ``batch_bcasts`` rewrite at the service layer: identical drained
-results with *strictly fewer* collective calls and dispatch groups, and a
+results with *strictly fewer* collective calls and groups, and a
 batched drain whose directives (one ``agree`` each) are fewer than its
 groups.
 

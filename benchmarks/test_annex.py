@@ -27,7 +27,8 @@ def test_every_annex_workload_runs_and_compares(tmp_path):
     data = json.loads(out.read_text())
     assert data["quick"] is True
     runs = {run["workload"]: run for run in data["runs"]}
-    assert set(runs) == {"floor_thread_p2", "floor_thread_p4"}
+    assert set(runs) == {"floor_thread_p2", "floor_thread_p4",
+                         "launch_mixed_p4"}
     for run in runs.values():
         assert run["failed"] == 0 and run["attempted"] > 0
         for spec in SPEC["end_to_end"]:

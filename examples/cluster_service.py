@@ -64,7 +64,7 @@ with Cluster(4, hold_jobs=True) as cluster:
 
 assert len(baseline) == 24
 assert batched >= 1, "compatible bcasts/allreduces should coalesce"
-assert groups < 24, "24 jobs must drain in fewer than 24 dispatch groups"
+assert groups < 24, "24 jobs must drain in fewer than 24 groups"
 print(f"act 1: 24 jobs drained in {groups} groups ({batched} batched)")
 
 

@@ -355,11 +355,6 @@ class Communicator:
     def is_root(self, root: int = 0) -> bool:
         return self.rank == root
 
-    def rank_shifted_checked(self, offset: int) -> Optional[int]:
-        """Neighbor rank at ``offset``, or ``None`` past the ends."""
-        r = self.rank + offset
-        return r if 0 <= r < self.size else None
-
     def compute(self, seconds: float) -> None:
         """Charge local computation time to the virtual clock."""
         self.raw.compute(seconds)

@@ -53,7 +53,7 @@ def schedule_rank_thread() -> None:
     thread preempts its waker on a shared CPU, blocks on the GIL at once and
     runs only once the waker parks: three context switches per hand-off where
     one does.  Call it first thing in a rank thread and nowhere else — not on
-    the caller's thread, nor on a service's dispatcher or watchdog."""
+    the caller's thread, nor on a service's watchdog."""
     try:
         os.sched_setscheduler(0, os.SCHED_BATCH, os.sched_param(0))
     except (AttributeError, OSError):

@@ -44,10 +44,6 @@ class Status:
     tag: int
     nbytes: int
 
-    def count(self, itemsize: int = 1) -> int:
-        """Number of items of ``itemsize`` bytes in the message (``MPI_Get_count``)."""
-        return self.nbytes // max(itemsize, 1)
-
 
 @dataclass(slots=True)
 class Envelope:

@@ -77,12 +77,6 @@ class Gate:
             except RuntimeError:  # another waker released it in between
                 pass
 
-    def park(self, timeout: float) -> bool:
-        """Sleep until opened, interrupted or timed out; ``True`` iff opened."""
-        if not self.opened:
-            self._lock.acquire(True, timeout)
-        return self.opened
-
 
 class AnyGate(Gate):
     """Open while any of ``gates`` is: one waiter, several wakers, each gate
@@ -169,7 +163,7 @@ class WaitContext:
                     error = RawDeadlockError(
                         stuck.format(entry, deadline=self.deadline))
                 else:
-                    # Gate.park, without its frame per park
+                    # sleep until opened, interrupted or timed out
                     lock.acquire(True, left)
                     if gate.opened:
                         return

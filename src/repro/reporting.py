@@ -109,19 +109,3 @@ def op_bytes_table(totals: Mapping[str, Mapping[str, float]]) -> str:
             f"{_human_bytes(agg['bytes']):>12}{agg['seconds']:>12.6f}"
         )
     return "\n".join(rows)
-
-
-def series_table(series: Mapping[str, Sequence[tuple[float, float]]],
-                 x_header: str = "p") -> str:
-    """Aligned numeric table of the same series (exact values)."""
-    all_x = sorted({x for pts in series.values() for x, _ in pts})
-    head = f"{x_header:<24}" + "".join(f"{int(x):>11}" for x in all_x)
-    rows = [head]
-    for name, pts in series.items():
-        lookup = dict(pts)
-        cells = "".join(
-            f"{lookup[x]:>11.4f}" if x in lookup else f"{'-':>11}"
-            for x in all_x
-        )
-        rows.append(f"{name:<24}" + cells)
-    return "\n".join(rows)

@@ -18,15 +18,17 @@ compose:
    replays on the survivors; a joining spare is admitted at the next
    directive boundary.
 
-Coordination happens through a *directive log*: the dispatcher appends
-directives (job groups, joins, shutdown) and every service rank consumes
-the log in order through its own cursor, so all ranks observe the
-identical sequence of collectives whatever the thread schedule — which
-makes chaos runs bit-comparable to failure-free runs.  Its unfinished job
-directives bound the dispatcher's pipeline, and a finished one leaves the
-log with every directive before it, so the log holds only what a live
-rank may still read and a cluster's memory does not grow with the jobs it
-has run.
+Coordination happens through a *directive log* (job groups, joins,
+shutdown): every service rank consumes it in order through its own cursor,
+and the first rank to reach its end forms the next directive under the
+cluster's one lock, so all ranks observe the identical sequence of
+collectives whatever the thread schedule — which makes chaos runs
+bit-comparable to failure-free runs.  A directive forms only once a rank
+has passed the previous one's closing ``agree``, so at most two job
+directives are unfinished and jobs submitted meanwhile join the next; a
+finished one leaves the log with every directive before it, so the log
+holds only what a live rank may still read and a cluster's memory does not
+grow with the jobs it has run.
 
 SPMD contract for job functions: a ``submit()``'d ``fn(comm, *args)`` runs
 on *every* service rank.  Deterministic (SPMD-replicated) exceptions are
@@ -76,10 +78,6 @@ from repro.service.jobs import ClusterError, Job, JobHandle, JobQueue
 #: the service's communicator class: full bindings + ULFM fault tolerance
 ClusterComm = extend(Communicator, ULFM)
 
-#: job directives the log may hold unfinished.  At the bound the dispatcher
-#: forms the next directive only once one finishes, so queued jobs pile up
-PIPELINE_DEPTH = 2
-
 
 # -- the directive log -------------------------------------------------------
 
@@ -104,35 +102,34 @@ class _DirectiveLog:
     """The directives some live member may still read, and the one record
     of the job directives in flight: ``unfinished`` maps each to its start
     time (``None`` until a rank starts it).  Indexes are global and never
-    reused; ``log[0]`` is directive ``first``.  Each waiter has its own
-    condition over the log's lock, so a finish does not wake the ranks
-    waiting for the next directive."""
+    reused; ``log[0]`` is directive ``first``.  Ranks and the watchdog each
+    wait on their own condition over the cluster's lock, so a finish does
+    not wake the ranks waiting for the next directive."""
 
-    def __init__(self) -> None:
-        lock = threading.Lock()
+    def __init__(self, lock: threading.Lock) -> None:
         self.cv = threading.Condition(lock)        # ranks: the next directive
-        self.slot_cv = threading.Condition(lock)   # dispatcher: a free slot
         self.watch_cv = threading.Condition(lock)  # watchdog: start / finish
         self.log: list[Any] = []
         self.first = 0                             # index of log[0]
         self.unfinished: dict[int, Optional[float]] = {}
 
-    def append(self, make: Callable[[int], Any]) -> Any:
-        with self.cv:
-            directive = make(self.first + len(self.log))
-            self.log.append(directive)
-            if isinstance(directive, _JobsDirective):
-                self.unfinished[directive.index] = None
-            self.cv.notify_all()
-            return directive
-
-    def get(self, index: int, give_up: threading.Event) -> Optional[Any]:
-        """Block until directive ``index`` exists; ``None`` once wedged."""
+    def get(self, index: int, form: Callable[[int], Any],
+            give_up: threading.Event) -> Optional[Any]:
+        """Directive ``index``; ``None`` once wedged.  A rank at the log's
+        end appends what ``form(index)`` returns, parked while that is
+        ``None``."""
         with self.cv:
             while self.first + len(self.log) <= index:
                 if give_up.is_set():
                     return None
-                self.cv.wait()
+                directive = form(index)
+                if directive is None:
+                    self.cv.wait()
+                    continue
+                self.log.append(directive)
+                if isinstance(directive, _JobsDirective):
+                    self.unfinished[index] = None
+                self.cv.notify_all()
             if index < self.first:   # only a rank that missed an agree
                 raise ClusterError(f"directive #{index} left the log, which "
                                    f"starts at #{self.first}")
@@ -141,7 +138,6 @@ class _DirectiveLog:
     def wake(self) -> None:
         with self.cv:
             self.cv.notify_all()
-            self.slot_cv.notify_all()
             self.watch_cv.notify_all()
 
     def mark_started(self, index: int) -> None:
@@ -159,17 +155,7 @@ class _DirectiveLog:
             if index >= self.first:
                 del self.log[:index + 1 - self.first]
                 self.first = index + 1
-            self.slot_cv.notify()
             self.watch_cv.notify()
-
-    def wait_slot(self, give_up: threading.Event) -> bool:
-        """Block until fewer than :data:`PIPELINE_DEPTH` job directives are
-        unfinished; ``False`` once ``give_up`` is set."""
-        with self.cv:
-            self.slot_cv.wait_for(
-                lambda: len(self.unfinished) < PIPELINE_DEPTH
-                or give_up.is_set())
-        return not give_up.is_set()
 
     def overdue(self, budget: float, give_up: threading.Event
                 ) -> Optional[_JobsDirective]:
@@ -201,12 +187,13 @@ class Cluster:
     Constructor knobs (beyond the obvious): ``spares`` ranks are parked and
     admitted by :meth:`add_rank`; ``queue_depth`` bounds admission;
     ``batch_limit`` caps coalesced groups; ``job_timeout`` arms the per-
-    directive watchdog; ``hold_jobs=True`` parks the dispatcher until
-    :meth:`release_jobs` (lets tests enqueue a full stream first, making
-    batching and chaos runs deterministic).  The machine takes the default
-    :class:`~repro.mpi.costmodel.CostModel`, each scope the default retry
-    budget, and ``REPRO_FUZZ_SEED`` seeds the schedule fuzzer.  The ranks
-    are threads of this process.
+    directive watchdog; ``hold_jobs=True`` keeps queued jobs out of
+    directives until :meth:`release_jobs` (lets tests enqueue a full stream
+    first, making batching and chaos runs deterministic).  The machine
+    takes the default :class:`~repro.mpi.costmodel.CostModel`, each scope
+    the default retry budget, and ``REPRO_FUZZ_SEED`` seeds the schedule
+    fuzzer.  The ranks are threads of this process, and so is the watchdog;
+    there is no other service thread.
     """
 
     def __init__(self, num_ranks: int, *, spares: int = 0,
@@ -245,14 +232,14 @@ class Cluster:
         self.job_timeout = job_timeout
 
         self.queue = JobQueue(queue_depth)
-        self._directives = _DirectiveLog()
         self._fuzzer = fuzzer
 
+        # the one lock: the directive log, admission, counters and state
         self._lock = threading.Lock()
+        self._directives = _DirectiveLog(self._lock)
         self._job_seq = 0
         self._unsettled: set[JobHandle] = set()
         self._drain_cv = threading.Condition(self._lock)
-        self._dispatch_cv = threading.Condition(self._lock)
         self._held = bool(hold_jobs)
         self._shutting_down = False
         self._shutdown_report: Optional[LeakReport] = None
@@ -264,7 +251,7 @@ class Cluster:
         # admission board for parked spares: world_rank -> (cursor, members,
         # generation), published idempotently by every active rank
         self._admission: dict[int, tuple[int, tuple[int, ...], int]] = {}
-        self._admission_cv = threading.Condition()
+        self._admission_cv = threading.Condition(self._lock)
 
         # per-rank job communicator: world rank -> (scope raw comm, its
         # dup); pre-created so rank threads never change the dict's shape
@@ -283,11 +270,8 @@ class Cluster:
                              name=f"rank-{w}", daemon=True)
             for w in range(capacity)
         ]
-        self._dispatcher = threading.Thread(
-            target=self._dispatch_main, name="cluster-dispatch", daemon=True)
         for t in self._threads:
             t.start()
-        self._dispatcher.start()
         if job_timeout is not None:
             threading.Thread(target=self._monitor_main,
                              name="cluster-watchdog", daemon=True).start()
@@ -346,14 +330,13 @@ class Cluster:
             self._check_alive()
             job_id = self._job_seq
             self._job_seq += 1
-        handle = JobHandle(job_id, label or f"job-{job_id}", cluster=self)
-        job = Job(job_id=job_id, kind=kind, priority=priority,
-                  label=handle.label, handle=handle, **fields)
-        self.queue.submit(job)       # may raise ClusterSaturated
-        with self._lock:
+            handle = JobHandle(job_id, label or f"job-{job_id}", cluster=self)
+            self.queue.submit(Job(     # may raise ClusterSaturated
+                job_id=job_id, kind=kind, priority=priority,
+                label=handle.label, handle=handle, **fields))
             self._unsettled.add(handle)
             self.stats["jobs_submitted"] += 1
-            self._dispatch_cv.notify_all()
+            self._directives.cv.notify_all()
         return handle
 
     # -- client API: lifecycle ---------------------------------------------
@@ -373,14 +356,14 @@ class Cluster:
                 )
             world_rank = self._spares.pop(0)
             self._join_requests.append(world_rank)
-            self._dispatch_cv.notify_all()
+            self._directives.cv.notify_all()
         return world_rank
 
     def release_jobs(self) -> None:
-        """Release a ``hold_jobs=True`` cluster's dispatcher."""
+        """Let a ``hold_jobs=True`` cluster's queued jobs into directives."""
         with self._lock:
             self._held = False
-            self._dispatch_cv.notify_all()
+            self._directives.cv.notify_all()
 
     def drain(self, timeout: Optional[float] = None) -> None:
         """Block until every submitted job has settled."""
@@ -404,12 +387,9 @@ class Cluster:
                 return self._shutdown_report
             self._shutting_down = True
             self._held = False       # a held queue would never drain
-            self._dispatch_cv.notify_all()
-        with self._admission_cv:     # spares nobody admitted stop waiting
-            self._admission_cv.notify_all()
-        self.queue.close("the cluster is shutting down; submission refused")
+            self._directives.cv.notify_all()
+            self._admission_cv.notify_all()  # unclaimed spares stop waiting
         join_budget = timeout if timeout is not None else self.machine.deadline
-        self._dispatcher.join(join_budget)
         for t in self._threads:
             t.join(join_budget if not self._wedged.is_set() else 1.0)
         self._wedged.set()           # stops the monitor; threads are gone
@@ -447,48 +427,32 @@ class Cluster:
             self.stats[f"jobs_{handle.state}"] += 1    # done | failed
             self._drain_cv.notify_all()
 
-    # -- dispatcher ---------------------------------------------------------
+    # -- forming directives -------------------------------------------------
 
-    def _dispatch_main(self) -> None:
-        while True:
-            with self._lock:
-                self._dispatch_cv.wait_for(
-                    lambda: self._wedged.is_set()
-                    or self._join_requests
-                    or (not self._held
-                        and (len(self.queue) or self._shutting_down)))
-                if self._wedged.is_set():
-                    return
-                join = (self._join_requests.pop(0)
-                        if self._join_requests else None)
-            if join is not None:
-                self._directives.append(
-                    lambda i: _JoinDirective(index=i, world_rank=join))
-                continue
-            if len(self.queue):
-                # groups form once a pipeline slot is free, so jobs submitted
-                # meanwhile join them (and a higher-priority one overtakes);
-                # only this thread pops, so the queue is not empty here
-                if not self._directives.wait_slot(self._wedged):
-                    return
-                groups = self.queue.pop_groups(shape_of, self.batch_limit)
-                self._directives.append(
-                    lambda i: _JobsDirective(index=i, groups=groups))
-                with self._lock:
-                    self.stats["directives"] += 1
-                    self.stats["groups"] += len(groups)
-                    self.stats["batched_groups"] += sum(
-                        len(group) > 1 for group in groups)
-                    for group in groups:
-                        for job in group:
-                            job.handle._running = True
-                continue
-            with self._lock:
-                if not (self._shutting_down and not self._join_requests
-                        and not len(self.queue)):
-                    continue
-            self._directives.append(lambda i: _ShutdownDirective(index=i))
-            return
+    def _form(self, index: int) -> Optional[Any]:
+        """Directive ``index`` for a rank at the log's end, or ``None`` while
+        there is nothing to do.  Runs under ``self._lock``, so one rank pops
+        each directive's jobs; the queue's own lock is taken after it.  A
+        rank gets here only past the previous directive's ``agree``, which
+        local rank 0 enters after finishing the one before: at most two job
+        directives are unfinished, and jobs queued meanwhile join the next
+        (a higher-priority one overtakes)."""
+        if self._join_requests:
+            return _JoinDirective(index, self._join_requests.pop(0))
+        if not self._held:
+            groups = self.queue.pop_groups(shape_of, self.batch_limit)
+            if groups:
+                self.stats["directives"] += 1
+                self.stats["groups"] += len(groups)
+                self.stats["batched_groups"] += sum(
+                    len(group) > 1 for group in groups)
+                for group in groups:
+                    for job in group:
+                        job.handle._running = True
+                return _JobsDirective(index, groups)
+        if self._shutting_down:
+            return _ShutdownDirective(index)
+        return None
 
     # -- watchdog -----------------------------------------------------------
 
@@ -511,13 +475,9 @@ class Cluster:
         with self._lock:
             if self._wedge_error is None:
                 self._wedge_error = error
-        self.queue.close(f"the cluster is wedged: {error}")
-        self._wedged.set()
-        self._directives.wake()
-        with self._lock:
-            self._dispatch_cv.notify_all()
-        with self._admission_cv:
+            self._wedged.set()
             self._admission_cv.notify_all()
+        self._directives.wake()
         self._reject_unsettled(error)
 
     def _reject_unsettled(self, error: BaseException) -> None:
@@ -584,7 +544,8 @@ class Cluster:
         generation)`` to rebuild the scope and continue.
         """
         while True:
-            directive = self._directives.get(cursor, self._wedged)
+            directive = self._directives.get(cursor, self._form,
+                                             self._wedged)
             if directive is None or isinstance(directive, _ShutdownDirective):
                 return None
             if isinstance(directive, _JoinDirective):
@@ -592,13 +553,12 @@ class Cluster:
                     set(scope.comm.raw.state.members)
                     | {directive.world_rank}))
                 generation = directive.index + 1
-                with self._admission_cv:
+                with self._lock:
                     self._admission.setdefault(
                         directive.world_rank,
                         (cursor + 1, members, generation))
                     self._admission_cv.notify_all()
-                if scope.comm.raw.rank == 0:
-                    with self._lock:
+                    if scope.comm.raw.rank == 0:
                         self.stats["joins"].append(directive.world_rank)
                 return cursor + 1, members, generation
             self._directives.mark_started(directive.index)

@@ -10,8 +10,8 @@ cannot deadlock a full service.
 
 Job kinds (submitted through :class:`repro.service.cluster.Cluster`):
 ``"call"`` runs ``fn(comm, *args)`` once; ``"bcast"`` / ``"allreduce"``
-have a *shape*, by which the dispatcher coalesces them
-(:mod:`repro.service.batching`).
+have a *shape*, by which the rank that forms the next directive coalesces
+them (:mod:`repro.service.batching`).
 """
 
 from __future__ import annotations
@@ -148,21 +148,13 @@ class JobQueue:
         self._lock = threading.Lock()
         self._heap: list[tuple[int, int, Job]] = []
         self._seq = 0
-        self._closed: Optional[str] = None
 
     def __len__(self) -> int:
         with self._lock:
             return len(self._heap)
 
-    def close(self, reason: str) -> None:
-        """Refuse further submissions (``submit`` raises ``ClusterError``)."""
-        with self._lock:
-            self._closed = reason
-
     def submit(self, job: Job) -> None:
         with self._lock:
-            if self._closed is not None:
-                raise ClusterError(self._closed)
             if len(self._heap) >= self.depth:
                 raise ClusterSaturated(
                     f"job queue is saturated ({len(self._heap)} queued, "

@@ -111,16 +111,6 @@ class TestMachineInternals:
 
 
 class TestMiscGaps:
-    def test_rank_shifted_checked(self):
-        def main(comm):
-            return (comm.rank_shifted_checked(1),
-                    comm.rank_shifted_checked(-1),
-                    comm.is_root(comm.rank))
-
-        res = runk(main, 3)
-        assert res.values[0] == (1, None, True)
-        assert res.values[2] == (None, 1, True)
-
     def test_probe_wrapped_any_source(self):
         from repro.core import destination
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.reporting import ascii_chart, series_table
+from repro.reporting import ascii_chart
 
 
 SERIES = {
@@ -49,15 +49,3 @@ def test_many_series_glyph_cycle():
     chart = ascii_chart(series)
     assert "s11" in chart  # legend covers all series even past glyph reuse
 
-
-def test_series_table_alignment():
-    table = series_table(SERIES)
-    lines = table.splitlines()
-    assert len(lines) == 3
-    assert "direct" in lines[1] and "grid" in lines[2]
-    assert "0.0010" in lines[1]
-
-
-def test_series_table_missing_points():
-    table = series_table({"a": [(2, 1.0)], "b": [(4, 2.0)]})
-    assert "-" in table

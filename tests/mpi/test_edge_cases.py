@@ -5,16 +5,8 @@ import time
 import numpy as np
 import pytest
 
-from repro.mpi import ANY_SOURCE, ANY_TAG, SUM, CostModel, Status, run_mpi
+from repro.mpi import ANY_SOURCE, ANY_TAG, SUM, CostModel, run_mpi
 from tests.conftest import runp
-
-
-class TestStatus:
-    def test_count_in_items(self):
-        s = Status(source=1, tag=2, nbytes=80)
-        assert s.count(itemsize=8) == 10
-        assert s.count() == 80
-        assert s.count(0) == 80  # guards division by zero
 
 
 class TestAlltoallw:

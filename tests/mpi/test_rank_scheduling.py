@@ -2,12 +2,13 @@
 
 A woken rank thread must not preempt the rank that woke it and still holds
 the GIL (``backends.base.schedule_rank_thread``).  The policy is per thread:
-the caller's thread, a cluster's dispatcher and watchdog keep theirs, and a
+the caller's thread and a cluster's watchdog keep theirs, and a
 platform without the policy, or one that refuses it, runs the same program
 to the same result.
 """
 
 import os
+import threading
 
 import pytest
 
@@ -34,10 +35,13 @@ def test_a_run_mpi_rank_runs_under_sched_batch():
 @linux
 def test_a_cluster_job_runs_under_sched_batch_and_its_service_threads_do_not():
     caller = os.sched_getscheduler(0)
+    before = set(threading.enumerate())
     with Cluster(3, job_timeout=30.0) as cluster:
         job = cluster.submit(lambda comm: _policies(comm.raw))
         assert job.result(20) == [os.SCHED_BATCH] * 3
-        assert os.sched_getscheduler(cluster._dispatcher.native_id) == caller
+        watchdog, = (t for t in set(threading.enumerate()) - before
+                     if t.name == "cluster-watchdog")
+        assert os.sched_getscheduler(watchdog.native_id) == caller
     assert os.sched_getscheduler(0) == caller
 
 

@@ -262,11 +262,19 @@ class TestTheLookBeforeAPark:
 # ---------------------------------------------------------------------------
 
 
+def _park(gate, timeout):
+    """One pass of ``WaitContext.park``'s sleep: until opened, interrupted
+    or timed out; ``True`` iff opened."""
+    if not gate.opened:
+        gate._lock.acquire(True, timeout)
+    return gate.opened
+
+
 def _parker(gate, timeout, out):
     """Park once in a thread; ``out`` gets ``(opened, seconds parked)``."""
     def run():
         t0 = time.monotonic()
-        out.append((gate.park(timeout), time.monotonic() - t0))
+        out.append((_park(gate, timeout), time.monotonic() - t0))
 
     t = threading.Thread(target=run, daemon=True)
     t.start()
@@ -282,7 +290,7 @@ class TestGate:
     def test_closed_park_times_out(self):
         g = Gate()
         t0 = time.monotonic()
-        assert g.park(0.02) is False
+        assert _park(g, 0.02) is False
         assert time.monotonic() - t0 >= 0.015
         assert not g.opened
 
@@ -290,8 +298,8 @@ class TestGate:
         g = Gate()
         g.open()
         t0 = time.monotonic()
-        assert g.park(10.0) is True
-        assert g.park(10.0) is True  # and stays open
+        assert _park(g, 10.0) is True
+        assert _park(g, 10.0) is True  # and stays open
         assert time.monotonic() - t0 < 1.0
 
     def test_open_while_parked_wakes_the_waiter(self):
@@ -307,7 +315,7 @@ class TestGate:
         g = Gate()
         g.open()
         g.open()  # no "release unlocked lock"
-        assert g.park(10.0) is True
+        assert _park(g, 10.0) is True
         g.open()
         g.interrupt()
         assert g.opened
@@ -322,19 +330,19 @@ class TestGate:
         assert not opened and parked < 5.0  # woken, nothing completed
         # the wake-up re-closed the gate: the next park blocks again
         t0 = time.monotonic()
-        assert g.park(0.02) is False
+        assert _park(g, 0.02) is False
         assert time.monotonic() - t0 >= 0.015
         g.open()
-        assert g.park(10.0) is True
+        assert _park(g, 10.0) is True
 
     def test_interrupt_before_park_is_not_lost(self):
         g = Gate()
         g.interrupt()
         g.interrupt()  # coalesces: one pending wake-up
         t0 = time.monotonic()
-        assert g.park(10.0) is False
+        assert _park(g, 10.0) is False
         assert time.monotonic() - t0 < 1.0
-        assert g.park(0.02) is False  # consumed
+        assert _park(g, 0.02) is False  # consumed
 
 
     def test_a_waker_that_loses_the_race_to_release_is_not_an_error(self):
@@ -368,7 +376,7 @@ class TestGate:
         opened = Gate()
         opened.open()
         t0 = time.monotonic()
-        assert AnyGate([Gate(), opened]).park(10.0) is True
+        assert _park(AnyGate([Gate(), opened]), 10.0) is True
         assert time.monotonic() - t0 < 1.0
 
     def test_any_gate_is_interrupted_through_any_of_its_gates(self):
@@ -409,7 +417,7 @@ def test_complete_vs_interrupt_race(seed):
     def park(gate):
         while True:
             t0 = time.monotonic()
-            if gate.park(limit):
+            if _park(gate, limit):
                 return
             if time.monotonic() - t0 >= limit:
                 slow_parks.append(gate)
@@ -540,10 +548,9 @@ def _functions(path):
 
 def test_one_park_loop_and_nobody_else_paces_a_wait():
     """``WaitContext.park`` is the only timed lock acquire of the runtime
-    under ``src/repro`` — beside ``Gate.park``, the same acquire for one
-    park, and the job handle's wait for a caller-given timeout — and none of
-    the blocking waits has a loop of its own around its one call of the park
-    loop."""
+    under ``src/repro`` — beside the job handle's wait for a caller-given
+    timeout — and none of the blocking waits has a loop of its own around
+    its one call of the park loop."""
     src = pathlib.Path(repro.__file__).parent
     timed = set()
     for path in src.rglob("*.py"):
@@ -555,7 +562,6 @@ def test_one_park_loop_and_nobody_else_paces_a_wait():
                    for n in ast.walk(fn)):
                 timed.add((str(path.relative_to(src)), name))
     assert timed == {("mpi/waiting.py", "WaitContext.park"),
-                     ("mpi/waiting.py", "Gate.park"),
                      ("service/jobs.py", "JobHandle.exception")}
     for file, name in [
             ("mpi/p2p.py", "Mailbox.wait"), ("mpi/p2p.py", "Mailbox.probe"),

@@ -1,14 +1,16 @@
 """Chaos suite: the cluster drains a 50-job stream through rank kills.
 
-The acceptance bar for the service (ISSUE acceptance / ROADMAP item): under
-every pinned campaign seed, a 50-job stream with ranks killed mid-job must
-drain completely with results *bit-identical* to the failure-free run, and
-no job directive may be left unfinished at ``Cluster.shutdown()``.
+The acceptance bar for the service: under every pinned campaign seed, a
+50-job stream with ranks killed mid-job must drain completely with results
+*bit-identical* to the failure-free run, and no job directive may be left
+unfinished at ``Cluster.shutdown()``.
 
 Seeds follow the fault-campaign convention: the matrix covers
 ``{0, 7, 1234}`` and setting ``REPRO_FAULT_SEED`` replays exactly one of
 them (the other matrix cells skip), so a red CI cell reproduces locally
-from the seed alone.
+from the seed alone.  Each cell also sets ``REPRO_FUZZ_SEED`` to its seed:
+the ranks race to form each directive at the log's end, and the schedule
+fuzzer perturbs who wins.
 """
 
 import os

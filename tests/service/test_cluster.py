@@ -2,8 +2,9 @@
 
 The chaos/recovery side lives in ``test_chaos.py``; this file covers the
 failure-free service contract — including the one job communicator per
-membership generation, the directive log's bound on the dispatcher's
-pipeline and on its own length, and waits that park without a timer.
+membership generation, the bound on unfinished job directives that forming
+them at the log's end implies, the log's own length, and waits that park
+without a timer.
 """
 
 import functools
@@ -413,50 +414,40 @@ class TestHandleLatch:
 
 
 class TestPipeline:
-    """The directive log holds at most two unfinished job directives; the
-    dispatcher forms the next group only once one of them finishes."""
+    """The first rank at the log's end forms the next directive, so one
+    forms only once a rank has passed the previous one's ``agree``: at most
+    two job directives are unfinished, and jobs submitted while one runs
+    join the next."""
 
-    @staticmethod
-    def _fill(c):
-        """Two job directives blocked on events, five bcasts queued behind
-        them; returns once both blocked jobs are dispatched."""
-        gates = [threading.Event(), threading.Event()]
-        held = [c.submit(lambda comm, g=g: g.wait(), label=f"held-{i}")
-                for i, g in enumerate(gates)]
-        bcasts = [c.submit_bcast(i) for i in range(5)]
-        _wait_until(lambda: all(h.state == "running" for h in held),
-                    "the blocked jobs were never dispatched")
-        return gates, held, bcasts
-
-    def test_a_full_pipeline_holds_the_backlog_then_runs_it_as_one_group(
-            self):
+    def test_jobs_queued_behind_a_running_directive_join_the_next(self):
         with Cluster(2) as c:
-            gates, held, bcasts = self._fill(c)
+            gate = threading.Event()
+            held = c.submit(lambda comm: gate.wait(), label="held")
             try:
+                _wait_until(lambda: held.state == "running",
+                            "the blocked job never ran")
+                second = c.submit(lambda comm: "second")
+                bcasts = [c.submit_bcast(i) for i in range(5)]
                 time.sleep(0.2)
-                assert len(c.queue) == 5
-                assert c.stats["groups"] == 2
-                gates[0].set()
-                assert held[0].result(20) is True
+                assert len(c.queue) == 6
+                assert c.stats["directives"] == 1
+                assert len(c._directives.unfinished) == 1
             finally:
-                for gate in gates:
-                    gate.set()
+                gate.set()
+            assert held.result(20) is True and second.result(20) == "second"
             assert [h.result(20) for h in bcasts] == list(range(5))
-            assert c.stats["groups"] == c.stats["directives"] == 3
+            assert c.stats["directives"] == c.stats["groups"] == 3
             assert c.stats["batched_groups"] == 1
 
-    def test_the_dispatcher_held_at_the_bound_parks_without_a_timer(
+    def test_ranks_waiting_for_work_park_without_a_timer(
             self, recorded_waits):
         with Cluster(2) as c:
-            gates, _, _ = self._fill(c)
-            try:
-                time.sleep(0.5)
-                timed = [t for name, t in recorded_waits
-                         if name == "cluster-dispatch" and t is not None]
-            finally:
-                for gate in gates:
-                    gate.set()
-            c.drain(20)
+            c.submit_bcast(1).result(20)
+            time.sleep(0.1)            # the ranks pass the agree and park
+            recorded_waits.clear()
+            time.sleep(0.5)            # a 50 ms poll would wake here
+            timed = [(name, t) for name, t in recorded_waits
+                     if name.startswith("rank-") and t is not None]
         assert timed == []
 
     def test_an_idle_watchdog_parks_without_a_timer(self, recorded_waits):
@@ -475,11 +466,12 @@ class TestPipeline:
 
 
 def _log_bounded(c):
-    """The log holds the unfinished job directives and at most one trailing
-    join or shutdown directive."""
+    """At most two job directives are unfinished, and the log holds them
+    and at most one trailing join or shutdown directive."""
     log = c._directives
     with log.cv:
-        return len(log.log) <= len(log.unfinished) + 1
+        return (len(log.unfinished) <= 2
+                and len(log.log) <= len(log.unfinished) + 1)
 
 
 def _closed_loop(c, jobs, window=16):
