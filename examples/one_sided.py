@@ -4,10 +4,16 @@
 Extends the bindings beyond the paper's current feature set toward full
 standard coverage (its stated roadmap): every rank classifies local samples
 and accumulates counts directly into the owner rank's window — no receives,
-no collectives in the hot loop, elementwise-atomic updates.  Then a
-scoreboard on rank 0 takes every rank's total by ``put`` and hands the board
-back by ``get``, and a ``compare_and_swap`` elects a leader, each inside a
-scoped fence epoch; the windows are freed collectively.
+no collectives in the hot loop.  Then a scoreboard on rank 0 takes every
+rank's total by ``put`` and hands the board back by ``get``, and a
+``compare_and_swap`` elects a leader, each inside a scoped fence epoch; the
+windows are freed collectively.
+
+Operations queue at the origin, and the fence that closes their epoch
+applies them at each target in (origin rank, issue order).  So a read's
+value (``get``, ``fetch_and_op``, ``compare_and_swap``) is ready only after
+that fence (``wait()`` raises before it), and rank 0 wins the election on
+every backend and every run.
 
 Run:  python examples/one_sided.py
 """
@@ -39,8 +45,9 @@ def main(comm):
                               offset=min(offset, len(window.local) - 1))
     window.fence()
 
-    # every rank also grabs a remote ticket, RMW-atomically
-    ticket = window.fetch_and_op(0, target=0, offset=0)  # read-only probe
+    # every rank also reads rank 0's first bin by a read-only
+    # fetch-and-op; window.free() below closes this epoch
+    ticket = window.fetch_and_op(0, target=0, offset=0)
 
     # a scoreboard on rank 0: each rank puts its total into its own slot,
     # then reads the whole board back (a fence closes each epoch)
@@ -48,18 +55,18 @@ def main(comm):
     with board.epoch():
         board.put([int(counts.sum())], target=0, offset=r)
     with board.epoch():
-        totals = board.get(target=0)
+        totals = board.get(target=0)  # ready once the epoch has closed
 
     # a leader election: the first compare-and-swap of 0 → rank + 1 wins
     vote = comm.win_create(np.zeros(1, dtype=np.int64))
     with vote.epoch():
         vote.compare_and_swap(r + 1, 0, target=0, offset=0)
     with vote.epoch():
-        leader = int(vote.get(target=0, offset=0, count=1)[0]) - 1
-    histogram = window.local.copy()
+        seat = vote.get(target=0, offset=0, count=1)
+    leader = int(seat.wait()[0]) - 1
     for win in (window, board, vote):
         win.free()
-    return histogram, ticket, totals.tolist(), leader
+    return window.local.copy(), ticket.wait(), totals.wait().tolist(), leader
 
 
 if __name__ == "__main__":
@@ -78,6 +85,7 @@ if __name__ == "__main__":
     leaders = {v[3] for v in result.values}
     assert total == 4 * SAMPLES_PER_RANK
     assert boards == [[SAMPLES_PER_RANK] * 4] * 4, boards
-    assert len(leaders) == 1 and 0 <= min(leaders) < 4, leaders
+    assert leaders == {0}, leaders  # rank 0's swap is applied first
+    assert len({v[1] for v in result.values}) == 1  # one bin-0 count
     print(f"scoreboard (put/get): {boards[0]}; leader by CAS: rank "
           f"{leaders.pop()}")

@@ -25,7 +25,7 @@ UNDEFINED = np.iinfo(np.int64).max
 _EDGE_COST = 6.0e-9
 
 
-def _is_globally_empty(frontier: list, comm: Communicator) -> bool:
+def bfs_is_empty_kamping(comm: Communicator, frontier: list) -> bool:
     """Fig. 9's termination check: logical AND over local emptiness."""
     return bool(comm.allreduce_single(send_buf(len(frontier) == 0), op(LAND)))
 
@@ -69,7 +69,7 @@ def bfs(g: DistGraph, source: int, comm: Communicator,
     dist = np.full(g.local_size, UNDEFINED, dtype=np.int64)
     frontier: list[int] = [source] if g.is_local(source) else []
     level = 0
-    while not _is_globally_empty(frontier, comm):
+    while not bfs_is_empty_kamping(comm, frontier):
         buckets = _expand_frontier(g, np.asarray(frontier, dtype=np.int64),
                                    dist, level, comm)
         local_next = buckets.pop(g.rank, [])

@@ -13,10 +13,10 @@ from typing import Mapping
 
 import numpy as np
 
-from repro.apps.graphs.bfs import UNDEFINED
+from repro.apps.graphs.bfs import UNDEFINED, bfs_is_empty_kamping
 from repro.apps.graphs.graph import DistGraph
 from repro.bindings import boost_mpi, mpl, rwth_mpi
-from repro.core import Communicator, op, send_buf, with_flattened
+from repro.core import Communicator, with_flattened
 from repro.mpi.context import RawComm
 from repro.mpi.ops import LAND
 
@@ -142,11 +142,8 @@ def bfs_exchange_kamping(comm: Communicator,
     )
 
 
-def bfs_is_empty_kamping(comm: Communicator, frontier: list) -> bool:
-    return bool(comm.allreduce_single(send_buf(len(frontier) == 0), op(LAND)))
-
-
-#: binding name → (exchange fn, is_empty fn, communicator wrapper)
+#: binding name → (exchange fn, is_empty fn, communicator wrapper);
+#: KaMPIng's is_empty is the one :func:`repro.apps.graphs.bfs.bfs` runs
 BFS_IMPLS = {
     "MPI": (bfs_exchange_mpi, bfs_is_empty_mpi, lambda raw: raw),
     "Boost.MPI": (bfs_exchange_boost, bfs_is_empty_boost, boost_mpi.communicator),

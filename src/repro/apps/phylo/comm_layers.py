@@ -5,9 +5,9 @@ RAxML-NG wraps pthreads+MPI behind a >700-LoC hand-written layer; its
 length, then broadcasts the bytes, and deserializes on the receivers.  The
 "after" version replaces all of it with one KaMPIng call.
 
-Both layers expose the same interface (``broadcast_object``,
-``reduce_score``, ``barrier``), drive the identical search, and must produce
-identical results — the integration experiment of §IV-C.
+Both layers expose the same interface (``master``, ``broadcast_object``,
+``reduce_score``), drive the identical search, and must produce identical
+results — the integration experiment of §IV-C.
 """
 
 from __future__ import annotations
@@ -15,11 +15,9 @@ from __future__ import annotations
 import pickle
 from typing import Any
 
-import numpy as np
-
 from repro.core import Communicator, as_serialized, op, send_buf, send_recv_buf
 from repro.mpi.context import RawComm
-from repro.mpi.ops import MIN, SUM
+from repro.mpi.ops import SUM
 
 
 class BinaryStream:
@@ -46,15 +44,8 @@ class HandRolledParallelContext:
         self.raw = raw
         self._buffer = bytearray()
 
-    @property
-    def rank(self) -> int:
-        return self.raw.rank
-
     def master(self) -> bool:
         return self.raw.rank == 0
-
-    def barrier(self) -> None:
-        self.raw.barrier()
 
     def broadcast_object(self, obj: Any) -> Any:
         if self.raw.size == 1:
@@ -77,12 +68,6 @@ class HandRolledParallelContext:
     def reduce_score(self, local_score: int) -> int:
         return int(self.raw.allreduce(local_score, SUM))
 
-    def reduce_min_pair(self, score: int, payload: int) -> tuple[int, int]:
-        """Allreduce of (score, tiebreak) pairs by lexicographic minimum."""
-        packed = (score << 20) | payload
-        best = int(self.raw.allreduce(packed, MIN))
-        return best >> 20, best & ((1 << 20) - 1)
-
 
 class KampingParallelContext:
     """The "after" layer: the entire custom machinery becomes one-liners."""
@@ -90,23 +75,11 @@ class KampingParallelContext:
     def __init__(self, comm: Communicator):
         self.comm = comm
 
-    @property
-    def rank(self) -> int:
-        return self.comm.rank
-
     def master(self) -> bool:
         return self.comm.rank == 0
-
-    def barrier(self) -> None:
-        self.comm.barrier()
 
     def broadcast_object(self, obj: Any) -> Any:
         return self.comm.bcast(send_recv_buf(as_serialized(obj)))
 
     def reduce_score(self, local_score: int) -> int:
         return int(self.comm.allreduce_single(send_buf(local_score), op(SUM)))
-
-    def reduce_min_pair(self, score: int, payload: int) -> tuple[int, int]:
-        packed = (score << 20) | payload
-        best = int(self.comm.allreduce_single(send_buf(packed), op(MIN)))
-        return best >> 20, best & ((1 << 20) - 1)

@@ -23,9 +23,12 @@ from typing import Callable
 
 import numpy as np
 
-from repro.apps.graphs.graph import block_bounds, block_owners
+from repro.apps.graphs.graph import block_bounds
 from repro.apps.suffix.common import suffix_array_sequential
-from repro.apps.suffix.prefix_doubling import _dense_ranks_from_sorted
+from repro.apps.suffix.prefix_doubling import (
+    _dense_ranks_from_sorted,
+    _send_back_kamping,
+)
 from repro.core import Communicator, send_buf, send_counts
 from repro.plugins.sorter import partition
 
@@ -79,23 +82,6 @@ def sample_sort_records(comm: Communicator, records: np.ndarray,
                               send_counts(counts.tolist()))
     received = np.asarray(received, dtype=records.dtype)
     return np.array(sorted(received, key=keyfn), dtype=records.dtype)
-
-
-def _exchange_indexed(comm: Communicator, dest_idx: np.ndarray,
-                      values: np.ndarray, n: int, local_n: int,
-                      first: int) -> np.ndarray:
-    """Deliver (index, value) pairs to the block owners of ``dest_idx``."""
-    p = comm.size
-    order, counts = partition(block_owners(dest_idx, n, p), p)
-    payload = np.empty(2 * len(dest_idx), dtype=np.int64)
-    payload[0::2] = dest_idx[order]
-    payload[1::2] = values[order]
-    flat = comm.alltoallv(send_buf(payload), send_counts((2 * counts).tolist()))
-    incoming = np.asarray(flat, dtype=np.int64).reshape(-1, 2)
-    out = np.zeros(local_n, dtype=np.int64)
-    if len(incoming):
-        out[incoming[:, 0] - first] = incoming[:, 1]
-    return out
 
 
 def _gather_solve(comm: Communicator, local_block: np.ndarray,
@@ -173,17 +159,17 @@ def pdc3(comm: Communicator, local_block: np.ndarray, n: int) -> np.ndarray:
     # -- step 2: rank the samples (directly, or via recursion) -----------------
     red_first, red_last = block_bounds(m, p, r)
     if all_distinct:
-        rank_red = _exchange_indexed(comm, red_pos, names + 1, m,
-                                     red_last - red_first, red_first)
+        rank_red = _send_back_kamping(comm, red_pos, names + 1, m,
+                                      red_last - red_first, red_first)
     else:
-        reduced = _exchange_indexed(comm, red_pos, names + 1, m,
-                                    red_last - red_first, red_first)
+        reduced = _send_back_kamping(comm, red_pos, names + 1, m,
+                                     red_last - red_first, red_first)
         sa_r = pdc3(comm, reduced, m)
         # invert: rank of reduced suffix j = position in SA_R + 1
         sa_first, sa_last = block_bounds(m, p, r)
         positions = np.arange(sa_first, sa_last, dtype=np.int64)
-        rank_red = _exchange_indexed(comm, sa_r, positions + 1, m,
-                                     red_last - red_first, red_first)
+        rank_red = _send_back_kamping(comm, sa_r, positions + 1, m,
+                                      red_last - red_first, red_first)
 
     # -- step 3: ship sample ranks back to original-index owners ----------------
     red_idx = np.arange(red_first, red_last, dtype=np.int64)
@@ -191,8 +177,8 @@ def pdc3(comm: Communicator, local_block: np.ndarray, n: int) -> np.ndarray:
     # the dummy maps to original index n; its rank is always 1 (unique
     # smallest triple), which _rank_halo hardcodes — drop it here
     mask = orig < n
-    rank_by_index = _exchange_indexed(comm, orig[mask], rank_red[mask], n,
-                                      last - first, first)
+    rank_by_index = _send_back_kamping(comm, orig[mask], rank_red[mask], n,
+                                       last - first, first)
 
     # extend with the next rank's first two sample ranks (for r(i+1), r(i+2))
     rank_ext = _rank_halo(comm, rank_by_index, dummy, n, first, last)
@@ -207,8 +193,8 @@ def pdc3(comm: Communicator, local_block: np.ndarray, n: int) -> np.ndarray:
     offset = comm.exscan_single(send_buf(len(sa_local)), _sum_op())
     offset = int(offset) if offset is not None else 0
     positions = np.arange(offset, offset + len(sa_local), dtype=np.int64)
-    return _exchange_indexed(comm, positions, sa_local, n,
-                             sa_last - sa_first, sa_first)
+    return _send_back_kamping(comm, positions, sa_local, n,
+                              sa_last - sa_first, sa_first)
 
 
 def _sum_op():

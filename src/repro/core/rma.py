@@ -2,8 +2,9 @@
 
 KaMPIng-flavoured conveniences on top of :mod:`repro.mpi.rma`:
 
-- ``get`` always returns a fresh copy (no aliasing of remote memory);
 - window memory is validated and coerced once at creation;
+- reads return the raw :class:`~repro.mpi.rma.RmaResult`: ``wait()`` gives
+  the value after the epoch's closing fence and raises before it;
 - a scoped fence epoch (``with win.epoch(): ...``).
 """
 
@@ -16,6 +17,7 @@ import numpy as np
 
 from repro.core.errors import UsageError
 from repro.mpi.ops import Op, SUM
+from repro.mpi.rma import RmaResult
 
 
 class Window:
@@ -50,7 +52,7 @@ class Window:
         self._raw.put(np.asarray(data, dtype=self.local.dtype), target, offset)
 
     def get(self, target: int, offset: int = 0,
-            count: Optional[int] = None) -> np.ndarray:
+            count: Optional[int] = None) -> RmaResult:
         return self._raw.get(target, offset, count)
 
     def accumulate(self, data: Any, target: int, offset: int = 0,
@@ -59,16 +61,12 @@ class Window:
                              target, offset, op)
 
     def fetch_and_op(self, value: Any, target: int, offset: int,
-                     op: Op = SUM) -> Any:
+                     op: Op = SUM) -> RmaResult:
         return self._raw.fetch_and_op(value, target, offset, op)
 
     def compare_and_swap(self, value: Any, compare: Any, target: int,
-                         offset: int) -> Any:
+                         offset: int) -> RmaResult:
         return self._raw.compare_and_swap(value, compare, target, offset)
 
     def free(self) -> None:
         self._raw.free()
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (f"Window(rank={self.comm.rank}/{self.comm.size}, "
-                f"size={len(self.local)})")

@@ -66,13 +66,6 @@ class Algorithm:
     #: fast paths of :mod:`~repro.mpi.algorithms.singleton`)
     schedule: Optional[Schedule] = None
 
-    def predict(self, p: int, nbytes: int, cost_model) -> float:
-        if self.cost is None:
-            raise RawUsageError(
-                f"algorithm {self.collective}/{self.name} has no cost formula"
-            )
-        return self.cost(p, nbytes, cost_model)
-
 
 _REGISTRY: dict[str, dict[str, Algorithm]] = {}
 _DEFAULTS: dict[str, str] = {}

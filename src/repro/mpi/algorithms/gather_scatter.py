@@ -7,6 +7,7 @@ from typing import Any, Optional, Sequence
 import numpy as np
 
 from repro.mpi.algorithms import collective_algorithm
+from repro.mpi.algorithms.bcast import _cost_linear
 from repro.mpi.algorithms.common import (
     CODE_GATHER,
     CODE_GATHERV,
@@ -33,12 +34,6 @@ def _cost_gather_linear(p, nbytes, cm):
     # Root posts p−1 receives at `overhead` each; the slowest arrival
     # carries one α plus its block.
     return cm.alpha + nbytes * cm.beta + p * cm.overhead
-
-
-def _cost_scatter_linear(p, nbytes, cm):
-    if p == 1:
-        return 0.0
-    return (p - 1) * cm.overhead + cm.alpha + nbytes * cm.beta + cm.overhead
 
 
 def _cost_scatter_binomial(p, nbytes, cm):
@@ -114,7 +109,7 @@ def gatherv_linear(p: int, r: int, sendbuf: np.ndarray,
 
 
 @collective_algorithm("scatter", "linear", default=True,
-                      cost=_cost_scatter_linear,
+                      cost=_cost_linear,
                       description="root sends each rank its payload directly")
 def scatter_linear(p: int, r: int, payloads: Optional[Sequence[Any]],
                    root: int):
@@ -154,7 +149,7 @@ def scatter_binomial(p: int, r: int, payloads: Optional[Sequence[Any]],
 
 
 @collective_algorithm("scatterv", "linear", default=True,
-                      cost=_cost_scatter_linear,
+                      cost=_cost_linear,
                       description="root slices sendbuf by sendcounts and "
                                   "sends each slice directly")
 def scatterv_linear(p: int, r: int, sendbuf: Optional[np.ndarray],

@@ -26,20 +26,13 @@ from repro.mpi.algorithms.common import (
     _combine,
     _tree_depth,
 )
-from repro.mpi.algorithms.bcast import bcast_binomial
-from repro.mpi.algorithms.gather_scatter import gather_binomial
+from repro.mpi.algorithms.bcast import _cost_binomial, bcast_binomial
+from repro.mpi.algorithms.gather_scatter import (
+    _cost_gather_linear,
+    gather_binomial,
+)
 from repro.mpi.algorithms.schedule import Recv, Send, Tag
 from repro.mpi.ops import Op
-
-
-def _cost_reduce_binomial(p, nbytes, cm):
-    return _tree_depth(p) * (cm.alpha + nbytes * cm.beta + 2 * cm.overhead)
-
-
-def _cost_reduce_linear(p, nbytes, cm):
-    if p == 1:
-        return 0.0
-    return cm.alpha + nbytes * cm.beta + p * cm.overhead
 
 
 def _cost_recursive_doubling(p, nbytes, cm):
@@ -70,13 +63,8 @@ def _cost_allreduce_ring(p, nbytes, cm):
     return 2 * (p - 1) * (cm.alpha + 2 * cm.overhead + chunk * cm.beta)
 
 
-def _cost_scan_doubling(p, nbytes, cm):
-    # ⌈log₂ p⌉ rounds, but buffered sends overlap them down to tree depth.
-    return _tree_depth(p) * (cm.alpha + nbytes * cm.beta + 2 * cm.overhead)
-
-
 @collective_algorithm("reduce", "binomial", default=True,
-                      cost=_cost_reduce_binomial,
+                      cost=_cost_binomial,
                       description="binomial combining tree (commutative ops); "
                                   "gather + ordered fold otherwise")
 def reduce_binomial(p: int, r: int, value: Any, op: Op, root: int):
@@ -94,7 +82,7 @@ def reduce_binomial(p: int, r: int, value: Any, op: Op, root: int):
     return acc
 
 
-@collective_algorithm("reduce", "linear", cost=_cost_reduce_linear,
+@collective_algorithm("reduce", "linear", cost=_cost_gather_linear,
                       description="root receives every contribution and folds "
                                   "in rank order (valid for non-commutative "
                                   "ops too)")
@@ -217,15 +205,17 @@ def _prefix_doubling(p: int, r: int, value: Any, op: Op, code: int):
     return acc, exclusive
 
 
+# ⌈log₂ p⌉ rounds, but buffered sends overlap them down to tree depth:
+# the binomial tree's cost
 @collective_algorithm("scan", "doubling", default=True,
-                      cost=_cost_scan_doubling,
+                      cost=_cost_binomial,
                       description="Hillis–Steele inclusive prefix doubling")
 def scan_doubling(p: int, r: int, value: Any, op: Op):
     return (yield from _prefix_doubling(p, r, value, op, CODE_SCAN))[0]
 
 
 @collective_algorithm("exscan", "doubling", default=True,
-                      cost=_cost_scan_doubling,
+                      cost=_cost_binomial,
                       description="Hillis–Steele exclusive prefix doubling; "
                                   "rank 0 gets the operator identity")
 def exscan_doubling(p: int, r: int, value: Any, op: Op):

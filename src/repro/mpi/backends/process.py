@@ -92,8 +92,8 @@ therefore never hit a closed pipe.
 What this backend does **not** provide — and refuses loudly
 (:class:`~repro.mpi.errors.UnsupportedOnBackend`) rather than emulating
 badly — is what still needs one shared address space: MPIsan resource
-auditing, fault-injection campaigns, the run watchdog, RMA windows, and ULFM
-failure coordination.  The seeded schedule fuzzer is the shared one: every
+auditing, fault-injection campaigns, the run watchdog, and ULFM failure
+coordination.  The seeded schedule fuzzer is the shared one: every
 child builds ``ScheduleFuzzer(seed)``, whose streams are keyed by thread
 name, and names its main thread ``rank-<r>`` as the thread backend does.
 Note the ambient ``REPRO_SANITIZE`` environment default is deliberately

@@ -5,8 +5,8 @@ Machine` built with no transport: mailboxes are plain in-process queues,
 collectives run over them, and the virtual clocks advance deterministically.
 Because everything shares one address space, this backend is the only one
 that supports the introspection and chaos machinery — MPIsan resource
-auditing, fault-injection campaigns, the run watchdog, RMA windows, and ULFM
-failure coordination — which makes it the deterministic debug target the
+auditing, fault-injection campaigns, the run watchdog, and ULFM failure
+coordination — which makes it the deterministic debug target the
 process backend is differentially tested against (``tests/backends/``).
 """
 

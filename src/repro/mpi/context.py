@@ -196,8 +196,9 @@ class RawComm:
             self._check_peer(dest)  # the full check, only where it can raise
         clock = self.clock
         model = machine.cost_model
-        # payload_nbytes, charge_overhead and transfer_time, without their
-        # frames per message: the same float operations in the same order
+        # payload_nbytes, charge_overhead and the α + n·β transfer, without
+        # their frames per message: the same float operations in the same
+        # order
         nbytes = (payload.nbytes if type(payload) is ndarray
                   else payload_nbytes(payload))
         overhead = clock.model.overhead
@@ -595,14 +596,11 @@ class RawComm:
         """Collectively create an RMA window over ``local`` (``MPI_Win_create``)."""
         from repro.mpi.rma import RawWindow
 
-        self.machine.require("rma", "RMA windows (win_create)")
         self._count("win_create")
         self._check_usable()
-        seq = self._mgmt_seq
-        self._mgmt_seq += 1
         with (_NULL_SPAN if self.machine.tracer is None else
               self._span("win_create", peers="all")):
-            return RawWindow(self, local, (self.comm_id, "win", seq))
+            return RawWindow(self, local)
 
     # -- failure handling (substrate for the ULFM plugin) -------------------------
 

@@ -58,10 +58,6 @@ class CostModel:
     dtype_alpha: float = 1.0e-6
     ser_beta: float = 1.0e-9
 
-    def transfer_time(self, nbytes: int) -> float:
-        """Time for a single message of ``nbytes`` to cross the wire."""
-        return self.alpha + nbytes * self.beta
-
     def packed_transfer_time(self, nbytes: int) -> float:
         """Transfer time along the derived-datatype (alltoallw) path."""
         return self.alpha + self.dtype_alpha + nbytes * (self.beta + self.pack_beta)

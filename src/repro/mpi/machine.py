@@ -193,9 +193,9 @@ class Machine:
     def require(self, feature: str, what: str) -> None:
         """Assert a feature built on one shared address space is available.
 
-        RMA windows, ULFM failure coordination and failure injection read and
-        write other ranks' state directly, so they exist only where every
-        rank lives here; over a transport they raise
+        ULFM failure coordination and failure injection read and write other
+        ranks' state directly, so they exist only where every rank lives
+        here; over a transport they raise
         :class:`~repro.mpi.errors.UnsupportedOnBackend` with an actionable
         message instead of silently misbehaving.
         """
@@ -360,7 +360,7 @@ def run_mpi(fn: Callable[..., Any], num_ranks: int, *,
     pipe per ordered rank pair, escaping the GIL for genuinely parallel
     execution; payloads, ``fn``, ``args``, and return values must then be
     picklable, and thread-backend-only features (MPIsan, fault injection,
-    the run watchdog, RMA, ULFM) raise
+    the run watchdog, ULFM) raise
     :class:`~repro.mpi.errors.UnsupportedOnBackend`.  See
     :mod:`repro.mpi.backends` and DESIGN §12.
 
@@ -382,8 +382,8 @@ def run_mpi(fn: Callable[..., Any], num_ranks: int, *,
     static seed algorithms (see :class:`~repro.mpi.engine.CollectiveEngine`).
 
     ``sanitize=True`` (default: the ``REPRO_SANITIZE`` env var) runs MPIsan:
-    every request, posted receive, unexpected envelope, buffer poison, and
-    RMA lock is tracked, and a clean run that leaves any behind raises
+    every request, posted receive, unexpected envelope and buffer poison is
+    tracked, and a clean run that leaves any behind raises
     :class:`~repro.mpi.sanitizer.ResourceLeakError` at teardown (the report
     is also available as ``result.leaks`` and, on traced runs, as
     ``leak:<kind>`` trace events).  Runs with failed/errored ranks only

@@ -176,10 +176,6 @@ class TestRingFailures:
         assert _shm_entries() <= before
 
 
-def _win_create(comm):
-    comm.win_create(np.zeros(4))
-
-
 def _revoke(comm):
     comm.revoke()
 
@@ -219,10 +215,6 @@ class TestUnsupportedFeatures:
         assert res.values == [0, 1]
         with pytest.raises(UnsupportedOnBackend):
             run_mpi(_idle, 2, backend="process", sanitize=True)
-
-    def test_rma_guard(self):
-        with pytest.raises(RuntimeError, match="RMA windows"):
-            run_mpi(_win_create, 2, backend="process")
 
     def test_ulfm_guards(self):
         for fn, feature in (

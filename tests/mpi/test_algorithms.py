@@ -105,14 +105,16 @@ def test_headline_algorithms_carry_cost_formulas():
     for op in HEADLINE:
         for algo in algorithms.algorithms(op):
             assert algo.cost is not None, (op, algo.name)
-            cost = algo.predict(8, 4096, CostModel())
+            cost = algo.cost(8, 4096, CostModel())
             assert np.isfinite(cost) and cost > 0.0
 
 
-def test_predict_without_cost_formula_raises():
-    algo = algorithms.get("neighbor_alltoall", "direct")
-    with pytest.raises(RawUsageError, match="no cost formula"):
-        algo.predict(4, 0, CostModel())
+def test_costmodel_policy_without_cost_formulas_keeps_the_default():
+    # neighbor_alltoall's one algorithm has no formula: nothing to argmin
+    assert algorithms.get("neighbor_alltoall", "direct").cost is None
+    picked = _engine(policy="costmodel").resolve("neighbor_alltoall", p=4,
+                                                 nbytes=0)
+    assert picked is algorithms.default("neighbor_alltoall")
 
 
 # ---------------------------------------------------------------------------
@@ -423,10 +425,10 @@ class TestEngineSelection:
             for p in (4, 16):
                 for nbytes in (0, 64, 1 << 20):
                     picked = eng.resolve(op, p=p, nbytes=nbytes)
-                    best = min(a.predict(p, nbytes, cm)
+                    best = min(a.cost(p, nbytes, cm)
                                for a in algorithms.algorithms(op)
                                if a.cost is not None)
-                    assert picked.predict(p, nbytes, cm) == best
+                    assert picked.cost(p, nbytes, cm) == best
 
     def test_costmodel_ties_keep_the_seed_default(self):
         # under the FREE model every formula evaluates to 0 ⇒ all ties

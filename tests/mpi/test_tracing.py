@@ -451,7 +451,7 @@ class TestRmaEvents:
             got = win.get(0, count=4) if comm.rank == 1 else None
             win.fence()
             win.free()
-            return None if got is None else got.tolist()
+            return None if got is None else got.wait().tolist()
 
         res = run_mpi(main, 2, trace=True)
         puts = [e for e in res.trace.events_for(0) if e.op == "win_put"]

@@ -136,7 +136,7 @@ def test_wire_exact_formulas_track_the_simulator(op, name, p, cm_name):
     cm = COST_MODELS[cm_name]
     for width in (16, 512):
         measured = _measure(op, name, p, width, cm)
-        predicted = algorithms.get(op, name).predict(p, _hint(op, p, width), cm)
+        predicted = algorithms.get(op, name).cost(p, _hint(op, p, width), cm)
         assert measured > 0 or predicted == 0
         if measured > 0:
             assert predicted == pytest.approx(measured, rel=0.12), \
@@ -150,7 +150,7 @@ def test_container_formulas_bound_the_simulator(op, name, p, cm_name):
     cm = COST_MODELS[cm_name]
     width = 512  # 4 KiB blocks: bytes dominate pickle framing
     measured = _measure(op, name, p, width, cm)
-    predicted = algorithms.get(op, name).predict(p, _hint(op, p, width), cm)
+    predicted = algorithms.get(op, name).cost(p, _hint(op, p, width), cm)
     assert measured > 0
     assert measured / 2 <= predicted <= measured * 2, \
         f"{op}/{name} p={p} cm={cm_name}: measured={measured} predicted={predicted}"
@@ -166,7 +166,7 @@ def _costed():
 def test_singleton_predictions_are_zero():
     cm = CostModel()
     for op, algo in _costed():
-        assert algo.predict(1, 4096, cm) == 0.0, \
+        assert algo.cost(1, 4096, cm) == 0.0, \
             f"{op}/{algo.name} must predict a free singleton"
 
 
@@ -174,5 +174,5 @@ def test_costs_monotone_in_payload():
     """Bigger payloads never get cheaper (sanity for the argmin policy)."""
     cm = CostModel()
     for op, algo in _costed():
-        costs = [algo.predict(8, n, cm) for n in (0, 64, 4096, 1 << 20)]
+        costs = [algo.cost(8, n, cm) for n in (0, 64, 4096, 1 << 20)]
         assert costs == sorted(costs), f"{op}/{algo.name}: {costs}"
