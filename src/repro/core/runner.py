@@ -23,7 +23,6 @@ def run(fn: Callable[..., Any], num_ranks: int, *,
         args: Sequence[Any] = (),
         cost_model: Optional[CostModel] = None,
         deadline: float = 120.0,
-        timeout: Optional[float] = None,
         comm_class: Type[Communicator] = Communicator,
         trace: bool | TraceRecorder = False,
         engine: Optional[CollectiveEngine] = None,
@@ -37,9 +36,9 @@ def run(fn: Callable[..., Any], num_ranks: int, *,
     Like :func:`repro.mpi.run_mpi`, but each rank receives a wrapped
     :class:`~repro.core.communicator.Communicator` (optionally a plugin-
     extended subclass via ``comm_class``) instead of the raw handle.
-    ``timeout`` arms the run watchdog (a hung run raises
-    :class:`~repro.mpi.errors.RunTimeout` with per-rank stack dumps);
-    ``trace=True`` records the structured communication trace
+    ``deadline`` bounds a hang (a wait past it, or the run past it plus the
+    backends' grace, raises :class:`~repro.mpi.errors.RawDeadlockError`
+    with the stuck ranks' stacks); ``trace=True`` records the structured communication trace
     (:class:`~repro.mpi.tracing.TraceRecorder`) as ``result.trace``;
     ``engine`` overrides the collective algorithm selection (see
     :class:`~repro.mpi.engine.CollectiveEngine`); ``sanitize``/``fuzz_seed``
@@ -55,6 +54,6 @@ def run(fn: Callable[..., Any], num_ranks: int, *,
     issue.
     """
     return run_mpi(partial(_entry, comm_class, fn), num_ranks, args=args,
-                   cost_model=cost_model, deadline=deadline, timeout=timeout,
+                   cost_model=cost_model, deadline=deadline,
                    trace=trace, engine=engine, sanitize=sanitize,
                    fuzz_seed=fuzz_seed, faults=faults, backend=backend, ir=ir)

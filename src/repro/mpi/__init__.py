@@ -28,7 +28,6 @@ from repro.mpi.errors import (
     RawProcessFailure,
     RawTruncationError,
     RawUsageError,
-    RunTimeout,
     UnsupportedOnBackend,
 )
 from repro.mpi.faultinject import (
@@ -83,7 +82,7 @@ __all__ = [
     "BAND", "BOR", "BXOR", "BUILTIN_OPS", "user_op",
     "Status", "RawRequest", "waitall", "testall", "waitany",
     "RawMpiError", "RawUsageError", "RawTruncationError", "RawDeadlockError",
-    "RawProcessFailure", "RawCommRevoked", "ProcessKilled", "RunTimeout",
+    "RawProcessFailure", "RawCommRevoked", "ProcessKilled",
     "UnsupportedOnBackend",
     "Backend", "ThreadBackend", "ProcessBackend", "BACKENDS",
     "resolve_backend",

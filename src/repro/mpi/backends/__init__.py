@@ -6,7 +6,7 @@ Two backends ship today:
     Ranks are threads of the calling process sharing one
     :class:`~repro.mpi.machine.Machine`.  Deterministic, cheap to spawn, and
     the only backend supporting the shared-address-space machinery (MPIsan,
-    fault injection, the run watchdog, ULFM).
+    fault injection, ULFM).
 
 ``process`` (:class:`~repro.mpi.backends.process.ProcessBackend`)
     One OS process per rank, each running its part of the same ``Machine``

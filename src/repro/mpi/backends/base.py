@@ -36,6 +36,12 @@ from repro.mpi.errors import RawDeadlockError, RawProcessFailure
 from repro.mpi.machine import Machine, RunResult, audit_leaks
 from repro.mpi.tracing import TraceEvent, TraceRecorder
 
+#: real seconds a run may outlast its ``deadline``.  Every wait ends by the
+#: deadline, so a run still going at ``deadline + RUN_GRACE`` after launch
+#: has a rank stuck outside any wait: its backend ends the run there with
+#: :class:`~repro.mpi.errors.RawDeadlockError`.
+RUN_GRACE = 30.0
+
 
 def resolve_tracer(trace: bool | TraceRecorder,
                    num_ranks: int) -> Optional[TraceRecorder]:
@@ -53,7 +59,7 @@ def schedule_rank_thread() -> None:
     thread preempts its waker on a shared CPU, blocks on the GIL at once and
     runs only once the waker parks: three context switches per hand-off where
     one does.  Call it first thing in a rank thread and nowhere else — not on
-    the caller's thread, nor on a service's watchdog."""
+    the caller's thread."""
     try:
         os.sched_setscheduler(0, os.SCHED_BATCH, os.sched_param(0))
     except (AttributeError, OSError):
@@ -106,7 +112,6 @@ class Backend:
             args: Sequence[Any] = (),
             cost_model: Optional[CostModel] = None,
             deadline: float = 120.0,
-            timeout: Optional[float] = None,
             trace: bool | TraceRecorder = False,
             engine: Optional[CollectiveEngine] = None,
             sanitize: Optional[bool] = None,
@@ -116,10 +121,10 @@ class Backend:
 
         The keyword surface is exactly :func:`repro.mpi.run_mpi`'s; a backend
         that cannot honor a *requested* feature (an explicit ``sanitize=True``
-        rather than an ambient env default, a ``faults`` campaign, a
-        ``timeout=`` watchdog, …) raises
+        rather than an ambient env default, a ``faults`` campaign, …) raises
         :class:`~repro.mpi.errors.UnsupportedOnBackend` before spawning
-        anything.
+        anything.  A run still going ``deadline + RUN_GRACE`` seconds after
+        launch raises :class:`~repro.mpi.errors.RawDeadlockError`.
         """
         raise NotImplementedError
 
@@ -130,10 +135,16 @@ class Backend:
         raised, else assemble the result.  ``reports`` is in rank order;
         ``machine`` is the one all ranks shared, where there is one to audit
         and hand back."""
-        # stable sort: the lowest rank with a root cause, else the lowest
-        for rep in sorted(reports, key=lambda rep: rep.secondary):
-            if rep.error is not None:
-                raise RuntimeError(rep.error) from rep.cause
+        # stable sort: the lowest rank with a root cause, else the lowest;
+        # without a root cause (a deadlock) where every rank stood is the
+        # diagnosis, so the report holds every rank's error
+        errors = sorted((rep for rep in reports if rep.error is not None),
+                        key=lambda rep: rep.secondary)
+        if errors:
+            first = errors[0]
+            raise RuntimeError("\n".join(rep.error for rep in errors)
+                               if first.secondary else first.error
+                               ) from first.cause
         for rank, rep in enumerate(reports):
             if rep.events:
                 tracer._events[rank].extend(rep.events)

@@ -92,15 +92,18 @@ therefore never hit a closed pipe.
 What this backend does **not** provide — and refuses loudly
 (:class:`~repro.mpi.errors.UnsupportedOnBackend`) rather than emulating
 badly — is what still needs one shared address space: MPIsan resource
-auditing, fault-injection campaigns, the run watchdog, and ULFM failure
-coordination.  The seeded schedule fuzzer is the shared one: every
-child builds ``ScheduleFuzzer(seed)``, whose streams are keyed by thread
-name, and names its main thread ``rank-<r>`` as the thread backend does.
+auditing, fault-injection campaigns and ULFM failure coordination.  The
+seeded schedule fuzzer is the shared one: every child builds
+``ScheduleFuzzer(seed)``, whose streams are keyed by thread name, and names
+its main thread ``rank-<r>`` as the thread backend does.
 Note the ambient ``REPRO_SANITIZE`` environment default is deliberately
 *ignored* here: it opts the thread backend into extra checking, and honoring
 it would make ``REPRO_BACKEND=process`` unrunnable under a sanitizing CI
-lane.  Only an explicit ``sanitize=True`` / ``faults=`` / ``timeout=``
-argument is an error.
+lane.  Only an explicit ``sanitize=True`` / ``faults=`` argument is an
+error.  A hang ends as on threads: a wait past the deadline raises
+:class:`~repro.mpi.errors.RawDeadlockError` in the rank, whose report
+carries its own stack (the one rank thread its process sees), and the parent
+ends a run still going ``deadline + RUN_GRACE`` seconds after launch.
 
 Constraints: ``fn``, ``args``, payloads, and return values must be
 picklable.  The start method defaults to ``fork`` where available (so
@@ -126,7 +129,12 @@ from typing import Any, Callable, Hashable, Optional, Sequence
 
 import numpy as np
 
-from repro.mpi.backends.base import Backend, RankReport, resolve_tracer
+from repro.mpi.backends.base import (
+    RUN_GRACE,
+    Backend,
+    RankReport,
+    resolve_tracer,
+)
 from repro.mpi.costmodel import CostModel
 from repro.mpi.engine import CollectiveEngine
 from repro.mpi.errors import (
@@ -139,10 +147,7 @@ from repro.mpi.machine import CommState, Machine, RunResult
 from repro.mpi.p2p import Envelope
 from repro.mpi.sanitizer import ScheduleFuzzer
 from repro.mpi.tracing import TraceRecorder
-
-#: extra real-time budget the parent allows beyond the machine deadline
-#: before declaring the run hung and terminating the children
-_COLLECT_GRACE = 60.0
+from repro.mpi.watchdog import attach_stacks
 
 
 # ---------------------------------------------------------------------------
@@ -596,12 +601,14 @@ def _child_main(rank: int, num_ranks: int, fn: Callable[..., Any],
     parent_conn.recv()  # ("start",) — every rank's endpoints are live
     transport.start(machine)
 
-    def report(value: Any, exc: Optional[BaseException]) -> RankReport:
+    def report(value: Any, exc: Optional[BaseException],
+               stacks: str = "") -> RankReport:
         # called inside the ``except`` block: the exception object need not
-        # pickle, so the parent gets its formatted traceback instead
-        detail = "" if exc is None else (
+        # pickle, so the parent gets its formatted traceback instead (a
+        # deadlock's stack block holds the same)
+        detail = stacks or ("" if exc is None else (
             f"\n--- traceback from rank {rank} (process backend) ---\n"
-            f"{traceback.format_exc()}")
+            f"{traceback.format_exc()}"))
         rep = RankReport.of(machine, rank, value, exc, detail)
         rep.cause = None
         rep.events = tracer._events[rank] if tracer is not None else None
@@ -610,8 +617,9 @@ def _child_main(rank: int, num_ranks: int, fn: Callable[..., Any],
     try:
         rep = report(fn(RawComm(machine, machine.world, rank), *args), None)
     except BaseException as exc:  # noqa: BLE001 - reported to the parent
+        stacks = attach_stacks(exc, [threading.current_thread()])
         machine.abort(rank)  # peers blocked on us fail now
-        rep = report(None, exc)
+        rep = report(None, exc, stacks)
     try:
         parent_conn.send(("done", rank, rep))
     except Exception as exc:  # unpicklable return value: report that instead
@@ -646,7 +654,6 @@ class ProcessBackend(Backend):
             args: Sequence[Any] = (),
             cost_model: Optional[CostModel] = None,
             deadline: float = 120.0,
-            timeout: Optional[float] = None,
             trace: bool | TraceRecorder = False,
             engine: Optional[CollectiveEngine] = None,
             sanitize: Optional[bool] = None,
@@ -659,12 +666,6 @@ class ProcessBackend(Backend):
         # ignores (see the module docstring); only a literal True is a hard
         # request.
         here = f"on the {self.name!r} backend"
-        if timeout is not None:
-            # the watchdog's value is the per-rank stack dumps, and
-            # sys._current_frames() cannot see another OS process's threads
-            raise UnsupportedOnBackend(unsupported(
-                "timeout", "the run watchdog with per-rank stack dumps "
-                "(timeout=...)", here))
         if sanitize:
             raise UnsupportedOnBackend(unsupported(
                 "sanitize", "MPIsan resource auditing (sanitize=True)", here))
@@ -706,6 +707,7 @@ class ProcessBackend(Backend):
                       child_end),
                 name=f"repro-rank-{r}", daemon=True,
             )
+        expiry = time.monotonic() + deadline + RUN_GRACE
         try:
             for p in procs.values():
                 p.start()
@@ -719,7 +721,6 @@ class ProcessBackend(Backend):
         for child_end in child_ends:
             child_end.close()
 
-        expiry = time.monotonic() + deadline + _COLLECT_GRACE
         try:
             self._gather(ctl, procs, expiry, "up")
             for conn in ctl.values():
@@ -754,7 +755,8 @@ class ProcessBackend(Backend):
             if left <= 0:
                 raise RawDeadlockError(
                     f"process backend: ranks {sorted(pending)} did not "
-                    f"report '{kind}' within the deadline; terminating"
+                    f"report '{kind}' within the deadline + {RUN_GRACE:g}s "
+                    f"of launch; terminating"
                 )
             conns = [ctl[r] for r in pending]
             sentinels = [procs[r].sentinel for r in pending]

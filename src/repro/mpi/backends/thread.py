@@ -5,9 +5,11 @@ Machine` built with no transport: mailboxes are plain in-process queues,
 collectives run over them, and the virtual clocks advance deterministically.
 Because everything shares one address space, this backend is the only one
 that supports the introspection and chaos machinery — MPIsan resource
-auditing, fault-injection campaigns, the run watchdog, and ULFM failure
-coordination — which makes it the deterministic debug target the
-process backend is differentially tested against (``tests/backends/``).
+auditing, fault-injection campaigns and ULFM failure coordination — which
+makes it the deterministic debug target the process backend is
+differentially tested against (``tests/backends/``).  It is also where a
+hang shows the most: a rank's :class:`~repro.mpi.errors.RawDeadlockError`
+carries the stacks of every rank thread.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import time
 from typing import Any, Callable, Optional, Sequence
 
 from repro.mpi.backends.base import (
+    RUN_GRACE,
     Backend,
     RankReport,
     resolve_tracer,
@@ -24,14 +27,9 @@ from repro.mpi.backends.base import (
 )
 from repro.mpi.costmodel import CostModel
 from repro.mpi.engine import CollectiveEngine
-from repro.mpi.errors import (
-    ProcessKilled,
-    RawDeadlockError,
-    RawUsageError,
-    RunTimeout,
-)
+from repro.mpi.errors import ProcessKilled, RawDeadlockError
 from repro.mpi.machine import Machine, RunResult
-from repro.mpi.watchdog import format_stacks, thread_stacks
+from repro.mpi.watchdog import attach_stacks, format_stacks, thread_stacks
 from repro.mpi.sanitizer import (
     ResourceAuditor,
     ScheduleFuzzer,
@@ -49,16 +47,12 @@ class ThreadBackend(Backend):
             args: Sequence[Any] = (),
             cost_model: Optional[CostModel] = None,
             deadline: float = 120.0,
-            timeout: Optional[float] = None,
             trace: bool | TraceRecorder = False,
             engine: Optional[CollectiveEngine] = None,
             sanitize: Optional[bool] = None,
             fuzz_seed: Optional[int] = None,
             faults: Any = None) -> RunResult:
         from repro.mpi.context import RawComm
-
-        if timeout is not None and timeout <= 0:
-            raise RawUsageError(f"timeout must be > 0 seconds, got {timeout}")
 
         tracer = resolve_tracer(trace, num_ranks)
         if sanitize is None:
@@ -71,6 +65,7 @@ class ThreadBackend(Backend):
                           fuzzer=fuzzer, faults=faults)
         values: list[Any] = [None] * num_ranks
         errors: list[Optional[BaseException]] = [None] * num_ranks
+        details = [""] * num_ranks
 
         def worker(world_rank: int) -> None:
             schedule_rank_thread()
@@ -82,6 +77,7 @@ class ThreadBackend(Backend):
             except ProcessKilled:
                 machine.mark_failed(world_rank)
             except BaseException as exc:  # noqa: BLE001 - report to the driver
+                details[world_rank] = attach_stacks(exc, threads)
                 machine.abort(world_rank)  # peers blocked on us fail now
                 errors[world_rank] = exc
 
@@ -90,37 +86,26 @@ class ThreadBackend(Backend):
                              daemon=True)
             for r in range(num_ranks)
         ]
+        expiry = time.monotonic() + deadline + RUN_GRACE
         for t in threads:
             t.start()
-        # the run watchdog (timeout=) bounds the *whole run* in real seconds
-        # and replaces the per-thread deadlock join budget; either way a rank
-        # that never terminates becomes a diagnosable error, not a hang
-        expiry = (time.monotonic() + timeout) if timeout is not None else None
         hung = None
         for t in threads:
-            if expiry is None:
-                t.join(timeout=deadline + 30.0)
-                if t.is_alive():
-                    hung = RawDeadlockError(
-                        f"{t.name} did not terminate (deadlock?)")
-            else:
-                t.join(timeout=max(expiry - time.monotonic(), 0.0))
-                if t.is_alive():
-                    stacks = thread_stacks(threads)
-                    hung = RunTimeout(
-                        f"run exceeded its {timeout:g}s watchdog; "
-                        f"{len(stacks)} rank(s) still running. Per-rank "
-                        f"stacks:\n{format_stacks(stacks)}",
-                        stacks,
-                    )
-            if hung is not None:
+            t.join(max(expiry - time.monotonic(), 0.0))
+            if t.is_alive():
+                stacks = thread_stacks(threads)
+                hung = RawDeadlockError(
+                    f"{t.name} did not terminate within {deadline:g}s + "
+                    f"{RUN_GRACE:g}s of launch; {len(stacks)} rank(s) still "
+                    f"running. Per-rank stacks:\n{format_stacks(stacks)}",
+                    stacks)
                 break
-        reports = [RankReport.of(machine, r, values[r], errors[r])
+        reports = [RankReport.of(machine, r, values[r], errors[r], details[r])
                    for r in range(num_ranks)]
         if hung is not None:
             try:
                 raise hung
-            except type(hung):
+            except RawDeadlockError:
                 # a rank that raised is the root cause; the hang, with the
                 # stuck ranks' stacks, stays reachable as its __context__
                 if any(errors):

@@ -46,26 +46,17 @@ class RawTruncationError(RawMpiError):
 
 
 class RawDeadlockError(RawMpiError):
-    """A blocking operation exceeded the machine's deadlock deadline.
+    """A blocking operation exceeded the machine's deadlock deadline, or a
+    whole run its bound (the deadline plus the backends' grace).
 
     Real MPI would simply hang; the runtime converts hangs into diagnosable
-    failures so tests and benchmarks terminate.
-    """
-
-
-class RunTimeout(RawMpiError):
-    """A whole run exceeded its real-time budget (``run_mpi(..., timeout=)``).
-
-    Unlike :class:`RawDeadlockError` — raised when one *blocking operation*
-    outlives the machine deadline — this is the run-level watchdog: the
-    caller bounds the wall-clock time of the entire ``run_mpi`` call, and on
-    expiry the per-rank stack dumps of the still-running ranks ride along as
-    :attr:`stacks` (and in the message), so a wedged rank is diagnosable
-    without attaching a debugger.
+    failures so tests and benchmarks terminate.  Where a hang is caught, the
+    stacks of the rank threads visible there ride along as :attr:`stacks`
+    (and in the report), so a stuck rank shows where it stood.
     """
 
     def __init__(self, message: str, stacks: "dict[str, str] | None" = None):
-        #: ``{thread name: formatted stack}`` of ranks alive at expiry
+        #: ``{thread name: formatted stack}`` of the ranks seen at the hang
         self.stacks: dict[str, str] = dict(stacks or {})
         super().__init__(message)
 

@@ -339,7 +339,6 @@ def run_mpi(fn: Callable[..., Any], num_ranks: int, *,
             args: Sequence[Any] = (),
             cost_model: Optional[CostModel] = None,
             deadline: float = 120.0,
-            timeout: Optional[float] = None,
             trace: bool | TraceRecorder = False,
             engine: Optional[CollectiveEngine] = None,
             sanitize: Optional[bool] = None,
@@ -360,18 +359,15 @@ def run_mpi(fn: Callable[..., Any], num_ranks: int, *,
     pipe per ordered rank pair, escaping the GIL for genuinely parallel
     execution; payloads, ``fn``, ``args``, and return values must then be
     picklable, and thread-backend-only features (MPIsan, fault injection,
-    the run watchdog, ULFM) raise
-    :class:`~repro.mpi.errors.UnsupportedOnBackend`.  See
+    ULFM) raise :class:`~repro.mpi.errors.UnsupportedOnBackend`.  See
     :mod:`repro.mpi.backends` and DESIGN §12.
 
-    ``timeout`` arms the run watchdog: if the whole run has not finished
-    after that many *real* seconds, it raises
-    :class:`~repro.mpi.errors.RunTimeout` carrying the per-rank stack dumps
-    of the still-running ranks (:mod:`repro.mpi.watchdog`) — the library
-    version of the test suite's conftest watchdog, so a wedged run fails
-    loudly instead of stalling its caller.  Thread backend only: the process
-    backend cannot dump another OS process's stacks and refuses the
-    parameter.
+    ``deadline`` is the one bound on a hang, in *real* seconds: a blocking
+    wait that outlives it raises :class:`~repro.mpi.errors.RawDeadlockError`
+    carrying the stacks of the rank threads its rank can see
+    (:mod:`repro.mpi.watchdog`), and a run still going ``deadline +
+    RUN_GRACE`` seconds after launch (a rank stuck outside any wait) ends
+    with one, so a wedged run fails loudly instead of stalling its caller.
 
     ``trace=True`` records a structured per-rank event trace (one event per
     raw MPI call) available as ``result.trace``; pass an existing
@@ -411,7 +407,7 @@ def run_mpi(fn: Callable[..., Any], num_ranks: int, *,
 
         return run_with_ir(
             fn, num_ranks, mode=ir, args=args,
-            cost_model=cost_model, deadline=deadline, timeout=timeout,
+            cost_model=cost_model, deadline=deadline,
             trace=trace, engine=engine, sanitize=sanitize,
             fuzz_seed=fuzz_seed, faults=faults, backend=backend,
         )
@@ -421,6 +417,6 @@ def run_mpi(fn: Callable[..., Any], num_ranks: int, *,
         fuzz_seed = env_fuzz_seed_default()
     return resolve_backend(backend).run(
         fn, num_ranks, args=args, cost_model=cost_model,
-        deadline=deadline, timeout=timeout, trace=trace, engine=engine,
+        deadline=deadline, trace=trace, engine=engine,
         sanitize=sanitize, fuzz_seed=fuzz_seed, faults=faults,
     )

@@ -8,8 +8,9 @@ defined, when the fence that closes its epoch returns.
 
 - ``win_create`` gathers every rank's ``(length, itemsize)`` once;
 - ``put`` / ``get`` / ``accumulate`` / ``fetch_and_op`` /
-  ``compare_and_swap`` check bounds and queue one record for the target at
-  the origin: they never wait and charge the origin one ``overhead``;
+  ``compare_and_swap`` check bounds (and that an op is predefined, as MPI
+  requires) and queue one record for the target at the origin: they never
+  wait and charge the origin one ``overhead``;
 - ``fence`` (``MPI_Win_fence``) and ``free`` exchange the records in one
   internal ``alltoall``; each target applies them in (origin rank, issue
   order), and a second ``alltoall`` returns the values read;
@@ -29,7 +30,7 @@ from typing import Any, Optional
 import numpy as np
 
 from repro.mpi.errors import RawUsageError
-from repro.mpi.ops import Op, SUM
+from repro.mpi.ops import BUILTIN_OPS, Op, SUM
 from repro.mpi.tracing import _NULL_SPAN
 
 
@@ -165,15 +166,15 @@ class RawWindow:
         """Elementwise remote update (``MPI_Accumulate``)."""
         self.comm._count("win_accumulate")
         data = np.array(data)
-        self._issue(("accumulate", offset, data, op), target, len(data),
-                    data.nbytes)
+        self._issue(("accumulate", offset, data, _predefined(op)), target,
+                    len(data), data.nbytes)
 
     def fetch_and_op(self, value: Any, target: int, offset: int,
                      op: Op = SUM) -> RmaResult:
         """Read-modify-write of one element (``MPI_Fetch_and_op``)."""
         self.comm._count("win_fetch_and_op")
-        return self._issue(("fetch_and_op", offset, value, op), target, 1,
-                           self._shape(target)[1], read=True)
+        return self._issue(("fetch_and_op", offset, value, _predefined(op)),
+                           target, 1, self._shape(target)[1], read=True)
 
     def compare_and_swap(self, value: Any, compare: Any, target: int,
                          offset: int) -> RmaResult:
@@ -181,3 +182,13 @@ class RawWindow:
         self.comm._count("win_compare_and_swap")
         return self._issue(("compare_and_swap", offset, value, compare),
                            target, 1, self._shape(target)[1], read=True)
+
+
+def _predefined(op: Op) -> Op:
+    """``op`` if it is one of ``BUILTIN_OPS``: a target applies the
+    operations it is sent, and MPI allows only predefined ops there."""
+    if op not in BUILTIN_OPS.values():
+        raise RawUsageError(
+            f"one-sided operations take a predefined op "
+            f"({', '.join(BUILTIN_OPS)}), got {op!r}")
+    return op

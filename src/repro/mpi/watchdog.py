@@ -1,16 +1,12 @@
-"""Run-level watchdog: per-rank stack dumps for hung runs.
+"""Stack dumps for hung ranks.
 
-The test suite has always guarded itself with a thread-join watchdog
-(``tests/conftest.py``); this module promotes that idiom into the library so
-*any* caller — ``run_mpi(..., timeout=seconds)``, the cluster service's
-per-job watchdog — can convert a hung run into a diagnosable
-:class:`~repro.mpi.errors.RunTimeout` instead of a stall.
-
-The one capability this needs is a shared address space:
-:func:`sys._current_frames` only sees threads of the calling process, which
-is why the run watchdog is a thread-backend feature (the process backend
-refuses ``timeout=`` with its usual pinned
-:class:`~repro.mpi.errors.UnsupportedOnBackend` message).
+A hang ends in a :class:`~repro.mpi.errors.RawDeadlockError`: a wait past
+the machine's ``deadline``, or a run past its bound, the deadline plus the
+backends' ``RUN_GRACE``.  Where one is caught — a thread backend's rank
+worker, a cluster's rank loop, a process rank's child — :func:`attach_stacks`
+adds the stacks of the rank threads visible there, so the error shows where
+each stuck rank stood.  :func:`sys._current_frames` sees only the threads of
+the calling process: a thread rank sees all its peers, a process rank itself.
 """
 
 from __future__ import annotations
@@ -19,6 +15,8 @@ import sys
 import threading
 import traceback
 from typing import Iterable
+
+from repro.mpi.errors import RawDeadlockError
 
 
 def thread_stacks(threads: Iterable[threading.Thread]) -> dict[str, str]:
@@ -49,3 +47,17 @@ def format_stacks(stacks: dict[str, str]) -> str:
         body = "\n".join(f"    {line}" for line in stacks[name].splitlines())
         blocks.append(f"  --- {name} ---\n{body}")
     return "\n".join(blocks)
+
+
+def attach_stacks(exc: BaseException,
+                  threads: Iterable[threading.Thread]) -> str:
+    """If the calling thread caught ``exc``, a :class:`RawDeadlockError`,
+    add to its ``stacks`` those of ``threads`` still alive — the caller's
+    own as ``exc`` unwound it — and return them as a report block; else
+    return ``""``."""
+    if not isinstance(exc, RawDeadlockError):
+        return ""
+    exc.stacks.update(thread_stacks(threads))
+    exc.stacks[threading.current_thread().name] = "".join(
+        traceback.format_tb(exc.__traceback__)).rstrip()
+    return f"\nPer-rank stacks:\n{format_stacks(exc.stacks)}"

@@ -33,10 +33,11 @@ grow with the jobs it has run.
 SPMD contract for job functions: a ``submit()``'d ``fn(comm, *args)`` runs
 on *every* service rank.  Deterministic (SPMD-replicated) exceptions are
 captured per job and re-raised from ``JobHandle.result()``; an exception
-raised on only *some* ranks abandons collective peers and is caught by the
-``job_timeout`` watchdog, which fails the stream's outstanding handles with
-:class:`~repro.mpi.errors.RunTimeout` (per-rank stacks attached) and wedges
-the cluster.
+raised on only *some* ranks, or a rank that never returns, leaves its peers
+waiting past the ``deadline``.  The first rank whose wait expires fails the
+stream's outstanding handles with a
+:class:`~repro.mpi.errors.RawDeadlockError` that names the directive's jobs
+and carries every rank thread's stack, and wedges the cluster.
 """
 
 from __future__ import annotations
@@ -56,7 +57,6 @@ from repro.mpi.errors import (
     RawCommRevoked,
     RawDeadlockError,
     RawProcessFailure,
-    RunTimeout,
 )
 from repro.mpi.machine import Machine, audit_leaks
 from repro.mpi.ops import Op
@@ -69,7 +69,7 @@ from repro.mpi.sanitizer import (
     env_sanitize_default,
 )
 from repro.mpi.tracing import TraceRecorder
-from repro.mpi.watchdog import format_stacks, thread_stacks
+from repro.mpi.watchdog import attach_stacks
 from repro.plugins.resilience import ResilientScope
 from repro.plugins.ulfm import ULFM, MPIFailureDetected
 from repro.service.batching import batch_label, int_dtype, run_batch, shape_of
@@ -100,18 +100,14 @@ class _ShutdownDirective:
 
 class _DirectiveLog:
     """The directives some live member may still read, and the one record
-    of the job directives in flight: ``unfinished`` maps each to its start
-    time (``None`` until a rank starts it).  Indexes are global and never
-    reused; ``log[0]`` is directive ``first``.  Ranks and the watchdog each
-    wait on their own condition over the cluster's lock, so a finish does
-    not wake the ranks waiting for the next directive."""
+    of the job directives in flight, ``unfinished``.  Indexes are global
+    and never reused; ``log[0]`` is directive ``first``."""
 
     def __init__(self, lock: threading.Lock) -> None:
         self.cv = threading.Condition(lock)        # ranks: the next directive
-        self.watch_cv = threading.Condition(lock)  # watchdog: start / finish
         self.log: list[Any] = []
         self.first = 0                             # index of log[0]
-        self.unfinished: dict[int, Optional[float]] = {}
+        self.unfinished: set[int] = set()
 
     def get(self, index: int, form: Callable[[int], Any],
             give_up: threading.Event) -> Optional[Any]:
@@ -128,7 +124,7 @@ class _DirectiveLog:
                     continue
                 self.log.append(directive)
                 if isinstance(directive, _JobsDirective):
-                    self.unfinished[index] = None
+                    self.unfinished.add(index)
                 self.cv.notify_all()
             if index < self.first:   # only a rank that missed an agree
                 raise ClusterError(f"directive #{index} left the log, which "
@@ -138,39 +134,16 @@ class _DirectiveLog:
     def wake(self) -> None:
         with self.cv:
             self.cv.notify_all()
-            self.watch_cv.notify_all()
-
-    def mark_started(self, index: int) -> None:
-        with self.cv:
-            if index in self.unfinished and self.unfinished[index] is None:
-                self.unfinished[index] = time.monotonic()
-                self.watch_cv.notify()
 
     def mark_finished(self, index: int) -> None:
         """Directive ``index`` finished: it and every one before it leave
         the log.  Every alive member met in its ``agree``, so each cursor is
         past it, and a spare admitted later enters after its join."""
         with self.cv:
-            self.unfinished.pop(index, None)
+            self.unfinished.discard(index)
             if index >= self.first:
                 del self.log[:index + 1 - self.first]
                 self.first = index + 1
-            self.watch_cv.notify()
-
-    def overdue(self, budget: float, give_up: threading.Event
-                ) -> Optional[_JobsDirective]:
-        """Block until a started job directive has run ``budget`` seconds
-        and return it; ``None`` once ``give_up`` is set."""
-        with self.cv:
-            while not give_up.is_set():
-                running = [(t0, i) for i, t0 in self.unfinished.items()
-                           if t0 is not None]
-                t0, index = min(running, default=(None, None))
-                left = None if t0 is None else t0 + budget - time.monotonic()
-                if left is not None and left <= 0:
-                    return self.log[index - self.first]
-                self.watch_cv.wait(left)   # no timer while nothing runs
-        return None
 
 
 class Cluster:
@@ -186,20 +159,19 @@ class Cluster:
 
     Constructor knobs (beyond the obvious): ``spares`` ranks are parked and
     admitted by :meth:`add_rank`; ``queue_depth`` bounds admission;
-    ``batch_limit`` caps coalesced groups; ``job_timeout`` arms the per-
-    directive watchdog; ``hold_jobs=True`` keeps queued jobs out of
-    directives until :meth:`release_jobs` (lets tests enqueue a full stream
-    first, making batching and chaos runs deterministic).  The machine
-    takes the default :class:`~repro.mpi.costmodel.CostModel`, each scope
-    the default retry budget, and ``REPRO_FUZZ_SEED`` seeds the schedule
-    fuzzer.  The ranks are threads of this process, and so is the watchdog;
-    there is no other service thread.
+    ``batch_limit`` caps coalesced groups; ``deadline`` bounds every wait
+    of a rank, so a hung job wedges the cluster after it; ``hold_jobs=True``
+    keeps queued jobs out of directives until :meth:`release_jobs` (lets
+    tests enqueue a full stream first, making batching and chaos runs
+    deterministic).  The machine takes the default
+    :class:`~repro.mpi.costmodel.CostModel`, each scope the default retry
+    budget, and ``REPRO_FUZZ_SEED`` seeds the schedule fuzzer.  The ranks
+    are threads of this process, and there is no other service thread.
     """
 
     def __init__(self, num_ranks: int, *, spares: int = 0,
                  queue_depth: int = 64, batch_limit: int = 8,
                  deadline: float = 60.0,
-                 job_timeout: Optional[float] = None,
                  trace: bool | TraceRecorder = False,
                  engine: Optional[CollectiveEngine] = None,
                  sanitize: Optional[bool] = None,
@@ -209,9 +181,6 @@ class Cluster:
             raise ClusterError(f"num_ranks must be >= 1, got {num_ranks}")
         if spares < 0:
             raise ClusterError(f"spares must be >= 0, got {spares}")
-        if job_timeout is not None and job_timeout <= 0:
-            raise ClusterError(
-                f"job_timeout must be > 0 seconds, got {job_timeout}")
 
         #: the cluster's event recorder (``None`` unless traced)
         self.tracer = resolve_tracer(trace, num_ranks + spares)
@@ -229,7 +198,6 @@ class Cluster:
         self.num_ranks = num_ranks
         self.capacity = capacity
         self.batch_limit = batch_limit
-        self.job_timeout = job_timeout
 
         self.queue = JobQueue(queue_depth)
         self._fuzzer = fuzzer
@@ -272,9 +240,6 @@ class Cluster:
         ]
         for t in self._threads:
             t.start()
-        if job_timeout is not None:
-            threading.Thread(target=self._monitor_main,
-                             name="cluster-watchdog", daemon=True).start()
 
     # -- client API: submission --------------------------------------------
 
@@ -378,7 +343,9 @@ class Cluster:
         """Drain queued jobs, stop the ranks, and run the MPIsan audit.
 
         Further submissions are refused immediately; already-queued jobs
-        still run.  The audit raises :class:`~repro.mpi.sanitizer.
+        still run.  ``timeout`` (default: the deadline; one second once
+        wedged) bounds the join of all the ranks together, and a job still
+        running then fails.  The audit raises :class:`~repro.mpi.sanitizer.
         ResourceLeakError` on any leak in a life that saw no rank failure
         and no wedge, and returns the leak report otherwise.
         """
@@ -389,10 +356,13 @@ class Cluster:
             self._held = False       # a held queue would never drain
             self._directives.cv.notify_all()
             self._admission_cv.notify_all()  # unclaimed spares stop waiting
-        join_budget = timeout if timeout is not None else self.machine.deadline
+        expiry = time.monotonic() + (
+            timeout if timeout is not None else self.machine.deadline)
         for t in self._threads:
-            t.join(join_budget if not self._wedged.is_set() else 1.0)
-        self._wedged.set()           # stops the monitor; threads are gone
+            if self._wedged.is_set():  # a stuck rank may never return
+                expiry = min(expiry, time.monotonic() + 1.0)
+            t.join(max(expiry - time.monotonic(), 0.0))
+        self._wedged.set()           # ranks still alive stop at their next read
         self._directives.wake()
         self._reject_unsettled(ClusterError(
             "the cluster shut down before this job settled"))
@@ -454,21 +424,7 @@ class Cluster:
             return _ShutdownDirective(index)
         return None
 
-    # -- watchdog -----------------------------------------------------------
-
-    def _monitor_main(self) -> None:
-        directive = self._directives.overdue(self.job_timeout, self._wedged)
-        if directive is None:
-            return
-        stacks = thread_stacks(self._threads)
-        jobs = ", ".join(job.label for group in directive.groups
-                         for job in group)
-        self._wedge(RunTimeout(
-            f"cluster directive #{directive.index} ({jobs}) exceeded its "
-            f"{self.job_timeout:g}s job watchdog; {len(stacks)} rank(s) "
-            f"still running. Per-rank stacks:\n{format_stacks(stacks)}",
-            stacks,
-        ))
+    # -- failing the stream -------------------------------------------------
 
     def _wedge(self, error: BaseException) -> None:
         """Fail the stream: reject outstanding handles, stop accepting work."""
@@ -511,9 +467,10 @@ class Cluster:
             pass                     # the campaign already marked us failed
         except BaseException as exc:  # noqa: BLE001 - wedge, don't vanish
             if not self._wedged.is_set():
-                self._wedge(ClusterError(
-                    f"service rank {world_rank} failed: "
-                    f"{type(exc).__name__}: {exc}"))
+                self._wedge(exc if isinstance(exc, RawDeadlockError)
+                            else ClusterError(f"service rank {world_rank} "
+                                              f"failed: {type(exc).__name__}: "
+                                              f"{exc}"))
 
     def _await_admission(self, world_rank: int
                          ) -> Optional[tuple[int, tuple[int, ...], int]]:
@@ -561,8 +518,16 @@ class Cluster:
                     if scope.comm.raw.rank == 0:
                         self.stats["joins"].append(directive.world_rank)
                 return cursor + 1, members, generation
-            self._directives.mark_started(directive.index)
-            self._execute(scope, directive)
+            try:
+                self._execute(scope, directive)
+            except RawDeadlockError as exc:
+                stacks = attach_stacks(exc, self._threads)
+                jobs = ", ".join(job.label for group in directive.groups
+                                 for job in group)
+                raise RawDeadlockError(
+                    f"cluster directive #{directive.index} ({jobs}) did not "
+                    f"finish: service rank {world_rank} waited past the "
+                    f"deadline: {exc}{stacks}", exc.stacks) from exc
             cursor += 1
 
     # -- job execution ------------------------------------------------------

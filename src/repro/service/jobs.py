@@ -40,9 +40,9 @@ class ClusterSaturated(ClusterError):
 class JobHandle:
     """Client-side future for one submitted job.
 
-    Settlement is idempotent and first-write-wins: a job that times out
-    (:class:`~repro.mpi.errors.RunTimeout` via the cluster watchdog) stays
-    failed even if a straggling rank later commits it.  Waiters block on a
+    Settlement is idempotent and first-write-wins: a job failed by a wedge
+    (a :class:`~repro.mpi.errors.RawDeadlockError` past the cluster's
+    deadline) stays failed even if a straggling rank later commits it.  Waiters block on a
     *latch*, one raw lock created held: settling releases it, and each
     waiter acquires it and releases it again for the next.
     """

@@ -9,10 +9,12 @@ of the program (rank 0 wins the election, tickets follow rank order).
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
 
-from repro.mpi import MAX, RawUsageError, run_mpi
+from repro.mpi import MAX, RawUsageError, run_mpi, user_op
 from tests.backends.conftest import canon, ps_for
 
 
@@ -112,3 +114,29 @@ def test_issuing_never_waits_for_the_target(backend):
                   deadline=10.0)
     assert res.values[0][0] == [canon(np.array([7, 3])), 7, 8]
     assert res.values[1] == ([], [9, 3])
+
+
+def _user_op_refused_at_issue(comm):
+    win = comm.win_create(np.zeros(1, dtype=np.int64))
+    win.fence()
+    twice = user_op(lambda a, b: a + 2 * b)
+    refused = []
+    for issue in (lambda: win.accumulate([1], 0, 0, twice),
+                  lambda: win.fetch_and_op(1, 0, 0, twice)):
+        with pytest.raises(RawUsageError, match="predefined op"):
+            issue()
+        refused.append(True)
+    # a copy of a predefined op is that op
+    win.accumulate([comm.rank + 1], 0, 0, pickle.loads(pickle.dumps(MAX)))
+    win.fence()
+    win.free()
+    return refused, win.local.tolist()
+
+
+def test_a_user_op_is_refused_at_issue(backend):
+    """A target applies the op it is sent, and MPI allows only predefined
+    ops there: a ``user_op`` fails where it is issued, on either backend,
+    and the epoch goes on."""
+    res = run_mpi(_user_op_refused_at_issue, 2, backend=backend,
+                  deadline=10.0)
+    assert res.values == [([True, True], [2]), ([True, True], [0])]

@@ -14,12 +14,14 @@ from repro.mpi import (
     FaultCampaign,
     KillAtCheckpoint,
     RawCommRevoked,
+    RawDeadlockError,
     RawProcessFailure,
     run_mpi,
 )
 from repro.mpi import testall as raw_testall
 from repro.mpi import waitall as raw_waitall
 from repro.mpi import waitany as raw_waitany
+from repro.mpi.backends import thread as thread_backend
 from repro.plugins import SparseAlltoall
 from tests.conftest import runp
 from tests.mpi.test_waiting import _RACE_SEEDS
@@ -399,20 +401,26 @@ def test_a_wait_for_any_of_several_requests_does_not_spin(parked_in):
     assert used["cpu"] <= 0.001
 
 
-def test_a_rank_that_never_returns_does_not_hide_the_root_cause():
-    """Rank 0 is stuck outside any wait, so nothing ends it; the watchdog's
-    error still names rank 1's exception, with the stuck stacks behind it."""
+def test_a_rank_that_never_returns_does_not_hide_the_root_cause(
+        monkeypatch):
+    """Rank 0 is stuck outside any wait, so only the run bound (deadline +
+    grace) ends it; the error still names rank 1's exception, with the
+    stuck stacks behind it."""
+    monkeypatch.setattr(thread_backend, "RUN_GRACE", 0.2)
+
     def main(comm):
         if comm.rank == 1:
             raise ValueError("rank 1 gives up")
-        stuck_until = time.monotonic() + 2.0  # well past the watchdog
+        stuck_until = time.monotonic() + 2.0  # well past the run bound
         while time.monotonic() < stuck_until:
             time.sleep(0.01)
 
     with pytest.raises(RuntimeError,
                        match="rank 1 raised ValueError") as info:
-        run_mpi(main, 2, timeout=0.5, backend="thread")
-    assert "rank-0" in info.value.__context__.stacks
+        run_mpi(main, 2, deadline=0.3, backend="thread")
+    hang = info.value.__context__
+    assert isinstance(hang, RawDeadlockError)
+    assert "rank-0" in hang.stacks and "in main" in hang.stacks["rank-0"]
 
 
 def test_failed_ranks_listing():

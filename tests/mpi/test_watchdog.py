@@ -1,60 +1,33 @@
-"""Run-level watchdog: ``run_mpi(..., timeout=)`` and per-rank stack dumps.
+"""Stack dumps for hung ranks (``repro.mpi.watchdog``).
 
-The watchdog bounds a whole run in *real* seconds — the safety net for hangs
-the per-op deadlock deadline cannot attribute (a rank blocked outside any
-MPI op, or wedged application logic).  Expiry raises
-:class:`~repro.mpi.errors.RunTimeout` whose ``stacks`` dict maps each
-still-running rank thread to its Python stack at expiry.
+A wait past the ``deadline`` raises :class:`~repro.mpi.errors.
+RawDeadlockError` in its rank, whose ``stacks`` dict maps each rank thread
+still alive — the raising rank's own as the error unwound it — to its
+Python stack, and the run's report carries the same dump.
 """
 
 import pytest
 
-from repro.mpi import (
-    RawUsageError,
-    RunTimeout,
-    UnsupportedOnBackend,
-    run_mpi,
-)
+from repro.mpi import RawDeadlockError, run_mpi
 from repro.mpi.watchdog import format_stacks
 
 
 class TestRunWatchdog:
-    def test_timeout_must_be_positive(self):
-        for bad in (0, -1, -0.5):
-            with pytest.raises(RawUsageError, match="timeout must be > 0"):
-                run_mpi(lambda comm: None, 2, timeout=bad)
-
-    def test_normal_run_unaffected(self):
-        res = run_mpi(lambda comm: comm.rank, 2, timeout=30.0)
-        assert res.values == [0, 1]
-
     def test_hung_run_raises_with_per_rank_stacks(self):
         def fn(comm):
             if comm.rank == 1:
                 comm.recv(0, 7)     # rank 0 never sends: a real hang
             return "done"
 
-        with pytest.raises(RunTimeout) as excinfo:
-            run_mpi(fn, 2, timeout=0.75, deadline=10.0)
-        err = excinfo.value
-        assert "0.75s watchdog" in str(err)
-        assert "rank-1" in err.stacks
-        assert "recv" in err.stacks["rank-1"]
-        # the dump is embedded in the message too, for bare tracebacks
-        assert "--- rank-1 ---" in str(err)
-
-    def test_finishing_before_expiry_wins(self):
-        res = run_mpi(lambda comm: comm.rank * 2, 4, timeout=60.0)
-        assert res.values == [0, 2, 4, 6]
-
-    def test_process_backend_refuses_timeout_with_pinned_wording(self):
-        with pytest.raises(UnsupportedOnBackend) as excinfo:
-            run_mpi(lambda comm: None, 2, backend="process", timeout=5.0)
-        assert str(excinfo.value) == (
-            "the run watchdog with per-rank stack dumps (timeout=...) is "
-            "not supported on the 'process' backend: it relies on "
-            "shared-process state (timeout); run with backend='thread'"
-        )
+        with pytest.raises(RuntimeError,
+                           match="rank 1 raised RawDeadlockError") as excinfo:
+            run_mpi(fn, 2, deadline=0.3, backend="thread")
+        err = excinfo.value.__cause__
+        assert isinstance(err, RawDeadlockError)
+        assert list(err.stacks) == ["rank-1"]  # rank 0 had returned
+        assert "in recv" in err.stacks["rank-1"]
+        # the dump is embedded in the report too, for bare tracebacks
+        assert "--- rank-1 ---" in str(excinfo.value)
 
     def test_format_stacks_empty(self):
         assert "no rank threads alive" in format_stacks({})

@@ -25,7 +25,7 @@ from repro.mpi import (
     KillMidCollective,
     KillOnOp,
     KillRandom,
-    RunTimeout,
+    RawDeadlockError,
 )
 from repro.service import Cluster, ClusterError
 
@@ -121,11 +121,12 @@ class TestChaosSoak:
 class TestJobTimeoutWedge:
     @pytest.mark.timeout(120)
     def test_hung_job_fails_stream_with_stacks_naming_the_job(self):
-        """A non-SPMD job (one rank never returns) cannot be recovered —
-        the ``job_timeout`` watchdog fails the outstanding handles with
-        :class:`RunTimeout` naming the hung job and carrying per-rank
-        stacks, and wedges the cluster; the run is dirty, so the MPIsan
-        audit at shutdown reports rather than raises."""
+        """A non-SPMD job (one rank never returns) cannot be recovered: its
+        peers wait past the ``deadline``, and the first to give up fails the
+        outstanding handles with a :class:`RawDeadlockError` naming the hung
+        job and carrying every rank thread's stack, and wedges the cluster;
+        the run is dirty, so the MPIsan audit at shutdown reports rather
+        than raises."""
         stall = threading.Event()
 
         def hang(comm):
@@ -133,15 +134,15 @@ class TestJobTimeoutWedge:
                 stall.wait()
             return "finished"
 
-        cluster = Cluster(3, job_timeout=1.0, deadline=4.0, sanitize=True)
+        cluster = Cluster(3, deadline=1.0, sanitize=True)
         try:
             handle = cluster.submit(hang, label="wedger")
             error = handle.exception(timeout=30)
-            assert isinstance(error, RunTimeout)
-            assert "job watchdog" in str(error)
+            assert isinstance(error, RawDeadlockError)
             assert "(wedger)" in str(error)
-            assert any("hang" in stack or "wait" in stack
-                       for stack in error.stacks.values())
+            # the stalled rank's stack, in the error and in its report
+            assert "in hang" in error.stacks["rank-2"]
+            assert "--- rank-2 ---" in str(error)
             assert cluster.wedged
             with pytest.raises(ClusterError, match="wedged"):
                 cluster.submit_bcast(1)

@@ -24,7 +24,7 @@ from repro.mpi import (
     FaultCampaign,
     KillOnOp,
     Op,
-    RunTimeout,
+    RawDeadlockError,
     user_op,
 )
 from repro.service import (
@@ -149,8 +149,6 @@ class TestAdmission:
             Cluster(0)
         with pytest.raises(ClusterError, match="spares"):
             Cluster(2, spares=-1)
-        with pytest.raises(ClusterError, match="job_timeout"):
-            Cluster(2, job_timeout=0)
         with pytest.raises(ClusterError, match="queue depth"):
             Cluster(2, queue_depth=0)
 
@@ -382,8 +380,8 @@ class TestHandleLatch:
             def _on_settled(self, handle):
                 Counting.settled += 1
 
-        outcomes = [("ok", 7), ("ok", 8), ("err", RunTimeout("watchdog 1")),
-                    ("err", RunTimeout("watchdog 2"))]
+        outcomes = [("ok", 7), ("ok", 8), ("err", RawDeadlockError("wedge 1")),
+                    ("err", RawDeadlockError("wedge 2"))]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -450,12 +448,25 @@ class TestPipeline:
                      if name.startswith("rank-") and t is not None]
         assert timed == []
 
-    def test_an_idle_watchdog_parks_without_a_timer(self, recorded_waits):
-        with Cluster(2, job_timeout=5):
-            time.sleep(0.5)
-            waits = [t for name, t in recorded_waits
-                     if name == "cluster-watchdog"]
-        assert len(waits) <= 2
+    def test_a_cluster_runs_its_rank_threads_and_no_other(self):
+        """``Cluster(p, spares=s)`` runs exactly ``p + s`` threads, the
+        ranks, from construction to shutdown."""
+        before = set(threading.enumerate())
+
+        def started():
+            return sorted(t.name for t in set(threading.enumerate()) - before)
+        c = Cluster(2, spares=1)
+        try:
+            ranks = ["rank-0", "rank-1", "rank-2"]
+            assert started() == ranks
+            assert c.submit_bcast(1).result(20) == 1
+            assert started() == ranks
+            c.add_rank()
+            assert c.submit_bcast(2).result(20) == 2
+            assert started() == ranks
+        finally:
+            c.shutdown()
+        assert started() == []
 
     def test_a_drained_cluster_shuts_down_leak_clean(self):
         c = Cluster(2, sanitize=True)
@@ -463,6 +474,22 @@ class TestPipeline:
         report = c.shutdown()
         assert not report
         assert not c._directives.unfinished
+
+    def test_shutdown_bounds_its_whole_join_by_its_timeout(self):
+        """Every rank is in a 5 s job: ``shutdown(timeout=1)`` gives the
+        join of all three one second, not one second each."""
+        release = threading.Event()
+        c = Cluster(3)
+        try:
+            job = c.submit(lambda comm: release.wait(5))
+            _wait_until(lambda: job.state == "running", "the job never ran")
+            t0 = time.monotonic()
+            c.shutdown(timeout=1)
+            assert time.monotonic() - t0 < 2
+            with pytest.raises(ClusterError, match="shut down"):
+                job.result(0)
+        finally:
+            release.set()
 
 
 def _log_bounded(c):
